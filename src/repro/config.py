@@ -259,6 +259,8 @@ class ObsConfig:
 # callable ``backend(memory_system, pe_id, lines, ops, region_names)``
 # returning the per-access ServiceLevel array; every backend must be
 # bit-identical to the scalar oracle on all counters and cache state.
+# ``pe_id`` is one PE, unless the backend is registered with
+# ``epoch=True`` (see ReplayBackend.epoch).
 
 
 @dataclass(frozen=True)
@@ -278,6 +280,12 @@ class ReplayBackend:
     rank: int = 0
     """Degradation order: the supervisor falls back from higher to
     lower rank (fastest/most complex first, oracle last)."""
+    epoch: bool = False
+    """Epoch backends also take a whole epoch's dispatch runs in one
+    call: ``pe_id`` is then a per-access array of PE ids over the
+    concatenated runs, and the result must equal replaying the runs
+    one call each, in order (``MemorySystem.replay_epoch``).  Other
+    backends are called once per run, with one PE."""
 
     def resolve(self) -> Callable:
         module_name, _, attr = self.loader.partition(":")
@@ -302,6 +310,7 @@ def register_replay_backend(
     description: str = "",
     direct: bool = False,
     rank: int = 0,
+    epoch: bool = False,
     overwrite: bool = False,
 ) -> ReplayBackend:
     """Register a replay backend under ``name``.
@@ -316,7 +325,7 @@ def register_replay_backend(
         )
     spec = ReplayBackend(
         name=name, loader=loader, description=description,
-        direct=direct, rank=rank,
+        direct=direct, rank=rank, epoch=epoch,
     )
     _REPLAY_BACKENDS[name] = spec
     return spec
@@ -371,7 +380,7 @@ register_replay_backend(
     "array", "repro.memory.replay_array:replay_trace_array",
     description="array-native stack-distance cascade (NumPy over whole "
     "trace partitions)",
-    rank=2,
+    rank=2, epoch=True,
 )
 
 REPLAY_MODES = replay_modes()
@@ -483,7 +492,7 @@ class SpadeConfig:
     pe: PEConfig = field(default_factory=PEConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     host: HostCPUConfig = field(default_factory=HostCPUConfig)
-    replay: str = "batched"
+    replay: str = "array"
     execution: str = "vectorized"
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)

@@ -164,7 +164,8 @@ class Engine:
                 chaos=chaos,
             )
         # Replay mode: non-direct backends ("batched", "array") buffer
-        # each PE chunk's trace and replay it in one call per chunk;
+        # each PE chunk's trace and replay it in one call per chunk (one
+        # call per epoch under the fused execution modes);
         # "scalar" is the per-access reference oracle (bit-identical
         # results).  Which backends exist is the registry's business
         # (repro.config), not ours.
@@ -696,13 +697,17 @@ class Engine:
     ) -> int:
         """Epoch driver for the fused execution modes: Phase A derives
         each PE's *whole epoch* trace in one pass (or restores it from
-        the trace store), Phase B replays the coalesced round-robin
-        dispatch runs against the shared memory system.
+        the trace store), Phase B runs the output math per chunk in the
+        coalesced round-robin dispatch order, then replays all dispatch
+        runs against the shared memory system in one
+        ``MemorySystem.replay_epoch`` call and folds each run's service
+        levels back into its PE's counters.
 
         With an executor (pipelined mode) Phase A runs one producer
         task per PE and Phase B consumes each PE's epoch the first time
         the dispatch order needs it — generation of later PEs overlaps
-        replay of earlier ones.  Results are bit-identical either way.
+        the output math of earlier ones.  Results are bit-identical
+        either way.
         Returns the number of chunks generated via the fused solver
         (for the ``spade_gen_fused_chunks`` satellite counter).
         """
@@ -850,14 +855,13 @@ class Engine:
 
             collect_fn = collect
 
-        # Phase B: coalesced round-robin replay + output math.
+        # Phase B: output math per chunk in dispatch order, then one
+        # replay call for the whole epoch's coalesced runs.
         chaos = self._chaos
-        runs = self._coalesced_dispatch(parts)
-        for i, c0, c1 in runs:
-            pe = self.pes[i]
+        replay_runs: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        for i, c0, c1 in self._coalesced_dispatch(parts):
             if collect_fn is not None and traces[i] is None:
                 collect_fn(i)
-            base = self._chunk_ordinal[i] - len(parts[i])
             try:
                 for c in range(c0, c1):
                     tile, lo, hi = parts[i][c]
@@ -875,23 +879,19 @@ class Engine:
                             apply_chunk(tile, lo, hi)
                     else:
                         apply_chunk(tile, lo, hi)
-                s0 = segs[i][c0][0]
-                s1 = segs[i][c1 - 1][1]
-                lines, ops = traces[i]
-                if phase is not None:
-                    t0 = time.perf_counter()
-                    pe.replay_segment(lines[s0:s1], ops[s0:s1])
-                    phase[2] += time.perf_counter() - t0
-                else:
-                    pe.replay_segment(lines[s0:s1], ops[s0:s1])
             except SpadeError:
                 raise
             except Exception as exc:
                 raise EngineExecutionError(
                     f"{self.execution} execution failed on a chunk",
                     pe_id=i,
-                    chunk_index=base + c0,
+                    chunk_index=self._chunk_ordinal[i] - len(parts[i]) + c0,
                 ) from exc
+            s0 = segs[i][c0][0]
+            s1 = segs[i][c1 - 1][1]
+            if s1 > s0:
+                lines, ops = traces[i]
+                replay_runs.append((i, lines[s0:s1], ops[s0:s1]))
         if collect_fn is not None:
             # Drain producers the dispatch never touched (zero-chunk
             # PEs): their tasks still ran and must not straddle into
@@ -899,6 +899,21 @@ class Engine:
             for i in range(num):
                 if traces[i] is None:
                     collect_fn(i)
+        t0 = time.perf_counter()
+        try:
+            levels = self.memory.replay_epoch(replay_runs)
+            for (i, _, ops), lv in zip(replay_runs, levels):
+                self.pes[i].record_replay(lv, ops)
+        except SpadeError:
+            raise
+        except Exception as exc:
+            raise EngineExecutionError(
+                f"{self.execution} execution failed while replaying "
+                f"epoch {epoch_idx}"
+            ) from exc
+        if phase is not None:
+            phase[2] += time.perf_counter() - t0
+        del replay_runs, levels
 
         if capture and all(
             p is not None or not parts[i]

@@ -231,18 +231,19 @@ class ProcessingElement:
         the buffer (pipelined generate/replay hand-off)."""
         return self._trace.take()
 
-    def replay_segment(self, lines: np.ndarray, ops: np.ndarray) -> None:
-        """Replay a chunk segment previously taken with
-        :meth:`take_trace` (pipelined consumer side)."""
-        if lines.shape[0]:
-            self._replay_chunk(lines, ops)
-
     def _replay_chunk(self, lines: np.ndarray, ops: np.ndarray) -> None:
         if self.batched:
-            self._replay_batch_hist.observe(lines.shape[0])
             levels = self.memory.replay_trace(self.pe_id, lines, ops)
         else:
             levels = self.memory.replay_trace_scalar(self.pe_id, lines, ops)
+        self.record_replay(levels, ops)
+
+    def record_replay(self, levels: np.ndarray, ops: np.ndarray) -> None:
+        """Fold one replayed chunk's per-access service levels into the
+        counters (the epoch drivers replay many runs in one call and
+        hand each run's levels back here)."""
+        if self.batched:
+            self._replay_batch_hist.observe(ops.shape[0])
         writes = (ops & OP_WRITE) != 0
         sparse = (ops >> OP_REGION_SHIFT) == _R_SPARSE
         # One composite bincount instead of three masked ones: group by

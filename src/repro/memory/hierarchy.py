@@ -18,12 +18,13 @@ Three access paths, matching Section 5.2:
 
 from __future__ import annotations
 
+import ctypes
 from enum import IntEnum
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CacheConfig, SpadeConfig, resolve_replay_backend
+from repro.config import CacheConfig, SpadeConfig, replay_backend_spec
 from repro.memory.bbf import BypassBuffer
 from repro.memory.cache import NO_LINE, Cache, rle_starts
 from repro.memory.dram import DRAMModel
@@ -71,6 +72,31 @@ def encode_op(path: int, is_write: bool, region_id: int) -> int:
     return path | (OP_WRITE if is_write else 0) | (region_id << OP_REGION_SHIFT)
 
 
+TRIM_MIN_EVENTS = 1 << 16
+"""Epochs of at least this many accesses hand their freed replay
+temporaries back to the OS (see :func:`_release_heap`)."""
+
+
+def _load_malloc_trim():
+    try:
+        return ctypes.CDLL(None).malloc_trim  # the process's own libc
+    except (OSError, AttributeError):
+        return None  # not glibc: freed memory stays with the allocator
+
+
+_malloc_trim = _load_malloc_trim()
+
+
+def _release_heap() -> None:
+    """Return freed heap pages to the OS.  Replaying an epoch at once
+    allocates tens of MB of mid-sized temporaries (the concatenated
+    trace, the array backend's level solves), which glibc keeps in the
+    heap after they are freed; trimming once per epoch keeps the
+    process's resident set where per-run replay left it."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 class MemorySystem:
     """One SPADE system's full memory hierarchy."""
 
@@ -110,7 +136,9 @@ class MemorySystem:
         # Trace-replay backend, resolved once from the registry (see
         # repro.config.register_replay_backend); replay_trace dispatches
         # through it so call sites are backend-agnostic.
-        self._replay_backend = resolve_replay_backend(config.replay)
+        spec = replay_backend_spec(config.replay)
+        self._replay_backend = spec.resolve()
+        self._replay_whole_epochs = spec.epoch
 
     # -- helpers ----------------------------------------------------------
 
@@ -582,8 +610,48 @@ class MemorySystem:
         dispatching to the backend named by ``config.replay`` (see the
         registry in :mod:`repro.config`).  All backends are
         bit-identical on counters, per-access service levels, and cache
-        state; they differ only in speed."""
+        state; they differ only in speed.
+
+        Epoch backends (``ReplayBackend.epoch``) also accept a
+        per-access array of PE ids: :meth:`replay_epoch`'s one call for
+        a whole epoch."""
         return self._replay_backend(self, pe_id, lines, ops, region_names)
+
+    def replay_epoch(
+        self,
+        runs: Sequence[Tuple[int, np.ndarray, np.ndarray]],
+        region_names: Sequence[Optional[str]] = TRACE_REGIONS,
+    ) -> List[np.ndarray]:
+        """Replay one epoch's dispatch runs ``(pe_id, lines, ops)`` in
+        order; returns each run's per-access service levels.
+
+        Most backends replay the runs one :meth:`replay_trace` call
+        each.  An epoch backend gets the whole epoch in one call (the
+        runs concatenated, with a per-access PE array), which lets the
+        array backend solve every cache once per epoch instead of once
+        per run."""
+        if not self._replay_whole_epochs:
+            return [
+                self.replay_trace(pe, lines, ops, region_names)
+                for pe, lines, ops in runs
+            ]
+        if not runs:
+            return []
+        lengths = [r[1].shape[0] for r in runs]
+        if len(runs) == 1:
+            pe_ids = runs[0][0]
+            lines, ops = runs[0][1], runs[0][2]
+        else:
+            pe_ids = np.repeat(
+                np.array([r[0] for r in runs], dtype=np.int32), lengths
+            )
+            lines = np.concatenate([r[1] for r in runs])
+            ops = np.concatenate([r[2] for r in runs])
+        levels = self.replay_trace(pe_ids, lines, ops, region_names)
+        del pe_ids, lines, ops
+        if levels.shape[0] >= TRIM_MIN_EVENTS:
+            _release_heap()
+        return np.split(levels, np.cumsum(lengths)[:-1])
 
     def replay_trace_batched(
         self,

@@ -1,26 +1,28 @@
 """Array-native trace replay: the ``replay="array"`` backend.
 
 The batched backend walks every access through per-set Python dicts; at
-~0.2 us per dict transaction that loop dominates million-access traces
-(the ~1.9x end-to-end Amdahl cap in BENCH_gen.json).  This module
-replaces the per-access walk with whole-partition NumPy analysis built
-on the classic LRU *stack property*: an access to line ``x`` hits a
-``W``-way set iff fewer than ``W`` distinct lines of that set were
-touched since the previous access to ``x`` (the reuse/stack distance).
-DESIGN.md section 10 carries the full exactness argument; the shape of
-the computation per cache level is:
+~0.2 us per dict transaction that loop dominates million-access traces.
+This module replaces the per-access walk with whole-stream NumPy
+analysis built on the classic LRU *stack property*: an access to line
+``x`` hits a ``W``-way set iff fewer than ``W`` distinct lines of that
+set were touched since the previous access to ``x`` (the reuse/stack
+distance).  DESIGN.md section 10 carries the full exactness argument;
+the shape of the computation per cache level is:
 
 1. Prepend each touched set's resident lines as *virtual accesses* in
    LRU order (write flag = dirty bit): the real stream then replays as
    if from a cold cache, so the stack property applies verbatim.
-2. Group the combined stream by set with one stable argsort; compute
-   each access's previous-occurrence position ``P`` with a second
-   stable argsort by line.
-3. Stack distance via a dominance count: ``sd[i] = C[i] - P[i] - 1``
-   where ``C[i] = #{j < i in the set : P[j] <= P[i]}``, computed for
-   all sets at once by a blocked position/value histogram (one
-   ``bincount``, two strided prefix sums, and a narrow in-block
-   comparison).  ``hit[i] = (P[i] >= 0) & (sd[i] < W)``.
+2. Group the combined stream by set with one stable argsort; chain
+   same-line occurrences with a second stable argsort by line, giving
+   each access its previous (``P``) and next occurrence.
+3. Bounded-window hit test: an access whose set-local gap to ``P`` is
+   at most ``W`` is a sure hit (at most ``W - 1`` lines intervene).
+   Otherwise walk back from it, counting the positions whose next
+   occurrence lies after it (each is the last touch of a distinct line
+   in the window), until ``W`` are counted (miss) or ``P`` is reached
+   (hit).  The walk runs for all undecided accesses at once, in blocks
+   of doubling width; a level whose probe volume passes
+   ``PROBE_CAP_PER_EVENT`` per event takes the dict walk instead.
 4. Misses partition into *residency periods* (one per fill, plus one
    per initially resident line).  Victims of capacity misses pair 1:1,
    in time order, with the evicted periods sorted by last-access
@@ -28,23 +30,29 @@ the computation per cache level is:
    access) rebuild the per-set dicts in exact LRU order, dirty bits
    OR-ed over each period's writes.
 5. Dirty victims (writes) and miss fills (reads) merge — victims
-   first within one access — into the next level's event stream, so
-   the L1 -> L2 -> LLC -> DRAM cascade is three applications of the
-   same level solver on geometrically shrinking streams.  Every event
-   carries the dedup index of the original access that triggered it,
-   which resolves both DRAM region attribution and per-access service
+   first within one access — into the next level's event stream.
+   Every event carries the trace position of the access that triggered
+   it, which resolves DRAM region attribution and per-access service
    levels (assigned top-down: an access's level is the deepest level
    its fill had to reach).
 
+A trace may interleave several PEs (one epoch's dispatch runs).  The
+L1s are private and the hierarchy is non-inclusive, so each PE's L1
+solves once over all of its accesses; each L2 group then solves once
+over its PEs' L1 events merged by trigger position, and the LLC once
+over every group's L2 events.  Trigger positions are global trace
+positions, so the merges reproduce the scalar cascade order exactly.
+
 Every step is bit-identical to the scalar oracle: same counters, same
 per-access service levels, same LRU/dirty state (the differential and
-Hypothesis suites in tests/test_replay_array_parity.py and
-tests/test_replay_array_properties.py pin this).  Small or set-diluted
-streams fall back to an equivalent per-set dict walk — NumPy's fixed
+Hypothesis suites in tests/test_replay_array_parity.py,
+tests/test_replay_array_properties.py and
+tests/test_replay_epoch_properties.py pin this).  Short or set-diluted
+streams take an equivalent per-set dict walk instead — NumPy's fixed
 per-op cost would otherwise swamp the win — chosen per level by the
 ``ARRAY_MIN_EVENTS`` floor and the calibrated cost model below.
 
-The bypass-buffer and stream partitions reuse the batched fast paths
+The bypass-buffer and stream paths reuse the batched fast paths
 (``_dense_bypass_many`` / ``_stream_many``), which are already
 vectorized and parity-pinned; STLB translation and flush accounting are
 shared with the other backends, so those behaviours are reproduced
@@ -54,7 +62,7 @@ exactly by construction.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,53 +82,60 @@ from repro.memory.hierarchy import (
 )
 
 ARRAY_MIN_EVENTS = 192
-"""Streams shorter than this always take the dict-walk fallback: the
-array solver's fixed NumPy op costs outweigh walking the trace.
+"""Streams shorter than this always take the dict walk: the array
+solver's fixed NumPy op costs outweigh walking the trace.  Epoch-grain
+replay hands each cache one stream per epoch, so the benchmark
+workloads' streams (down to the `--scale tiny` cells the service runs)
+clear it; it keeps traces of a few hundred accesses, where every L1
+falls under it, on the batched backend's per-run fused walk."""
 
-Since whole-epoch fused generation hands replay coalesced (fewer,
-larger) partitions, this floor is a cold-path guard rather than a hot
-dispatch branch: on the 1M-access SDDMM headline the dispatch audit
-records 0 of 96 partitions below it (every partition's fate is decided
-by the cost model), versus a substantial min_events share under the
-old per-chunk partitions.  It still protects tiny L1 per-set walks on
-small workloads, so it stays."""
+PROBE_CAP_PER_EVENT = 64
+"""Probe budget of the bounded-window hit test, per combined-stream
+element.  Walk length is bounded by the distinct lines of a set, so
+only long windows full of a few hot lines come near it; a level that
+passes the budget is replayed by the dict walk instead (nothing has
+been mutated at that point)."""
 
-DOMINANCE_BLOCK = 8
-"""Smallest candidate block width (positions per histogram block) in
-the dominance kernel; the planner doubles from here."""
+_WINDOW_BLOCK_ELEMS = 1 << 18
+"""Scratch bound (elements) of one 2-D block of the window walk."""
 
-# Cost-model coefficients for the array-vs-dict dispatch, calibrated
-# on the bench_replay_speed workloads (values are microseconds; only
-# their ratios matter).  Re-validated against the PR 8 coalesced
-# partitions via the dispatch-audit ledger: on the 1M-access SDDMM
-# headline the model decides all 96 partitions (none short-circuit on
-# ARRAY_MIN_EVENTS), mispredicts 1 (~1%), and routes only the small
-# 256–512-event partitions to the dict walk — so the coefficients
-# carry over unchanged.  The dict-walk side is miss-rate dependent —
-# a hit is one dict transaction, a miss walks the whole cascade — so
-# its per-event cost interpolates between the two coefficients using
-# the level's running hit counters.  The array side mirrors the
-# solver's structure: ~linear NumPy passes over the combined stream,
-# a per-touched-set dict extract/rebuild, and the dominance kernel's
-# histogram volume plus its per-accumulate-step overhead (the term
-# that blows up on skewed segment shapes, where the dict walk must
-# win the dispatch).
-_PY_HIT_US = 0.16       # dict-walk cost per hitting event
-_PY_MISS_EXTRA_US = 0.44  # extra dict transactions a missing event pays
+_WINDOW_WIDE_ROWS = 4096
+"""Walkers at or above this count advance one offset per NumPy pass;
+fewer switch to 2-D blocks of doubling width, so a handful of long
+walks costs O(log gap) passes rather than O(gap).  The one-offset pass
+is kept because it is faster at equal probe volume: over the level
+streams of one engine-spmm-rmat call (2-vCPU host) the walk takes
+110-135 ms with it and 200-245 ms with 2-D blocks only."""
+
+
+# Cost-model coefficients for the array-vs-dict dispatch (microseconds
+# on the reference host; only their ratios matter).  The dict-walk side
+# is miss-rate dependent — a hit is one dict transaction, a miss also
+# evicts and emits next-level events — so its per-event cost
+# interpolates between the two coefficients using the level's running
+# hit counters.  The array side mirrors the solver: a fixed cost for
+# its few dozen NumPy calls, ~linear passes over the combined stream
+# (stream plus resident virtuals), a per-touched-set extract/rebuild,
+# and the window walk's probe volume (about ``W`` probes per miss).  Checked against every level stream of
+# the engine-sddmm-uniform and engine-spmm-rmat benchmark workloads at
+# epoch grain (and their 300/3k/30k-event prefixes), each timed on both
+# paths: the dict-walk estimate sums to 0.99x the measured time, and 5
+# of 127 decisions pick the slower path, all near-ties (4.4 ms lost in
+# total).  The fixed cost changes none of those decisions; it sends
+# the small L1 streams of `--scale tiny` cells to the dict walk.
+# DESIGN.md section 10 records the misprediction rates before and
+# after.
+_PY_HIT_US = 0.19       # dict-walk cost per hitting event
+_PY_MISS_EXTRA_US = 0.55  # extra cost a missing event pays
+_ARRAY_CALL_US = 250.0  # array solver fixed cost per level solve
 _ARRAY_ELEM_US = 0.17   # array solver linear cost per stream element
 _ARRAY_FAST_ELEM_US = 0.12  # same, when the small-footprint path holds
 _ARRAY_SET_US = 2.5     # per-set extract + rebuild cost
-_DOM_TOUCH_US = 0.0015  # per histogram element touch / shifted compare
-_DOM_STEP_US = 1.0      # per accumulate step / shift pass overhead
-
-DOMINANCE_HIST_CAP = 1 << 22
-"""Histogram size cap (elements) above which the dominance count falls
-back to the pow2-bucketed iterative-doubling merge count (pathological
-shapes only: one enormous set segment)."""
+_PROBE_US = 0.004       # per window-walk probe
 
 # One level's output: the next level's event stream in stream order —
-# (line, write, is_fill, trigger) where trigger is the dedup index of
-# the original access responsible for the event.
+# (line, write, is_fill, trigger) where trigger is the trace position
+# of the original access responsible for the event.
 LevelEvents = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -131,165 +146,70 @@ _EMPTY_EVENTS: LevelEvents = (_EMPTY_I64, _EMPTY_BOOL, _EMPTY_BOOL, _EMPTY_I64)
 # -- stack-distance machinery ----------------------------------------------
 
 
-def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(n) for n in lengths])`` without the loop."""
-    total = int(lengths.sum())
-    out = np.arange(total, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    out -= np.repeat(ends - lengths, lengths)
-    return out
-
-
 # Stable argsort for non-negative integer keys; shared with the trace
 # generators and the tiler, so the implementation lives in sortutil.
 _radix_argsort = radix_argsort
 
 
-def _dominance_plan(B: int, R: int, n: int) -> Tuple[int, float]:
-    """Pick the histogram block width for a dominance problem with max
-    segment length ``B``, ``R`` segments and ``n`` elements; returns
-    ``(blk_w, estimated_us)``.
+def _window_hits(
+    prev: np.ndarray, nxt: np.ndarray, ways: int, cap: int
+) -> Optional[np.ndarray]:
+    """Hit mask of a set-grouped stream by the bounded-window test, or
+    None once the walk's probe volume passes ``cap``.
 
-    Block width trades histogram volume (``~B^2 * R / blk_w``, touched
-    three times: bincount, two prefix axes) against ``blk_w - 1``
-    in-block shift passes over the stream; both also pay a per-step
-    call overhead, including the ``B + 1`` value-prefix steps that make
-    skewed segment shapes expensive no matter the width.
+    ``prev``/``nxt`` (int32) are each position's previous/next
+    occurrence of its line (-1 / ``len`` when absent); both stay inside
+    the position's set segment, so no segment bookkeeping is needed.
+    Between ``i`` and ``prev[i]``, the positions ``j`` with
+    ``nxt[j] > i`` are exactly the last touches of the distinct
+    intervening lines.
     """
-    nval = B + 1
-    blk_w, best = DOMINANCE_BLOCK, float("inf")
-    w = DOMINANCE_BLOCK
-    while True:
-        nblk = (B + w - 1) // w
-        cost = (
-            _DOM_TOUCH_US * (3 * (nblk + 1) * nval * R + 2 * w * n)
-            + _DOM_STEP_US * (nval + nblk + w)
-        )
-        if cost < best:
-            blk_w, best = w, cost
-        if w >= B:
-            break
-        w *= 2
-    return blk_w, best
-
-
-def _dominance_matrix(M: np.ndarray) -> np.ndarray:
-    """Per-row dominance counts ``C[r, i] = #{j < i : M[r, j] <= M[r, i]}``.
-
-    ``M`` is ``(R, B)`` with ``B`` a power of two and values in
-    ``[-1, B]`` (``B`` is the pad value).  Iterative doubling: at block
-    width ``w``, each right-half element counts the left-half elements
-    that are <= it, via one global ``searchsorted`` over the row-offset
-    flattened sorted left halves; every ordered pair is counted at
-    exactly one width, so the per-width counts sum to ``C``.
-    """
-    R, B = M.shape
-    C = np.zeros((R, B), dtype=np.int64)
-    Ms = M + 1  # values now in [0, B + 1]
-    stride = B + 2
-    w = 1
-    while w < B:
-        m2 = Ms.reshape(-1, 2 * w)
-        rows = m2.shape[0]
-        offs = np.arange(rows, dtype=np.int64) * stride
-        left = np.sort(m2[:, :w], axis=1) + offs[:, None]
-        q = m2[:, w:] + offs[:, None]
-        cnt = np.searchsorted(left.ravel(), q.ravel(), side="right")
-        cnt -= np.repeat(np.arange(rows, dtype=np.int64) * w, w)
-        C.reshape(-1, 2 * w)[:, w:] += cnt.reshape(rows, w)
-        w *= 2
-    return C
-
-
-def _dominance_doubling(
-    P: np.ndarray, seg_start: np.ndarray, seg_len: np.ndarray
-) -> np.ndarray:
-    """``C[i] = #{j < i in i's segment : P[j] <= P[i]}`` via per-bucket
-    iterative doubling — the O(n log^2 n) fallback for segment shapes
-    too large for the blocked histogram.
-
-    Segments are bucketed by ceil-power-of-two length so each bucket
-    packs into one rectangular matrix (total padded size <= 2 * len(P))
-    for :func:`_dominance_matrix`.
-    """
-    C = np.zeros(P.shape[0], dtype=np.int64)
-    if P.shape[0] == 0:
-        return C
-    blen = np.ones_like(seg_len)
-    while True:
-        under = blen < seg_len
-        if not under.any():
-            break
-        blen[under] *= 2
-    for bucket in np.unique(blen).tolist():
-        if bucket == 1:
-            continue  # single-element segments: no j < i, C stays 0
-        sel = np.flatnonzero(blen == bucket)
-        lens = seg_len[sel]
-        R = sel.shape[0]
-        cols = _ragged_arange(lens)
-        rows = np.repeat(np.arange(R, dtype=np.int64), lens)
-        src = np.repeat(seg_start[sel], lens) + cols
-        M = np.full((R, bucket), bucket, dtype=np.int64)
-        M[rows, cols] = P[src]
-        C[src] = _dominance_matrix(M)[rows, cols]
-    return C
-
-
-def _segmented_dominance(
-    P: np.ndarray,
-    seg_id: np.ndarray,
-    lpos: np.ndarray,
-    seg_start: np.ndarray,
-    seg_len: np.ndarray,
-) -> np.ndarray:
-    """``C[i] = #{j < i in i's segment : P[j] <= P[i]}`` for a
-    segment-partitioned array (segments = contiguous runs); ``P`` holds
-    segment-local previous positions in ``[-1, max_len - 1]``.
-
-    Blocked histogram formulation, O(n) in the stream with a handful of
-    heavy NumPy calls: bucket every element into (position block,
-    value) per segment with one ``bincount``, prefix-sum over blocks
-    then values (both along non-trailing axes, which NumPy vectorizes
-    across the trailing dimension), then resolve each element's own
-    block with a direct ``DOMINANCE_BLOCK``-wide comparison against its
-    block mates.
-    """
-    n = P.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    R = seg_len.shape[0]
-    B = int(seg_len.max())
-    nval = B + 1  # values -1..B-1 shift to bins 0..B
-
-    blk_w, _ = _dominance_plan(B, R, n)
-    nblk = (B + blk_w - 1) // blk_w
-    if (nblk + 1) * nval * R > DOMINANCE_HIST_CAP:
-        return _dominance_doubling(P, seg_start, seg_len)
-
-    val = P + 1
-    blk = lpos // blk_w
-    # hist[b + 1, v, s] = #elements of segment s in block b with value
-    # v; the leading zero block makes the block prefix exclusive.
-    key = ((blk + 1) * nval + val) * R + seg_id
-    hist = np.bincount(key, minlength=(nblk + 1) * nval * R)
-    hist = hist.reshape(nblk + 1, nval, R)
-    for b in range(nblk):  # over position blocks; contiguous slice
-        hist[b + 1] += hist[b]  # adds beat one strided accumulate
-    np.add.accumulate(hist, axis=1, out=hist)   # over values
-    C = hist[blk, val, seg_id]  # blocks fully before mine, value <= mine
-
-    # Own block: elements i-k (k < blk_w) share i's block exactly when
-    # lane[i] >= k, because layout positions are contiguous per segment
-    # and blocks never straddle segments — so the correction is blk_w-1
-    # shifted compares, no 2-D scratch.
-    lane = lpos - blk * blk_w
-    mask = np.empty(n, dtype=bool)
-    for k in range(1, min(blk_w, n)):
-        np.less_equal(val[:-k], val[k:], out=mask[k:])
-        mask[k:] &= lane[k:] >= k
-        C[k:] += mask[k:]
-    return C
+    total = prev.shape[0]
+    gap = np.arange(total, dtype=np.int32) - prev
+    has_prev = prev >= 0
+    hit = has_prev & (gap <= ways)
+    cand = np.flatnonzero(has_prev & (gap > ways)).astype(np.int32)
+    del has_prev
+    g = gap[cand]
+    del gap
+    cnt = np.zeros(cand.shape[0], dtype=np.int32)
+    probes = 0
+    k, width = 1, ways  # offsets k .. k + width - 1 are examined next
+    while cand.shape[0]:
+        # Keep the offsets inside the longest remaining window: every
+        # gathered position c - k is then above -len, and lanes at or
+        # before a walker's prev (possibly negative, wrapping) are
+        # masked below.
+        width = min(width, int(g.max()) - k)
+        probes += cand.shape[0] * width
+        if probes > cap:
+            return None
+        if cand.shape[0] >= _WINDOW_WIDE_ROWS:
+            # Many walkers: one gather per offset, no 2-D scratch.  The
+            # first ``ways`` offsets all lie inside every window.
+            for kk in range(k, k + width):
+                seen = nxt[cand - kk] > cand
+                if kk > ways:
+                    seen &= g > kk
+                cnt += seen
+        else:
+            # A few long walkers: 2-D blocks of doubling width.
+            offs = np.arange(k, k + width, dtype=np.int32)
+            rows = max(1, _WINDOW_BLOCK_ELEMS // width)
+            for r0 in range(0, cand.shape[0], rows):
+                c = cand[r0:r0 + rows]
+                seen = nxt[c[:, None] - offs] > c[:, None]
+                seen &= offs < g[r0:r0 + rows, None]
+                cnt[r0:r0 + rows] += np.count_nonzero(seen, axis=1)
+        miss = cnt >= ways
+        done = ~miss & (k + width >= g)  # every offset below gap seen
+        hit[cand[done]] = True
+        keep = ~(miss | done)
+        cand, cnt, g = cand[keep], cnt[keep], g[keep]
+        k += width
+        if cand.shape[0] < _WINDOW_WIDE_ROWS:
+            width *= 2
+    return hit
 
 
 # -- one cache level, array-native -----------------------------------------
@@ -313,6 +233,7 @@ def _replay_level_array(
     """
     sets = cache._sets
     ways = cache.ways
+    ns = cache.num_sets
     n = line.shape[0]
 
     # 1. Virtual accesses: every touched set's residents in LRU order.
@@ -334,47 +255,45 @@ def _replay_level_array(
         all_line = np.concatenate([np.array(v_lines, np.int64), line])
         all_set = np.concatenate([np.array(v_sets, np.int64), set_id])
         all_write = np.concatenate([np.array(v_dirty, bool), write])
-        all_trig = np.concatenate([np.full(nv, -1, np.int64), trig])
         all_isfill = (
             None if fills_all
             else np.concatenate([np.zeros(nv, bool), isfill])
         )
     else:
         all_line, all_set, all_write = line, set_id, write
-        all_trig = trig
         all_isfill = None if fills_all else isfill
     total = nv + n
+    del v_lines, v_sets, v_dirty
 
     # 2. Layout: group by set (stable keeps virtuals first, then stream
-    # order), then chain same-line occurrences for prev pointers.
-    order = _radix_argsort(all_set)
+    # order), then chain same-line occurrences for prev/next pointers.
+    # Positions are int32 throughout: the level's temporaries are what
+    # bound the replay's peak memory.
+    order = _radix_argsort(all_set).astype(np.int32)
     lay_line = all_line[order]
-    lay_set = all_set[order]
     lay_isfill = None if all_isfill is None else all_isfill[order]
-    lay_sidx = order - nv  # >= 0 exactly for real (stream) accesses
-
+    del all_line, all_isfill
+    lay_set = all_set[order]
+    del all_set
     seg_first = np.empty(total, dtype=bool)
     seg_first[0] = True
     np.not_equal(lay_set[1:], lay_set[:-1], out=seg_first[1:])
-    seg_start = np.flatnonzero(seg_first)
+    del lay_set  # a set id is line % num_sets; recomputed where needed
+    seg_start = np.flatnonzero(seg_first).astype(np.int32)
     nseg = seg_start.shape[0]
-    seg_id = np.cumsum(seg_first) - 1
-    seg_len = np.diff(np.append(seg_start, total))
-    my_start = seg_start[seg_id]
-    lpos = np.arange(total, dtype=np.int64) - my_start
+    seg_id = np.cumsum(seg_first, dtype=np.int32)
+    seg_id -= 1
+    del seg_first
+    real = order >= nv  # real (stream) accesses; order - nv is their index
 
-    ch = _radix_argsort(lay_line)
-    ch_line = lay_line[ch]
-    same = np.empty(total, dtype=bool)
-    same[0] = False
-    np.equal(ch_line[1:], ch_line[:-1], out=same[1:])
-    prev = np.full(total, -1, dtype=np.int64)
-    tail = same[1:]
+    ch = _radix_argsort(lay_line).astype(np.int32)
+    same = lay_line[ch]
+    tail = same[1:] == same[:-1]
+    del same
+    prev = np.full(total, -1, dtype=np.int32)
     prev[ch[1:][tail]] = ch[:-1][tail]
 
-    # 3. Stack distances and hit mask (segment-local positions).
-    P = np.where(prev >= 0, prev - my_start, -1)
-    real = lay_sidx >= 0
+    # 3. Hit mask.
     c0_seg = np.bincount(seg_id[~real], minlength=nseg)
     # Fast case: when each set's *distinct stream lines* fit in the
     # set, an access whose previous occurrence is a real access always
@@ -387,34 +306,22 @@ def _replay_level_array(
     # residents among them (already counted once).
     has_prev = prev >= 0
     prev_virtual = np.zeros(total, dtype=bool)
-    prev_virtual[has_prev] = lay_sidx[prev[has_prev]] < 0
+    prev_virtual[has_prev] = ~real[prev[has_prev]]
     first_stream = real & (~has_prev | prev_virtual)
+    del prev_virtual
     ds_seg = np.bincount(seg_id[first_stream], minlength=nseg)
     fast = int(ds_seg.max()) <= ways
-    was_optimistic = cache.replay_fast_hint
     cache.replay_fast_hint = fast
-    if not fast and was_optimistic:
-        # The planner skipped the dominance estimate on the strength
-        # of the hint; re-run the dispatch with it before committing.
-        # Nothing has been mutated yet, so the dict walk can take over.
-        _, dom_us = _dominance_plan(int(seg_len.max()), nseg, total)
-        hits, misses = cache.hits, cache.misses
-        mr = (misses + 64.0) / (hits + misses + 128.0)
-        py_us = (_PY_HIT_US + mr * _PY_MISS_EXTRA_US) * n
-        arr_us = _ARRAY_ELEM_US * total + _ARRAY_SET_US * nseg + dom_us
-        if py_us < arr_us:
-            if audit is not None:
-                audit["bailed"] = True
-                audit["predicted_py_us"] = py_us
-                audit["predicted_array_us"] = arr_us
-            return _replay_level_python(cache, line, write, isfill, trig)
     if fast:
         hit = real & has_prev
         b = np.flatnonzero(first_stream & has_prev)
         if b.size:
-            fs_ex = np.cumsum(first_stream) - first_stream
+            my_start = seg_start[seg_id]
+            fs_ex = np.cumsum(first_stream, dtype=np.int32)
+            fs_ex -= first_stream
             rank_d = fs_ex[b] - fs_ex[my_start[b]]
-            lru_j = lpos[prev[b]]  # virtuals head the segment in LRU order
+            # Virtuals head the segment in LRU order.
+            lru_j = prev[b] - my_start[prev[b]]
             b_seg = seg_id[b]
             overlap = np.zeros(b.size, dtype=np.int64)
             for k in range(1, min(ways, b.size)):
@@ -423,25 +330,36 @@ def _replay_level_array(
             sd_b = c0_seg[b_seg] - 1 - lru_j + rank_d - overlap
             hit[b] = sd_b < ways
     else:
-        C = _segmented_dominance(P, seg_id, lpos, seg_start, seg_len)
-        sd = C - P - 1
-        hit = (P >= 0) & (sd < ways)
+        del has_prev, first_stream
+        nxt = np.full(total, total, dtype=np.int32)
+        nxt[ch[:-1][tail]] = ch[1:][tail]
+        hit = _window_hits(prev, nxt, ways, PROBE_CAP_PER_EVENT * total)
+        del nxt
+        if hit is None:
+            # No simulated state has changed yet: the dict walk takes
+            # over.
+            if audit is not None:
+                audit["bailed"] = True
+            return _replay_level_python(cache, line, write, isfill, trig)
+    del prev, tail
     miss = real & ~hit
-    n_miss = int(miss.sum())
-    n_hit = int(real.sum()) - n_miss
+    n_miss = int(np.count_nonzero(miss))
+    n_hit = int(np.count_nonzero(real)) - n_miss
+    del real
 
     # 4. Residency periods.  A period's elements are contiguous in
     # chain order with ascending layout positions (every chain head is
     # a begin), so period ids are a plain cumsum over chain order and
     # period ends are the run boundaries there.
-    begins = ~hit
-    begins_ch = begins[ch]
-    pord_ch = np.cumsum(begins_ch) - 1
+    begins_ch = ~hit[ch]
+    del hit
+    pord_ch = np.cumsum(begins_ch, dtype=np.int32)
+    pord_ch -= 1
     st_ch = ch[begins_ch]  # period start layout positions, chain order
+    del begins_ch
     nper = st_ch.shape[0]
 
     p_line = lay_line[st_ch]
-    p_set = lay_set[st_ch]
     p_dirty = np.bincount(
         pord_ch[all_write[order[ch]]], minlength=nper
     ) > 0
@@ -449,6 +367,7 @@ def _replay_level_array(
     run_end[-1] = True
     np.not_equal(pord_ch[1:], pord_ch[:-1], out=run_end[:-1])
     p_end = ch[run_end]  # pord_ch is nondecreasing, so already ordered
+    del pord_ch, st_ch, run_end, ch, all_write
 
     # 5. Capacity misses and their victims.  Within a set, victims'
     # last-access positions strictly increase across evictions and
@@ -462,21 +381,29 @@ def _replay_level_array(
     if int(nevict_seg.max()) == 0:
         cap_idx = _EMPTY_I64
     else:
-        mcum = np.cumsum(miss)
+        mcum = np.cumsum(miss, dtype=np.int32)
+        my_start = seg_start[seg_id]
         ordinal = mcum - mcum[my_start] + miss[my_start]
+        del mcum, my_start
         thresh = np.maximum(0, ways - c0_seg)
         cap = miss & (ordinal > thresh[seg_id])
+        del ordinal
         cap_idx = np.flatnonzero(cap)
+        del cap
+    del seg_id
 
     # (set, end) sort as one composite key: ends are < total + 1, so
     # the key is collision-free and radix-sortable.
-    p_order = _radix_argsort(p_set * (total + 1) + p_end)
+    p_order = _radix_argsort((p_line % ns) * (total + 1) + p_end)
+    del p_end
     pblk = np.repeat(np.arange(nseg, dtype=np.int64), nper_seg)
     pblk_start = np.concatenate(([0], np.cumsum(nper_seg)[:-1]))
     prank = np.arange(nper, dtype=np.int64) - pblk_start[pblk]
     ev_mask = prank < nevict_seg[pblk]
+    del pblk, prank
     evict_p = p_order[ev_mask]
     surv_p = p_order[~ev_mask]
+    del p_order, ev_mask
 
     vict_dirty = p_dirty[evict_p]
     n_wb = int(vict_dirty.sum())
@@ -489,23 +416,24 @@ def _replay_level_array(
     # 6. Next-level events: dirty victims (writes) before the same
     # access's own fill read, globally in stream order.
     dv_cap = cap_idx[vict_dirty]
-    v_sidx = lay_sidx[dv_cap]
+    v_sidx = order[dv_cap] - nv
     v_line = p_line[evict_p[vict_dirty]]
     f_idx = np.flatnonzero(
         miss if lay_isfill is None else miss & lay_isfill
     )
-    f_sidx = lay_sidx[f_idx]
+    del miss, lay_isfill
+    f_sidx = order[f_idx] - nv
     ne_v = v_sidx.shape[0]
-    key = np.concatenate([v_sidx * 2, f_sidx * 2 + 1])
+    key = np.concatenate([
+        v_sidx.astype(np.int64) * 2, f_sidx.astype(np.int64) * 2 + 1
+    ])
     eorder = _radix_argsort(key)
     e_line = np.concatenate([v_line, lay_line[f_idx]])[eorder]
     e_write = np.zeros(key.shape[0], dtype=bool)
     e_write[:ne_v] = True
     e_write = e_write[eorder]
     e_isfill = ~e_write
-    e_trig = np.concatenate(
-        [all_trig[order[dv_cap]], all_trig[order[f_idx]]]
-    )[eorder]
+    e_trig = np.concatenate([trig[v_sidx], trig[f_sidx]])[eorder]
 
     # 7. Rebuild the touched sets: survivors by ascending last access
     # IS the LRU insertion order; .tolist() yields plain int/bool so
@@ -513,7 +441,9 @@ def _replay_level_array(
     surv_lines = p_line[surv_p].tolist()
     surv_dirty = p_dirty[surv_p].tolist()
     off = 0
-    for s, cnt in zip(lay_set[seg_start].tolist(), occ_seg.tolist()):
+    for s, cnt in zip(
+        (lay_line[seg_start] % ns).tolist(), occ_seg.tolist()
+    ):
         sets[s] = dict(
             zip(surv_lines[off:off + cnt], surv_dirty[off:off + cnt])
         )
@@ -582,38 +512,44 @@ def _replay_level(
 ) -> LevelEvents:
     """Replay one level, choosing between the array solver and the
     dict walk by the calibrated cost model: the array path wins on
-    long, set-dense, evenly segmented streams; short, diluted, or
-    skewed ones (where the dominance histogram degenerates) walk.
-
-    With a ledger attached, every dispatch decision is recorded as a
-    ``dispatch`` audit event: cost-model inputs, predicted costs,
-    chosen backend, measured wall time.  The disabled path is the
-    pre-audit code verbatim behind one ``ledger.enabled`` check.
-    """
-    n = line.shape[0]
-    if n == 0:
+    long, set-dense streams; short or set-diluted ones walk."""
+    if line.shape[0] == 0:
         return _EMPTY_EVENTS
-    if not ledger.enabled:
-        plan = _plan_level(cache, line)
-        if plan is None:
-            return _replay_level_python(cache, line, write, isfill, trig)
-        return _replay_level_array(
-            cache, line, write, isfill, trig, plan[0], plan[1]
-        )
-    audit: dict = {}
+    audit: Optional[dict] = {} if ledger.enabled else None
     plan = _plan_level(cache, line, audit)
-    t0 = perf_counter()
+    return _solve_level(
+        cache, line, write, isfill, trig, plan, audit, ledger, level
+    )
+
+
+def _solve_level(
+    cache: Cache,
+    line: np.ndarray,
+    write: np.ndarray,
+    isfill: Optional[np.ndarray],
+    trig: np.ndarray,
+    plan: Optional[Tuple[np.ndarray, np.ndarray]],
+    audit: Optional[dict],
+    ledger,
+    level: str,
+) -> LevelEvents:
+    """Run one planned level solve.  With ``audit`` (ledger attached)
+    the decision is recorded as a ``dispatch`` event: cost-model
+    inputs, predicted costs, chosen backend, measured wall time."""
+    t0 = perf_counter() if audit is not None else 0.0
     if plan is None:
         out = _replay_level_python(cache, line, write, isfill, trig)
         chosen = "dict"
     else:
         out = _replay_level_array(
-            cache, line, write, isfill, trig, plan[0], plan[1],
-            audit=audit,
+            cache, line, write, isfill, trig, plan[0], plan[1], audit
         )
-        chosen = "dict" if audit.get("bailed") else "array"
-    audit["measured_us"] = (perf_counter() - t0) * 1e6
-    ledger.emit("dispatch", level=level, chosen=chosen, **audit)
+        chosen = (
+            "dict" if audit is not None and audit.get("bailed") else "array"
+        )
+    if audit is not None:
+        audit["measured_us"] = (perf_counter() - t0) * 1e6
+        ledger.emit("dispatch", level=level, chosen=chosen, **audit)
     return out
 
 
@@ -624,60 +560,53 @@ def _plan_level(
     the array solver should run, ``None`` when the dict walk wins.
 
     When ``audit`` is given (dispatch audit enabled) it is filled with
-    the model's inputs and predictions; the audited path recomputes
-    nothing the plain path needs, so disabled runs are unchanged.
+    the model's inputs and predictions.
     """
     n = line.shape[0]
-    if n < ARRAY_MIN_EVENTS:
-        if audit is not None:
-            hits, misses = cache.hits, cache.misses
-            miss_rate = (misses + 64.0) / (hits + misses + 128.0)
-            audit.update(
-                cache=cache.name,
-                events=int(n),
-                miss_rate=miss_rate,
-                hint=bool(cache.replay_fast_hint),
-                predicted_py_us=(
-                    (_PY_HIT_US + miss_rate * _PY_MISS_EXTRA_US) * n
-                ),
-                predicted_array_us=None,
-                reason="min_events",
-            )
-        return None
-    set_id = line % cache.num_sets
-    if cache.num_sets <= (n << 2):
-        counts = np.bincount(set_id, minlength=cache.num_sets)
-        touched = np.flatnonzero(counts)
-        max_count = int(counts.max())
-    else:
-        touched, t_counts = np.unique(set_id, return_counts=True)
-        max_count = int(t_counts.max())
-    ways = cache.ways
-    # Estimated solver inputs: every touched set contributes up to
-    # `ways` resident virtual accesses, and the longest segment is at
-    # most its event count plus its residents.
-    ntot = n + touched.shape[0] * ways
-    if cache.replay_fast_hint:
-        # Last solve found every set's stream footprint within the
-        # associativity, so the dominance kernel is expected to be
-        # skipped; one mispredicted solve flips the hint back.
-        array_us = (
-            _ARRAY_FAST_ELEM_US * ntot + _ARRAY_SET_US * touched.shape[0]
-        )
-    else:
-        _, dom_us = _dominance_plan(
-            max_count + ways, touched.shape[0], ntot
-        )
-        array_us = (
-            _ARRAY_ELEM_US * ntot
-            + _ARRAY_SET_US * touched.shape[0]
-            + dom_us
-        )
     # Miss-rate estimate from the level's running counters, smoothed
     # towards 50% so a cold cache (no history) assumes a mixed stream.
     hits, misses = cache.hits, cache.misses
     miss_rate = (misses + 64.0) / (hits + misses + 128.0)
     py_us = (_PY_HIT_US + miss_rate * _PY_MISS_EXTRA_US) * n
+    if n < ARRAY_MIN_EVENTS:
+        if audit is not None:
+            audit.update(
+                cache=cache.name,
+                events=int(n),
+                miss_rate=miss_rate,
+                hint=bool(cache.replay_fast_hint),
+                predicted_py_us=py_us,
+                predicted_array_us=None,
+                reason="min_events",
+            )
+        return None
+    set_id = (line % cache.num_sets).astype(np.int32)
+    if cache.num_sets <= (n << 2):
+        touched = np.flatnonzero(
+            np.bincount(set_id, minlength=cache.num_sets)
+        )
+    else:
+        touched = np.unique(set_id)
+    ways = cache.ways
+    # Estimated solver inputs: every touched set contributes up to
+    # `ways` resident virtual accesses.
+    ntot = n + touched.shape[0] * ways
+    if cache.replay_fast_hint:
+        # Last solve found every set's stream footprint within the
+        # associativity, so the window walk is expected to be skipped;
+        # one mispredicted solve flips the hint back.
+        array_us = (
+            _ARRAY_CALL_US
+            + _ARRAY_FAST_ELEM_US * ntot
+            + _ARRAY_SET_US * touched.shape[0]
+        )
+    else:
+        array_us = (
+            _ARRAY_CALL_US
+            + _ARRAY_ELEM_US * ntot
+            + _ARRAY_SET_US * touched.shape[0]
+            + _PROBE_US * ways * miss_rate * n
+        )
     if audit is not None:
         audit.update(
             cache=cache.name,
@@ -697,142 +626,227 @@ def _plan_level(
 # -- the dense-cached cascade ----------------------------------------------
 
 
-def dense_cached_array(
+def _merge_events(parts: List[LevelEvents]) -> LevelEvents:
+    """Merge several level outputs into one stream in trigger order.
+
+    Triggers are distinct trace positions across parts, and each part
+    is already in trigger order with victims before fills, so a stable
+    sort on the trigger alone reproduces the scalar cascade order."""
+    parts = [p for p in parts if p[0].shape[0]]
+    if not parts:
+        return _EMPTY_EVENTS
+    if len(parts) == 1:
+        return parts[0]
+    line, write, isfill, trig = (
+        np.concatenate([p[k] for p in parts]) for k in range(4)
+    )
+    o = _radix_argsort(trig)
+    return line[o], write[o], isfill[o], trig[o]
+
+
+def _dense_cascade(
     ms: MemorySystem,
-    pe_id: int,
-    group: int,
+    dense_pos: Dict[int, np.ndarray],
+    runs: List[Tuple[int, int, int]],
     lines: np.ndarray,
-    writes,
-    region_ids: np.ndarray,
-    table: Sequence[Optional[str]],
-) -> np.ndarray:
-    """L1 -> L2 -> LLC -> DRAM for a dense-cached trace partition
-    (STLB already consulted), as three level solves over cascading
-    event streams.  Array twin of ``MemorySystem._dense_cached_many``.
+    ops: np.ndarray,
+    region_names: Sequence[Optional[str]],
+    levels: np.ndarray,
+) -> None:
+    """L1 -> L2 -> LLC -> DRAM for the dense-cached accesses of a trace
+    (STLB already consulted), writing their service levels into
+    ``levels``.  ``dense_pos`` maps each PE to the trace positions of
+    its dense-cached accesses; ``runs`` are the trace's maximal
+    same-PE runs ``(pe, lo, hi)`` in order.
 
     Service levels are assigned top-down: every access starts at L1,
     and each level's fill misses push their triggering accesses one
     level deeper; whatever reaches past the LLC is DRAM traffic.
     """
-    n = lines.shape[0]
-    levels = np.full(n, int(ServiceLevel.L1), dtype=np.uint8)
-    if n == 0:
-        return levels
-    starts = rle_starts(lines)
-    m = starts.shape[0]
-    u_lines = lines if m == n else lines[starts]
-
-    l1 = ms.l1s[pe_id]
     ledger = ms.ledger
-    audit: Optional[dict] = {} if ledger.enabled else None
-    plan = _plan_level(l1, u_lines, audit)
-    if plan is None:
-        # When the L1 level would take the dict walk anyway, hand the
-        # whole partition to the batched backend's fused cascade — one
-        # pass over the deduped trace beats walking three per-level
+    by_group: Dict[int, List[LevelEvents]] = {}
+
+    def l1_stream(p: int) -> Tuple[np.ndarray, np.ndarray]:
+        # PE p's run-length deduped L1 stream and its run starts, built
+        # on demand so only one PE's stream is alive at a time.
+        u_lines = lines[dense_pos[p]]
+        starts = rle_starts(u_lines).astype(np.int32)
+        if starts.shape[0] < u_lines.shape[0]:
+            u_lines = u_lines[starts]
+        return u_lines, starts
+
+    def solve_l1(p, u_lines, starts, plan, audit) -> None:
+        # L1 is private, so each PE solves once over all its accesses.
+        pos = dense_pos[p]
+        w = (ops[pos] & OP_WRITE) != 0
+        m = starts.shape[0]
+        if m == pos.shape[0]:
+            u_writes, trig = w, pos
+        else:
+            u_writes = np.logical_or.reduceat(w, starts)
+            trig = pos[starts]
+        del w
+        l1 = ms.l1s[p]
+        ev = _solve_level(
+            l1, u_lines, u_writes, None, trig, plan, audit, ledger, "l1"
+        )
+        l1.hits += pos.shape[0] - m  # run-length repeats are MRU hits
+        levels[ev[3][ev[2]]] = int(ServiceLevel.L2)
+        by_group.setdefault(ms._group_of(p), []).append(ev)
+
+    # Plan each L1 once.  Until some L1 plans the array solver, the
+    # dict-planned PEs wait (keeping only their audits): if none does,
+    # the per-run fused walk below replays them.
+    waiting: List[Tuple[int, Optional[dict]]] = []
+    solving = False
+    for p in sorted(dense_pos):
+        audit = {} if ledger.enabled else None
+        u_lines, starts = l1_stream(p)
+        plan = _plan_level(ms.l1s[p], u_lines, audit)
+        if plan is None and not solving:
+            waiting.append((p, audit))
+            continue
+        if not solving:
+            solving = True
+            for q, q_audit in waiting:
+                solve_l1(q, *l1_stream(q), None, q_audit)
+            waiting.clear()
+        solve_l1(p, u_lines, starts, plan, audit)
+        del u_lines, starts, plan
+
+    if waiting:
+        # Every L1 would take the dict walk anyway: replay each run's
+        # dense accesses through the batched backend's fused cascade —
+        # one pass over the deduped trace beats walking three per-level
         # event streams through the same dicts.
-        if audit is None:
-            return ms._dense_cached_many(
-                pe_id, group, lines, writes, region_ids, table
+        measured = dict.fromkeys(dense_pos, 0.0)
+        for p, lo, hi in runs:
+            pos = dense_pos.get(p)
+            if pos is None:
+                continue
+            sel = pos[np.searchsorted(pos, lo):np.searchsorted(pos, hi)]
+            if not sel.shape[0]:
+                continue
+            t0 = perf_counter()
+            op = ops[sel]
+            levels[sel] = ms._dense_cached_many(
+                p, ms._group_of(p), lines[sel], (op & OP_WRITE) != 0,
+                op >> OP_REGION_SHIFT, region_names,
             )
-        t0 = perf_counter()
-        out = ms._dense_cached_many(
-            pe_id, group, lines, writes, region_ids, table
+            measured[p] += perf_counter() - t0
+        if ledger.enabled:
+            # The measured time covers the whole fused L1->DRAM
+            # cascade, not just the L1 level the prediction priced;
+            # the audit keeps the asymmetry visible via
+            # chosen="batched".
+            for p, audit in waiting:
+                audit["measured_us"] = measured[p] * 1e6
+                ledger.emit("dispatch", level="l1", chosen="batched", **audit)
+        return
+
+    # L2: each group over its PEs' L1 events in trace order.
+    l2_out: List[LevelEvents] = []
+    for g in sorted(by_group):
+        ev = _replay_level(
+            ms.l2s[g], *_merge_events(by_group.pop(g)),
+            ledger=ledger, level="l2",
         )
-        # The measured time covers the whole fused L1->DRAM cascade,
-        # not just the L1 level the prediction priced; the audit keeps
-        # the asymmetry visible via chosen="batched".
-        audit["measured_us"] = (perf_counter() - t0) * 1e6
-        ledger.emit("dispatch", level="l1", chosen="batched", **audit)
-        return out
+        levels[ev[3][ev[2]]] = int(ServiceLevel.LLC)
+        l2_out.append(ev)
 
-    if np.ndim(writes) == 0:
-        u_writes = np.full(m, bool(writes))
-    else:
-        w = np.asarray(writes, dtype=bool)
-        u_writes = w if m == n else np.logical_or.reduceat(w, starts)
-    u_regions = region_ids if m == n else region_ids[starts]
-
-    l2 = ms.l2s[group]
-    llc = ms.llc
-
-    if audit is None:
-        ev = _replay_level_array(
-            l1, u_lines, u_writes, None,
-            np.arange(m, dtype=np.int64), plan[0], plan[1],
-        )
-    else:
-        t0 = perf_counter()
-        ev = _replay_level_array(
-            l1, u_lines, u_writes, None,
-            np.arange(m, dtype=np.int64), plan[0], plan[1],
-            audit=audit,
-        )
-        chosen = "dict" if audit.get("bailed") else "array"
-        audit["measured_us"] = (perf_counter() - t0) * 1e6
-        ledger.emit("dispatch", level="l1", chosen=chosen, **audit)
-    l1.hits += n - m  # run-length repeats are guaranteed MRU hits
-    if ev[2].any():
-        levels[starts[ev[3][ev[2]]]] = int(ServiceLevel.L2)
-
-    ev = _replay_level(l2, *ev, ledger=ledger, level="l2")
-    if ev[2].any():
-        levels[starts[ev[3][ev[2]]]] = int(ServiceLevel.LLC)
-
+    # LLC: every group's L2 events in trace order.
     e_line, e_write, e_isfill, e_trig = _replay_level(
-        llc, *ev, ledger=ledger, level="llc"
+        ms.llc, *_merge_events(l2_out), ledger=ledger, level="llc"
     )
+    del l2_out, e_line, e_write
     if e_isfill.any():
         fill_trig = e_trig[e_isfill]
-        levels[starts[fill_trig]] = int(ServiceLevel.DRAM)
-        ms._dram_read_many(u_regions[fill_trig], table)
+        levels[fill_trig] = int(ServiceLevel.DRAM)
+        ms._dram_read_many(ops[fill_trig] >> OP_REGION_SHIFT, region_names)
     if not e_isfill.all():
-        ms._dram_write_many(u_regions[e_trig[~e_isfill]], table)
-    return levels
+        ms._dram_write_many(
+            ops[e_trig[~e_isfill]] >> OP_REGION_SHIFT, region_names
+        )
 
 
 def replay_trace_array(
     ms: MemorySystem,
-    pe_id: int,
+    pe_id,
     lines: np.ndarray,
     ops: np.ndarray,
     region_names: Sequence[Optional[str]] = TRACE_REGIONS,
 ) -> np.ndarray:
     """``replay="array"`` backend entry point (see the registry in
-    :mod:`repro.config`): STLB translation and path split exactly as
-    the batched backend, with the dense-cached partition solved by the
-    stack-distance cascade; the bypass and stream partitions reuse the
-    parity-pinned batched fast paths."""
+    :mod:`repro.config`; an epoch backend).  ``pe_id`` is one PE or a
+    per-access PE array (an epoch's dispatch runs, concatenated).
+
+    STLB translation runs per L2 group and the bypass and stream paths
+    per PE, each over its accesses in trace order (they touch private
+    or per-group state and count DRAM traffic order-free), reusing the
+    parity-pinned batched fast paths; the dense-cached accesses go
+    through :func:`_dense_cascade`, one solve per cache.
+    """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     ops = np.ascontiguousarray(ops, dtype=np.int64)
     n = lines.shape[0]
-    levels = np.empty(n, dtype=np.uint8)
+    levels = np.full(n, int(ServiceLevel.L1), dtype=np.uint8)
     if n == 0:
         return levels
-    group = ms._group_of(pe_id)
-    ms.stlbs[group].translate_many(lines)
-    path = ops & OP_PATH_MASK
-    writes = (ops & OP_WRITE) != 0
-    region_ids = ops >> OP_REGION_SHIFT
-    for p in (OP_DENSE, OP_DENSE_BYPASS, OP_STREAM):
-        mask = path == p
-        if not mask.any():
-            continue
-        sub_lines = lines[mask]
-        sub_writes = writes[mask]
-        sub_rids = region_ids[mask]
-        if p == OP_DENSE:
-            sub_levels = dense_cached_array(
-                ms, pe_id, group, sub_lines, sub_writes, sub_rids,
-                region_names,
+    if np.ndim(pe_id) == 0:
+        runs = [(int(pe_id), 0, n)]
+    else:
+        # An epoch: its maximal same-PE runs, in dispatch order.
+        cuts = (np.flatnonzero(pe_id[1:] != pe_id[:-1]) + 1).tolist()
+        runs = [
+            (int(pe_id[lo]), lo, hi)
+            for lo, hi in zip([0] + cuts, cuts + [n])
+        ]
+    # Trace positions are int32 (an epoch is far below 2**31 accesses).
+    spans: Dict[int, List[Tuple[int, int]]] = {}
+    for p, lo, hi in runs:
+        spans.setdefault(p, []).append((lo, hi))
+    by_pe = {
+        p: np.concatenate([
+            np.arange(lo, hi, dtype=np.int32) for lo, hi in sp
+        ])
+        for p, sp in sorted(spans.items())
+    }
+    by_group: Dict[int, List[Tuple[int, int]]] = {}
+    for p, lo, hi in runs:
+        by_group.setdefault(ms._group_of(p), []).append((lo, hi))
+    for g, sp in by_group.items():
+        ms.stlbs[g].translate_many(
+            lines if len(runs) == 1
+            else np.concatenate([lines[lo:hi] for lo, hi in sp])
+        )
+    del spans, by_group
+
+    # Dense first, then bypass, then stream: the batched backend's
+    # path order.
+    path = (ops & OP_PATH_MASK).astype(np.uint8)
+    by_path: Dict[int, Dict[int, np.ndarray]] = {
+        OP_DENSE: {}, OP_DENSE_BYPASS: {}, OP_STREAM: {},
+    }
+    for p, pos in by_pe.items():
+        p_path = path[pos]
+        for kind, sel in by_path.items():
+            chosen = pos[p_path == kind]
+            if chosen.shape[0]:
+                sel[p] = chosen
+    del path, by_pe, p_path
+    if by_path[OP_DENSE]:
+        _dense_cascade(
+            ms, by_path.pop(OP_DENSE), runs, lines, ops, region_names,
+            levels,
+        )
+    for kind, fn in (
+        (OP_DENSE_BYPASS, ms._dense_bypass_many),
+        (OP_STREAM, ms._stream_many),
+    ):
+        for p, sel in by_path[kind].items():
+            op = ops[sel]
+            levels[sel] = fn(
+                p, lines[sel], (op & OP_WRITE) != 0,
+                op >> OP_REGION_SHIFT, region_names,
             )
-        elif p == OP_DENSE_BYPASS:
-            sub_levels = ms._dense_bypass_many(
-                pe_id, sub_lines, sub_writes, sub_rids, region_names
-            )
-        else:
-            sub_levels = ms._stream_many(
-                pe_id, sub_lines, sub_writes, sub_rids, region_names
-            )
-        levels[mask] = sub_levels
     return levels

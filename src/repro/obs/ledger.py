@@ -35,10 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.schema import LEDGER_SCHEMA_VERSION, validate_event
 
@@ -210,19 +211,55 @@ def shard_path(directory, index: int, key: str) -> Path:
     return Path(directory) / f"shard-{index:06d}-{key[:16]}.jsonl"
 
 
-def merge_shards(directory, ledger: RunLedger) -> int:
-    """Fold every ``shard-*.jsonl`` under ``directory`` into ``ledger``
-    in ascending job-index order (the lexicographic order of the
-    zero-padded names), deleting merged shards.  Returns the number of
-    event lines merged.  Deterministic: independent of pool completion
-    order because merging happens after the drain, from sorted names.
+def open_shard_dir(ledger: RunLedger) -> Path:
+    """A fresh directory, beside ``ledger``'s file, for the job shards
+    of one runner.  Runners that share a ledger directory (sweep shards,
+    a service pool next to a sweep) each merge only their own shards.
+    The leading dot keeps it out of ledger-directory listings."""
+    parent = ledger.path.parent
+    parent.mkdir(parents=True, exist_ok=True)
+    return Path(tempfile.mkdtemp(prefix=f".shards-{ledger.run_id}-", dir=parent))
+
+
+def merge_shards(
+    directory,
+    ledger: RunLedger,
+    jobs: Optional[Iterable[Tuple[int, str]]] = None,
+) -> int:
+    """Fold shard files under ``directory`` into ``ledger`` in ascending
+    job-index order (the lexicographic order of the zero-padded names),
+    deleting merged shards.  Returns the number of event lines merged.
+
+    ``jobs`` limits the merge to the shards of those ``(index, key)``
+    jobs, for callers whose other jobs may still be writing theirs;
+    without it every ``shard-*.jsonl`` in ``directory`` is merged.
+    Deterministic: independent of pool completion order because merging
+    happens from sorted names once the merged jobs have finished.
     """
+    if jobs is None:
+        shards = sorted(Path(directory).glob("shard-*.jsonl"))
+    else:
+        shards = sorted({shard_path(directory, i, k) for i, k in jobs})
     merged = 0
-    for shard in sorted(Path(directory).glob("shard-*.jsonl")):
-        lines = shard.read_text(encoding="utf-8").splitlines()
+    for shard in shards:
+        try:
+            lines = shard.read_text(encoding="utf-8").splitlines()
+        except FileNotFoundError:
+            continue  # the job never started writing
         ledger.append_raw(lines)
         merged += sum(1 for ln in lines if ln.strip())
         shard.unlink()
+    return merged
+
+
+def close_shard_dir(directory, ledger: RunLedger) -> int:
+    """Merge whatever shards remain in a runner's shard directory (jobs
+    whose worker died) and remove it.  Returns the lines merged."""
+    merged = merge_shards(directory, ledger)
+    try:
+        Path(directory).rmdir()
+    except OSError:
+        pass  # a straggler is still writing; leave it for inspection
     return merged
 
 

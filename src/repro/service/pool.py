@@ -45,7 +45,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SpadeError
 from repro.jobmodel import JobResult, JobSpec
-from repro.obs.ledger import NULL_LEDGER, merge_shards
+from repro.obs.ledger import (
+    NULL_LEDGER,
+    close_shard_dir,
+    merge_shards,
+    open_shard_dir,
+)
 from repro.sweep.cache import ResultCache
 from repro.sweep.lease import open_leases
 from repro.sweep.runner import (
@@ -121,6 +126,12 @@ class ServicePool:
             lease_dir or cache.default_lease_dir(), ttl_s=lease_ttl_s
         )
         self.ledger = ledger if ledger is not None else NULL_LEDGER
+        # Job shards go to a directory of our own: other runners may
+        # share the ledger directory, and each merges only its shards.
+        self._shard_dir = (
+            str(open_shard_dir(self.ledger)) if self.ledger.enabled
+            else None
+        )
         self.telemetry = ensure(telemetry)
         metrics = self.telemetry.metrics
         self._m_executed = metrics.counter(
@@ -309,8 +320,8 @@ class ServicePool:
 
     def _dispatch(self, worker: _Worker, sub: _Submission) -> None:
         shard = None
-        if self.ledger.enabled:
-            shard = (str(self.ledger.path.parent), sub.spec.key, "serve")
+        if self._shard_dir is not None:
+            shard = (self._shard_dir, sub.spec.key, "serve")
         payload = _JobPayload(
             index=sub.spec.index,
             cell=sub.cell,
@@ -405,8 +416,13 @@ class ServicePool:
             sub.future.set_exception(
                 ServiceExecutionError(f"job {key[:16]} failed: {value}")
             )
-        if self.ledger.enabled:
-            merge_shards(self.ledger.path.parent, self.ledger)
+        if self._shard_dir is not None:
+            # Only this job's shard: the worker closed it before
+            # replying, while other in-flight jobs are still appending
+            # to theirs.
+            merge_shards(
+                self._shard_dir, self.ledger, jobs=[(sub.spec.index, key)]
+            )
 
     def _handle_death(self, worker: _Worker) -> None:
         sub = worker.state
@@ -526,6 +542,9 @@ class ServicePool:
             self._wake_r.close()
         except OSError:
             pass
+        if self._shard_dir is not None:
+            close_shard_dir(self._shard_dir, self.ledger)
+            self._shard_dir = None
 
     # -- inspection ------------------------------------------------------
 

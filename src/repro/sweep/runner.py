@@ -80,7 +80,8 @@ from repro.errors import SweepError, SweepJobError
 from repro.obs.ledger import (
     NULL_LEDGER,
     RunLedger,
-    merge_shards,
+    close_shard_dir,
+    open_shard_dir,
     shard_path,
 )
 from repro.jobmodel import JobSpec, build_jobs
@@ -342,6 +343,8 @@ class _GridRun:
     quarantined: List[Tuple[Tuple, str]] = field(default_factory=list)
     skipped: List[Tuple[Tuple, str]] = field(default_factory=list)
     worker_pids: Dict[int, int] = field(default_factory=dict)
+    shard_dir: Optional[str] = None
+    """This call's private ledger-shard directory (ledger runs only)."""
 
 
 class _ClaimHeartbeat(threading.Thread):
@@ -562,6 +565,8 @@ class SweepRunner:
                     self.leases, self.heartbeat_s
                 )
                 self._claim_hb.start()
+            if self.ledger.enabled:
+                run.shard_dir = str(open_shard_dir(self.ledger))
             try:
                 ctx = _pool_context()
                 queue: Deque[Union[JobSpec, _JobState]] = deque(pending)
@@ -580,8 +585,8 @@ class SweepRunner:
                         f"sweep worker {pid}",
                         sort_index=sort_index + 1,
                     )
-            if self.ledger.enabled:
-                merge_shards(self.ledger.path.parent, self.ledger)
+            if run.shard_dir is not None:
+                close_shard_dir(run.shard_dir, self.ledger)
         self._queue_depth.set(0)
 
         self.report.merge(run.report)
@@ -796,8 +801,8 @@ class SweepRunner:
     def _payload(self, run: _GridRun, state: _JobState) -> _JobPayload:
         spec = state.spec
         shard = None
-        if self.ledger.enabled:
-            shard = (str(self.ledger.path.parent), spec.key, run.driver)
+        if run.shard_dir is not None:
+            shard = (run.shard_dir, spec.key, run.driver)
         lease_path = None
         if self.leases is not None:
             lease_path = self.leases.path_for(spec.key)

@@ -246,9 +246,11 @@ class TestTraceParity:
         # an observable.  The per-access (pe_id, line, op) sequence in
         # call order *is*: shared levels (L2/STLB/LLC/DRAM) see exactly
         # this interleaving, so it must match the oracle bit-for-bit.
+        # An epoch-grain call carries a per-access PE array.
         flat: List = []
         for pe_id, lines, ops in chunks:
-            flat.extend(zip([pe_id] * len(lines), lines, ops))
+            pes = np.broadcast_to(pe_id, len(lines)).tolist()
+            flat.extend(zip(pes, lines, ops))
         return flat
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])

@@ -323,7 +323,7 @@ def test_memory_system_replay_parity(footprint):
     replayed on several PEs (shared L2/LLC/STLB contention included)."""
     cfg = scaled_config(4, cache_shrink=8)
     ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(cfg)
+    ms_b = MemorySystem(dataclasses.replace(cfg, replay="batched"))
     rng = np.random.default_rng(footprint)
     for chunk_idx in range(6):
         pe_id = int(rng.integers(0, cfg.num_pes))
@@ -346,7 +346,7 @@ def test_memory_system_replay_then_flush_parity():
     """Flush after replay: identical dirty counts and flush accounting."""
     cfg = scaled_config(4, cache_shrink=8)
     ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(cfg)
+    ms_b = MemorySystem(dataclasses.replace(cfg, replay="batched"))
     rng = np.random.default_rng(99)
     lines, ops = random_op_trace(rng, 5000, 4096)
     scalar_system_replay(ms_s, 1, lines, ops)

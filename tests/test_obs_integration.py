@@ -237,6 +237,39 @@ class TestSweepLedger:
         assert len({e["run"] for e in events}) == 4
         assert not list(tmp_path.glob("shard-*.jsonl"))
 
+    def test_runners_sharing_a_ledger_dir_keep_their_own_shards(
+        self, tmp_path
+    ):
+        # A second runner's in-flight shard sits in the shared ledger
+        # directory while this runner merges: it must be neither
+        # merged into this ledger nor deleted.
+        from repro.obs.ledger import open_shard_dir, shard_path
+
+        other = RunLedger(tmp_path / "run-other.jsonl", run_id="other")
+        foreign = shard_path(open_shard_dir(other), 0, "ab" * 32)
+        shard = RunLedger(foreign, run_id="job-other")
+        shard.emit(
+            "sweep_job", index=0, status="started", key="ab" * 32,
+            driver="t", pid=1, attempt=1,
+        )
+        shard.close()
+        legacy = shard_path(tmp_path, 0, "cd" * 32)
+        legacy.write_text(foreign.read_text())
+
+        ledger = RunLedger(tmp_path / "run-p.jsonl", run_id="parent")
+        runner = SweepRunner(jobs=1, ledger=ledger)
+        runner.map_grid("t", None, _sweep_cell, [(1,), (2,)])
+        ledger.close()
+        keys = {
+            e["key"] for e in read_events(ledger.path)
+            if e["e"] == "sweep_job"
+        }
+        assert "ab" * 32 not in keys and "cd" * 32 not in keys
+        assert len(keys) == 2
+        assert foreign.exists() and legacy.exists()
+        # This runner's own shard directory is gone after the merge.
+        assert [p.name for p in tmp_path.glob(".shards-parent-*")] == []
+
     def test_cache_hits_recorded_by_parent(self, tmp_path):
         cache = open_cache(tmp_path / "cache")
         first = SweepRunner(jobs=1, cache=cache)

@@ -236,6 +236,49 @@ class TestShards:
         assert [e["index"] for e in evs] == [0, 1, 2]
         assert not list(tmp_path.glob("shard-*.jsonl"))
 
+    def test_merge_limited_to_finished_jobs(self, tmp_path):
+        # A job still running keeps its shard: merging it now would
+        # lose whatever the worker appends between read and unlink.
+        for index, key in ((0, "ab" * 32), (1, "cd" * 32)):
+            shard = RunLedger(shard_path(tmp_path, index, key), run_id="j")
+            shard.emit(
+                "sweep_job", index=index, status="started", key=key,
+                driver="t",
+            )
+            shard.close()
+        parent = RunLedger(tmp_path / "run-parent.jsonl", run_id="p")
+        assert merge_shards(tmp_path, parent, jobs=[(1, "cd" * 32)]) == 1
+        assert merge_shards(tmp_path, parent, jobs=[(2, "ef" * 32)]) == 0
+        parent.close()
+        assert [e["index"] for e in read_events(parent.path)] == [1]
+        assert shard_path(tmp_path, 0, "ab" * 32).exists()
+        assert not shard_path(tmp_path, 1, "cd" * 32).exists()
+
+    def test_shard_dirs_are_private_per_runner(self, tmp_path):
+        from repro.obs.ledger import close_shard_dir, open_shard_dir
+
+        ledgers = [
+            RunLedger(tmp_path / f"run-{name}.jsonl", run_id=name)
+            for name in ("a", "b")
+        ]
+        dirs = [open_shard_dir(ledger) for ledger in ledgers]
+        assert dirs[0] != dirs[1]
+        # Both runners write a shard for the same (index, key).
+        for ledger, d in zip(ledgers, dirs):
+            shard = RunLedger(shard_path(d, 0, "ab" * 32), run_id="job")
+            shard.emit(
+                "sweep_job", index=0, status="completed", key="ab" * 32,
+                driver=ledger.run_id,
+            )
+            shard.close()
+        for ledger, d in zip(ledgers, dirs):
+            assert close_shard_dir(d, ledger) == 1
+            ledger.close()
+            assert not d.exists()
+            assert [
+                e["driver"] for e in read_events(ledger.path)
+            ] == [ledger.run_id]
+
     def test_shard_events_keep_their_own_run_id(self, tmp_path):
         shard = RunLedger(shard_path(tmp_path, 0, "cd" * 32), run_id="job0")
         shard.emit(

@@ -69,7 +69,7 @@ def _three_way(footprint: int, chunks: int = 6, n: int = 2500):
     cfg = scaled_config(4, cache_shrink=8)
     cfg_a = dataclasses.replace(cfg, replay="array")
     ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(cfg)
+    ms_b = MemorySystem(dataclasses.replace(cfg, replay="batched"))
     ms_a = MemorySystem(cfg_a)
     rng = np.random.default_rng(footprint)
     for chunk_idx in range(chunks):

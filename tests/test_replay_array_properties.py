@@ -12,8 +12,9 @@ counterexamples:
 * The **array solver on a bare cache** with random geometry (sets,
   ways, footprint) and random traces, vs the scalar walk AND the
   oracle: counters, per-set LRU order, dirty bits.  The cost model is
-  disabled so the NumPy path (small-footprint fast path or dominance
-  solver, whichever the trace selects) is always the thing under test.
+  disabled so the NumPy path (small-footprint fast path or bounded-
+  window walk, whichever the trace selects) is always the thing under
+  test; a long-window case also trips the walk's probe cap.
 * **Full MemorySystem traces** — random interleaved dense / bypass /
   stream ops with random chunk boundaries, replayed through
   ``replay="array"`` vs the scalar oracle: every AccessStats counter
@@ -26,7 +27,7 @@ import contextlib
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig, scaled_config
 from repro.memory.cache import Cache
@@ -131,7 +132,7 @@ def geometry_and_trace(draw):
     ways = draw(st.integers(1, 8))
     num_sets = 1 << draw(st.integers(0, 3))
     # Footprints from "fits in one set" (fast path) to far beyond
-    # capacity (dominance path): both solver branches get traffic.
+    # capacity (window walk): both solver branches get traffic.
     footprint = draw(st.sampled_from([ways, 2 * ways, 24, 200]))
     trace = draw(
         st.lists(
@@ -143,10 +144,32 @@ def geometry_and_trace(draw):
     return ways, num_sets, trace
 
 
-@given(geometry_and_trace())
-@settings(max_examples=80, deadline=None)
-def test_array_solver_matches_bruteforce(params):
-    ways, num_sets, trace = params
+def long_window_trace():
+    """One 8-way set: ten cold lines (more distinct lines than ways, so
+    the window walk runs), then five lines cycling with 200-access runs
+    of two hot lines between them — every cycling access walks back
+    ~1000 positions over only 7 distinct lines before it hits."""
+    trace = [(line, False) for line in range(100, 110)]
+    for i in range(15):
+        trace.append((i % 5, i % 2 == 0))
+        trace += [(50 + k % 2, k % 9 == 0) for k in range(200)]
+    return 8, 1, trace
+
+
+def wrapped_window_trace():
+    """One 8-way set, twice: a line, 25 accesses cycling over seven
+    others, the line again, two new lines.  The first call replays it
+    from a cold cache; the reused line's walk outlives two doublings,
+    so without a width bound its block would reach past the start of
+    the layout (offset 56 at position 26 of 29)."""
+    once = [(0, False)] + [(1 + i % 7, i % 3 == 0) for i in range(25)]
+    once += [(0, True), (8, False), (9, False)]
+    return 8, 1, once * 2
+
+
+def solve_in_two_calls(ways, num_sets, trace, audits=None):
+    """Replay ``trace`` through the array solver (split in two calls)
+    and through the scalar walk; assert they end identical."""
     cfg = CacheConfig(
         size_bytes=64 * ways * num_sets, associativity=ways
     )
@@ -164,6 +187,7 @@ def test_array_solver_matches_bruteforce(params):
                 continue
             chunk = lines[lo:hi]
             set_id = chunk % num_sets
+            audit = {} if audits is not None else None
             replay_array._replay_level_array(
                 solved,
                 chunk,
@@ -172,7 +196,10 @@ def test_array_solver_matches_bruteforce(params):
                 np.arange(hi - lo, dtype=np.int64),
                 set_id,
                 np.unique(set_id),
+                audit,
             )
+            if audits is not None:
+                audits.append(audit)
     s_hits = scalar_replay(oracle, lines.tolist(), writes.tolist())
     assert s_hits == stack_distance_reference(
         lines.tolist(), num_sets, ways
@@ -181,6 +208,40 @@ def test_array_solver_matches_bruteforce(params):
         solved, CACHE_COUNTERS
     )
     assert cache_state(oracle) == cache_state(solved)
+
+
+@given(geometry_and_trace())
+@example(long_window_trace())
+@example(wrapped_window_trace())
+@settings(max_examples=80, deadline=None)
+def test_array_solver_matches_bruteforce(params):
+    solve_in_two_calls(*params)
+
+
+@given(geometry_and_trace())
+@example(long_window_trace())
+@example(wrapped_window_trace())
+@settings(max_examples=40, deadline=None)
+def test_array_solver_one_offset_walk_matches_bruteforce(params):
+    # Short traces leave few walkers, which take the window walk's 2-D
+    # block branch; a threshold of 1 sends them through the
+    # one-offset-per-pass branch that long epoch streams use.
+    saved = replay_array._WINDOW_WIDE_ROWS
+    replay_array._WINDOW_WIDE_ROWS = 1
+    try:
+        solve_in_two_calls(*params)
+    finally:
+        replay_array._WINDOW_WIDE_ROWS = saved
+
+
+def test_array_solver_probe_cap_falls_back(monkeypatch):
+    # Past the probe budget the level goes to the dict walk before
+    # anything is mutated, and the result is still exact.  The first
+    # call's walk takes 2-3 probes per element, so a budget of 1 trips.
+    monkeypatch.setattr(replay_array, "PROBE_CAP_PER_EVENT", 1)
+    audits = []
+    solve_in_two_calls(*long_window_trace(), audits=audits)
+    assert audits[0].get("bailed")
 
 
 # ---------------------------------------------------------------------------

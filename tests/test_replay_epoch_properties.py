@@ -1,0 +1,200 @@
+"""Property tests (hypothesis) for epoch-grain replay.
+
+``MemorySystem.replay_epoch`` hands a whole epoch's dispatch runs to an
+epoch backend in one call; the array backend then solves each PE's L1
+once over all its runs, each L2 group once over its PEs' merged L1
+events, and the LLC once.  It must be indistinguishable from replaying
+the runs one by one with the batched backend: per-run service levels,
+every cache counter, the ordered (line, dirty) state of every cache,
+STLB and BBF state, and DRAM traffic per region.  A backend registered
+without ``epoch`` still gets one call per run, with one PE.
+
+The system is 8 PEs in 2 L2 groups with tiny caches, so short random
+epochs already evict dirty L1 lines through L2 and LLC into DRAM.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import (
+    CacheConfig,
+    register_replay_backend,
+    scaled_config,
+    unregister_replay_backend,
+)
+from repro.memory.hierarchy import (
+    OP_DENSE,
+    OP_DENSE_BYPASS,
+    OP_STREAM,
+    TRACE_REGIONS,
+    MemorySystem,
+    encode_op,
+)
+
+from tests.test_memory_batched_parity import CACHE_COUNTERS, counters, system_state
+from tests.test_replay_array_properties import forced_array
+
+NUM_PES = 8
+
+
+def _tiny(sets: int, ways: int) -> CacheConfig:
+    return CacheConfig(size_bytes=64 * sets * ways, associativity=ways)
+
+
+def tiny_config():
+    cfg = scaled_config(NUM_PES, cache_shrink=8)
+    cfg = dataclasses.replace(
+        cfg,
+        pe=dataclasses.replace(cfg.pe, l1d=_tiny(4, 2)),
+        memory=dataclasses.replace(
+            cfg.memory, l2=_tiny(8, 4), llc_slice=_tiny(16, 4),
+            num_llc_slices=1,
+        ),
+    )
+    assert cfg.memory.pes_per_l2 == 4  # two L2 groups
+    return cfg
+
+
+def full_state(ms: MemorySystem):
+    caches = ms.l1s + ms.l2s + [ms.llc] + [b.victim for b in ms.bbfs]
+    return (
+        system_state(ms),
+        [counters(c, CACHE_COUNTERS) for c in caches],
+        [
+            (b.stream_hits, b.stream_misses, b.writebacks, b.flush_writebacks)
+            for b in ms.bbfs
+        ],
+        [(t.hits, t.misses) for t in ms.stlbs],
+        (ms.dram.reads, ms.dram.writes),
+        dict(ms._region_traffic),
+        dataclasses.asdict(ms.collect_stats()),
+    )
+
+
+ops_st = st.tuples(
+    st.sampled_from([OP_DENSE, OP_DENSE, OP_DENSE, OP_DENSE_BYPASS, OP_STREAM]),
+    st.booleans(),
+    st.integers(0, len(TRACE_REGIONS) - 1),
+)
+
+
+@st.composite
+def epoch_runs(draw):
+    """Dispatch runs ``(pe, lines, ops)`` with consecutive same-PE runs
+    and lines repeated across run boundaries mixed in."""
+    footprint = draw(st.sampled_from([12, 64, 512]))
+    runs = []
+    prev_pe, prev_line = None, None
+    for _ in range(draw(st.integers(1, 10))):
+        if prev_pe is not None and draw(st.booleans()):
+            pe = prev_pe  # consecutive runs of one PE
+        else:
+            pe = draw(st.integers(0, NUM_PES - 1))
+        body = draw(st.lists(
+            st.tuples(st.integers(0, footprint - 1), ops_st),
+            min_size=1, max_size=40,
+        ))
+        lines = [line for line, _ in body]
+        ops = [encode_op(p, w, r) for _, (p, w, r) in body]
+        if prev_line is not None and draw(st.booleans()):
+            # The previous run's last line opens this run too.
+            lines.insert(0, prev_line)
+            ops.insert(0, encode_op(OP_DENSE, draw(st.booleans()), 1))
+        runs.append((
+            pe, np.array(lines, dtype=np.int64), np.array(ops, dtype=np.int64)
+        ))
+        prev_pe, prev_line = pe, lines[-1]
+    return runs
+
+
+def check_epochs(epochs, forced: bool) -> MemorySystem:
+    cfg = tiny_config()
+    ref = MemorySystem(dataclasses.replace(cfg, replay="batched"))
+    got = MemorySystem(dataclasses.replace(cfg, replay="array"))
+    for runs in epochs:
+        want = [ref.replay_trace_batched(p, l, o) for p, l, o in runs]
+        if forced:
+            with forced_array():
+                levels = got.replay_epoch(runs)
+        else:
+            levels = got.replay_epoch(runs)
+        assert len(levels) == len(want)
+        for w, g in zip(want, levels):
+            assert np.array_equal(w, g)
+        assert full_state(got) == full_state(ref)
+    assert ref.flush_all() == got.flush_all()
+    assert full_state(got) == full_state(ref)
+    return got
+
+
+@given(st.lists(epoch_runs(), min_size=1, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_replay_epoch_matches_per_run_batched_forced_array(epochs):
+    check_epochs(epochs, forced=True)
+
+
+@given(st.lists(epoch_runs(), min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_replay_epoch_matches_per_run_batched_auto_dispatch(epochs):
+    check_epochs(epochs, forced=False)
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_dirty_l1_victims_cascade_to_dram(forced):
+    # Write-heavy dense traffic over many lines on all 8 PEs: dirty L1
+    # victims spill into L2, the L2's into the LLC, the LLC's to DRAM.
+    rng = np.random.default_rng(7)
+    runs = []
+    for k in range(24):
+        n = int(rng.integers(20, 300))
+        lines = rng.integers(0, 2048, size=n)
+        ops = np.where(
+            rng.random(n) < 0.6,
+            encode_op(OP_DENSE, True, 1),
+            encode_op(OP_DENSE, False, 2),
+        )
+        runs.append((k % NUM_PES if k % 5 else (k - 1) % NUM_PES, lines, ops))
+    got = check_epochs([runs[:12], runs[12:]], forced)
+    assert got.dram.writes > 0
+    assert sum(c.writebacks for c in got.l1s) > 0
+    assert got.llc.writebacks > 0
+
+
+PE_ARGS = []
+
+
+def one_pe_backend(ms, pe_id, lines, ops, region_names=TRACE_REGIONS):
+    """A backend registered without ``epoch``: records its PE argument
+    and replays like the batched backend."""
+    PE_ARGS.append(pe_id)
+    return ms.replay_trace_batched(pe_id, lines, ops, region_names)
+
+
+def test_backend_without_epoch_gets_one_call_per_run():
+    register_replay_backend(
+        "one-pe", "tests.test_replay_epoch_properties:one_pe_backend"
+    )
+    try:
+        cfg = dataclasses.replace(tiny_config(), replay="one-pe")
+        ms = MemorySystem(cfg)
+        rng = np.random.default_rng(3)
+        runs = [
+            (pe, rng.integers(0, 256, size=30),
+             np.full(30, encode_op(OP_DENSE, True, 1)))
+            for pe in (0, 0, 5, 2, 5)
+        ]
+        PE_ARGS.clear()
+        levels = ms.replay_epoch(runs)
+        assert PE_ARGS == [0, 0, 5, 2, 5]
+        assert all(isinstance(pe, int) for pe in PE_ARGS)
+        ref = MemorySystem(dataclasses.replace(cfg, replay="batched"))
+        for (p, l, o), got in zip(runs, levels):
+            assert np.array_equal(ref.replay_trace_batched(p, l, o), got)
+        assert full_state(ms) == full_state(ref)
+    finally:
+        unregister_replay_backend("one-pe")
