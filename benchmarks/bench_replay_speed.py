@@ -158,9 +158,9 @@ def lru_state(ms: MemorySystem):
         [[list(s.items()) for s in c._sets] for c in ms.l1s],
         [[list(s.items()) for s in c._sets] for c in ms.l2s],
         [list(s.items()) for s in ms.llc._sets],
-        [list(b._buffer.items()) for b in ms.bbfs],
+        [[list(s.items()) for s in b.stream._sets] for b in ms.bbfs],
         [[list(s.items()) for s in b.victim._sets] for b in ms.bbfs],
-        [list(t._tlb.items()) for t in ms.stlbs],
+        [[list(s.items()) for s in t._sets] for t in ms.stlbs],
     )
 
 

@@ -282,10 +282,11 @@ class ReplayBackend:
     lower rank (fastest/most complex first, oracle last)."""
     epoch: bool = False
     """Epoch backends also take a whole epoch's dispatch runs in one
-    call: ``pe_id`` is then a per-access array of PE ids over the
-    concatenated runs, and the result must equal replaying the runs
-    one call each, in order (``MemorySystem.replay_epoch``).  Other
-    backends are called once per run, with one PE."""
+    call: the runs' traces back to back in ``lines``/``ops``, and as
+    ``pe_id`` the list of runs ``(pe, lo, hi)`` over them.  The result
+    must equal replaying the runs one call each, in order
+    (``MemorySystem.replay_epoch``).  Other backends are called once
+    per run, with one PE."""
 
     def resolve(self) -> Callable:
         module_name, _, attr = self.loader.partition(":")

@@ -1,9 +1,11 @@
 """Set-associative cache with LRU replacement and write-back policy.
 
-Used for PE L1Ds, shared L2s, the sliced LLC, and the BBF victim cache.
-Operates on cache-line indices (not byte addresses); the hot path is a
-dict-per-set LRU exploiting Python's insertion-ordered dicts, which
-keeps the simulator fast enough for million-access traces.
+Used for PE L1Ds, shared L2s, the sliced LLC, and the BBF victim cache;
+as a single set (:func:`fully_associative`) it is also the BBF stream
+buffer and the STLB.  Operates on cache-line indices (not byte
+addresses); the hot path is a dict-per-set LRU exploiting Python's
+insertion-ordered dicts, which keeps the simulator fast enough for
+million-access traces.
 """
 
 from __future__ import annotations
@@ -12,10 +14,19 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import CacheConfig
+from repro.config import CACHE_LINE_BYTES, CacheConfig
 
 NO_LINE = -1
 """Sentinel in batched eviction arrays: no dirty line evicted."""
+
+
+def fully_associative(entries: int) -> CacheConfig:
+    """Geometry of a one-set LRU structure with ``entries`` ways."""
+    if entries < 1:
+        raise ValueError("a fully-associative structure needs an entry")
+    return CacheConfig(
+        size_bytes=entries * CACHE_LINE_BYTES, associativity=entries
+    )
 
 
 def rle_starts(lines: np.ndarray) -> np.ndarray:
@@ -46,9 +57,10 @@ class Cache:
         self.num_sets = config.num_sets
         self.ways = config.associativity
         # Perf hint for the array replay backend: whether the last
-        # array solve on this cache found every set's distinct stream
-        # footprint within the associativity (see replay_array.py).
-        # Starts optimistic; never affects simulated behaviour.
+        # array solve on this cache skipped the window walk (every set's
+        # distinct stream footprint within the associativity, or a
+        # stream of first touches; see replay_array.py).  Starts
+        # optimistic; never affects simulated behaviour.
         self.replay_fast_hint = True
         # One insertion-ordered dict per set: {line: dirty_flag};
         # first key = LRU, last key = MRU.

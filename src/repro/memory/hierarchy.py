@@ -29,7 +29,7 @@ from repro.memory.bbf import BypassBuffer
 from repro.memory.cache import NO_LINE, Cache, rle_starts
 from repro.memory.dram import DRAMModel
 from repro.memory.stats import AccessStats, LevelStats
-from repro.memory.tlb import STLB
+from repro.memory.tlb import LINES_PER_PAGE, STLB
 from repro.obs.ledger import NULL_LEDGER
 
 
@@ -119,7 +119,9 @@ class MemorySystem:
             Cache(config.memory.l2, name=f"l2[{g}]")
             for g in range(self.num_groups)
         ]
-        self.stlbs: List[STLB] = [STLB() for _ in range(self.num_groups)]
+        self.stlbs: List[STLB] = [
+            STLB(name=f"stlb[{g}]") for g in range(self.num_groups)
+        ]
         llc_cfg = CacheConfig(
             size_bytes=config.memory.llc_slice.size_bytes
             * config.memory.num_llc_slices,
@@ -173,7 +175,7 @@ class MemorySystem:
         group = self._group_of(pe_id)
         self.stlbs[group].translate_line(line)
         if bypass:
-            hit, evicted = self.bbfs[pe_id].victim_access(line, is_write)
+            hit, evicted = self.bbfs[pe_id].victim.access(line, is_write)
             if evicted is not None:
                 self._dram_write(region)
             if hit:
@@ -223,12 +225,13 @@ class MemorySystem:
         caches).  Used for the sparse input and the SDDMM output."""
         group = self._group_of(pe_id)
         self.stlbs[group].translate_line(line)
-        if self.bbfs[pe_id].stream_access(line, is_write):
+        if self.bbfs[pe_id].stream.access(line, is_write)[0]:
             return ServiceLevel.BBF
         if is_write:
             # Write-allocate in the stream buffer; the line goes out to
             # DRAM when evicted or flushed, but we account it now so the
-            # traffic total is independent of flush timing.
+            # traffic total is independent of flush timing (a dirty
+            # stream-buffer victim only counts as a writeback).
             self._dram_write(region)
         else:
             self._dram_read(region)
@@ -282,6 +285,10 @@ class MemorySystem:
             name = table[rid]
             if c and name is not None:
                 traffic[name] = traffic.get(name, 0) + c
+
+    def _translate_many(self, group: int, lines: np.ndarray) -> None:
+        """STLB translation of a trace's pages, in trace order."""
+        self.stlbs[group].access_many(lines // LINES_PER_PAGE, False)
 
     def _dense_cached_many(
         self,
@@ -511,7 +518,7 @@ class MemorySystem:
         table: Sequence[Optional[str]],
     ) -> np.ndarray:
         """BBF victim cache -> DRAM for a trace (STLB already consulted)."""
-        hits, ev = self.bbfs[pe_id].victim_access_many(lines, writes)
+        hits, ev = self.bbfs[pe_id].victim.access_many(lines, writes)
         levels = np.full(
             lines.shape[0], int(ServiceLevel.DRAM), dtype=np.uint8
         )
@@ -531,7 +538,7 @@ class MemorySystem:
         table: Sequence[Optional[str]],
     ) -> np.ndarray:
         """BBF stream buffer -> DRAM for a trace (STLB already consulted)."""
-        hits = self.bbfs[pe_id].stream_access_many(lines, writes)
+        hits, _ = self.bbfs[pe_id].stream.access_many(lines, writes)
         levels = np.full(
             lines.shape[0], int(ServiceLevel.DRAM), dtype=np.uint8
         )
@@ -558,7 +565,7 @@ class MemorySystem:
         writes = np.empty(lines.shape[0], dtype=bool)
         writes[:] = is_write
         group = self._group_of(pe_id)
-        self.stlbs[group].translate_many(lines)
+        self._translate_many(group, lines)
         region_ids = np.zeros(lines.shape[0], dtype=np.int64)
         table = (region,)
         if bypass:
@@ -581,7 +588,7 @@ class MemorySystem:
         writes = np.empty(lines.shape[0], dtype=bool)
         writes[:] = is_write
         group = self._group_of(pe_id)
-        self.stlbs[group].translate_many(lines)
+        self._translate_many(group, lines)
         region_ids = np.zeros(lines.shape[0], dtype=np.int64)
         return self._stream_many(
             pe_id, lines, writes, region_ids, (region,)
@@ -601,7 +608,7 @@ class MemorySystem:
 
     def replay_trace(
         self,
-        pe_id: int,
+        pe_id,
         lines: np.ndarray,
         ops: np.ndarray,
         region_names: Sequence[Optional[str]] = TRACE_REGIONS,
@@ -612,9 +619,10 @@ class MemorySystem:
         bit-identical on counters, per-access service levels, and cache
         state; they differ only in speed.
 
-        Epoch backends (``ReplayBackend.epoch``) also accept a
-        per-access array of PE ids: :meth:`replay_epoch`'s one call for
-        a whole epoch."""
+        Epoch backends (``ReplayBackend.epoch``) also accept a list of
+        dispatch runs ``(pe, lo, hi)`` as ``pe_id``, each one PE's
+        accesses ``lines[lo:hi]``: :meth:`replay_epoch`'s one call for a
+        whole epoch."""
         return self._replay_backend(self, pe_id, lines, ops, region_names)
 
     def replay_epoch(
@@ -626,10 +634,10 @@ class MemorySystem:
         order; returns each run's per-access service levels.
 
         Most backends replay the runs one :meth:`replay_trace` call
-        each.  An epoch backend gets the whole epoch in one call (the
-        runs concatenated, with a per-access PE array), which lets the
-        array backend solve every cache once per epoch instead of once
-        per run."""
+        each.  An epoch backend gets the whole epoch in one call: the
+        runs' traces back to back, with their bounds as the run list,
+        which lets the array backend solve every cache once per epoch
+        instead of once per run."""
         if not self._replay_whole_epochs:
             return [
                 self.replay_trace(pe, lines, ops, region_names)
@@ -637,21 +645,20 @@ class MemorySystem:
             ]
         if not runs:
             return []
-        lengths = [r[1].shape[0] for r in runs]
+        bounds = np.cumsum([0] + [r[1].shape[0] for r in runs]).tolist()
+        table = [
+            (int(r[0]), lo, hi) for r, lo, hi in zip(runs, bounds, bounds[1:])
+        ]
         if len(runs) == 1:
-            pe_ids = runs[0][0]
             lines, ops = runs[0][1], runs[0][2]
         else:
-            pe_ids = np.repeat(
-                np.array([r[0] for r in runs], dtype=np.int32), lengths
-            )
             lines = np.concatenate([r[1] for r in runs])
             ops = np.concatenate([r[2] for r in runs])
-        levels = self.replay_trace(pe_ids, lines, ops, region_names)
-        del pe_ids, lines, ops
+        levels = self.replay_trace(table, lines, ops, region_names)
+        del lines, ops
         if levels.shape[0] >= TRIM_MIN_EVENTS:
             _release_heap()
-        return np.split(levels, np.cumsum(lengths)[:-1])
+        return [levels[lo:hi] for _, lo, hi in table]
 
     def replay_trace_batched(
         self,
@@ -676,7 +683,7 @@ class MemorySystem:
         if n == 0:
             return levels
         group = self._group_of(pe_id)
-        self.stlbs[group].translate_many(lines)
+        self._translate_many(group, lines)
         path = ops & OP_PATH_MASK
         writes = (ops & OP_WRITE) != 0
         region_ids = ops >> OP_REGION_SHIFT
@@ -800,13 +807,13 @@ class MemorySystem:
             unit = f"pe{i}"
             registry.counter(
                 "spade_bbf_stream_hits_total", unit=unit
-            ).inc(bbf.stream_hits)
+            ).inc(bbf.stream.hits)
             registry.counter(
                 "spade_bbf_stream_misses_total", unit=unit
-            ).inc(bbf.stream_misses)
+            ).inc(bbf.stream.misses)
             registry.counter(
                 "spade_bbf_writebacks_total", unit=unit
-            ).inc(bbf.writebacks)
+            ).inc(bbf.stream.writebacks)
         for g, stlb in enumerate(self.stlbs):
             unit = f"group{g}"
             registry.counter(
@@ -864,8 +871,9 @@ class MemorySystem:
                     bbf.victim.writebacks,
                 )
             )
+            s = bbf.stream
             stats.bbf_stream = stats.bbf_stream.merged(
-                LevelStats(bbf.stream_hits, bbf.stream_misses, bbf.writebacks)
+                LevelStats(s.hits, s.misses, s.writebacks)
             )
         stats.dram_reads = self.dram.reads
         stats.dram_writes = self.dram.writes
@@ -876,7 +884,7 @@ class MemorySystem:
             + sum(l2.flush_writebacks for l2 in self.l2s)
             + self.llc.flush_writebacks
             + sum(
-                b.flush_writebacks + b.victim.flush_writebacks
+                b.stream.flush_writebacks + b.victim.flush_writebacks
                 for b in self.bbfs
             )
         )

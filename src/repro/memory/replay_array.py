@@ -36,6 +36,10 @@ the shape of the computation per cache level is:
    levels (assigned top-down: an access's level is the deepest level
    its fill had to reach).
 
+A stream of nothing but first touches of lines not resident skips
+steps 3-5: every access misses and each set is a FIFO (DESIGN.md
+section 10, step 4a).
+
 A trace may interleave several PEs (one epoch's dispatch runs).  The
 L1s are private and the hierarchy is non-inclusive, so each PE's L1
 solves once over all of its accesses; each L2 group then solves once
@@ -52,11 +56,11 @@ streams take an equivalent per-set dict walk instead — NumPy's fixed
 per-op cost would otherwise swamp the win — chosen per level by the
 ``ARRAY_MIN_EVENTS`` floor and the calibrated cost model below.
 
-The bypass-buffer and stream paths reuse the batched fast paths
-(``_dense_bypass_many`` / ``_stream_many``), which are already
-vectorized and parity-pinned; STLB translation and flush accounting are
-shared with the other backends, so those behaviours are reproduced
-exactly by construction.
+The same level solver replays every other LRU structure, once per
+epoch over its own stream: each L2 group's STLB and each PE's BBF
+stream buffer (one-set caches with ``entries`` ways) and victim cache.
+Flush accounting is shared with the other backends, so it is
+reproduced exactly by construction.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ import numpy as np
 from repro.memory.cache import Cache, rle_starts
 from repro.obs.ledger import NULL_LEDGER
 from repro.sortutil import radix_argsort
+from repro.memory.tlb import LINES_PER_PAGE
 from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
@@ -305,6 +310,12 @@ def _replay_level_array(
     # the distinct stream lines seen earlier in the segment, minus the
     # residents among them (already counted once).
     has_prev = prev >= 0
+    if not np.any(has_prev & real):
+        cache.replay_fast_hint = True
+        return _replay_cold(
+            cache, order, nv, lay_line, all_write[order], lay_isfill,
+            seg_start, seg_id, trig,
+        )
     prev_virtual = np.zeros(total, dtype=bool)
     prev_virtual[has_prev] = ~real[prev[has_prev]]
     first_stream = real & (~has_prev | prev_virtual)
@@ -413,42 +424,152 @@ def _replay_level_array(
     cache.fills += n_miss
     cache.writebacks += n_wb
 
-    # 6. Next-level events: dirty victims (writes) before the same
-    # access's own fill read, globally in stream order.
+    # 6. Next-level events.
     dv_cap = cap_idx[vict_dirty]
-    v_sidx = order[dv_cap] - nv
-    v_line = p_line[evict_p[vict_dirty]]
     f_idx = np.flatnonzero(
         miss if lay_isfill is None else miss & lay_isfill
     )
     del miss, lay_isfill
-    f_sidx = order[f_idx] - nv
-    ne_v = v_sidx.shape[0]
-    key = np.concatenate([
-        v_sidx.astype(np.int64) * 2, f_sidx.astype(np.int64) * 2 + 1
-    ])
-    eorder = _radix_argsort(key)
-    e_line = np.concatenate([v_line, lay_line[f_idx]])[eorder]
-    e_write = np.zeros(key.shape[0], dtype=bool)
-    e_write[:ne_v] = True
-    e_write = e_write[eorder]
-    e_isfill = ~e_write
-    e_trig = np.concatenate([trig[v_sidx], trig[f_sidx]])[eorder]
+    events = _events(
+        order[dv_cap] - nv, p_line[evict_p[vict_dirty]],
+        order[f_idx] - nv, lay_line[f_idx], trig,
+    )
 
     # 7. Rebuild the touched sets: survivors by ascending last access
-    # IS the LRU insertion order; .tolist() yields plain int/bool so
-    # state snapshots stay type-identical to the scalar path.
-    surv_lines = p_line[surv_p].tolist()
-    surv_dirty = p_dirty[surv_p].tolist()
+    # IS the LRU insertion order.
+    _rebuild_sets(
+        sets, lay_line[seg_start] % ns, occ_seg,
+        p_line[surv_p], p_dirty[surv_p],
+    )
+    return events
+
+
+def _events(
+    v_idx: np.ndarray,
+    v_line: np.ndarray,
+    f_idx: np.ndarray,
+    f_line: np.ndarray,
+    trig: np.ndarray,
+) -> LevelEvents:
+    """Next-level events of a level solve, from the stream indices of
+    the accesses that evicted a dirty line (``v_idx``, evicting
+    ``v_line``) or filled (``f_idx``): globally in stream order, an
+    access's dirty victim (a write) before its own fill read."""
+    key = np.concatenate([
+        v_idx.astype(np.int64) * 2, f_idx.astype(np.int64) * 2 + 1
+    ])
+    o = _radix_argsort(key)
+    e_write = np.zeros(key.shape[0], dtype=bool)
+    e_write[:v_idx.shape[0]] = True
+    e_write = e_write[o]
+    return (
+        np.concatenate([v_line, f_line])[o], e_write, ~e_write,
+        trig[np.concatenate([v_idx, f_idx])][o],
+    )
+
+
+def _rebuild_sets(
+    sets: List[Dict[int, bool]],
+    set_ids: np.ndarray,
+    counts: np.ndarray,
+    lines: np.ndarray,
+    dirty: np.ndarray,
+) -> None:
+    """Replace each solved set with its survivors: ``counts[k]``
+    consecutive entries of ``lines``/``dirty``, in LRU order, for set
+    ``set_ids[k]``.  ``.tolist()`` yields plain int/bool so state
+    snapshots stay type-identical to the scalar path."""
+    lines_l = lines.tolist()
+    dirty_l = dirty.tolist()
     off = 0
-    for s, cnt in zip(
-        (lay_line[seg_start] % ns).tolist(), occ_seg.tolist()
-    ):
-        sets[s] = dict(
-            zip(surv_lines[off:off + cnt], surv_dirty[off:off + cnt])
-        )
+    for s, cnt in zip(set_ids.tolist(), counts.tolist()):
+        sets[s] = dict(zip(lines_l[off:off + cnt], dirty_l[off:off + cnt]))
         off += cnt
-    return e_line, e_write, e_isfill, e_trig
+
+
+def _replay_cold(
+    cache: Cache,
+    order: np.ndarray,
+    nv: int,
+    lay_line: np.ndarray,
+    lay_write: np.ndarray,
+    lay_isfill: Optional[np.ndarray],
+    seg_start: np.ndarray,
+    seg_id: np.ndarray,
+    trig: np.ndarray,
+) -> LevelEvents:
+    """Finish a level solve whose stream accesses are all first touches
+    of lines not resident.  Every one misses, so each set is a FIFO over
+    its residents (LRU first) and then its stream accesses: the element
+    at segment offset ``k >= W`` evicts the one at ``k - W``, and the
+    last ``W`` elements survive in order."""
+    ways = cache.ways
+    total = order.shape[0]
+    off = np.arange(total, dtype=np.int32) - seg_start[seg_id]
+    evict = np.flatnonzero(off >= ways)  # real: a set holds <= W virtuals
+    dirty = lay_write[evict - ways]
+    n = total - nv
+    cache.misses += n
+    cache.fills += n
+    cache.writebacks += int(np.count_nonzero(dirty))
+    v = evict[dirty]
+    f = np.flatnonzero(
+        order >= nv if lay_isfill is None else (order >= nv) & lay_isfill
+    )
+    events = _events(
+        order[v] - nv, lay_line[v - ways], order[f] - nv, lay_line[f], trig
+    )
+    seg_len = np.diff(np.append(seg_start, total))
+    keep = np.flatnonzero(off >= (seg_len - ways)[seg_id])
+    _rebuild_sets(
+        cache._sets, lay_line[seg_start] % cache.num_sets,
+        np.minimum(seg_len, ways), lay_line[keep], lay_write[keep],
+    )
+    return events
+
+
+def _fits_without_eviction(cache: Cache, line: np.ndarray) -> bool:
+    """Whether a one-set cache provably evicts nothing on ``line``: its
+    residents plus every line in the stream's value range fit in its
+    ways."""
+    if cache.num_sets != 1:
+        return False
+    span = int(line.max()) - int(line.min())
+    return len(cache._sets[0]) + span < cache.ways
+
+
+def _replay_no_eviction(
+    cache: Cache,
+    line: np.ndarray,
+    write: np.ndarray,
+    isfill: Optional[np.ndarray],
+    trig: np.ndarray,
+) -> LevelEvents:
+    """Bulk twin of the dict walk for a stream that evicts nothing from
+    a one-set cache (see :func:`_fits_without_eviction`): each line not
+    resident misses exactly once, at its first access, and the touched
+    lines end up MRU-most in order of last access, so the set updates in
+    O(distinct lines) instead of O(stream)."""
+    s = cache._sets[0]
+    n = line.shape[0]
+    order = _radix_argsort(line)
+    head = rle_starts(line[order])
+    uniq = line[order[head]].tolist()
+    first = order[head]
+    last = order[np.append(head[1:], n) - 1]
+    dirty = np.logical_or.reduceat(write[order], head).tolist()
+    new = np.array([x not in s for x in uniq], dtype=bool)
+    for k in np.argsort(last).tolist():
+        s[uniq[k]] = s.pop(uniq[k], False) or dirty[k]
+    misses = int(np.count_nonzero(new))
+    cache.hits += n - misses
+    cache.misses += misses
+    cache.fills += misses
+    f = np.sort(first[new])
+    if isfill is not None:
+        f = f[isfill[f]]
+    e_write = np.zeros(f.shape[0], dtype=bool)
+    return line[f], e_write, ~e_write, trig[f]
 
 
 def _replay_level_python(
@@ -461,44 +582,39 @@ def _replay_level_python(
     """Dict-walk twin of :func:`_replay_level_array` for short or
     set-diluted streams: one pass in stream order, per-set LRU dicts,
     identical counters, state, and emitted events."""
+    if _fits_without_eviction(cache, line):
+        return _replay_no_eviction(cache, line, write, isfill, trig)
     sets = cache._sets
     ns = cache.num_sets
     ways = cache.ways
-    hits = misses = wb = 0
-    e_line: List[int] = []
-    e_write: List[bool] = []
-    e_trig: List[int] = []
-    isf_list = (
-        [True] * line.shape[0] if isfill is None else isfill.tolist()
-    )
-    for ln, w, isf, tg in zip(
-        line.tolist(), write.tolist(), isf_list, trig.tolist()
-    ):
+    miss_j: List[int] = []
+    miss_append = miss_j.append
+    victims: List[Tuple[int, int]] = []
+    for j, (ln, w) in enumerate(zip(line.tolist(), write.tolist())):
         s = sets[ln % ns]
         d = s.pop(ln, None)
         if d is not None:
             s[ln] = d or w
-            hits += 1
             continue
-        misses += 1
         if len(s) >= ways:
             victim = next(iter(s))
             if s.pop(victim):
-                wb += 1
-                e_line.append(victim)
-                e_write.append(True)
-                e_trig.append(tg)
+                victims.append((j, victim))
         s[ln] = w
-        if isf:
-            e_line.append(ln)
-            e_write.append(False)
-            e_trig.append(tg)
-    cache.hits += hits
+        miss_append(j)
+    misses = len(miss_j)
+    cache.hits += line.shape[0] - misses
     cache.misses += misses
     cache.fills += misses
-    cache.writebacks += wb
-    ew = np.array(e_write, dtype=bool)
-    return (np.array(e_line, np.int64), ew, ~ew, np.array(e_trig, np.int64))
+    cache.writebacks += len(victims)
+    f = np.array(miss_j, dtype=np.int64)
+    if isfill is not None:
+        f = f[isfill[f]]
+    if not victims:
+        e_write = np.zeros(f.shape[0], dtype=bool)
+        return line[f], e_write, ~e_write, trig[f]
+    v_j, v_line = (np.array(x, dtype=np.int64) for x in zip(*victims))
+    return _events(v_j, v_line, f, line[f], trig)
 
 
 def _replay_level(
@@ -568,7 +684,12 @@ def _plan_level(
     hits, misses = cache.hits, cache.misses
     miss_rate = (misses + 64.0) / (hits + misses + 128.0)
     py_us = (_PY_HIT_US + miss_rate * _PY_MISS_EXTRA_US) * n
-    if n < ARRAY_MIN_EVENTS:
+    reason = (
+        "min_events" if n < ARRAY_MIN_EVENTS
+        else "no_eviction" if _fits_without_eviction(cache, line)
+        else None
+    )
+    if reason is not None:
         if audit is not None:
             audit.update(
                 cache=cache.name,
@@ -577,7 +698,7 @@ def _plan_level(
                 hint=bool(cache.replay_fast_hint),
                 predicted_py_us=py_us,
                 predicted_array_us=None,
-                reason="min_events",
+                reason=reason,
             )
         return None
     set_id = (line % cache.num_sets).astype(np.int32)
@@ -769,6 +890,33 @@ def _dense_cascade(
         )
 
 
+def _replay_deduped(
+    cache: Cache,
+    keys: np.ndarray,
+    writes: Optional[np.ndarray],
+    ledger,
+    level: str,
+    repeats: int = 0,
+) -> LevelEvents:
+    """Replay one structure's whole stream through :func:`_replay_level`
+    after run-length dedup: consecutive repeats are MRU hits, credited
+    (with ``repeats`` already removed by the caller) without being
+    replayed, and their dirty bits OR into the run.  ``writes=None``
+    means a read-only stream.  The events' triggers index ``keys``."""
+    n = keys.shape[0]
+    starts = rle_starts(keys)
+    m = starts.shape[0]
+    if m < n:
+        keys = keys[starts]
+        if writes is not None:
+            writes = np.logical_or.reduceat(writes, starts)
+    if writes is None:
+        writes = np.zeros(m, dtype=bool)
+    ev = _replay_level(cache, keys, writes, None, starts, ledger, level)
+    cache.hits += repeats + n - m
+    return ev
+
+
 def replay_trace_array(
     ms: MemorySystem,
     pe_id,
@@ -777,14 +925,16 @@ def replay_trace_array(
     region_names: Sequence[Optional[str]] = TRACE_REGIONS,
 ) -> np.ndarray:
     """``replay="array"`` backend entry point (see the registry in
-    :mod:`repro.config`; an epoch backend).  ``pe_id`` is one PE or a
-    per-access PE array (an epoch's dispatch runs, concatenated).
+    :mod:`repro.config`; an epoch backend).  ``pe_id`` is one PE, or an
+    epoch's dispatch runs ``(pe, lo, hi)`` over ``lines``/``ops``.
 
-    STLB translation runs per L2 group and the bypass and stream paths
-    per PE, each over its accesses in trace order (they touch private
-    or per-group state and count DRAM traffic order-free), reusing the
-    parity-pinned batched fast paths; the dense-cached accesses go
-    through :func:`_dense_cascade`, one solve per cache.
+    Every LRU structure replays once, over its own stream in dispatch
+    order, through :func:`_replay_level`: each L2 group's STLB over its
+    PEs' pages, each PE's BBF stream buffer and victim cache over its
+    accesses on those paths, and the dense-cached accesses through
+    :func:`_dense_cascade`, one solve per cache.  The structures share
+    no state and DRAM traffic is counted order-free, so the streams
+    replay independently of each other.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     ops = np.ascontiguousarray(ops, dtype=np.int64)
@@ -792,61 +942,84 @@ def replay_trace_array(
     levels = np.full(n, int(ServiceLevel.L1), dtype=np.uint8)
     if n == 0:
         return levels
-    if np.ndim(pe_id) == 0:
-        runs = [(int(pe_id), 0, n)]
-    else:
-        # An epoch: its maximal same-PE runs, in dispatch order.
-        cuts = (np.flatnonzero(pe_id[1:] != pe_id[:-1]) + 1).tolist()
-        runs = [
-            (int(pe_id[lo]), lo, hi)
-            for lo, hi in zip([0] + cuts, cuts + [n])
-        ]
-    # Trace positions are int32 (an epoch is far below 2**31 accesses).
-    spans: Dict[int, List[Tuple[int, int]]] = {}
-    for p, lo, hi in runs:
-        spans.setdefault(p, []).append((lo, hi))
-    by_pe = {
-        p: np.concatenate([
-            np.arange(lo, hi, dtype=np.int32) for lo, hi in sp
-        ])
-        for p, sp in sorted(spans.items())
-    }
+    runs: List[Tuple[int, int, int]] = []
+    for p, lo, hi in [(pe_id, 0, n)] if np.ndim(pe_id) == 0 else pe_id:
+        if runs and runs[-1][0] == p:
+            runs[-1] = (p, runs[-1][1], hi)  # consecutive runs of one PE
+        elif hi > lo:
+            runs.append((int(p), lo, hi))
+    ledger = ms.ledger
     by_group: Dict[int, List[Tuple[int, int]]] = {}
     for p, lo, hi in runs:
         by_group.setdefault(ms._group_of(p), []).append((lo, hi))
-    for g, sp in by_group.items():
-        ms.stlbs[g].translate_many(
-            lines if len(runs) == 1
-            else np.concatenate([lines[lo:hi] for lo, hi in sp])
-        )
-    del spans, by_group
 
-    # Dense first, then bypass, then stream: the batched backend's
-    # path order.
+    # STLB: each group's pages in dispatch order, deduped run by run
+    # first (a line-sequential stream stays on one page for a while).
+    for g, sp in sorted(by_group.items()):
+        pages = []
+        for lo, hi in sp:
+            run_pages = lines[lo:hi] // LINES_PER_PAGE
+            pages.append(run_pages[rle_starts(run_pages)])
+        pages = np.concatenate(pages)
+        _replay_deduped(
+            ms.stlbs[g], pages, None, ledger, "stlb",
+            repeats=sum(hi - lo for lo, hi in sp) - pages.shape[0],
+        )
+    del by_group
+
+    # Each PE's trace positions per path, gathered run by run.  Trace
+    # positions are int32 (an epoch is far below 2**31 accesses).
     path = (ops & OP_PATH_MASK).astype(np.uint8)
-    by_path: Dict[int, Dict[int, np.ndarray]] = {
+    parts: Dict[int, Dict[int, List[np.ndarray]]] = {
         OP_DENSE: {}, OP_DENSE_BYPASS: {}, OP_STREAM: {},
     }
-    for p, pos in by_pe.items():
-        p_path = path[pos]
-        for kind, sel in by_path.items():
-            chosen = pos[p_path == kind]
-            if chosen.shape[0]:
-                sel[p] = chosen
-    del path, by_pe, p_path
+    for p, lo, hi in runs:
+        run_path = path[lo:hi]
+        for kind, sel in parts.items():
+            idx = np.flatnonzero(run_path == kind)
+            if idx.shape[0]:
+                idx += lo
+                sel.setdefault(p, []).append(idx.astype(np.int32))
+    del path
+    by_path = {
+        kind: {
+            p: pos[0] if len(pos) == 1 else np.concatenate(pos)
+            for p, pos in sorted(sel.items())
+        }
+        for kind, sel in parts.items()
+    }
+    del parts
     if by_path[OP_DENSE]:
         _dense_cascade(
             ms, by_path.pop(OP_DENSE), runs, lines, ops, region_names,
             levels,
         )
-    for kind, fn in (
-        (OP_DENSE_BYPASS, ms._dense_bypass_many),
-        (OP_STREAM, ms._stream_many),
+
+    # Bypass paths: each PE's victim cache and stream buffer.
+    for kind, level, hit_level in (
+        (OP_DENSE_BYPASS, "victim", ServiceLevel.VICTIM),
+        (OP_STREAM, "bbf", ServiceLevel.BBF),
     ):
         for p, sel in by_path[kind].items():
             op = ops[sel]
-            levels[sel] = fn(
-                p, lines[sel], (op & OP_WRITE) != 0,
-                op >> OP_REGION_SHIFT, region_names,
+            w = (op & OP_WRITE) != 0
+            bbf = ms.bbfs[p]
+            cache = bbf.victim if kind == OP_DENSE_BYPASS else bbf.stream
+            _, e_write, e_isfill, e_trig = _replay_deduped(
+                cache, lines[sel], w, ledger, level
+            )
+            levels[sel] = int(hit_level)
+            miss = e_trig[e_isfill]
+            levels[sel[miss]] = int(ServiceLevel.DRAM)
+            rid = op >> OP_REGION_SHIFT
+            miss_w = w[miss]
+            ms._dram_read_many(rid[miss[~miss_w]], region_names)
+            # A stream miss is charged to DRAM when it happens (a write
+            # if the access writes), so a dirty stream-buffer victim
+            # only counts as a writeback; victim-cache dirty evictions
+            # are DRAM writes.
+            ms._dram_write_many(
+                rid[miss[miss_w] if kind == OP_STREAM else e_trig[e_write]],
+                region_names,
             )
     return levels

@@ -4,17 +4,18 @@ SPADE PEs share their host core's STLB (Section 4.1, "like the DMA
 engines in [24]").  Pages of the matrix structures are pinned before a
 SPADE-mode section, so PEs never page-fault, but they *can* suffer TLB
 misses.  The model is a fully-associative LRU translation cache at page
-granularity; misses cost a fixed page-walk latency that feeds the
-timing model's average access latency.
+granularity: a one-set :class:`~repro.memory.cache.Cache` with
+``entries`` ways, keyed by page number, whose entries are never dirty,
+so every replay backend drives it like any other cache level.  Misses
+cost a fixed page-walk latency that feeds the timing model's average
+access latency.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
+from repro.config import CACHE_LINE_BYTES
 from repro.memory.address import PAGE_BYTES
+from repro.memory.cache import Cache, fully_associative
 
 DEFAULT_STLB_ENTRIES = 1536
 """Ice Lake STLB capacity (shared 4K/2M second-level TLB)."""
@@ -22,93 +23,24 @@ DEFAULT_STLB_ENTRIES = 1536
 PAGE_WALK_LATENCY_NS = 50.0
 """Approximate page-table-walk latency on an STLB miss."""
 
+LINES_PER_PAGE = PAGE_BYTES // CACHE_LINE_BYTES
+"""Cache lines per page: the STLB key of line ``x`` is
+``x // LINES_PER_PAGE``."""
 
-class STLB:
+
+class STLB(Cache):
     """Shared second-level TLB for one core's PEs."""
 
-    __slots__ = ("entries", "_tlb", "hits", "misses")
+    __slots__ = ()
 
-    def __init__(self, entries: int = DEFAULT_STLB_ENTRIES) -> None:
-        if entries < 1:
-            raise ValueError("STLB needs at least one entry")
-        self.entries = entries
-        self._tlb: Dict[int, None] = {}
-        self.hits = 0
-        self.misses = 0
+    def __init__(
+        self, entries: int = DEFAULT_STLB_ENTRIES, name: str = "stlb"
+    ) -> None:
+        super().__init__(fully_associative(entries), name=name)
 
-    def translate_line(self, line: int, line_bytes: int = 64) -> bool:
+    def translate_line(self, line: int) -> bool:
         """Translate the page containing a cache line; returns hit."""
-        page = (line * line_bytes) // PAGE_BYTES
-        if page in self._tlb:
-            del self._tlb[page]
-            self._tlb[page] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(self._tlb) >= self.entries:
-            del self._tlb[next(iter(self._tlb))]
-        self._tlb[page] = None
-        return False
-
-    def translate_many(self, lines: np.ndarray, line_bytes: int = 64) -> None:
-        """Batched :meth:`translate_line` over a trace of line indices.
-
-        Page numbers are computed vectorized and consecutive same-page
-        translations (very common for line-sequential streams) are
-        run-length deduped — a repeat is a guaranteed MRU hit — before
-        the LRU dict is updated in trace order.  Counters and TLB state
-        match the scalar loop exactly.
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        n = lines.shape[0]
-        if n == 0:
-            return
-        pages = (lines * line_bytes) // PAGE_BYTES
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        np.not_equal(pages[1:], pages[:-1], out=starts[1:])
-        u_arr = pages[starts]
-        m = u_arr.shape[0]
-        tlb = self._tlb
-        entries = self.entries
-
-        # No-eviction fast path.  The TLB only grows while replaying a
-        # batch (hits reorder, misses insert), so if the resident pages
-        # plus the batch's new distinct pages fit in the TLB, no eviction
-        # can occur.  Then every page misses exactly once iff it was not
-        # resident, and the final LRU order is: untouched pages in their
-        # old order, then touched pages by last occurrence — so the
-        # update costs O(distinct pages) instead of O(accesses).
-        uniq, first_rev = np.unique(u_arr[::-1], return_index=True)
-        touched = uniq[np.argsort(first_rev)[::-1]].tolist()
-        new = sum(1 for p in touched if p not in tlb)
-        pop = tlb.pop
-        if len(tlb) + new <= entries:
-            for p in touched:
-                pop(p, 0)
-                tlb[p] = None
-            self.hits += n - new
-            self.misses += new
-            return
-
-        u_pages = u_arr.tolist()
-        misses = 0
-        for page in u_pages:
-            # Values are always None, so 0 is a safe absence sentinel;
-            # pop+reinsert performs the LRU move in two dict operations.
-            if pop(page, 0) is None:
-                tlb[page] = None
-                continue
-            misses += 1
-            if len(tlb) >= entries:
-                del tlb[next(iter(tlb))]
-            tlb[page] = None
-        self.hits += (m - misses) + (n - m)
-        self.misses += misses
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
+        return self.access(line // LINES_PER_PAGE)[0]
 
     @property
     def miss_rate(self) -> float:
@@ -117,24 +49,3 @@ class STLB:
     def walk_overhead_ns(self) -> float:
         """Total page-walk time accumulated so far."""
         return self.misses * PAGE_WALK_LATENCY_NS
-
-    def flush(self) -> None:
-        self._tlb.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = 0
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Resident pages in LRU order plus counters."""
-        return {
-            "pages": list(self._tlb),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._tlb = dict.fromkeys(state["pages"])
-        self.hits = state["hits"]
-        self.misses = state["misses"]

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.obs.ledger import iter_ledger_files, read_events
+from repro.obs.schema import DISPATCH_LEVELS
 
 _PHASES = ("gen", "merge", "replay")
 _TRACE_CACHE_BUCKETS = {"hit": "hits", "miss": "misses", "stored": "stored"}
@@ -320,7 +321,10 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
     )
     if disp["by_level"]:
         rows = []
-        for level in sorted(disp["by_level"]):
+        order = {level: k for k, level in enumerate(DISPATCH_LEVELS)}
+        for level in sorted(
+            disp["by_level"], key=lambda lv: (order.get(lv, len(order)), lv)
+        ):
             b = disp["by_level"][level]
             c = b["chosen"]
             rows.append((

@@ -39,7 +39,10 @@ from repro.locks import exclusive_tmp_path
 from repro.telemetry import ensure
 
 CHECKPOINT_FORMAT = "spade-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+"""Bumped whenever the snapshot layout changes, so an older snapshot is
+refused instead of mis-loaded.  Version 2: the BBF stream buffer and
+the STLB are saved as one-set cache states."""
 
 _EXCLUDED_CONFIG_KEYS = (
     "resilience",

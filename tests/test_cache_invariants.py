@@ -166,7 +166,7 @@ def test_flush_all_propagates_into_access_stats(replay):
         sum(c.dirty_lines() for c in ms.l1s)
         + sum(c.dirty_lines() for c in ms.l2s)
         + ms.llc.dirty_lines()
-        + sum(sum(1 for d in b._buffer.values() if d) for b in ms.bbfs)
+        + sum(b.stream.dirty_lines() for b in ms.bbfs)
         + sum(b.victim.dirty_lines() for b in ms.bbfs)
     )
     assert total_dirty > 0
@@ -181,13 +181,14 @@ def test_flush_all_propagates_into_access_stats(replay):
     total_wb = (
         sum(c.writebacks for c in ms.l1s + ms.l2s)
         + ms.llc.writebacks
-        + sum(b.writebacks + b.victim.writebacks for b in ms.bbfs)
+        + sum(b.stream.writebacks + b.victim.writebacks for b in ms.bbfs)
     )
     total_flush_wb = (
         sum(c.flush_writebacks for c in ms.l1s + ms.l2s)
         + ms.llc.flush_writebacks
         + sum(
-            b.flush_writebacks + b.victim.flush_writebacks for b in ms.bbfs
+            b.stream.flush_writebacks + b.victim.flush_writebacks
+            for b in ms.bbfs
         )
     )
     assert total_flush_wb == flushed

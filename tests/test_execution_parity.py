@@ -246,11 +246,14 @@ class TestTraceParity:
         # an observable.  The per-access (pe_id, line, op) sequence in
         # call order *is*: shared levels (L2/STLB/LLC/DRAM) see exactly
         # this interleaving, so it must match the oracle bit-for-bit.
-        # An epoch-grain call carries a per-access PE array.
+        # An epoch-grain call carries its runs ``(pe, lo, hi)``.
         flat: List = []
         for pe_id, lines, ops in chunks:
-            pes = np.broadcast_to(pe_id, len(lines)).tolist()
-            flat.extend(zip(pes, lines, ops))
+            runs = [(pe_id, 0, len(lines))] if np.ndim(pe_id) == 0 else pe_id
+            for pe, lo, hi in runs:
+                flat.extend((pe, line, op) for line, op in zip(
+                    lines[lo:hi], ops[lo:hi]
+                ))
         return flat
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])

@@ -1,8 +1,8 @@
 """Differential parity: batched replay vs the scalar oracle.
 
-The batched trace-replay fast path (``Cache.access_many``,
-``BypassBuffer.stream_access_many``, ``STLB.translate_many``,
-``MemorySystem.replay_trace``) must be *bit-identical* to issuing the
+The batched trace-replay fast path (``Cache.access_many``, also on the
+one-set BBF stream buffer and STLB, and ``MemorySystem.replay_trace``)
+must be *bit-identical* to issuing the
 same trace through the scalar methods one access at a time: same
 counters, same per-access outcomes, same LRU order, same dirty bits.
 These tests replay randomized traces — mixed read/write, power-of-two
@@ -28,7 +28,7 @@ from repro.memory.hierarchy import (
     MemorySystem,
     encode_op,
 )
-from repro.memory.tlb import STLB
+from repro.memory.tlb import LINES_PER_PAGE, STLB
 
 # ---------------------------------------------------------------------------
 # Trace generators (all deterministic via seeds).
@@ -163,10 +163,8 @@ def test_cache_access_many_empty():
 
 
 # ---------------------------------------------------------------------------
-# BBF stream buffer parity (FIFO fast path + general fallback)
+# BBF stream buffer parity: a one-set cache, batched and scalar
 # ---------------------------------------------------------------------------
-
-BBF_COUNTERS = ("stream_hits", "stream_misses", "writebacks", "flush_writebacks")
 
 
 def make_bbf(entries=8):
@@ -174,10 +172,7 @@ def make_bbf(entries=8):
 
 
 def scalar_stream_replay(bbf, lines, writes):
-    return np.array([
-        bbf.stream_access(line, w)
-        for line, w in zip(lines.tolist(), writes.tolist())
-    ])
+    return scalar_cache_replay(bbf.stream, lines, writes)[0]
 
 
 @pytest.mark.parametrize(
@@ -200,34 +195,43 @@ def test_bbf_stream_many_matches_scalar(name, build):
     lines, writes = build(rng)
     scalar, batched = make_bbf(), make_bbf()
     s_hits = scalar_stream_replay(scalar, lines, writes)
-    b_hits = batched.stream_access_many(lines, writes)
+    b_hits, _ = batched.stream.access_many(lines, writes)
     assert np.array_equal(s_hits, b_hits)
-    assert counters(scalar, BBF_COUNTERS) == counters(batched, BBF_COUNTERS)
-    assert list(scalar._buffer.items()) == list(batched._buffer.items())
+    assert counters(scalar.stream, CACHE_COUNTERS) == counters(
+        batched.stream, CACHE_COUNTERS
+    )
+    assert cache_state(scalar.stream) == cache_state(batched.stream)
 
 
 def test_bbf_fast_path_after_warmup():
-    """The FIFO fast path must also be exact when the buffer already
-    holds (dirty) lines that the new batch partially evicts."""
+    """Batched replay must also be exact when the buffer already holds
+    (dirty) lines that a disjoint increasing batch partially evicts."""
     scalar, batched = make_bbf(), make_bbf()
     warm_lines = np.arange(1000, 1008)
     warm_writes = np.array([True, False] * 4)
     scalar_stream_replay(scalar, warm_lines, warm_writes)
-    batched.stream_access_many(warm_lines, warm_writes)
+    batched.stream.access_many(warm_lines, warm_writes)
     # Disjoint increasing batch larger than capacity: evicts the whole
     # warm set plus the head of the batch itself.
     lines = np.arange(20)
     writes = np.array([True] * 3 + [False] * 17)
     s_hits = scalar_stream_replay(scalar, lines, writes)
-    b_hits = batched.stream_access_many(lines, writes)
+    b_hits, _ = batched.stream.access_many(lines, writes)
     assert np.array_equal(s_hits, b_hits)
-    assert counters(scalar, BBF_COUNTERS) == counters(batched, BBF_COUNTERS)
-    assert list(scalar._buffer.items()) == list(batched._buffer.items())
+    assert counters(scalar.stream, CACHE_COUNTERS) == counters(
+        batched.stream, CACHE_COUNTERS
+    )
+    assert cache_state(scalar.stream) == cache_state(batched.stream)
+    assert scalar.stream.writebacks > 0
 
 
 # ---------------------------------------------------------------------------
-# STLB parity (no-eviction fast path + evicting fallback)
+# STLB parity: a one-set cache keyed by page, batched and scalar
 # ---------------------------------------------------------------------------
+
+
+def translate_many(stlb: STLB, lines: np.ndarray) -> None:
+    stlb.access_many(lines // LINES_PER_PAGE, False)
 
 
 @pytest.mark.parametrize(
@@ -246,13 +250,13 @@ def test_stlb_translate_many_matches_scalar(name, entries, num_pages):
     for line in lines.tolist():
         scalar.translate_line(line)
     for lo in range(0, lines.shape[0], 700):
-        batched.translate_many(lines[lo:lo + 700])
+        translate_many(batched, lines[lo:lo + 700])
     assert (scalar.hits, scalar.misses) == (batched.hits, batched.misses)
-    assert list(scalar._tlb.items()) == list(batched._tlb.items())
+    assert cache_state(scalar) == cache_state(batched)
 
 
 def test_stlb_fast_path_reorders_resident_pages():
-    """Fast path: resident pages touched by the batch move to MRU in
+    """Resident pages touched by the batch move to MRU in
     last-occurrence order, exactly as scalar replay would."""
     scalar, batched = STLB(16), STLB(16)
     warm = np.arange(6) * 64          # pages 0..5
@@ -262,9 +266,9 @@ def test_stlb_fast_path_reorders_resident_pages():
             s.translate_line(line)
     for line in trace.tolist():
         scalar.translate_line(line)
-    batched.translate_many(trace)
+    translate_many(batched, trace)
     assert (scalar.hits, scalar.misses) == (batched.hits, batched.misses)
-    assert list(scalar._tlb.items()) == list(batched._tlb.items())
+    assert cache_state(scalar) == cache_state(batched)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +281,9 @@ def system_state(ms: MemorySystem):
         [cache_state(c) for c in ms.l1s],
         [cache_state(c) for c in ms.l2s],
         cache_state(ms.llc),
-        [list(b._buffer.items()) for b in ms.bbfs],
+        [cache_state(b.stream) for b in ms.bbfs],
         [cache_state(b.victim) for b in ms.bbfs],
-        [list(t._tlb.items()) for t in ms.stlbs],
+        [cache_state(t) for t in ms.stlbs],
     )
 
 

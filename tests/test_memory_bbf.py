@@ -20,42 +20,42 @@ class TestStreamBuffer:
     def test_sequential_stream_fetches_each_line_once(self):
         bbf = make_bbf()
         for line in range(100):
-            assert not bbf.stream_access(line)
-        assert bbf.stream_misses == 100
-        assert bbf.stream_hits == 0
+            assert not bbf.stream.access(line)[0]
+        assert bbf.stream.misses == 100
+        assert bbf.stream.hits == 0
 
     def test_repeated_line_within_window_hits(self):
         bbf = make_bbf(entries=4)
-        bbf.stream_access(0)
-        assert bbf.stream_access(0)
-        assert bbf.stream_hits == 1
+        bbf.stream.access(0)
+        assert bbf.stream.access(0)[0]
+        assert bbf.stream.hits == 1
 
     def test_lru_window(self):
         bbf = make_bbf(entries=2)
-        bbf.stream_access(0)
-        bbf.stream_access(1)
-        bbf.stream_access(2)  # evicts 0
-        assert not bbf.stream_access(0)
+        bbf.stream.access(0)
+        bbf.stream.access(1)
+        bbf.stream.access(2)  # evicts 0
+        assert not bbf.stream.access(0)[0]
 
     def test_dirty_stream_eviction_counts_writeback(self):
         bbf = make_bbf(entries=1)
-        bbf.stream_access(0, is_write=True)
-        bbf.stream_access(1)
-        assert bbf.writebacks == 1
+        bbf.stream.access(0, is_write=True)
+        bbf.stream.access(1)
+        assert bbf.stream.writebacks == 1
 
     def test_occupancy_bounded(self):
         bbf = make_bbf(entries=3)
         for line in range(10):
-            bbf.stream_access(line)
-        assert bbf.occupancy <= 3
+            bbf.stream.access(line)
+        assert bbf.stream.occupancy() <= 3
 
 
 class TestVictimCache:
     def test_victim_reuse(self):
         bbf = make_bbf()
-        hit, _ = bbf.victim_access(7)
+        hit, _ = bbf.victim.access(7)
         assert not hit
-        hit, _ = bbf.victim_access(7)
+        hit, _ = bbf.victim.access(7)
         assert hit
 
     def test_victim_spill_to_dram(self):
@@ -65,23 +65,23 @@ class TestVictimCache:
         capacity = bbf.victim.num_sets * bbf.victim.ways
         spills = 0
         for line in range(capacity * 3):
-            _, evicted = bbf.victim_access(line, is_write=True)
+            _, evicted = bbf.victim.access(line, is_write=True)
             if evicted is not None:
                 spills += 1
         assert spills > 0
 
     def test_flush_covers_both_structures(self):
         bbf = make_bbf()
-        bbf.stream_access(0, is_write=True)
-        bbf.victim_access(1, is_write=True)
+        bbf.stream.access(0, is_write=True)
+        bbf.victim.access(1, is_write=True)
         assert bbf.flush() == 2
-        assert bbf.occupancy == 0
+        assert bbf.stream.occupancy() == 0
         assert not bbf.victim.probe(1)
 
     def test_reset_stats(self):
         bbf = make_bbf()
-        bbf.stream_access(0)
-        bbf.victim_access(1)
+        bbf.stream.access(0)
+        bbf.victim.access(1)
         bbf.reset_stats()
-        assert bbf.stream_hits == bbf.stream_misses == 0
+        assert bbf.stream.hits == bbf.stream.misses == 0
         assert bbf.victim.accesses == 0

@@ -203,7 +203,7 @@ class TestMemorySystem:
     def test_stream_bypasses_caches(self, mem):
         mem.stream_access(0, 300)
         assert not mem.l1s[0].probe(300)
-        assert mem.bbfs[0].occupancy == 1
+        assert mem.bbfs[0].stream.occupancy() == 1
 
     def test_stream_write_counts_dram_write(self, mem):
         mem.stream_access(0, 300, is_write=True)

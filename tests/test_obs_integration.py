@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.config import ObsConfig, ResilienceConfig, scaled_config
 from repro.errors import EngineExecutionError
 from repro.obs import NULL_LEDGER, RunLedger, open_run_ledger, read_events
+from repro.obs.schema import DISPATCH_LEVELS
 from repro.resilience import ChaosConfig, ChaosMonkey, RunSupervisor
 from repro.sparse.generators import uniform_random
 from repro.sweep import SweepRunner, open_cache
@@ -48,8 +49,11 @@ class TestDispatchAudit:
         _, events = run_with_ledger(tmp_path, workload)
         dispatch = [e for e in events if e["e"] == "dispatch"]
         assert dispatch, "array replay must consider partitions"
+        # Every LRU structure replays through the level solver: the
+        # dense cascade, each group's STLB and each PE's stream buffer.
+        assert {"l1", "stlb", "bbf"} <= {ev["level"] for ev in dispatch}
         for ev in dispatch:
-            assert ev["level"] in ("l1", "l2", "llc")
+            assert ev["level"] in DISPATCH_LEVELS
             assert ev["chosen"] in ("array", "dict", "batched")
             assert ev["events"] >= 0
             assert 0.0 <= ev["miss_rate"] <= 1.0

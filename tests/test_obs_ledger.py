@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.obs.schema import DISPATCH_LEVELS
 from repro.obs import (
     EVENT_TYPES,
     LEDGER_SCHEMA_VERSION,
@@ -117,6 +118,14 @@ class TestSchema:
             validate_event(ev)
         with pytest.raises(LedgerSchemaError):
             validate_event(_ev("checkpoint", t=-1.0))
+
+    @pytest.mark.parametrize("level", ["stlb", "bbf", "victim"])
+    def test_fully_associative_and_bypass_levels(self, level):
+        # The STLB, the BBF stream buffer and the victim cache replay
+        # through the same level solver and audit their dispatch.
+        validate_event(_ev("dispatch", level=level, cache=f"{level}[0]"))
+        with pytest.raises(LedgerSchemaError, match="level"):
+            validate_event(_ev("dispatch", level=f"{level}2"))
 
     def test_nullable_array_prediction(self):
         # Below the min-events floor the array cost is never computed.
@@ -450,6 +459,20 @@ class TestReport:
         assert "phase hotspots" in text
         assert "replay dispatch audit" in text
         assert "l1" in text
+
+    def test_format_report_lists_every_level_in_hierarchy_order(
+        self, tmp_path
+    ):
+        self._write(tmp_path, [
+            _ev("dispatch", level=level)
+            for level in ("victim", "llc", "stlb", "bbf", "l2", "l1")
+        ])
+        text = format_report(aggregate([tmp_path]))
+        rows = [
+            line.split()[0] for line in text.splitlines()
+            if line.split() and line.split()[0] in DISPATCH_LEVELS
+        ]
+        assert rows == list(DISPATCH_LEVELS)
 
     def test_validate_ledgers_reports_context(self, tmp_path):
         path = self._write(tmp_path, [_ev("epoch"), {"e": "epoch"}])

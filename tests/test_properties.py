@@ -189,6 +189,6 @@ class TestBBFProperties:
             4, CacheConfig(size_bytes=512, associativity=2)
         )
         for line in stream:
-            bbf.stream_access(line)
-        assert bbf.stream_hits + bbf.stream_misses == len(stream)
-        assert bbf.occupancy <= 4
+            bbf.stream.access(line)
+        assert bbf.stream.hits + bbf.stream.misses == len(stream)
+        assert bbf.stream.occupancy() <= 4

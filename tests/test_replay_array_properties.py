@@ -234,6 +234,42 @@ def test_array_solver_one_offset_walk_matches_bruteforce(params):
         replay_array._WINDOW_WIDE_ROWS = saved
 
 
+@given(geometry_and_trace(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_dict_walk_matches_array_solver(params, rnd):
+    """The dict walk (and its no-eviction bulk update, which a one-set
+    cache whose residents plus the stream's line range fit in its ways
+    takes) emits the same next-level events as the array solver and
+    leaves the same counters and state, call after call."""
+    ways, num_sets, trace = params
+    cfg = CacheConfig(size_bytes=64 * ways * num_sets, associativity=ways)
+    walked, solved = Cache(cfg, name="walk"), Cache(cfg, name="array")
+    cut = len(trace) // 2
+    for lo, hi in ((0, cut), (cut, len(trace))):
+        if hi == lo:
+            continue
+        line = np.array([t[0] for t in trace[lo:hi]], dtype=np.int64)
+        write = np.array([t[1] for t in trace[lo:hi]], dtype=bool)
+        isfill = (
+            None if rnd.random() < 0.5
+            else np.array([rnd.random() < 0.7 for _ in line], dtype=bool)
+        )
+        trig = np.arange(hi - lo, dtype=np.int64) * 3 + lo
+        set_id = line % num_sets
+        got = replay_array._replay_level_python(
+            walked, line, write, isfill, trig
+        )
+        want = replay_array._replay_level_array(
+            solved, line, write, isfill, trig, set_id, np.unique(set_id)
+        )
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert counters(walked, CACHE_COUNTERS) == counters(
+            solved, CACHE_COUNTERS
+        )
+        assert cache_state(walked) == cache_state(solved)
+
+
 def test_array_solver_probe_cap_falls_back(monkeypatch):
     # Past the probe budget the level goes to the dict walk before
     # anything is mutated, and the result is still exact.  The first

@@ -3,14 +3,18 @@
 ``MemorySystem.replay_epoch`` hands a whole epoch's dispatch runs to an
 epoch backend in one call; the array backend then solves each PE's L1
 once over all its runs, each L2 group once over its PEs' merged L1
-events, and the LLC once.  It must be indistinguishable from replaying
+events, and the LLC once; likewise each group's STLB once over its
+pages and each PE's BBF stream buffer and victim cache once over its
+accesses on those paths.  It must be indistinguishable from replaying
 the runs one by one with the batched backend: per-run service levels,
 every cache counter, the ordered (line, dirty) state of every cache,
 STLB and BBF state, and DRAM traffic per region.  A backend registered
 without ``epoch`` still gets one call per run, with one PE.
 
-The system is 8 PEs in 2 L2 groups with tiny caches, so short random
-epochs already evict dirty L1 lines through L2 and LLC into DRAM.
+The system is 8 PEs in 2 L2 groups with tiny caches, 4-entry stream
+buffers and 4-entry STLBs, so short random epochs already evict dirty
+L1 lines through L2 and LLC into DRAM, evict dirty stream-buffer lines,
+and touch more pages than an STLB holds.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from repro.config import (
     scaled_config,
     unregister_replay_backend,
 )
+from repro.memory.tlb import LINES_PER_PAGE, STLB
 from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
+    OP_PATH_MASK,
     OP_STREAM,
     TRACE_REGIONS,
     MemorySystem,
@@ -40,6 +46,7 @@ from tests.test_memory_batched_parity import CACHE_COUNTERS, counters, system_st
 from tests.test_replay_array_properties import forced_array
 
 NUM_PES = 8
+STLB_ENTRIES = 4
 
 
 def _tiny(sets: int, ways: int) -> CacheConfig:
@@ -50,7 +57,9 @@ def tiny_config():
     cfg = scaled_config(NUM_PES, cache_shrink=8)
     cfg = dataclasses.replace(
         cfg,
-        pe=dataclasses.replace(cfg.pe, l1d=_tiny(4, 2)),
+        pe=dataclasses.replace(
+            cfg.pe, l1d=_tiny(4, 2), bbf_entries=4, victim_cache=_tiny(2, 2)
+        ),
         memory=dataclasses.replace(
             cfg.memory, l2=_tiny(8, 4), llc_slice=_tiny(16, 4),
             num_llc_slices=1,
@@ -60,16 +69,23 @@ def tiny_config():
     return cfg
 
 
+def make_system(cfg) -> MemorySystem:
+    """A memory system whose STLBs hold only ``STLB_ENTRIES`` pages."""
+    ms = MemorySystem(cfg)
+    ms.stlbs = [
+        STLB(STLB_ENTRIES, name=f"stlb[{g}]") for g in range(ms.num_groups)
+    ]
+    return ms
+
+
 def full_state(ms: MemorySystem):
-    caches = ms.l1s + ms.l2s + [ms.llc] + [b.victim for b in ms.bbfs]
+    caches = (
+        ms.l1s + ms.l2s + [ms.llc] + ms.stlbs
+        + [b.victim for b in ms.bbfs] + [b.stream for b in ms.bbfs]
+    )
     return (
         system_state(ms),
         [counters(c, CACHE_COUNTERS) for c in caches],
-        [
-            (b.stream_hits, b.stream_misses, b.writebacks, b.flush_writebacks)
-            for b in ms.bbfs
-        ],
-        [(t.hits, t.misses) for t in ms.stlbs],
         (ms.dram.reads, ms.dram.writes),
         dict(ms._region_traffic),
         dataclasses.asdict(ms.collect_stats()),
@@ -83,13 +99,27 @@ ops_st = st.tuples(
 )
 
 
+def interleaved_streams(start: int, n: int):
+    """The SDDMM shape: a sparse-input read stream interleaved with an
+    output write stream, each line-sequential, every line distinct."""
+    lines, ops = [], []
+    for i in range(n):
+        lines += [start + i, start + 4096 + i]
+        ops += [
+            encode_op(OP_STREAM, False, 0), encode_op(OP_STREAM, True, 3)
+        ]
+    return lines, ops
+
+
 @st.composite
 def epoch_runs(draw):
-    """Dispatch runs ``(pe, lines, ops)`` with consecutive same-PE runs
-    and lines repeated across run boundaries mixed in."""
-    footprint = draw(st.sampled_from([12, 64, 512]))
+    """Dispatch runs ``(pe, lines, ops)`` with consecutive same-PE runs,
+    interleaved distinct streams, and lines repeated across run
+    boundaries on every path mixed in.  The largest footprint spans 32
+    pages, eight times what an STLB holds."""
+    footprint = draw(st.sampled_from([12, 64, 512, 32 * LINES_PER_PAGE]))
     runs = []
-    prev_pe, prev_line = None, None
+    prev_pe, prev_line, prev_path = None, None, OP_DENSE
     for _ in range(draw(st.integers(1, 10))):
         if prev_pe is not None and draw(st.booleans()):
             pe = prev_pe  # consecutive runs of one PE
@@ -101,21 +131,31 @@ def epoch_runs(draw):
         ))
         lines = [line for line, _ in body]
         ops = [encode_op(p, w, r) for _, (p, w, r) in body]
+        if draw(st.booleans()):
+            s_lines, s_ops = interleaved_streams(
+                draw(st.integers(0, footprint)), draw(st.integers(1, 12))
+            )
+            cut = draw(st.integers(0, len(lines)))
+            lines[cut:cut] = s_lines
+            ops[cut:cut] = s_ops
         if prev_line is not None and draw(st.booleans()):
-            # The previous run's last line opens this run too.
+            # The previous run's last line opens this run too, on the
+            # same path.
             lines.insert(0, prev_line)
-            ops.insert(0, encode_op(OP_DENSE, draw(st.booleans()), 1))
+            ops.insert(0, encode_op(prev_path, draw(st.booleans()), 1))
         runs.append((
             pe, np.array(lines, dtype=np.int64), np.array(ops, dtype=np.int64)
         ))
-        prev_pe, prev_line = pe, lines[-1]
+        prev_pe, prev_line, prev_path = (
+            pe, lines[-1], ops[-1] & OP_PATH_MASK
+        )
     return runs
 
 
 def check_epochs(epochs, forced: bool) -> MemorySystem:
     cfg = tiny_config()
-    ref = MemorySystem(dataclasses.replace(cfg, replay="batched"))
-    got = MemorySystem(dataclasses.replace(cfg, replay="array"))
+    ref = make_system(dataclasses.replace(cfg, replay="batched"))
+    got = make_system(dataclasses.replace(cfg, replay="array"))
     for runs in epochs:
         want = [ref.replay_trace_batched(p, l, o) for p, l, o in runs]
         if forced:
@@ -163,6 +203,49 @@ def test_dirty_l1_victims_cascade_to_dram(forced):
     assert got.dram.writes > 0
     assert sum(c.writebacks for c in got.l1s) > 0
     assert got.llc.writebacks > 0
+
+
+@pytest.mark.parametrize("forced", [True, False])
+def test_side_structures_evict_and_stay_exact(forced):
+    # Every PE runs the SDDMM shape (interleaved distinct read/write
+    # streams, far more lines than the 4-entry stream buffer holds, so
+    # dirty output lines are evicted) plus write-heavy bypassed dense
+    # traffic cycling through the victim cache, over pages cycling
+    # through more than the 4-entry STLB holds; two epochs, so the
+    # second starts warm.
+    rng = np.random.default_rng(11)
+    epochs = []
+    for epoch in range(2):
+        runs = []
+        for k in range(16):
+            pe = k % NUM_PES
+            lines, ops = interleaved_streams(
+                (epoch * 16 + k) * 300, int(rng.integers(40, 200))
+            )
+            n = int(rng.integers(20, 120))
+            lines += (rng.integers(0, 24, size=n) * LINES_PER_PAGE).tolist()
+            ops += np.where(
+                rng.random(n) < 0.5,
+                encode_op(OP_DENSE_BYPASS, True, 1),
+                encode_op(OP_DENSE_BYPASS, False, 2),
+            ).tolist()
+            runs.append((
+                pe, np.array(lines, dtype=np.int64),
+                np.array(ops, dtype=np.int64),
+            ))
+        epochs.append(runs)
+    got = check_epochs(epochs, forced)
+    assert sum(b.stream.writebacks - b.stream.flush_writebacks
+               for b in got.bbfs) > 0
+    assert sum(b.victim.writebacks for b in got.bbfs) > 0
+    assert got.dram.writes > 0
+    # Capacity misses: more STLB misses than distinct pages touched.
+    pages = {
+        (pe // 4, page)
+        for runs in epochs for pe, lines, _ in runs
+        for page in (lines // LINES_PER_PAGE).tolist()
+    }
+    assert sum(t.misses for t in got.stlbs) > len(pages)
 
 
 PE_ARGS = []

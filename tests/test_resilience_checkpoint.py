@@ -151,6 +151,22 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="spade-checkpoint"):
             mgr.read(str(bad))
 
+    def test_old_version_is_refused(self, tmp_path, monkeypatch):
+        """A snapshot from an older layout is refused by its header,
+        never unpickled into the current memory-system classes."""
+        from repro.resilience import checkpoint
+
+        mgr = CheckpointManager(str(tmp_path))
+        monkeypatch.setattr(
+            checkpoint, "CHECKPOINT_VERSION", checkpoint.CHECKPOINT_VERSION - 1
+        )
+        path = mgr.write(0, {"memory": {"bbfs": [{"buffer": []}]}})
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="version 1"):
+            mgr.read(path)
+        with pytest.raises(CheckpointError, match="version"):
+            mgr.load_latest()
+
     def test_fingerprint_mismatch_is_rejected(self, tmp_path):
         writer = CheckpointManager(str(tmp_path), fingerprint="a" * 64)
         path = writer.write(0, {"x": 1})
@@ -224,6 +240,37 @@ class TestKillAndResume:
         resumed_cfg = self._with_resilience(
             base_config, backend, checkpoint_dir=str(tmp_path), resume=True
         )
+        report = SpadeSystem(resumed_cfg).spmm(
+            a, b, settings=MULTI_EPOCH_SETTINGS
+        )
+        assert fingerprint(report) == fingerprint(golden)
+
+    def test_mid_run_snapshot_holds_one_set_caches_and_resumes(
+        self, tmp_path, workload, base_config, golden
+    ):
+        """The snapshot saves the STLBs and BBF stream buffers as
+        one-set cache states, populated mid-run, and a resume from it
+        under the array backend is byte-identical."""
+        a, b, _ = workload
+        cfg = self._with_resilience(
+            base_config, "vectorized", checkpoint_dir=str(tmp_path)
+        )
+        monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
+        with pytest.raises(InjectedCrash):
+            SpadeSystem(cfg, chaos=monkey).spmm(
+                a, b, settings=MULTI_EPOCH_SETTINGS
+            )
+        _, state = CheckpointManager(str(tmp_path)).load_latest()
+        memory = state["memory"]
+        assert all(len(t["sets"]) == 1 for t in memory["stlbs"])
+        assert any(t["sets"][0] for t in memory["stlbs"])
+        assert all(len(b["stream"]["sets"]) == 1 for b in memory["bbfs"])
+        assert any(b["stream"]["sets"][0] for b in memory["bbfs"])
+        resumed_cfg = self._with_resilience(
+            base_config, "vectorized",
+            checkpoint_dir=str(tmp_path), resume=True,
+        )
+        assert resumed_cfg.replay == "array"
         report = SpadeSystem(resumed_cfg).spmm(
             a, b, settings=MULTI_EPOCH_SETTINGS
         )
