@@ -5,9 +5,10 @@ execution backend (``SpadeConfig.execution``):
 
 * **scalar** — the PR 1 oracle: per-nonzero Python loops drive the VRF
   and emit the post-VRF trace access by access;
-* **vectorized** — whole-epoch fused NumPy derivation of each PE's
-  ``(lines, ops)`` trace with protected-run elision plus array
-  functional kernels (see DESIGN.md sections 7 and 12);
+* **vectorized** — whole-epoch NumPy derivation of each PE's VRF
+  access stream with protected-run elision, the compiled VRF walk
+  (its Python twin without gcc) for the ``(lines, ops)`` trace, plus
+  array functional kernels (see DESIGN.md sections 7 and 12);
 * **pipelined** — the vectorized generator feeding coalesced
   whole-epoch replay partitions.
 

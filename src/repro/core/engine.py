@@ -708,8 +708,9 @@ class Engine:
         the dispatch order needs it — generation of later PEs overlaps
         the output math of earlier ones.  Results are bit-identical
         either way.
-        Returns the number of chunks generated via the fused solver
-        (for the ``spade_gen_fused_chunks`` satellite counter).
+        Returns the number of chunks generated at epoch grain (for the
+        ``spade_gen_fused_chunks`` satellite counter; 0 when the trace
+        store served the epoch).
         """
         parts = self._collect_epoch_parts(cursors)
         num = len(self.pes)
@@ -792,15 +793,14 @@ class Engine:
                 )
                 with span:
                     t0 = time.perf_counter()
-                    segs[i], fused, payloads[i] = self._gen_pe_epoch(
+                    segs[i], payloads[i] = self._gen_pe_epoch(
                         i, pe, parts[i], gen_epoch, capture
                     )
                     gen_s = time.perf_counter() - t0
                 gen_hist.observe(gen_s)
                 if phase is not None:
                     phase[0] += gen_s
-                if fused:
-                    fused_chunks += len(parts[i])
+                fused_chunks += len(parts[i])
                 if parts[i]:
                     stats["gen_invocations"] += 1
                 traces[i] = pe._trace.views()
@@ -814,11 +814,11 @@ class Engine:
             def produce(i: int):
                 pe = self.pes[i]
                 t0 = time.perf_counter()
-                seg, fused, payload = self._gen_pe_epoch(
+                seg, payload = self._gen_pe_epoch(
                     i, pe, parts[i], gen_epoch, capture
                 )
                 lines, ops = pe.take_trace()
-                return seg, fused, payload, lines, ops, (
+                return seg, payload, lines, ops, (
                     time.perf_counter() - t0
                 )
 
@@ -826,7 +826,7 @@ class Engine:
 
             def collect(i: int) -> None:
                 try:
-                    seg, fused, payload, lines, ops, gen_s = futs[i].result()
+                    seg, payload, lines, ops, gen_s = futs[i].result()
                 except SpadeError:
                     raise
                 except Exception as exc:
@@ -843,8 +843,7 @@ class Engine:
                 payloads[i] = payload
                 traces[i] = (lines, ops)
                 nonlocal fused_chunks
-                if fused:
-                    fused_chunks += len(parts[i])
+                fused_chunks += len(parts[i])
                 if parts[i]:
                     stats["gen_invocations"] += 1
                 if phase is not None:
@@ -943,8 +942,8 @@ class Engine:
         if m.enabled and fused_chunks:
             m.counter(
                 "spade_gen_fused_chunks",
-                help="chunks whose trace came from the fused epoch "
-                "solver",
+                help="chunks whose trace was generated at epoch "
+                "grain",
             ).inc(fused_chunks)
         return fused_chunks
 
@@ -960,7 +959,7 @@ class Engine:
             )
             rows_before = set(pe._rmatrix_rows_touched)
         try:
-            seg, fused = gen_epoch(pe, parts_i)
+            seg = gen_epoch(pe, parts_i)
         except SpadeError:
             raise
         except Exception as exc:
@@ -970,7 +969,7 @@ class Engine:
                 pe_id=i,
             ) from exc
         if not capture:
-            return seg, fused, None
+            return seg, None
         vrf = pe.vrf
         c = pe.counters
         payload = {
@@ -989,7 +988,7 @@ class Engine:
             "vrf_dirty_count": vrf._dirty_count,
             "rows": sorted(pe._rmatrix_rows_touched - rows_before),
         }
-        return seg, fused, payload
+        return seg, payload
 
     @staticmethod
     def _entry_fits(payload, parts) -> bool:

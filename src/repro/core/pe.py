@@ -29,8 +29,8 @@ from repro.core.instructions import InitializationInstruction, Primitive
 from repro.core.vectorized import (
     TraceBuffer,
     buffer_sparse_stream,
-    generate_sddmm_chunk,
-    generate_spmm_chunk,
+    generate_sddmm_epoch,
+    generate_spmm_epoch,
 )
 from repro.core.vrf import VectorRegisterFile
 from repro.memory.address import AddressMap, padded_row_bytes
@@ -305,7 +305,8 @@ class ProcessingElement:
         and one cMatrix line (read-only).
         """
         if self.vectorized:
-            return generate_spmm_chunk(self, r_ids, c_ids, start_offset)
+            generate_spmm_epoch(self, [(r_ids, c_ids, start_offset)])
+            return
         if self.batched:
             return self._execute_spmm_chunk_batched(
                 r_ids, c_ids, start_offset
@@ -419,9 +420,10 @@ class ProcessingElement:
         destination VR (``out_offsets`` are positions in the padded
         output array, line-aligned per tile, Section 4.3)."""
         if self.vectorized:
-            return generate_sddmm_chunk(
-                self, r_ids, c_ids, start_offset, out_offsets
+            generate_sddmm_epoch(
+                self, [(r_ids, c_ids, start_offset, out_offsets)]
             )
+            return
         if self.batched:
             return self._execute_sddmm_chunk_batched(
                 r_ids, c_ids, start_offset, out_offsets

@@ -1,12 +1,14 @@
-"""Vectorized chunk-trace generation for the PE layer.
+"""Vectorized trace generation for the PE layer.
 
 The scalar executors in :mod:`repro.core.pe` walk every nonzero in
 Python and push each operand through ``VectorRegisterFile.access``.
-This module derives the same per-chunk VRF access stream *as NumPy
-arrays* straight from the tile's CSR/COO index slices (line-id
-arithmetic through :class:`~repro.memory.address.AddressMap`), elides
-accesses that are provably invisible hits, and drives one generic
-tight loop over what remains.  The emitted ``(lines, ops)`` trace, the
+This module derives the same VRF access stream for a PE's whole epoch
+*as NumPy arrays* straight from the tile's CSR/COO index slices
+(line-id arithmetic through :class:`~repro.memory.address.AddressMap`),
+elides accesses that are provably invisible hits, and walks what
+remains through :func:`walk_vrf`: the compiled scalar walk in
+:mod:`repro.native`, or its Python twin :func:`_run_vrf_stream` where
+no kernel loads.  The emitted ``(lines, ops)`` trace, the
 VRF state and counters, and therefore everything downstream (replay,
 ``AccessStats``, ``PECounters``, timing) are bit-identical to the
 scalar oracle — the parity suite in ``tests/test_execution_parity.py``
@@ -31,29 +33,18 @@ the skipped touches, which is done in bulk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import native
 from repro.config import CACHE_LINE_BYTES
-from repro.memory.replay_array import _radix_argsort
 
 _OUT_VALS_PER_LINE = CACHE_LINE_BYTES // 4
 
 _OP_NONE = -1
 """Emission sentinel: a VRF miss that allocates without a memory read
 (the SDDMM output slot is write-only)."""
-
-_EPOCH_BLOCK = 256
-"""Block width of the per-block distinct-line bound used by the epoch
-VRF solver's hit/miss classifier."""
-
-_EPOCH_QUERY_VOLUME_CAP = 1 << 24
-"""Upper bound on total window positions the epoch solver will probe
-exactly; streams that exceed it (adversarial reuse distances around the
-VRF capacity for most accesses) fall back to the per-chunk walker."""
-
 
 class TraceBuffer:
     """Growable int64 ``(lines, ops)`` trace storage for one PE.
@@ -89,7 +80,7 @@ class TraceBuffer:
             setattr(self, name, arr)
 
     def extend(self, lines: List[int], ops: List[int]) -> None:
-        """Append parallel Python lists (the tight loop's emissions)."""
+        """Append parallel Python lists (the batched scalar path)."""
         k = len(lines)
         if k == 0:
             return
@@ -116,7 +107,7 @@ class TraceBuffer:
         return self._lines[: self._n], self._ops[: self._n]
 
     def extend_arrays(self, lines: np.ndarray, ops: np.ndarray) -> None:
-        """Append parallel int64 arrays (whole-epoch solver emissions)."""
+        """Append parallel int64 arrays (VRF walk emissions)."""
         k = int(lines.shape[0])
         if k == 0:
             return
@@ -188,25 +179,24 @@ def _run_keep_mask(ids: np.ndarray, cadence: int) -> np.ndarray:
 
 
 def _run_vrf_stream(
-    pe,
+    vrf,
     lines: np.ndarray,
     dirties: np.ndarray,
     emit_ops: np.ndarray,
-    skipped_hits: int,
-) -> None:
-    """Drive the PE's VRF over a derived access stream, appending trace
-    emissions (miss loads, eviction stores, drain stores) to the PE's
-    trace buffer in exact scalar order.
+    op_store: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Python twin of the compiled VRF walk (``repro/native/vrf_walk.c``):
+    the reference the kernel is tested against and the path taken when
+    it does not load.  Same contract as :func:`walk_vrf`.
 
     Mirrors ``VectorRegisterFile.access`` state-transition for
-    state-transition, but inlined over the whole chunk: the insertion
+    state-transition, but inlined over the whole stream: the insertion
     order of ``vrf._tags`` IS the LRU order, a hit reinserts at MRU, a
     miss evicts the head, and any access that raises the dirty count
     past the high watermark immediately drains the oldest dirty lines
     to the low watermark (dirty count can only cross the watermark on
     an increment, so the drain check is needed on those paths only).
     """
-    vrf = pe.vrf
     tags = vrf._tags
     pop = tags.pop
     cap = vrf.num_registers
@@ -216,11 +206,12 @@ def _run_vrf_stream(
     hits = misses = evc = evw = mwb = 0
     out_lines: List[int] = []
     out_ops: List[int] = []
+    out_pos: List[int] = []
     lapp = out_lines.append
     oapp = out_ops.append
-    op_store = pe._op_store
+    papp = out_pos.append
 
-    def drain(to_drain: int) -> List[int]:
+    def drain(to_drain: int, pos: int) -> int:
         drained: List[int] = []
         for tagged_line, is_dirty in tags.items():
             if len(drained) >= to_drain:
@@ -229,10 +220,13 @@ def _run_vrf_stream(
                 drained.append(tagged_line)
         for tagged_line in drained:
             tags[tagged_line] = False
-        return drained
+            lapp(tagged_line)
+            oapp(op_store)
+            papp(pos)
+        return len(drained)
 
-    for line, dm, op in zip(
-        lines.tolist(), dirties.tolist(), emit_ops.tolist()
+    for pos, (line, dm, op) in enumerate(
+        zip(lines.tolist(), dirties.tolist(), emit_ops.tolist())
     ):
         d = pop(line, None)
         if d is not None:
@@ -241,46 +235,83 @@ def _run_vrf_stream(
                 tags[line] = True
                 continue
             tags[line] = dm
-            if dm:
-                dc += 1
-                if dc > high:
-                    dr = drain(dc - low)
-                    dc -= len(dr)
-                    mwb += len(dr)
-                    for s in dr:
-                        lapp(s)
-                        oapp(op_store)
-            continue
-        misses += 1
-        if op >= 0:
-            lapp(line)
-            oapp(op)
-        if len(tags) >= cap:
-            evc += 1
-            victim = next(iter(tags))
-            if pop(victim):
-                dc -= 1
-                evw += 1
-                lapp(victim)
-                oapp(op_store)
-        tags[line] = dm
+        else:
+            misses += 1
+            if op >= 0:
+                lapp(line)
+                oapp(op)
+                papp(pos)
+            if len(tags) >= cap:
+                evc += 1
+                victim = next(iter(tags))
+                if pop(victim):
+                    dc -= 1
+                    evw += 1
+                    lapp(victim)
+                    oapp(op_store)
+                    papp(pos)
+            tags[line] = dm
         if dm:
             dc += 1
             if dc > high:
-                dr = drain(dc - low)
-                dc -= len(dr)
-                mwb += len(dr)
-                for s in dr:
-                    lapp(s)
-                    oapp(op_store)
+                n_drained = drain(dc - low, pos)
+                dc -= n_drained
+                mwb += n_drained
 
     vrf._dirty_count = dc
-    vrf.tag_hits += hits + skipped_hits
+    vrf.tag_hits += hits
     vrf.tag_misses += misses
     vrf.evictions += evc
     vrf.eviction_writebacks += evw
     vrf.manager_writebacks += mwb
-    pe._trace.extend(out_lines, out_ops)
+    return (
+        np.asarray(out_lines, dtype=np.int64),
+        np.asarray(out_ops, dtype=np.int64),
+        np.asarray(out_pos, dtype=np.int64),
+    )
+
+
+def walk_vrf(
+    vrf,
+    lines: np.ndarray,
+    dirty: np.ndarray,
+    emit: np.ndarray,
+    op_store: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drive ``vrf`` over an access stream exactly as per-access
+    ``VectorRegisterFile.access`` calls would, and return the memory
+    requests it issues as ``(e_lines, e_ops, e_pos)``.
+
+    Access ``i`` touches ``lines[i]``, marking it dirty when
+    ``dirty[i]``; on a miss it loads the line with op ``emit[i]``
+    unless that is ``_OP_NONE``.  Emissions come in scalar order (miss
+    load, dirty victim store, Write-back Manager drain stores; stores
+    carry ``op_store``) and ``e_pos`` holds the index of the access
+    that issued each.  The VRF's tags, dirty count and five counters
+    are updated in place.
+
+    The compiled kernel runs when it loads on this host, else the
+    Python twin :func:`_run_vrf_stream`; the results are identical.
+    """
+    native.check_stream(lines, dirty, emit)
+    kernel = native.vrf_walk_kernel()
+    if kernel is None:
+        return _run_vrf_stream(vrf, lines, dirty, emit, op_store)
+    tags = vrf._tags
+    counts, final, e_lines, e_ops, e_pos = kernel(
+        vrf.num_registers, vrf._high, vrf._low, tags, vrf._dirty_count,
+        lines, dirty, emit, op_store,
+    )
+    hits, misses, evc, evw, mwb, dc = counts
+    vrf.tag_hits += hits
+    vrf.tag_misses += misses
+    vrf.evictions += evc
+    vrf.eviction_writebacks += evw
+    vrf.manager_writebacks += mwb
+    vrf._dirty_count = dc
+    tags.clear()
+    tags.update(final)
+    return e_lines, e_ops, e_pos
 
 
 def buffer_sparse_stream(pe, start_offset: int, nnz: int) -> None:
@@ -303,582 +334,18 @@ def buffer_sparse_stream(pe, start_offset: int, nnz: int) -> None:
         buf.extend_range(first, count, op)
 
 
-def generate_spmm_chunk(
-    pe, r_ids: np.ndarray, c_ids: np.ndarray, start_offset: int
-) -> None:
-    """Vectorized twin of ``ProcessingElement.execute_spmm_chunk``.
-
-    Per nonzero the scalar pipeline touches, in order,
-    ``r+0, c+0, r+1, c+1, ...`` for ``lines_per_row`` line pairs; the
-    rMatrix slot is read-modify-write (dirty), the cMatrix slot is
-    read-only.  CSR runs of equal r_id make the rMatrix touches of
-    elided nonzeros guaranteed dirty hits (see module docstring).
-    """
-    n = len(r_ids)
-    buffer_sparse_stream(pe, start_offset, n)
-    lpr = pe.lines_per_row
-    counters = pe.counters
-    counters.tops += n
-    counters.vops += n * lpr
-    pe._rmatrix_rows_touched.update(np.unique(r_ids).tolist())
-    if n == 0:
-        return
-    amap = pe.address_map
-    k = pe.init.dense_row_size
-    r_lines = amap.dense_row_base_lines("rmatrix", r_ids, k)
-    c_lines = amap.dense_row_base_lines("cmatrix", c_ids, k)
-
-    offs = np.arange(lpr, dtype=np.int64)
-    cols = 2 * lpr
-    lines_mat = np.empty((n, cols), dtype=np.int64)
-    lines_mat[:, 0::2] = r_lines[:, None] + offs
-    lines_mat[:, 1::2] = c_lines[:, None] + offs
-    dirty_mat = np.empty((n, cols), dtype=bool)
-    dirty_mat[:, 0::2] = True
-    dirty_mat[:, 1::2] = False
-    ops_mat = np.empty((n, cols), dtype=np.int64)
-    ops_mat[:, 0::2] = pe._op_rmatrix_read
-    ops_mat[:, 1::2] = pe._op_cmatrix_read
-
-    cadence = _elision_cadence(
-        pe.vrf, slots_per_nnz=cols, live_lines=lpr, dirty_live=lpr
-    )
-    skipped = 0
-    if cadence >= 2:
-        keep_r = _run_keep_mask(r_lines, cadence)
-        n_kept = int(keep_r.sum())
-        if n_kept < n:
-            skipped = (n - n_kept) * lpr
-            keep_mat = np.empty((n, cols), dtype=bool)
-            keep_mat[:, 0::2] = keep_r[:, None]
-            keep_mat[:, 1::2] = True
-            _run_vrf_stream(
-                pe,
-                lines_mat[keep_mat],
-                dirty_mat[keep_mat],
-                ops_mat[keep_mat],
-                skipped,
-            )
-            return
-    _run_vrf_stream(
-        pe, lines_mat.ravel(), dirty_mat.ravel(), ops_mat.ravel(), 0
-    )
-
-
-def generate_sddmm_chunk(
+def _emit_chunks(
     pe,
-    r_ids: np.ndarray,
-    c_ids: np.ndarray,
-    start_offset: int,
-    out_offsets: np.ndarray,
-) -> None:
-    """Vectorized twin of ``ProcessingElement.execute_sddmm_chunk``.
-
-    Per nonzero: ``lines_per_row`` read-only (r, c) line pairs followed
-    by one write-only output-line touch (dirty, no load on miss).  Both
-    the rMatrix CSR runs and the 16-nonzeros-per-line output runs are
-    elidable.
-    """
-    n = len(r_ids)
-    buffer_sparse_stream(pe, start_offset, n)
-    lpr = pe.lines_per_row
-    counters = pe.counters
-    counters.tops += n
-    counters.vops += n * lpr
-    counters.output_line_writes += n
-    if n == 0:
-        return
-    amap = pe.address_map
-    k = pe.init.dense_row_size
-    r_lines = amap.dense_row_base_lines("rmatrix", r_ids, k)
-    c_lines = amap.dense_row_base_lines("cmatrix", c_ids, k)
-    out_region = amap.regions["sparse_out_vals"]
-    out_base_line = out_region.base // CACHE_LINE_BYTES
-    out_lines = out_base_line + np.asarray(
-        out_offsets, dtype=np.int64
-    ) // _OUT_VALS_PER_LINE
-
-    offs = np.arange(lpr, dtype=np.int64)
-    cols = 2 * lpr + 1
-    lines_mat = np.empty((n, cols), dtype=np.int64)
-    lines_mat[:, 0 : 2 * lpr : 2] = r_lines[:, None] + offs
-    lines_mat[:, 1 : 2 * lpr : 2] = c_lines[:, None] + offs
-    lines_mat[:, -1] = out_lines
-    dirty_mat = np.zeros((n, cols), dtype=bool)
-    dirty_mat[:, -1] = True
-    ops_mat = np.empty((n, cols), dtype=np.int64)
-    ops_mat[:, 0 : 2 * lpr : 2] = pe._op_rmatrix_read
-    ops_mat[:, 1 : 2 * lpr : 2] = pe._op_cmatrix_read
-    ops_mat[:, -1] = _OP_NONE
-
-    cadence = _elision_cadence(
-        pe.vrf, slots_per_nnz=cols, live_lines=lpr + 1, dirty_live=1
-    )
-    skipped = 0
-    if cadence >= 2:
-        keep_r = _run_keep_mask(r_lines, cadence)
-        keep_o = _run_keep_mask(out_lines, cadence)
-        skipped_r = n - int(keep_r.sum())
-        skipped_o = n - int(keep_o.sum())
-        if skipped_r or skipped_o:
-            skipped = skipped_r * lpr + skipped_o
-            keep_mat = np.empty((n, cols), dtype=bool)
-            keep_mat[:, 0 : 2 * lpr : 2] = keep_r[:, None]
-            keep_mat[:, 1 : 2 * lpr : 2] = True
-            keep_mat[:, -1] = keep_o
-            _run_vrf_stream(
-                pe,
-                lines_mat[keep_mat],
-                dirty_mat[keep_mat],
-                ops_mat[keep_mat],
-                skipped,
-            )
-            return
-    _run_vrf_stream(
-        pe, lines_mat.ravel(), dirty_mat.ravel(), ops_mat.ravel(), 0
-    )
-
-
-# -- whole-epoch fused generation ---------------------------------------------
-#
-# The per-chunk path above still walks every kept access through the
-# Python loop in ``_run_vrf_stream``.  The epoch solver below replaces
-# that walk with an offline solve of the *entire epoch's* access stream
-# per PE: hit/miss classification via stack-distance analysis over the
-# fully-associative LRU tag CAM, eviction/victim reconstruction via
-# residency periods, and a reduced Python loop that only visits dirty
-# events (dirty touches + dirty-capable evictions) to replay the
-# Write-back Manager exactly.  The emitted trace, counters and final
-# VRF state are bit-identical to the scalar oracle; the solver declines
-# (returns None, caller falls back to the per-chunk walker) on streams
-# whose structure it cannot prove cheap or safe.
-
-
-def _solve_vrf_epoch(
-    cap: int,
-    high: int,
-    low: int,
-    residents: List[Tuple[int, bool]],
-    dc0: int,
-    lines: np.ndarray,
-    dirty: np.ndarray,
-    emit: np.ndarray,
-    op_store: int,
-) -> Optional[tuple]:
-    """Solve one PE's whole-epoch VRF access stream offline.
-
-    ``residents`` is the warm VRF content as ``(line, dirty)`` pairs in
-    LRU order (oldest first) — they are prepended as virtual accesses so
-    the classic cold-start stack-distance machinery covers the warm
-    cache exactly (same trick as ``replay_array``).  Returns ``None``
-    when a precondition fails (caller must fall back), else::
-
-        (hits, misses, evictions, eviction_writebacks,
-         manager_writebacks, dirty_count, new_tags,
-         e_lines, e_ops, e_pos)
-
-    where ``e_*`` are the emissions (miss loads, eviction stores, drain
-    stores) in exact scalar order and ``e_pos`` maps each emission to
-    the index of the kept access that produced it.
-
-    Preconditions checked here:
-
-    - the warm dirty count must not already exceed the high watermark
-      (the scalar walker would drain mid-access-one; never happens at
-      epoch boundaries but cheap to refuse);
-    - per line, the ``mark_dirty`` flag must be constant across the
-      epoch (clean warm residents are wildcards: their first dirty
-      touch inserts at write-order MRU exactly like the scalar dict).
-      A dirty line receiving a clean touch would reorder the scalar
-      LRU without reordering the solver's write-order dict and skew
-      drain victim order; kernel streams never do this (dirtiness is a
-      per-region constant) but the check makes the solver safe on any
-      stream;
-    - the exact reuse-window probes must stay under
-      ``_EPOCH_QUERY_VOLUME_CAP`` total positions.
-    """
-    n = int(lines.shape[0])
-    nv = len(residents)
-    if dc0 > high or nv > cap:
-        return None
-    if nv:
-        vlines = np.fromiter(
-            (ln for ln, _ in residents), count=nv, dtype=np.int64
-        )
-        vdirty = np.fromiter(
-            (d for _, d in residents), count=nv, dtype=np.bool_
-        )
-        all_lines = np.concatenate([vlines, lines])
-        all_dirty = np.concatenate([vdirty, dirty])
-        emit_full = np.concatenate(
-            [np.full(nv, _OP_NONE, dtype=np.int64), emit]
-        )
-    else:
-        vdirty = np.zeros(0, dtype=np.bool_)
-        all_lines = lines
-        all_dirty = dirty
-        emit_full = emit
-    total = n + nv
-
-    # Chain previous-occurrence pointers: stable sort by line groups
-    # equal lines in position order.
-    order = _radix_argsort(all_lines)
-    sl = all_lines[order]
-    same = np.empty(total, dtype=bool)
-    same[0] = False
-    np.equal(sl[1:], sl[:-1], out=same[1:])
-    prev = np.full(total, -1, dtype=np.int64)
-    prev[order[1:]] = np.where(same[1:], order[:-1], -1)
-
-    # Per-line dm-constancy precondition (see docstring).
-    d_chain = all_dirty[order]
-    mism = same[1:] & (d_chain[1:] != d_chain[:-1])
-    if nv:
-        wild = np.zeros(total, dtype=bool)
-        wild[:nv] = ~vdirty
-        mism &= ~wild[order][:-1]
-    if mism.any():
-        return None
-
-    # Hit/miss classification.  An access hits iff its reuse window
-    # (exclusive positions between this and the previous occurrence of
-    # the same line) holds < cap distinct lines (LRU stack property;
-    # drains clean in place and never perturb recency order).
-    idx = np.arange(total, dtype=np.int64)
-    has_prev = prev >= 0
-    gap = idx - prev
-    hit = has_prev & (gap <= cap)  # window size gap-1 <= cap-1 < cap
-    und = has_prev & ~hit
-    if und.any():
-        # Sure-miss bound: first-ever occurrences inside the window are
-        # pairwise-distinct lines (none equal to this one).
-        first_cum = np.cumsum(~has_prev, dtype=np.int32)
-        ui = np.flatnonzero(und)
-        pq = prev[ui]
-        new_in = first_cum[ui - 1] - first_cum[pq]
-        ui = ui[new_in < cap]
-        if ui.size:
-            # Heavy-block bound: a fully-contained block with >= cap
-            # distinct lines forces a miss.  Distinct lines in an
-            # aligned block are exactly its within-block first touches
-            # — positions whose previous occurrence falls before the
-            # block — so one reduceat over ``prev < block_start``
-            # counts every block without sorting.  A ladder of widths
-            # starting at the first power of two >= 2*cap: any window
-            # of length >= 2w-1 contains a full aligned w-block, so
-            # the smallest rung alone covers every undecided window
-            # once blocks at that scale are line-diverse (the common
-            # case for cache-unfriendly streams); larger rungs catch
-            # windows whose diversity only shows at coarser scales.
-            w = 1 << max(6, (2 * int(cap) - 1).bit_length())
-            while ui.size and w <= max(_EPOCH_BLOCK, total):
-                # A window only contains an aligned w-block if it
-                # spans at least w positions, so wider rungs are
-                # pointless once every leftover window is shorter.
-                if int((ui - prev[ui]).max()) - 1 < w:
-                    break
-                nb = (total + w - 1) // w
-                starts = np.arange(nb, dtype=np.int64) * w
-                first_touch = prev < (idx & ~(w - 1))
-                dcount = np.add.reduceat(first_touch, starts)
-                heavy = np.flatnonzero(dcount >= cap)
-                if heavy.size:
-                    pq = prev[ui]
-                    # Only windows spanning >= w positions can contain
-                    # an aligned w-block; check just those candidates.
-                    cand = np.flatnonzero(ui - pq > w)
-                    uc = ui[cand]
-                    bmin = (pq[cand] + w) // w  # first block after prev
-                    kk = np.searchsorted(heavy, bmin)
-                    kk_c = np.minimum(kk, heavy.size - 1)
-                    covered = (kk < heavy.size) & (
-                        (heavy[kk_c] + 1) * w <= uc
-                    )
-                    keep = np.ones(ui.size, dtype=bool)
-                    keep[cand[covered]] = False
-                    ui = ui[keep]
-                if heavy.size == nb:
-                    # Every block heavy: any aligned 4w-block is a
-                    # union of heavy w-blocks, so wider rungs cannot
-                    # cover anything this one did not.
-                    break
-                w *= 4
-        if ui.size:
-            # Exact resolution of the leftovers: count distinct lines
-            # in each window as positions j with prev[j] <= window
-            # start, batched by power-of-two window length.  The probe
-            # rows are *contiguous* slices of ``prev`` —
-            # sliding_window_view + a row gather copies them at memcpy
-            # speed instead of materialising an element-wise index
-            # matrix — and an int32 shadow of ``prev`` halves the
-            # traffic (positions always fit).  Windows are gathered
-            # *right-aligned* (ending at the access): the head overhang
-            # then lands in [0, pw] where prev[j] < j <= pw holds for
-            # every real position, so the overhang contributes the
-            # closed-form count min(pw+1, width-L) and no validity mask
-            # is needed.  Front padding of INT32_MAX absorbs negative
-            # positions without contributing.
-            pq = prev[ui]
-            wlen = ui - pq - 1
-            if int(wlen.sum()) > _EPOCH_QUERY_VOLUME_CAP:
-                return None
-
-            def _bucket_width(length: int) -> int:
-                # Multiple-of-64 buckets keep padding waste under
-                # ~1.5x where the queries live and give 256-byte
-                # aligned int32 probe rows (measurably faster than
-                # finer or power-of-two row widths); power-of-two
-                # buckets above 1024 bound the bucket count for wide
-                # spreads.
-                if length <= 1024:
-                    return max(64, -(-length // 64) * 64)
-                return 1 << (length - 1).bit_length()
-
-            # Suffix kill-pass: the last W window positions form a
-            # sub-window (threshold a = i-W-1 >= p) whose distinct
-            # count lower-bounds the window's, so reaching cap there
-            # is a certain miss.  In gap space the compare is
-            # row-independent — prev[j] <= a iff gap[j] >= j-a = c+1
-            # for suffix column c — so a uint8 shadow of min(gap, 255)
-            # probes at a quarter of the int32 traffic (clamping is
-            # safe: the ramp stays <= W <= 254).  W = cap + 8: the
-            # smallest suffix that can hold cap distinct lines is cap,
-            # and a small margin past that already kills nearly every
-            # marginal window on cache-hostile streams; survivors fall
-            # through to the exact bucket probes.
-            _SUF_W = cap + 8
-            wide = wlen >= _SUF_W
-            if _SUF_W <= 254 and np.count_nonzero(wide) >= 256:
-                g8 = np.minimum(gap, 255).astype(np.uint8)
-                uw = ui[wide]  # i >= wlen+1 > W: windows never clip
-                sprobe = sliding_window_view(g8, _SUF_W)[uw - _SUF_W]
-                ramp = np.arange(1, _SUF_W + 1, dtype=np.uint8)
-                scnt = np.count_nonzero(sprobe >= ramp, axis=1)
-                dead = np.zeros(ui.size, dtype=bool)
-                dead[wide] = scnt >= cap
-                # Dead queries are misses; drop them before bucketing.
-                keep_q = ~dead
-                ui = ui[keep_q]
-                pq = pq[keep_q]
-                wlen = wlen[keep_q]
-        if ui.size:
-            qord = _radix_argsort(wlen)
-            wl_sorted = wlen[qord]
-            qhit = np.zeros(ui.size, dtype=bool)
-            nq = int(ui.size)
-            max_w = _bucket_width(int(wl_sorted[-1]))
-            prev_pad = np.empty(total + max_w, dtype=np.int32)
-            prev_pad[:max_w] = np.iinfo(np.int32).max  # never <= pw
-            prev_pad[max_w:] = prev
-            lo_q = 0
-            while lo_q < nq:
-                width = _bucket_width(int(wl_sorted[lo_q]))
-                hi_q = int(
-                    np.searchsorted(wl_sorted, width, side="right")
-                )
-                sel = qord[lo_q:hi_q]
-                uq = ui[sel]
-                pw = pq[sel]
-                probe = sliding_window_view(prev_pad, width)[
-                    uq - width + max_w
-                ]
-                cnt = np.count_nonzero(
-                    probe <= pw[:, None].astype(np.int32),
-                    axis=1,
-                )
-                head = np.minimum(pw + 1, width - wlen[sel])
-                qhit[sel] = cnt - head < cap
-                lo_q = hi_q
-            hit[ui] = qhit
-
-    miss = ~hit
-    miss_pos = np.flatnonzero(miss)
-    n_periods = int(miss_pos.size)
-    n_ev = n_periods - cap if n_periods > cap else 0
-    evict_pos = miss_pos[cap:] if n_ev else miss_pos[:0]
-
-    # Residency periods: each miss starts one; a period's accesses are
-    # the chain-consecutive occurrences of its line up to the line's
-    # next miss.  Period end order equals eviction order (a period ends
-    # because its line sank to the LRU head and was evicted).
-    begins_chain = miss[order]
-    pstart_ci = np.flatnonzero(begins_chain)
-    pend_ci = np.empty(n_periods, dtype=np.int64)
-    pend_ci[:-1] = pstart_ci[1:] - 1
-    pend_ci[-1] = total - 1
-    p_start = order[pstart_ci]
-    p_end = order[pend_ci]
-    p_line = all_lines[p_start]
-    p_dm = np.logical_or.reduceat(d_chain, pstart_ci)
-    # Eviction order = periods sorted by end position.  Ends are
-    # pairwise distinct (a position closes at most one period), so a
-    # boolean scatter + flatnonzero replaces an argsort.
-    is_end = np.zeros(total, dtype=bool)
-    is_end[p_end] = True
-    pid_at = np.empty(total, dtype=np.int64)
-    pid_at[p_end] = np.arange(n_periods, dtype=np.int64)
-    eorder = pid_at[np.flatnonzero(is_end)]
-    evicted_p = eorder[:n_ev]
-    surv_p = eorder[n_ev:]
-    victim_lines = p_line[evicted_p]
-    victim_dm = p_dm[evicted_p]
-
-    # Miss loads (virtual accesses never load; _OP_NONE slots do not
-    # load either).  flatnonzero yields sorted positions, so the
-    # virtual prefix is a slice rather than another mask pass.
-    load_pos = np.flatnonzero(miss & (emit_full >= 0))
-    load_pos = load_pos[np.searchsorted(load_pos, nv):]
-    load_lines = all_lines[load_pos]
-    load_ops = emit_full[load_pos]
-
-    # Write-back Manager replay over dirty events only.  ``wr`` mirrors
-    # the scalar tag dict restricted to lines that ever carried dirty
-    # state: insertion order tracks the scalar dict's dirty-insertion
-    # order exactly under the dm-constancy precondition.
-    dm_pos = nv + np.flatnonzero(dirty)
-    evk = np.flatnonzero(victim_dm)
-    ev_pos = evict_pos[evk]
-    ev_lines = victim_lines[evk]
-    ne = int(ev_pos.size)
-    nd = int(dm_pos.size)
-    if ne or nd:
-        # Both event streams are position-sorted; merge with evictions
-        # first at equal positions (the scalar order: the eviction's
-        # writeback happens before the incoming access re-dirties).
-        ei = np.arange(ne, dtype=np.int64)
-        ei += np.searchsorted(dm_pos, ev_pos, side="left")
-        di = np.arange(nd, dtype=np.int64)
-        di += np.searchsorted(ev_pos, dm_pos, side="right")
-        mkey = np.empty(ne + nd, dtype=np.int64)
-        mkey[ei] = ev_pos
-        mkey[di] = dm_pos
-        mline = np.empty(ne + nd, dtype=np.int64)
-        mline[ei] = ev_lines
-        mline[di] = all_lines[dm_pos]
-        misev = np.zeros(ne + nd, dtype=bool)
-        misev[ei] = True
-        seq_pos = mkey.tolist()
-        seq_line = mline.tolist()
-        seq_isev = misev.tolist()
-    else:
-        seq_pos = seq_line = seq_isev = []
-    wr: Dict[int, bool] = {
-        int(ln): True for ln, d in residents if d
-    }
-    dc = dc0
-    evw = mwb = 0
-    store_pos: List[int] = []
-    store_lines: List[int] = []
-    sp_app = store_pos.append
-    sl_app = store_lines.append
-    wpop = wr.pop
-    for pos, line, isev in zip(seq_pos, seq_line, seq_isev):
-        if isev:
-            if wpop(line, False):
-                dc -= 1
-                evw += 1
-                sp_app(pos)
-                sl_app(line)
-            continue
-        was = wpop(line, False)
-        wr[line] = True
-        if was:
-            continue
-        dc += 1
-        if dc > high:
-            to_drain = dc - low
-            drained: List[int] = []
-            for wl, wd in wr.items():
-                if len(drained) >= to_drain:
-                    break
-                if wd:
-                    drained.append(wl)
-            for wl in drained:
-                wr[wl] = False
-                sp_app(pos)
-                sl_app(wl)
-            dc -= len(drained)
-            mwb += len(drained)
-
-    # Emission assembly: loads sort before stores at equal positions
-    # (scalar order: miss load, then eviction store, then drain stores).
-    # Both position arrays are already sorted (flatnonzero order and
-    # event-scan order), so this is a stable two-way merge: each load
-    # shifts right by the stores strictly before it, each store by the
-    # loads at-or-before it.
-    spos = np.asarray(store_pos, dtype=np.int64)
-    slin = np.asarray(store_lines, dtype=np.int64)
-    nl = load_pos.size
-    ns = spos.size
-    li = np.arange(nl, dtype=np.int64)
-    li += np.searchsorted(spos, load_pos, side="left")
-    si = np.arange(ns, dtype=np.int64)
-    si += np.searchsorted(load_pos, spos, side="right")
-    e_lines = np.empty(nl + ns, dtype=np.int64)
-    e_lines[li] = load_lines
-    e_lines[si] = slin
-    e_ops = np.full(nl + ns, op_store, dtype=np.int64)
-    e_ops[li] = load_ops
-    e_pos = np.empty(nl + ns, dtype=np.int64)
-    e_pos[li] = load_pos
-    e_pos[si] = spos
-    e_pos -= nv
-
-    # Final VRF state: survivors ordered by last touch = LRU insertion
-    # order of the scalar dict at epoch end.
-    new_tags = {
-        int(ln): wr.get(int(ln), False)
-        for ln in p_line[surv_p].tolist()
-    }
-    hits_total = int(np.count_nonzero(hit))
-    return (
-        hits_total,
-        n_periods - nv,
-        n_ev,
-        evw,
-        mwb,
-        dc,
-        new_tags,
-        e_lines,
-        e_ops,
-        e_pos,
-    )
-
-
-def _apply_epoch_solution(
-    pe,
-    sol: tuple,
-    skipped: int,
+    emissions: Tuple[np.ndarray, np.ndarray, np.ndarray],
     parts_nnz: Sequence[int],
     start_offsets: Sequence[int],
     kept_bounds: np.ndarray,
 ) -> List[Tuple[int, int]]:
-    """Credit counters/VRF from a solver result and assemble the
-    per-chunk trace segments (sparse stream ranges + the chunk's slice
-    of the epoch emissions)."""
-    (
-        hits,
-        misses,
-        evc,
-        evw,
-        mwb,
-        dc,
-        new_tags,
-        e_lines,
-        e_ops,
-        e_pos,
-    ) = sol
-    vrf = pe.vrf
-    vrf.tag_hits += hits + skipped
-    vrf.tag_misses += misses
-    vrf.evictions += evc
-    vrf.eviction_writebacks += evw
-    vrf.manager_writebacks += mwb
-    vrf._dirty_count = dc
-    tags = vrf._tags
-    tags.clear()
-    tags.update(new_tags)
-
+    """Append each chunk's trace to ``pe._trace`` (its sparse stream
+    ranges, then its slice of the epoch's VRF emissions) and return the
+    chunks' ``(start, end)`` segments.  ``kept_bounds[i]`` is the
+    stream position where chunk ``i`` starts."""
+    e_lines, e_ops, e_pos = emissions
     e_bounds = np.searchsorted(e_pos, kept_bounds)
     buf = pe._trace
     segs: List[Tuple[int, int]] = []
@@ -892,32 +359,30 @@ def _apply_epoch_solution(
     return segs
 
 
+def _concat(arrays: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+
+
 def generate_spmm_epoch(
     pe, parts: Sequence[Tuple[np.ndarray, np.ndarray, int]]
-) -> Tuple[List[Tuple[int, int]], bool]:
-    """Derive one PE's full epoch trace in a single fused pass.
+) -> List[Tuple[int, int]]:
+    """Derive one PE's trace for a run of SpMM chunks in one pass and
+    append it to ``pe._trace``; the trace twin of
+    ``ProcessingElement.execute_spmm_chunk`` over each chunk in turn.
 
-    ``parts`` lists the epoch's chunks as ``(r_ids, c_ids,
-    start_offset)`` in dispatch order.  Returns ``(segments, fused)``
-    where ``segments`` bounds each chunk's slice of ``pe._trace`` and
-    ``fused`` reports whether the epoch solver ran (False: per-chunk
-    fallback was used — results are identical either way)."""
+    ``parts`` lists the chunks as ``(r_ids, c_ids, start_offset)`` in
+    dispatch order.  Per nonzero the scalar pipeline touches, in order,
+    ``r+0, c+0, r+1, c+1, ...`` for ``lines_per_row`` line pairs; the
+    rMatrix slot is read-modify-write (dirty), the cMatrix slot is
+    read-only.  CSR runs of equal r_id make the rMatrix touches of
+    elided nonzeros guaranteed dirty hits (see module docstring).
+    Returns each chunk's ``(start, end)`` segment of ``pe._trace``."""
     if not parts:
-        return [], False
+        return []
     n_per = [len(p[0]) for p in parts]
     n = int(sum(n_per))
-    if n == 0:
-        return _epoch_fallback_spmm(pe, parts), False
-    r_all = (
-        np.concatenate([p[0] for p in parts])
-        if len(parts) > 1
-        else parts[0][0]
-    )
-    c_all = (
-        np.concatenate([p[1] for p in parts])
-        if len(parts) > 1
-        else parts[0][1]
-    )
+    r_all = _concat([p[0] for p in parts])
+    c_all = _concat([p[1] for p in parts])
     amap = pe.address_map
     k = pe.init.dense_row_size
     lpr = pe.lines_per_row
@@ -938,7 +403,7 @@ def generate_spmm_epoch(
 
     cadence = _elision_cadence(
         pe.vrf, slots_per_nnz=cols, live_lines=lpr, dirty_live=lpr
-    )
+    ) if n else 1
     b_nnz = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum(n_per, out=b_nnz[1:])
     skipped = 0
@@ -966,67 +431,36 @@ def generate_spmm_epoch(
         stream_emit = ops_mat.ravel()
         kept_bounds = cols * b_nnz
 
-    vrf = pe.vrf
-    sol = _solve_vrf_epoch(
-        vrf.num_registers,
-        vrf._high,
-        vrf._low,
-        list(vrf._tags.items()),
-        vrf._dirty_count,
-        stream_lines,
-        stream_dirty,
-        stream_emit,
-        pe._op_store,
+    emissions = walk_vrf(
+        pe.vrf, stream_lines, stream_dirty, stream_emit, pe._op_store
     )
-    if sol is None:
-        return _epoch_fallback_spmm(pe, parts), False
+    pe.vrf.tag_hits += skipped
     counters = pe.counters
     counters.tops += n
     counters.vops += n * lpr
     pe._rmatrix_rows_touched.update(np.unique(r_all).tolist())
-    segs = _apply_epoch_solution(
-        pe,
-        sol,
-        skipped,
-        n_per,
-        [p[2] for p in parts],
-        kept_bounds,
+    return _emit_chunks(
+        pe, emissions, n_per, [p[2] for p in parts], kept_bounds
     )
-    return segs, True
-
-
-def _epoch_fallback_spmm(pe, parts) -> List[Tuple[int, int]]:
-    buf = pe._trace
-    segs: List[Tuple[int, int]] = []
-    for r_ids, c_ids, start_offset in parts:
-        s0 = len(buf)
-        generate_spmm_chunk(pe, r_ids, c_ids, start_offset)
-        segs.append((s0, len(buf)))
-    return segs
 
 
 def generate_sddmm_epoch(
     pe,
     parts: Sequence[Tuple[np.ndarray, np.ndarray, int, np.ndarray]],
-) -> Tuple[List[Tuple[int, int]], bool]:
+) -> List[Tuple[int, int]]:
     """SDDMM twin of :func:`generate_spmm_epoch`; ``parts`` entries are
-    ``(r_ids, c_ids, start_offset, out_offsets)``."""
+    ``(r_ids, c_ids, start_offset, out_offsets)``.
+
+    Per nonzero: ``lines_per_row`` read-only (r, c) line pairs followed
+    by one write-only output-line touch (dirty, no load on miss).  Both
+    the rMatrix CSR runs and the 16-nonzeros-per-line output runs are
+    elidable."""
     if not parts:
-        return [], False
+        return []
     n_per = [len(p[0]) for p in parts]
     n = int(sum(n_per))
-    if n == 0:
-        return _epoch_fallback_sddmm(pe, parts), False
-    r_all = (
-        np.concatenate([p[0] for p in parts])
-        if len(parts) > 1
-        else parts[0][0]
-    )
-    c_all = (
-        np.concatenate([p[1] for p in parts])
-        if len(parts) > 1
-        else parts[0][1]
-    )
+    r_all = _concat([p[0] for p in parts])
+    c_all = _concat([p[1] for p in parts])
     out_all = np.concatenate(
         [np.asarray(p[3], dtype=np.int64) for p in parts]
     )
@@ -1042,7 +476,7 @@ def generate_sddmm_epoch(
     cols = 2 * lpr + 1
     cadence = _elision_cadence(
         pe.vrf, slots_per_nnz=cols, live_lines=lpr + 1, dirty_live=1
-    )
+    ) if n else 1
     b_nnz = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum(n_per, out=b_nnz[1:])
     skipped = 0
@@ -1130,40 +564,16 @@ def generate_sddmm_epoch(
             stream_emit = ops_mat.ravel()
             kept_bounds = cols * b_nnz
 
-    vrf = pe.vrf
-    sol = _solve_vrf_epoch(
-        vrf.num_registers,
-        vrf._high,
-        vrf._low,
-        list(vrf._tags.items()),
-        vrf._dirty_count,
-        stream_lines,
-        stream_dirty,
-        stream_emit,
-        pe._op_store,
+    emissions = walk_vrf(
+        pe.vrf, stream_lines, stream_dirty, stream_emit, pe._op_store
     )
-    if sol is None:
-        return _epoch_fallback_sddmm(pe, parts), False
+    pe.vrf.tag_hits += skipped
     counters = pe.counters
     counters.tops += n
     counters.vops += n * lpr
     counters.output_line_writes += n
-    segs = _apply_epoch_solution(
-        pe,
-        sol,
-        skipped,
-        n_per,
-        [p[2] for p in parts],
-        kept_bounds,
+    return _emit_chunks(
+        pe, emissions, n_per, [p[2] for p in parts], kept_bounds
     )
-    return segs, True
 
 
-def _epoch_fallback_sddmm(pe, parts) -> List[Tuple[int, int]]:
-    buf = pe._trace
-    segs: List[Tuple[int, int]] = []
-    for r_ids, c_ids, start_offset, out_offsets in parts:
-        s0 = len(buf)
-        generate_sddmm_chunk(pe, r_ids, c_ids, start_offset, out_offsets)
-        segs.append((s0, len(buf)))
-    return segs

@@ -1,0 +1,259 @@
+"""Compiled kernels, built with the host's gcc on first use.
+
+One kernel lives here: ``vrf_walk.c``, the exact scalar walk of a PE's
+vector register file behind :func:`repro.core.vectorized.walk_vrf`.
+Its Python twin (``repro.core.vectorized._run_vrf_stream``) is the
+reference and the path taken when the kernel does not load; results
+are identical either way, only slower.
+
+Build, cache and trust rules:
+
+- Nothing compiles at import.  :func:`vrf_walk_kernel` builds the
+  library on its first call and remembers the outcome for the process.
+- Builds live in one per-user, host-wide directory,
+  ``<tempfile.gettempdir()>/repro-native-<uid>/``, created with mode
+  0700.  A directory that is a symlink, not a directory, owned by
+  another uid or writable by group or others is refused: another
+  user's library is never loaded.
+- The library name carries a sha256 over the C source, the
+  ``gcc --version`` output, the compiler flags and the platform.  A
+  sidecar ``.sha256`` file holds the digest of the library's bytes; a
+  library that does not match it (truncated, replaced) is rebuilt, not
+  loaded.
+- A build goes to a private temporary file, is loaded from there and is
+  then published with ``os.replace``, so no process loads a partly
+  written file and concurrent cold starts just race to publish
+  identical builds.
+- With no gcc on ``PATH``, an unsafe directory or a failed build, the
+  loader issues one ``RuntimeWarning`` and callers take the Python
+  twin.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import sys
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("vrf_walk.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+_lock = threading.Lock()
+_tried = False
+_kernel: Optional[Callable] = None
+
+
+class NativeUnavailable(RuntimeError):
+    """The kernel cannot be built or loaded on this host."""
+
+
+def build_dir() -> Path:
+    """The per-user, host-wide build directory (not created here)."""
+    return Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
+
+
+def _safe_dir(path: Path) -> Path:
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    st = os.lstat(path)
+    if stat.S_ISLNK(st.st_mode) or not stat.S_ISDIR(st.st_mode):
+        raise NativeUnavailable(f"{path} is not a plain directory")
+    if st.st_uid != os.getuid():
+        raise NativeUnavailable(f"{path} is owned by uid {st.st_uid}")
+    if st.st_mode & 0o022:
+        raise NativeUnavailable(f"{path} is writable by other users")
+    return path
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _publish_text(path: Path, text: str) -> None:
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _load_library() -> ctypes.CDLL:
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise NativeUnavailable("no gcc on PATH")
+    directory = _safe_dir(build_dir())
+    version = subprocess.run(
+        [gcc, "--version"], capture_output=True, check=True, timeout=60
+    ).stdout
+    key = hashlib.sha256()
+    for part in (
+        SOURCE.read_bytes(), version, " ".join(FLAGS).encode(),
+        f"{sys.platform}-{platform.machine()}".encode(),
+    ):
+        key.update(hashlib.sha256(part).digest())
+    lib_path = directory / f"vrf_walk-{key.hexdigest()[:32]}.so"
+    sum_path = lib_path.with_suffix(".sha256")
+    try:
+        if _digest(lib_path) == sum_path.read_text().strip():
+            return ctypes.CDLL(str(lib_path))
+    except OSError:
+        pass  # missing, unreadable or not loadable: rebuild
+
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [gcc, *FLAGS, "-o", tmp, str(SOURCE)],
+            capture_output=True, text=True, timeout=300,
+        )
+        if proc.returncode != 0:
+            raise NativeUnavailable(f"gcc failed: {proc.stderr.strip()}")
+        digest = _digest(Path(tmp))
+        lib = ctypes.CDLL(tmp)  # the bytes just built and hashed
+        os.replace(tmp, lib_path)
+        _publish_text(sum_path, digest)
+        return lib
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def vrf_walk_kernel() -> Optional[Callable]:
+    """The compiled VRF walk, or ``None`` when it cannot load here.
+
+    Builds (or finds) the library on the first call of the process;
+    the outcome, and at most one warning, hold for the rest of it."""
+    global _tried, _kernel
+    if _tried:
+        return _kernel
+    with _lock:
+        if not _tried:
+            try:
+                _kernel = _bind(_load_library())
+            except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
+                warnings.warn(
+                    f"compiled VRF walk unavailable ({exc}); using the "
+                    "Python walk: same results, slower",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            _tried = True
+    return _kernel
+
+
+def vrf_walk_impl() -> Optional[str]:
+    """``"native"`` or ``"python"``: which walk this process uses, or
+    ``None`` when no walk has run in it yet (nothing is built for the
+    answer)."""
+    if not _tried:
+        return None
+    return "native" if _kernel is not None else "python"
+
+
+def check_stream(lines: np.ndarray, dirty: np.ndarray, emit: np.ndarray) -> None:
+    """Validate a walk's access stream: ``lines`` and ``emit`` must be
+    1-D C-contiguous int64, ``dirty`` 1-D C-contiguous bool, all of one
+    length."""
+    for name, arr, dtype in (
+        ("lines", lines, np.int64),
+        ("dirty", dirty, np.bool_),
+        ("emit", emit, np.int64),
+    ):
+        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+            raise TypeError(f"{name} must be a {np.dtype(dtype)} ndarray")
+        if arr.ndim != 1 or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be 1-D and C-contiguous")
+    if not lines.shape == dirty.shape == emit.shape:
+        raise ValueError("lines, dirty and emit differ in length")
+
+
+WalkResult = Tuple[
+    Tuple[int, int, int, int, int, int],
+    Dict[int, bool],
+    np.ndarray,
+    np.ndarray,
+    np.ndarray,
+]
+
+
+def _bind(lib: ctypes.CDLL) -> Callable[..., WalkResult]:
+    fn = lib.repro_vrf_walk
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [
+        i64, i64, i64,            # cap, high, low
+        ptr, ptr, ptr,            # tag lines, tag dirty, tag count
+        ptr, ptr, ptr, i64, i64,  # lines, dirty, emit, n, op_store
+        ptr, ptr, ptr, i64,       # emission lines, ops, positions, room
+        ptr,                      # counters
+    ]
+
+    def walk(
+        cap: int,
+        high: int,
+        low: int,
+        tags: Dict[int, bool],
+        dirty_count: int,
+        lines: np.ndarray,
+        dirty: np.ndarray,
+        emit: np.ndarray,
+        op_store: int,
+    ) -> WalkResult:
+        """Run the C walk over a stream :func:`check_stream` accepted.
+        Returns ``((hits, misses, evictions, eviction_writebacks,
+        manager_writebacks, dirty_count), final tags in LRU order,
+        e_lines, e_ops, e_pos)``."""
+        n = int(lines.shape[0])
+        nres = len(tags)
+        if not 1 <= cap < 2**31 or nres > cap:
+            raise ValueError(f"{nres} residents in a {cap}-line VRF")
+        tag_lines = np.zeros(cap, dtype=np.int64)
+        tag_dirty = np.zeros(cap, dtype=np.bool_)
+        tag_lines[:nres] = np.fromiter(tags.keys(), np.int64, nres)
+        tag_dirty[:nres] = np.fromiter(tags.values(), np.bool_, nres)
+        n_tags = np.array([nres], dtype=np.int64)
+        counters = np.zeros(6, dtype=np.int64)
+        counters[5] = dirty_count
+        # Per access at most one load and one victim store; each drain
+        # store cleans a dirty flag, set by one of the n accesses or
+        # carried by a resident: 3n + residents in all.
+        room = 3 * n + nres
+        e_lines = np.empty(room, dtype=np.int64)
+        e_ops = np.empty(room, dtype=np.int64)
+        e_pos = np.empty(room, dtype=np.int64)
+        ne = fn(
+            cap, high, low,
+            tag_lines.ctypes.data, tag_dirty.ctypes.data, n_tags.ctypes.data,
+            lines.ctypes.data, dirty.ctypes.data, emit.ctypes.data,
+            n, op_store,
+            e_lines.ctypes.data, e_ops.ctypes.data, e_pos.ctypes.data, room,
+            counters.ctypes.data,
+        )
+        if ne == -1:
+            raise MemoryError("VRF walk could not allocate its tag table")
+        if ne < 0:
+            raise RuntimeError("VRF walk overflowed its emission bound")
+        k = int(n_tags[0])
+        return (
+            tuple(counters.tolist()),
+            dict(zip(tag_lines[:k].tolist(), tag_dirty[:k].tolist())),
+            e_lines[:ne],
+            e_ops[:ne],
+            e_pos[:ne],
+        )
+
+    return walk

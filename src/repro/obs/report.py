@@ -5,7 +5,8 @@ whole directories of either) into a single rollup:
 
 - **phase hotspots** — host seconds per engine phase (generation,
   merge, replay) summed over every epoch event, plus checkpoint and
-  whole-run wall time, the whole-epoch fused-generation chunk count,
+  whole-run wall time, the epoch-grain generation chunk count, which
+  VRF walk (compiled or Python) the runs used,
   and the trace-cache hit/miss/store tally when a content-addressed
   trace store was attached;
 - **cost-model accuracy** — per cache level: partitions considered,
@@ -54,6 +55,7 @@ def aggregate(paths) -> Dict[str, Any]:
         "events": 0,
         "events_by_type": {},
         "runs": {"started": 0, "ok": 0, "failed": 0},
+        "vrf_walk": {},
         "phases": {p: {"seconds": 0.0, "epochs": 0} for p in _PHASES},
         "fused_chunks": 0,
         "trace_cache": {
@@ -104,6 +106,10 @@ def aggregate(paths) -> Dict[str, Any]:
                 agg["runs"]["ok" if status == "ok" else "failed"] += 1
                 agg["run_wall_s"] += ev.get("wall_s", 0.0)
                 agg["sim_time_ns"] += ev.get("time_ns") or 0.0
+                walk = ev.get("vrf_walk")
+                if walk:
+                    walks = agg["vrf_walk"]
+                    walks[walk] = walks.get(walk, 0) + 1
                 if status != "ok":
                     agg["timeline"].append(_timeline_row(ev, path))
             elif etype == "dispatch":
@@ -276,6 +282,11 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
         f"runs {runs['started']} started / {runs['ok']} ok / "
         f"{runs['failed']} failed"
     )
+    if agg["vrf_walk"]:
+        walks = ", ".join(
+            f"{k}={v}" for k, v in sorted(agg["vrf_walk"].items())
+        )
+        lines.append(f"VRF walk     : {walks} runs")
     by_type = ", ".join(
         f"{k}={v}" for k, v in sorted(agg["events_by_type"].items())
     )
@@ -302,7 +313,7 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
     lines.append(_table(("phase", "seconds", "samples"), rows))
     if agg["fused_chunks"]:
         lines.append(
-            f"whole-epoch fused generation: {agg['fused_chunks']} chunks"
+            f"epoch-grain generation: {agg['fused_chunks']} chunks"
         )
     tc = agg["trace_cache"]
     if tc["hits"] or tc["misses"] or tc["stored"]:

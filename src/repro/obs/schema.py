@@ -49,11 +49,14 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "wall_s": (_NUM, True),
         "time_ns": (_OPT_NUM, False),  # simulated time, ok runs only
         "error": (_STR, False),
+        # Which VRF walk generated traces in the process: "native"
+        # (compiled kernel) or "python" (its twin; no gcc, so slower).
+        # Absent when no trace was generated.  Never part of a key.
+        "vrf_walk": (_STR, False),
     },
     # One per barrier epoch: host-side phase split + simulated facts.
-    # "fused_chunks" counts chunks generated by the whole-epoch fused
-    # path (0 when the epoch fell back to per-chunk generation or the
-    # scalar oracle ran).
+    # "fused_chunks" counts chunks generated at epoch grain (0 when the
+    # trace store served the epoch or the scalar oracle ran).
     "epoch": {
         "epoch": (_INT, True),
         "gen_s": (_NUM, True),
@@ -160,6 +163,7 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
 
 _CHOSEN = ("array", "dict", "batched")
 _RUN_STATUS = ("ok", "failed")
+_VRF_WALKS = ("native", "python")
 _JOB_STATUS = (
     "started", "completed", "failed", "requeued", "quarantined",
 )
@@ -227,6 +231,11 @@ def validate_event(event: Mapping[str, Any]) -> None:
         raise LedgerSchemaError(
             f"run_end: status must be one of {_RUN_STATUS}, "
             f"got {event['status']!r}"
+        )
+    if etype == "run_end" and event.get("vrf_walk", "native") not in _VRF_WALKS:
+        raise LedgerSchemaError(
+            f"run_end: vrf_walk must be one of {_VRF_WALKS}, "
+            f"got {event['vrf_walk']!r}"
         )
     if etype == "sweep_job" and event["status"] not in _JOB_STATUS:
         raise LedgerSchemaError(

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
+from repro import native
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -68,6 +69,12 @@ class RunOutcome:
             self.backend != self.requested_backend
             or self.replay != self.requested_replay
         )
+
+
+def _vrf_walk_field() -> dict:
+    """The ``run_end`` ``vrf_walk`` field, when a walk ran here."""
+    walk = native.vrf_walk_impl()
+    return {"vrf_walk": walk} if walk else {}
 
 
 class RunSupervisor:
@@ -342,6 +349,7 @@ class RunSupervisor:
                         status="ok",
                         wall_s=time.perf_counter() - run_t0,
                         time_ns=float(report.time_ns),
+                        **_vrf_walk_field(),
                     )
                 return report
 
@@ -361,5 +369,6 @@ class RunSupervisor:
                 status="failed",
                 wall_s=time.perf_counter() - run_t0,
                 error=repr(last_exc),
+                **_vrf_walk_field(),
             )
         raise last_exc

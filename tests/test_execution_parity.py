@@ -7,16 +7,23 @@ per-nonzero oracle on every observable: the emitted trace (content and
 order), numeric outputs, simulated time, AccessStats, per-epoch
 PECounters, and the VRF's own hit/miss/writeback counters (elision
 bulk-credits skipped hits, so these pin that accounting too).
+
+Every fast-mode run happens twice: with the compiled VRF walk and with
+its Python twin, forced by patching the loader's memo for the duration
+of the run (a test-only switch; the simulator picks the walk by whether
+the kernel loads).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
 import pytest
 
+from repro import native
 from repro.config import PipelineConfig, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
@@ -28,6 +35,17 @@ from repro.sparse.generators import rmat_graph, uniform_random
 from repro.sparse.tiled import tile_matrix
 
 MODES = ("vectorized", "pipelined")
+WALKS = ("native", "python")
+
+
+@contextmanager
+def _vrf_walk(walk: str):
+    """Run the enclosed block with the compiled VRF walk or its twin."""
+    with pytest.MonkeyPatch.context() as mp:
+        if walk == "python":
+            mp.setattr(native, "_tried", True)
+            mp.setattr(native, "_kernel", None)
+        yield
 
 
 def _run_engine(
@@ -112,13 +130,17 @@ def _assert_same(a, k, kernel, replay, settings=None, chunk_nnz=256):
     )
     fp_o = _fingerprint(eng_o, res_o, out_o)
     for mode in MODES:
-        eng_m, res_m, out_m = _run_engine(
-            a, k, kernel, mode, replay, settings, chunk_nnz
-        )
-        assert np.array_equal(out_o, out_m), f"{mode}: output diverged"
-        assert _fingerprint(eng_m, res_m, out_m) == fp_o, (
-            f"{mode}: state fingerprint diverged"
-        )
+        for walk in WALKS:
+            with _vrf_walk(walk):
+                eng_m, res_m, out_m = _run_engine(
+                    a, k, kernel, mode, replay, settings, chunk_nnz
+                )
+            assert np.array_equal(out_o, out_m), (
+                f"{mode}/{walk}: output diverged"
+            )
+            assert _fingerprint(eng_m, res_m, out_m) == fp_o, (
+                f"{mode}/{walk}: state fingerprint diverged"
+            )
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +200,31 @@ class TestExecutionParity:
         _assert_same(rect, 16, "spmm", "batched", chunk_nnz=17)
 
 
+    @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
+    def test_zero_nnz_parts_leave_state_alone(self, rect, kernel):
+        from repro.core.vectorized import (
+            generate_sddmm_epoch,
+            generate_spmm_epoch,
+        )
+
+        eng, _, _ = _run_engine(rect, 16, kernel, "vectorized", "batched")
+        pe = eng.pes[0]
+
+        def state():
+            v = pe.vrf
+            return (v.tag_hits, v.tag_misses, list(v._tags.items()),
+                    dataclasses.asdict(pe.counters), len(pe._trace))
+
+        before = state()
+        e = np.zeros(0, dtype=np.int64)
+        if kernel == "spmm":
+            segs = generate_spmm_epoch(pe, [(e, e, 0)] * 2)
+        else:
+            segs = generate_sddmm_epoch(pe, [(e, e, 0, e)] * 2)
+        assert segs == [(before[-1], before[-1])] * 2
+        assert state() == before
+
+
 class TestPipelineVariants:
     @pytest.mark.parametrize(
         "pipeline",
@@ -194,11 +241,14 @@ class TestPipelineVariants:
             graph, 16, "sddmm", "scalar", "batched"
         )
         fp_o = _fingerprint(eng_o, res_o, out_o)
-        eng_p, res_p, out_p = _run_engine(
-            graph, 16, "sddmm", "pipelined", "batched", pipeline=pipeline
-        )
-        assert np.array_equal(out_o, out_p)
-        assert _fingerprint(eng_p, res_p, out_p) == fp_o
+        for walk in WALKS:
+            with _vrf_walk(walk):
+                eng_p, res_p, out_p = _run_engine(
+                    graph, 16, "sddmm", "pipelined", "batched",
+                    pipeline=pipeline,
+                )
+            assert np.array_equal(out_o, out_p), walk
+            assert _fingerprint(eng_p, res_p, out_p) == fp_o, walk
 
 
 class TestTraceParity:
@@ -261,14 +311,17 @@ class TestTraceParity:
         self, graph, kernel, monkeypatch
     ):
         streams = {}
-        for mode in ("scalar",) + MODES:
-            with monkeypatch.context() as mp:
+        runs = [("scalar", "native")] + [
+            (mode, walk) for mode in MODES for walk in WALKS
+        ]
+        for mode, walk in runs:
+            with monkeypatch.context() as mp, _vrf_walk(walk):
                 chunks = self._capture_chunks(mp)
                 _run_engine(graph, 16, kernel, mode, "batched")
-                streams[mode] = self._flatten(chunks)
-        for mode in MODES:
-            assert streams[mode] == streams["scalar"], (
-                f"{mode}: replay access stream diverged"
+                streams[mode, walk] = self._flatten(chunks)
+        for key in runs[1:]:
+            assert streams[key] == streams["scalar", "native"], (
+                f"{key}: replay access stream diverged"
             )
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
@@ -280,12 +333,15 @@ class TestTraceParity:
         # replay_trace_scalar — the resulting per-access call sequences
         # must be indistinguishable.
         streams = {}
-        for mode in ("scalar",) + MODES:
-            with monkeypatch.context() as mp:
+        runs = [("scalar", "native")] + [
+            (mode, walk) for mode in MODES for walk in WALKS
+        ]
+        for mode, walk in runs:
+            with monkeypatch.context() as mp, _vrf_walk(walk):
                 calls = self._capture_accesses(mp)
                 _run_engine(rect, 16, kernel, mode, "scalar")
-                streams[mode] = calls
-        for mode in MODES:
-            assert streams[mode] == streams["scalar"], (
-                f"{mode}: access stream diverged"
+                streams[mode, walk] = calls
+        for key in runs[1:]:
+            assert streams[key] == streams["scalar", "native"], (
+                f"{key}: access stream diverged"
             )

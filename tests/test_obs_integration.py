@@ -95,6 +95,7 @@ class TestRunLifecycle:
         end = events[-1]
         assert end["status"] == "ok"
         assert end["wall_s"] > 0
+        assert end["vrf_walk"] in ("native", "python")
         assert end["time_ns"] == pytest.approx(float(report.time_ns))
         epochs = [e for e in events if e["e"] == "epoch"]
         assert epochs

@@ -111,6 +111,14 @@ class TestSchema:
         with pytest.raises(LedgerSchemaError):
             validate_event(_ev("run_end", status="meh"))
 
+    def test_vrf_walk_field(self):
+        for walk in ("native", "python"):
+            validate_event(_ev("run_end", vrf_walk=walk))
+        with pytest.raises(LedgerSchemaError):
+            validate_event(_ev("run_end", vrf_walk="numba"))
+        with pytest.raises(LedgerSchemaError):
+            validate_event(_ev("run_end", vrf_walk=1))
+
     def test_envelope_enforced(self):
         ev = _ev("checkpoint")
         del ev["run"]
@@ -459,6 +467,17 @@ class TestReport:
         assert "phase hotspots" in text
         assert "replay dispatch audit" in text
         assert "l1" in text
+
+    def test_report_counts_runs_per_vrf_walk(self, tmp_path):
+        self._write(tmp_path, [
+            _ev("run_end", vrf_walk="native"),
+            _ev("run_end", vrf_walk="python"),
+            _ev("run_end", vrf_walk="python"),
+            _ev("run_end"),
+        ])
+        agg = aggregate([tmp_path])
+        assert agg["vrf_walk"] == {"native": 1, "python": 2}
+        assert "VRF walk     : native=1, python=2 runs" in format_report(agg)
 
     def test_format_report_lists_every_level_in_hierarchy_order(
         self, tmp_path

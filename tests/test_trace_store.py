@@ -186,6 +186,44 @@ class TestEngineTraceCacheParity:
         assert _facts(cold) == _facts(warm)
 
 
+class TestVrfWalkInvariance:
+    """Whether the compiled VRF walk loaded is not part of any key: the
+    Python twin and the kernel write the same entries under the same
+    keys, and either one's entries serve the other."""
+
+    def test_python_walk_entries_hit_for_native_walk(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import native
+        from repro.telemetry.provenance import config_fingerprint
+
+        if native.vrf_walk_kernel() is None:
+            pytest.skip("compiled VRF walk unavailable")
+        a, b, c = _workload()
+        cfg = scaled_config(4, cache_shrink=8)
+        fp_native = config_fingerprint(cfg)
+        native_store = TraceStore(tmp_path / "native")
+        live, _ = _run(a, b, c, native_store)
+        with monkeypatch.context() as mp:
+            mp.setattr(native, "_tried", True)
+            mp.setattr(native, "_kernel", None)
+            assert config_fingerprint(cfg) == fp_native
+            twin_store = TraceStore(tmp_path / "python")
+            cold, cc = _run(a, b, c, twin_store)
+        assert cc["stored"] >= 1
+        keys = twin_store.keys()
+        assert keys == native_store.keys()
+        for key in keys:
+            with open(twin_store.path_for(key), "rb") as fh:
+                twin_bytes = fh.read()
+            with open(native_store.path_for(key), "rb") as fh:
+                assert fh.read() == twin_bytes, key
+        warm, cw = _run(a, b, c, TraceStore(tmp_path / "python"))
+        assert cw["gen_invocations"] == 0 and cw["misses"] == 0, cw
+        assert cw["hits"] == len(keys)
+        assert _facts(cold) == _facts(warm) == _facts(live)
+
+
 class TestCacheGeometryInvariance:
     """The content-addressed key excludes cache geometry, so one
     geometry's entries serve every other geometry — and the replayed
