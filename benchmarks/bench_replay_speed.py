@@ -1,4 +1,4 @@
-"""Replay-speed benchmark: scalar oracle vs batched vs array replay.
+"""Replay-speed benchmark: scalar oracle vs array replay.
 
 Captures the exact post-VRF memory trace of seeded SpMM/SDDMM runs
 (the trace is mode-independent — the PE pipeline is deterministic),
@@ -8,15 +8,14 @@ replay backend:
 * **scalar** — one :meth:`dense_access`/:meth:`stream_access` call per
   access plus the per-access service-level counter tally, exactly as
   ``ProcessingElement`` does in ``replay="scalar"`` mode;
-* **batched** — one :meth:`replay_trace` call per PE chunk plus the
+* **array** — one :meth:`replay_trace` call per PE chunk plus the
   ``np.bincount`` tally, exactly as ``ProcessingElement.flush_trace``
-  does in ``replay="batched"`` mode;
-* **array** — the same call shape under ``replay="array"``: whole-
-  partition stack-distance replay (see ``memory/replay_array.py`` and
-  DESIGN.md section 10).
+  does in ``replay="array"`` mode: each cache level walks the chunk's
+  event stream once (see ``memory/replay_array.py`` and DESIGN.md
+  section 10).
 
 Every run asserts bit-identical per-level tallies, AccessStats, and
-per-level LRU/dirty state across all three backends before timing is
+per-level LRU/dirty state across both backends before timing is
 reported, so the benchmark doubles as an end-to-end parity check.
 Results land in ``BENCH_replay.json`` (see README) to track the perf
 trajectory; the headline is the array backend's replay-only speedup
@@ -66,9 +65,9 @@ Chunk = Tuple[int, np.ndarray, np.ndarray]
 Tally = Tuple[List[int], List[int], List[int]]
 
 #: (name, matrix generator, k, kernel, replay chunk_nnz).  The chunk
-#: size is a replay-window knob, not a workload property: all backends
+#: size is a replay-window knob, not a workload property: both backends
 #: replay the identical chunk sequence, so parity is unaffected, but
-#: larger windows amortize the array solver's per-call costs.
+#: larger windows amortize the array backend's per-call costs.
 Workload = Tuple[str, Callable, int, str, int]
 
 
@@ -76,14 +75,17 @@ def capture_trace(
     cfg, a, k: int, kernel: str, chunk_nnz: int = DEFAULT_CHUNK_NNZ
 ) -> List[Chunk]:
     """Run the full system once and capture every per-chunk trace the
-    engine hands to ``MemorySystem.replay_trace``."""
+    engine hands to ``MemorySystem.replay_trace``; an epoch-grain call
+    is split into its dispatch runs ``(pe, lo, hi)``."""
     system = SpadeSystem(cfg, chunk_nnz=chunk_nnz)
     rng = np.random.default_rng(7)
     chunks: List[Chunk] = []
     orig = MemorySystem.replay_trace
 
     def cap(self, pe_id, lines, ops, region_names=TRACE_REGIONS):
-        chunks.append((pe_id, np.array(lines), np.array(ops)))
+        runs = [(pe_id, 0, len(lines))] if np.ndim(pe_id) == 0 else pe_id
+        for pe, lo, hi in runs:
+            chunks.append((pe, np.array(lines[lo:hi]), np.array(ops[lo:hi])))
         return orig(self, pe_id, lines, ops, region_names)
 
     MemorySystem.replay_trace = cap
@@ -129,10 +131,9 @@ def run_scalar(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
     return stores, sparse, dense_r
 
 
-def run_batched(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
+def run_chunked(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
     """Chunked replay: one replay_trace call per chunk + bincount tally
-    (mirrors ``ProcessingElement.flush_trace``).  The backend actually
-    used is whatever ``ms`` was configured with (batched or array)."""
+    (mirrors ``ProcessingElement.flush_trace``)."""
     stores = [0] * _NUM_LEVELS
     sparse = [0] * _NUM_LEVELS
     dense_r = [0] * _NUM_LEVELS
@@ -164,18 +165,15 @@ def lru_state(ms: MemorySystem):
     )
 
 
-def bench_one(
-    cfg_batched, cfg_array, name: str, chunks: List[Chunk], reps: int
-) -> dict:
+def bench_one(cfg_array, name: str, chunks: List[Chunk], reps: int) -> dict:
     accesses = sum(len(lines) for _, lines, _ in chunks)
-    times = {"scalar": [], "batched": [], "array": []}
+    times = {"scalar": [], "array": []}
     systems = {}
     tallies = {}
     for _ in range(reps):
         for mode, cfg, runner in (
-            ("scalar", cfg_batched, run_scalar),
-            ("batched", cfg_batched, run_batched),
-            ("array", cfg_array, run_batched),
+            ("scalar", cfg_array, run_scalar),
+            ("array", cfg_array, run_chunked),
         ):
             ms = MemorySystem(cfg)
             t0 = time.perf_counter()
@@ -188,7 +186,7 @@ def bench_one(
         for m in systems
     }
     states = {m: lru_state(systems[m]) for m in systems}
-    for mode in ("batched", "array"):
+    for mode in ("array",):
         assert tallies[mode] == tallies["scalar"], (
             f"{name}: {mode} per-level tallies diverged"
         )
@@ -208,12 +206,9 @@ def bench_one(
         "accesses": accesses,
         "chunks": len(chunks),
         "scalar_s": round(med["scalar"], 4),
-        "batched_s": round(med["batched"], 4),
         "array_s": round(med["array"], 4),
-        "speedup_batched": round(med["scalar"] / med["batched"], 2),
         "speedup_array": round(med["scalar"] / med["array"], 2),
         "scalar_us_per_access": round(med["scalar"] / accesses * 1e6, 3),
-        "batched_us_per_access": round(med["batched"] / accesses * 1e6, 3),
         "array_us_per_access": round(med["array"] / accesses * 1e6, 3),
         "l1_hit_rate": round(st.l1.hit_rate, 4),
         "l2_hit_rate": round(st.l2.hit_rate, 4),
@@ -233,11 +228,10 @@ def workloads(quick: bool) -> List[Workload]:
         ]
     return [
         # Headline: >= 1M-access SDDMM whose dense working set is
-        # L1-resident per set — the high-reuse regime SPADE targets,
-        # and the one where the array solver's small-footprint fast
-        # path pays most.  The 32k replay window amortizes the
-        # solver's per-call costs (identical chunks are replayed by
-        # every backend, so parity is chunk-size independent).
+        # L1-resident per set — the high-reuse regime SPADE targets.
+        # The 32k replay window amortizes the per-call costs
+        # (identical chunks are replayed by both backends, so parity
+        # is chunk-size independent).
         ("unif-sddmm-1m",
          lambda: uniform_random(8192, 256, nnz=1_000_000, seed=11),
          16, "sddmm", 32768),
@@ -280,19 +274,17 @@ def main(argv=None) -> int:
         args.out = Path(__file__).resolve().parent.parent / name
     reps = 1 if args.quick else max(1, args.reps)
 
-    cfg_batched = dataclasses.replace(scaled_config(args.pes), replay="batched")
     cfg_array = dataclasses.replace(scaled_config(args.pes), replay="array")
     results = []
     rows = workloads(args.quick)
     for name, gen, k, kernel, chunk_nnz in rows:
-        chunks = capture_trace(cfg_batched, gen(), k, kernel, chunk_nnz)
-        row = bench_one(cfg_batched, cfg_array, name, chunks, reps)
+        chunks = capture_trace(cfg_array, gen(), k, kernel, chunk_nnz)
+        row = bench_one(cfg_array, name, chunks, reps)
         row["chunk_nnz"] = chunk_nnz
         results.append(row)
         print(
             f"{row['name']:22s} accesses={row['accesses']:>9,d}  "
-            f"scalar {row['scalar_s']:.3f}s  batched {row['batched_s']:.3f}s "
-            f"({row['speedup_batched']:.2f}x)  array {row['array_s']:.3f}s "
+            f"scalar {row['scalar_s']:.3f}s  array {row['array_s']:.3f}s "
             f"({row['speedup_array']:.2f}x)  parity=OK"
         )
 
@@ -303,12 +295,11 @@ def main(argv=None) -> int:
             "pes": args.pes,
             "reps": reps,
             "chunk_nnz": [r["chunk_nnz"] for r in results],
-            "execution": cfg_batched.execution,
-            "replay": ["scalar", "batched", "array"],
+            "execution": cfg_array.execution,
+            "replay": ["scalar", "array"],
         },
         "workloads": results,
         "headline_speedup": results[0]["speedup_array"],
-        "headline_speedup_batched": results[0]["speedup_batched"],
     }
     write_bench_json(
         args.out, payload,

@@ -29,11 +29,11 @@ import dataclasses
 from repro.bench.harness import get_environment
 from repro.config import (
     EXECUTION_MODES,
+    REPLAY_MODES,
     ObsConfig,
     ResilienceConfig,
     TelemetryConfig,
     config_summary,
-    replay_modes,
     scaled_config,
 )
 from repro.core.accelerator import SpadeSystem
@@ -666,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", default="small",
                        choices=["tiny", "small", "default", "large"])
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--replay", choices=replay_modes(), default=None,
+        p.add_argument("--replay", choices=REPLAY_MODES, default=None,
                        help="trace-replay backend (default: the config "
                        "default; all modes are bit-identical, they "
                        "differ only in host speed)")

@@ -16,9 +16,8 @@ qualitative result in the paper — is preserved.
 from __future__ import annotations
 
 import dataclasses
-import importlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -250,147 +249,14 @@ class ObsConfig:
         )
 
 
-# -- trace-replay backend registry ----------------------------------------
-#
-# Replay backends are registered by name with a lazily resolved loader
-# ("module:attribute" dotted path), so new implementations — including a
-# future Numba/C backend — slot in without touching the engine or the
-# MemorySystem.replay_trace call sites.  The loader resolves to a
-# callable ``backend(memory_system, pe_id, lines, ops, region_names)``
-# returning the per-access ServiceLevel array; every backend must be
-# bit-identical to the scalar oracle on all counters and cache state.
-# ``pe_id`` is one PE, unless the backend is registered with
-# ``epoch=True`` (see ReplayBackend.epoch).
-
-
-@dataclass(frozen=True)
-class ReplayBackend:
-    """One registered trace-replay implementation."""
-
-    name: str
-    loader: str
-    """Dotted ``module:attribute`` path of the backend callable,
-    imported on first use (keeps config free of heavy imports and lets
-    backends live next to the memory system without cycles)."""
-    description: str = ""
-    direct: bool = False
-    """Direct backends issue per-access scalar calls themselves (the
-    oracle); buffered backends consume whole chunk traces via
-    ``MemorySystem.replay_trace``."""
-    rank: int = 0
-    """Degradation order: the supervisor falls back from higher to
-    lower rank (fastest/most complex first, oracle last)."""
-    epoch: bool = False
-    """Epoch backends also take a whole epoch's dispatch runs in one
-    call: the runs' traces back to back in ``lines``/``ops``, and as
-    ``pe_id`` the list of runs ``(pe, lo, hi)`` over them.  The result
-    must equal replaying the runs one call each, in order
-    (``MemorySystem.replay_epoch``).  Other backends are called once
-    per run, with one PE."""
-
-    def resolve(self) -> Callable:
-        module_name, _, attr = self.loader.partition(":")
-        if not attr:
-            raise ConfigError(
-                f"replay backend {self.name!r} has malformed loader "
-                f"{self.loader!r}; expected 'module:attribute'"
-            )
-        obj = importlib.import_module(module_name)
-        for part in attr.split("."):
-            obj = getattr(obj, part)
-        return obj
-
-
-_REPLAY_BACKENDS: Dict[str, ReplayBackend] = {}
-
-
-def register_replay_backend(
-    name: str,
-    loader: str,
-    *,
-    description: str = "",
-    direct: bool = False,
-    rank: int = 0,
-    epoch: bool = False,
-    overwrite: bool = False,
-) -> ReplayBackend:
-    """Register a replay backend under ``name``.
-
-    Registration is name-keyed and idempotent only with
-    ``overwrite=True``; colliding with an existing name otherwise
-    raises, so a typo cannot silently shadow a built-in."""
-    if name in _REPLAY_BACKENDS and not overwrite:
-        raise ConfigError(
-            f"replay backend {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    spec = ReplayBackend(
-        name=name, loader=loader, description=description,
-        direct=direct, rank=rank, epoch=epoch,
-    )
-    _REPLAY_BACKENDS[name] = spec
-    return spec
-
-
-def unregister_replay_backend(name: str) -> None:
-    """Remove a registered backend (test hygiene for ad-hoc modes)."""
-    _REPLAY_BACKENDS.pop(name, None)
-
-
-def replay_modes() -> Tuple[str, ...]:
-    """The currently registered replay-mode names."""
-    return tuple(_REPLAY_BACKENDS)
-
-
-def replay_backend_spec(name: str) -> ReplayBackend:
-    """Look up a registered backend; unknown names raise a
-    :class:`ConfigError` that lists the registered modes."""
-    try:
-        return _REPLAY_BACKENDS[name]
-    except KeyError:
-        raise ConfigError(
-            f"replay must be one of {replay_modes()}, got {name!r}"
-        ) from None
-
-
-def resolve_replay_backend(name: str) -> Callable:
-    """Resolve a replay-mode name to its backend callable."""
-    return replay_backend_spec(name).resolve()
-
-
-def replay_degradation_ladder() -> Tuple[str, ...]:
-    """Replay modes ordered fastest-first (descending rank, ties by
-    registration order); the run supervisor walks this left to right."""
-    names = list(_REPLAY_BACKENDS)
-    return tuple(
-        sorted(names, key=lambda n: (-_REPLAY_BACKENDS[n].rank, names.index(n)))
-    )
-
-
-register_replay_backend(
-    "scalar", "repro.memory.hierarchy:replay_backend_scalar",
-    description="per-access reference oracle (one scalar call per access)",
-    direct=True, rank=0,
-)
-register_replay_backend(
-    "batched", "repro.memory.hierarchy:replay_backend_batched",
-    description="fused per-set dict walk over run-length-deduped chunks",
-    rank=1,
-)
-register_replay_backend(
-    "array", "repro.memory.replay_array:replay_trace_array",
-    description="array-native stack-distance cascade (NumPy over whole "
-    "trace partitions)",
-    rank=2, epoch=True,
-)
-
-REPLAY_MODES = replay_modes()
-"""Snapshot of the built-in replay-mode names (kept for import
-compatibility; validation consults the live registry via
-:func:`replay_modes`).  ``scalar`` is the per-access reference oracle;
-``batched`` and ``array`` are vectorized fast paths, bit-identical to
-the oracle on all counters and cache state (see
-tests/test_memory_batched_parity.py and tests/test_replay_array_parity.py)."""
+REPLAY_MODES = ("scalar", "array")
+"""Trace-replay backends.  ``scalar`` is the per-access reference oracle
+(one ``MemorySystem`` call per access); ``array`` walks each cache level
+once per epoch over its event stream, through the compiled cache walk or
+its Python twin (:mod:`repro.memory.replay_array`), bit-identical to the
+oracle on all counters and cache state (tests/test_replay_array_parity.py).
+The name ``array`` is kept from the NumPy solver it replaced, so config
+fingerprints and stored sweep and service entries stay valid."""
 
 EXECUTION_MODES = ("scalar", "vectorized", "pipelined")
 """PE execution backends: ``scalar`` walks every nonzero in Python (the
@@ -502,10 +368,9 @@ class SpadeConfig:
     def __post_init__(self) -> None:
         if self.num_pes < 1:
             raise ConfigError("num_pes must be >= 1")
-        if self.replay not in _REPLAY_BACKENDS:
+        if self.replay not in REPLAY_MODES:
             raise ConfigError(
-                f"replay must be one of {replay_modes()}, "
-                f"got {self.replay!r}"
+                f"replay must be one of {REPLAY_MODES}, got {self.replay!r}"
             )
         if self.execution not in EXECUTION_MODES:
             raise ConfigError(

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import SpadeConfig, gen_config, replay_backend_spec
+from repro.config import SpadeConfig, gen_config
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import Schedule
 from repro.core.instructions import InitializationInstruction, Primitive
@@ -163,17 +163,15 @@ class Engine:
                 telemetry=self.telemetry,
                 chaos=chaos,
             )
-        # Replay mode: non-direct backends ("batched", "array") buffer
-        # each PE chunk's trace and replay it in one call per chunk (one
-        # call per epoch under the fused execution modes);
-        # "scalar" is the per-access reference oracle (bit-identical
-        # results).  Which backends exist is the registry's business
-        # (repro.config), not ours.
+        # Replay mode: "array" buffers each PE chunk's trace and replays
+        # it in one call per chunk (one call per epoch under the fused
+        # execution modes); "scalar" is the per-access reference oracle
+        # (bit-identical results).
         # Execution mode: "scalar" walks every nonzero in Python;
         # "vectorized" derives the chunk trace with NumPy + a reduced
         # tight loop; "pipelined" additionally overlaps generation with
         # replay (bit-identical results in all combinations).
-        self.batched_replay = not replay_backend_spec(config.replay).direct
+        self.batched_replay = config.replay != "scalar"
         self.execution = config.execution
         self.buffered = self.batched_replay or self.execution != "scalar"
         # Content-addressed trace cache: generated epoch traces are a

@@ -3,9 +3,9 @@
 Used for PE L1Ds, shared L2s, the sliced LLC, and the BBF victim cache;
 as a single set (:func:`fully_associative`) it is also the BBF stream
 buffer and the STLB.  Operates on cache-line indices (not byte
-addresses); the hot path is a dict-per-set LRU exploiting Python's
-insertion-ordered dicts, which keeps the simulator fast enough for
-million-access traces.
+addresses); the state is one insertion-ordered dict per set, and
+:meth:`Cache.access` is the scalar oracle that the compiled cache walk
+(``repro/native/cache_walk.c``) transcribes.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import CACHE_LINE_BYTES, CacheConfig
-
-NO_LINE = -1
-"""Sentinel in batched eviction arrays: no dirty line evicted."""
-
 
 def fully_associative(entries: int) -> CacheConfig:
     """Geometry of a one-set LRU structure with ``entries`` ways."""
@@ -49,19 +45,13 @@ class Cache:
 
     __slots__ = (
         "name", "num_sets", "ways", "_sets", "hits", "misses",
-        "writebacks", "fills", "flush_writebacks", "replay_fast_hint",
+        "writebacks", "fills", "flush_writebacks",
     )
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.name = name
         self.num_sets = config.num_sets
         self.ways = config.associativity
-        # Perf hint for the array replay backend: whether the last
-        # array solve on this cache skipped the window walk (every set's
-        # distinct stream footprint within the associativity, or a
-        # stream of first touches; see replay_array.py).  Starts
-        # optimistic; never affects simulated behaviour.
-        self.replay_fast_hint = True
         # One insertion-ordered dict per set: {line: dirty_flag};
         # first key = LRU, last key = MRU.
         self._sets: List[Dict[int, bool]] = [
@@ -102,95 +92,6 @@ class Cache:
                 evicted = victim
         s[line] = is_write
         return False, evicted
-
-    def access_many(
-        self,
-        lines: np.ndarray,
-        writes,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`access` over a trace of line indices.
-
-        ``lines`` is an int64 array; ``writes`` is a matching bool array
-        or a scalar bool applied to every access.  Returns ``(hits,
-        evicted)`` aligned with ``lines``: ``hits[i]`` is the hit/miss
-        outcome of access ``i`` and ``evicted[i]`` is the dirty line it
-        evicted (``NO_LINE`` if none).  Counters and cache state after
-        the call are bit-identical to issuing the same trace through
-        :meth:`access` one element at a time.
-
-        The implementation run-length-dedups consecutive same-line
-        accesses (guaranteed MRU hits), then partitions the deduped
-        trace by set index with one stable argsort so each set's
-        subsequence is replayed through its LRU dict in original order.
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        n = lines.shape[0]
-        hits_full = np.ones(n, dtype=bool)
-        evicted_full = np.full(n, NO_LINE, dtype=np.int64)
-        if n == 0:
-            return hits_full, evicted_full
-
-        starts = rle_starts(lines)
-        m = starts.shape[0]
-        u_lines = lines if m == n else lines[starts]
-        if np.ndim(writes) == 0:
-            u_writes = [bool(writes)] * m
-        else:
-            w = np.asarray(writes, dtype=bool)
-            if m == n:
-                u_writes = w.tolist()
-            else:
-                # Dirty bits OR across each run (hit merge semantics).
-                u_writes = np.logical_or.reduceat(w, starts).tolist()
-
-        # Vectorized set partitioning: one stable sort groups the
-        # deduped trace by set while preserving per-set access order.
-        set_idx = u_lines % self.num_sets
-        order = np.argsort(set_idx, kind="stable")
-        order_l = order.tolist()
-        sets_sorted = set_idx[order].tolist()
-        lines_l = u_lines.tolist()
-
-        miss_pos: List[int] = []
-        miss_append = miss_pos.append
-        ev_l: List[Tuple[int, int]] = []
-        ev_append = ev_l.append
-        sets = self._sets
-        ways = self.ways
-        cur_set = -1
-        s: Dict[int, bool] = {}
-        pop = s.pop
-        for pos, j in zip(sets_sorted, order_l):
-            if pos != cur_set:
-                cur_set = pos
-                s = sets[pos]
-                pop = s.pop
-            line = lines_l[j]
-            # Dirty flags are bools, so None is a safe absence sentinel;
-            # pop+reinsert performs the LRU move in two dict operations.
-            dirty = pop(line, None)
-            if dirty is not None:
-                s[line] = dirty or u_writes[j]
-                continue
-            miss_append(j)
-            if len(s) >= ways:
-                victim = next(iter(s))
-                if pop(victim):
-                    ev_append((j, victim))
-            s[line] = u_writes[j]
-
-        misses = len(miss_pos)
-        self.hits += (m - misses) + (n - m)
-        self.misses += misses
-        self.fills += misses
-        self.writebacks += len(ev_l)
-
-        if miss_pos:
-            hits_full[starts[np.array(miss_pos, dtype=np.int64)]] = False
-        if ev_l:
-            ej, ev = zip(*ev_l)
-            evicted_full[starts[np.array(ej, dtype=np.int64)]] = ev
-        return hits_full, evicted_full
 
     def probe(self, line: int) -> bool:
         """Check residency without updating LRU state or counters."""

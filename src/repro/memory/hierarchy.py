@@ -24,12 +24,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CacheConfig, SpadeConfig, replay_backend_spec
+from repro.config import CacheConfig, SpadeConfig
 from repro.memory.bbf import BypassBuffer
-from repro.memory.cache import NO_LINE, Cache, rle_starts
+from repro.memory.cache import Cache
 from repro.memory.dram import DRAMModel
 from repro.memory.stats import AccessStats, LevelStats
-from repro.memory.tlb import LINES_PER_PAGE, STLB
+from repro.memory.tlb import STLB
 from repro.obs.ledger import NULL_LEDGER
 
 
@@ -44,11 +44,11 @@ class ServiceLevel(IntEnum):
     DRAM = 5
 
 
-# -- batched trace encoding ------------------------------------------------
+# -- trace encoding ------------------------------------------------------
 #
 # A replayable trace is a pair of parallel int64 arrays (lines, ops).
 # Each op packs the access path, the write flag, and a region id so one
-# batched call can carry a PE chunk's full interleaved access stream:
+# replay call can carry a PE chunk's full interleaved access stream:
 #
 #   bits 0-1  path (dense-cached / dense-bypass / stream)
 #   bit  2    is_write
@@ -90,9 +90,11 @@ _malloc_trim = _load_malloc_trim()
 def _release_heap() -> None:
     """Return freed heap pages to the OS.  Replaying an epoch at once
     allocates tens of MB of mid-sized temporaries (the concatenated
-    trace, the array backend's level solves), which glibc keeps in the
-    heap after they are freed; trimming once per epoch keeps the
-    process's resident set where per-run replay left it."""
+    trace, each level's emission buffers, the per-path position gathers
+    and the trigger-order merges), which glibc keeps in the heap after
+    they are freed.  Trimming once per epoch keeps peak RSS down: on
+    perfbench's engine-spmm-rmat workload (2-vCPU x86-64 host), 286-287
+    MB with the trim against 296-297 MB without it."""
     if _malloc_trim is not None:
         _malloc_trim(0)
 
@@ -132,15 +134,18 @@ class MemorySystem:
         self.dram = DRAMModel.from_config(config.memory)
         self._region_traffic: dict = {}
         # Run-ledger attachment point: the engine swaps in its session
-        # ledger so the array backend's dispatch audit has somewhere to
-        # record; the shared null object keeps unattached systems free.
+        # ledger so the array backend's per-level dispatch events have
+        # somewhere to record; the shared null object keeps unattached
+        # systems free.
         self.ledger = NULL_LEDGER
-        # Trace-replay backend, resolved once from the registry (see
-        # repro.config.register_replay_backend); replay_trace dispatches
-        # through it so call sites are backend-agnostic.
-        spec = replay_backend_spec(config.replay)
-        self._replay_backend = spec.resolve()
-        self._replay_whole_epochs = spec.epoch
+        # Trace-replay backend; replay_trace dispatches through it so
+        # call sites are backend-agnostic.
+        if config.replay == "scalar":
+            self._replay_backend = MemorySystem.replay_trace_scalar
+        else:
+            from repro.memory.replay_array import replay_trace_array
+
+            self._replay_backend = replay_trace_array
 
     # -- helpers ----------------------------------------------------------
 
@@ -250,361 +255,28 @@ class MemorySystem:
             pe_id, line, is_write=is_write, bypass=False, region=region
         )
 
-    # -- batched access paths ---------------------------------------------
-    #
-    # Each *_many method replays a whole trace with vectorized set
-    # partitioning inside the per-level caches and produces counters and
-    # cache state bit-identical to issuing the trace through the scalar
-    # methods one access at a time (the parity suite pins this).  Levels
-    # are returned as a uint8 array of ServiceLevel values per access.
-
-    def _dram_read_many(
-        self, region_ids: np.ndarray, table: Sequence[Optional[str]]
+    def _dram_many(
+        self,
+        region_ids: np.ndarray,
+        table: Sequence[Optional[str]],
+        write: bool,
     ) -> None:
+        """Count one DRAM line transfer (a write or a read) per entry of
+        ``region_ids``, attributed to the regions they index in
+        ``table``."""
         k = region_ids.shape[0]
         if k == 0:
             return
-        self.dram.reads += k
+        if write:
+            self.dram.writes += k
+        else:
+            self.dram.reads += k
         traffic = self._region_traffic
         counts = np.bincount(region_ids, minlength=len(table)).tolist()
         for rid, c in enumerate(counts):
             name = table[rid]
             if c and name is not None:
                 traffic[name] = traffic.get(name, 0) + c
-
-    def _dram_write_many(
-        self, region_ids: np.ndarray, table: Sequence[Optional[str]]
-    ) -> None:
-        k = region_ids.shape[0]
-        if k == 0:
-            return
-        self.dram.writes += k
-        traffic = self._region_traffic
-        counts = np.bincount(region_ids, minlength=len(table)).tolist()
-        for rid, c in enumerate(counts):
-            name = table[rid]
-            if c and name is not None:
-                traffic[name] = traffic.get(name, 0) + c
-
-    def _translate_many(self, group: int, lines: np.ndarray) -> None:
-        """STLB translation of a trace's pages, in trace order."""
-        self.stlbs[group].access_many(lines // LINES_PER_PAGE, False)
-
-    def _dense_cached_many(
-        self,
-        pe_id: int,
-        group: int,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        region_ids: np.ndarray,
-        table: Sequence[Optional[str]],
-    ) -> np.ndarray:
-        """L1 -> L2 -> LLC -> DRAM for a trace (STLB already consulted).
-
-        The cascade is fused into a single pass over the run-length
-        deduped trace: each access walks the levels inline, so a miss
-        costs one extra dict transaction per level instead of a separate
-        batched replay per level.  The scalar ordering is reproduced
-        exactly: for each access, its dirty L1 victim (a write) reaches
-        the L2 before the access's own miss fill (a read), and likewise
-        at the LLC.
-        """
-        n = lines.shape[0]
-        levels = np.full(n, int(ServiceLevel.L1), dtype=np.uint8)
-        if n == 0:
-            return levels
-        starts = rle_starts(lines)
-        m = starts.shape[0]
-        u_lines = lines if m == n else lines[starts]
-        if np.ndim(writes) == 0:
-            all_reads = not bool(writes)
-            u_writes = None if all_reads else [True] * m
-        elif not (w := np.asarray(writes, dtype=bool)).any():
-            all_reads = True
-            u_writes = None
-        else:
-            all_reads = False
-            u_writes = (
-                w.tolist() if m == n
-                else np.logical_or.reduceat(w, starts).tolist()
-            )
-        lines_l = u_lines.tolist()
-
-        l1 = self.l1s[pe_id]
-        l2 = self.l2s[group]
-        llc = self.llc
-        sets1 = l1._sets
-        ns1 = l1.num_sets
-        ways1 = l1.ways
-        sets2 = l2._sets
-        ns2 = l2.num_sets
-        ways2 = l2.ways
-        sets3 = llc._sets
-        ns3 = llc.num_sets
-        ways3 = llc.ways
-
-        miss1 = wb1 = 0
-        hit2 = miss2 = wb2 = 0
-        hit3 = miss3 = wb3 = 0
-        lvl2_j: List[int] = []
-        lvl2_app = lvl2_j.append
-        lvl3_j: List[int] = []
-        lvl3_app = lvl3_j.append
-        drd_j: List[int] = []
-        drd_app = drd_j.append
-        dwr_j: List[int] = []
-        dwr_app = dwr_j.append
-
-        def spill_llc(v: int, j: int) -> None:
-            # Dirty L2 victim written into the LLC (rare path).
-            nonlocal hit3, miss3, wb3
-            s3 = sets3[v % ns3]
-            d3 = s3.pop(v, None)
-            if d3 is not None:
-                s3[v] = True
-                hit3 += 1
-                return
-            miss3 += 1
-            if len(s3) >= ways3:
-                if s3.pop(next(iter(s3))):
-                    wb3 += 1
-                    dwr_app(j)
-            s3[v] = True
-
-        def spill_l2(v: int, j: int) -> None:
-            # Dirty L1 victim written into the L2 (rare path).
-            nonlocal hit2, miss2, wb2
-            s2 = sets2[v % ns2]
-            d2 = s2.pop(v, None)
-            if d2 is not None:
-                s2[v] = True
-                hit2 += 1
-                return
-            miss2 += 1
-            if len(s2) >= ways2:
-                v2 = next(iter(s2))
-                if s2.pop(v2):
-                    wb2 += 1
-                    spill_llc(v2, j)
-            s2[v] = True
-
-        # Hot loop: dirty flags are bools, so None is a safe absence
-        # sentinel and pop+reinsert performs each LRU move in two dict
-        # operations (see Cache.access_many).  All-read traces (the
-        # common dense partition when stores ride the stream path) skip
-        # the per-access write flag entirely: hits re-insert the dirty
-        # bit unchanged and fills allocate clean, so the L2/LLC legs are
-        # untouched (spills of pre-existing dirty lines still happen).
-        if all_reads:
-            for j, line in enumerate(lines_l):
-                s1 = sets1[line % ns1]
-                d1 = s1.pop(line, None)
-                if d1 is not None:
-                    s1[line] = d1
-                    continue
-                miss1 += 1
-                if len(s1) >= ways1:
-                    victim = next(iter(s1))
-                    if s1.pop(victim):
-                        wb1 += 1
-                        spill_l2(victim, j)
-                s1[line] = False
-                # Miss fill: L2 read.
-                s2 = sets2[line % ns2]
-                d2 = s2.pop(line, None)
-                if d2 is not None:
-                    s2[line] = d2
-                    hit2 += 1
-                    lvl2_app(j)
-                    continue
-                miss2 += 1
-                if len(s2) >= ways2:
-                    v2 = next(iter(s2))
-                    if s2.pop(v2):
-                        wb2 += 1
-                        spill_llc(v2, j)
-                s2[line] = False
-                # Miss fill: LLC read.
-                s3 = sets3[line % ns3]
-                d3 = s3.pop(line, None)
-                if d3 is not None:
-                    s3[line] = d3
-                    hit3 += 1
-                    lvl3_app(j)
-                    continue
-                miss3 += 1
-                if len(s3) >= ways3:
-                    if s3.pop(next(iter(s3))):
-                        wb3 += 1
-                        dwr_app(j)
-                s3[line] = False
-                drd_app(j)
-        else:
-            for j, line, w in zip(range(m), lines_l, u_writes):
-                s1 = sets1[line % ns1]
-                d1 = s1.pop(line, None)
-                if d1 is not None:
-                    s1[line] = d1 or w
-                    continue
-                miss1 += 1
-                if len(s1) >= ways1:
-                    victim = next(iter(s1))
-                    if s1.pop(victim):
-                        wb1 += 1
-                        spill_l2(victim, j)
-                s1[line] = w
-                # Miss fill: L2 read.
-                s2 = sets2[line % ns2]
-                d2 = s2.pop(line, None)
-                if d2 is not None:
-                    s2[line] = d2
-                    hit2 += 1
-                    lvl2_app(j)
-                    continue
-                miss2 += 1
-                if len(s2) >= ways2:
-                    v2 = next(iter(s2))
-                    if s2.pop(v2):
-                        wb2 += 1
-                        spill_llc(v2, j)
-                s2[line] = False
-                # Miss fill: LLC read.
-                s3 = sets3[line % ns3]
-                d3 = s3.pop(line, None)
-                if d3 is not None:
-                    s3[line] = d3
-                    hit3 += 1
-                    lvl3_app(j)
-                    continue
-                miss3 += 1
-                if len(s3) >= ways3:
-                    if s3.pop(next(iter(s3))):
-                        wb3 += 1
-                        dwr_app(j)
-                s3[line] = False
-                drd_app(j)
-
-        l1.hits += (m - miss1) + (n - m)
-        l1.misses += miss1
-        l1.fills += miss1
-        l1.writebacks += wb1
-        l2.hits += hit2
-        l2.misses += miss2
-        l2.fills += miss2
-        l2.writebacks += wb2
-        llc.hits += hit3
-        llc.misses += miss3
-        llc.fills += miss3
-        llc.writebacks += wb3
-
-        if lvl2_j:
-            levels[starts[np.array(lvl2_j)]] = int(ServiceLevel.L2)
-        if lvl3_j:
-            levels[starts[np.array(lvl3_j)]] = int(ServiceLevel.LLC)
-        if drd_j:
-            idx = starts[np.array(drd_j)]
-            levels[idx] = int(ServiceLevel.DRAM)
-            self._dram_read_many(region_ids[idx], table)
-        if dwr_j:
-            self._dram_write_many(region_ids[starts[np.array(dwr_j)]], table)
-        return levels
-
-    def _dense_bypass_many(
-        self,
-        pe_id: int,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        region_ids: np.ndarray,
-        table: Sequence[Optional[str]],
-    ) -> np.ndarray:
-        """BBF victim cache -> DRAM for a trace (STLB already consulted)."""
-        hits, ev = self.bbfs[pe_id].victim.access_many(lines, writes)
-        levels = np.full(
-            lines.shape[0], int(ServiceLevel.DRAM), dtype=np.uint8
-        )
-        levels[hits] = int(ServiceLevel.VICTIM)
-        self._dram_write_many(region_ids[ev != NO_LINE], table)
-        rd = ~hits
-        rd &= ~writes
-        self._dram_read_many(region_ids[rd], table)
-        return levels
-
-    def _stream_many(
-        self,
-        pe_id: int,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        region_ids: np.ndarray,
-        table: Sequence[Optional[str]],
-    ) -> np.ndarray:
-        """BBF stream buffer -> DRAM for a trace (STLB already consulted)."""
-        hits, _ = self.bbfs[pe_id].stream.access_many(lines, writes)
-        levels = np.full(
-            lines.shape[0], int(ServiceLevel.DRAM), dtype=np.uint8
-        )
-        levels[hits] = int(ServiceLevel.BBF)
-        miss = ~hits
-        self._dram_write_many(region_ids[miss & writes], table)
-        self._dram_read_many(region_ids[miss & ~writes], table)
-        return levels
-
-    def dense_access_many(
-        self,
-        pe_id: int,
-        lines: np.ndarray,
-        is_write=False,
-        bypass: bool = False,
-        region: Optional[str] = None,
-    ) -> np.ndarray:
-        """Batched :meth:`dense_access` over a trace of line indices.
-
-        ``is_write`` may be a scalar or a per-access bool array.
-        Returns the per-access :class:`ServiceLevel` values (uint8).
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes = np.empty(lines.shape[0], dtype=bool)
-        writes[:] = is_write
-        group = self._group_of(pe_id)
-        self._translate_many(group, lines)
-        region_ids = np.zeros(lines.shape[0], dtype=np.int64)
-        table = (region,)
-        if bypass:
-            return self._dense_bypass_many(
-                pe_id, lines, writes, region_ids, table
-            )
-        return self._dense_cached_many(
-            pe_id, group, lines, writes, region_ids, table
-        )
-
-    def stream_access_many(
-        self,
-        pe_id: int,
-        lines: np.ndarray,
-        is_write=False,
-        region: Optional[str] = None,
-    ) -> np.ndarray:
-        """Batched :meth:`stream_access`; see :meth:`dense_access_many`."""
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes = np.empty(lines.shape[0], dtype=bool)
-        writes[:] = is_write
-        group = self._group_of(pe_id)
-        self._translate_many(group, lines)
-        region_ids = np.zeros(lines.shape[0], dtype=np.int64)
-        return self._stream_many(
-            pe_id, lines, writes, region_ids, (region,)
-        )
-
-    def cached_stream_access_many(
-        self,
-        pe_id: int,
-        lines: np.ndarray,
-        is_write=False,
-        region: Optional[str] = None,
-    ) -> np.ndarray:
-        """Batched :meth:`cached_stream_access` (pre-CFG4 sparse path)."""
-        return self.dense_access_many(
-            pe_id, lines, is_write=is_write, bypass=False, region=region
-        )
 
     def replay_trace(
         self,
@@ -613,16 +285,16 @@ class MemorySystem:
         ops: np.ndarray,
         region_names: Sequence[Optional[str]] = TRACE_REGIONS,
     ) -> np.ndarray:
-        """Replay one PE's interleaved access trace in a single call,
-        dispatching to the backend named by ``config.replay`` (see the
-        registry in :mod:`repro.config`).  All backends are
-        bit-identical on counters, per-access service levels, and cache
-        state; they differ only in speed.
+        """Replay an interleaved access trace in a single call through
+        the ``config.replay`` backend: :meth:`replay_trace_scalar` (the
+        oracle) or :func:`repro.memory.replay_array.replay_trace_array`.
+        Both are bit-identical on counters, per-access service levels
+        and cache state; they differ only in speed.
 
-        Epoch backends (``ReplayBackend.epoch``) also accept a list of
-        dispatch runs ``(pe, lo, hi)`` as ``pe_id``, each one PE's
-        accesses ``lines[lo:hi]``: :meth:`replay_epoch`'s one call for a
-        whole epoch."""
+        The array backend also accepts a list of dispatch runs
+        ``(pe, lo, hi)`` as ``pe_id``, each one PE's accesses
+        ``lines[lo:hi]``: :meth:`replay_epoch`'s one call for a whole
+        epoch."""
         return self._replay_backend(self, pe_id, lines, ops, region_names)
 
     def replay_epoch(
@@ -633,12 +305,11 @@ class MemorySystem:
         """Replay one epoch's dispatch runs ``(pe_id, lines, ops)`` in
         order; returns each run's per-access service levels.
 
-        Most backends replay the runs one :meth:`replay_trace` call
-        each.  An epoch backend gets the whole epoch in one call: the
+        The scalar oracle replays the runs one :meth:`replay_trace` call
+        each.  The array backend gets the whole epoch in one call: the
         runs' traces back to back, with their bounds as the run list,
-        which lets the array backend solve every cache once per epoch
-        instead of once per run."""
-        if not self._replay_whole_epochs:
+        so every cache walks once per epoch instead of once per run."""
+        if self.config.replay == "scalar":
             return [
                 self.replay_trace(pe, lines, ops, region_names)
                 for pe, lines, ops in runs
@@ -659,56 +330,6 @@ class MemorySystem:
         if levels.shape[0] >= TRIM_MIN_EVENTS:
             _release_heap()
         return [levels[lo:hi] for _, lo, hi in table]
-
-    def replay_trace_batched(
-        self,
-        pe_id: int,
-        lines: np.ndarray,
-        ops: np.ndarray,
-        region_names: Sequence[Optional[str]] = TRACE_REGIONS,
-    ) -> np.ndarray:
-        """Replay one PE's interleaved access trace in a single call.
-
-        ``ops`` carries per-access path/write/region (see
-        :func:`encode_op`).  The trace is translated through the STLB in
-        order, then split by path — the three paths touch disjoint cache
-        state, so each subsequence replays exactly as it would have
-        interleaved — and the per-access service levels are scattered
-        back into one array aligned with the input.
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        ops = np.ascontiguousarray(ops, dtype=np.int64)
-        n = lines.shape[0]
-        levels = np.empty(n, dtype=np.uint8)
-        if n == 0:
-            return levels
-        group = self._group_of(pe_id)
-        self._translate_many(group, lines)
-        path = ops & OP_PATH_MASK
-        writes = (ops & OP_WRITE) != 0
-        region_ids = ops >> OP_REGION_SHIFT
-        for p in (OP_DENSE, OP_DENSE_BYPASS, OP_STREAM):
-            mask = path == p
-            if not mask.any():
-                continue
-            sub_lines = lines[mask]
-            sub_writes = writes[mask]
-            sub_rids = region_ids[mask]
-            if p == OP_DENSE:
-                sub_levels = self._dense_cached_many(
-                    pe_id, group, sub_lines, sub_writes, sub_rids,
-                    region_names,
-                )
-            elif p == OP_DENSE_BYPASS:
-                sub_levels = self._dense_bypass_many(
-                    pe_id, sub_lines, sub_writes, sub_rids, region_names
-                )
-            else:
-                sub_levels = self._stream_many(
-                    pe_id, sub_lines, sub_writes, sub_rids, region_names
-                )
-            levels[mask] = sub_levels
-        return levels
 
     def replay_trace_scalar(
         self,
@@ -935,33 +556,3 @@ class MemorySystem:
             stlb.reset_stats()
         self.dram.reset_stats()
         self._region_traffic.clear()
-
-
-# -- registry-facing backend entry points ----------------------------------
-#
-# The replay registry in repro.config references these by dotted path;
-# they exist so backends are plain callables with one uniform signature
-# (memory_system, pe_id, lines, ops, region_names) regardless of where
-# the implementation lives (methods here, modules elsewhere).
-
-
-def replay_backend_scalar(
-    ms: "MemorySystem",
-    pe_id: int,
-    lines: np.ndarray,
-    ops: np.ndarray,
-    region_names: Sequence[Optional[str]] = TRACE_REGIONS,
-) -> np.ndarray:
-    """``replay="scalar"``: the per-access reference oracle."""
-    return ms.replay_trace_scalar(pe_id, lines, ops, region_names)
-
-
-def replay_backend_batched(
-    ms: "MemorySystem",
-    pe_id: int,
-    lines: np.ndarray,
-    ops: np.ndarray,
-    region_names: Sequence[Optional[str]] = TRACE_REGIONS,
-) -> np.ndarray:
-    """``replay="batched"``: the fused per-set dict-walk fast path."""
-    return ms.replay_trace_batched(pe_id, lines, ops, region_names)

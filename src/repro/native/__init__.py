@@ -1,21 +1,28 @@
 """Compiled kernels, built with the host's gcc on first use.
 
-One kernel lives here: ``vrf_walk.c``, the exact scalar walk of a PE's
-vector register file behind :func:`repro.core.vectorized.walk_vrf`.
-Its Python twin (``repro.core.vectorized._run_vrf_stream``) is the
-reference and the path taken when the kernel does not load; results
-are identical either way, only slower.
+Two kernels live here, built into one library:
+
+- ``vrf_walk.c``, the exact scalar walk of a PE's vector register file
+  behind :func:`repro.core.vectorized.walk_vrf`; its Python twin is
+  ``repro.core.vectorized._run_vrf_stream``;
+- ``cache_walk.c``, the exact scalar walk of one cache level over an
+  event stream behind :func:`repro.memory.replay_array.walk_level`; its
+  Python twin is a loop over :meth:`repro.memory.cache.Cache.access`.
+
+A twin is the reference and the path taken when the library does not
+load; results are identical either way, only slower.
 
 Build, cache and trust rules:
 
-- Nothing compiles at import.  :func:`vrf_walk_kernel` builds the
-  library on its first call and remembers the outcome for the process.
+- Nothing compiles at import.  The first :func:`vrf_walk_kernel` or
+  :func:`cache_walk_kernel` call builds the library and the outcome
+  holds for the rest of the process.
 - Builds live in one per-user, host-wide directory,
   ``<tempfile.gettempdir()>/repro-native-<uid>/``, created with mode
   0700.  A directory that is a symlink, not a directory, owned by
   another uid or writable by group or others is refused: another
   user's library is never loaded.
-- The library name carries a sha256 over the C source, the
+- The library name carries a sha256 over every C source, the
   ``gcc --version`` output, the compiler flags and the platform.  A
   sidecar ``.sha256`` file holds the digest of the library's bytes; a
   library that does not match it (truncated, replaced) is rebuilt, not
@@ -26,7 +33,7 @@ Build, cache and trust rules:
   identical builds.
 - With no gcc on ``PATH``, an unsafe directory or a failed build, the
   loader issues one ``RuntimeWarning`` and callers take the Python
-  twin.
+  twins.
 """
 
 from __future__ import annotations
@@ -43,16 +50,26 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("vrf_walk.c")
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("vrf_walk.c", "cache_walk.c")
+)
 FLAGS = ("-O2", "-shared", "-fPIC")
+
+
+class Kernels(NamedTuple):
+    """The library's bound entry points."""
+
+    vrf_walk: Callable
+    cache_walk: Callable
+
 
 _lock = threading.Lock()
 _tried = False
-_kernel: Optional[Callable] = None
+_kernels: Optional[Kernels] = None
 
 
 class NativeUnavailable(RuntimeError):
@@ -100,11 +117,12 @@ def _load_library() -> ctypes.CDLL:
     ).stdout
     key = hashlib.sha256()
     for part in (
-        SOURCE.read_bytes(), version, " ".join(FLAGS).encode(),
+        *(src.read_bytes() for src in SOURCES), version,
+        " ".join(FLAGS).encode(),
         f"{sys.platform}-{platform.machine()}".encode(),
     ):
         key.update(hashlib.sha256(part).digest())
-    lib_path = directory / f"vrf_walk-{key.hexdigest()[:32]}.so"
+    lib_path = directory / f"kernels-{key.hexdigest()[:32]}.so"
     sum_path = lib_path.with_suffix(".sha256")
     try:
         if _digest(lib_path) == sum_path.read_text().strip():
@@ -116,7 +134,7 @@ def _load_library() -> ctypes.CDLL:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [gcc, *FLAGS, "-o", tmp, str(SOURCE)],
+            [gcc, *FLAGS, "-o", tmp, *map(str, SOURCES)],
             capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
@@ -131,40 +149,53 @@ def _load_library() -> ctypes.CDLL:
             os.unlink(tmp)
 
 
-def vrf_walk_kernel() -> Optional[Callable]:
-    """The compiled VRF walk, or ``None`` when it cannot load here.
+def kernels() -> Optional[Kernels]:
+    """The compiled kernels, or ``None`` when they cannot load here.
 
     Builds (or finds) the library on the first call of the process;
     the outcome, and at most one warning, hold for the rest of it."""
-    global _tried, _kernel
+    global _tried, _kernels
     if _tried:
-        return _kernel
+        return _kernels
     with _lock:
         if not _tried:
             try:
-                _kernel = _bind(_load_library())
+                lib = _load_library()
+                _kernels = Kernels(_bind_vrf_walk(lib), _bind_cache_walk(lib))
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
                 warnings.warn(
-                    f"compiled VRF walk unavailable ({exc}); using the "
-                    "Python walk: same results, slower",
+                    f"compiled kernels unavailable ({exc}); using the "
+                    "Python walks: same results, slower",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             _tried = True
-    return _kernel
+    return _kernels
 
 
-def vrf_walk_impl() -> Optional[str]:
-    """``"native"`` or ``"python"``: which walk this process uses, or
+def vrf_walk_kernel() -> Optional[Callable]:
+    """The compiled VRF walk, or ``None`` (see :func:`kernels`)."""
+    k = kernels()
+    return k.vrf_walk if k is not None else None
+
+
+def cache_walk_kernel() -> Optional[Callable]:
+    """The compiled cache walk, or ``None`` (see :func:`kernels`)."""
+    k = kernels()
+    return k.cache_walk if k is not None else None
+
+
+def kernels_impl() -> Optional[str]:
+    """``"native"`` or ``"python"``: which walks this process uses, or
     ``None`` when no walk has run in it yet (nothing is built for the
     answer)."""
     if not _tried:
         return None
-    return "native" if _kernel is not None else "python"
+    return "native" if _kernels is not None else "python"
 
 
 def check_stream(lines: np.ndarray, dirty: np.ndarray, emit: np.ndarray) -> None:
-    """Validate a walk's access stream: ``lines`` and ``emit`` must be
+    """Validate a VRF walk's access stream: ``lines`` and ``emit`` must be
     1-D C-contiguous int64, ``dirty`` 1-D C-contiguous bool, all of one
     length."""
     for name, arr, dtype in (
@@ -189,7 +220,7 @@ WalkResult = Tuple[
 ]
 
 
-def _bind(lib: ctypes.CDLL) -> Callable[..., WalkResult]:
+def _bind_vrf_walk(lib: ctypes.CDLL) -> Callable[..., WalkResult]:
     fn = lib.repro_vrf_walk
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
@@ -254,6 +285,133 @@ def _bind(lib: ctypes.CDLL) -> Callable[..., WalkResult]:
             e_lines[:ne],
             e_ops[:ne],
             e_pos[:ne],
+        )
+
+    return walk
+
+
+def check_cache_stream(
+    lines: np.ndarray, writes: np.ndarray, isfill: Optional[np.ndarray]
+) -> None:
+    """Validate a cache walk's event stream: ``lines`` 1-D C-contiguous
+    int64 with no negative value (C's ``%`` differs from Python's on
+    those), ``writes`` and ``isfill`` (``None`` = every miss fills) 1-D
+    C-contiguous bool, all of one length."""
+    arrays = [("lines", lines, np.int64), ("writes", writes, np.bool_)]
+    if isfill is not None:
+        arrays.append(("isfill", isfill, np.bool_))
+    for name, arr, dtype in arrays:
+        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+            raise TypeError(f"{name} must be a {np.dtype(dtype)} ndarray")
+        if arr.ndim != 1 or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be 1-D and C-contiguous")
+    if lines.shape != writes.shape or (
+        isfill is not None and isfill.shape != lines.shape
+    ):
+        raise ValueError("lines, writes and isfill differ in length")
+    if lines.shape[0] and int(lines.min()) < 0:
+        raise ValueError("cache lines must be non-negative")
+
+
+CacheWalkResult = Tuple[
+    Tuple[int, int, int],
+    List[Dict[int, bool]],
+    np.ndarray,
+    np.ndarray,
+    np.ndarray,
+]
+
+
+def _bind_cache_walk(lib: ctypes.CDLL) -> Callable[..., CacheWalkResult]:
+    fn = lib.repro_cache_walk
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [
+        i64, i64, ptr, i64,       # num_sets, ways, touched, n_touched
+        ptr, ptr, ptr,            # resident lines, dirty bits, counts
+        ptr, ptr, ptr, i64,       # lines, writes, isfill, n
+        ptr, ptr, ptr, i64,       # emission lines, writes, positions, room
+        ptr,                      # counters
+    ]
+
+    def walk(
+        num_sets: int,
+        ways: int,
+        touched: np.ndarray,
+        residents: List[Dict[int, bool]],
+        lines: np.ndarray,
+        writes: np.ndarray,
+        isfill: Optional[np.ndarray],
+    ) -> CacheWalkResult:
+        """Run the C walk over a stream :func:`check_cache_stream`
+        accepted.  ``touched`` (int64, increasing) holds the set ids of
+        every access, ``residents`` those sets' ``{line: dirty}`` dicts
+        in LRU order.  Returns ``((hits, misses, writebacks), the
+        touched sets' final dicts, e_lines, e_write, e_pos)``."""
+        n = int(lines.shape[0])
+        nt = int(touched.shape[0])
+        if ways < 1 or nt * ways >= 2**31:
+            raise ValueError(f"{nt} sets of {ways} ways do not fit a walk")
+        if touched.dtype != np.int64 or touched.ndim != 1 or (
+            nt and (
+                int(touched[0]) < 0 or int(touched[-1]) >= num_sets
+                or not bool(np.all(touched[1:] > touched[:-1]))
+            )
+        ):
+            raise ValueError(
+                "touched must hold increasing int64 set ids of this cache"
+            )
+        if len(residents) != nt:
+            raise ValueError("one resident dict per touched set")
+        counts = np.fromiter(map(len, residents), np.int64, nt)
+        if nt and int(counts.max()) > ways:
+            raise ValueError(f"more than {ways} residents in a set")
+        room = nt * ways
+        res_lines = np.empty(room, dtype=np.int64)
+        res_dirty = np.empty(room, dtype=np.bool_)
+        nres = int(counts.sum())
+        if nres:
+            keys: List[int] = []
+            flags: List[bool] = []
+            for d in residents:
+                keys += d.keys()
+                flags += d.values()
+            res_lines[:nres] = keys
+            res_dirty[:nres] = flags
+            if int(res_lines[:nres].min()) < 0:
+                raise ValueError("cache lines must be non-negative")
+        counters = np.zeros(3, dtype=np.int64)
+        e_cap = 2 * n
+        e_lines = np.empty(e_cap, dtype=np.int64)
+        e_write = np.empty(e_cap, dtype=np.bool_)
+        e_pos = np.empty(e_cap, dtype=np.int64)
+        ne = fn(
+            num_sets, ways, touched.ctypes.data, nt,
+            res_lines.ctypes.data, res_dirty.ctypes.data, counts.ctypes.data,
+            lines.ctypes.data, writes.ctypes.data,
+            None if isfill is None else isfill.ctypes.data, n,
+            e_lines.ctypes.data, e_write.ctypes.data, e_pos.ctypes.data,
+            e_cap, counters.ctypes.data,
+        )
+        if ne == -1:
+            raise MemoryError("cache walk could not allocate its state")
+        if ne == -2:
+            raise RuntimeError("cache walk overflowed its emission bound")
+        if ne < 0:
+            raise ValueError("an access falls in a set not in touched")
+        kept = int(counts.sum())
+        lines_l = res_lines[:kept].tolist()
+        dirty_l = res_dirty[:kept].tolist()
+        final: List[Dict[int, bool]] = []
+        off = 0
+        for cnt in counts.tolist():
+            final.append(dict(zip(lines_l[off:off + cnt],
+                                  dirty_l[off:off + cnt])))
+            off += cnt
+        return (
+            tuple(counters.tolist()), final,
+            e_lines[:ne], e_write[:ne], e_pos[:ne],
         )
 
     return walk

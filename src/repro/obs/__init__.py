@@ -7,13 +7,12 @@
   checkpoint / retry / degradation / sweep-job / cache-hit / dispatch)
   and its dependency-free validator.
 - :mod:`~repro.obs.report`: ``repro obs report`` aggregation — phase
-  hotspots, cost-model accuracy and misprediction rates per cache
-  level, sweep hit rates, retry/degradation timeline.
+  hotspots, replay time per cache level, which walks (compiled or
+  Python) ran, sweep hit rates, retry/degradation timeline.
 
-The headline consumer is the replay dispatch audit: with a ledger
-attached, ``replay="array"`` records every partition it considers —
-cost-model inputs, predicted cost, chosen backend, measured wall time —
-so the cost model's mispredictions are measurable instead of folklore.
+With a ledger attached, ``replay="array"`` records one ``dispatch``
+event per level stream it walks — the cache, the event count, the walk
+that ran and its measured wall time — so replay time splits by level.
 """
 
 from repro.obs.ledger import (

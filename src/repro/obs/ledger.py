@@ -3,9 +3,9 @@
 One :class:`RunLedger` records one run's (or one sweep job's) lifecycle
 as a stream of typed events (see :mod:`repro.obs.schema`): what the
 supervisor retried and why, where each epoch's host time went, and —
-the part no counter can reconstruct after the fact — every dispatch
-decision the array replay backend took, with the cost model's inputs
-and prediction next to the measured wall time.
+the part no counter can reconstruct after the fact — how long each
+cache level's replay walk took, and which walk (compiled or Python)
+ran.
 
 Design points:
 

@@ -6,13 +6,11 @@ whole directories of either) into a single rollup:
 - **phase hotspots** — host seconds per engine phase (generation,
   merge, replay) summed over every epoch event, plus checkpoint and
   whole-run wall time, the epoch-grain generation chunk count, which
-  VRF walk (compiled or Python) the runs used,
+  walks (compiled kernels or Python twins) the runs used,
   and the trace-cache hit/miss/store tally when a content-addressed
   trace store was attached;
-- **cost-model accuracy** — per cache level: partitions considered,
-  backend chosen, the misprediction rate (the chosen path measured
-  slower than the model's estimate for the alternative), and the mean
-  relative error of the chosen path's own prediction;
+- **replay by level** — per cache level: streams walked, by which walk
+  (native or python), events and measured time;
 - **cache/sweep hit rates** — result-cache hits vs executed jobs;
 - **retry/degradation timeline** — every supervisor transition with
   its cause, in recorded order.
@@ -24,7 +22,7 @@ the same numbers as aligned tables for terminals.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.ledger import iter_ledger_files, read_events
 from repro.obs.schema import DISPATCH_LEVELS
@@ -36,14 +34,9 @@ _TRACE_CACHE_BUCKETS = {"hit": "hits", "miss": "misses", "stored": "stored"}
 def _level_bucket() -> Dict[str, Any]:
     return {
         "considered": 0,
-        "chosen": {"array": 0, "dict": 0, "batched": 0},
+        "chosen": {"native": 0, "python": 0},
         "events": 0,
         "measured_us": 0.0,
-        "comparable": 0,        # both-sides prediction available
-        "mispredictions": 0,
-        "rel_error_sum": 0.0,
-        "rel_error_n": 0,
-        "bailed": 0,
     }
 
 
@@ -55,7 +48,7 @@ def aggregate(paths) -> Dict[str, Any]:
         "events": 0,
         "events_by_type": {},
         "runs": {"started": 0, "ok": 0, "failed": 0},
-        "vrf_walk": {},
+        "kernels": {},
         "phases": {p: {"seconds": 0.0, "epochs": 0} for p in _PHASES},
         "fused_chunks": 0,
         "trace_cache": {
@@ -106,10 +99,10 @@ def aggregate(paths) -> Dict[str, Any]:
                 agg["runs"]["ok" if status == "ok" else "failed"] += 1
                 agg["run_wall_s"] += ev.get("wall_s", 0.0)
                 agg["sim_time_ns"] += ev.get("time_ns") or 0.0
-                walk = ev.get("vrf_walk")
-                if walk:
-                    walks = agg["vrf_walk"]
-                    walks[walk] = walks.get(walk, 0) + 1
+                impl = ev.get("kernels")
+                if impl:
+                    impls = agg["kernels"]
+                    impls[impl] = impls.get(impl, 0) + 1
                 if status != "ok":
                     agg["timeline"].append(_timeline_row(ev, path))
             elif etype == "dispatch":
@@ -159,7 +152,7 @@ def aggregate(paths) -> Dict[str, Any]:
             elif etype == "degradation":
                 agg["degradations"] += 1
                 agg["timeline"].append(_timeline_row(ev, path))
-    _finalise(agg, levels)
+    _finalise(agg)
     return agg
 
 
@@ -212,46 +205,10 @@ def _fold_dispatch(
     if chosen in bucket["chosen"]:
         bucket["chosen"][chosen] += 1
     bucket["events"] += ev.get("events", 0)
-    measured = ev.get("measured_us", 0.0)
-    bucket["measured_us"] += measured
-    if ev.get("bailed"):
-        bucket["bailed"] += 1
-    pred_py = ev.get("predicted_py_us")
-    pred_arr = ev.get("predicted_array_us")
-    # Misprediction: the chosen path measured slower than the model's
-    # estimate for the *alternative* — i.e. the model's own numbers say
-    # the other path would have been the better pick in hindsight.
-    own = pred_arr if chosen == "array" else pred_py
-    alt = pred_py if chosen == "array" else pred_arr
-    if alt is not None:
-        bucket["comparable"] += 1
-        if measured > alt:
-            bucket["mispredictions"] += 1
-    if own is not None and measured > 0:
-        bucket["rel_error_sum"] += abs(measured - own) / measured
-        bucket["rel_error_n"] += 1
+    bucket["measured_us"] += ev.get("measured_us", 0.0)
 
 
-def _finalise(
-    agg: Dict[str, Any], levels: Dict[str, Dict[str, Any]]
-) -> None:
-    total_comparable = 0
-    total_mispredicted = 0
-    for bucket in levels.values():
-        comp = bucket["comparable"]
-        total_comparable += comp
-        total_mispredicted += bucket["mispredictions"]
-        bucket["misprediction_rate"] = (
-            bucket["mispredictions"] / comp if comp else 0.0
-        )
-        n = bucket.pop("rel_error_n")
-        s = bucket.pop("rel_error_sum")
-        bucket["mean_rel_error"] = s / n if n else 0.0
-    agg["dispatch"]["comparable"] = total_comparable
-    agg["dispatch"]["mispredictions"] = total_mispredicted
-    agg["dispatch"]["misprediction_rate"] = (
-        total_mispredicted / total_comparable if total_comparable else 0.0
-    )
+def _finalise(agg: Dict[str, Any]) -> None:
     sweep = agg["sweep"]
     total_jobs = sweep["jobs"] + sweep["cache_hits"]
     sweep["hit_rate"] = (
@@ -282,11 +239,11 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
         f"runs {runs['started']} started / {runs['ok']} ok / "
         f"{runs['failed']} failed"
     )
-    if agg["vrf_walk"]:
-        walks = ", ".join(
-            f"{k}={v}" for k, v in sorted(agg["vrf_walk"].items())
+    if agg["kernels"]:
+        impls = ", ".join(
+            f"{k}={v}" for k, v in sorted(agg["kernels"].items())
         )
-        lines.append(f"VRF walk     : {walks} runs")
+        lines.append(f"kernels      : {impls} runs")
     by_type = ", ".join(
         f"{k}={v}" for k, v in sorted(agg["events_by_type"].items())
     )
@@ -324,12 +281,7 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
     lines.append("")
 
     disp = agg["dispatch"]
-    lines.append(
-        f"replay dispatch audit: {disp['total']} partitions considered, "
-        f"misprediction rate "
-        f"{disp['misprediction_rate']:.1%} "
-        f"({disp['mispredictions']}/{disp['comparable']} comparable)"
-    )
+    lines.append(f"replay by level: {disp['total']} level streams walked")
     if disp["by_level"]:
         rows = []
         order = {level: k for k, level in enumerate(DISPATCH_LEVELS)}
@@ -339,15 +291,11 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
             b = disp["by_level"][level]
             c = b["chosen"]
             rows.append((
-                level, b["considered"],
-                c["array"], c["dict"], c["batched"], b["bailed"],
-                f"{b['misprediction_rate']:.1%}",
-                f"{b['mean_rel_error']:.2f}",
-                f"{b['measured_us'] / 1e3:.2f}",
+                level, b["considered"], c["native"], c["python"],
+                b["events"], f"{b['measured_us'] / 1e3:.2f}",
             ))
         lines.append(_table(
-            ("level", "considered", "array", "dict", "batched",
-             "bailed", "mispredict", "rel err", "total ms"),
+            ("level", "streams", "native", "python", "events", "total ms"),
             rows,
         ))
     lines.append("")
@@ -430,7 +378,7 @@ def validate_ledgers(
     if require_dispatch and not counts.get("dispatch"):
         raise ValueError(
             f"no dispatch events found across {len(files)} ledger "
-            f"file(s) ({total} events) — the replay dispatch audit "
-            f"is empty"
+            f"file(s) ({total} events) — no level stream was replayed "
+            f"by the array backend"
         )
     return {"files": len(files), "events": total, "by_type": counts}

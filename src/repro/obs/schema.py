@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Tuple
 
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 """Bump when envelope fields or event payloads change meaning."""
 
 _NUM = (int, float)
 _STR = (str,)
 _INT = (int,)
-_BOOL = (bool,)
 _OPT_NUM = (int, float, type(None))
 
 
@@ -49,10 +48,10 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "wall_s": (_NUM, True),
         "time_ns": (_OPT_NUM, False),  # simulated time, ok runs only
         "error": (_STR, False),
-        # Which VRF walk generated traces in the process: "native"
-        # (compiled kernel) or "python" (its twin; no gcc, so slower).
-        # Absent when no trace was generated.  Never part of a key.
-        "vrf_walk": (_STR, False),
+        # Which walks (VRF and cache) the process ran: "native" (the
+        # compiled kernels) or "python" (their twins; no gcc, so
+        # slower).  Absent when no walk ran.  Never part of a key.
+        "kernels": (_STR, False),
     },
     # One per barrier epoch: host-side phase split + simulated facts.
     # "fused_chunks" counts chunks generated at epoch grain (0 when the
@@ -138,37 +137,27 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "wall_s": (_NUM, False),
         "attempt": (_INT, False),
     },
-    # The replay dispatch audit: one event per level stream the array
-    # backend solved (per PE at L1, per group at L2, once at the LLC;
-    # per group at the STLB, per PE at the BBF stream buffer and victim
-    # cache; per epoch under the fused execution modes).  "chosen" is
-    # the code path actually taken: "array" (stack-distance solver), "dict"
-    # (per-level Python walk), or "batched" (per-run fused cascade
-    # when every PE's L1 plan rejects the solver).
+    # One per level stream the array backend walked (per PE at L1, per
+    # group at L2, once at the LLC; per group at the STLB, per PE at the
+    # BBF stream buffer and victim cache; per epoch under the fused
+    # execution modes).  "chosen" is the walk that ran: "native" (the
+    # compiled kernel) or "python" (its twin).
     "dispatch": {
         "cache": (_STR, True),         # e.g. "l1[3]", "stlb[0]", "llc"
         "level": (_STR, True),         # one of DISPATCH_LEVELS
-        "events": (_INT, True),        # partition event count (n)
-        "miss_rate": (_NUM, True),     # smoothed running estimate
-        "hint": (_BOOL, True),         # hysteresis fast-hint state
-        "predicted_py_us": (_NUM, True),
-        "predicted_array_us": (_OPT_NUM, True),  # None below min-events
-        "chosen": (_STR, True),        # "array" | "dict" | "batched"
+        "events": (_INT, True),        # stream length
+        "chosen": (_STR, True),        # one of _WALKS
         "measured_us": (_NUM, True),
-        "sets": (_INT, False),         # touched sets, when planned
-        "reason": (_STR, False),       # min_events|no_eviction|cost_model
-        "bailed": (_BOOL, False),      # window walk passed its probe cap
     },
 }
 
-_CHOSEN = ("array", "dict", "batched")
+_WALKS = ("native", "python")
 _RUN_STATUS = ("ok", "failed")
-_VRF_WALKS = ("native", "python")
 _JOB_STATUS = (
     "started", "completed", "failed", "requeued", "quarantined",
 )
 DISPATCH_LEVELS = ("l1", "l2", "llc", "stlb", "bbf", "victim")
-"""Structures the array backend solves, dense cascade first: each is an
+"""Structures the array backend walks, dense cascade first: each is an
 LRU cache (the STLB and the BBF stream buffer with one set)."""
 _TRACE_CACHE_STATUS = ("hit", "miss", "stored")
 _SERVICE_STATUS = (
@@ -217,9 +206,9 @@ def validate_event(event: Mapping[str, Any]) -> None:
             f"{etype}: unknown fields {sorted(extras)}"
         )
     # Enum constraints ride on top of the type tables.
-    if etype == "dispatch" and event["chosen"] not in _CHOSEN:
+    if etype == "dispatch" and event["chosen"] not in _WALKS:
         raise LedgerSchemaError(
-            f"dispatch: chosen must be one of {_CHOSEN}, "
+            f"dispatch: chosen must be one of {_WALKS}, "
             f"got {event['chosen']!r}"
         )
     if etype == "dispatch" and event["level"] not in DISPATCH_LEVELS:
@@ -232,10 +221,10 @@ def validate_event(event: Mapping[str, Any]) -> None:
             f"run_end: status must be one of {_RUN_STATUS}, "
             f"got {event['status']!r}"
         )
-    if etype == "run_end" and event.get("vrf_walk", "native") not in _VRF_WALKS:
+    if etype == "run_end" and event.get("kernels", "native") not in _WALKS:
         raise LedgerSchemaError(
-            f"run_end: vrf_walk must be one of {_VRF_WALKS}, "
-            f"got {event['vrf_walk']!r}"
+            f"run_end: kernels must be one of {_WALKS}, "
+            f"got {event['kernels']!r}"
         )
     if etype == "sweep_job" and event["status"] not in _JOB_STATUS:
         raise LedgerSchemaError(

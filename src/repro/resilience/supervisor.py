@@ -5,11 +5,10 @@ protection, outermost first:
 
 1. **Degradation ladder** — if the requested backends keep failing,
    step down the execution ladder (pipelined → vectorized → scalar)
-   and the replay ladder (array → batched → scalar, from the config
-   registry) in lock-step, each from its requested rung.  All backend
-   combinations are bit-identical, so degrading changes wall-clock
-   time but never results; each step is recorded in the
-   ``spade_backend_degradations`` telemetry counter.
+   and the replay ladder (array → scalar) in lock-step, each from its
+   requested rung.  All backend combinations are bit-identical, so
+   degrading changes wall-clock time but never results; each step is
+   recorded in the ``spade_backend_degradations`` telemetry counter.
 2. **Bounded retry** — transient failures (worker exceptions, watchdog
    timeouts, I/O hiccups) are retried on the same rung up to
    ``max_retries`` times with exponential backoff.  When a checkpoint
@@ -48,6 +47,10 @@ from repro.telemetry import ensure
 DEGRADATION_LADDER: Tuple[str, ...] = ("pipelined", "vectorized", "scalar")
 """Backends ordered fastest-first; degradation walks left to right."""
 
+REPLAY_LADDER: Tuple[str, ...] = ("array", "scalar")
+"""Replay modes ordered fastest-first, walked alongside the execution
+ladder."""
+
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -71,10 +74,10 @@ class RunOutcome:
         )
 
 
-def _vrf_walk_field() -> dict:
-    """The ``run_end`` ``vrf_walk`` field, when a walk ran here."""
-    walk = native.vrf_walk_impl()
-    return {"vrf_walk": walk} if walk else {}
+def _kernels_field() -> dict:
+    """The ``run_end`` ``kernels`` field, when a walk ran here."""
+    impl = native.kernels_impl()
+    return {"kernels": impl} if impl else {}
 
 
 class RunSupervisor:
@@ -203,15 +206,12 @@ class RunSupervisor:
         padded with its last (most conservative) entry so both bottom
         out together.  Unknown modes pin their ladder to one rung.
         """
-        from repro.config import replay_degradation_ladder
-
         if requested in DEGRADATION_LADDER:
             exe = DEGRADATION_LADDER[DEGRADATION_LADDER.index(requested):]
         else:
             exe = (requested,)
-        replay_full = replay_degradation_ladder()
-        if requested_replay in replay_full:
-            rep = replay_full[replay_full.index(requested_replay):]
+        if requested_replay in REPLAY_LADDER:
+            rep = REPLAY_LADDER[REPLAY_LADDER.index(requested_replay):]
         else:
             rep = (requested_replay,)
         depth = max(len(exe), len(rep))
@@ -349,7 +349,7 @@ class RunSupervisor:
                         status="ok",
                         wall_s=time.perf_counter() - run_t0,
                         time_ns=float(report.time_ns),
-                        **_vrf_walk_field(),
+                        **_kernels_field(),
                     )
                 return report
 
@@ -369,6 +369,6 @@ class RunSupervisor:
                 status="failed",
                 wall_s=time.perf_counter() - run_t0,
                 error=repr(last_exc),
-                **_vrf_walk_field(),
+                **_kernels_field(),
             )
         raise last_exc

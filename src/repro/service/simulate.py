@@ -52,7 +52,7 @@ def request_point(body: Mapping[str, Any]) -> Tuple:
     Table 2 suite short names: a served system must not let clients
     name arbitrary filesystem paths.
     """
-    from repro.config import EXECUTION_MODES, replay_modes
+    from repro.config import EXECUTION_MODES, REPLAY_MODES
     from repro.sparse.suite import SUITE
 
     if not isinstance(body, Mapping):
@@ -102,9 +102,9 @@ def request_point(body: Mapping[str, Any]) -> Tuple:
         )
     merged["cache_shrink"] = float(shrink)
     if merged["replay"] is not None \
-            and merged["replay"] not in replay_modes():
+            and merged["replay"] not in REPLAY_MODES:
         raise WorkloadError(
-            f"replay must be one of {tuple(replay_modes())} or null, "
+            f"replay must be one of {REPLAY_MODES} or null, "
             f"got {merged['replay']!r}"
         )
     if merged["execution"] is not None \

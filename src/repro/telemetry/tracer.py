@@ -4,8 +4,8 @@ The tracer records *host wall-clock* spans around the phases of a
 simulation — kernel, schedule build, epochs, per-chunk replay calls,
 the terminating flush — so a run can be opened in Perfetto or
 ``chrome://tracing`` and inspected like any profiled program: where the
-3.15x of the batched replay path goes, which epoch dominates, which PE
-chunk stalls the round-robin.  Simulated-time quantities ride along in
+replay time goes, which epoch dominates, which PE chunk stalls the
+round-robin.  Simulated-time quantities ride along in
 span ``args`` rather than on the timeline (the simulator's virtual
 nanoseconds and the host's microseconds must not be mixed on one axis).
 

@@ -1,9 +1,10 @@
 """Cache-layer invariants, checked against BOTH replay implementations.
 
 A parametrized "driver" fixture feeds each randomized trace through
-either the scalar ``Cache.access`` loop or the batched
-``Cache.access_many`` call, then asserts the structural invariants that
-every set-associative write-back cache must satisfy:
+either the scalar ``Cache.access`` loop or one batched call of the
+array backend's level walk (``walk_level``: the compiled cache walk
+where it loads), then asserts the structural invariants that every
+set-associative write-back cache must satisfy:
 
 * ``hits + misses == accesses`` (and ``fills == misses``);
 * ``occupancy() <= num_sets * ways`` at all times;
@@ -22,9 +23,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dataclasses
+
 from repro.config import CacheConfig, scaled_config
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import MemorySystem
+from repro.memory.hierarchy import (
+    OP_DENSE,
+    OP_DENSE_BYPASS,
+    OP_STREAM,
+    MemorySystem,
+    encode_op,
+)
+from repro.memory.replay_array import walk_level
 
 GEOM = CacheConfig(size_bytes=8 * 1024, associativity=4)  # 32 sets
 
@@ -35,7 +45,10 @@ def scalar_driver(cache: Cache, lines, writes) -> None:
 
 
 def batched_driver(cache: Cache, lines, writes) -> None:
-    cache.access_many(lines, writes)
+    walk_level(
+        cache, np.ascontiguousarray(lines, dtype=np.int64),
+        np.ascontiguousarray(writes, dtype=bool),
+    )
 
 
 @pytest.fixture(params=["scalar", "batched"])
@@ -132,19 +145,23 @@ def test_invalidate_reports_dirtiness():
 
 
 def dirty_everything(ms: MemorySystem, replay: str):
-    """Spread dirty lines over L1s, L2 (via spills), BBFs and victims."""
+    """Spread dirty lines over L1s, L2 (via spills), BBFs and victims:
+    per access (``scalar``) or as one batched trace per PE through the
+    array backend (``batched``)."""
     rng = np.random.default_rng(13)
     for pe in range(len(ms.l1s)):
         lines = rng.integers(0, 1 << 12, size=1500)
         if replay == "batched":
-            ms.dense_access_many(pe, lines, is_write=True, region="rmatrix")
-            ms.dense_access_many(
-                pe, lines[:200], is_write=True, bypass=True, region="rmatrix"
+            trace = np.concatenate(
+                [lines, lines[:200], np.arange(pe * 100, pe * 100 + 50)]
             )
-            ms.stream_access_many(
-                pe, np.arange(pe * 100, pe * 100 + 50),
-                is_write=True, region="sparse_out",
+            ops = np.array(
+                [encode_op(OP_DENSE, True, 1)] * 1500
+                + [encode_op(OP_DENSE_BYPASS, True, 1)] * 200
+                + [encode_op(OP_STREAM, True, 3)] * 50,
+                dtype=np.int64,
             )
+            ms.replay_trace(pe, trace, ops)
         else:
             for line in lines.tolist():
                 ms.dense_access(pe, line, is_write=True, region="rmatrix")
@@ -156,9 +173,16 @@ def dirty_everything(ms: MemorySystem, replay: str):
                 ms.stream_access(pe, line, is_write=True, region="sparse_out")
 
 
+def replay_system(replay: str) -> MemorySystem:
+    return MemorySystem(dataclasses.replace(
+        scaled_config(4, cache_shrink=8),
+        replay="array" if replay == "batched" else "scalar",
+    ))
+
+
 @pytest.mark.parametrize("replay", ["scalar", "batched"])
 def test_flush_all_propagates_into_access_stats(replay):
-    ms = MemorySystem(scaled_config(4, cache_shrink=8))
+    ms = replay_system(replay)
     dirty_everything(ms, replay)
     assert ms.collect_stats().flushed_dirty_lines == 0
 
@@ -200,7 +224,7 @@ def test_flush_all_propagates_into_access_stats(replay):
 
 
 def test_stats_merge_carries_flushed_dirty_lines():
-    ms = MemorySystem(scaled_config(4, cache_shrink=8))
+    ms = replay_system("batched")
     dirty_everything(ms, "batched")
     ms.flush_all()
     stats = ms.collect_stats()

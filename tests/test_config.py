@@ -125,93 +125,63 @@ class TestUtilities:
 
 
 class TestReplayRegistry:
-    """The trace-replay backend registry behind ``SpadeConfig.replay``."""
+    """The fixed pair of trace-replay backends behind
+    ``SpadeConfig.replay``: the scalar oracle and the array backend."""
 
     def test_builtin_modes_registered(self):
-        from repro.config import REPLAY_MODES, replay_modes
+        from repro.config import REPLAY_MODES
 
-        assert set(replay_modes()) >= {"scalar", "batched", "array"}
-        assert REPLAY_MODES == replay_modes()
+        assert REPLAY_MODES == ("scalar", "array")
+        assert scaled_config(2).replay == "array"
 
     def test_validation_error_names_registry_modes(self):
         import dataclasses
 
-        from repro.config import replay_modes
+        from repro.config import REPLAY_MODES
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError) as exc:
             dataclasses.replace(scaled_config(2), replay="bogus")
         message = str(exc.value)
         assert "'bogus'" in message
-        for mode in replay_modes():
+        for mode in REPLAY_MODES:
             assert mode in message
 
     def test_unknown_backend_lookup_names_modes(self):
-        from repro.config import replay_backend_spec, replay_modes
+        """The deleted ``batched`` backend is an unknown mode now."""
+        import dataclasses
+
+        from repro.config import REPLAY_MODES
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError) as exc:
-            replay_backend_spec("nope")
-        for mode in replay_modes():
+            dataclasses.replace(scaled_config(2), replay="batched")
+        for mode in REPLAY_MODES:
             assert mode in str(exc.value)
 
     def test_backends_resolve_to_callables(self):
-        from repro.config import replay_modes, resolve_replay_backend
-
-        for mode in replay_modes():
-            assert callable(resolve_replay_backend(mode))
-
-    def test_register_collision_and_unregister(self):
+        """Each mode builds a memory system that replays a trace, with
+        the same service levels."""
         import dataclasses
 
-        from repro.config import (
-            register_replay_backend,
-            replay_modes,
-            unregister_replay_backend,
-        )
-        from repro.errors import ConfigError
+        import numpy as np
 
-        register_replay_backend(
-            "adhoc", "repro.memory.hierarchy:replay_backend_batched"
-        )
-        try:
-            # The live registry, not the import-time snapshot, drives
-            # validation: an ad-hoc mode is immediately usable.
-            assert "adhoc" in replay_modes()
-            cfg = dataclasses.replace(scaled_config(2), replay="adhoc")
-            assert cfg.replay == "adhoc"
-            with pytest.raises(ConfigError):
-                register_replay_backend(
-                    "adhoc", "repro.memory.hierarchy:replay_backend_scalar"
-                )
-            register_replay_backend(
-                "adhoc",
-                "repro.memory.hierarchy:replay_backend_scalar",
-                overwrite=True,
-            )
-        finally:
-            unregister_replay_backend("adhoc")
-        assert "adhoc" not in replay_modes()
+        from repro.config import REPLAY_MODES
+        from repro.memory.hierarchy import OP_DENSE, MemorySystem, encode_op
 
-    def test_malformed_loader_raises_on_resolve(self):
-        from repro.config import (
-            register_replay_backend,
-            replay_backend_spec,
-            unregister_replay_backend,
-        )
-        from repro.errors import ConfigError
-
-        register_replay_backend("badloader", "repro.memory.hierarchy")
-        try:
-            with pytest.raises(ConfigError):
-                replay_backend_spec("badloader").resolve()
-        finally:
-            unregister_replay_backend("badloader")
+        lines = np.arange(0, 4000, 7, dtype=np.int64)
+        ops = np.full(lines.shape[0], encode_op(OP_DENSE, False, 1))
+        levels = {
+            mode: MemorySystem(
+                dataclasses.replace(scaled_config(2), replay=mode)
+            ).replay_trace(1, lines, ops).tolist()
+            for mode in REPLAY_MODES
+        }
+        assert levels["scalar"] == levels["array"]
 
     def test_degradation_ladder_fastest_first(self):
-        from repro.config import replay_degradation_ladder
+        from repro.config import REPLAY_MODES
+        from repro.resilience.supervisor import REPLAY_LADDER
 
-        ladder = replay_degradation_ladder()
-        assert ladder[0] == "array"
-        assert ladder[-1] == "scalar"
-        assert list(ladder).index("batched") < list(ladder).index("scalar")
+        assert REPLAY_LADDER == ("array", "scalar")
+        assert set(REPLAY_LADDER) == set(REPLAY_MODES)

@@ -8,22 +8,24 @@ order), numeric outputs, simulated time, AccessStats, per-epoch
 PECounters, and the VRF's own hit/miss/writeback counters (elision
 bulk-credits skipped hits, so these pin that accounting too).
 
-Every fast-mode run happens twice: with the compiled VRF walk and with
-its Python twin, forced by patching the loader's memo for the duration
-of the run (a test-only switch; the simulator picks the walk by whether
-the kernel loads).
+Every fast-mode run happens twice: with the compiled walks (VRF and
+cache) and with their Python twins, forced by patching the loader's
+memo for the duration of the run (a test-only switch; the simulator
+picks the walks by whether the library loads).
+
+Test ids name the replay by how the engine drives it: ``scalar`` (one
+call per access) or ``batched`` (buffered chunk traces replayed in one
+call, ``Engine.batched_replay``), which is ``replay="array"``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
 import pytest
 
-from repro import native
 from repro.config import PipelineConfig, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
@@ -33,19 +35,10 @@ from repro.core.instructions import Primitive
 from repro.memory.hierarchy import TRACE_REGIONS, MemorySystem
 from repro.sparse.generators import rmat_graph, uniform_random
 from repro.sparse.tiled import tile_matrix
+from tests.walks import WALKS, kernels
 
 MODES = ("vectorized", "pipelined")
-WALKS = ("native", "python")
-
-
-@contextmanager
-def _vrf_walk(walk: str):
-    """Run the enclosed block with the compiled VRF walk or its twin."""
-    with pytest.MonkeyPatch.context() as mp:
-        if walk == "python":
-            mp.setattr(native, "_tried", True)
-            mp.setattr(native, "_kernel", None)
-        yield
+REPLAY_OF = {"scalar": "scalar", "batched": "array"}
 
 
 def _run_engine(
@@ -60,7 +53,8 @@ def _run_engine(
 ):
     """Build an Engine directly (so PEs stay reachable) and run once."""
     cfg = dataclasses.replace(
-        scaled_config(4, cache_shrink=8), execution=execution, replay=replay
+        scaled_config(4, cache_shrink=8), execution=execution,
+        replay=REPLAY_OF[replay],
     )
     if pipeline is not None:
         cfg = dataclasses.replace(cfg, pipeline=pipeline)
@@ -131,7 +125,7 @@ def _assert_same(a, k, kernel, replay, settings=None, chunk_nnz=256):
     fp_o = _fingerprint(eng_o, res_o, out_o)
     for mode in MODES:
         for walk in WALKS:
-            with _vrf_walk(walk):
+            with kernels(walk):
                 eng_m, res_m, out_m = _run_engine(
                     a, k, kernel, mode, replay, settings, chunk_nnz
                 )
@@ -242,7 +236,7 @@ class TestPipelineVariants:
         )
         fp_o = _fingerprint(eng_o, res_o, out_o)
         for walk in WALKS:
-            with _vrf_walk(walk):
+            with kernels(walk):
                 eng_p, res_p, out_p = _run_engine(
                     graph, 16, "sddmm", "pipelined", "batched",
                     pipeline=pipeline,
@@ -315,7 +309,7 @@ class TestTraceParity:
             (mode, walk) for mode in MODES for walk in WALKS
         ]
         for mode, walk in runs:
-            with monkeypatch.context() as mp, _vrf_walk(walk):
+            with monkeypatch.context() as mp, kernels(walk):
                 chunks = self._capture_chunks(mp)
                 _run_engine(graph, 16, kernel, mode, "batched")
                 streams[mode, walk] = self._flatten(chunks)
@@ -337,7 +331,7 @@ class TestTraceParity:
             (mode, walk) for mode in MODES for walk in WALKS
         ]
         for mode, walk in runs:
-            with monkeypatch.context() as mp, _vrf_walk(walk):
+            with monkeypatch.context() as mp, kernels(walk):
                 calls = self._capture_accesses(mp)
                 _run_engine(rect, 16, kernel, mode, "scalar")
                 streams[mode, walk] = calls

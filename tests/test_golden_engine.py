@@ -3,14 +3,14 @@
 Small seeded SpMM and SDDMM runs on three generator domains are frozen
 as JSON under ``tests/golden/``: ``time_ns``, ``dram_bytes``, per-level
 hit/miss counts, and ``dirty_lines_flushed``.  Any silent drift in any
-replay path — scalar oracle, batched fast path, or the array-native
-stack-distance solver — fails loudly here, and because ONE golden file
-serves ALL replay modes, these tests also pin the bit-identical
-equivalence guarantee end to end.  A second fixture family
-(``fingerprint_*.json``) freezes the full EngineResult surface —
-simulated time, epoch count, merged PECounters and an output digest —
-and holds ALL THREE execution backends (scalar, vectorized, pipelined)
-crossed with ALL THREE replay backends to it.
+replay path — the scalar oracle, or the array backend with the compiled
+kernels loaded or with their Python twins forced — fails loudly here,
+and because ONE golden file serves ALL replay paths, these tests also
+pin the bit-identical equivalence guarantee end to end.  A second
+fixture family (``fingerprint_*.json``) freezes the full EngineResult
+surface — simulated time, epoch count, merged PECounters and an output
+digest — and holds ALL THREE execution backends (scalar, vectorized,
+pipelined) crossed with ALL THREE replay paths to it.
 
 Regenerate after an intentional model change (from the repo root)::
 
@@ -32,6 +32,7 @@ import pytest
 from repro.config import EXECUTION_MODES, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.sparse.generators import banded, rmat_graph, uniform_random
+from tests.walks import kernels
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -43,7 +44,16 @@ DOMAINS = {
     "uniform": lambda: uniform_random(num_rows=256, num_cols=192, nnz=3000, seed=21),
 }
 KERNELS = ("spmm", "sddmm")
-REPLAY_MODES = ("scalar", "batched", "array")
+REPLAY_PATHS = {
+    "scalar": ("scalar", "native"),
+    "batched": ("array", "python"),
+    "array": ("array", "native"),
+}
+"""Replay paths held to the golden files, by test id: ``(replay mode,
+walks)``.  ``batched`` is the array backend with the Python twins of
+the compiled walks forced; the id is kept from the per-chunk dict-walk
+backend that path replaced, so the suite's test ids stay stable."""
+REPLAY_MODES = tuple(REPLAY_PATHS)
 K = 16
 
 
@@ -54,18 +64,21 @@ def run_case(
     execution: str = "vectorized",
     settings: KernelSettings = None,
 ):
+    """One seeded run on the replay path ``replay`` (a REPLAY_PATHS id)."""
+    mode, walks = REPLAY_PATHS[replay]
     cfg = dataclasses.replace(
-        scaled_config(4, cache_shrink=8), replay=replay, execution=execution
+        scaled_config(4, cache_shrink=8), replay=mode, execution=execution
     )
     system = SpadeSystem(cfg)
     a = DOMAINS[domain]()
     rng = np.random.default_rng(2024)
-    if kernel == "spmm":
-        b = rng.random((a.num_cols, K), dtype=np.float32)
-        return system.spmm(a, b, settings=settings)
-    b = rng.random((a.num_rows, K), dtype=np.float32)
-    c = rng.random((a.num_cols, K), dtype=np.float32)
-    return system.sddmm(a, b, c, settings=settings)
+    with kernels(walks):
+        if kernel == "spmm":
+            b = rng.random((a.num_cols, K), dtype=np.float32)
+            return system.spmm(a, b, settings=settings)
+        b = rng.random((a.num_rows, K), dtype=np.float32)
+        c = rng.random((a.num_cols, K), dtype=np.float32)
+        return system.sddmm(a, b, c, settings=settings)
 
 
 def metrics(report) -> dict:
@@ -212,7 +225,7 @@ def regenerate() -> None:
         FINGERPRINT_CASES.items()
     ):
         got = fingerprint(
-            run_case(domain, kernel, "batched", "scalar", settings)
+            run_case(domain, kernel, "scalar", "scalar", settings)
         )
         path = fingerprint_path(case)
         path.write_text(json.dumps(got, indent=2) + "\n")

@@ -1,13 +1,19 @@
-"""Differential parity: batched replay vs the scalar oracle.
+"""Differential parity: the level walks vs the scalar oracle.
 
-The batched trace-replay fast path (``Cache.access_many``, also on the
-one-set BBF stream buffer and STLB, and ``MemorySystem.replay_trace``)
-must be *bit-identical* to issuing the
-same trace through the scalar methods one access at a time: same
-counters, same per-access outcomes, same LRU order, same dirty bits.
-These tests replay randomized traces — mixed read/write, power-of-two
-strides, hot-set skew, consecutive-run heavy, multi-level pressure —
-through both implementations and require exact equality.
+The array replay backend walks each cache level over its event stream
+with the compiled cache walk (``repro/native/cache_walk.c``) or its
+Python twin (a loop over ``Cache.access``).  Every walk must be
+*bit-identical* to issuing the same stream through ``Cache.access`` one
+access at a time: same counters, same per-access outcomes, same LRU
+order, same dirty bits, with state carried across calls.  These tests
+replay randomized traces — mixed read/write, power-of-two strides,
+hot-set skew, consecutive-run heavy, multi-level pressure — through the
+oracle and through each walk and require exact equality; the same holds
+for the one-set BBF stream buffer and STLB, and for whole
+``MemorySystem`` traces with the kernel loaded and with the twin forced.
+
+(The file and test names are kept from the batched backend these walks
+replaced, so the suite's test ids stay stable.)
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import pytest
 
 from repro.config import CacheConfig, scaled_config
 from repro.memory.bbf import BypassBuffer
-from repro.memory.cache import NO_LINE, Cache
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
@@ -29,6 +35,7 @@ from repro.memory.hierarchy import (
     encode_op,
 )
 from repro.memory.tlb import LINES_PER_PAGE, STLB
+from tests.walks import WALKS, kernels, level_walks
 
 # ---------------------------------------------------------------------------
 # Trace generators (all deterministic via seeds).
@@ -93,13 +100,32 @@ def cache_state(cache: Cache):
     return [list(s.items()) for s in cache._sets]
 
 
+NO_LINE = -1
+"""No dirty line evicted (in per-access outcome arrays)."""
+
+
 def scalar_cache_replay(cache: Cache, lines, writes):
+    """The oracle: per-access ``(hit, evicted dirty line)`` outcomes."""
     hits, evicted = [], []
     for line, w in zip(lines.tolist(), writes.tolist()):
         h, e = cache.access(line, w)
         hits.append(h)
         evicted.append(NO_LINE if e is None else e)
-    return np.array(hits), np.array(evicted, dtype=np.int64)
+    return np.array(hits, dtype=bool), np.array(evicted, dtype=np.int64)
+
+
+def walk_outcomes(walk, cache: Cache, lines, writes):
+    """One walk over a stream where every miss fills, decoded back into
+    per-access outcomes: an access hit iff it emitted no fill, and its
+    write event (if any) carries the dirty line it evicted."""
+    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    writes = np.ascontiguousarray(writes, dtype=bool)
+    e_lines, e_write, e_pos = walk(cache, lines, writes, None)
+    hits = np.ones(lines.shape[0], dtype=bool)
+    hits[e_pos[~e_write]] = False
+    evicted = np.full(lines.shape[0], NO_LINE, dtype=np.int64)
+    evicted[e_pos[e_write]] = e_lines[e_write]
+    return hits, evicted
 
 
 def counters(obj, names):
@@ -110,8 +136,35 @@ CACHE_COUNTERS = ("hits", "misses", "writebacks", "fills", "flush_writebacks")
 
 
 # ---------------------------------------------------------------------------
-# Cache.access_many parity
+# One cache level: every walk vs the oracle
 # ---------------------------------------------------------------------------
+
+
+def assert_walks_match_scalar(make_cache, batches, warm=None):
+    """Replay ``batches`` of ``(lines, writes)`` through the oracle and
+    through each walk (one call per batch, state carried across calls),
+    after the optional ``warm`` batch went through ``Cache.access``;
+    require identical outcomes, counters and per-set LRU/dirty state."""
+    ref = make_cache()
+    caches = {name: make_cache() for name, _ in level_walks()}
+    if warm is not None:
+        for c in [ref, *caches.values()]:
+            scalar_cache_replay(c, *warm)
+    want = [scalar_cache_replay(ref, lines, w) for lines, w in batches]
+    for name, walk in level_walks():
+        cache = caches[name]
+        got = [walk_outcomes(walk, cache, lines, w) for lines, w in batches]
+        for k, ((wh, we), (gh, ge)) in enumerate(zip(want, got)):
+            assert np.array_equal(wh, gh), f"{name}: hits, batch {k}"
+            assert np.array_equal(we, ge), f"{name}: victims, batch {k}"
+        assert counters(ref, CACHE_COUNTERS) == counters(
+            cache, CACHE_COUNTERS
+        ), name
+        assert cache_state(ref) == cache_state(cache), name
+        assert all(
+            type(d) is bool for s in cache._sets for d in s.values()
+        ), name
+    return ref
 
 
 @pytest.mark.parametrize("trace_name", sorted(TRACES))
@@ -119,51 +172,46 @@ CACHE_COUNTERS = ("hits", "misses", "writebacks", "fills", "flush_writebacks")
 def test_cache_access_many_matches_scalar(trace_name, geom):
     rng = np.random.default_rng(hash(trace_name) % 2**32)
     lines, writes = TRACES[trace_name](rng, 4000)
-
-    scalar = Cache(geom, name="scalar")
-    batched = Cache(geom, name="batched")
-    s_hits, s_ev = scalar_cache_replay(scalar, lines, writes)
-
-    # Replay in several sub-batches: state must carry across calls.
-    b_hits, b_ev = [], []
-    for lo in range(0, lines.shape[0], 1111):
-        h, e = batched.access_many(lines[lo:lo + 1111], writes[lo:lo + 1111])
-        b_hits.append(h)
-        b_ev.append(e)
-    b_hits = np.concatenate(b_hits)
-    b_ev = np.concatenate(b_ev)
-
-    assert np.array_equal(s_hits, b_hits)
-    assert np.array_equal(s_ev, b_ev)
-    assert counters(scalar, CACHE_COUNTERS) == counters(batched, CACHE_COUNTERS)
-    assert scalar.occupancy() == batched.occupancy()
-    assert scalar.dirty_lines() == batched.dirty_lines()
-    assert cache_state(scalar) == cache_state(batched)
+    # Several calls: state must carry across them.
+    batches = [
+        (lines[lo:lo + 1111], writes[lo:lo + 1111])
+        for lo in range(0, lines.shape[0], 1111)
+    ]
+    ref = assert_walks_match_scalar(lambda: Cache(geom), batches)
+    assert ref.occupancy() > 0
 
 
 def test_cache_access_many_scalar_write_flag():
-    """``writes`` may be a scalar bool applied to the whole batch."""
+    """Streams of one write flag: all reads leave every line clean, all
+    writes make every resident dirty and every eviction a writeback."""
     rng = np.random.default_rng(0)
     lines = rng.integers(0, 512, size=2000)
     for flag in (False, True):
-        scalar = Cache(GEOMETRIES[0])
-        batched = Cache(GEOMETRIES[0])
         w = np.full(lines.shape[0], flag)
-        scalar_cache_replay(scalar, lines, w)
-        batched.access_many(lines, flag)
-        assert counters(scalar, CACHE_COUNTERS) == counters(batched, CACHE_COUNTERS)
-        assert cache_state(scalar) == cache_state(batched)
+        ref = assert_walks_match_scalar(
+            lambda: Cache(GEOMETRIES[0]), [(lines, w)]
+        )
+        assert ref.dirty_lines() == (ref.occupancy() if flag else 0)
+        assert (ref.writebacks > 0) == flag
 
 
 def test_cache_access_many_empty():
-    cache = Cache(GEOMETRIES[0])
-    hits, ev = cache.access_many(np.empty(0, dtype=np.int64), False)
-    assert hits.shape == (0,) and ev.shape == (0,)
-    assert cache.accesses == 0
+    """An empty stream emits nothing and leaves warm state untouched."""
+    rng = np.random.default_rng(1)
+    warm = (rng.integers(0, 256, size=300), rng.random(300) < 0.5)
+    for _, walk in level_walks():
+        cache = Cache(GEOMETRIES[0])
+        scalar_cache_replay(cache, *warm)
+        before = (cache_state(cache), counters(cache, CACHE_COUNTERS))
+        e_lines, e_write, e_pos = walk(
+            cache, np.empty(0, np.int64), np.empty(0, bool), None
+        )
+        assert e_lines.shape == e_write.shape == e_pos.shape == (0,)
+        assert (cache_state(cache), counters(cache, CACHE_COUNTERS)) == before
 
 
 # ---------------------------------------------------------------------------
-# BBF stream buffer parity: a one-set cache, batched and scalar
+# BBF stream buffer parity: a one-set cache
 # ---------------------------------------------------------------------------
 
 
@@ -171,19 +219,15 @@ def make_bbf(entries=8):
     return BypassBuffer(entries, CacheConfig(size_bytes=1024, associativity=2))
 
 
-def scalar_stream_replay(bbf, lines, writes):
-    return scalar_cache_replay(bbf.stream, lines, writes)[0]
-
-
 @pytest.mark.parametrize(
     "name,build",
     [
-        # Strictly increasing, disjoint from residency: FIFO fast path.
+        # Strictly increasing, disjoint from residency: a FIFO.
         ("increasing", lambda rng: (np.arange(100, 400), np.zeros(300, bool))),
         ("increasing_writes", lambda rng: (np.arange(50), np.ones(50, bool))),
-        # Fewer new lines than capacity: fast path without overflow.
+        # Fewer new lines than capacity: nothing evicted.
         ("increasing_small", lambda rng: (np.arange(5), rng.random(5) < 0.5)),
-        # Repeats and revisits: general fallback path.
+        # Repeats and revisits.
         ("with_runs", lambda rng: (np.repeat(np.arange(40), 3), rng.random(120) < 0.3)),
         ("revisit", lambda rng: (np.concatenate([np.arange(20), np.arange(20)]),
                                  np.zeros(40, bool))),
@@ -193,52 +237,37 @@ def scalar_stream_replay(bbf, lines, writes):
 def test_bbf_stream_many_matches_scalar(name, build):
     rng = np.random.default_rng(7)
     lines, writes = build(rng)
-    scalar, batched = make_bbf(), make_bbf()
-    s_hits = scalar_stream_replay(scalar, lines, writes)
-    b_hits, _ = batched.stream.access_many(lines, writes)
-    assert np.array_equal(s_hits, b_hits)
-    assert counters(scalar.stream, CACHE_COUNTERS) == counters(
-        batched.stream, CACHE_COUNTERS
-    )
-    assert cache_state(scalar.stream) == cache_state(batched.stream)
+    assert_walks_match_scalar(lambda: make_bbf().stream, [(lines, writes)])
 
 
 def test_bbf_fast_path_after_warmup():
-    """Batched replay must also be exact when the buffer already holds
-    (dirty) lines that a disjoint increasing batch partially evicts."""
-    scalar, batched = make_bbf(), make_bbf()
-    warm_lines = np.arange(1000, 1008)
-    warm_writes = np.array([True, False] * 4)
-    scalar_stream_replay(scalar, warm_lines, warm_writes)
-    batched.stream.access_many(warm_lines, warm_writes)
+    """The walk is exact when the buffer already holds (dirty) lines
+    that a disjoint increasing batch partially evicts."""
+    warm = (np.arange(1000, 1008), np.array([True, False] * 4))
     # Disjoint increasing batch larger than capacity: evicts the whole
     # warm set plus the head of the batch itself.
     lines = np.arange(20)
     writes = np.array([True] * 3 + [False] * 17)
-    s_hits = scalar_stream_replay(scalar, lines, writes)
-    b_hits, _ = batched.stream.access_many(lines, writes)
-    assert np.array_equal(s_hits, b_hits)
-    assert counters(scalar.stream, CACHE_COUNTERS) == counters(
-        batched.stream, CACHE_COUNTERS
+    ref = assert_walks_match_scalar(
+        lambda: make_bbf().stream, [(lines, writes)], warm=warm
     )
-    assert cache_state(scalar.stream) == cache_state(batched.stream)
-    assert scalar.stream.writebacks > 0
+    assert ref.writebacks > 0
 
 
 # ---------------------------------------------------------------------------
-# STLB parity: a one-set cache keyed by page, batched and scalar
+# STLB parity: a one-set cache keyed by page
 # ---------------------------------------------------------------------------
 
 
-def translate_many(stlb: STLB, lines: np.ndarray) -> None:
-    stlb.access_many(lines // LINES_PER_PAGE, False)
+def pages_of(lines: np.ndarray) -> np.ndarray:
+    return lines // LINES_PER_PAGE
 
 
 @pytest.mark.parametrize(
     "name,entries,num_pages",
     [
-        ("fits", 64, 32),          # no-eviction fast path
-        ("thrash", 8, 64),         # evicting fallback
+        ("fits", 64, 32),          # nothing evicted
+        ("thrash", 8, 64),         # evicting
         ("boundary", 16, 16),      # exactly fills the TLB
     ],
 )
@@ -246,29 +275,26 @@ def test_stlb_translate_many_matches_scalar(name, entries, num_pages):
     rng = np.random.default_rng(42)
     # Page = line*64 // 4096: 64 lines per page.
     lines = rng.integers(0, num_pages * 64, size=3000)
-    scalar, batched = STLB(entries), STLB(entries)
+    batches = [
+        (pages_of(lines[lo:lo + 700]), np.zeros(len(lines[lo:lo + 700]), bool))
+        for lo in range(0, lines.shape[0], 700)
+    ]
+    ref = assert_walks_match_scalar(lambda: STLB(entries), batches)
+    scalar = STLB(entries)
     for line in lines.tolist():
         scalar.translate_line(line)
-    for lo in range(0, lines.shape[0], 700):
-        translate_many(batched, lines[lo:lo + 700])
-    assert (scalar.hits, scalar.misses) == (batched.hits, batched.misses)
-    assert cache_state(scalar) == cache_state(batched)
+    assert (scalar.hits, scalar.misses) == (ref.hits, ref.misses)
 
 
 def test_stlb_fast_path_reorders_resident_pages():
-    """Resident pages touched by the batch move to MRU in
-    last-occurrence order, exactly as scalar replay would."""
-    scalar, batched = STLB(16), STLB(16)
-    warm = np.arange(6) * 64          # pages 0..5
-    trace = np.array([2, 2, 0, 4, 0, 9, 1]) * 64
-    for s in (scalar, batched):
-        for line in warm.tolist():
-            s.translate_line(line)
-    for line in trace.tolist():
-        scalar.translate_line(line)
-    translate_many(batched, trace)
-    assert (scalar.hits, scalar.misses) == (batched.hits, batched.misses)
-    assert cache_state(scalar) == cache_state(batched)
+    """Resident pages touched by a stream move to MRU in last-access
+    order, exactly as scalar replay does."""
+    warm = (np.arange(6), np.zeros(6, bool))  # pages 0..5
+    trace = np.array([2, 2, 0, 4, 0, 9, 1])
+    ref = assert_walks_match_scalar(
+        lambda: STLB(16), [(trace, np.zeros(7, bool))], warm=warm
+    )
+    assert list(ref._sets[0]) == [3, 5, 2, 4, 0, 9, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +350,45 @@ def scalar_system_replay(ms: MemorySystem, pe_id, lines, ops):
                          ids=["l1_resident", "l2_resident", "dram_heavy"])
 def test_memory_system_replay_parity(footprint):
     """Multi-level pressure: footprints sized to L1, L2, and beyond,
-    replayed on several PEs (shared L2/LLC/STLB contention included)."""
+    replayed on several PEs (shared L2/LLC/STLB contention included),
+    with the kernel loaded and with the twin forced."""
     cfg = scaled_config(4, cache_shrink=8)
-    ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(dataclasses.replace(cfg, replay="batched"))
-    rng = np.random.default_rng(footprint)
-    for chunk_idx in range(6):
-        pe_id = int(rng.integers(0, cfg.num_pes))
-        lines, ops = random_op_trace(rng, 2500, footprint)
-        lv_s = scalar_system_replay(ms_s, pe_id, lines, ops)
-        lv_b = ms_b.replay_trace(pe_id, lines, ops)
-        assert np.array_equal(lv_s, lv_b), f"levels diverged in chunk {chunk_idx}"
+    for walk in WALKS:
+        ms_s = MemorySystem(dataclasses.replace(cfg, replay="scalar"))
+        ms_a = MemorySystem(cfg)
+        rng = np.random.default_rng(footprint)
+        for chunk_idx in range(6):
+            pe_id = int(rng.integers(0, cfg.num_pes))
+            lines, ops = random_op_trace(rng, 2500, footprint)
+            lv_s = scalar_system_replay(ms_s, pe_id, lines, ops)
+            with kernels(walk):
+                lv_a = ms_a.replay_trace(pe_id, lines, ops)
+            assert np.array_equal(lv_s, lv_a), (
+                f"{walk}: levels diverged in chunk {chunk_idx}"
+            )
 
-    assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
-        ms_b.collect_stats()
-    )
-    for c_s, c_b in zip(ms_s.l1s + ms_s.l2s + [ms_s.llc],
-                        ms_b.l1s + ms_b.l2s + [ms_b.llc]):
-        assert c_s.occupancy() == c_b.occupancy()
-        assert c_s.dirty_lines() == c_b.dirty_lines()
-    assert system_state(ms_s) == system_state(ms_b)
+        assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
+            ms_a.collect_stats()
+        )
+        for c_s, c_a in zip(ms_s.l1s + ms_s.l2s + [ms_s.llc],
+                            ms_a.l1s + ms_a.l2s + [ms_a.llc]):
+            assert c_s.occupancy() == c_a.occupancy()
+            assert c_s.dirty_lines() == c_a.dirty_lines()
+        assert system_state(ms_s) == system_state(ms_a)
 
 
 def test_memory_system_replay_then_flush_parity():
     """Flush after replay: identical dirty counts and flush accounting."""
     cfg = scaled_config(4, cache_shrink=8)
-    ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(dataclasses.replace(cfg, replay="batched"))
     rng = np.random.default_rng(99)
     lines, ops = random_op_trace(rng, 5000, 4096)
-    scalar_system_replay(ms_s, 1, lines, ops)
-    ms_b.replay_trace(1, lines, ops)
-    assert ms_s.flush_all() == ms_b.flush_all()
-    assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
-        ms_b.collect_stats()
-    )
+    for walk in WALKS:
+        ms_s = MemorySystem(dataclasses.replace(cfg, replay="scalar"))
+        ms_a = MemorySystem(cfg)
+        scalar_system_replay(ms_s, 1, lines, ops)
+        with kernels(walk):
+            ms_a.replay_trace(1, lines, ops)
+        assert ms_s.flush_all() == ms_a.flush_all()
+        assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
+            ms_a.collect_stats()
+        )

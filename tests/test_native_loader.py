@@ -1,4 +1,5 @@
-"""The native kernel loader: build, cache, trust and fallback rules.
+"""The native kernel loader: build, cache, trust and fallback rules, and
+the input checks of the compiled cache walk's wrapper.
 
 Each test points ``tempfile.gettempdir()`` at its own directory and
 resets the loader's per-process memo, so it sees a cold host; the
@@ -19,8 +20,11 @@ import numpy as np
 import pytest
 
 from repro import native
+from repro.config import CacheConfig
 from repro.core.vectorized import _OP_NONE, _run_vrf_stream, walk_vrf
 from repro.core.vrf import VectorRegisterFile
+from repro.memory.cache import Cache
+from repro.memory.replay_array import walk_level, walk_native, walk_twin
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 needs_gcc = pytest.mark.skipif(
@@ -46,12 +50,24 @@ def _walk(walker):
     )
 
 
+def _cache_walk(walker):
+    """One cache walk over a seeded stream, with the cache's state."""
+    rng = np.random.default_rng(5)
+    cache = Cache(CacheConfig(size_bytes=64 * 16 * 4, associativity=4))
+    lines = rng.integers(0, 200, size=3000).astype(np.int64)
+    writes = rng.random(3000) < 0.3
+    out = walker(cache, lines, writes, ~writes)
+    return [a.tolist() for a in out], [list(s.items()) for s in cache._sets], (
+        cache.hits, cache.misses, cache.fills, cache.writebacks,
+    )
+
+
 @pytest.fixture()
 def cold(tmp_path, monkeypatch):
     """A fresh temp dir and an unloaded kernel; returns the build dir."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(native, "_tried", False)
-    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_kernels", None)
     return native.build_dir()
 
 
@@ -65,10 +81,12 @@ def _load_recording():
 
 @needs_gcc
 def test_kernel_loads_where_gcc_exists():
-    """A host with gcc must run the compiled walk: a silent fallback
+    """A host with gcc must run the compiled walks: a silent fallback
     would hide the fast path."""
     assert native.vrf_walk_kernel() is not None
-    assert native.vrf_walk_impl() == "native"
+    assert native.cache_walk_kernel() is not None
+    assert native.kernels_impl() == "native"
+    assert _cache_walk(walk_level) == _cache_walk(walk_twin)
 
 
 def test_no_compiler_gives_the_twin_and_one_warning(cold, tmp_path,
@@ -76,16 +94,18 @@ def test_no_compiler_gives_the_twin_and_one_warning(cold, tmp_path,
     empty = tmp_path / "empty-path"
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
-    assert native.vrf_walk_impl() is None
+    assert native.kernels_impl() is None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = _walk(walk_vrf)
         again = _walk(walk_vrf)
+        cache_got = _cache_walk(walk_level)
     runtime = [w for w in caught if w.category is RuntimeWarning]
     assert len(runtime) == 1, [str(w.message) for w in runtime]
     assert "gcc" in str(runtime[0].message)
-    assert native.vrf_walk_impl() == "python"
+    assert native.kernels_impl() == "python"
     assert got == again == _walk(_run_vrf_stream)
+    assert cache_got == _cache_walk(walk_twin)
     assert not cold.exists()
 
 
@@ -99,7 +119,7 @@ def test_build_is_cached_and_published_atomically(cold, monkeypatch):
     assert names[0].endswith(".sha256") and names[1].endswith(".so")
     # A second process start finds the library instead of compiling.
     monkeypatch.setattr(native, "_tried", False)
-    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_kernels", None)
     calls = []
     real_run = subprocess.run
 
@@ -124,7 +144,7 @@ def test_truncated_library_is_rebuilt_not_loaded(cold, tmp_path, monkeypatch):
     good = lib.read_bytes()
     lib.write_bytes(good[: len(good) // 3])
     monkeypatch.setattr(native, "_tried", False)
-    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_kernels", None)
     loaded = []
     real_cdll = native.ctypes.CDLL
 
@@ -138,6 +158,7 @@ def test_truncated_library_is_rebuilt_not_loaded(cold, tmp_path, monkeypatch):
     assert lib not in loaded, "the truncated library was loaded"
     assert lib.stat().st_size == len(good)
     assert _walk(walk_vrf) == _walk(_run_vrf_stream)
+    assert _cache_walk(walk_level) == _cache_walk(walk_twin)
 
 
 @pytest.mark.parametrize("kind", ["symlink", "group-writable", "foreign"])
@@ -157,7 +178,7 @@ def test_unsafe_directory_is_refused(cold, tmp_path, kind):
     kernel, warned = _load_recording()
     assert kernel is None
     assert len(warned) == 1
-    assert native.vrf_walk_impl() == "python"
+    assert native.kernels_impl() == "python"
     assert _walk(walk_vrf) == _walk(_run_vrf_stream)
     inside = cold.resolve() if kind == "symlink" else cold
     assert not list(inside.glob("*.so")), "built into a refused directory"
@@ -179,7 +200,7 @@ h = hashlib.sha256()
 for a in out:
     h.update(a.tobytes())
 h.update(repr(list(vrf._tags.items())).encode())
-print(json.dumps([native.vrf_walk_impl(), h.hexdigest()]))
+print(json.dumps([native.kernels_impl(), h.hexdigest()]))
 """
 
 
@@ -210,7 +231,71 @@ def test_four_processes_on_a_cold_directory(tmp_path):
 def test_import_builds_nothing(tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=SRC)
     code = ("import repro, repro.core.engine, repro.native as n; "
-            "assert n.vrf_walk_impl() is None")
+            "assert n.kernels_impl() is None")
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
     assert not (tmp_path / f"repro-native-{os.getuid()}").exists()
+
+
+# -- the cache walk wrapper's input checks ---------------------------------
+
+
+def _checked_walk(lines, writes, isfill=None):
+    cache = Cache(CacheConfig(size_bytes=64 * 8 * 2, associativity=2))
+    return walk_level(cache, lines, writes, isfill)
+
+
+def test_cache_walk_rejects_negative_lines():
+    """C's ``%`` differs from Python's on negative values, so negative
+    lines never reach either walk."""
+    with pytest.raises(ValueError, match="non-negative"):
+        _checked_walk(np.array([3, -1], np.int64), np.zeros(2, bool))
+
+
+def test_cache_walk_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="length"):
+        _checked_walk(np.arange(4, dtype=np.int64), np.zeros(3, bool))
+    with pytest.raises(ValueError, match="length"):
+        _checked_walk(
+            np.arange(4, dtype=np.int64), np.zeros(4, bool),
+            np.zeros(5, bool),
+        )
+
+
+def test_cache_walk_rejects_wrong_dtypes_and_layouts():
+    lines = np.arange(4, dtype=np.int64)
+    with pytest.raises(TypeError, match="lines"):
+        _checked_walk(lines.astype(np.int32), np.zeros(4, bool))
+    with pytest.raises(TypeError, match="writes"):
+        _checked_walk(lines, np.zeros(4, np.uint8))
+    with pytest.raises(TypeError, match="isfill"):
+        _checked_walk(lines, np.zeros(4, bool), np.zeros(4, np.int64))
+    with pytest.raises(ValueError, match="contiguous"):
+        _checked_walk(np.arange(8, dtype=np.int64)[::2], np.zeros(4, bool))
+
+
+@needs_gcc
+def test_cache_walk_kernel_checks_its_geometry():
+    """The kernel's own wrapper refuses state it cannot hold: sets with
+    more residents than ways, no ways, too many ways in all, or set ids
+    that are not the stream's."""
+    kernel = native.cache_walk_kernel()
+    lines = np.array([0, 2], np.int64)
+    writes = np.zeros(2, bool)
+    touched = np.array([0], np.int64)
+    with pytest.raises(ValueError, match="residents"):
+        kernel(2, 2, touched, [{4: False, 6: True, 8: False}],
+               lines, writes, None)
+    with pytest.raises(ValueError, match="ways"):
+        kernel(2, 0, touched, [{}], lines, writes, None)
+    with pytest.raises(ValueError, match="ways"):
+        kernel(1, 2**31, touched, [{}], lines, writes, None)
+    with pytest.raises(ValueError, match="set"):
+        kernel(2, 2, np.array([1], np.int64), [{}], lines, writes, None)
+    with pytest.raises(ValueError, match="set"):
+        kernel(2, 2, np.array([0, 0], np.int64), [{}, {}],
+               lines, writes, None)
+    cache = Cache(CacheConfig(size_bytes=64 * 2, associativity=2))
+    cache._sets[0] = {-4: True}
+    with pytest.raises(ValueError, match="non-negative"):
+        walk_native(kernel, cache, lines, writes, None)

@@ -65,10 +65,8 @@ def _ev(etype="run_start", **overrides):
             "wall_s": 0.002,
         },
         "dispatch": {
-            "cache": "L1", "level": "l1", "events": 500,
-            "miss_rate": 0.2, "hint": True, "predicted_py_us": 120.0,
-            "predicted_array_us": 90.0, "chosen": "array",
-            "measured_us": 95.0,
+            "cache": "l1[0]", "level": "l1", "events": 500,
+            "chosen": "native", "measured_us": 95.0,
         },
     }[etype]
     ev = dict(base)
@@ -112,12 +110,17 @@ class TestSchema:
             validate_event(_ev("run_end", status="meh"))
 
     def test_vrf_walk_field(self):
-        for walk in ("native", "python"):
-            validate_event(_ev("run_end", vrf_walk=walk))
+        """``run_end`` records which walks ran in one ``kernels`` field,
+        which replaced ``vrf_walk``."""
+        for impl in ("native", "python"):
+            validate_event(_ev("run_end", kernels=impl))
+            validate_event(_ev("dispatch", chosen=impl))
         with pytest.raises(LedgerSchemaError):
-            validate_event(_ev("run_end", vrf_walk="numba"))
+            validate_event(_ev("run_end", kernels="numba"))
         with pytest.raises(LedgerSchemaError):
-            validate_event(_ev("run_end", vrf_walk=1))
+            validate_event(_ev("run_end", kernels=1))
+        with pytest.raises(LedgerSchemaError, match="unknown fields"):
+            validate_event(_ev("run_end", vrf_walk="native"))
 
     def test_envelope_enforced(self):
         ev = _ev("checkpoint")
@@ -130,19 +133,21 @@ class TestSchema:
     @pytest.mark.parametrize("level", ["stlb", "bbf", "victim"])
     def test_fully_associative_and_bypass_levels(self, level):
         # The STLB, the BBF stream buffer and the victim cache replay
-        # through the same level solver and audit their dispatch.
+        # through the same level walk and record their dispatch.
         validate_event(_ev("dispatch", level=level, cache=f"{level}[0]"))
         with pytest.raises(LedgerSchemaError, match="level"):
             validate_event(_ev("dispatch", level=f"{level}2"))
 
     def test_nullable_array_prediction(self):
-        # Below the min-events floor the array cost is never computed.
-        validate_event(
-            _ev(
-                "dispatch", predicted_array_us=None, chosen="dict",
-                reason="min_events",
-            )
-        )
+        # The cost model and its predictions are gone: a dispatch event
+        # carrying them, or a choice it used to make, is invalid.
+        for retired in ("predicted_array_us", "predicted_py_us",
+                        "miss_rate", "hint", "reason", "bailed", "sets"):
+            with pytest.raises(LedgerSchemaError, match="unknown fields"):
+                validate_event(_ev("dispatch", **{retired: None}))
+        for chosen in ("array", "dict", "batched"):
+            with pytest.raises(LedgerSchemaError, match="chosen"):
+                validate_event(_ev("dispatch", chosen=chosen))
 
     def test_json_schema_document(self):
         doc = as_json_schema()
@@ -390,30 +395,23 @@ class TestReport:
         assert agg["checkpoints"]["count"] == 1
         assert agg["sim_time_ns"] == pytest.approx(2e6)
 
-    def test_misprediction_accounting(self, tmp_path):
+    def test_dispatch_rolls_up_per_level_and_walk(self, tmp_path):
         self._write(tmp_path, [
-            # chosen array, measured 95 < alt py 120: good call
             _ev("dispatch"),
-            # chosen array, measured 200 > alt py 120: mispredicted
-            _ev("dispatch", measured_us=200.0),
-            # min-events floor: no array prediction, not comparable
-            _ev(
-                "dispatch", chosen="dict", predicted_array_us=None,
-                reason="min_events", measured_us=50.0,
-            ),
+            _ev("dispatch", measured_us=200.0, events=100),
+            _ev("dispatch", chosen="python", measured_us=50.0),
+            _ev("dispatch", level="llc", cache="llc", events=7),
         ])
         agg = aggregate([tmp_path])
         d = agg["dispatch"]
-        assert d["total"] == 3
-        assert d["comparable"] == 2
-        assert d["mispredictions"] == 1
-        assert d["misprediction_rate"] == pytest.approx(0.5)
+        assert d["total"] == 4
         l1 = d["by_level"]["l1"]
-        assert l1["chosen"] == {"array": 2, "dict": 1, "batched": 0}
-        # rel error of chosen path's own prediction, comparable only:
-        # |95-90|/95 and |200-90|/200 (dict row has no own prediction
-        # for min_events? predicted_py_us present: |50-120|/50 too).
-        assert l1["mean_rel_error"] > 0
+        assert l1["considered"] == 3
+        assert l1["chosen"] == {"native": 2, "python": 1}
+        assert l1["events"] == 1100
+        assert l1["measured_us"] == pytest.approx(345.0)
+        assert d["by_level"]["llc"]["events"] == 7
+        assert "misprediction_rate" not in d
 
     def test_sweep_requeue_and_quarantine_aggregate(self, tmp_path):
         self._write(tmp_path, [
@@ -465,19 +463,19 @@ class TestReport:
         ])
         text = format_report(aggregate([tmp_path]))
         assert "phase hotspots" in text
-        assert "replay dispatch audit" in text
+        assert "replay by level" in text
         assert "l1" in text
 
     def test_report_counts_runs_per_vrf_walk(self, tmp_path):
         self._write(tmp_path, [
-            _ev("run_end", vrf_walk="native"),
-            _ev("run_end", vrf_walk="python"),
-            _ev("run_end", vrf_walk="python"),
+            _ev("run_end", kernels="native"),
+            _ev("run_end", kernels="python"),
+            _ev("run_end", kernels="python"),
             _ev("run_end"),
         ])
         agg = aggregate([tmp_path])
-        assert agg["vrf_walk"] == {"native": 1, "python": 2}
-        assert "VRF walk     : native=1, python=2 runs" in format_report(agg)
+        assert agg["kernels"] == {"native": 1, "python": 2}
+        assert "kernels      : native=1, python=2 runs" in format_report(agg)
 
     def test_format_report_lists_every_level_in_hierarchy_order(
         self, tmp_path

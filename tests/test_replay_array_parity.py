@@ -1,22 +1,20 @@
-"""Differential parity: array replay vs the scalar oracle and batched.
+"""Differential parity: array replay vs the scalar oracle.
 
-The array-native replay backend (``replay="array"``,
-``repro.memory.replay_array``) reconstructs per-access hit/miss
-outcomes from stack distances over whole trace partitions instead of
-walking the LRU dicts access by access.  It must be *bit-identical* to
-the scalar oracle — same AccessStats counters at every level, same
-per-access service levels, same LRU orders and dirty bits, same kernel
-outputs — under every execution backend, bypass configuration, and
-barrier schedule.  These tests run the same traces and kernels through
-all three replay modes and require exact equality.
+The array replay backend (``replay="array"``,
+``repro.memory.replay_array``) walks each cache level once over its
+event stream, through the compiled cache walk or its Python twin.  It
+must be *bit-identical* to the scalar oracle — same AccessStats
+counters at every level, same per-access service levels, same LRU
+orders and dirty bits, same kernel outputs — under every execution
+backend, bypass configuration, and barrier schedule, whichever walk
+runs.
 
 Two layers:
 
 * **MemorySystem traces** — randomized interleaved dense/bypass/stream
   op traces at L1-resident, L2-resident, and DRAM-heavy footprints,
-  with the array path both auto-dispatched and force-engaged (cost
-  model disabled) so the NumPy solver itself is exercised, not just
-  its fallback.
+  with the compiled kernel (``auto``: what the host loads) and with
+  the Python twin forced (``forced``).
 * **End-to-end kernels** — SpMM and SDDMM through ``SpadeSystem`` on
   all execution backends (scalar, vectorized, pipelined), with bypass
   on/off and a barrier-heavy schedule, comparing the full stats
@@ -35,29 +33,20 @@ from repro.config import scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.memory.hierarchy import MemorySystem
 from repro.sparse.generators import rmat_graph, uniform_random
-import repro.memory.replay_array as replay_array
 
 from tests.test_memory_batched_parity import (
     random_op_trace,
     scalar_system_replay,
     system_state,
 )
-
-REPLAY_MODES = ("scalar", "batched", "array")
+from tests.walks import kernels
 
 
 @pytest.fixture
-def force_array(monkeypatch):
-    """Disable the cost model so every partition runs the NumPy solver.
-
-    ``ARRAY_MIN_EVENTS=0`` removes the small-partition floor and an
-    absurd per-access python cost makes the planner always pick the
-    array path (and never bail out of it).  Dispatch heuristics change
-    speed, never results — this fixture makes sure the solver itself
-    is what we are testing.
-    """
-    monkeypatch.setattr(replay_array, "ARRAY_MIN_EVENTS", 0)
-    monkeypatch.setattr(replay_array, "_PY_HIT_US", 1e9)
+def force_twin():
+    """Run the test with the Python twins of the compiled walks."""
+    with kernels("python"):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -65,29 +54,22 @@ def force_array(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _three_way(footprint: int, chunks: int = 6, n: int = 2500):
+def _two_way(footprint: int, chunks: int = 6, n: int = 2500):
     cfg = scaled_config(4, cache_shrink=8)
-    cfg_a = dataclasses.replace(cfg, replay="array")
-    ms_s = MemorySystem(cfg)
-    ms_b = MemorySystem(dataclasses.replace(cfg, replay="batched"))
-    ms_a = MemorySystem(cfg_a)
+    ms_s = MemorySystem(dataclasses.replace(cfg, replay="scalar"))
+    ms_a = MemorySystem(dataclasses.replace(cfg, replay="array"))
     rng = np.random.default_rng(footprint)
     for chunk_idx in range(chunks):
         pe_id = int(rng.integers(0, cfg.num_pes))
         lines, ops = random_op_trace(rng, n, footprint)
         lv_s = scalar_system_replay(ms_s, pe_id, lines, ops)
-        lv_b = ms_b.replay_trace(pe_id, lines, ops)
         lv_a = ms_a.replay_trace(pe_id, lines, ops)
-        assert np.array_equal(lv_s, lv_b), (
-            f"batched levels diverged in chunk {chunk_idx}"
-        )
         assert np.array_equal(lv_s, lv_a), (
             f"array levels diverged in chunk {chunk_idx}"
         )
-    stats_s = dataclasses.asdict(ms_s.collect_stats())
-    assert stats_s == dataclasses.asdict(ms_b.collect_stats())
-    assert stats_s == dataclasses.asdict(ms_a.collect_stats())
-    assert system_state(ms_s) == system_state(ms_b)
+    assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
+        ms_a.collect_stats()
+    )
     assert system_state(ms_s) == system_state(ms_a)
     return ms_s, ms_a
 
@@ -97,29 +79,32 @@ def _three_way(footprint: int, chunks: int = 6, n: int = 2500):
     ids=["tiny", "l1_resident", "l2_resident", "dram_heavy"],
 )
 def test_replay_trace_parity_auto(footprint):
-    """Auto dispatch: whatever mix of array solves and python
-    fallbacks the cost model picks, results match the oracle."""
-    _three_way(footprint)
+    """The walk this host loads (the compiled kernel where gcc exists)
+    matches the oracle."""
+    _two_way(footprint)
 
 
 @pytest.mark.parametrize(
     "footprint", [64, 512, 1 << 13, 1 << 17],
     ids=["tiny", "l1_resident", "l2_resident", "dram_heavy"],
 )
-def test_replay_trace_parity_forced(footprint, force_array):
-    """Forced dispatch: every partition goes through the NumPy solver
-    (small-footprint fast path and dominance path both engage)."""
-    _three_way(footprint)
+def test_replay_trace_parity_forced(footprint, force_twin):
+    """With the Python twin forced, every level walks through
+    ``Cache.access``; results match the oracle."""
+    _two_way(footprint)
 
 
-def test_replay_then_flush_parity(force_array):
-    """Flush after array replay: identical dirty lines, writebacks,
-    and flush accounting."""
-    ms_s, ms_a = _three_way(4096, chunks=3, n=4000)
-    assert ms_s.flush_all() == ms_a.flush_all()
-    assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
-        ms_a.collect_stats()
-    )
+def test_replay_then_flush_parity():
+    """Flush after array replay, with the kernel loaded and with the
+    twin forced: identical dirty lines, writebacks, and flush
+    accounting."""
+    for walk in ("native", "python"):
+        with kernels(walk):
+            ms_s, ms_a = _two_way(4096, chunks=3, n=4000)
+        assert ms_s.flush_all() == ms_a.flush_all()
+        assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
+            ms_a.collect_stats()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +182,16 @@ def _fingerprint(report) -> dict:
 def test_replay_modes_identical_end_to_end(
     graph, rect, kernel, settings_name
 ):
-    """scalar == batched == array on the full stats + output surface,
-    across bypass configurations and a barrier-heavy schedule."""
+    """scalar == array (kernel loaded, twin forced) on the full stats +
+    output surface, across bypass configurations and a barrier-heavy
+    schedule."""
     a = graph if kernel == "spmm" else rect
     settings = SETTINGS[settings_name]
     want = _fingerprint(_run(a, kernel, "scalar", settings=settings))
-    for replay in ("batched", "array"):
-        got = _fingerprint(_run(a, kernel, replay, settings=settings))
-        assert got == want, f"{kernel}/{settings_name}[{replay}]"
+    for walk in ("native", "python"):
+        with kernels(walk):
+            got = _fingerprint(_run(a, kernel, "array", settings=settings))
+        assert got == want, f"{kernel}/{settings_name}[array+{walk}]"
 
 
 @pytest.mark.parametrize(
@@ -222,9 +209,9 @@ def test_array_replay_under_all_execution_backends(
     assert got == want, f"{kernel}[{execution}+array]"
 
 
-def test_forced_array_end_to_end(graph, force_array):
-    """Even with the cost model pinned to the NumPy solver the kernel
-    run is bit-identical to the oracle."""
+def test_forced_array_end_to_end(graph, force_twin):
+    """With the Python twins forced the kernel run is bit-identical to
+    the oracle."""
     want = _fingerprint(_run(graph, "spmm", "scalar"))
     got = _fingerprint(_run(graph, "spmm", "array"))
     assert got == want

@@ -6,29 +6,30 @@ counterexamples:
 * A pure **stack-distance oracle** — the textbook inclusion property
   of LRU (an access hits iff the number of distinct lines touched in
   its set since its previous occurrence is below the associativity) —
-  checked against the scalar ``Cache`` walk.  This is the theory the
-  array solver is built on; if it ever disagreed with the dict walk,
-  every downstream equivalence argument would be void.
-* The **array solver on a bare cache** with random geometry (sets,
-  ways, footprint) and random traces, vs the scalar walk AND the
-  oracle: counters, per-set LRU order, dirty bits.  The cost model is
-  disabled so the NumPy path (small-footprint fast path or bounded-
-  window walk, whichever the trace selects) is always the thing under
-  test; a long-window case also trips the walk's probe cap.
+  checked against the scalar ``Cache`` walk, and against the level walk
+  the host runs (the compiled kernel where gcc exists).
+* The **compiled cache walk vs its Python twin** (a loop over
+  ``Cache.access``) on bare caches of the shapes the hierarchy uses —
+  one-set 1,536-way (the STLB), one-set 32-way (a stream buffer),
+  128x2, 64x8, 1024x20 and direct-mapped — with warm dirty residents,
+  fill-mask mixes, hot lines reused near capacity, empty streams and
+  line values above 2**40: emitted events, counters, and per-set LRU
+  order with dirty bits, carried across calls.
 * **Full MemorySystem traces** — random interleaved dense / bypass /
   stream ops with random chunk boundaries, replayed through
-  ``replay="array"`` vs the scalar oracle: every AccessStats counter
-  and the complete hierarchy state.
+  ``replay="array"`` (kernel loaded and twin forced) vs the scalar
+  oracle: every AccessStats counter and the complete hierarchy state.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import native
 from repro.config import CacheConfig, scaled_config
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import (
@@ -39,7 +40,7 @@ from repro.memory.hierarchy import (
     MemorySystem,
     encode_op,
 )
-import repro.memory.replay_array as replay_array
+from repro.memory.replay_array import walk_level, walk_native, walk_twin
 
 from tests.test_memory_batched_parity import (
     CACHE_COUNTERS,
@@ -48,22 +49,7 @@ from tests.test_memory_batched_parity import (
     scalar_system_replay,
     system_state,
 )
-
-
-@contextlib.contextmanager
-def forced_array():
-    """Pin dispatch to the NumPy solver for the duration of a block.
-
-    A plain context manager (not a pytest fixture) so hypothesis does
-    not see function-scoped fixture state shared across examples.
-    """
-    saved = (replay_array.ARRAY_MIN_EVENTS, replay_array._PY_HIT_US)
-    replay_array.ARRAY_MIN_EVENTS = 0
-    replay_array._PY_HIT_US = 1e9
-    try:
-        yield
-    finally:
-        replay_array.ARRAY_MIN_EVENTS, replay_array._PY_HIT_US = saved
+from tests.walks import WALKS, kernels
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,7 @@ def test_scalar_cache_matches_stack_distance_oracle(
 
 
 # ---------------------------------------------------------------------------
-# Array solver vs brute force on random (sets, ways, trace)
+# The level walk vs brute force on random (sets, ways, trace)
 # ---------------------------------------------------------------------------
 
 
@@ -131,8 +117,7 @@ def test_scalar_cache_matches_stack_distance_oracle(
 def geometry_and_trace(draw):
     ways = draw(st.integers(1, 8))
     num_sets = 1 << draw(st.integers(0, 3))
-    # Footprints from "fits in one set" (fast path) to far beyond
-    # capacity (window walk): both solver branches get traffic.
+    # Footprints from "fits in one set" to far beyond capacity.
     footprint = draw(st.sampled_from([ways, 2 * ways, 24, 200]))
     trace = draw(
         st.lists(
@@ -145,10 +130,9 @@ def geometry_and_trace(draw):
 
 
 def long_window_trace():
-    """One 8-way set: ten cold lines (more distinct lines than ways, so
-    the window walk runs), then five lines cycling with 200-access runs
-    of two hot lines between them — every cycling access walks back
-    ~1000 positions over only 7 distinct lines before it hits."""
+    """One 8-way set: ten cold lines, then five lines cycling with
+    200-access runs of two hot lines between them — every cycling
+    access's reuse spans ~1000 positions over only 7 distinct lines."""
     trace = [(line, False) for line in range(100, 110)]
     for i in range(15):
         trace.append((i % 5, i % 2 == 0))
@@ -158,56 +142,10 @@ def long_window_trace():
 
 def wrapped_window_trace():
     """One 8-way set, twice: a line, 25 accesses cycling over seven
-    others, the line again, two new lines.  The first call replays it
-    from a cold cache; the reused line's walk outlives two doublings,
-    so without a width bound its block would reach past the start of
-    the layout (offset 56 at position 26 of 29)."""
+    others, the line again, two new lines."""
     once = [(0, False)] + [(1 + i % 7, i % 3 == 0) for i in range(25)]
     once += [(0, True), (8, False), (9, False)]
     return 8, 1, once * 2
-
-
-def solve_in_two_calls(ways, num_sets, trace, audits=None):
-    """Replay ``trace`` through the array solver (split in two calls)
-    and through the scalar walk; assert they end identical."""
-    cfg = CacheConfig(
-        size_bytes=64 * ways * num_sets, associativity=ways
-    )
-    lines = np.array([t[0] for t in trace], dtype=np.int64)
-    writes = np.array([t[1] for t in trace], dtype=bool)
-
-    oracle = Cache(cfg, name="oracle")
-    solved = Cache(cfg, name="array")
-    # Split at a random-ish point: solver state must carry across
-    # calls exactly like the incremental walk's does.
-    cut = len(trace) // 2
-    with forced_array():
-        for lo, hi in ((0, cut), (cut, len(trace))):
-            if hi == lo:
-                continue
-            chunk = lines[lo:hi]
-            set_id = chunk % num_sets
-            audit = {} if audits is not None else None
-            replay_array._replay_level_array(
-                solved,
-                chunk,
-                writes[lo:hi],
-                None,
-                np.arange(hi - lo, dtype=np.int64),
-                set_id,
-                np.unique(set_id),
-                audit,
-            )
-            if audits is not None:
-                audits.append(audit)
-    s_hits = scalar_replay(oracle, lines.tolist(), writes.tolist())
-    assert s_hits == stack_distance_reference(
-        lines.tolist(), num_sets, ways
-    )
-    assert counters(oracle, CACHE_COUNTERS) == counters(
-        solved, CACHE_COUNTERS
-    )
-    assert cache_state(oracle) == cache_state(solved)
 
 
 @given(geometry_and_trace())
@@ -215,69 +153,106 @@ def solve_in_two_calls(ways, num_sets, trace, audits=None):
 @example(wrapped_window_trace())
 @settings(max_examples=80, deadline=None)
 def test_array_solver_matches_bruteforce(params):
-    solve_in_two_calls(*params)
-
-
-@given(geometry_and_trace())
-@example(long_window_trace())
-@example(wrapped_window_trace())
-@settings(max_examples=40, deadline=None)
-def test_array_solver_one_offset_walk_matches_bruteforce(params):
-    # Short traces leave few walkers, which take the window walk's 2-D
-    # block branch; a threshold of 1 sends them through the
-    # one-offset-per-pass branch that long epoch streams use.
-    saved = replay_array._WINDOW_WIDE_ROWS
-    replay_array._WINDOW_WIDE_ROWS = 1
-    try:
-        solve_in_two_calls(*params)
-    finally:
-        replay_array._WINDOW_WIDE_ROWS = saved
-
-
-@given(geometry_and_trace(), st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-def test_dict_walk_matches_array_solver(params, rnd):
-    """The dict walk (and its no-eviction bulk update, which a one-set
-    cache whose residents plus the stream's line range fit in its ways
-    takes) emits the same next-level events as the array solver and
-    leaves the same counters and state, call after call."""
+    """The level walk this host runs, split in two calls, against the
+    stack-distance oracle (per-access hits) and the scalar walk
+    (counters, LRU order, dirty bits)."""
     ways, num_sets, trace = params
     cfg = CacheConfig(size_bytes=64 * ways * num_sets, associativity=ways)
-    walked, solved = Cache(cfg, name="walk"), Cache(cfg, name="array")
+    lines = np.array([t[0] for t in trace], dtype=np.int64)
+    writes = np.array([t[1] for t in trace], dtype=bool)
+    oracle, walked = Cache(cfg, name="oracle"), Cache(cfg, name="walk")
+    hits = np.ones(lines.shape[0], dtype=bool)
     cut = len(trace) // 2
     for lo, hi in ((0, cut), (cut, len(trace))):
-        if hi == lo:
-            continue
-        line = np.array([t[0] for t in trace[lo:hi]], dtype=np.int64)
-        write = np.array([t[1] for t in trace[lo:hi]], dtype=bool)
+        _, e_write, e_pos = walk_level(walked, lines[lo:hi], writes[lo:hi])
+        hits[lo + e_pos[~e_write]] = False
+    want = stack_distance_reference(lines.tolist(), num_sets, ways)
+    assert hits.tolist() == want
+    assert scalar_replay(oracle, lines.tolist(), writes.tolist()) == want
+    assert counters(oracle, CACHE_COUNTERS) == counters(
+        walked, CACHE_COUNTERS
+    )
+    assert cache_state(oracle) == cache_state(walked)
+
+
+SHAPES = [(1, 1536), (1, 32), (128, 2), (64, 8), (1024, 20), (16, 1), (1, 1)]
+"""(sets, ways): the STLB, a stream buffer, L1/L2/LLC-like and
+direct-mapped shapes, and a one-line cache."""
+
+
+@st.composite
+def walk_cases(draw):
+    num_sets, ways = draw(st.sampled_from(SHAPES))
+    base = draw(st.sampled_from([0, 2**40 + 3]))
+    # "set": ways + 1 lines of one set (a hot line reused right at
+    # capacity); "near": just past the whole cache; "far": 4x over.
+    spread = draw(st.sampled_from(["set", "near", "far"]))
+    warm = draw(st.integers(0, 300))
+    calls = draw(st.lists(
+        st.tuples(
+            st.integers(0, 300),                          # 0: empty
+            st.sampled_from([0.0, 0.3, 1.0]),             # write share
+            st.sampled_from(["all", "reads", "random"]),  # who fills
+        ),
+        min_size=1, max_size=3,
+    ))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return num_sets, ways, base, spread, warm, calls, seed
+
+
+def _case_lines(rng, num_sets, ways, base, spread, n):
+    capacity = num_sets * ways
+    if spread == "set":
+        raw = num_sets * rng.integers(0, ways + 1, size=n) + 3 % num_sets
+    elif spread == "near":
+        raw = rng.integers(0, capacity + capacity // 8 + 2, size=n)
+    else:
+        raw = rng.integers(0, 4 * capacity + 16, size=n)
+    # Hot-line reuse: a third of the accesses go to `ways` hot lines.
+    hot = rng.random(n) < 0.33
+    raw[hot] = rng.integers(0, ways, size=int(hot.sum())) * num_sets
+    return (base + raw).astype(np.int64)
+
+
+@given(walk_cases())
+@settings(max_examples=60, deadline=None)
+def test_dict_walk_matches_array_solver(case):
+    """The compiled cache walk and its Python twin emit the same
+    next-level events and leave the same counters and per-set LRU /
+    dirty state, call after call, from warm dirty residents."""
+    kernel = native.cache_walk_kernel()
+    if kernel is None:
+        pytest.skip("the compiled cache walk does not load on this host")
+    num_sets, ways, base, spread, warm, calls, seed = case
+    rng = np.random.default_rng(seed)
+    cfg = CacheConfig(size_bytes=64 * ways * num_sets, associativity=ways)
+    twin, compiled = Cache(cfg, name="twin"), Cache(cfg, name="kernel")
+    assert twin.num_sets == num_sets
+    w_lines = _case_lines(rng, num_sets, ways, base, spread, warm)
+    w_writes = rng.random(warm) < 0.5
+    for c in (twin, compiled):
+        for line, w in zip(w_lines.tolist(), w_writes.tolist()):
+            c.access(line, w)
+    for n, p_write, fills in calls:
+        lines = _case_lines(rng, num_sets, ways, base, spread, n)
+        writes = rng.random(n) < p_write
         isfill = (
-            None if rnd.random() < 0.5
-            else np.array([rnd.random() < 0.7 for _ in line], dtype=bool)
+            None if fills == "all"
+            else ~writes if fills == "reads"
+            else rng.random(n) < 0.6
         )
-        trig = np.arange(hi - lo, dtype=np.int64) * 3 + lo
-        set_id = line % num_sets
-        got = replay_array._replay_level_python(
-            walked, line, write, isfill, trig
-        )
-        want = replay_array._replay_level_array(
-            solved, line, write, isfill, trig, set_id, np.unique(set_id)
-        )
+        want = walk_twin(twin, lines, writes, isfill)
+        got = walk_native(kernel, compiled, lines, writes, isfill)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-        assert counters(walked, CACHE_COUNTERS) == counters(
-            solved, CACHE_COUNTERS
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert counters(twin, CACHE_COUNTERS) == counters(
+            compiled, CACHE_COUNTERS
         )
-        assert cache_state(walked) == cache_state(solved)
-
-
-def test_array_solver_probe_cap_falls_back(monkeypatch):
-    # Past the probe budget the level goes to the dict walk before
-    # anything is mutated, and the result is still exact.  The first
-    # call's walk takes 2-3 probes per element, so a budget of 1 trips.
-    monkeypatch.setattr(replay_array, "PROBE_CAP_PER_EVENT", 1)
-    audits = []
-    solve_in_two_calls(*long_window_trace(), audits=audits)
-    assert audits[0].get("bailed")
+        assert cache_state(twin) == cache_state(compiled)
+        assert all(
+            type(k) is int and type(d) is bool
+            for s in compiled._sets for k, d in s.items()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +285,26 @@ def op_traces(draw):
 def test_memory_system_array_matches_scalar(params):
     ops, cut, pe_ids = params
     cfg = scaled_config(2, cache_shrink=8)
-    cfg_a = dataclasses.replace(cfg, replay="array")
-    ms_s = MemorySystem(cfg)
-    ms_a = MemorySystem(cfg_a)
     lines = np.array([o[0] for o in ops], dtype=np.int64)
     enc = np.array(
         [encode_op(int(p), bool(w), int(r)) for _, p, w, r in ops],
         dtype=np.int64,
     )
-    with forced_array():
-        for (lo, hi), pe_id in zip(
-            ((0, cut), (cut, len(ops))), pe_ids
-        ):
-            if hi == lo:
-                continue
-            lv_s = scalar_system_replay(
-                ms_s, pe_id, lines[lo:hi], enc[lo:hi]
-            )
-            lv_a = ms_a.replay_trace(pe_id, lines[lo:hi], enc[lo:hi])
-            assert np.array_equal(lv_s, lv_a)
-    assert dataclasses.asdict(ms_s.collect_stats()) == (
-        dataclasses.asdict(ms_a.collect_stats())
-    )
-    assert system_state(ms_s) == system_state(ms_a)
+    for walk in WALKS:
+        ms_s = MemorySystem(dataclasses.replace(cfg, replay="scalar"))
+        ms_a = MemorySystem(dataclasses.replace(cfg, replay="array"))
+        with kernels(walk):
+            for (lo, hi), pe_id in zip(
+                ((0, cut), (cut, len(ops))), pe_ids
+            ):
+                if hi == lo:
+                    continue
+                lv_s = scalar_system_replay(
+                    ms_s, pe_id, lines[lo:hi], enc[lo:hi]
+                )
+                lv_a = ms_a.replay_trace(pe_id, lines[lo:hi], enc[lo:hi])
+                assert np.array_equal(lv_s, lv_a)
+        assert dataclasses.asdict(ms_s.collect_stats()) == (
+            dataclasses.asdict(ms_a.collect_stats())
+        )
+        assert system_state(ms_s) == system_state(ms_a)

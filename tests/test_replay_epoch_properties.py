@@ -1,15 +1,19 @@
 """Property tests (hypothesis) for epoch-grain replay.
 
-``MemorySystem.replay_epoch`` hands a whole epoch's dispatch runs to an
-epoch backend in one call; the array backend then solves each PE's L1
-once over all its runs, each L2 group once over its PEs' merged L1
-events, and the LLC once; likewise each group's STLB once over its
-pages and each PE's BBF stream buffer and victim cache once over its
-accesses on those paths.  It must be indistinguishable from replaying
-the runs one by one with the batched backend: per-run service levels,
-every cache counter, the ordered (line, dirty) state of every cache,
-STLB and BBF state, and DRAM traffic per region.  A backend registered
-without ``epoch`` still gets one call per run, with one PE.
+``MemorySystem.replay_epoch`` hands a whole epoch's dispatch runs to the
+array backend in one call; it then walks each PE's L1 once over all its
+runs, each L2 group once over its PEs' merged L1 events, and the LLC
+once; likewise each group's STLB once over its pages and each PE's BBF
+stream buffer and victim cache once over its accesses on those paths.
+It must be indistinguishable from replaying the runs one by one through
+the scalar oracle: per-run service levels, every cache counter, the
+ordered (line, dirty) state of every cache, STLB and BBF state, and
+DRAM traffic per region — with the compiled walk loaded and with its
+Python twin forced (``forced``).  The scalar backend still gets one
+call per run, with one PE.
+
+(Test names keep the "per-run batched" wording of the per-run backend
+the oracle replaced as the reference, so the suite's ids stay stable.)
 
 The system is 8 PEs in 2 L2 groups with tiny caches, 4-entry stream
 buffers and 4-entry STLBs, so short random epochs already evict dirty
@@ -25,12 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import (
-    CacheConfig,
-    register_replay_backend,
-    scaled_config,
-    unregister_replay_backend,
-)
+from repro.config import CacheConfig, scaled_config
 from repro.memory.tlb import LINES_PER_PAGE, STLB
 from repro.memory.hierarchy import (
     OP_DENSE,
@@ -43,7 +42,7 @@ from repro.memory.hierarchy import (
 )
 
 from tests.test_memory_batched_parity import CACHE_COUNTERS, counters, system_state
-from tests.test_replay_array_properties import forced_array
+from tests.walks import kernels
 
 NUM_PES = 8
 STLB_ENTRIES = 4
@@ -153,15 +152,14 @@ def epoch_runs(draw):
 
 
 def check_epochs(epochs, forced: bool) -> MemorySystem:
+    """Replay ``epochs`` whole-epoch through the array backend (with the
+    Python twin when ``forced``) and run by run through the oracle."""
     cfg = tiny_config()
-    ref = make_system(dataclasses.replace(cfg, replay="batched"))
+    ref = make_system(dataclasses.replace(cfg, replay="scalar"))
     got = make_system(dataclasses.replace(cfg, replay="array"))
     for runs in epochs:
-        want = [ref.replay_trace_batched(p, l, o) for p, l, o in runs]
-        if forced:
-            with forced_array():
-                levels = got.replay_epoch(runs)
-        else:
+        want = [ref.replay_trace_scalar(p, l, o) for p, l, o in runs]
+        with kernels("python" if forced else "native"):
             levels = got.replay_epoch(runs)
         assert len(levels) == len(want)
         for w, g in zip(want, levels):
@@ -248,36 +246,30 @@ def test_side_structures_evict_and_stay_exact(forced):
     assert sum(t.misses for t in got.stlbs) > len(pages)
 
 
-PE_ARGS = []
-
-
-def one_pe_backend(ms, pe_id, lines, ops, region_names=TRACE_REGIONS):
-    """A backend registered without ``epoch``: records its PE argument
-    and replays like the batched backend."""
-    PE_ARGS.append(pe_id)
-    return ms.replay_trace_batched(pe_id, lines, ops, region_names)
-
-
 def test_backend_without_epoch_gets_one_call_per_run():
-    register_replay_backend(
-        "one-pe", "tests.test_replay_epoch_properties:one_pe_backend"
-    )
-    try:
-        cfg = dataclasses.replace(tiny_config(), replay="one-pe")
-        ms = MemorySystem(cfg)
-        rng = np.random.default_rng(3)
-        runs = [
-            (pe, rng.integers(0, 256, size=30),
-             np.full(30, encode_op(OP_DENSE, True, 1)))
-            for pe in (0, 0, 5, 2, 5)
-        ]
-        PE_ARGS.clear()
-        levels = ms.replay_epoch(runs)
-        assert PE_ARGS == [0, 0, 5, 2, 5]
-        assert all(isinstance(pe, int) for pe in PE_ARGS)
-        ref = MemorySystem(dataclasses.replace(cfg, replay="batched"))
-        for (p, l, o), got in zip(runs, levels):
-            assert np.array_equal(ref.replay_trace_batched(p, l, o), got)
-        assert full_state(ms) == full_state(ref)
-    finally:
-        unregister_replay_backend("one-pe")
+    """The scalar oracle replays an epoch one ``replay_trace`` call per
+    run, each with one PE, in dispatch order."""
+    cfg = dataclasses.replace(tiny_config(), replay="scalar")
+    ms = MemorySystem(cfg)
+    calls = []
+    real = ms.replay_trace
+
+    def spy(pe_id, lines, ops, region_names=TRACE_REGIONS):
+        calls.append(pe_id)
+        return real(pe_id, lines, ops, region_names)
+
+    ms.replay_trace = spy
+    rng = np.random.default_rng(3)
+    runs = [
+        (pe, rng.integers(0, 256, size=30),
+         np.full(30, encode_op(OP_DENSE, True, 1)))
+        for pe in (0, 0, 5, 2, 5)
+    ]
+    levels = ms.replay_epoch(runs)
+    assert calls == [0, 0, 5, 2, 5]
+    assert all(isinstance(pe, int) for pe in calls)
+    ref = MemorySystem(dataclasses.replace(cfg, replay="array"))
+    assert [lv.tolist() for lv in ref.replay_epoch(runs)] == [
+        lv.tolist() for lv in levels
+    ]
+    assert full_state(ms) == full_state(ref)

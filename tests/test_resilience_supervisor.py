@@ -348,14 +348,14 @@ class TestCombinedReplayLadder:
         sup = make_supervisor()
         assert sup._ladder("pipelined", "array") == (
             ("pipelined", "array"),
-            ("vectorized", "batched"),
+            ("vectorized", "scalar"),
             ("scalar", "scalar"),
         )
 
     def test_rungs_from_the_middle(self):
         sup = make_supervisor()
-        assert sup._ladder("vectorized", "batched") == (
-            ("vectorized", "batched"),
+        assert sup._ladder("vectorized", "array") == (
+            ("vectorized", "array"),
             ("scalar", "scalar"),
         )
 
@@ -363,7 +363,6 @@ class TestCombinedReplayLadder:
         sup = make_supervisor()
         assert sup._ladder("scalar", "array") == (
             ("scalar", "array"),
-            ("scalar", "batched"),
             ("scalar", "scalar"),
         )
         assert sup._ladder("pipelined", "scalar") == (
@@ -384,7 +383,7 @@ class TestCombinedReplayLadder:
         outcome = RunOutcome(
             backend="scalar", requested_backend="scalar",
             attempts=2, retries=0, degradations=1,
-            replay="batched", requested_replay="array",
+            replay="scalar", requested_replay="array",
         )
         assert outcome.degraded
 
@@ -402,7 +401,7 @@ class TestCombinedReplayLadder:
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
         assert outcome.backend == "vectorized"
-        assert outcome.replay == "batched"
+        assert outcome.replay == "scalar"
         assert outcome.requested_replay == "array"
         assert outcome.degraded
         # Degrading never changes results.

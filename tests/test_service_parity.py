@@ -291,3 +291,18 @@ class TestHttpSurface:
         finally:
             server.stop()
             pool.close()
+
+
+def test_replay_field_accepts_exactly_the_two_modes():
+    """A request may name the oracle or the array backend (or leave the
+    default); the deleted ``batched`` mode is a malformed request."""
+    from repro.errors import WorkloadError
+
+    keys = {
+        replay: run_jobspec(request_point(dict(POINT_ARGS, replay=replay))).key
+        for replay in (None, "scalar", "array")
+    }
+    assert len(set(keys.values())) == 3
+    for bad in ("batched", "bogus"):
+        with pytest.raises(WorkloadError, match="replay"):
+            request_point(dict(POINT_ARGS, replay=bad))

@@ -4,7 +4,9 @@ The metrics registry is a *second reporting channel* for the same
 counters the engine already returns.  These tests pin the contract that
 the two channels agree exactly — per level, per DRAM direction, per
 region — in BOTH replay modes, and that the default (telemetry off)
-leaves the report bit-identical to an untelemetered run.
+leaves the report bit-identical to an untelemetered run.  Test ids name
+the replay by how the engine drives it: ``scalar`` (one call per
+access) or ``batched`` (buffered chunk traces, ``replay="array"``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ LEVELS = ("l1", "l2", "llc", "victim", "bbf_stream")
 def run_traced(replay: str, telemetry: TelemetryConfig):
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=8),
-        replay=replay, telemetry=telemetry,
+        replay="array" if replay == "batched" else replay,
+        telemetry=telemetry,
     )
     system = SpadeSystem(cfg)
     a = rmat_graph(scale=7, edge_factor=8, seed=99)

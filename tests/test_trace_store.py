@@ -181,14 +181,14 @@ class TestEngineTraceCacheParity:
     def test_shared_across_replay_backends(self, tmp_path):
         a, b, c = _workload()
         cold, _ = _run(a, b, c, TraceStore(tmp_path), replay="array")
-        warm, cw = _run(a, b, c, TraceStore(tmp_path), replay="batched")
+        warm, cw = _run(a, b, c, TraceStore(tmp_path), replay="scalar")
         assert cw["gen_invocations"] == 0 and cw["hits"] >= 1
         assert _facts(cold) == _facts(warm)
 
 
 class TestVrfWalkInvariance:
-    """Whether the compiled VRF walk loaded is not part of any key: the
-    Python twin and the kernel write the same entries under the same
+    """Whether the compiled walks loaded is not part of any key: the
+    Python twins and the kernels write the same entries under the same
     keys, and either one's entries serve the other."""
 
     def test_python_walk_entries_hit_for_native_walk(
@@ -206,7 +206,7 @@ class TestVrfWalkInvariance:
         live, _ = _run(a, b, c, native_store)
         with monkeypatch.context() as mp:
             mp.setattr(native, "_tried", True)
-            mp.setattr(native, "_kernel", None)
+            mp.setattr(native, "_kernels", None)
             assert config_fingerprint(cfg) == fp_native
             twin_store = TraceStore(tmp_path / "python")
             cold, cc = _run(a, b, c, twin_store)
