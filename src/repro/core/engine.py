@@ -163,14 +163,15 @@ class Engine:
                 telemetry=self.telemetry,
                 chaos=chaos,
             )
-        # Replay mode: "array" buffers each PE chunk's trace and replays
-        # it in one call per chunk (one call per epoch under the fused
-        # execution modes); "scalar" is the per-access reference oracle
-        # (bit-identical results).
+        # Replay mode: "array" replays an epoch's traces in one call,
+        # one compiled cache walk per cache level (its Python twin
+        # without gcc); "scalar" is the per-access reference oracle.
         # Execution mode: "scalar" walks every nonzero in Python;
-        # "vectorized" derives the chunk trace with NumPy + a reduced
-        # tight loop; "pipelined" additionally overlaps generation with
-        # replay (bit-identical results in all combinations).
+        # "vectorized" derives each PE's epoch trace with NumPy and the
+        # compiled VRF walk; "pipelined" additionally generates later
+        # PEs' epochs in a producer pool while the output merge of
+        # earlier ones runs.  Every combination gives bit-identical
+        # results.
         self.batched_replay = config.replay != "scalar"
         self.execution = config.execution
         self.buffered = self.batched_replay or self.execution != "scalar"
@@ -208,7 +209,8 @@ class Engine:
         d_accum = np.zeros(
             (self.tiled.num_rows, self.init.dense_row_size), dtype=np.float64
         )
-        b64 = np.asarray(b_dense, dtype=np.float64)
+        # Once per run: the merge takes a C-contiguous float64 B.
+        b64 = np.ascontiguousarray(b_dense, dtype=np.float64)
 
         def gen_chunk(pe: ProcessingElement, tile: TileInfo, lo: int, hi: int):
             off = tile.sparse_in_start_offset

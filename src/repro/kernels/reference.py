@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -81,15 +82,31 @@ def spmm_chunk_update(
     """Scatter-accumulate one chunk of SpMM nonzeros into ``d_accum``
     (float64, in place).
 
-    This is the engine's per-chunk functional kernel: ``np.add.at``
-    applies the chunk's products in nonzero order, so accumulation
-    order — and therefore the float32 result — is identical whichever
-    execution backend generated the chunk's trace, as long as chunks
-    are applied in the round-robin schedule order.
+    This is the engine's per-chunk functional kernel.  It runs the
+    compiled merge (``repro/native/spmm_merge.c``) when the kernel
+    library loads, and its twin, ``np.add.at``, otherwise.  Both perform
+    the same operations in the same order: for each nonzero ``i`` in
+    chunk order and each column ``j``, the product
+    ``float64(vals[i]) * b64[c_ids[i], j]`` rounded once, then added to
+    ``d_accum[r_ids[i], j]`` and rounded once (the C build forbids a
+    fused multiply-add).  Rows hit by several nonzeros therefore
+    accumulate in nonzero order on either path, and the float32 result
+    is identical whichever execution backend generated the chunk's
+    trace, as long as chunks are applied in the round-robin schedule
+    order.
+
+    The chunk is checked whole before anything is written
+    (:func:`repro.native.check_spmm_chunk`): a bad chunk raises the
+    same error on either path and leaves ``d_accum`` untouched.
     """
-    np.add.at(
-        d_accum, r_ids, vals[:, None].astype(np.float64) * b64[c_ids]
-    )
+    native.check_spmm_chunk(d_accum, r_ids, c_ids, vals, b64)
+    kernels = native.kernels()
+    if kernels is not None:
+        kernels.spmm_merge(d_accum, r_ids, c_ids, vals, b64)
+    else:
+        np.add.at(
+            d_accum, r_ids, vals[:, None].astype(np.float64) * b64[c_ids]
+        )
 
 
 def sddmm_chunk_vals(

@@ -1,22 +1,25 @@
 """Compiled kernels, built with the host's gcc on first use.
 
-Two kernels live here, built into one library:
+Three kernels live here, built into one library:
 
 - ``vrf_walk.c``, the exact scalar walk of a PE's vector register file
   behind :func:`repro.core.vectorized.walk_vrf`; its Python twin is
   ``repro.core.vectorized._run_vrf_stream``;
 - ``cache_walk.c``, the exact scalar walk of one cache level over an
   event stream behind :func:`repro.memory.replay_array.walk_level`; its
-  Python twin is a loop over :meth:`repro.memory.cache.Cache.access`.
+  Python twin is a loop over :meth:`repro.memory.cache.Cache.access`;
+- ``spmm_merge.c``, the SpMM output merge behind
+  :func:`repro.kernels.reference.spmm_chunk_update`; its twin is the
+  ``np.add.at`` scatter it transcribes.
 
 A twin is the reference and the path taken when the library does not
 load; results are identical either way, only slower.
 
 Build, cache and trust rules:
 
-- Nothing compiles at import.  The first :func:`vrf_walk_kernel` or
-  :func:`cache_walk_kernel` call builds the library and the outcome
-  holds for the rest of the process.
+- Nothing compiles at import.  The first :func:`kernels` call (a walk
+  or an SpMM merge) builds the library and the outcome holds for the
+  rest of the process.
 - Builds live in one per-user, host-wide directory,
   ``<tempfile.gettempdir()>/repro-native-<uid>/``, created with mode
   0700.  A directory that is a symlink, not a directory, owned by
@@ -55,9 +58,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("vrf_walk.c", "cache_walk.c")
+    Path(__file__).with_name(name)
+    for name in ("vrf_walk.c", "cache_walk.c", "spmm_merge.c")
 )
-FLAGS = ("-O2", "-shared", "-fPIC")
+# -ffp-contract=off: no fused multiply-add may skip a rounding the
+# NumPy twins perform (the SpMM merge's product).
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class Kernels(NamedTuple):
@@ -65,6 +71,7 @@ class Kernels(NamedTuple):
 
     vrf_walk: Callable
     cache_walk: Callable
+    spmm_merge: Callable
 
 
 _lock = threading.Lock()
@@ -161,11 +168,14 @@ def kernels() -> Optional[Kernels]:
         if not _tried:
             try:
                 lib = _load_library()
-                _kernels = Kernels(_bind_vrf_walk(lib), _bind_cache_walk(lib))
+                _kernels = Kernels(
+                    _bind_vrf_walk(lib), _bind_cache_walk(lib),
+                    _bind_spmm_merge(lib),
+                )
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
                 warnings.warn(
                     f"compiled kernels unavailable ({exc}); using the "
-                    "Python walks: same results, slower",
+                    "Python twins: same results, slower",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -186,27 +196,29 @@ def cache_walk_kernel() -> Optional[Callable]:
 
 
 def kernels_impl() -> Optional[str]:
-    """``"native"`` or ``"python"``: which walks this process uses, or
-    ``None`` when no walk has run in it yet (nothing is built for the
+    """``"native"`` or ``"python"``: which kernels this process uses, or
+    ``None`` when none has run in it yet (nothing is built for the
     answer)."""
     if not _tried:
         return None
     return "native" if _kernels is not None else "python"
 
 
+def _require(name: str, arr, dtype, ndim: int = 1) -> None:
+    """``arr`` must be a C-contiguous ``ndim``-D ndarray of ``dtype``."""
+    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+        raise TypeError(f"{name} must be a {np.dtype(dtype)} ndarray")
+    if arr.ndim != ndim or not arr.flags.c_contiguous:
+        raise ValueError(f"{name} must be {ndim}-D and C-contiguous")
+
+
 def check_stream(lines: np.ndarray, dirty: np.ndarray, emit: np.ndarray) -> None:
     """Validate a VRF walk's access stream: ``lines`` and ``emit`` must be
     1-D C-contiguous int64, ``dirty`` 1-D C-contiguous bool, all of one
     length."""
-    for name, arr, dtype in (
-        ("lines", lines, np.int64),
-        ("dirty", dirty, np.bool_),
-        ("emit", emit, np.int64),
-    ):
-        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
-            raise TypeError(f"{name} must be a {np.dtype(dtype)} ndarray")
-        if arr.ndim != 1 or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be 1-D and C-contiguous")
+    _require("lines", lines, np.int64)
+    _require("dirty", dirty, np.bool_)
+    _require("emit", emit, np.int64)
     if not lines.shape == dirty.shape == emit.shape:
         raise ValueError("lines, dirty and emit differ in length")
 
@@ -297,14 +309,10 @@ def check_cache_stream(
     int64 with no negative value (C's ``%`` differs from Python's on
     those), ``writes`` and ``isfill`` (``None`` = every miss fills) 1-D
     C-contiguous bool, all of one length."""
-    arrays = [("lines", lines, np.int64), ("writes", writes, np.bool_)]
+    _require("lines", lines, np.int64)
+    _require("writes", writes, np.bool_)
     if isfill is not None:
-        arrays.append(("isfill", isfill, np.bool_))
-    for name, arr, dtype in arrays:
-        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
-            raise TypeError(f"{name} must be a {np.dtype(dtype)} ndarray")
-        if arr.ndim != 1 or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be 1-D and C-contiguous")
+        _require("isfill", isfill, np.bool_)
     if lines.shape != writes.shape or (
         isfill is not None and isfill.shape != lines.shape
     ):
@@ -415,3 +423,71 @@ def _bind_cache_walk(lib: ctypes.CDLL) -> Callable[..., CacheWalkResult]:
         )
 
     return walk
+
+
+def check_spmm_chunk(
+    d_accum: np.ndarray,
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    vals: np.ndarray,
+    b64: np.ndarray,
+) -> None:
+    """Validate one SpMM merge chunk before anything is written:
+    ``r_ids``/``c_ids`` 1-D C-contiguous int64 and ``vals`` 1-D
+    C-contiguous float32, all of one length; ``d_accum`` and ``b64``
+    2-D C-contiguous float64 with the same number of columns, and
+    ``d_accum`` writeable; every row id in ``[0, len(d_accum))`` and
+    column id in ``[0, len(b64))`` (``IndexError`` otherwise)."""
+    _require("r_ids", r_ids, np.int64)
+    _require("c_ids", c_ids, np.int64)
+    _require("vals", vals, np.float32)
+    _require("d_accum", d_accum, np.float64, 2)
+    _require("b64", b64, np.float64, 2)
+    if not d_accum.flags.writeable:
+        raise ValueError("d_accum must be writeable")
+    if not r_ids.shape == c_ids.shape == vals.shape:
+        raise ValueError("r_ids, c_ids and vals differ in length")
+    if d_accum.shape[1] != b64.shape[1]:
+        raise ValueError(
+            f"d_accum has {d_accum.shape[1]} columns, b64 {b64.shape[1]}"
+        )
+    if r_ids.shape[0]:
+        for name, ids, bound in (
+            ("r_ids", r_ids, d_accum.shape[0]),
+            ("c_ids", c_ids, b64.shape[0]),
+        ):
+            if int(ids.min()) < 0 or int(ids.max()) >= bound:
+                raise IndexError(f"{name} fall outside [0, {bound})")
+
+
+def _bind_spmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
+    fn = lib.repro_spmm_merge
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [
+        ptr, i64,                 # d_accum, rows
+        ptr, i64, i64,            # b64, b rows, k
+        ptr, ptr, ptr, i64,       # r_ids, c_ids, vals, n
+    ]
+
+    def merge(
+        d_accum: np.ndarray,
+        r_ids: np.ndarray,
+        c_ids: np.ndarray,
+        vals: np.ndarray,
+        b64: np.ndarray,
+    ) -> None:
+        """Run the C merge over a chunk :func:`check_spmm_chunk`
+        accepted, in place.  The kernel checks the indices again before
+        it writes; a rejected chunk raises ``IndexError``."""
+        rc = fn(
+            d_accum.ctypes.data, d_accum.shape[0],
+            b64.ctypes.data, b64.shape[0], b64.shape[1],
+            r_ids.ctypes.data, c_ids.ctypes.data, vals.ctypes.data,
+            r_ids.shape[0],
+        )
+        if rc != 0:
+            raise IndexError("SpMM merge index out of range")
+
+    return merge

@@ -8,10 +8,14 @@ order), numeric outputs, simulated time, AccessStats, per-epoch
 PECounters, and the VRF's own hit/miss/writeback counters (elision
 bulk-credits skipped hits, so these pin that accounting too).
 
-Every fast-mode run happens twice: with the compiled walks (VRF and
-cache) and with their Python twins, forced by patching the loader's
-memo for the duration of the run (a test-only switch; the simulator
-picks the walks by whether the library loads).
+Every run happens with the compiled kernels (VRF walk, cache walk and
+SpMM merge) and with their twins, forced by patching the loader's memo
+for the duration of the run (a test-only switch; the simulator picks
+the kernels by whether the library loads).  The oracle runs with the
+kernels loaded; its twin run must match it too.  A checkpointed SpMM
+run killed under one path and resumed under the other must match the
+uninterrupted oracle as well: the resume restores the output
+accumulator partway through the run.
 
 Test ids name the replay by how the engine drives it: ``scalar`` (one
 call per access) or ``batched`` (buffered chunk traces replayed in one
@@ -26,13 +30,19 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from repro.config import PipelineConfig, scaled_config
+from repro.config import (
+    EXECUTION_MODES,
+    PipelineConfig,
+    ResilienceConfig,
+    scaled_config,
+)
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import ScheduleParams
 from repro.core.engine import Engine
 from repro.core.instructions import Primitive
 from repro.memory.hierarchy import TRACE_REGIONS, MemorySystem
+from repro.resilience import ChaosConfig, ChaosMonkey, InjectedCrash
 from repro.sparse.generators import rmat_graph, uniform_random
 from repro.sparse.tiled import tile_matrix
 from tests.walks import WALKS, kernels
@@ -123,8 +133,10 @@ def _assert_same(a, k, kernel, replay, settings=None, chunk_nnz=256):
         a, k, kernel, "scalar", replay, settings, chunk_nnz
     )
     fp_o = _fingerprint(eng_o, res_o, out_o)
-    for mode in MODES:
+    for mode in ("scalar",) + MODES:
         for walk in WALKS:
+            if (mode, walk) == ("scalar", "native"):
+                continue  # the oracle run itself
             with kernels(walk):
                 eng_m, res_m, out_m = _run_engine(
                     a, k, kernel, mode, replay, settings, chunk_nnz
@@ -217,6 +229,54 @@ class TestExecutionParity:
             segs = generate_sddmm_epoch(pe, [(e, e, 0, e)] * 2)
         assert segs == [(before[-1], before[-1])] * 2
         assert state() == before
+
+
+class TestResumeParity:
+    """Kill a checkpointed SpMM run under one merge path, resume it
+    under the other: the restored accumulator keeps accumulating to the
+    oracle's bytes, for every execution mode."""
+
+    @staticmethod
+    def _spmm(graph, execution, walk, chaos=None, **resilience):
+        cfg = dataclasses.replace(
+            scaled_config(4, cache_shrink=8), execution=execution,
+            resilience=ResilienceConfig(**resilience),
+        )
+        b = np.random.default_rng(7).random(
+            (graph.num_cols, 16), dtype=np.float32
+        )
+        settings = KernelSettings(
+            row_panel_size=32, col_panel_size=64, use_barriers=True
+        )
+        with kernels(walk):
+            report = SpadeSystem(cfg, chaos=chaos).spmm(
+                graph, b, settings=settings
+            )
+        return report.result
+
+    @pytest.fixture(scope="class")
+    def oracle(self, graph):
+        result = self._spmm(graph, "scalar", "native")
+        assert len(result.epoch_timings) >= 3
+        return result
+
+    @pytest.mark.parametrize("killed, resumed", [
+        ("native", "python"), ("python", "native"),
+    ])
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    def test_resume_across_merge_paths(
+        self, graph, oracle, tmp_path, execution, killed, resumed
+    ):
+        chaos = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
+        with pytest.raises(InjectedCrash):
+            self._spmm(graph, execution, killed, chaos,
+                       checkpoint_dir=str(tmp_path))
+        assert list(tmp_path.glob("ckpt-epoch-*.ckpt"))
+        got = self._spmm(graph, execution, resumed,
+                         checkpoint_dir=str(tmp_path), resume=True)
+        assert got.output_dense.tobytes() == oracle.output_dense.tobytes()
+        assert got.time_ns == oracle.time_ns
+        assert got.counters == oracle.counters
 
 
 class TestPipelineVariants:

@@ -10,7 +10,9 @@ pin the bit-identical equivalence guarantee end to end.  A second
 fixture family (``fingerprint_*.json``) freezes the full EngineResult
 surface — simulated time, epoch count, merged PECounters and an output
 digest — and holds ALL THREE execution backends (scalar, vectorized,
-pipelined) crossed with ALL THREE replay paths to it.
+pipelined) crossed with ALL THREE replay paths to it; the SpMM output
+digest thereby pins the compiled merge and its twin to the same bytes
+under every execution backend.
 
 Regenerate after an intentional model change (from the repo root)::
 
@@ -50,9 +52,11 @@ REPLAY_PATHS = {
     "array": ("array", "native"),
 }
 """Replay paths held to the golden files, by test id: ``(replay mode,
-walks)``.  ``batched`` is the array backend with the Python twins of
-the compiled walks forced; the id is kept from the per-chunk dict-walk
-backend that path replaced, so the suite's test ids stay stable."""
+kernels)``.  ``batched`` is the array backend with the twins of every
+compiled kernel forced (the VRF and cache walks and the SpMM merge), so
+its SpMM output comes from ``np.add.at``; the id is kept from the
+per-chunk dict-walk backend that path replaced, so the suite's test ids
+stay stable."""
 REPLAY_MODES = tuple(REPLAY_PATHS)
 K = 16
 

@@ -1,5 +1,6 @@
 """The native kernel loader: build, cache, trust and fallback rules, and
-the input checks of the compiled cache walk's wrapper.
+the input checks of the compiled cache walk's wrapper (the SpMM merge's
+are in ``test_spmm_merge.py``).
 
 Each test points ``tempfile.gettempdir()`` at its own directory and
 resets the loader's per-process memo, so it sees a cold host; the
@@ -62,6 +63,19 @@ def _cache_walk(walker):
     )
 
 
+def _add_at(d_accum, r_ids, c_ids, vals, b64):
+    np.add.at(d_accum, r_ids, vals[:, None].astype(np.float64) * b64[c_ids])
+
+
+def _merge(merge):
+    """One seeded SpMM merge chunk through ``merge``, as bytes."""
+    rng = np.random.default_rng(3)
+    d_accum = rng.random((6, 5))
+    merge(d_accum, rng.integers(0, 6, 400), rng.integers(0, 9, 400),
+          rng.random(400, dtype=np.float32), rng.random((9, 5)))
+    return d_accum.tobytes()
+
+
 @pytest.fixture()
 def cold(tmp_path, monkeypatch):
     """A fresh temp dir and an unloaded kernel; returns the build dir."""
@@ -81,10 +95,11 @@ def _load_recording():
 
 @needs_gcc
 def test_kernel_loads_where_gcc_exists():
-    """A host with gcc must run the compiled walks: a silent fallback
+    """A host with gcc must run the compiled kernels: a silent fallback
     would hide the fast path."""
     assert native.vrf_walk_kernel() is not None
     assert native.cache_walk_kernel() is not None
+    assert _merge(native.kernels().spmm_merge) == _merge(_add_at)
     assert native.kernels_impl() == "native"
     assert _cache_walk(walk_level) == _cache_walk(walk_twin)
 
