@@ -91,7 +91,7 @@ def _release_heap() -> None:
     """Return freed heap pages to the OS.  Replaying an epoch at once
     allocates tens of MB of mid-sized temporaries (the concatenated
     trace, each level's emission buffers, the per-path position gathers
-    and the trigger-order merges), which glibc keeps in the heap after
+    and the run-order merges), which glibc keeps in the heap after
     they are freed.  Trimming once per epoch keeps peak RSS down: on
     perfbench's engine-spmm-rmat workload (2-vCPU x86-64 host), 286-287
     MB with the trim against 296-297 MB without it."""

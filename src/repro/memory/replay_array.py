@@ -3,7 +3,7 @@
 Every LRU structure of the hierarchy replays once per epoch, over its
 own event stream, as one walk of that cache level: each PE's L1 over
 its run-length-deduped dense accesses, each L2 group over its PEs' L1
-events merged in trigger order, the LLC over every group's L2 events,
+events merged in trace order, the LLC over every group's L2 events,
 and each group's STLB and each PE's BBF stream buffer and victim cache
 over their own accesses.
 
@@ -18,10 +18,13 @@ access that triggered it, which resolves DRAM region attribution and
 per-access service levels (assigned top-down: an access's level is the
 deepest level its fill had to reach).
 
-A trace may interleave several PEs (one epoch's dispatch runs).  The
-L1s are private and the hierarchy is non-inclusive, so each PE's L1
-walks once over all of its accesses; trigger positions are global trace
-positions, so merging by trigger reproduces the scalar cascade order
+A trace may interleave several PEs (one epoch's dispatch runs
+``(pe, lo, hi)``, which tile the trace in order).  The L1s are private
+and the hierarchy is non-inclusive, so each PE's L1 walks once over all
+of its accesses.  Trigger positions are global trace positions and each
+walk emits in trigger order, so the events of run ``[lo, hi)`` are one
+slice of its PE's (or its L2 group's) output: concatenating the slices
+run after run, with no sort, reproduces the scalar cascade order
 exactly (DESIGN.md section 10).
 """
 
@@ -35,7 +38,6 @@ import numpy as np
 from repro import native
 from repro.memory.cache import Cache, rle_starts
 from repro.obs.ledger import NULL_LEDGER
-from repro.sortutil import radix_argsort
 from repro.memory.tlb import LINES_PER_PAGE
 from repro.memory.hierarchy import (
     OP_DENSE,
@@ -200,26 +202,55 @@ def _replay_deduped(
 # -- the dense-cached cascade ----------------------------------------------
 
 
-def _merge_events(parts: List[Events]) -> Events:
-    """Merge several level outputs into one stream in trigger order.
+def _merge_runs(
+    parts: Dict[int, Events], runs: Sequence[Tuple[int, int, int]]
+) -> Events:
+    """Merge per-unit level outputs into one stream in trace order.
 
-    Triggers are distinct trace positions across parts, and each part
-    is already in trigger order with victims before fills, so a stable
-    sort on the trigger alone reproduces the scalar cascade order."""
-    parts = [p for p in parts if p[0].shape[0]]
+    ``runs`` are dispatch runs ``(unit, lo, hi)`` in trace order, each
+    owning trace positions ``[lo, hi)``; a unit is a PE (its L1 events)
+    or an L2 group (its L2 events), and every event of ``parts[unit]``
+    was triggered inside one of that unit's runs.  Each part is in
+    trigger order with victims before fills, so the merged stream is
+    each run's slice of its unit's events, run after run: exactly the
+    order a stable sort by trigger gives, found without sorting.
+    Consecutive slices of one unit are one slice."""
+    parts = {u: ev for u, ev in parts.items() if ev[0].shape[0]}
     if not parts:
         return _EMPTY_EVENTS
     if len(parts) == 1:
-        return parts[0]
-    line, write, trig = (
-        np.concatenate([p[k] for p in parts]) for k in range(3)
+        return next(iter(parts.values()))
+    # Where each of a unit's runs ends in its events, searched with the
+    # triggers' own dtype: an int64 needle would make NumPy convert the
+    # whole haystack on every call.
+    ends = {
+        u: iter(trig.searchsorted(
+            np.array([hi for v, _, hi in runs if v == u], dtype=trig.dtype)
+        ).tolist())
+        for u, (_, _, trig) in parts.items()
+    }
+    cursor = dict.fromkeys(parts, 0)
+    slices: List[List[int]] = []  # [unit, start, end]
+    for u, _, _ in runs:
+        if u not in parts:
+            continue
+        start, end = cursor[u], next(ends[u])
+        if end == start:
+            continue
+        cursor[u] = end
+        if slices and slices[-1][0] == u:
+            slices[-1][2] = end
+        else:
+            slices.append([u, start, end])
+    return tuple(
+        np.concatenate([parts[u][k][a:b] for u, a, b in slices])
+        for k in range(3)
     )
-    o = radix_argsort(trig)
-    return line[o], write[o], trig[o]
 
 
 def _dense_cascade(
     ms: MemorySystem,
+    runs: Sequence[Tuple[int, int, int]],
     dense_pos: Dict[int, np.ndarray],
     lines: np.ndarray,
     ops: np.ndarray,
@@ -228,8 +259,8 @@ def _dense_cascade(
 ) -> None:
     """L1 -> L2 -> LLC -> DRAM for the dense-cached accesses of a trace
     (STLB already consulted), writing their service levels into
-    ``levels``.  ``dense_pos`` maps each PE to the trace positions of
-    its dense-cached accesses.
+    ``levels``.  ``runs`` is the trace's run table and ``dense_pos``
+    maps each PE to the trace positions of its dense-cached accesses.
 
     Service levels are assigned top-down: every access starts at L1,
     and each level's fill misses push their triggering accesses one
@@ -238,29 +269,34 @@ def _dense_cascade(
     below L1 only reads fill.
     """
     ledger = ms.ledger
-    by_group: Dict[int, List[Events]] = {}
+    l1_out: Dict[int, Events] = {}
     for p, pos in dense_pos.items():
         e_line, e_write, e_idx = _replay_deduped(
             ms.l1s[p], lines[pos], (ops[pos] & OP_WRITE) != 0, ledger, "l1"
         )
         e_trig = pos[e_idx]
         levels[e_trig[~e_write]] = int(ServiceLevel.L2)
-        by_group.setdefault(ms._group_of(p), []).append(
-            (e_line, e_write, e_trig)
-        )
+        l1_out[p] = (e_line, e_write, e_trig)
 
     # L2: each group over its PEs' L1 events in trace order.
-    l2_out: List[Events] = []
-    for g in sorted(by_group):
-        e_line, e_write, e_trig = _merge_events(by_group.pop(g))
+    group_runs: Dict[int, List[Tuple[int, int, int]]] = {}
+    for run in runs:
+        group_runs.setdefault(ms._group_of(run[0]), []).append(run)
+    l2_out: Dict[int, Events] = {}
+    for g, g_runs in sorted(group_runs.items()):
+        e_line, e_write, e_trig = _merge_runs(
+            {p: l1_out.pop(p) for p, _, _ in g_runs if p in l1_out}, g_runs
+        )
         ev = _replay_level(
             ms.l2s[g], e_line, e_write, ~e_write, e_trig, ledger, "l2"
         )
         levels[ev[2][~ev[1]]] = int(ServiceLevel.LLC)
-        l2_out.append(ev)
+        l2_out[g] = ev
 
     # LLC: every group's L2 events in trace order.
-    e_line, e_write, e_trig = _merge_events(l2_out)
+    e_line, e_write, e_trig = _merge_runs(
+        l2_out, [(ms._group_of(p), lo, hi) for p, lo, hi in runs]
+    )
     del l2_out
     _, e_write, e_trig = _replay_level(
         ms.llc, e_line, e_write, ~e_write, e_trig, ledger, "llc"
@@ -269,6 +305,36 @@ def _dense_cascade(
     levels[fill_trig] = int(ServiceLevel.DRAM)
     ms._dram_many(ops[fill_trig] >> OP_REGION_SHIFT, region_names, False)
     ms._dram_many(ops[e_trig[e_write]] >> OP_REGION_SHIFT, region_names, True)
+
+
+def _run_table(ms: MemorySystem, pe_id, n: int) -> List[Tuple[int, int, int]]:
+    """The normalised run table of an ``n``-access trace: ``pe_id`` as
+    runs ``(pe, lo, hi)`` that tile ``[0, n)`` in order, with empty runs
+    dropped and consecutive runs of one PE joined.  Raises
+    ``ValueError`` on a PE outside the system or on runs that do not
+    tile the trace (a gap, an overlap, a run out of order or short of
+    ``n``): the run merges read trace order off the table."""
+    table = [(pe_id, 0, n)] if np.ndim(pe_id) == 0 else pe_id
+    num_pes = ms.config.num_pes
+    runs: List[Tuple[int, int, int]] = []
+    end = 0
+    for i, (p, lo, hi) in enumerate(table):
+        if not 0 <= p < num_pes:
+            raise ValueError(f"run {i}: PE {p} is not in 0..{num_pes - 1}")
+        if lo != end:
+            raise ValueError(f"run {i} starts at {lo}, not at {end}")
+        if hi < lo:
+            raise ValueError(f"run {i} ends at {hi}, before its start {lo}")
+        end = hi
+        if hi == lo:
+            continue
+        if runs and runs[-1][0] == p:
+            runs[-1] = (int(p), runs[-1][1], int(hi))
+        else:
+            runs.append((int(p), int(lo), int(hi)))
+    if end != n:
+        raise ValueError(f"the runs end at {end}, the trace at {n}")
+    return runs
 
 
 def replay_trace_array(
@@ -292,15 +358,10 @@ def replay_trace_array(
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     ops = np.ascontiguousarray(ops, dtype=np.int64)
     n = lines.shape[0]
+    runs = _run_table(ms, pe_id, n)
     levels = np.full(n, int(ServiceLevel.L1), dtype=np.uint8)
     if n == 0:
         return levels
-    runs: List[Tuple[int, int, int]] = []
-    for p, lo, hi in [(pe_id, 0, n)] if np.ndim(pe_id) == 0 else pe_id:
-        if runs and runs[-1][0] == p:
-            runs[-1] = (p, runs[-1][1], hi)  # consecutive runs of one PE
-        elif hi > lo:
-            runs.append((int(p), lo, hi))
     ledger = ms.ledger
     by_group: Dict[int, List[Tuple[int, int]]] = {}
     for p, lo, hi in runs:
@@ -344,7 +405,8 @@ def replay_trace_array(
     del parts
     if by_path[OP_DENSE]:
         _dense_cascade(
-            ms, by_path.pop(OP_DENSE), lines, ops, region_names, levels
+            ms, runs, by_path.pop(OP_DENSE), lines, ops, region_names,
+            levels,
         )
 
     # Bypass paths: each PE's victim cache and stream buffer.

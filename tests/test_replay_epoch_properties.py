@@ -119,7 +119,7 @@ def epoch_runs(draw):
     footprint = draw(st.sampled_from([12, 64, 512, 32 * LINES_PER_PAGE]))
     runs = []
     prev_pe, prev_line, prev_path = None, None, OP_DENSE
-    for _ in range(draw(st.integers(1, 10))):
+    for _ in range(draw(st.integers(1, 24))):
         if prev_pe is not None and draw(st.booleans()):
             pe = prev_pe  # consecutive runs of one PE
         else:
