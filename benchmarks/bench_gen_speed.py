@@ -1,4 +1,4 @@
-"""Trace-generation benchmark: scalar vs vectorized vs pipelined engines.
+"""Trace-generation benchmark: scalar vs vectorized engines.
 
 Runs the same seeded SpMM/SDDMM workloads end to end under every
 execution backend (``SpadeConfig.execution``):
@@ -8,17 +8,16 @@ execution backend (``SpadeConfig.execution``):
 * **vectorized** — whole-epoch NumPy derivation of each PE's VRF
   access stream with protected-run elision, the compiled VRF walk
   (its Python twin without gcc) for the ``(lines, ops)`` trace, plus
-  array functional kernels (see DESIGN.md sections 7 and 12);
-* **pipelined** — the vectorized generator feeding coalesced
-  whole-epoch replay partitions.
+  array functional kernels, replayed one epoch per call (see DESIGN.md
+  sections 7 and 12).
 
 Every run asserts bit-identical outputs, simulated time, AccessStats
-and PECounters across the three backends before timing is reported, so
+and PECounters across the two backends before timing is reported, so
 the benchmark doubles as an end-to-end differential check.  Results
 land in ``BENCH_gen.json`` (see README) to track the perf trajectory.
 
 Methodology: repetitions are **interleaved** (rep loop outside, mode
-loop inside) so each scalar/vectorized/pipelined triple samples the
+loop inside) so each scalar/vectorized pair samples the
 same machine phase — on busy hosts the phase drift between back-to-back
 blocks is larger than the effect being measured.  Speedups are computed
 from the per-mode **minimum** across reps, the standard noise-robust
@@ -137,9 +136,9 @@ def bench_one(cfg, name: str, a, b, c, k: int, kernel: str, reps: int,
     phases = {mode: [] for mode in EXECUTION_MODES}
     reports = {}
     for _ in range(reps):
-        # Interleaved: every rep samples all three modes back to back,
-        # so each scalar/vectorized/pipelined ratio is a paired
-        # measurement from the same machine phase.
+        # Interleaved: every rep samples both modes back to back, so
+        # each scalar/vectorized ratio is a paired measurement from the
+        # same machine phase.
         for mode in EXECUTION_MODES:
             dt, report, ph, _ = run_once(
                 cfg, mode, a, b, c, kernel, chunk_nnz
@@ -214,7 +213,7 @@ def bench_trace_cache(cfg, name: str, a, b, c, kernel: str,
         cache_dir = Path(tmp.name)
     try:
         t_cold, rep_cold, ph_cold, cc_cold = run_once(
-            cfg, "pipelined", a, b, c, kernel, chunk_nnz,
+            cfg, "vectorized", a, b, c, kernel, chunk_nnz,
             trace_store=TraceStore(cache_dir),
         )
         warm = []
@@ -222,7 +221,7 @@ def bench_trace_cache(cfg, name: str, a, b, c, kernel: str,
             # A fresh TraceStore per warm rep keeps hit/miss counters
             # per-run; the on-disk entries persist across them.
             warm.append(run_once(
-                cfg, "pipelined", a, b, c, kernel, chunk_nnz,
+                cfg, "vectorized", a, b, c, kernel, chunk_nnz,
                 trace_store=TraceStore(cache_dir),
             ))
         i = int(np.argmin([w[0] for w in warm]))
@@ -346,16 +345,14 @@ def main(argv=None) -> int:
         row["chunk_nnz"] = chunk_nnz
         results.append(row)
         gen_share = (
-            row["pipelined_phases"]["gen_s"] / row["pipelined_s"]
-            if row["pipelined_s"] else 0.0
+            row["vectorized_phases"]["gen_s"] / row["vectorized_s"]
+            if row["vectorized_s"] else 0.0
         )
         print(
             f"{row['name']:22s} requests={row['requests']:>9,d}  "
             f"scalar {row['scalar_s']:.3f}s  "
             f"vectorized {row['vectorized_s']:.3f}s "
-            f"({row['vectorized_speedup']:.2f}x)  "
-            f"pipelined {row['pipelined_s']:.3f}s "
-            f"({row['pipelined_speedup']:.2f}x, "
+            f"({row['vectorized_speedup']:.2f}x, "
             f"gen {gen_share:.0%})  parity=OK"
         )
 
@@ -384,15 +381,10 @@ def main(argv=None) -> int:
             "chunk_nnz": [r["chunk_nnz"] for r in results],
             "execution": list(EXECUTION_MODES),
             "replay": cfg.replay,
-            "pipeline": {
-                "lookahead": cfg.pipeline.lookahead,
-                "pool": cfg.pipeline.pool,
-                "workers": cfg.pipeline.workers,
-            },
         },
         "workloads": results,
         "trace_cache": cache_row,
-        "headline_speedup": head["pipelined_speedup"],
+        "vectorized_speedup": head["vectorized_speedup"],
     }
     write_bench_json(
         args.out, payload,

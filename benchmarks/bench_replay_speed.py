@@ -9,8 +9,8 @@ replay backend:
   access plus the per-access service-level counter tally, exactly as
   ``ProcessingElement`` does in ``replay="scalar"`` mode;
 * **array** — one :meth:`replay_trace` call per PE chunk plus the
-  ``np.bincount`` tally, exactly as ``ProcessingElement.flush_trace``
-  does in ``replay="array"`` mode: each cache level walks the chunk's
+  ``np.bincount`` tally of ``ProcessingElement.record_replay`` in
+  ``replay="array"`` mode: each cache level walks the chunk's
   event stream once (see ``memory/replay_array.py`` and DESIGN.md
   section 10).
 
@@ -133,7 +133,7 @@ def run_scalar(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
 
 def run_chunked(ms: MemorySystem, chunks: List[Chunk]) -> Tally:
     """Chunked replay: one replay_trace call per chunk + bincount tally
-    (mirrors ``ProcessingElement.flush_trace``)."""
+    (mirrors ``ProcessingElement.record_replay``)."""
     stores = [0] * _NUM_LEVELS
     sparse = [0] * _NUM_LEVELS
     dense_r = [0] * _NUM_LEVELS

@@ -694,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--trace-cache-dir", type=Path, default=None,
                          metavar="DIR",
                          help="content-addressed epoch-trace store: "
-                         "vectorized/pipelined runs reuse cached "
+                         "vectorized runs reuse cached "
                          "generated traces (keyed by workload + "
                          "schedule + VRF config only, so entries are "
                          "shared across cache-geometry ablations); "

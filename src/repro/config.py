@@ -92,9 +92,9 @@ class GenConfig:
     PE count (schedule partitioning) and the VRF's capacity and
     Write-back Manager watermarks (hit/miss outcomes, drain sets, and
     the elision cadence).  Deliberately excluded: cache geometry,
-    replay backend, execution mode, pipeline shape, telemetry and
-    resilience — the emitted trace is bit-identical across all of
-    them, which is what lets the content-addressed trace store
+    replay backend, execution mode, telemetry and resilience — the
+    emitted trace is bit-identical across all of them, which is what
+    lets the content-addressed trace store
     (:mod:`repro.memory.trace_store`) be shared across cache-ablation
     sweep cells.
     """
@@ -258,43 +258,13 @@ oracle on all counters and cache state (tests/test_replay_array_parity.py).
 The name ``array`` is kept from the NumPy solver it replaced, so config
 fingerprints and stored sweep and service entries stay valid."""
 
-EXECUTION_MODES = ("scalar", "vectorized", "pipelined")
-"""PE execution backends: ``scalar`` walks every nonzero in Python (the
-reference oracle); ``vectorized`` derives each chunk's access stream
-with NumPy and runs a reduced tight loop over it (bit-identical traces,
-outputs, stats, and counters — see tests/test_execution_parity.py);
-``pipelined`` additionally overlaps chunk-trace generation with the
-serial replay cascade through a bounded producer/consumer queue."""
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Overlapped generate/replay pipeline (``execution="pipelined"``).
-
-    ``lookahead`` bounds how many generated-but-not-yet-replayed chunk
-    traces may queue per PE; ``pool`` selects where generation runs:
-    ``thread`` uses a shared thread pool (generation overlaps the
-    replay cascade), ``serial`` runs the same producer/consumer queue
-    inline (deterministic, no threads — useful for debugging and CI).
-    A process pool is deliberately not offered: each PE's VRF state is
-    carried chunk-to-chunk, so generation for one PE is inherently
-    serial and the state would have to be shipped across process
-    boundaries every chunk (see DESIGN.md section 7).
-    """
-
-    lookahead: int = 2
-    pool: str = "thread"
-    workers: int = 4
-
-    def __post_init__(self) -> None:
-        if self.lookahead < 1:
-            raise ConfigError("pipeline lookahead must be >= 1")
-        if self.pool not in ("thread", "serial"):
-            raise ConfigError(
-                f"pipeline pool must be 'thread' or 'serial', got {self.pool!r}"
-            )
-        if self.workers < 1:
-            raise ConfigError("pipeline workers must be >= 1")
+EXECUTION_MODES = ("scalar", "vectorized")
+"""PE execution backends: ``scalar`` is the reference oracle end to end
+(every nonzero walks the VRF in Python and every access is one
+``MemorySystem`` call, whatever the replay mode); ``vectorized`` derives
+each PE's epoch trace with NumPy and the compiled VRF walk and replays
+it through the ``replay`` backend (bit-identical traces, outputs, stats,
+and counters — see tests/test_execution_parity.py)."""
 
 
 @dataclass(frozen=True)
@@ -309,7 +279,7 @@ class ResilienceConfig:
     supervisor knobs bound retries (``max_retries`` with exponential
     backoff ``backoff_base_s * backoff_factor**attempt``), arm a
     watchdog (``timeout_s``, host wall-clock seconds), and control the
-    pipelined -> vectorized -> scalar degradation ladder (``degrade``).
+    one-step degradation to the scalar oracle (``degrade``).
     """
 
     checkpoint_dir: Optional[str] = None
@@ -361,7 +331,6 @@ class SpadeConfig:
     host: HostCPUConfig = field(default_factory=HostCPUConfig)
     replay: str = "array"
     execution: str = "vectorized"
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 

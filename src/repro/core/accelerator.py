@@ -144,10 +144,10 @@ class ExecutionReport:
 class SpadeSystem:
     """A configured SPADE accelerator ready to execute kernels.
 
-    ``execution`` overrides the config's execution backend (``"scalar"``,
-    ``"vectorized"`` or ``"pipelined"``, see :mod:`repro.config`); the
-    backends differ only in host wall-clock time — traces, outputs,
-    stats and counters are bit-identical.
+    ``execution`` overrides the config's execution backend (``"scalar"``
+    or ``"vectorized"``, see :mod:`repro.config`); the backends differ
+    only in host wall-clock time — traces, outputs, stats and counters
+    are bit-identical.
     """
 
     def __init__(
@@ -182,7 +182,7 @@ class SpadeSystem:
         # this system executes.
         self.ledger = ledger
         # Content-addressed epoch-trace store (off by default).  Only
-        # consulted by the vectorized/pipelined backends; scalar runs
+        # consulted by the vectorized backend; scalar runs
         # always generate live.  ``trace_cache`` accumulates the
         # hit/miss/generation counters across every kernel this system
         # executes (the CI warm-run check reads ``gen_invocations``).

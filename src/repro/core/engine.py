@@ -11,9 +11,7 @@ epochs accumulate (Section 4.3, Figure 5b).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -95,25 +93,6 @@ class _ChunkCursor:
         return None
 
 
-class _InlineExecutor:
-    """Executor twin for ``pipeline.pool == "serial"``: runs each
-    submitted task synchronously on the caller's thread, so the whole
-    producer/consumer machinery executes deterministically without
-    threads (done-callbacks fire inline; the chained re-submission
-    recursion is bounded by the lookahead)."""
-
-    def submit(self, fn, *args) -> Future:
-        fut: Future = Future()
-        try:
-            fut.set_result(fn(*args))
-        except BaseException as exc:  # mirror ThreadPoolExecutor
-            fut.set_exception(exc)
-        return fut
-
-    def shutdown(self, wait: bool = True) -> None:
-        pass
-
-
 class Engine:
     """Binds a config, memory system, and PEs to execute one kernel."""
 
@@ -163,18 +142,16 @@ class Engine:
                 telemetry=self.telemetry,
                 chaos=chaos,
             )
-        # Replay mode: "array" replays an epoch's traces in one call,
-        # one compiled cache walk per cache level (its Python twin
-        # without gcc); "scalar" is the per-access reference oracle.
-        # Execution mode: "scalar" walks every nonzero in Python;
-        # "vectorized" derives each PE's epoch trace with NumPy and the
-        # compiled VRF walk; "pipelined" additionally generates later
-        # PEs' epochs in a producer pool while the output merge of
-        # earlier ones runs.  Every combination gives bit-identical
-        # results.
-        self.batched_replay = config.replay != "scalar"
+        # Execution mode: "scalar" is the reference oracle end to end:
+        # every nonzero walks the VRF in Python and every access goes
+        # straight through MemorySystem.dense_access/stream_access, so
+        # the replay mode has no effect.  "vectorized" derives each PE's
+        # epoch trace with NumPy and the compiled VRF walk, then replays
+        # the epoch through the replay backend: "array" in one call, one
+        # compiled cache walk per cache level (its Python twin without
+        # gcc); "scalar" one per-access oracle call per dispatch run.
+        # Every combination gives bit-identical results.
         self.execution = config.execution
-        self.buffered = self.batched_replay or self.execution != "scalar"
         # Content-addressed trace cache: generated epoch traces are a
         # pure function of (workload, schedule/chunking, GenConfig) —
         # cache geometry, replay backend, execution mode and telemetry
@@ -191,8 +168,6 @@ class Engine:
         self.pes = [
             ProcessingElement(
                 i, config.pe, self.memory, init, address_map, policy,
-                batched=self.batched_replay,
-                execution=self.execution,
                 telemetry=self.telemetry,
             )
             for i in range(config.num_pes)
@@ -335,7 +310,7 @@ class Engine:
         apply_chunk,
         output: np.ndarray,
         primitive: str,
-        gen_epoch=None,
+        gen_epoch,
     ) -> Tuple[List[EpochTiming], List[float]]:
         schedule = self._schedule
         if schedule is None:
@@ -349,7 +324,7 @@ class Engine:
         # material): only computed when a store is attached.
         self._store_material = (
             self._trace_material(primitive)
-            if self.trace_store is not None and gen_epoch is not None
+            if self.trace_store is not None
             else None
         )
         epoch_results: List[EpochTiming] = []
@@ -370,98 +345,73 @@ class Engine:
         # chunk_index (and chaos targeting) identifies the n-th chunk a
         # PE processed this run, across epochs.
         self._chunk_ordinal = [0] * self.config.num_pes
-        pipelined = self.execution == "pipelined"
-        executor = None
-        if pipelined:
-            # On a single-hardware-thread host a thread pool cannot
-            # overlap anything — every "concurrent" producer serializes
-            # behind the GIL *and* the one core, so the pool only adds
-            # scheduling overhead.  Producers are deterministic per PE,
-            # so running them inline is observationally identical.
-            if (
-                self.config.pipeline.pool == "thread"
-                and (os.cpu_count() or 1) > 1
+        for epoch_idx, epoch in enumerate(schedule.epochs):
+            if epoch_idx < start_epoch:
+                continue
+            for pe in self.pes:
+                pe.counters = PECounters()
+            dram_before = self.memory.dram.accesses
+            cursors = [
+                _ChunkCursor(tiles, self.chunk_nnz) for tiles in epoch
+            ]
+            # Host-side phase split (gen / merge / replay seconds)
+            # accumulated by the epoch drivers when a ledger is attached.
+            phase = [0.0, 0.0, 0.0] if self.ledger.enabled else None
+            fused_chunks = 0
+            with self.telemetry.tracer.span(
+                f"epoch[{epoch_idx}]", cat="epoch",
+                args={"epoch": epoch_idx},
             ):
-                executor = ThreadPoolExecutor(
-                    max_workers=self.config.pipeline.workers,
-                    thread_name_prefix="spade-gen",
+                if self.execution == "scalar":
+                    self._run_epoch_serial(
+                        cursors, gen_chunk, apply_chunk, phase
+                    )
+                else:
+                    fused_chunks = self._run_epoch_phased(
+                        cursors, gen_epoch, apply_chunk, phase, epoch_idx
+                    )
+            per_pe = [pe.counters for pe in self.pes]
+            self._epoch_counters.append(per_pe)
+            dram_lines = self.memory.dram.accesses - dram_before
+            timing = epoch_timing(
+                per_pe, dram_lines, self.config, self.memory
+            )
+            epoch_results.append(timing)
+            for i, t in enumerate(timing.pe_times_ns):
+                per_pe_total[i] += t
+            self._record_epoch_telemetry(epoch_idx, timing, dram_lines)
+            if phase is not None:
+                self.ledger.emit(
+                    "epoch",
+                    epoch=epoch_idx,
+                    gen_s=phase[0],
+                    merge_s=phase[1],
+                    replay_s=phase[2],
+                    epoch_time_ns=float(timing.epoch_time_ns),
+                    dram_lines=int(dram_lines),
+                    critical_pe=int(timing.critical_pe),
+                    fused_chunks=int(fused_chunks),
                 )
-            else:
-                executor = _InlineExecutor()
-        try:
-            for epoch_idx, epoch in enumerate(schedule.epochs):
-                if epoch_idx < start_epoch:
-                    continue
-                for pe in self.pes:
-                    pe.counters = PECounters()
-                dram_before = self.memory.dram.accesses
-                cursors = [
-                    _ChunkCursor(tiles, self.chunk_nnz) for tiles in epoch
-                ]
-                # Host-side phase split (gen / merge / replay seconds)
-                # accumulated by the epoch drivers when a ledger is
-                # attached; None keeps the hot loops on their original
-                # paths.
-                phase = [0.0, 0.0, 0.0] if self.ledger.enabled else None
-                fused_chunks = 0
-                with self.telemetry.tracer.span(
-                    f"epoch[{epoch_idx}]", cat="epoch",
-                    args={"epoch": epoch_idx},
-                ):
-                    if gen_epoch is not None and self.execution != "scalar":
-                        fused_chunks = self._run_epoch_phased(
-                            executor, cursors, gen_epoch, apply_chunk,
-                            phase, epoch_idx,
-                        )
-                    else:
-                        self._run_epoch_serial(
-                            cursors, gen_chunk, apply_chunk, phase
-                        )
-                per_pe = [pe.counters for pe in self.pes]
-                self._epoch_counters.append(per_pe)
-                dram_lines = self.memory.dram.accesses - dram_before
-                timing = epoch_timing(
-                    per_pe, dram_lines, self.config, self.memory
+            if self._ckpt is not None and self._ckpt.should_write(
+                epoch_idx
+            ):
+                ckpt_t0 = time.perf_counter()
+                self._ckpt.write(
+                    epoch_idx,
+                    self._snapshot(
+                        epoch_idx + 1, output, epoch_results,
+                        per_pe_total,
+                    ),
+                    meta=self._ckpt_meta(primitive),
                 )
-                epoch_results.append(timing)
-                for i, t in enumerate(timing.pe_times_ns):
-                    per_pe_total[i] += t
-                self._record_epoch_telemetry(epoch_idx, timing, dram_lines)
                 if phase is not None:
                     self.ledger.emit(
-                        "epoch",
+                        "checkpoint",
                         epoch=epoch_idx,
-                        gen_s=phase[0],
-                        merge_s=phase[1],
-                        replay_s=phase[2],
-                        epoch_time_ns=float(timing.epoch_time_ns),
-                        dram_lines=int(dram_lines),
-                        critical_pe=int(timing.critical_pe),
-                        fused_chunks=int(fused_chunks),
+                        wall_s=time.perf_counter() - ckpt_t0,
                     )
-                if self._ckpt is not None and self._ckpt.should_write(
-                    epoch_idx
-                ):
-                    ckpt_t0 = time.perf_counter()
-                    self._ckpt.write(
-                        epoch_idx,
-                        self._snapshot(
-                            epoch_idx + 1, output, epoch_results,
-                            per_pe_total,
-                        ),
-                        meta=self._ckpt_meta(primitive),
-                    )
-                    if phase is not None:
-                        self.ledger.emit(
-                            "checkpoint",
-                            epoch=epoch_idx,
-                            wall_s=time.perf_counter() - ckpt_t0,
-                        )
-                if self._chaos is not None:
-                    self._chaos.after_epoch(epoch_idx)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+            if self._chaos is not None:
+                self._chaos.after_epoch(epoch_idx)
         return epoch_results, per_pe_total
 
     # -- checkpoint plumbing ---------------------------------------------
@@ -498,9 +448,9 @@ class Engine:
     ) -> dict:
         """Full architectural + accumulator state at an epoch boundary.
 
-        Safe exactly here: trace buffers are empty (flushed or taken per
-        chunk), the pipelined queues are drained, and each finished
-        epoch's PE counters are already archived in _epoch_counters —
+        Safe exactly here: trace buffers are empty (cleared after each
+        epoch's replay), and each finished epoch's PE counters are
+        already archived in _epoch_counters —
         so caches, STLBs, BBFs, VRFs, the output accumulator, and the
         schedule cursor (= next_epoch, since chunking restarts per
         epoch) capture everything the remaining epochs depend on.
@@ -546,19 +496,20 @@ class Engine:
     def _run_epoch_serial(
         self, cursors, gen_chunk, apply_chunk, phase=None
     ) -> None:
-        """Round-robin chunk interleave with generation and replay in
-        line (the scalar and vectorized execution modes).
+        """Round-robin chunk interleave of the scalar oracle: each
+        chunk's VRF walk issues its accesses to the memory system as it
+        goes, so generation and replay are one step.
 
-        ``phase`` (ledger runs only) accumulates host seconds as
-        ``[gen, merge, replay]``; the un-timed loop is untouched when
-        it is None.
+        ``phase`` accumulates host seconds as ``[gen, merge, replay]``;
+        generation includes the replay it issues, so ``replay`` stays 0.
         """
+        if phase is None:
+            phase = [0.0, 0.0, 0.0]
         tracer = self.telemetry.tracer
         trace_chunks = tracer.enabled and self.config.telemetry.trace_chunks
-        buffered = self.buffered
         chaos = self._chaos
-        execution = self.execution
         chunk_ordinal = self._chunk_ordinal
+        perf_counter = time.perf_counter
         active = True
         while active:
             active = False
@@ -570,55 +521,31 @@ class Engine:
                 tile, lo, hi = nxt
                 chunk_idx = chunk_ordinal[pe.pe_id]
                 chunk_ordinal[pe.pe_id] += 1
+                span = (
+                    tracer.span(
+                        "chunk", cat="replay", tid=pe.pe_id + 1,
+                        args={"nnz": hi - lo},
+                    )
+                    if trace_chunks else NULL_SPAN
+                )
                 try:
                     if chaos is not None:
                         chaos.worker_fault(
-                            pe.pe_id, chunk_idx, backend=execution
+                            pe.pe_id, chunk_idx, backend=self.execution
                         )
                         chaos.replay_delay()
-                    if phase is not None:
-                        span = (
-                            tracer.span(
-                                "chunk", cat="replay", tid=pe.pe_id + 1,
-                                args={"nnz": hi - lo},
-                            )
-                            if trace_chunks else NULL_SPAN
-                        )
-                        with span:
-                            t0 = time.perf_counter()
-                            gen_chunk(pe, tile, lo, hi)
-                            t1 = time.perf_counter()
-                            apply_chunk(tile, lo, hi)
-                            t2 = time.perf_counter()
-                            if buffered:
-                                pe.flush_trace()
-                            t3 = time.perf_counter()
-                        phase[0] += t1 - t0
-                        phase[1] += t2 - t1
-                        phase[2] += t3 - t2
-                        continue
-                    if trace_chunks:
-                        with tracer.span(
-                            "chunk", cat="replay", tid=pe.pe_id + 1,
-                            args={"nnz": hi - lo},
-                        ):
-                            gen_chunk(pe, tile, lo, hi)
-                            apply_chunk(tile, lo, hi)
-                            pe.flush_trace()
-                        continue
-                    gen_chunk(pe, tile, lo, hi)
-                    apply_chunk(tile, lo, hi)
-                    if buffered:
-                        # One memory-system hand-off per PE chunk:
-                        # replay the chunk's buffered trace before the
-                        # next PE's chunk contends for the shared
-                        # levels.
-                        pe.flush_trace()
+                    with span:
+                        t0 = perf_counter()
+                        gen_chunk(pe, tile, lo, hi)
+                        t1 = perf_counter()
+                        apply_chunk(tile, lo, hi)
+                        phase[1] += perf_counter() - t1
+                    phase[0] += t1 - t0
                 except SpadeError:
                     raise
                 except Exception as exc:
                     raise EngineExecutionError(
-                        f"{execution} execution failed on a chunk",
+                        f"{self.execution} execution failed on a chunk",
                         pe_id=pe.pe_id,
                         chunk_index=chunk_idx,
                     ) from exc
@@ -693,21 +620,15 @@ class Engine:
         return base
 
     def _run_epoch_phased(
-        self, executor, cursors, gen_epoch, apply_chunk, phase, epoch_idx
+        self, cursors, gen_epoch, apply_chunk, phase, epoch_idx
     ) -> int:
-        """Epoch driver for the fused execution modes: Phase A derives
-        each PE's *whole epoch* trace in one pass (or restores it from
-        the trace store), Phase B runs the output math per chunk in the
-        coalesced round-robin dispatch order, then replays all dispatch
-        runs against the shared memory system in one
+        """Epoch driver for the vectorized execution mode: Phase A
+        derives each PE's *whole epoch* trace in one pass (or restores
+        it from the trace store), Phase B runs the output math per chunk
+        in the coalesced round-robin dispatch order, then replays all
+        dispatch runs against the shared memory system in one
         ``MemorySystem.replay_epoch`` call and folds each run's service
         levels back into its PE's counters.
-
-        With an executor (pipelined mode) Phase A runs one producer
-        task per PE and Phase B consumes each PE's epoch the first time
-        the dispatch order needs it — generation of later PEs overlaps
-        the output math of earlier ones.  Results are bit-identical
-        either way.
         Returns the number of chunks generated at epoch grain (for the
         ``spade_gen_fused_chunks`` satellite counter; 0 when the trace
         store served the epoch).
@@ -755,18 +676,12 @@ class Engine:
             "spade_gen_chunk_seconds",
             help="wall-clock per-PE epoch trace-generation time",
         )
-        depth_hist = m.histogram(
-            "spade_pipeline_queue_depth",
-            help="ready generated PE epochs at consume time",
-        )
 
         traces: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * num
         segs: List[Optional[List[Tuple[int, int]]]] = [None] * num
         payloads: List[Optional[dict]] = [None] * num
         fused_chunks = 0
         capture = entry is None and store is not None and key is not None
-        serial_views = False
-        collect_fn = None
 
         if entry is not None:
             from repro.memory.trace_store import unpack_pe_entry
@@ -774,14 +689,9 @@ class Engine:
             for i, pe in enumerate(self.pes):
                 self._advance_chunks(i, len(parts[i]))
                 traces[i], segs[i] = unpack_pe_entry(pe, entry["pes"][i])
-        elif executor is None or isinstance(executor, _InlineExecutor):
-            # Serial phase A: generate every PE's epoch in PE order;
-            # the trace stays in the PE's own buffer (zero-copy views).
-            # An inline executor would run the same producers eagerly at
-            # submit time anyway — same order, same results — but pay a
-            # take_trace() copy per PE; route it through the zero-copy
-            # path instead.
-            serial_views = True
+        else:
+            # Phase A: generate every PE's epoch in PE order; the trace
+            # stays in the PE's own buffer (zero-copy views).
             for i, pe in enumerate(self.pes):
                 self._advance_chunks(i, len(parts[i]))
                 span = (
@@ -804,63 +714,12 @@ class Engine:
                 if parts[i]:
                     stats["gen_invocations"] += 1
                 traces[i] = pe._trace.views()
-        else:
-            # Pipelined phase A: one producer task per PE.  Ordinals and
-            # faults are claimed on this thread first so fault order is
-            # deterministic; producers only run generation.
-            for i in range(num):
-                self._advance_chunks(i, len(parts[i]))
-
-            def produce(i: int):
-                pe = self.pes[i]
-                t0 = time.perf_counter()
-                seg, payload = self._gen_pe_epoch(
-                    i, pe, parts[i], gen_epoch, capture
-                )
-                lines, ops = pe.take_trace()
-                return seg, payload, lines, ops, (
-                    time.perf_counter() - t0
-                )
-
-            futs = [executor.submit(produce, i) for i in range(num)]
-
-            def collect(i: int) -> None:
-                try:
-                    seg, payload, lines, ops, gen_s = futs[i].result()
-                except SpadeError:
-                    raise
-                except Exception as exc:
-                    raise EngineExecutionError(
-                        "pipelined worker failed while generating an "
-                        "epoch trace",
-                        pe_id=i,
-                    ) from exc
-                depth_hist.observe(
-                    sum(1 for f in futs if f.done()) - 1
-                )
-                gen_hist.observe(gen_s)
-                segs[i] = seg
-                payloads[i] = payload
-                traces[i] = (lines, ops)
-                nonlocal fused_chunks
-                fused_chunks += len(parts[i])
-                if parts[i]:
-                    stats["gen_invocations"] += 1
-                if phase is not None:
-                    # Producer-thread wall time (overlapped with
-                    # replay): the phase split attributes cost, not
-                    # critical-path latency.
-                    phase[0] += gen_s
-
-            collect_fn = collect
 
         # Phase B: output math per chunk in dispatch order, then one
         # replay call for the whole epoch's coalesced runs.
         chaos = self._chaos
         replay_runs: List[Tuple[int, np.ndarray, np.ndarray]] = []
         for i, c0, c1 in self._coalesced_dispatch(parts):
-            if collect_fn is not None and traces[i] is None:
-                collect_fn(i)
             try:
                 for c in range(c0, c1):
                     tile, lo, hi = parts[i][c]
@@ -891,13 +750,6 @@ class Engine:
             if s1 > s0:
                 lines, ops = traces[i]
                 replay_runs.append((i, lines[s0:s1], ops[s0:s1]))
-        if collect_fn is not None:
-            # Drain producers the dispatch never touched (zero-chunk
-            # PEs): their tasks still ran and must not straddle into
-            # the next epoch's generation.
-            for i in range(num):
-                if traces[i] is None:
-                    collect_fn(i)
         t0 = time.perf_counter()
         try:
             levels = self.memory.replay_epoch(replay_runs)
@@ -935,9 +787,8 @@ class Engine:
                     pes=num,
                     wall_s=time.perf_counter() - t0,
                 )
-        if serial_views:
-            for pe in self.pes:
-                pe._trace.clear()
+        for pe in self.pes:
+            pe._trace.clear()
         stats["fused_chunks"] += fused_chunks
         if m.enabled and fused_chunks:
             m.counter(

@@ -26,12 +26,7 @@ import numpy as np
 from repro.config import CACHE_LINE_BYTES, PEConfig
 from repro.core.bypass import BypassPolicy
 from repro.core.instructions import InitializationInstruction, Primitive
-from repro.core.vectorized import (
-    TraceBuffer,
-    buffer_sparse_stream,
-    generate_sddmm_epoch,
-    generate_spmm_epoch,
-)
+from repro.core.vectorized import TraceBuffer
 from repro.core.vrf import VectorRegisterFile
 from repro.memory.address import AddressMap, padded_row_bytes
 from repro.memory.hierarchy import (
@@ -117,8 +112,6 @@ class ProcessingElement:
         init: InitializationInstruction,
         address_map: AddressMap,
         policy: BypassPolicy,
-        batched: bool = False,
-        execution: str = "scalar",
         telemetry=None,
     ) -> None:
         self.pe_id = pe_id
@@ -136,23 +129,18 @@ class ProcessingElement:
         k = init.dense_row_size
         self.lines_per_row = padded_row_bytes(k) // CACHE_LINE_BYTES
         self._rmatrix_rows_touched: set = set()
-        # Batched fast path: chunk executors append (line, op) pairs to
-        # the trace buffer instead of issuing scalar accesses; the
-        # engine replays the buffer once per chunk via flush_trace().
-        # The vectorized/pipelined execution backends always buffer,
-        # regardless of replay mode (their scalar-replay flush walks the
-        # buffered chunk through the per-access reference paths).
-        self.batched = batched
-        self.vectorized = execution in ("vectorized", "pipelined")
-        self.buffered = batched or self.vectorized
+        # The vectorized epoch generators append the PE's (line, op)
+        # trace here; the engine replays it and clears it per epoch.
+        # The scalar executors below issue every access directly.
         self._trace = TraceBuffer()
-        # Replay-batch-size histogram; a disabled registry hands back a
-        # shared no-op instrument, so observe() stays on the path at
-        # one method call per chunk flush either way.
+        # Replay-batch-size histogram, observed per replayed run under
+        # replay="array"; a disabled registry hands back a shared no-op
+        # instrument.
+        self._array_replay = memory.config.replay != "scalar"
         self._telemetry = ensure(telemetry)
         self._replay_batch_hist = self._telemetry.metrics.histogram(
             "spade_replay_batch_accesses",
-            help="accesses per batched chunk replay",
+            help="accesses per dispatch run replayed by the array backend",
             pe=str(pe_id),
         )
         self._op_sparse = encode_op(
@@ -211,38 +199,11 @@ class ProcessingElement:
                     )
                     counters.sparse_by_level[lvl] += 1
 
-    def _buffer_sparse_stream(self, start_offset: int, nnz: int) -> None:
-        """Batched-mode Sparse Data Loader: append the tile's stream
-        line ranges to the trace buffer instead of issuing them."""
-        buffer_sparse_stream(self, start_offset, nnz)
-
-    def flush_trace(self) -> None:
-        """Replay the buffered chunk trace through the memory system
-        and fold the service levels into the counters.  No-op when the
-        buffer is empty (and always in scalar-direct mode)."""
-        if len(self._trace) == 0:
-            return
-        lines, ops = self._trace.views()
-        self._replay_chunk(lines, ops)
-        self._trace.clear()
-
-    def take_trace(self):
-        """Hand the buffered chunk trace out as owned arrays and reset
-        the buffer (pipelined generate/replay hand-off)."""
-        return self._trace.take()
-
-    def _replay_chunk(self, lines: np.ndarray, ops: np.ndarray) -> None:
-        if self.batched:
-            levels = self.memory.replay_trace(self.pe_id, lines, ops)
-        else:
-            levels = self.memory.replay_trace_scalar(self.pe_id, lines, ops)
-        self.record_replay(levels, ops)
-
     def record_replay(self, levels: np.ndarray, ops: np.ndarray) -> None:
-        """Fold one replayed chunk's per-access service levels into the
-        counters (the epoch drivers replay many runs in one call and
-        hand each run's levels back here)."""
-        if self.batched:
+        """Fold one replayed dispatch run's per-access service levels
+        into the counters (the epoch driver replays many runs in one
+        call and hands each run's levels back here)."""
+        if self._array_replay:
             self._replay_batch_hist.observe(ops.shape[0])
         writes = (ops & OP_WRITE) != 0
         sparse = (ops >> OP_REGION_SHIFT) == _R_SPARSE
@@ -304,13 +265,6 @@ class ProcessingElement:
         each touching one rMatrix line (read-modify-write in the VRF)
         and one cMatrix line (read-only).
         """
-        if self.vectorized:
-            generate_spmm_epoch(self, [(r_ids, c_ids, start_offset)])
-            return
-        if self.batched:
-            return self._execute_spmm_chunk_batched(
-                r_ids, c_ids, start_offset
-            )
         self.load_sparse_stream(start_offset, len(r_ids))
         amap = self.address_map
         mem = self.memory
@@ -354,58 +308,6 @@ class ProcessingElement:
                 for s in stores:
                     self._issue_store(s)
 
-    def _execute_spmm_chunk_batched(
-        self,
-        r_ids: np.ndarray,
-        c_ids: np.ndarray,
-        start_offset: int,
-    ) -> None:
-        """Batched-replay twin of :meth:`execute_spmm_chunk`: identical
-        VRF pipeline, but memory requests are appended to the chunk
-        trace buffer (in issue order) instead of accessed scalar-ly."""
-        self._buffer_sparse_stream(start_offset, len(r_ids))
-        amap = self.address_map
-        vrf = self.vrf
-        counters = self.counters
-        lpr = self.lines_per_row
-        chunk_lines: List[int] = []
-        chunk_ops: List[int] = []
-        lapp = chunk_lines.append
-        oapp = chunk_ops.append
-        op_r = self._op_rmatrix_read
-        op_c = self._op_cmatrix_read
-        op_st = self._op_store
-
-        r_lines = amap.dense_row_base_lines(
-            "rmatrix", r_ids, self.init.dense_row_size
-        )
-        c_lines = amap.dense_row_base_lines(
-            "cmatrix", c_ids, self.init.dense_row_size
-        )
-        counters.tops += len(r_ids)
-        counters.vops += len(r_ids) * lpr
-        self._rmatrix_rows_touched.update(np.unique(r_ids).tolist())
-
-        for rbase, cbase in zip(r_lines.tolist(), c_lines.tolist()):
-            for i in range(lpr):
-                rline = rbase + i
-                hit, stores = vrf.access(rline, mark_dirty=True)
-                if not hit:
-                    lapp(rline)
-                    oapp(op_r)
-                for s in stores:
-                    lapp(s)
-                    oapp(op_st)
-                cline = cbase + i
-                hit, stores = vrf.access(cline, mark_dirty=False)
-                if not hit:
-                    lapp(cline)
-                    oapp(op_c)
-                for s in stores:
-                    lapp(s)
-                    oapp(op_st)
-        self._trace.extend(chunk_lines, chunk_ops)
-
     def execute_sddmm_chunk(
         self,
         r_ids: np.ndarray,
@@ -419,15 +321,6 @@ class ProcessingElement:
         writes one scalar into the output vals array, coalesced into its
         destination VR (``out_offsets`` are positions in the padded
         output array, line-aligned per tile, Section 4.3)."""
-        if self.vectorized:
-            generate_sddmm_epoch(
-                self, [(r_ids, c_ids, start_offset, out_offsets)]
-            )
-            return
-        if self.batched:
-            return self._execute_sddmm_chunk_batched(
-                r_ids, c_ids, start_offset, out_offsets
-            )
         self.load_sparse_stream(start_offset, len(r_ids))
         amap = self.address_map
         mem = self.memory
@@ -482,73 +375,10 @@ class ProcessingElement:
             for s in stores:
                 self._issue_store(s)
 
-    def _execute_sddmm_chunk_batched(
-        self,
-        r_ids: np.ndarray,
-        c_ids: np.ndarray,
-        start_offset: int,
-        out_offsets: np.ndarray,
-    ) -> None:
-        """Batched-replay twin of :meth:`execute_sddmm_chunk`."""
-        self._buffer_sparse_stream(start_offset, len(r_ids))
-        amap = self.address_map
-        vrf = self.vrf
-        counters = self.counters
-        lpr = self.lines_per_row
-        chunk_lines: List[int] = []
-        chunk_ops: List[int] = []
-        lapp = chunk_lines.append
-        oapp = chunk_ops.append
-        op_r = self._op_rmatrix_read
-        op_c = self._op_cmatrix_read
-        op_st = self._op_store
-
-        r_lines = amap.dense_row_base_lines(
-            "rmatrix", r_ids, self.init.dense_row_size
-        )
-        c_lines = amap.dense_row_base_lines(
-            "cmatrix", c_ids, self.init.dense_row_size
-        )
-        out_region = amap.regions["sparse_out_vals"]
-        out_base_line = out_region.base // CACHE_LINE_BYTES
-        out_lines = out_base_line + out_offsets // _OUT_VALS_PER_LINE
-
-        counters.tops += len(r_ids)
-        counters.vops += len(r_ids) * lpr
-
-        for rbase, cbase, oline in zip(
-            r_lines.tolist(), c_lines.tolist(), out_lines.tolist()
-        ):
-            for i in range(lpr):
-                rline = rbase + i
-                hit, stores = vrf.access(rline, mark_dirty=False)
-                if not hit:
-                    lapp(rline)
-                    oapp(op_r)
-                for s in stores:
-                    lapp(s)
-                    oapp(op_st)
-                cline = cbase + i
-                hit, stores = vrf.access(cline, mark_dirty=False)
-                if not hit:
-                    lapp(cline)
-                    oapp(op_c)
-                for s in stores:
-                    lapp(s)
-                    oapp(op_st)
-            counters.output_line_writes += 1
-            _, stores = vrf.access(int(oline), mark_dirty=True)
-            for s in stores:
-                lapp(s)
-                oapp(op_st)
-        self._trace.extend(chunk_lines, chunk_ops)
-
     # -- end of SPADE-mode section -------------------------------------------
 
     def drain(self) -> None:
         """Flush remaining dirty VRs (WB&Invalidate prelude)."""
-        # Any buffered chunk trace must land before the drain stores.
-        self.flush_trace()
         for line in self.vrf.invalidate_all():
             self._issue_store(line)
 
@@ -563,10 +393,10 @@ class ProcessingElement:
     def state_dict(self) -> dict:
         """Per-PE architectural state at an epoch boundary.
 
-        Only valid between epochs: the chunk trace buffer must be empty
-        (flushed or taken) and ``counters`` is excluded because the
-        engine resets it per epoch and archives the per-epoch values
-        itself.
+        Only valid between epochs: the trace buffer must be empty
+        (cleared after each epoch's replay) and ``counters`` is
+        excluded because the engine resets it per epoch and archives
+        the per-epoch values itself.
         """
         if len(self._trace) != 0:
             raise RuntimeError(

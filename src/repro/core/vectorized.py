@@ -49,10 +49,9 @@ _OP_NONE = -1
 class TraceBuffer:
     """Growable int64 ``(lines, ops)`` trace storage for one PE.
 
-    Replaces the per-chunk Python-list buffers: storage is preallocated
-    and reused across chunks (amortised-doubling growth), the dtype is
-    pinned to int64 (no silent float64 upcast on empty extends), and
-    ``views()`` hands zero-copy slices to the replay call.
+    Storage is preallocated and reused across epochs (amortised-doubling
+    growth), the dtype is pinned to int64, and ``views()`` hands
+    zero-copy slices to the replay call.
     """
 
     __slots__ = ("_lines", "_ops", "_n")
@@ -78,17 +77,6 @@ class TraceBuffer:
             arr = np.empty(cap, dtype=np.int64)
             arr[: self._n] = old[: self._n]
             setattr(self, name, arr)
-
-    def extend(self, lines: List[int], ops: List[int]) -> None:
-        """Append parallel Python lists (the batched scalar path)."""
-        k = len(lines)
-        if k == 0:
-            return
-        self._reserve(k)
-        n = self._n
-        self._lines[n : n + k] = lines
-        self._ops[n : n + k] = ops
-        self._n = n + k
 
     def extend_range(self, first: int, count: int, op: int) -> None:
         """Append ``count`` consecutive lines sharing one op (streams)."""
@@ -116,21 +104,6 @@ class TraceBuffer:
         self._lines[n : n + k] = lines
         self._ops[n : n + k] = ops
         self._n = n + k
-
-    def take(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Hand the buffered trace out and reset with fresh storage of
-        the same capacity (pipelined mode hands whole-epoch traces
-        across the generate/replay queue; swapping the storage out
-        instead of copying keeps ``take`` O(1) and the next epoch
-        reuses the warmed-up capacity)."""
-        n = self._n
-        lines = self._lines[:n]
-        ops = self._ops[:n]
-        cap = self._lines.shape[0]
-        self._lines = np.empty(cap, dtype=np.int64)
-        self._ops = np.empty(cap, dtype=np.int64)
-        self._n = 0
-        return lines, ops
 
     def clear(self) -> None:
         self._n = 0

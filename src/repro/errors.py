@@ -12,8 +12,9 @@ resilience — *who can fix it*:
 - :class:`WorkloadError` — the kernel operands are wrong (shape
   mismatches, unknown suite benchmark).  Also permanent.
 - :class:`EngineExecutionError` — a run failed *while executing* (e.g.
-  a pipelined generation worker died).  Potentially transient: the run
-  supervisor retries these and degrades the execution backend.
+  an epoch's trace generation or replay raised).  Potentially
+  transient: the run supervisor retries these and degrades to the
+  scalar oracle.
 - :class:`WatchdogTimeout` — a supervised run exceeded its watchdog.
   Transient by classification (the retry may hit a warmer cache or a
   degraded-but-reliable backend).

@@ -341,11 +341,13 @@ class MemorySystem:
         """Scalar twin of :meth:`replay_trace`: one per-access call per
         trace entry, in trace order.
 
-        This is the chunk hand-off API for ``replay="scalar"`` engines
-        whose execution backend buffers chunk traces (the vectorized
-        generators): the buffered chunk is handed to the hierarchy as
+        This is how a ``replay="scalar"`` engine under
+        ``execution="vectorized"`` replays each dispatch run of an
+        epoch: the run's generated trace is handed to the hierarchy as
         one unit, but each access walks the scalar reference paths so
         the cache state transitions are — trivially — the oracle's.
+        (``execution="scalar"`` never calls it: the oracle issues every
+        access as its VRF walk makes it.)
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         ops = np.ascontiguousarray(ops, dtype=np.int64)

@@ -15,8 +15,8 @@ Three pieces:
   to an uninterrupted one.
 * :mod:`repro.resilience.supervisor` — :class:`RunSupervisor` wraps
   kernel entry points with watchdog timeouts, bounded retry with
-  exponential backoff, and a degradation ladder that falls back
-  pipelined → vectorized → scalar, preserving output parity.
+  exponential backoff, and a one-step degradation from the requested
+  backends to the scalar oracle, preserving output parity.
 * :mod:`repro.resilience.chaos` — deterministic fault injection for
   testing the above (worker exceptions, replay delays, truncated
   checkpoints, mid-run crashes), all derived from a seed.
@@ -40,11 +40,7 @@ from repro.resilience.checkpoint import (
     CheckpointManager,
     checkpoint_fingerprint,
 )
-from repro.resilience.supervisor import (
-    DEGRADATION_LADDER,
-    RunOutcome,
-    RunSupervisor,
-)
+from repro.resilience.supervisor import RunOutcome, RunSupervisor
 
 __all__ = [
     "SpadeError",
@@ -59,7 +55,6 @@ __all__ = [
     "InjectedCrash",
     "CheckpointManager",
     "checkpoint_fingerprint",
-    "DEGRADATION_LADDER",
     "RunOutcome",
     "RunSupervisor",
 ]

@@ -72,8 +72,10 @@ class ChaosConfig:
     max_worker_faults: Optional[int] = None
     """Total fault budget across the monkey's lifetime; ``None`` is
     unlimited.  A finite budget lets a retry eventually succeed."""
-    fault_backends: Tuple[str, ...] = ("pipelined",)
-    """Execution backends whose workers are eligible to fault."""
+    fault_backends: Tuple[str, ...] = ("vectorized",)
+    """Execution backends whose workers are eligible to fault.  The
+    default faults only the fast path, so a supervised run degrades to
+    the scalar oracle and completes."""
     replay_delay_s: float = 0.0
     replay_delay_every: int = 0
     """Sleep ``replay_delay_s`` before every Nth trace replay (0 = off)."""
@@ -132,7 +134,7 @@ class ChaosMonkey:
     # -- injection points ------------------------------------------------
 
     def worker_fault(
-        self, pe_id: int, chunk_index: int, backend: str = "pipelined"
+        self, pe_id: int, chunk_index: int, backend: str
     ) -> None:
         """Raise :class:`InjectedFault` if this (pe, chunk) is selected.
 

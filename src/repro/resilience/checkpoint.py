@@ -18,10 +18,10 @@ POSIX (temp file + ``os.replace``), so a *completed* write can never be
 half-visible; the hash guards against everything else.
 
 The config fingerprint deliberately excludes the execution backend,
-replay mode, pipeline tuning, telemetry, and the resilience section
-itself: all backends are bit-identical, so a checkpoint written by a
-pipelined run is valid to resume under the scalar backend — which is
-exactly what the degradation ladder needs.
+replay mode, telemetry, and the resilience section itself: all backends
+are bit-identical, so a checkpoint written by a vectorized run is valid
+to resume under the scalar backend — which is exactly what the
+supervisor's degradation step needs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ the STLB are saved as one-set cache states."""
 _EXCLUDED_CONFIG_KEYS = (
     "resilience",
     "telemetry",
-    "pipeline",
     "execution",
     "replay",
 )

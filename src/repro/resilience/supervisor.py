@@ -3,11 +3,10 @@
 :class:`RunSupervisor` wraps a kernel invocation in three layers of
 protection, outermost first:
 
-1. **Degradation ladder** — if the requested backends keep failing,
-   step down the execution ladder (pipelined → vectorized → scalar)
-   and the replay ladder (array → scalar) in lock-step, each from its
-   requested rung.  All backend combinations are bit-identical, so
-   degrading changes wall-clock time but never results; each step is
+1. **Degradation** — if the requested backends keep failing, fall back
+   once to the scalar oracle (``execution="scalar"``,
+   ``replay="scalar"``).  All backend combinations are bit-identical,
+   so degrading changes wall-clock time but never results; the step is
    recorded in the ``spade_backend_degradations`` telemetry counter.
 2. **Bounded retry** — transient failures (worker exceptions, watchdog
    timeouts, I/O hiccups) are retried on the same rung up to
@@ -44,14 +43,6 @@ from repro.errors import (
 from repro.obs.ledger import NULL_LEDGER
 from repro.telemetry import ensure
 
-DEGRADATION_LADDER: Tuple[str, ...] = ("pipelined", "vectorized", "scalar")
-"""Backends ordered fastest-first; degradation walks left to right."""
-
-REPLAY_LADDER: Tuple[str, ...] = ("array", "scalar")
-"""Replay modes ordered fastest-first, walked alongside the execution
-ladder."""
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """How a supervised run actually executed."""
@@ -61,7 +52,7 @@ class RunOutcome:
     attempts: int
     retries: int
     degradations: int
-    # Replay-mode rung walked alongside the execution rung.  Defaults
+    # Replay mode of the rung that ran, next to its execution mode.  Defaults
     # keep older call sites (and pickled outcomes) constructible.
     replay: str = ""
     requested_replay: str = ""
@@ -200,27 +191,13 @@ class RunSupervisor:
     def _ladder(
         self, requested: str, requested_replay: str
     ) -> Tuple[Tuple[str, str], ...]:
-        """Combined (execution, replay) rungs, fastest-first.
-
-        Each ladder starts at its requested rung; the shorter one is
-        padded with its last (most conservative) entry so both bottom
-        out together.  Unknown modes pin their ladder to one rung.
-        """
-        if requested in DEGRADATION_LADDER:
-            exe = DEGRADATION_LADDER[DEGRADATION_LADDER.index(requested):]
-        else:
-            exe = (requested,)
-        if requested_replay in REPLAY_LADDER:
-            rep = REPLAY_LADDER[REPLAY_LADDER.index(requested_replay):]
-        else:
-            rep = (requested_replay,)
-        depth = max(len(exe), len(rep))
-        rungs = tuple(
-            (exe[min(i, len(exe) - 1)], rep[min(i, len(rep) - 1)])
-            for i in range(depth)
-        )
-        if not self.resilience.degrade:
-            rungs = rungs[:1]
+        """The (execution, replay) rungs to try: the requested one, then
+        the scalar oracle.  There is no second rung when the request
+        already executes ``scalar`` (replay has no effect there) or
+        when ``degrade`` is off."""
+        rungs = ((requested, requested_replay),)
+        if self.resilience.degrade and requested != "scalar":
+            rungs += (("scalar", "scalar"),)
         return rungs
 
     def run_kernel(

@@ -180,8 +180,17 @@ class TestReplayRegistry:
         assert levels["scalar"] == levels["array"]
 
     def test_degradation_ladder_fastest_first(self):
-        from repro.config import REPLAY_MODES
-        from repro.resilience.supervisor import REPLAY_LADDER
+        # One step: the requested (fast) rung, then the scalar oracle.
+        from repro.config import EXECUTION_MODES, REPLAY_MODES
+        from repro.resilience import RunSupervisor
 
-        assert REPLAY_LADDER == ("array", "scalar")
-        assert set(REPLAY_LADDER) == set(REPLAY_MODES)
+        assert EXECUTION_MODES == ("scalar", "vectorized")
+        sup = RunSupervisor()
+        for execution in EXECUTION_MODES:
+            for replay in REPLAY_MODES:
+                rungs = sup._ladder(execution, replay)
+                assert rungs[0] == (execution, replay)
+                if execution == "scalar":
+                    assert len(rungs) == 1
+                else:
+                    assert rungs[1:] == (("scalar", "scalar"),)

@@ -1,8 +1,7 @@
-"""Differential parity: vectorized/pipelined execution vs the scalar oracle.
+"""Differential parity: vectorized execution vs the scalar oracle.
 
 The vectorized backend derives the post-VRF trace with NumPy plus
-protected-run elision, and the pipelined backend additionally overlaps
-generation with replay.  Both must be *bit-identical* to the scalar
+protected-run elision.  It must be *bit-identical* to the scalar
 per-nonzero oracle on every observable: the emitted trace (content and
 order), numeric outputs, simulated time, AccessStats, per-epoch
 PECounters, and the VRF's own hit/miss/writeback counters (elision
@@ -17,9 +16,10 @@ run killed under one path and resumed under the other must match the
 uninterrupted oracle as well: the resume restores the output
 accumulator partway through the run.
 
-Test ids name the replay by how the engine drives it: ``scalar`` (one
-call per access) or ``batched`` (buffered chunk traces replayed in one
-call, ``Engine.batched_replay``), which is ``replay="array"``.
+Test ids name the replay by how the vectorized engine drives it:
+``scalar`` (one call per access) or ``batched`` (each epoch's generated
+traces replayed in one call), which is ``replay="array"``.  The scalar
+oracle issues every access directly under either replay mode.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from repro.config import (
-    EXECUTION_MODES,
-    PipelineConfig,
-    ResilienceConfig,
-    scaled_config,
-)
+from repro.config import EXECUTION_MODES, ResilienceConfig, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import ScheduleParams
@@ -47,7 +42,7 @@ from repro.sparse.generators import rmat_graph, uniform_random
 from repro.sparse.tiled import tile_matrix
 from tests.walks import WALKS, kernels
 
-MODES = ("vectorized", "pipelined")
+MODES = ("vectorized",)
 REPLAY_OF = {"scalar": "scalar", "batched": "array"}
 
 
@@ -59,15 +54,12 @@ def _run_engine(
     replay: str,
     settings: Optional[KernelSettings] = None,
     chunk_nnz: int = 256,
-    pipeline: Optional[PipelineConfig] = None,
 ):
     """Build an Engine directly (so PEs stay reachable) and run once."""
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=8), execution=execution,
         replay=REPLAY_OF[replay],
     )
-    if pipeline is not None:
-        cfg = dataclasses.replace(cfg, pipeline=pipeline)
     settings = settings or KernelSettings.base()
     system = SpadeSystem(cfg, chunk_nnz=chunk_nnz)
     tiled = tile_matrix(
@@ -279,32 +271,6 @@ class TestResumeParity:
         assert got.counters == oracle.counters
 
 
-class TestPipelineVariants:
-    @pytest.mark.parametrize(
-        "pipeline",
-        [
-            PipelineConfig(lookahead=1, pool="thread", workers=1),
-            PipelineConfig(lookahead=4, pool="thread", workers=4),
-            PipelineConfig(lookahead=1, pool="serial"),
-            PipelineConfig(lookahead=3, pool="serial"),
-        ],
-        ids=["thread-la1", "thread-la4", "serial-la1", "serial-la3"],
-    )
-    def test_pipeline_config_parity(self, graph, pipeline):
-        eng_o, res_o, out_o = _run_engine(
-            graph, 16, "sddmm", "scalar", "batched"
-        )
-        fp_o = _fingerprint(eng_o, res_o, out_o)
-        for walk in WALKS:
-            with kernels(walk):
-                eng_p, res_p, out_p = _run_engine(
-                    graph, 16, "sddmm", "pipelined", "batched",
-                    pipeline=pipeline,
-                )
-            assert np.array_equal(out_o, out_p), walk
-            assert _fingerprint(eng_p, res_p, out_p) == fp_o, walk
-
-
 class TestTraceParity:
     """The traces themselves — content *and* order — must match."""
 
@@ -364,15 +330,20 @@ class TestTraceParity:
     def test_batched_chunk_stream_identical(
         self, graph, kernel, monkeypatch
     ):
+        # The vectorized backend hands the same access stream to
+        # replay_trace whether it replays an epoch in one array call or
+        # run by run under scalar replay; the scalar-replay stream is
+        # held to the oracle's per-access calls below.
         streams = {}
         runs = [("scalar", "native")] + [
-            (mode, walk) for mode in MODES for walk in WALKS
+            ("batched", walk) for walk in WALKS
         ]
-        for mode, walk in runs:
+        for replay, walk in runs:
             with monkeypatch.context() as mp, kernels(walk):
                 chunks = self._capture_chunks(mp)
-                _run_engine(graph, 16, kernel, mode, "batched")
-                streams[mode, walk] = self._flatten(chunks)
+                _run_engine(graph, 16, kernel, "vectorized", replay)
+                streams[replay, walk] = self._flatten(chunks)
+        assert streams["scalar", "native"]
         for key in runs[1:]:
             assert streams[key] == streams["scalar", "native"], (
                 f"{key}: replay access stream diverged"
@@ -383,7 +354,7 @@ class TestTraceParity:
         self, rect, kernel, monkeypatch
     ):
         # With replay="scalar" the oracle issues accesses directly while
-        # the vectorized backends flush their derived trace through
+        # the vectorized backend replays its derived trace through
         # replay_trace_scalar — the resulting per-access call sequences
         # must be indistinguishable.
         streams = {}
@@ -399,3 +370,22 @@ class TestTraceParity:
             assert streams[key] == streams["scalar", "native"], (
                 f"{key}: access stream diverged"
             )
+
+    @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
+    def test_scalar_oracle_ignores_replay_mode(
+        self, rect, kernel, monkeypatch
+    ):
+        # execution="scalar" is the oracle end to end: under
+        # replay="array" it still issues every access itself, never
+        # hands a trace to replay_trace, and gives the same bytes.
+        eng_o, res_o, out_o = _run_engine(rect, 16, kernel, "scalar", "scalar")
+        with monkeypatch.context() as mp:
+            chunks = self._capture_chunks(mp)
+            eng_a, res_a, out_a = _run_engine(
+                rect, 16, kernel, "scalar", "batched"
+            )
+        assert chunks == []
+        assert out_a.tobytes() == out_o.tobytes()
+        assert _fingerprint(eng_a, res_a, out_a) == _fingerprint(
+            eng_o, res_o, out_o
+        )

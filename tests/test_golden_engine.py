@@ -9,10 +9,10 @@ and because ONE golden file serves ALL replay paths, these tests also
 pin the bit-identical equivalence guarantee end to end.  A second
 fixture family (``fingerprint_*.json``) freezes the full EngineResult
 surface — simulated time, epoch count, merged PECounters and an output
-digest — and holds ALL THREE execution backends (scalar, vectorized,
-pipelined) crossed with ALL THREE replay paths to it; the SpMM output
-digest thereby pins the compiled merge and its twin to the same bytes
-under every execution backend.
+digest — and holds BOTH execution backends (scalar, vectorized)
+crossed with ALL THREE replay paths to it; the SpMM output digest
+thereby pins the compiled merge and its twin to the same bytes under
+every execution backend.
 
 Regenerate after an intentional model change (from the repo root)::
 

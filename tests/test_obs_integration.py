@@ -120,15 +120,31 @@ class TestRunLifecycle:
         assert ckpts
         assert all(e["wall_s"] >= 0 for e in ckpts)
 
-    def test_pipelined_run_audits_and_times_phases(
+    def test_vectorized_run_audits_and_times_phases(
         self, tmp_path, workload
     ):
         _, events = run_with_ledger(
-            tmp_path, workload, execution="pipelined"
+            tmp_path, workload, execution="vectorized"
         )
         assert any(e["e"] == "dispatch" for e in events)
         epochs = [e for e in events if e["e"] == "epoch"]
         assert epochs and all(e["replay_s"] >= 0 for e in epochs)
+
+    def test_scalar_run_writes_no_dispatch_events(
+        self, tmp_path, workload
+    ):
+        # The scalar oracle issues every access itself: replay="array"
+        # has no effect, so no level walk runs and nothing is audited.
+        _, events = run_with_ledger(
+            tmp_path, workload, execution="scalar"
+        )
+        assert not [e for e in events if e["e"] == "dispatch"]
+        epochs = [e for e in events if e["e"] == "epoch"]
+        assert epochs
+        for ev in epochs:
+            assert ev["gen_s"] > 0 and ev["merge_s"] > 0
+            assert ev["replay_s"] == 0
+            assert ev["fused_chunks"] == 0
 
 
 class TestResilienceEvents:
@@ -164,7 +180,7 @@ class TestResilienceEvents:
         ledger = RunLedger(tmp_path / "d.jsonl", validate=True)
         monkey = ChaosMonkey(
             ChaosConfig(
-                worker_fault_rate=1.0, fault_backends=("pipelined",)
+                worker_fault_rate=1.0, fault_backends=("vectorized",)
             )
         )
         sup = RunSupervisor(
@@ -173,14 +189,16 @@ class TestResilienceEvents:
             sleep=lambda s: None,
             ledger=ledger,
         )
-        cfg = array_config(execution="pipelined")
+        cfg = array_config(execution="vectorized")
         sup.run_kernel(cfg, "spmm", a, b)
         ledger.close()
         events = read_events(ledger.path)
         degr = [e for e in events if e["e"] == "degradation"]
         assert len(degr) == 1
-        assert degr[0]["from_execution"] == "pipelined"
-        assert degr[0]["to_execution"] == "vectorized"
+        assert degr[0]["from_execution"] == "vectorized"
+        assert degr[0]["from_replay"] == "array"
+        assert degr[0]["to_execution"] == "scalar"
+        assert degr[0]["to_replay"] == "scalar"
         assert "fault" in degr[0]["cause"] or degr[0]["cause"]
         end = [e for e in events if e["e"] == "run_end"][-1]
         assert end["status"] == "ok"

@@ -46,8 +46,8 @@ def _ev(etype="run_start", **overrides):
             "cause": "OSError('x')", "backoff_s": 0.05,
         },
         "degradation": {
-            "from_execution": "pipelined", "from_replay": "array",
-            "to_execution": "vectorized", "to_replay": "batched",
+            "from_execution": "vectorized", "from_replay": "array",
+            "to_execution": "scalar", "to_replay": "scalar",
             "cause": "WatchdogTimeout('t')",
         },
         "sweep_job": {

@@ -16,7 +16,7 @@ Two layers:
   with the compiled kernel (``auto``: what the host loads) and with
   the Python twin forced (``forced``).
 * **End-to-end kernels** — SpMM and SDDMM through ``SpadeSystem`` on
-  all execution backends (scalar, vectorized, pipelined), with bypass
+  both execution backends (scalar, vectorized), with bypass
   on/off and a barrier-heavy schedule, comparing the full stats
   surface plus an output digest.
 """
@@ -194,15 +194,14 @@ def test_replay_modes_identical_end_to_end(
         assert got == want, f"{kernel}/{settings_name}[array+{walk}]"
 
 
-@pytest.mark.parametrize(
-    "execution", ["scalar", "vectorized", "pipelined"]
-)
+@pytest.mark.parametrize("execution", ["scalar", "vectorized"])
 @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
 def test_array_replay_under_all_execution_backends(
     graph, rect, kernel, execution
 ):
-    """The array backend composes with every execution backend; the
-    (scalar, scalar) combination is the reference oracle."""
+    """Array replay under either execution backend matches the
+    (scalar, scalar) reference oracle.  Under ``scalar`` execution the
+    replay mode has no effect: the oracle issues every access."""
     a = graph if kernel == "spmm" else rect
     want = _fingerprint(_run(a, kernel, "scalar", execution="scalar"))
     got = _fingerprint(_run(a, kernel, "array", execution=execution))

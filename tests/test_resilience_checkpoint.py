@@ -23,7 +23,7 @@ from repro.resilience import (
 )
 from repro.sparse.generators import rmat_graph
 
-BACKENDS = ("scalar", "vectorized", "pipelined")
+BACKENDS = ("scalar", "vectorized")
 
 MULTI_EPOCH_SETTINGS = KernelSettings(
     row_panel_size=32, col_panel_size=64, use_barriers=True
@@ -202,7 +202,7 @@ class TestCheckpointFiles:
     def test_fingerprint_ignores_backend_and_resilience(self, base_config):
         fp = checkpoint_fingerprint(base_config)
         variants = [
-            dataclasses.replace(base_config, execution="pipelined"),
+            dataclasses.replace(base_config, execution="scalar"),
             dataclasses.replace(base_config, replay="scalar"),
             dataclasses.replace(
                 base_config,
@@ -213,6 +213,16 @@ class TestCheckpointFiles:
             assert checkpoint_fingerprint(variant) == fp
         shrunk = scaled_config(8, cache_shrink=8)
         assert checkpoint_fingerprint(shrunk) != fp
+
+    def test_fingerprint_unchanged_by_dropping_pipeline_section(self):
+        # The digest of this config from before SpadeConfig lost its
+        # (excluded) pipeline section: snapshots written then still
+        # resume.
+        assert checkpoint_fingerprint(
+            scaled_config(4, cache_shrink=8)
+        ) == (
+            "2df5c2b3248f308daff43ea57ceccdabc3e8b9a02e21d65ac411db1388380a27"
+        )
 
 
 class TestKillAndResume:
@@ -279,11 +289,11 @@ class TestKillAndResume:
     def test_cross_backend_resume(
         self, tmp_path, workload, base_config, golden
     ):
-        """A checkpoint written by a pipelined run resumes under the
-        scalar backend (what the degradation ladder relies on)."""
+        """A checkpoint written by a vectorized run resumes under the
+        scalar backend (what the degradation step relies on)."""
         a, b, _ = workload
         cfg = self._with_resilience(
-            base_config, "pipelined", checkpoint_dir=str(tmp_path)
+            base_config, "vectorized", checkpoint_dir=str(tmp_path)
         )
         monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
         with pytest.raises(InjectedCrash):

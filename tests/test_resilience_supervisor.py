@@ -1,5 +1,5 @@
-"""RunSupervisor: retry policy, watchdog, degradation ladder, and the
-typed error taxonomy."""
+"""RunSupervisor: retry policy, watchdog, the one-step degradation to
+the scalar oracle, and the typed error taxonomy."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.resilience import (
-    DEGRADATION_LADDER,
     ChaosConfig,
     ChaosMonkey,
     InjectedFault,
@@ -144,29 +143,34 @@ class TestWatchdog:
 
 
 class TestDegradationLadder:
-    def test_ladder_order(self):
-        assert DEGRADATION_LADDER == ("pipelined", "vectorized", "scalar")
+    def test_ladder_order(self, base_config):
+        # The default config asks for the fast path; its one step down
+        # is the scalar oracle for execution and replay together.
+        assert make_supervisor()._ladder(
+            base_config.execution, base_config.replay
+        ) == (("vectorized", "array"), ("scalar", "scalar"))
 
-    def test_pipelined_faults_degrade_to_vectorized(
+    def test_vectorized_faults_degrade_to_scalar(
         self, workload, base_config, scalar_oracle
     ):
         a, b = workload
         telemetry = Telemetry(TelemetryConfig(metrics=True))
         monkey = ChaosMonkey(
-            ChaosConfig(worker_fault_rate=1.0, fault_backends=("pipelined",))
+            ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
         )
         sup = make_supervisor(
             chaos=monkey, telemetry=telemetry,
             max_retries=1, backoff_base_s=0.0,
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
-        assert outcome.backend == "vectorized"
+        assert outcome.backend == "scalar"
+        assert outcome.replay == "scalar"
         assert outcome.degraded
         assert outcome.degradations == 1
-        # pipelined: initial + 1 retry failed -> one of those retries
-        # is counted; then vectorized succeeds first try.
+        # vectorized: initial + 1 retry failed -> one of those retries
+        # is counted; then scalar succeeds first try.
         assert outcome.retries == 1
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
         assert report.time_ns == scalar_oracle.time_ns
@@ -175,34 +179,36 @@ class TestDegradationLadder:
         assert m.counter("spade_run_retries").value == 1
 
     def test_all_backends_faulty_degrades_to_scalar(
-        self, workload, base_config, scalar_oracle
+        self, workload, base_config
     ):
+        # With the oracle faulty too, the run steps down once and then
+        # raises: there is no rung below scalar.
         a, b = workload
         monkey = ChaosMonkey(
             ChaosConfig(
                 worker_fault_rate=1.0,
-                fault_backends=("pipelined", "vectorized"),
+                fault_backends=("vectorized", "scalar"),
             )
         )
         sup = make_supervisor(chaos=monkey, backoff_base_s=0.0)
-        cfg = dataclasses.replace(base_config, execution="pipelined")
-        report = sup.run_kernel(cfg, "spmm", a, b)
+        with pytest.raises(EngineExecutionError):
+            sup.run_kernel(base_config, "spmm", a, b)
         assert sup.last_outcome.backend == "scalar"
-        assert sup.last_outcome.degradations == 2
-        np.testing.assert_array_equal(report.output, scalar_oracle.output)
+        assert sup.last_outcome.degradations == 1
+        assert sup.last_outcome.attempts == 2
 
     def test_degrade_disabled_raises_instead(self, workload, base_config):
         a, b = workload
         monkey = ChaosMonkey(
-            ChaosConfig(worker_fault_rate=1.0, fault_backends=("pipelined",))
+            ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
         )
         sup = make_supervisor(
             chaos=monkey, degrade=False, backoff_base_s=0.0
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         with pytest.raises(EngineExecutionError):
             sup.run_kernel(cfg, "spmm", a, b)
-        assert sup.last_outcome.backend == "pipelined"
+        assert sup.last_outcome.backend == "vectorized"
         assert not sup.last_outcome.degradations
 
     def test_fault_budget_lets_retry_succeed_on_same_rung(
@@ -213,15 +219,15 @@ class TestDegradationLadder:
             ChaosConfig(
                 worker_faults=((0, 0),),
                 max_worker_faults=1,
-                fault_backends=("pipelined",),
+                fault_backends=("vectorized",),
             )
         )
         sup = make_supervisor(
             chaos=monkey, max_retries=2, backoff_base_s=0.0
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         report = sup.run_kernel(cfg, "spmm", a, b)
-        assert sup.last_outcome.backend == "pipelined"
+        assert sup.last_outcome.backend == "vectorized"
         assert not sup.last_outcome.degraded
         assert sup.last_outcome.retries == 1
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
@@ -279,10 +285,10 @@ class TestErrorTaxonomy:
         a, b = workload
         monkey = ChaosMonkey(
             ChaosConfig(
-                worker_faults=((0, 0),), fault_backends=("pipelined",)
+                worker_faults=((0, 0),), fault_backends=("vectorized",)
             )
         )
-        cfg = dataclasses.replace(base_config, execution="pipelined")
+        cfg = dataclasses.replace(base_config, execution="vectorized")
         with pytest.raises(EngineExecutionError) as excinfo:
             SpadeSystem(cfg, chaos=monkey).spmm(a, b)
         err = excinfo.value
@@ -297,10 +303,10 @@ class TestErrorTaxonomy:
         a, b = workload
         monkey = ChaosMonkey(
             ChaosConfig(
-                worker_faults=((0, 0),), fault_backends=("vectorized",)
+                worker_faults=((0, 0),), fault_backends=("scalar",)
             )
         )
-        cfg = dataclasses.replace(base_config, execution="vectorized")
+        cfg = dataclasses.replace(base_config, execution="scalar")
         with pytest.raises(EngineExecutionError) as excinfo:
             SpadeSystem(cfg, chaos=monkey).spmm(a, b)
         assert excinfo.value.pe_id == 0
@@ -342,39 +348,35 @@ class TestErrorTaxonomy:
 
 
 class TestCombinedReplayLadder:
-    """Execution and replay ladders degrade in lock-step."""
+    """A rung pairs an execution and a replay mode; the one step down
+    goes to the scalar oracle for both."""
 
     def test_rungs_from_the_top(self):
-        sup = make_supervisor()
-        assert sup._ladder("pipelined", "array") == (
-            ("pipelined", "array"),
-            ("vectorized", "scalar"),
-            ("scalar", "scalar"),
-        )
-
-    def test_rungs_from_the_middle(self):
         sup = make_supervisor()
         assert sup._ladder("vectorized", "array") == (
             ("vectorized", "array"),
             ("scalar", "scalar"),
         )
 
-    def test_shorter_ladder_is_padded_with_its_last_rung(self):
+    def test_rungs_from_the_middle(self):
         sup = make_supervisor()
-        assert sup._ladder("scalar", "array") == (
-            ("scalar", "array"),
-            ("scalar", "scalar"),
-        )
-        assert sup._ladder("pipelined", "scalar") == (
-            ("pipelined", "scalar"),
+        assert sup._ladder("vectorized", "scalar") == (
             ("vectorized", "scalar"),
             ("scalar", "scalar"),
         )
 
+    @pytest.mark.parametrize("replay", ["scalar", "array"])
+    def test_scalar_execution_has_one_rung(self, replay):
+        # Replay has no effect under the scalar oracle, so there is
+        # nothing to step down to.
+        assert make_supervisor()._ladder("scalar", replay) == (
+            ("scalar", replay),
+        )
+
     def test_degrade_disabled_keeps_one_rung(self):
         sup = make_supervisor(degrade=False)
-        assert sup._ladder("pipelined", "array") == (
-            ("pipelined", "array"),
+        assert sup._ladder("vectorized", "array") == (
+            ("vectorized", "array"),
         )
 
     def test_outcome_degraded_when_only_replay_stepped(self):
@@ -392,15 +394,15 @@ class TestCombinedReplayLadder:
     ):
         a, b = workload
         monkey = ChaosMonkey(
-            ChaosConfig(worker_fault_rate=1.0, fault_backends=("pipelined",))
+            ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
         )
         sup = make_supervisor(chaos=monkey, backoff_base_s=0.0)
         cfg = dataclasses.replace(
-            base_config, execution="pipelined", replay="array"
+            base_config, execution="vectorized", replay="array"
         )
         report = sup.run_kernel(cfg, "spmm", a, b)
         outcome = sup.last_outcome
-        assert outcome.backend == "vectorized"
+        assert outcome.backend == "scalar"
         assert outcome.replay == "scalar"
         assert outcome.requested_replay == "array"
         assert outcome.degraded

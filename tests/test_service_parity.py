@@ -280,11 +280,17 @@ class TestHttpSurface:
                 {"matrix": "tests/data/evil.mtx"},
             )
             assert status == 400  # path injection refused
+            status, payload, _ = client.request(
+                "POST", "/v1/simulate",
+                dict(POINT_ARGS, execution="pipelined"),
+            )
+            assert status == 400  # a deleted execution mode
+            assert "execution must be one of" in payload["error"]
             status, payload, _ = client.request("GET", "/nope")
             assert status == 404
             client.simulate(**POINT_ARGS)
             stats = client.stats()
-            assert stats["requests"] == 3  # 2 bad + 1 good
+            assert stats["requests"] == 4  # 3 bad + 1 good
             assert stats["served"] == 1
             text = client.metrics_text()
             assert "spade_service_requests" in text

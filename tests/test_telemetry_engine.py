@@ -6,7 +6,8 @@ the two channels agree exactly — per level, per DRAM direction, per
 region — in BOTH replay modes, and that the default (telemetry off)
 leaves the report bit-identical to an untelemetered run.  Test ids name
 the replay by how the engine drives it: ``scalar`` (one call per
-access) or ``batched`` (buffered chunk traces, ``replay="array"``).
+access) or ``batched`` (each epoch's traces in one call,
+``replay="array"``).
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class TestReplayBatchHistogram:
             s for s in sys_b.telemetry.metrics.samples()
             if s.name == "spade_replay_batch_accesses"
         ]
-        assert scalar_obs == 0  # flush_trace no-ops in scalar mode
+        assert scalar_obs == 0  # observed under array replay only
         assert batched, "batched mode must record chunk sizes"
 
 

@@ -41,7 +41,7 @@ def _workload(nnz: int = 30_000, num_rows: int = 1024, seed: int = 3):
     return a, b, c
 
 
-def _run(a, b, c, store=None, execution="pipelined", replay="array",
+def _run(a, b, c, store=None, execution="vectorized", replay="array",
          cache_shrink=8.0, chunk_nnz=8192):
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=cache_shrink),
@@ -149,7 +149,7 @@ class TestTraceStoreUnit:
 
 
 class TestEngineTraceCacheParity:
-    @pytest.mark.parametrize("execution", ["vectorized", "pipelined"])
+    @pytest.mark.parametrize("execution", ["vectorized"])
     def test_cold_warm_and_plain_bit_identical(self, tmp_path, execution):
         a, b, c = _workload()
         cold, cc = _run(a, b, c, TraceStore(tmp_path), execution)
@@ -170,13 +170,6 @@ class TestEngineTraceCacheParity:
             "gen_invocations": 0, "fused_chunks": 0,
         }
         assert len(store) == 0
-
-    def test_shared_across_execution_modes(self, tmp_path):
-        a, b, c = _workload()
-        cold, _ = _run(a, b, c, TraceStore(tmp_path), "pipelined")
-        warm, cw = _run(a, b, c, TraceStore(tmp_path), "vectorized")
-        assert cw["gen_invocations"] == 0 and cw["hits"] >= 1
-        assert _facts(cold) == _facts(warm)
 
     def test_shared_across_replay_backends(self, tmp_path):
         a, b, c = _workload()
