@@ -641,8 +641,12 @@ class Engine:
         key = None
         store = self.trace_store
         if store is not None and self._store_material is not None:
+            from repro.memory.trace_store import (
+                canonical_key, pack_epoch_entry, unpack_pe_entry,
+            )
+
             t0 = time.perf_counter()
-            key = store.key_for(self._store_material, epoch_idx)
+            key = canonical_key(self._store_material, epoch_idx)
             hit, payload = store.get(key)
             if hit and self._entry_fits(payload, parts):
                 entry = payload
@@ -684,8 +688,6 @@ class Engine:
         capture = entry is None and store is not None and key is not None
 
         if entry is not None:
-            from repro.memory.trace_store import unpack_pe_entry
-
             for i, pe in enumerate(self.pes):
                 self._advance_chunks(i, len(parts[i]))
                 traces[i], segs[i] = unpack_pe_entry(pe, entry["pes"][i])
@@ -770,8 +772,6 @@ class Engine:
             p is not None or not parts[i]
             for i, p in enumerate(payloads)
         ):
-            from repro.memory.trace_store import pack_epoch_entry
-
             t0 = time.perf_counter()
             store.put(
                 key,

@@ -1,26 +1,29 @@
 """Cross-process file locking primitives for shared directories.
 
-Two subsystems write content-addressed files into directories that may
-be shared by many workers at once: the sweep result cache
-(:mod:`repro.sweep.cache`) and the epoch checkpoint store
-(:mod:`repro.resilience.checkpoint`).  Both publish files with the
-atomic temp-file + ``os.replace`` idiom, which is only atomic when each
-writer owns its *own* temp file.  A fixed ``path + ".tmp"`` name breaks
-that: two workers racing on the same key open the same temp file and
-interleave their writes, so the eventual rename publishes a spliced,
-corrupt payload.
+Several subsystems publish files into directories that may be shared by
+many workers at once: the blob stores (:mod:`repro.blobstore` — the
+sweep result cache, the epoch-trace store and the epoch checkpoints)
+and the sweep lease protocol (:mod:`repro.sweep.lease`).  They publish
+with the atomic temp-file + ``os.replace`` idiom, which is only atomic
+when each writer owns its *own* temp file.  A fixed ``path + ".tmp"``
+name breaks that: two workers racing on the same key open the same temp
+file and interleave their writes, so the eventual rename publishes a
+spliced, corrupt payload.
 
-This module provides the two fixes:
+This module provides the fixes:
 
 - :func:`exclusive_tmp_path` — a per-writer temp name (pid + per-process
   counter) opened with ``O_CREAT | O_EXCL``, so no two writers can ever
   share a temp file, on any filesystem, even across processes that
   happen to recycle pids.
+- :func:`atomic_write` — the one publish sequence built on it: write
+  the temp file, fsync, ``os.replace``, and unlink the temp file if any
+  step fails.
 - :class:`FileLock` — an advisory ``O_EXCL`` lockfile for critical
   sections that need full mutual exclusion rather than last-writer-wins
   (e.g. read-modify-write maintenance of a shared directory).
 
-Both are dependency-free and safe on POSIX and NFS-like filesystems
+All are dependency-free and safe on POSIX and NFS-like filesystems
 (``O_EXCL`` file creation is the one primitive NFSv3+ guarantees).
 """
 
@@ -62,6 +65,29 @@ def exclusive_tmp_path(path: str) -> str:
             continue  # pid recycling landed on a leftover; pick another
         os.close(fd)
         return tmp
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Publish ``data`` at ``path`` all at once.
+
+    The bytes go into an :func:`exclusive_tmp_path` file, are fsynced,
+    and replace ``path`` in one ``os.replace``: a reader sees the old
+    file or the new one, never a torn one.  On any failure the temp
+    file is removed and the error re-raised.
+    """
+    tmp = exclusive_tmp_path(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class LockTimeout(TimeoutError):

@@ -11,29 +11,26 @@ layer of a repeated-epoch (GNN) run: the expensive generation phase
 runs once, and every later run replays the cached stream against its
 own memory hierarchy.
 
-Keys: ``sha256(canonical-json(material) + epoch index)``.  One entry
+Keys: the :func:`~repro.jobmodel.value_fingerprint` of the material,
+the epoch index and the trace schema version.  One entry
 holds *all* PEs of one epoch — sound because per-PE VRF state carries
 across epochs deterministically given the whole-schedule fingerprint,
 so epoch N's entry is only ever read by runs whose epochs 0..N-1 were
 byte-identical too.
 
-Layout and durability mirror :class:`repro.sweep.cache.ResultCache`
-(git-style two-char shards, JSON header + pickled payload, sha256
-payload digest, ``O_EXCL`` temp + ``os.replace`` publish, corrupt
-entries self-evict as misses).
+Entries are blobs in the shared format of :mod:`repro.blobstore`
+(``<dir>/ab/<key>.trc``, magic ``spade-trace-cache``); its store gives
+the layout, the durability and the corrupt-entry-is-a-miss rule.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import pickle
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.locks import exclusive_tmp_path
+from repro.blobstore import BlobStore
+from repro.jobmodel import value_fingerprint
 
 TRACE_STORE_FORMAT = "spade-trace-cache"
 TRACE_STORE_VERSION = 1
@@ -47,18 +44,15 @@ _INT32_MAX = np.int64(2**31 - 1)
 
 
 def canonical_key(material: Dict[str, Any], epoch: int) -> str:
-    """sha256 over the canonical JSON of ``material`` + the epoch
-    index (schema version included so format changes never alias)."""
-    blob = json.dumps(
+    """Content key of one epoch's entry (schema version included so
+    format changes never alias)."""
+    return value_fingerprint(
         {
             "schema_version": TRACE_SCHEMA_VERSION,
             "epoch": int(epoch),
             "material": material,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+        }
+    )
 
 
 # -- payload packing ----------------------------------------------------------
@@ -132,129 +126,15 @@ def unpack_pe_entry(
     return (lines, ops), list(entry["segs"])
 
 
-class TraceStore:
+class TraceStore(BlobStore):
     """Content-addressed epoch-trace store (shared across runs and
     sweep workers)."""
 
     def __init__(self, directory: str) -> None:
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-    # -- addressing ------------------------------------------------------
-
-    def key_for(self, material: Dict[str, Any], epoch: int) -> str:
-        return canonical_key(material, epoch)
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.directory, key[:2], f"{key}.trc")
-
-    # -- reading ---------------------------------------------------------
-
-    def get(self, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, entry)``; corrupt or foreign entries are
-        treated as misses and evicted."""
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                payload = fh.read()
-        except OSError:
-            self.misses += 1
-            return False, None
-        if not self._valid(key, header_line, payload):
-            self._evict(path)
-            self.misses += 1
-            return False, None
-        try:
-            entry = pickle.loads(payload)
-        except Exception:
-            self._evict(path)
-            self.misses += 1
-            return False, None
-        self.hits += 1
-        return True, entry
-
-    def _valid(self, key: str, header_line: bytes, payload: bytes) -> bool:
-        try:
-            header = json.loads(header_line)
-        except (ValueError, UnicodeDecodeError):
-            return False
-        return (
-            header.get("format") == TRACE_STORE_FORMAT
-            and header.get("version") == TRACE_STORE_VERSION
-            and header.get("schema_version") == TRACE_SCHEMA_VERSION
-            and header.get("key") == key
-            and header.get("payload_bytes") == len(payload)
-            and header.get("payload_sha256")
-            == hashlib.sha256(payload).hexdigest()
+        super().__init__(
+            directory, TRACE_STORE_FORMAT, TRACE_STORE_VERSION, ".trc",
+            schema_version=TRACE_SCHEMA_VERSION,
         )
-
-    def _evict(self, path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    # -- writing ---------------------------------------------------------
-
-    def put(self, key: str, entry: Any) -> str:
-        """Atomically store ``entry`` under ``key``; returns the path.
-        Concurrent writers of the same key race benignly (identical
-        bytes, last ``os.replace`` wins, temp files are never shared).
-        """
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": TRACE_STORE_FORMAT,
-            "version": TRACE_STORE_VERSION,
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "key": key,
-            "payload_bytes": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        tmp = exclusive_tmp_path(path)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header).encode() + b"\n")
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        return path
-
-    # -- maintenance -----------------------------------------------------
-
-    def keys(self) -> List[str]:
-        found = []
-        for shard in self._shards():
-            for name in os.listdir(shard):
-                if name.endswith(".trc"):
-                    found.append(name[: -len(".trc")])
-        return sorted(found)
-
-    def _shards(self) -> Iterator[str]:
-        try:
-            entries = sorted(os.listdir(self.directory))
-        except OSError:
-            return
-        for entry in entries:
-            shard = os.path.join(self.directory, entry)
-            if len(entry) == 2 and os.path.isdir(shard):
-                yield shard
-
-    def __len__(self) -> int:
-        return len(self.keys())
 
 
 def open_trace_store(directory: Optional[str]) -> Optional[TraceStore]:

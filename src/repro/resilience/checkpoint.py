@@ -1,21 +1,12 @@
 """Versioned epoch checkpoints with corruption detection.
 
-A checkpoint file is one JSON header line followed by a pickled payload:
-
-.. code-block:: text
-
-    {"format": "spade-checkpoint", "version": 1, "epoch": 3,
-     "fingerprint": "…", "payload_bytes": N, "payload_sha256": "…",
-     "meta": {…}}\\n
-    <N bytes of pickle>
-
-The header carries everything needed to *reject* a snapshot without
-unpickling it: a format magic, a schema version, the config fingerprint
-of the run that wrote it, and the payload's length and sha256 (which
-catch truncation — e.g. a job killed mid-write to a non-atomic
-filesystem, or the chaos monkey's scissors).  Writes are atomic on
-POSIX (temp file + ``os.replace``), so a *completed* write can never be
-half-visible; the hash guards against everything else.
+A checkpoint is one blob in the shared format of :mod:`repro.blobstore`
+(magic ``spade-checkpoint``, header fields ``epoch``, ``fingerprint``
+and ``meta``), written as ``ckpt-epoch-NNNNNN.ckpt``.  The blob rules
+give atomic publishing and reject a wrong magic or version, truncation,
+a digest mismatch or a payload that does not unpickle; this module maps
+each of those to :class:`CheckpointError` and adds the one check of its
+own, the config fingerprint of the run that wrote the snapshot.
 
 The config fingerprint deliberately excludes the execution backend,
 replay mode, telemetry, and the resilience section itself: all backends
@@ -30,12 +21,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import re
 from typing import Any, Dict, Optional, Tuple
 
+from repro.blobstore import BlobError, read_blob, write_blob
 from repro.errors import CheckpointError
-from repro.locks import exclusive_tmp_path
 from repro.telemetry import ensure
 
 CHECKPOINT_FORMAT = "spade-checkpoint"
@@ -108,34 +98,12 @@ class CheckpointManager:
         meta: Optional[Dict[str, Any]] = None,
     ) -> str:
         """Atomically write a snapshot for a completed epoch."""
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "epoch": epoch_index,
-            "fingerprint": self.fingerprint,
-            "payload_bytes": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "meta": meta or {},
-        }
         path = self.path_for(epoch_index)
-        # Writer-unique O_EXCL temp file: two workers snapshotting the
-        # same epoch into a shared directory can race on the rename but
-        # can never interleave writes into one temp file (repro.locks).
-        tmp = exclusive_tmp_path(path)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header).encode() + b"\n")
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_blob(
+            path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, state,
+            epoch=epoch_index, fingerprint=self.fingerprint,
+            meta=meta or {},
+        )
         self._written.inc()
         if self._chaos is not None:
             self._chaos.on_checkpoint_written(path, epoch_index)
@@ -147,42 +115,18 @@ class CheckpointManager:
         """Read and validate one checkpoint; returns (header, state).
 
         Raises :class:`CheckpointError` on any mismatch — wrong magic or
-        version, truncated payload, hash mismatch, or a fingerprint from
-        a different (result-relevant) config.
+        version, truncated payload, hash mismatch, a payload that does
+        not unpickle, or a fingerprint from a different
+        (result-relevant) config.
         """
         try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                payload = fh.read()
+            header, state = read_blob(
+                path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+            )
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        try:
-            header = json.loads(header_line)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path} has an unreadable header"
-            ) from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"checkpoint {path} is not a {CHECKPOINT_FORMAT} file"
-            )
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version {header.get('version')!r}, "
-                f"this build reads version {CHECKPOINT_VERSION}"
-            )
-        if len(payload) != header.get("payload_bytes"):
-            raise CheckpointError(
-                f"checkpoint {path} is truncated: expected "
-                f"{header.get('payload_bytes')} payload bytes, found "
-                f"{len(payload)}"
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("payload_sha256"):
-            raise CheckpointError(
-                f"checkpoint {path} failed its integrity check "
-                "(payload sha256 mismatch)"
-            )
+        except BlobError as exc:
+            raise CheckpointError(f"checkpoint {exc}") from exc
         if (
             self.fingerprint is not None
             and header.get("fingerprint") is not None
@@ -192,7 +136,6 @@ class CheckpointManager:
                 f"checkpoint {path} was written by a run with a different "
                 "configuration (fingerprint mismatch); refusing to resume"
             )
-        state = pickle.loads(payload)
         return header, state
 
     def list_checkpoints(self):

@@ -1,163 +1,48 @@
 """Content-addressed on-disk store for sweep job results.
 
-Layout: one file per job key under a two-character shard directory
-(``<dir>/ab/<key>.res``), mirroring git's object store so huge sweeps
-do not pile 10^5 files into one directory.  Each file is a JSON header
-line followed by a pickled payload — the same self-validating format as
-the PR 4 checkpoints:
-
-.. code-block:: text
-
-    {"format": "spade-sweep-result", "version": 1, "key": "…",
-     "schema_version": 1, "payload_bytes": N, "payload_sha256": "…"}\\n
-    <N bytes of pickle>
-
-A result is only trusted when the magic, version, key, payload length,
-and payload hash all match; anything else (truncation, interleaved
-writers on a pre-lock layout, foreign files) reads as a cache *miss*
-and the offending file is removed so the slot heals itself.
-
-Writes are crash- and concurrency-safe: each writer serialises into its
-own ``O_EXCL`` temp file (:func:`repro.locks.exclusive_tmp_path`) and
-publishes with ``os.replace``.  Two workers completing the same job
-race benignly — both wrote identical bytes, the last rename wins, and
-no interleaving is possible because no temp file is ever shared.
+One blob per job key at ``<dir>/ab/<key>.res``, in the shared format of
+:mod:`repro.blobstore` (magic ``spade-sweep-result``, header fields
+``key`` and ``schema_version``).  An entry is only trusted when every
+header check passes; anything else (truncation, a foreign file, a
+payload that does not unpickle) reads as a cache *miss* and the file is
+removed so the slot heals itself.  Two workers completing the same job
+race benignly: both publish identical bytes and the last rename wins.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import pickle
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
+from repro.blobstore import BlobStore
 from repro.jobmodel import SWEEP_SCHEMA_VERSION
-from repro.locks import exclusive_tmp_path
 
 RESULT_FORMAT = "spade-sweep-result"
 RESULT_VERSION = 1
 
 
-class ResultCache:
+class ResultCache(BlobStore):
     """Content-addressed result store shared by sweep workers."""
 
     def __init__(self, directory: str) -> None:
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-    # -- addressing ------------------------------------------------------
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.directory, key[:2], f"{key}.res")
+        super().__init__(
+            directory, RESULT_FORMAT, RESULT_VERSION, ".res",
+            schema_version=SWEEP_SCHEMA_VERSION,
+        )
 
     def default_lease_dir(self) -> str:
         """Where the lease protocol lives when no explicit lease dir is
         configured: a dot-directory inside the cache, so one shared path
         carries both results and coordination state.  The name is not a
-        two-character hex shard, so :meth:`keys` never sees it."""
+        two-character shard, so :meth:`keys` never sees it."""
         return os.path.join(self.directory, ".leases")
-
-    # -- reading ---------------------------------------------------------
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; corrupt or foreign entries are
         treated as misses and evicted."""
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                header_line = fh.readline()
-                payload = fh.read()
-        except OSError:
-            self.misses += 1
-            return False, None
-        if not self._valid(key, header_line, payload):
-            self._evict(path)
-            self.misses += 1
-            return False, None
-        self.hits += 1
-        return True, pickle.loads(payload)
-
-    def _valid(self, key: str, header_line: bytes, payload: bytes) -> bool:
-        try:
-            header = json.loads(header_line)
-        except (ValueError, UnicodeDecodeError):
-            return False
-        return (
-            header.get("format") == RESULT_FORMAT
-            and header.get("version") == RESULT_VERSION
-            and header.get("key") == key
-            and header.get("payload_bytes") == len(payload)
-            and header.get("payload_sha256")
-            == hashlib.sha256(payload).hexdigest()
-        )
-
-    def _evict(self, path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    # -- writing ---------------------------------------------------------
-
-    def put(self, key: str, value: Any) -> str:
-        """Atomically store ``value`` under ``key``; returns the path."""
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": RESULT_FORMAT,
-            "version": RESULT_VERSION,
-            "key": key,
-            "schema_version": SWEEP_SCHEMA_VERSION,
-            "payload_bytes": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        tmp = exclusive_tmp_path(path)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(json.dumps(header).encode() + b"\n")
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        return path
-
-    # -- maintenance -----------------------------------------------------
-
-    def keys(self) -> List[str]:
-        """Every key currently stored, sorted (for tests/inspection)."""
-        found = []
-        for shard in self._shards():
-            for name in os.listdir(shard):
-                if name.endswith(".res"):
-                    found.append(name[: -len(".res")])
-        return sorted(found)
-
-    def _shards(self) -> Iterator[str]:
-        try:
-            entries = sorted(os.listdir(self.directory))
-        except OSError:
-            return
-        for entry in entries:
-            shard = os.path.join(self.directory, entry)
-            # Only two-character hex shard dirs hold results; this also
-            # hides the ``.leases`` coordination dir from key listings.
-            if len(entry) == 2 and os.path.isdir(shard):
-                yield shard
-
-    def __len__(self) -> int:
-        return len(self.keys())
+        # Defined on this class (not only inherited) so a profiler that
+        # wraps ``ResultCache.get`` finds it in the class body.
+        return super().get(key)
 
 
 def open_cache(directory: Optional[str]) -> Optional[ResultCache]:

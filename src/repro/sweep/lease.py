@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.locks import FileLock, LockTimeout, exclusive_tmp_path
+from repro.locks import FileLock, LockTimeout, atomic_write, exclusive_tmp_path
 
 LEASE_FORMAT = "spade-sweep-lease"
 QUARANTINE_FORMAT = "spade-sweep-quarantine"
@@ -268,16 +268,9 @@ class LeaseManager:
             "attempt": attempt,
             "claimed_at": time.time(),
         })
-        tmp = exclusive_tmp_path(path)
         try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
+            atomic_write(path, payload.encode())
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return None
         return attempt
 
@@ -309,17 +302,8 @@ class LeaseManager:
             "quarantined_at": time.time(),
         }
         manifest.update(info)
-        tmp = exclusive_tmp_path(path)
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(manifest, indent=2, default=repr) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(manifest, indent=2, default=repr) + "\n"
+        atomic_write(path, text.encode())
         self.release(key)
         return path
 

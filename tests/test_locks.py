@@ -6,7 +6,7 @@ import time
 import pytest
 
 import repro.locks
-from repro.locks import FileLock, LockTimeout, exclusive_tmp_path
+from repro.locks import FileLock, LockTimeout, atomic_write, exclusive_tmp_path
 
 
 class TestFileLock:
@@ -148,3 +148,27 @@ class TestExclusiveTmpPath:
             fh.write("{}")
         os.replace(tmp, target)
         assert open(target).read() == "{}"
+
+
+class TestAtomicWrite:
+    def test_publishes_bytes_without_debris(self, tmp_path):
+        target = str(tmp_path / "payload.json")
+        atomic_write(target, b"{}")
+        atomic_write(target, b"[]")
+        assert open(target, "rb").read() == b"[]"
+        assert os.listdir(tmp_path) == ["payload.json"]
+
+    def test_failure_keeps_old_file_and_cleans_tmp(
+        self, tmp_path, monkeypatch
+    ):
+        target = str(tmp_path / "payload.json")
+        atomic_write(target, b"old")
+
+        def broken_fsync(fd):
+            raise OSError("disk")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk"):
+            atomic_write(target, b"new")
+        assert open(target, "rb").read() == b"old"
+        assert os.listdir(tmp_path) == ["payload.json"]

@@ -111,6 +111,20 @@ class TestReclaim:
         a.try_claim(KEY)
         assert b.bump(KEY) is None
 
+    def test_bump_publish_failure_returns_none(self, tmp_path, monkeypatch):
+        mgr = LeaseManager(str(tmp_path), ttl_s=30.0)
+        assert mgr.try_claim(KEY) == 1
+
+        def broken_replace(src, dst):
+            raise OSError("disk")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        assert mgr.bump(KEY) is None
+        monkeypatch.undo()
+        assert mgr.read(KEY).attempt == 1
+        shard = os.path.dirname(mgr.path_for(KEY))
+        assert not [n for n in os.listdir(shard) if n.endswith(".tmp")]
+
 
 class TestQuarantine:
     def test_manifest_roundtrip(self, tmp_path):
