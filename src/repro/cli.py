@@ -51,7 +51,9 @@ EXPERIMENTS = (
 )
 
 
-def _load_matrix(spec: str, scale: str) -> COOMatrix:
+def load_matrix(spec: str, scale: str) -> COOMatrix:
+    """The matrix a ``--matrix`` value names: a Matrix Market file, or a
+    suite matrix built at ``scale``."""
     path = Path(spec)
     if path.suffix == ".mtx" or path.exists():
         from repro.sparse.io import read_matrix_market
@@ -239,7 +241,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.resilience import RunSupervisor
     from repro.telemetry import Telemetry
 
-    a = _load_matrix(args.matrix, args.scale)
+    a = load_matrix(args.matrix, args.scale)
     resilience = ResilienceConfig(
         checkpoint_dir=(
             str(args.checkpoint_dir) if args.checkpoint_dir else None
@@ -306,7 +308,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
-    a = _load_matrix(args.matrix, args.scale)
+    a = load_matrix(args.matrix, args.scale)
     cfg = scaled_config(args.pes, cache_shrink=args.cache_shrink)
     if args.replay is not None:
         cfg = dataclasses.replace(cfg, replay=args.replay)
@@ -498,7 +500,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.admission import AdmissionPolicy
-    from repro.service.pool import ServicePool
+    from repro.sweep.pool import ServicePool
     from repro.service.server import ServiceServer, SimulationService
     from repro.sweep.cache import ResultCache
     from repro.telemetry import Telemetry

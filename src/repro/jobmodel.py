@@ -5,8 +5,8 @@ pair bound to an environment fingerprint and a schema version — and a
 *result* is its answer plus the provenance of how it was obtained.
 Three consumers speak this vocabulary:
 
-- the **sweep runner** (:mod:`repro.sweep.runner`) fans grids of
-  :class:`JobSpec` over a supervised worker pool and merges by index;
+- the **sweep runner** (:mod:`repro.sweep.runner`) runs grids of
+  :class:`JobSpec` on the supervised worker pool and merges by index;
 - the **sharded runner** (``repro sweep --shard i/N``) exchanges
   results between hosts keyed by :attr:`JobSpec.key`;
 - the **simulation service** (:mod:`repro.service`) resolves client
@@ -29,9 +29,6 @@ the key doubles as the result-cache address; distinct jobs collide only
 if sha256 collides.  Each job also derives a deterministic per-job seed
 from its key so any seed-sensitive code inside a cell behaves
 identically no matter which worker runs the job or in what order.
-
-Formerly ``repro.sweep.jobs``; that module remains as a re-export shim
-so existing imports (and pickled references) keep resolving.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ service instead of a per-invocation CLI:
   and per-tenant token-bucket quotas (429/503 + Retry-After);
 - :mod:`~repro.service.coalesce` — identical in-flight keys share one
   execution; every waiter's answer comes from the leader's future;
-- :mod:`~repro.service.pool` — the PR 9 supervised worker pool rebuilt
-  as a stream consumer: priority heap, wakeup pipe, lease-bumped
-  requeue after worker death, poison-job quarantine;
+- :class:`ServicePool` (:mod:`repro.sweep.pool`) — the supervised
+  worker pool sweeps also run on, fed one job per leader: priority
+  heap, wakeup pipe, lease-bumped requeue after worker death,
+  poison-job quarantine;
 - :mod:`~repro.service.server` — hand-rolled asyncio HTTP/1.1 server
   (stdlib only): ``POST /v1/simulate``, ``POST /v1/sweep``,
   ``GET /healthz``, ``GET /v1/stats``, ``GET /metrics``,
@@ -36,7 +37,7 @@ from repro.service.admission import (
 )
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coalesce import Coalescer
-from repro.service.pool import (
+from repro.sweep.pool import (
     ServiceExecutionError,
     ServicePool,
     ServiceQuarantined,

@@ -56,7 +56,7 @@ from repro.service.admission import (
     AdmissionPolicy,
 )
 from repro.service.coalesce import Coalescer
-from repro.service.pool import (
+from repro.sweep.pool import (
     ServiceExecutionError,
     ServicePool,
     ServiceQuarantined,

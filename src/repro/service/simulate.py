@@ -141,9 +141,9 @@ def run_cell(env: Any, point: Tuple) -> dict:
         matrix, scale, kernel, k, pes, cache_shrink, seed, replay,
         execution,
     ) = point
-    from repro.cli import _load_matrix
+    from repro.cli import load_matrix
 
-    a = _load_matrix(matrix, scale)
+    a = load_matrix(matrix, scale)
     cfg = scaled_config(pes, cache_shrink=cache_shrink)
     if replay is not None:
         cfg = dataclasses.replace(cfg, replay=replay)

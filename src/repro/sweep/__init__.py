@@ -4,19 +4,22 @@ The paper's evaluation is a pile of (workload x configuration) grids —
 14 figure/table drivers, each a nest of serial ``for`` loops.  This
 package turns any such grid into hashable jobs and fans them out:
 
-- :mod:`repro.jobmodel` (re-exported here and via the
-  :mod:`~repro.sweep.jobs` shim) — grid expansion (:func:`expand_grid`)
+- :mod:`repro.jobmodel` (re-exported here) — grid expansion
+  (:func:`expand_grid`)
   and content-addressed job keys (:class:`JobSpec`) built from the PR 2
   provenance fingerprints plus a sweep schema version, plus the
   :class:`JobResult` envelope the simulation service serves;
 - :mod:`~repro.sweep.cache` — :class:`ResultCache`, a durable
   content-addressed store so re-runs and partially-failed sweeps skip
   completed jobs;
-- :mod:`~repro.sweep.runner` — :class:`SweepRunner`, a supervised
-  worker-pool fan-out with deterministic per-job seeds and
-  **grid-order merge**, so parallel output is byte-identical to serial
-  (pinned by tests/test_sweep_parity.py); dead workers are detected via
-  process sentinels and their in-flight jobs requeued;
+- :mod:`~repro.sweep.pool` — :class:`ServicePool`, the supervised
+  worker pool sweeps and the simulation service share: fork workers,
+  claim-at-dispatch leases, dead workers detected via process
+  sentinels and their in-flight jobs requeued, poison jobs quarantined;
+- :mod:`~repro.sweep.runner` — :class:`SweepRunner`, which runs a grid
+  as one pool batch with deterministic per-job seeds and **grid-order
+  merge**, so parallel output is byte-identical to serial (pinned by
+  tests/test_sweep_parity.py);
 - :mod:`~repro.sweep.lease` — :class:`LeaseManager`, per-job-key claim
   files with heartbeats, stale reclamation, attempt accounting, and
   poison-job quarantine, coordinating concurrent shard runners over one

@@ -20,7 +20,7 @@ from repro.cli import main
 from repro.obs.ledger import RunLedger, read_events
 from repro.service.admission import AdmissionPolicy
 from repro.service.client import ServiceClient
-from repro.service.pool import ServicePool
+from repro.service import ServicePool
 from repro.service.server import (
     PendingReply,
     Reply,

@@ -13,7 +13,7 @@ import pytest
 from repro.obs.ledger import RunLedger, read_events
 from repro.resilience import ChaosConfig
 from repro.service.admission import AdmissionPolicy
-from repro.service.pool import ServicePool, ServiceQuarantined
+from repro.service import ServicePool, ServiceQuarantined
 from repro.service.server import (
     PendingReply,
     Reply,

@@ -53,6 +53,56 @@ def _counter_value(telemetry, name):
     return telemetry.metrics.value(name)
 
 
+FRONTENDS = ("map_grid", "submit")
+"""The two ways into the worker pool: a sweep batch and a service job."""
+
+
+def _run_frontend(frontend, cache_dir, lease_ttl_s, ledger_dir):
+    """Evaluate POINTS through one frontend of the worker pool.
+
+    Returns the values in grid order, each job's source (``executed`` or
+    ``cached``), and ``{index: attempt}`` of the ledger's ``completed``
+    events — the executions, wherever they ran.
+    """
+    from repro.obs.ledger import RunLedger
+    from repro.sweep.pool import ServicePool
+
+    ledger = RunLedger(ledger_dir / "run.jsonl", run_id=frontend)
+    if frontend == "map_grid":
+        runner = SweepRunner(
+            jobs=1, cache=open_cache(cache_dir), lease_ttl_s=lease_ttl_s,
+            ledger=ledger,
+        )
+        values = runner.map_grid("rb", None, _square_cell, POINTS)
+    else:
+        pool = ServicePool(
+            open_cache(cache_dir), workers=1, lease_ttl_s=lease_ttl_s,
+            ledger=ledger,
+        )
+        try:
+            results = [
+                pool.submit(spec, _square_cell).result(timeout=60)
+                for spec in build_jobs("rb", None, POINTS)
+            ]
+        finally:
+            pool.close()
+        values = [r.value for r in results]
+        sources = [r.source for r in results]
+    ledger.close()
+    events = read_events(ledger.path)
+    if frontend == "map_grid":
+        cached = {e["index"] for e in events if e["e"] == "cache_hit"}
+        sources = [
+            "cached" if i in cached else "executed"
+            for i in range(len(POINTS))
+        ]
+    attempts = {
+        e["index"]: e["attempt"] for e in events
+        if e["e"] == "sweep_job" and e["status"] == "completed"
+    }
+    return values, sources, attempts
+
+
 class TestWorkerDeathRecovery:
     def test_sigkill_mid_sweep_recovers_and_matches_serial(self, tmp_path):
         # Job 2 SIGKILLs its worker on attempt 1 only; the sentinel
@@ -291,7 +341,8 @@ class TestShardedSweeps:
         assert total_completed == len(POINTS)
         assert total_completed + total_cached == 2 * len(POINTS)
 
-    def test_dead_shard_runner_is_reclaimed(self, tmp_path):
+    @pytest.mark.parametrize("frontend", FRONTENDS)
+    def test_dead_shard_runner_is_reclaimed(self, tmp_path, frontend):
         # A "runner" claimed a job and died (simulated by planting a
         # backdated foreign lease): the surviving runner must reclaim
         # the stale lease and execute the job itself, at attempt 2.
@@ -304,14 +355,15 @@ class TestShardedSweeps:
         assert dead.try_claim(specs[3].key) == 1
         old = time.time() - 3600
         os.utime(dead.path_for(specs[3].key), (old, old))
-        runner = SweepRunner(
-            jobs=1, cache=open_cache(cache_dir), lease_ttl_s=1.0
+        values, sources, attempts = _run_frontend(
+            frontend, cache_dir, 1.0, tmp_path / "ledger"
         )
-        results = runner.map_grid("rb", None, _square_cell, POINTS)
-        assert results == [_square_cell(None, p) for p in POINTS]
-        assert runner.report.completed == len(POINTS)
+        assert values == [_square_cell(None, p) for p in POINTS]
+        assert sources == ["executed"] * len(POINTS)
+        assert attempts == {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
 
-    def test_foreign_live_holder_is_awaited(self, tmp_path):
+    @pytest.mark.parametrize("frontend", FRONTENDS)
+    def test_foreign_live_holder_is_awaited(self, tmp_path, frontend):
         # A live foreign holder publishes the result while we wait; the
         # waiting runner must pick it up from the cache, not execute.
         cache_dir = str(tmp_path / "cache")
@@ -329,16 +381,14 @@ class TestShardedSweeps:
 
         thread = threading.Thread(target=publish_late)
         thread.start()
-        runner = SweepRunner(
-            jobs=1, cache=open_cache(cache_dir), lease_ttl_s=30.0,
-            foreign_poll_s=0.05,
+        values, sources, attempts = _run_frontend(
+            frontend, cache_dir, 30.0, tmp_path / "ledger"
         )
-        results = runner.map_grid("rb", None, _square_cell, POINTS)
         thread.join(timeout=5.0)
-        assert results == [_square_cell(None, p) for p in POINTS]
+        assert values == [_square_cell(None, p) for p in POINTS]
         # Job 0 was served from the peer's publish, not re-executed.
-        assert runner.report.completed == len(POINTS) - 1
-        assert runner.report.cached == 1
+        assert sources == ["cached"] + ["executed"] * (len(POINTS) - 1)
+        assert sorted(attempts) == list(range(1, len(POINTS)))
 
     def test_shard_requires_cache(self):
         from repro.errors import SweepError
