@@ -271,9 +271,7 @@ class Engine:
                     self.tiled.r_ids[off + lo : off + hi],
                     self.tiled.c_ids[off + lo : off + hi],
                     off + lo,
-                    tile.sparse_out_start_offset + np.arange(
-                        lo, hi, dtype=np.int64
-                    ),
+                    tile.sparse_out_start_offset + lo,
                 ))
             return generate_sddmm_epoch(pe, chunks)
 

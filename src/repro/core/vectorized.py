@@ -2,17 +2,19 @@
 
 The scalar executors in :mod:`repro.core.pe` walk every nonzero in
 Python and push each operand through ``VectorRegisterFile.access``.
-This module derives the same VRF access stream for a PE's whole epoch
+This module derives each nonzero's dense lines for a PE's whole epoch
 *as NumPy arrays* straight from the tile's CSR/COO index slices
-(line-id arithmetic through :class:`~repro.memory.address.AddressMap`),
-elides accesses that are provably invisible hits, and walks what
-remains through :func:`walk_vrf`: the compiled scalar walk in
-:mod:`repro.native`, or its Python twin :func:`_run_vrf_stream` where
-no kernel loads.  The emitted ``(lines, ops)`` trace, the
-VRF state and counters, and therefore everything downstream (replay,
-``AccessStats``, ``PECounters``, timing) are bit-identical to the
-scalar oracle — the parity suite in ``tests/test_execution_parity.py``
-pins this per access.
+(line-id arithmetic through :class:`~repro.memory.address.AddressMap`)
+and hands them to :func:`trace_epoch`: one call of the compiled entry
+in :mod:`repro.native`, which assembles the VRF access stream, elides
+the touches that are provably invisible hits, walks the VRF and writes
+the trace, or, where no kernel loads, its Python twin
+:func:`_trace_epoch_twin`, which walks the full unelided stream.  The
+emitted ``(lines, ops)`` trace, the VRF state and counters, and
+therefore everything downstream (replay, ``AccessStats``,
+``PECounters``, timing) are bit-identical to the scalar oracle — the
+parity suite in ``tests/test_execution_parity.py`` pins this per
+access.
 
 Why elision is exact (full argument in DESIGN.md section 7): CSR order
 makes the rMatrix operand of consecutive nonzeros repeat in long runs,
@@ -28,12 +30,13 @@ youngest ``low`` dirty lines).  Hence dropping the intermediate
 touches, while keeping the first, the last, and every ``cadence``-th
 touch of each run, changes no hit/miss outcome, no eviction victim,
 no drain set, and no emission: only ``tag_hits`` must be credited for
-the skipped touches, which is done in bulk.
+the skipped touches.  The compiled entry applies that rule; the twin
+does not, so every comparison of the two checks the argument.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +52,10 @@ _OP_NONE = -1
 class TraceBuffer:
     """Growable int64 ``(lines, ops)`` trace storage for one PE.
 
-    Storage is preallocated and reused across epochs (amortised-doubling
-    growth), the dtype is pinned to int64, and ``views()`` hands
-    zero-copy slices to the replay call.
+    Storage is preallocated and reused across epochs (each growth at
+    least doubles it, or jumps straight to a larger request), the dtype
+    is pinned to int64, and ``views()`` hands zero-copy slices to the
+    replay call.
     """
 
     __slots__ = ("_lines", "_ops", "_n")
@@ -70,8 +74,7 @@ class TraceBuffer:
         cap = self._lines.shape[0]
         if need <= cap:
             return
-        while cap < need:
-            cap *= 2
+        cap = max(2 * cap, need)
         for name in ("_lines", "_ops"):
             old = getattr(self, name)
             arr = np.empty(cap, dtype=np.int64)
@@ -89,6 +92,17 @@ class TraceBuffer:
         )
         self._ops[n : n + count] = op
         self._n = n + count
+
+    def storage(self, extra: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Reserve room for ``extra`` more entries and return the whole
+        ``(lines, ops)`` storage with the current length: a writer
+        fills entries from that length on, then calls :meth:`commit`."""
+        self._reserve(extra)
+        return self._lines, self._ops, self._n
+
+    def commit(self, n: int) -> None:
+        """Set the length after a writer filled :meth:`storage`."""
+        self._n = n
 
     def views(self) -> Tuple[np.ndarray, np.ndarray]:
         """Zero-copy (lines, ops) views of the buffered trace."""
@@ -129,28 +143,6 @@ def _elision_cadence(
     return cadence if cadence >= 2 else 1
 
 
-def _run_keep_mask(ids: np.ndarray, cadence: int) -> np.ndarray:
-    """Touch schedule over consecutive same-value runs: keep the first
-    element of each run, every ``cadence``-th after it, and the last."""
-    n = ids.shape[0]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    last = np.empty(n, dtype=bool)
-    last[-1] = True
-    last[:-1] = first[1:]
-    idx = np.arange(n, dtype=np.int32)
-    run_start = np.maximum.accumulate(np.where(first, idx, np.int32(0)))
-    d = idx - run_start
-    keep = first | last
-    # Mid-run cadence touches exist only in runs longer than the
-    # cadence; the full-array modulo is wasted on typical short runs.
-    ext = np.flatnonzero(d >= cadence)
-    if ext.size:
-        keep[ext] |= (d[ext] % cadence) == 0
-    return keep
-
-
 def _run_vrf_stream(
     vrf,
     lines: np.ndarray,
@@ -158,9 +150,17 @@ def _run_vrf_stream(
     emit_ops: np.ndarray,
     op_store: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Python twin of the compiled VRF walk (``repro/native/vrf_walk.c``):
-    the reference the kernel is tested against and the path taken when
-    it does not load.  Same contract as :func:`walk_vrf`.
+    """Drive ``vrf`` over an access stream exactly as per-access
+    ``VectorRegisterFile.access`` calls would, and return the memory
+    requests it issues as ``(e_lines, e_ops, e_pos)``.
+
+    Access ``i`` touches ``lines[i]``, marking it dirty when
+    ``dirties[i]``; on a miss it loads the line with op ``emit_ops[i]``
+    unless that is ``_OP_NONE``.  Emissions come in scalar order (miss
+    load, dirty victim store, Write-back Manager drain stores; stores
+    carry ``op_store``) and ``e_pos`` holds the index of the access
+    that issued each.  The VRF's tags, dirty count and five counters
+    are updated in place.
 
     Mirrors ``VectorRegisterFile.access`` state-transition for
     state-transition, but inlined over the whole stream: the insertion
@@ -244,96 +244,181 @@ def _run_vrf_stream(
     )
 
 
-def walk_vrf(
-    vrf,
-    lines: np.ndarray,
-    dirty: np.ndarray,
-    emit: np.ndarray,
-    op_store: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drive ``vrf`` over an access stream exactly as per-access
-    ``VectorRegisterFile.access`` calls would, and return the memory
-    requests it issues as ``(e_lines, e_ops, e_pos)``.
-
-    Access ``i`` touches ``lines[i]``, marking it dirty when
-    ``dirty[i]``; on a miss it loads the line with op ``emit[i]``
-    unless that is ``_OP_NONE``.  Emissions come in scalar order (miss
-    load, dirty victim store, Write-back Manager drain stores; stores
-    carry ``op_store``) and ``e_pos`` holds the index of the access
-    that issued each.  The VRF's tags, dirty count and five counters
-    are updated in place.
-
-    The compiled kernel runs when it loads on this host, else the
-    Python twin :func:`_run_vrf_stream`; the results are identical.
-    """
-    native.check_stream(lines, dirty, emit)
-    kernel = native.vrf_walk_kernel()
-    if kernel is None:
-        return _run_vrf_stream(vrf, lines, dirty, emit, op_store)
-    tags = vrf._tags
-    counts, final, e_lines, e_ops, e_pos = kernel(
-        vrf.num_registers, vrf._high, vrf._low, tags, vrf._dirty_count,
-        lines, dirty, emit, op_store,
-    )
-    hits, misses, evc, evw, mwb, dc = counts
-    vrf.tag_hits += hits
-    vrf.tag_misses += misses
-    vrf.evictions += evc
-    vrf.eviction_writebacks += evw
-    vrf.manager_writebacks += mwb
-    vrf._dirty_count = dc
-    tags.clear()
-    tags.update(final)
-    return e_lines, e_ops, e_pos
-
-
-def buffer_sparse_stream(pe, start_offset: int, nnz: int) -> None:
-    """Vectorized Sparse Data Loader: append the tile's r_ids/c_ids/vals
-    stream line ranges to the trace buffer as arrays."""
-    counters = pe.counters
+def _sparse_ranges(
+    pe, starts: Sequence[int], chunk_nnz: np.ndarray
+) -> np.ndarray:
+    """Sparse Data Loader: each chunk's ``(first, count)`` line ranges of
+    the tile's r_ids, c_ids and vals streams, as a ``(chunks, 6)`` int64
+    array."""
+    amap = pe.address_map
     idx_b = pe.init.sizeof_indices
     val_b = pe.init.sizeof_vals
-    op = pe._op_sparse
-    buf = pe._trace
-    for region, elem_bytes in (
-        ("sparse_r_ids", idx_b),
-        ("sparse_c_ids", idx_b),
-        ("sparse_vals", val_b),
-    ):
-        first, count = pe.address_map.stream_lines(
-            region, start_offset * elem_bytes, nnz * elem_bytes
-        )
-        counters.sparse_line_reads += count
-        buf.extend_range(first, count, op)
+    ranges: List[int] = []
+    for start, nnz in zip(starts, chunk_nnz.tolist()):
+        for region, elem_bytes in (
+            ("sparse_r_ids", idx_b),
+            ("sparse_c_ids", idx_b),
+            ("sparse_vals", val_b),
+        ):
+            ranges += amap.stream_lines(
+                region, start * elem_bytes, nnz * elem_bytes
+            )
+    return np.array(ranges, dtype=np.int64).reshape(-1, 6)
 
 
 def _emit_chunks(
     pe,
     emissions: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    parts_nnz: Sequence[int],
-    start_offsets: Sequence[int],
-    kept_bounds: np.ndarray,
+    sparse: np.ndarray,
+    bounds: np.ndarray,
 ) -> List[Tuple[int, int]]:
     """Append each chunk's trace to ``pe._trace`` (its sparse stream
     ranges, then its slice of the epoch's VRF emissions) and return the
-    chunks' ``(start, end)`` segments.  ``kept_bounds[i]`` is the
-    stream position where chunk ``i`` starts."""
+    chunks' ``(start, end)`` segments.  ``bounds[i]`` is the stream
+    position where chunk ``i`` starts."""
     e_lines, e_ops, e_pos = emissions
-    e_bounds = np.searchsorted(e_pos, kept_bounds)
+    e_bounds = np.searchsorted(e_pos, bounds).tolist()
     buf = pe._trace
+    op = pe._op_sparse
     segs: List[Tuple[int, int]] = []
-    for ci, nnz in enumerate(parts_nnz):
+    for ci, row in enumerate(sparse.tolist()):
         s0 = len(buf)
-        buffer_sparse_stream(pe, start_offsets[ci], nnz)
-        lo = int(e_bounds[ci])
-        hi = int(e_bounds[ci + 1])
+        for first, count in zip(row[0::2], row[1::2]):
+            buf.extend_range(first, count, op)
+        lo, hi = e_bounds[ci], e_bounds[ci + 1]
         buf.extend_arrays(e_lines[lo:hi], e_ops[lo:hi])
         segs.append((s0, len(buf)))
     return segs
 
 
-def _concat(arrays: List[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+def _trace_epoch_twin(
+    pe,
+    r_lines: np.ndarray,
+    c_lines: np.ndarray,
+    chunk_nnz: np.ndarray,
+    out_starts: Optional[np.ndarray],
+    out_base: int,
+    sparse: np.ndarray,
+) -> List[Tuple[int, int]]:
+    """Python twin of the compiled entry (``repro/native/vrf_walk.c``):
+    the reference it is tested against and the path taken when it does
+    not load.  It is the plain definition: the full, unelided access
+    stream, walked by :func:`_run_vrf_stream` and cut into chunks by
+    :func:`_emit_chunks`."""
+    lpr = pe.lines_per_row
+    n = r_lines.shape[0]
+    cols = 2 * lpr + (out_starts is not None)
+    offs = np.arange(lpr, dtype=np.int64)
+    lines = np.empty((n, cols), dtype=np.int64)
+    lines[:, 0 : 2 * lpr : 2] = r_lines[:, None] + offs
+    lines[:, 1 : 2 * lpr : 2] = c_lines[:, None] + offs
+    dirty = np.zeros((n, cols), dtype=bool)
+    emit = np.empty((n, cols), dtype=np.int64)
+    emit[:, 0 : 2 * lpr : 2] = pe._op_rmatrix_read
+    emit[:, 1 : 2 * lpr : 2] = pe._op_cmatrix_read
+    b_nnz = np.zeros(chunk_nnz.shape[0] + 1, dtype=np.int64)
+    np.cumsum(chunk_nnz, out=b_nnz[1:])
+    if out_starts is None:
+        dirty[:, 0::2] = True  # the rMatrix slot is read-modify-write
+    else:
+        # The write-only output slot: dirty, no load on a miss.
+        out_offs = np.arange(n, dtype=np.int64) + np.repeat(
+            out_starts - b_nnz[:-1], chunk_nnz
+        )
+        lines[:, -1] = out_base + out_offs // _OUT_VALS_PER_LINE
+        dirty[:, -1] = True
+        emit[:, -1] = _OP_NONE
+    emissions = _run_vrf_stream(
+        pe.vrf, lines.ravel(), dirty.ravel(), emit.ravel(), pe._op_store
+    )
+    return _emit_chunks(pe, emissions, sparse, cols * b_nnz)
+
+
+def trace_epoch(
+    pe,
+    r_lines: np.ndarray,
+    c_lines: np.ndarray,
+    chunk_nnz: np.ndarray,
+    starts: Sequence[int],
+    out_starts: Optional[np.ndarray],
+    cadence: int,
+) -> List[Tuple[int, int]]:
+    """Append one PE-epoch's trace to ``pe._trace`` and return each
+    chunk's ``(start, end)`` segment of it.
+
+    Nonzero ``i`` touches, for each of ``pe.lines_per_row`` line pairs
+    ``l``, rMatrix line ``r_lines[i] + l`` then cMatrix line
+    ``c_lines[i] + l``; with ``out_starts`` (SDDMM) it then writes its
+    output value into line ``(out_starts[chunk] + j) // 16`` of the
+    output region, ``j`` being its index in the chunk.  ``chunk_nnz``
+    splits the nonzeros into chunks, whose sparse streams start at
+    element ``starts[chunk]``.  ``cadence`` is the elision cadence of
+    :func:`_elision_cadence` (1 walks every touch).  Each chunk's trace
+    is its sparse-stream line ranges, then the VRF's emissions for its
+    nonzeros.  The inputs are checked before any walk; a rejected epoch
+    leaves the VRF and the trace untouched."""
+    vrf = pe.vrf
+    tags = vrf._tags
+    lpr = pe.lines_per_row
+    native.check_epoch(
+        r_lines, c_lines, chunk_nnz, out_starts, lpr, cadence,
+        vrf.num_registers, len(tags),
+    )
+    sparse = _sparse_ranges(pe, starts, chunk_nnz)
+    out_base = 0
+    if out_starts is not None:
+        out_region = pe.address_map.regions["sparse_out_vals"]
+        out_base = out_region.base // CACHE_LINE_BYTES
+    kernel = native.vrf_epoch_kernel()
+    if kernel is None:
+        segs = _trace_epoch_twin(
+            pe, r_lines, c_lines, chunk_nnz, out_starts, out_base, sparse
+        )
+    else:
+        counts, final, segs = kernel(
+            vrf.num_registers, vrf._high, vrf._low, tags, vrf._dirty_count,
+            r_lines, c_lines, chunk_nnz, out_starts, out_base, sparse,
+            lpr, cadence,
+            (pe._op_rmatrix_read, pe._op_cmatrix_read, pe._op_store,
+             pe._op_sparse),
+            pe._trace,
+        )
+        hits, misses, evc, evw, mwb, dc = counts
+        vrf.tag_hits += hits
+        vrf.tag_misses += misses
+        vrf.evictions += evc
+        vrf.eviction_writebacks += evw
+        vrf.manager_writebacks += mwb
+        vrf._dirty_count = dc
+        tags.clear()
+        tags.update(final)
+    pe.counters.sparse_line_reads += int(sparse[:, 1::2].sum())
+    return segs
+
+
+def _generate(
+    pe, parts, out_starts: Optional[np.ndarray], cadence: int
+) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+    """The line arithmetic and the :func:`trace_epoch` call the two
+    generators share, with the tOp/vOp counts; returns the segments and
+    the epoch's r_ids."""
+    r_all = np.concatenate([p[0] for p in parts])
+    c_all = np.concatenate([p[1] for p in parts])
+    amap = pe.address_map
+    k = pe.init.dense_row_size
+    segs = trace_epoch(
+        pe,
+        amap.dense_row_base_lines("rmatrix", r_all, k),
+        amap.dense_row_base_lines("cmatrix", c_all, k),
+        np.array([len(p[0]) for p in parts], dtype=np.int64),
+        [p[2] for p in parts],
+        out_starts,
+        cadence,
+    )
+    counters = pe.counters
+    counters.tops += r_all.shape[0]
+    counters.vops += r_all.shape[0] * pe.lines_per_row
+    return segs, r_all
 
 
 def generate_spmm_epoch(
@@ -352,77 +437,20 @@ def generate_spmm_epoch(
     Returns each chunk's ``(start, end)`` segment of ``pe._trace``."""
     if not parts:
         return []
-    n_per = [len(p[0]) for p in parts]
-    n = int(sum(n_per))
-    r_all = _concat([p[0] for p in parts])
-    c_all = _concat([p[1] for p in parts])
-    amap = pe.address_map
-    k = pe.init.dense_row_size
     lpr = pe.lines_per_row
-    r_lines = amap.dense_row_base_lines("rmatrix", r_all, k)
-    c_lines = amap.dense_row_base_lines("cmatrix", c_all, k)
-
-    offs = np.arange(lpr, dtype=np.int64)
-    cols = 2 * lpr
-    lines_mat = np.empty((n, cols), dtype=np.int64)
-    lines_mat[:, 0::2] = r_lines[:, None] + offs
-    lines_mat[:, 1::2] = c_lines[:, None] + offs
-    dirty_mat = np.empty((n, cols), dtype=bool)
-    dirty_mat[:, 0::2] = True
-    dirty_mat[:, 1::2] = False
-    ops_mat = np.empty((n, cols), dtype=np.int64)
-    ops_mat[:, 0::2] = pe._op_rmatrix_read
-    ops_mat[:, 1::2] = pe._op_cmatrix_read
-
-    cadence = _elision_cadence(
-        pe.vrf, slots_per_nnz=cols, live_lines=lpr, dirty_live=lpr
-    ) if n else 1
-    b_nnz = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum(n_per, out=b_nnz[1:])
-    skipped = 0
-    keep_r = None
-    if cadence >= 2:
-        keep_r = _run_keep_mask(r_lines, cadence)
-        n_kept = int(keep_r.sum())
-        if n_kept < n:
-            skipped = (n - n_kept) * lpr
-        else:
-            keep_r = None
-    if keep_r is not None:
-        keep_mat = np.empty((n, cols), dtype=bool)
-        keep_mat[:, 0::2] = keep_r[:, None]
-        keep_mat[:, 1::2] = True
-        stream_lines = lines_mat[keep_mat]
-        stream_dirty = dirty_mat[keep_mat]
-        stream_emit = ops_mat[keep_mat]
-        kr_cs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(keep_r, out=kr_cs[1:])
-        kept_bounds = lpr * (b_nnz + kr_cs[b_nnz])
-    else:
-        stream_lines = lines_mat.ravel()
-        stream_dirty = dirty_mat.ravel()
-        stream_emit = ops_mat.ravel()
-        kept_bounds = cols * b_nnz
-
-    emissions = walk_vrf(
-        pe.vrf, stream_lines, stream_dirty, stream_emit, pe._op_store
-    )
-    pe.vrf.tag_hits += skipped
-    counters = pe.counters
-    counters.tops += n
-    counters.vops += n * lpr
+    segs, r_all = _generate(pe, parts, None, _elision_cadence(
+        pe.vrf, slots_per_nnz=2 * lpr, live_lines=lpr, dirty_live=lpr
+    ))
     pe._rmatrix_rows_touched.update(np.unique(r_all).tolist())
-    return _emit_chunks(
-        pe, emissions, n_per, [p[2] for p in parts], kept_bounds
-    )
+    return segs
 
 
 def generate_sddmm_epoch(
-    pe,
-    parts: Sequence[Tuple[np.ndarray, np.ndarray, int, np.ndarray]],
+    pe, parts: Sequence[Tuple[np.ndarray, np.ndarray, int, int]]
 ) -> List[Tuple[int, int]]:
     """SDDMM twin of :func:`generate_spmm_epoch`; ``parts`` entries are
-    ``(r_ids, c_ids, start_offset, out_offsets)``.
+    ``(r_ids, c_ids, start_offset, out_start)``, the chunk's nonzeros
+    writing output values ``out_start, out_start + 1, ...``.
 
     Per nonzero: ``lines_per_row`` read-only (r, c) line pairs followed
     by one write-only output-line touch (dirty, no load on miss).  Both
@@ -430,123 +458,11 @@ def generate_sddmm_epoch(
     elidable."""
     if not parts:
         return []
-    n_per = [len(p[0]) for p in parts]
-    n = int(sum(n_per))
-    r_all = _concat([p[0] for p in parts])
-    c_all = _concat([p[1] for p in parts])
-    out_all = np.concatenate(
-        [np.asarray(p[3], dtype=np.int64) for p in parts]
-    )
-    amap = pe.address_map
-    k = pe.init.dense_row_size
     lpr = pe.lines_per_row
-    r_lines = amap.dense_row_base_lines("rmatrix", r_all, k)
-    c_lines = amap.dense_row_base_lines("cmatrix", c_all, k)
-    out_region = amap.regions["sparse_out_vals"]
-    out_base_line = out_region.base // CACHE_LINE_BYTES
-    out_lines = out_base_line + out_all // _OUT_VALS_PER_LINE
-
-    cols = 2 * lpr + 1
-    cadence = _elision_cadence(
-        pe.vrf, slots_per_nnz=cols, live_lines=lpr + 1, dirty_live=1
-    ) if n else 1
-    b_nnz = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum(n_per, out=b_nnz[1:])
-    skipped = 0
-    keep_r = keep_o = None
-    if cadence >= 2:
-        keep_r = _run_keep_mask(r_lines, cadence)
-        keep_o = _run_keep_mask(out_lines, cadence)
-        skipped_r = n - int(keep_r.sum())
-        skipped_o = n - int(keep_o.sum())
-        if skipped_r or skipped_o:
-            skipped = skipped_r * lpr + skipped_o
-        else:
-            keep_r = keep_o = None
-    if lpr == 1:
-        # One line per dense row (the common k): build the access stream
-        # directly with scatter indices, skipping the (n, cols)
-        # intermediates and their boolean compaction.  Slot order per
-        # nonzero is r, c, out — the same row-major order the matrix
-        # path compacts in.
-        if keep_r is not None:
-            kr_cs = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(keep_r, out=kr_cs[1:])
-            ko_cs = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(keep_o, out=ko_cs[1:])
-            total = int(n + kr_cs[n] + ko_cs[n])
-            # Kept-stream position of nonzero i's c slot: kept r slots
-            # through i (inclusive) + c slots before i + kept out slots
-            # before i.
-            idx_c = kr_cs[1:] + np.arange(n, dtype=np.int64) + ko_cs[:n]
-            stream_lines = np.empty(total, dtype=np.int64)
-            stream_emit = np.empty(total, dtype=np.int64)
-            stream_dirty = np.zeros(total, dtype=bool)
-            stream_lines[idx_c] = c_lines
-            stream_emit[idx_c] = pe._op_cmatrix_read
-            idx_r = idx_c[keep_r] - 1
-            stream_lines[idx_r] = r_lines[keep_r]
-            stream_emit[idx_r] = pe._op_rmatrix_read
-            idx_o = (idx_c + 1)[keep_o]
-            stream_lines[idx_o] = out_lines[keep_o]
-            stream_emit[idx_o] = _OP_NONE
-            stream_dirty[idx_o] = True
-            kept_bounds = b_nnz + kr_cs[b_nnz] + ko_cs[b_nnz]
-        else:
-            stream_lines = np.empty(3 * n, dtype=np.int64)
-            stream_lines[0::3] = r_lines
-            stream_lines[1::3] = c_lines
-            stream_lines[2::3] = out_lines
-            stream_emit = np.empty(3 * n, dtype=np.int64)
-            stream_emit[0::3] = pe._op_rmatrix_read
-            stream_emit[1::3] = pe._op_cmatrix_read
-            stream_emit[2::3] = _OP_NONE
-            stream_dirty = np.zeros(3 * n, dtype=bool)
-            stream_dirty[2::3] = True
-            kept_bounds = 3 * b_nnz
-    else:
-        offs = np.arange(lpr, dtype=np.int64)
-        lines_mat = np.empty((n, cols), dtype=np.int64)
-        lines_mat[:, 0 : 2 * lpr : 2] = r_lines[:, None] + offs
-        lines_mat[:, 1 : 2 * lpr : 2] = c_lines[:, None] + offs
-        lines_mat[:, -1] = out_lines
-        dirty_mat = np.zeros((n, cols), dtype=bool)
-        dirty_mat[:, -1] = True
-        ops_mat = np.empty((n, cols), dtype=np.int64)
-        ops_mat[:, 0 : 2 * lpr : 2] = pe._op_rmatrix_read
-        ops_mat[:, 1 : 2 * lpr : 2] = pe._op_cmatrix_read
-        ops_mat[:, -1] = _OP_NONE
-        if keep_r is not None:
-            keep_mat = np.empty((n, cols), dtype=bool)
-            keep_mat[:, 0 : 2 * lpr : 2] = keep_r[:, None]
-            keep_mat[:, 1 : 2 * lpr : 2] = True
-            keep_mat[:, -1] = keep_o
-            stream_lines = lines_mat[keep_mat]
-            stream_dirty = dirty_mat[keep_mat]
-            stream_emit = ops_mat[keep_mat]
-            kr_cs = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(keep_r, out=kr_cs[1:])
-            ko_cs = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(keep_o, out=ko_cs[1:])
-            kept_bounds = (
-                lpr * (b_nnz + kr_cs[b_nnz]) + ko_cs[b_nnz]
-            )
-        else:
-            stream_lines = lines_mat.ravel()
-            stream_dirty = dirty_mat.ravel()
-            stream_emit = ops_mat.ravel()
-            kept_bounds = cols * b_nnz
-
-    emissions = walk_vrf(
-        pe.vrf, stream_lines, stream_dirty, stream_emit, pe._op_store
-    )
-    pe.vrf.tag_hits += skipped
-    counters = pe.counters
-    counters.tops += n
-    counters.vops += n * lpr
-    counters.output_line_writes += n
-    return _emit_chunks(
-        pe, emissions, n_per, [p[2] for p in parts], kept_bounds
-    )
-
-
+    out_starts = np.array([p[3] for p in parts], dtype=np.int64)
+    segs, r_all = _generate(pe, parts, out_starts, _elision_cadence(
+        pe.vrf, slots_per_nnz=2 * lpr + 1, live_lines=lpr + 1,
+        dirty_live=1,
+    ))
+    pe.counters.output_line_writes += r_all.shape[0]
+    return segs

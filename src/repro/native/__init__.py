@@ -2,9 +2,14 @@
 
 Three kernels live here, built into one library:
 
-- ``vrf_walk.c``, the exact scalar walk of a PE's vector register file
-  behind :func:`repro.core.vectorized.walk_vrf`; its Python twin is
-  ``repro.core.vectorized._run_vrf_stream``;
+- ``vrf_walk.c``, one PE-epoch of trace generation behind
+  :func:`repro.core.vectorized.trace_epoch`: it derives the dense-operand
+  access stream from each nonzero's lines, drops the touches the
+  elision argument (DESIGN.md section 7) proves invisible, walks the
+  vector register file exactly and writes the chunks' traces.  Its
+  Python twin, ``repro.core.vectorized._trace_epoch_twin``, walks the
+  full unelided stream, so every comparison of the two also checks the
+  elision argument;
 - ``cache_walk.c``, the exact scalar walk of one cache level over an
   event stream behind :func:`repro.memory.replay_array.walk_level`; its
   Python twin is a loop over :meth:`repro.memory.cache.Cache.access`;
@@ -69,7 +74,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 class Kernels(NamedTuple):
     """The library's bound entry points."""
 
-    vrf_walk: Callable
+    vrf_epoch: Callable
     cache_walk: Callable
     spmm_merge: Callable
 
@@ -169,7 +174,7 @@ def kernels() -> Optional[Kernels]:
             try:
                 lib = _load_library()
                 _kernels = Kernels(
-                    _bind_vrf_walk(lib), _bind_cache_walk(lib),
+                    _bind_vrf_epoch(lib), _bind_cache_walk(lib),
                     _bind_spmm_merge(lib),
                 )
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
@@ -183,10 +188,11 @@ def kernels() -> Optional[Kernels]:
     return _kernels
 
 
-def vrf_walk_kernel() -> Optional[Callable]:
-    """The compiled VRF walk, or ``None`` (see :func:`kernels`)."""
+def vrf_epoch_kernel() -> Optional[Callable]:
+    """The compiled PE-epoch trace generator, or ``None`` (see
+    :func:`kernels`)."""
     k = kernels()
-    return k.vrf_walk if k is not None else None
+    return k.vrf_epoch if k is not None else None
 
 
 def cache_walk_kernel() -> Optional[Callable]:
@@ -212,94 +218,142 @@ def _require(name: str, arr, dtype, ndim: int = 1) -> None:
         raise ValueError(f"{name} must be {ndim}-D and C-contiguous")
 
 
-def check_stream(lines: np.ndarray, dirty: np.ndarray, emit: np.ndarray) -> None:
-    """Validate a VRF walk's access stream: ``lines`` and ``emit`` must be
-    1-D C-contiguous int64, ``dirty`` 1-D C-contiguous bool, all of one
-    length."""
-    _require("lines", lines, np.int64)
-    _require("dirty", dirty, np.bool_)
-    _require("emit", emit, np.int64)
-    if not lines.shape == dirty.shape == emit.shape:
-        raise ValueError("lines, dirty and emit differ in length")
+def check_epoch(
+    r_lines: np.ndarray,
+    c_lines: np.ndarray,
+    chunk_nnz: np.ndarray,
+    out_starts: Optional[np.ndarray],
+    lpr: int,
+    cadence: int,
+    cap: int,
+    n_resident: int,
+) -> None:
+    """Validate one PE-epoch of trace generation before any walk:
+    ``r_lines``/``c_lines`` (each nonzero's first rMatrix and cMatrix
+    line) 1-D C-contiguous int64 of one length, no line negative;
+    ``chunk_nnz`` 1-D C-contiguous int64, no size negative, summing to
+    that length; ``out_starts`` (``None`` for SpMM) 1-D C-contiguous
+    int64 with one non-negative output offset per chunk; ``lpr`` and
+    ``cadence`` at least 1; a VRF of ``1 <= cap < 2**31`` lines holding
+    at most ``cap`` residents."""
+    _require("r_lines", r_lines, np.int64)
+    _require("c_lines", c_lines, np.int64)
+    _require("chunk_nnz", chunk_nnz, np.int64)
+    if out_starts is not None:
+        _require("out_starts", out_starts, np.int64)
+        if out_starts.shape != chunk_nnz.shape:
+            raise ValueError("one output start offset per chunk")
+        if out_starts.shape[0] and int(out_starts.min()) < 0:
+            raise ValueError("output offsets must be non-negative")
+    n = r_lines.shape[0]
+    if c_lines.shape[0] != n:
+        raise ValueError("r_lines and c_lines differ in length")
+    if chunk_nnz.shape[0] and int(chunk_nnz.min()) < 0:
+        raise ValueError("chunk sizes must be non-negative")
+    if int(chunk_nnz.sum()) != n:
+        raise ValueError(f"chunk sizes do not sum to the {n} nonzeros")
+    if n and min(int(r_lines.min()), int(c_lines.min())) < 0:
+        raise ValueError("dense lines must be non-negative")
+    if lpr < 1 or cadence < 1:
+        raise ValueError("lines per row and cadence must be at least 1")
+    if not 1 <= cap < 2**31 or n_resident > cap:
+        raise ValueError(f"{n_resident} residents in a {cap}-line VRF")
 
 
-WalkResult = Tuple[
+EpochResult = Tuple[
     Tuple[int, int, int, int, int, int],
     Dict[int, bool],
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
+    List[Tuple[int, int]],
 ]
 
 
-def _bind_vrf_walk(lib: ctypes.CDLL) -> Callable[..., WalkResult]:
-    fn = lib.repro_vrf_walk
+def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
+    fn = lib.repro_vrf_epoch
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
     fn.restype = i64
     fn.argtypes = [
         i64, i64, i64,            # cap, high, low
         ptr, ptr, ptr,            # tag lines, tag dirty, tag count
-        ptr, ptr, ptr, i64, i64,  # lines, dirty, emit, n, op_store
-        ptr, ptr, ptr, i64,       # emission lines, ops, positions, room
-        ptr,                      # counters
+        ptr, ptr,                 # r_lines, c_lines
+        ptr, ptr, i64,            # chunk sizes, output starts, chunks
+        ptr, i64, i64, i64,       # sparse ranges, lpr, cadence, out base
+        ptr,                      # ops
+        ptr, ptr, i64, i64,       # trace lines, ops, start, room
+        ptr, ptr,                 # segments, counters
     ]
 
-    def walk(
+    def epoch(
         cap: int,
         high: int,
         low: int,
         tags: Dict[int, bool],
         dirty_count: int,
-        lines: np.ndarray,
-        dirty: np.ndarray,
-        emit: np.ndarray,
-        op_store: int,
-    ) -> WalkResult:
-        """Run the C walk over a stream :func:`check_stream` accepted.
-        Returns ``((hits, misses, evictions, eviction_writebacks,
-        manager_writebacks, dirty_count), final tags in LRU order,
-        e_lines, e_ops, e_pos)``."""
-        n = int(lines.shape[0])
+        r_lines: np.ndarray,
+        c_lines: np.ndarray,
+        chunk_nnz: np.ndarray,
+        out_starts: Optional[np.ndarray],
+        out_base: int,
+        sparse: np.ndarray,
+        lpr: int,
+        cadence: int,
+        ops: Tuple[int, int, int, int],
+        trace,
+    ) -> EpochResult:
+        """Run the C entry over an epoch :func:`check_epoch` accepted.
+        ``sparse`` is the ``(chunks, 6)`` int64 array of each chunk's
+        ``(first, count)`` r_ids, c_ids and vals line ranges; ``ops`` the
+        rMatrix load, cMatrix load, store and sparse-read op codes.  The
+        trace is appended to ``trace`` (a ``TraceBuffer``), grown first
+        when its room is below the walk's bound; a short buffer changes
+        nothing.  Returns ``((hits, misses, evictions,
+        eviction_writebacks, manager_writebacks, dirty_count), final
+        tags in LRU order, each chunk's (start, end) trace segment)``."""
         nres = len(tags)
-        if not 1 <= cap < 2**31 or nres > cap:
-            raise ValueError(f"{nres} residents in a {cap}-line VRF")
         tag_lines = np.zeros(cap, dtype=np.int64)
         tag_dirty = np.zeros(cap, dtype=np.bool_)
         tag_lines[:nres] = np.fromiter(tags.keys(), np.int64, nres)
         tag_dirty[:nres] = np.fromiter(tags.values(), np.bool_, nres)
         n_tags = np.array([nres], dtype=np.int64)
-        counters = np.zeros(6, dtype=np.int64)
+        counters = np.zeros(7, dtype=np.int64)
         counters[5] = dirty_count
-        # Per access at most one load and one victim store; each drain
-        # store cleans a dirty flag, set by one of the n accesses or
-        # carried by a resident: 3n + residents in all.
-        room = 3 * n + nres
-        e_lines = np.empty(room, dtype=np.int64)
-        e_ops = np.empty(room, dtype=np.int64)
-        e_pos = np.empty(room, dtype=np.int64)
-        ne = fn(
-            cap, high, low,
-            tag_lines.ctypes.data, tag_dirty.ctypes.data, n_tags.ctypes.data,
-            lines.ctypes.data, dirty.ctypes.data, emit.ctypes.data,
-            n, op_store,
-            e_lines.ctypes.data, e_ops.ctypes.data, e_pos.ctypes.data, room,
-            counters.ctypes.data,
-        )
-        if ne == -1:
-            raise MemoryError("VRF walk could not allocate its tag table")
-        if ne < 0:
-            raise RuntimeError("VRF walk overflowed its emission bound")
+        n_chunks = int(chunk_nnz.shape[0])
+        segs = np.empty(2 * n_chunks, dtype=np.int64)
+        op_arr = np.array(ops, dtype=np.int64)
+        room = 0
+        for _ in range(2):
+            t_lines, t_ops, t_pos = trace.storage(room)
+            rc = fn(
+                cap, high, low,
+                tag_lines.ctypes.data, tag_dirty.ctypes.data,
+                n_tags.ctypes.data,
+                r_lines.ctypes.data, c_lines.ctypes.data,
+                chunk_nnz.ctypes.data,
+                None if out_starts is None else out_starts.ctypes.data,
+                n_chunks,
+                sparse.ctypes.data, lpr, cadence, out_base,
+                op_arr.ctypes.data,
+                t_lines.ctypes.data, t_ops.ctypes.data, t_pos,
+                t_lines.shape[0],
+                segs.ctypes.data, counters.ctypes.data,
+            )
+            if rc != -3:
+                break
+            room = int(counters[6]) - t_pos
+        if rc == -1:
+            raise MemoryError("VRF walk could not allocate its state")
+        if rc < 0:
+            raise RuntimeError("VRF walk overflowed its trace bound")
+        trace.commit(rc)
         k = int(n_tags[0])
+        bounds = segs.tolist()
         return (
-            tuple(counters.tolist()),
+            tuple(counters[:6].tolist()),
             dict(zip(tag_lines[:k].tolist(), tag_dirty[:k].tolist())),
-            e_lines[:ne],
-            e_ops[:ne],
-            e_pos[:ne],
+            list(zip(bounds[0::2], bounds[1::2])),
         )
 
-    return walk
+    return epoch
 
 
 def check_cache_stream(

@@ -1,24 +1,44 @@
 /*
- * Exact scalar walk of one PE's vector register file (VRF).
+ * One PE-epoch of trace generation, VRF walk included.
  *
- * A literal transcription of repro.core.vectorized._run_vrf_stream (the
- * inlined form of VectorRegisterFile.access): a fully associative LRU
- * tag CAM of `cap` lines, where a hit moves the line to MRU, a miss
- * evicts the LRU head, and an access that lifts the dirty count past
- * `high` makes the Write-back Manager drain the oldest dirty lines
- * (which stay resident, clean) until `low` remain.
+ * repro_vrf_epoch derives a PE's dense-operand access stream for an
+ * epoch of chunks, drops the touches DESIGN.md section 7 proves to be
+ * invisible hits, walks the rest through an exact model of the vector
+ * register file (VRF) and writes each chunk's trace: its sparse-stream
+ * line ranges, then its VRF emissions.  The reference it is held to is
+ * repro.core.vectorized._trace_epoch_twin, which walks the full,
+ * unelided stream through _run_vrf_stream (the inlined form of
+ * VectorRegisterFile.access).
  *
- * State: a node pool of `cap` entries threaded on a doubly linked LRU
- * list (head = oldest), indexed by an open-addressing hash table
- * (Fibonacci hashing, linear probing, backward-shift deletion).
+ * Access stream: nonzero i touches, for l < lpr, r_lines[i] + l then
+ * c_lines[i] + l.  SpMM (out_starts == NULL): the rMatrix touch is
+ * read-modify-write (dirty), the cMatrix touch read-only.  SDDMM: both
+ * are read-only and the nonzero then touches its output line
+ * out_base + (out_starts[chunk] + j) / 16 (j = index in the chunk),
+ * write-only: dirty, with no load on a miss.
  *
+ * Elision: of each run of equal rMatrix lines (and, for SDDMM, output
+ * lines) only the first, the last and every cadence-th touch are
+ * walked; each dropped touch is credited as a hit.  The caller's
+ * cadence must satisfy the safety condition of DESIGN.md section 7
+ * (repro.core.vectorized._elision_cadence); cadence 1 walks everything.
+ *
+ * VRF: a fully associative LRU tag CAM of `cap` lines, where a hit
+ * moves the line to MRU, a miss evicts the LRU head, and an access that
+ * lifts the dirty count past `high` makes the Write-back Manager drain
+ * the oldest dirty lines (which stay resident, clean) until `low`
+ * remain.  State: a node pool of `cap` entries threaded on a doubly
+ * linked LRU list (head = oldest), indexed by an open-addressing hash
+ * table (Fibonacci hashing, linear probing, backward-shift deletion).
  * Emissions, in the scalar order per access: the miss load (when the
- * access's emit op is >= 0), the dirty victim's store, then the drain
- * stores.  Each carries the index of the access that produced it.
+ * access has a load op), the dirty victim's store, then the drain
+ * stores.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
+
+#define OUT_VALS_PER_LINE 16 /* 4-byte output values per 64-byte line */
 
 typedef struct {
     int64_t line;
@@ -32,6 +52,10 @@ typedef struct {
     uint64_t mask;
     int shift;
     int32_t head, tail;
+    int64_t cap, size, high, low, dc;
+    int64_t hits, misses, evc, evw, mwb;
+    int64_t op_store;
+    int64_t *t_lines, *t_ops, t, t_cap;
 } Vrf;
 
 static inline uint64_t home(const Vrf *v, int64_t line)
@@ -92,30 +116,183 @@ static inline void list_append(Vrf *v, int32_t x)
     v->tail = x;
 }
 
+/* Append one trace entry; past t_cap only count it (an overflow the
+   caller reports, never a write out of bounds). */
+static inline void emit(Vrf *v, int64_t line, int64_t op)
+{
+    if (v->t < v->t_cap) {
+        v->t_lines[v->t] = line;
+        v->t_ops[v->t] = op;
+    }
+    v->t++;
+}
+
+/* Write-back Manager: clean the oldest dirty lines down to `low`. */
+static void drain(Vrf *v)
+{
+    int64_t to_drain = v->dc - v->low, drained = 0;
+    for (int32_t y = v->head; y >= 0 && drained < to_drain;
+         y = v->node[y].next) {
+        if (v->node[y].dirty) {
+            v->node[y].dirty = 0;
+            emit(v, v->node[y].line, v->op_store);
+            drained++;
+        }
+    }
+    v->dc -= drained;
+    v->mwb += drained;
+}
+
+/* One VectorRegisterFile.access of `line`, marking it dirty when `dm`;
+   a miss loads it with `op` unless op < 0. */
+static inline void touch(Vrf *v, int64_t line, uint8_t dm, int64_t op)
+{
+    uint64_t i = probe(v, line);
+    int32_t x;
+    if (v->slot[i]) {
+        v->hits++;
+        x = v->slot[i] - 1;
+        if (x != v->tail) {
+            list_unlink(v, x);
+            list_append(v, x);
+        }
+        if (v->node[x].dirty)
+            return;
+        v->node[x].dirty = dm;
+    } else {
+        v->misses++;
+        if (op >= 0)
+            emit(v, line, op);
+        if (v->size >= v->cap) {
+            v->evc++;
+            x = v->head;
+            list_unlink(v, x);
+            table_remove(v, probe(v, v->node[x].line));
+            if (v->node[x].dirty) {
+                v->dc--;
+                v->evw++;
+                emit(v, v->node[x].line, v->op_store);
+            }
+            i = probe(v, line); /* the removal may shift entries */
+        } else {
+            x = (int32_t)v->size++;
+        }
+        v->node[x].line = line;
+        v->node[x].dirty = dm;
+        list_append(v, x);
+        v->slot[i] = x + 1;
+    }
+    if (dm && ++v->dc > v->high)
+        drain(v);
+}
+
+typedef struct {
+    int64_t prev, d;
+} Run;
+
+/* The keep rule for touch i of a run-structured operand: set `bit` in
+   keep[i] on the first touch of a run and every cadence-th after it,
+   and in keep[i - 1] when i starts a new run (the last touch of the
+   previous one). */
+static inline void mark(uint8_t *keep, uint8_t bit, int64_t i,
+                        int64_t line, Run *run, int64_t cadence)
+{
+    if (i && line == run->prev) {
+        if (++run->d == cadence)
+            run->d = 0;
+        if (!run->d)
+            keep[i] |= bit;
+    } else {
+        if (i)
+            keep[i - 1] |= bit;
+        keep[i] |= bit;
+        run->prev = line;
+        run->d = 0;
+    }
+}
+
+#define KEEP_R 1
+#define KEEP_OUT 2
+
 /*
- * counters: in [5] = dirty count; out [hits, misses, evictions,
- * eviction_writebacks, manager_writebacks, dirty_count].
  * tag_lines / tag_dirty (room for `cap`): in the *n_tags resident lines
  * in LRU order (oldest first, at most cap, pairwise distinct), out the
- * final ones.  The e_* buffers hold e_cap emissions.
- * Returns the emission count, -1 when allocation fails, -2 when the
- * emissions would overflow e_cap.
+ * final ones.  chunk_nnz[n_chunks] sums to the length of r_lines and
+ * c_lines; sparse[6 * chunk] holds the chunk's (first, count) line
+ * ranges of the r_ids, c_ids and vals streams.  ops: rMatrix load,
+ * cMatrix load, store, sparse-stream read.  The trace is written to
+ * t_lines / t_ops from t_pos on (room up to t_cap); segs[2 * chunk] gets
+ * each chunk's (start, end).  counters: in [5] = dirty count; out
+ * [hits, misses, evictions, eviction_writebacks, manager_writebacks,
+ * dirty_count, trace length needed].
+ *
+ * Returns the new trace length; -1 when allocation fails, -2 when the
+ * emissions overflowed their bound, -3 when t_cap is below the bound
+ * (counters[6] then holds the length to reserve).  Only a success
+ * writes the tags or the counters.
  */
-int64_t repro_vrf_walk(
+int64_t repro_vrf_epoch(
     int64_t cap, int64_t high, int64_t low,
     int64_t *tag_lines, uint8_t *tag_dirty, int64_t *n_tags,
-    const int64_t *lines, const uint8_t *dirty, const int64_t *emit,
-    int64_t n, int64_t op_store,
-    int64_t *e_lines, int64_t *e_ops, int64_t *e_pos, int64_t e_cap,
-    int64_t *counters)
+    const int64_t *r_lines, const int64_t *c_lines,
+    const int64_t *chunk_nnz, const int64_t *out_starts, int64_t n_chunks,
+    const int64_t *sparse, int64_t lpr, int64_t cadence, int64_t out_base,
+    const int64_t *ops,
+    int64_t *t_lines, int64_t *t_ops, int64_t t_pos, int64_t t_cap,
+    int64_t *segs, int64_t *counters)
 {
-    Vrf v;
+    const int sddmm = out_starts != NULL;
+    const int64_t op_r = ops[0], op_c = ops[1], op_sparse = ops[3];
+    int64_t n = 0, n_sparse = 0;
+    for (int64_t ci = 0; ci < n_chunks; ci++) {
+        n += chunk_nnz[ci];
+        n_sparse += sparse[6 * ci + 1] + sparse[6 * ci + 3]
+                    + sparse[6 * ci + 5];
+    }
+
+    /* Pass 1: the keep flags, and from them a bound on the trace.  Each
+       walked touch with a load op loads at most once; each store cleans
+       a dirty flag, set by a walked dirty touch or carried in. */
+    uint8_t *keep = calloc((size_t)(n ? n : 1), 1);
+    if (!keep)
+        return -1;
+    {
+        Run rr = {0, 0}, ro = {0, 0};
+        int64_t i = 0;
+        for (int64_t ci = 0; ci < n_chunks; ci++) {
+            int64_t os = sddmm ? out_starts[ci] : 0;
+            for (int64_t j = 0; j < chunk_nnz[ci]; j++, i++) {
+                mark(keep, KEEP_R, i, r_lines[i], &rr, cadence);
+                if (sddmm)
+                    mark(keep, KEEP_OUT, i,
+                         out_base + (os + j) / OUT_VALS_PER_LINE, &ro,
+                         cadence);
+            }
+        }
+        if (n)
+            keep[n - 1] = KEEP_R | KEEP_OUT;
+    }
+    int64_t kept_r = 0, kept_out = 0;
+    for (int64_t i = 0; i < n; i++) {
+        kept_r += keep[i] & KEEP_R;
+        kept_out += (keep[i] & KEEP_OUT) != 0;
+    }
+    int64_t need = t_pos + n_sparse + lpr * (kept_r + n)
+                   + (sddmm ? kept_out : lpr * kept_r) + counters[5];
+    if (need > t_cap) {
+        counters[6] = need;
+        free(keep);
+        return -3;
+    }
+
+    /* Pass 2: the walk. */
+    Vrf v = {0};
+    uint64_t tsize = 64;
+    int bits = 6;
     /* A sparse table (at most 1/32 full) keeps nearly every probe and
        removal to one slot: on the benchmark's VRF streams (x86-64,
        gcc 12 -O2) 15 ns per access against 60 ns half full, for
        8 KiB at 64 registers. */
-    uint64_t tsize = 64;
-    int bits = 6;
     while (tsize < 32 * (uint64_t)cap) {
         tsize <<= 1;
         bits++;
@@ -125,117 +302,78 @@ int64_t repro_vrf_walk(
     if (!v.node || !v.slot) {
         free(v.node);
         free(v.slot);
+        free(keep);
         return -1;
     }
     v.mask = tsize - 1;
     v.shift = 64 - bits;
     v.head = v.tail = -1;
-
-    int64_t size = *n_tags;
-    for (int32_t x = 0; x < size; x++) {
+    v.cap = cap;
+    v.high = high;
+    v.low = low;
+    v.dc = counters[5];
+    v.op_store = ops[2];
+    v.t_lines = t_lines;
+    v.t_ops = t_ops;
+    v.t = t_pos;
+    v.t_cap = t_cap;
+    for (int32_t x = 0; x < *n_tags; x++) {
         v.node[x].line = tag_lines[x];
         v.node[x].dirty = tag_dirty[x];
         list_append(&v, x);
         v.slot[probe(&v, tag_lines[x])] = x + 1;
     }
+    v.size = *n_tags;
 
-    int64_t hits = 0, misses = 0, evc = 0, evw = 0, mwb = 0;
-    int64_t dc = counters[5];
-    int64_t ne = 0;
-
-#define EMIT(ln, op, p)                                                   \
-    do {                                                                  \
-        if (ne >= e_cap)                                                  \
-            goto overflow;                                                \
-        e_lines[ne] = (ln);                                               \
-        e_ops[ne] = (op);                                                 \
-        e_pos[ne] = (p);                                                  \
-        ne++;                                                             \
-    } while (0)
-
-/* Write-back Manager: clean the oldest dirty lines down to `low`. */
-#define DRAIN(p)                                                          \
-    do {                                                                  \
-        int64_t to_drain = dc - low, drained = 0;                         \
-        for (int32_t y = v.head; y >= 0 && drained < to_drain;            \
-             y = v.node[y].next) {                                        \
-            if (v.node[y].dirty) {                                        \
-                v.node[y].dirty = 0;                                      \
-                EMIT(v.node[y].line, op_store, (p));                      \
-                drained++;                                                \
-            }                                                             \
-        }                                                                 \
-        dc -= drained;                                                    \
-        mwb += drained;                                                   \
-    } while (0)
-
-    for (int64_t p = 0; p < n; p++) {
-        int64_t line = lines[p];
-        uint8_t dm = dirty[p] != 0;
-        uint64_t i = probe(&v, line);
-        int32_t x;
-        if (v.slot[i]) {
-            hits++;
-            x = v.slot[i] - 1;
-            if (x != v.tail) {
-                list_unlink(&v, x);
-                list_append(&v, x);
+    int64_t i = 0;
+    for (int64_t ci = 0; ci < n_chunks; ci++) {
+        segs[2 * ci] = v.t;
+        for (int s = 0; s < 3; s++) {
+            int64_t first = sparse[6 * ci + 2 * s];
+            for (int64_t l = 0; l < sparse[6 * ci + 2 * s + 1]; l++)
+                emit(&v, first + l, op_sparse);
+        }
+        int64_t os = sddmm ? out_starts[ci] : 0;
+        for (int64_t j = 0; j < chunk_nnz[ci]; j++, i++) {
+            int64_t r = r_lines[i], c = c_lines[i];
+            uint8_t kept = keep[i];
+            for (int64_t l = 0; l < lpr; l++) {
+                if (kept & KEEP_R)
+                    touch(&v, r + l, !sddmm, op_r);
+                else
+                    v.hits++;
+                touch(&v, c + l, 0, op_c);
             }
-            if (v.node[x].dirty)
-                continue;
-            v.node[x].dirty = dm;
-        } else {
-            misses++;
-            if (emit[p] >= 0)
-                EMIT(line, emit[p], p);
-            if (size >= cap) {
-                evc++;
-                x = v.head;
-                list_unlink(&v, x);
-                table_remove(&v, probe(&v, v.node[x].line));
-                if (v.node[x].dirty) {
-                    dc--;
-                    evw++;
-                    EMIT(v.node[x].line, op_store, p);
-                }
-                i = probe(&v, line); /* the removal may shift entries */
-            } else {
-                x = (int32_t)size++;
+            if (sddmm) {
+                if (kept & KEEP_OUT)
+                    touch(&v, out_base + (os + j) / OUT_VALS_PER_LINE, 1,
+                          -1);
+                else
+                    v.hits++;
             }
-            v.node[x].line = line;
-            v.node[x].dirty = dm;
-            list_append(&v, x);
-            v.slot[i] = x + 1;
         }
-        if (dm) {
-            dc++;
-            if (dc > high)
-                DRAIN(p);
-        }
+        segs[2 * ci + 1] = v.t;
     }
-#undef DRAIN
-#undef EMIT
+    free(keep);
 
-    {
-        int64_t k = 0;
-        for (int32_t y = v.head; y >= 0; y = v.node[y].next, k++) {
-            tag_lines[k] = v.node[y].line;
-            tag_dirty[k] = v.node[y].dirty;
-        }
-        *n_tags = k;
+    if (v.t > t_cap) {
+        free(v.node);
+        free(v.slot);
+        return -2;
     }
-    counters[0] = hits;
-    counters[1] = misses;
-    counters[2] = evc;
-    counters[3] = evw;
-    counters[4] = mwb;
-    counters[5] = dc;
+    int64_t k = 0;
+    for (int32_t y = v.head; y >= 0; y = v.node[y].next, k++) {
+        tag_lines[k] = v.node[y].line;
+        tag_dirty[k] = v.node[y].dirty;
+    }
+    *n_tags = k;
+    counters[0] = v.hits;
+    counters[1] = v.misses;
+    counters[2] = v.evc;
+    counters[3] = v.evw;
+    counters[4] = v.mwb;
+    counters[5] = v.dc;
     free(v.node);
     free(v.slot);
-    return ne;
-
-overflow:
-    free(v.node);
-    free(v.slot);
-    return -2;
+    return v.t;
 }

@@ -218,7 +218,7 @@ class TestExecutionParity:
         if kernel == "spmm":
             segs = generate_spmm_epoch(pe, [(e, e, 0)] * 2)
         else:
-            segs = generate_sddmm_epoch(pe, [(e, e, 0, e)] * 2)
+            segs = generate_sddmm_epoch(pe, [(e, e, 0, 0)] * 2)
         assert segs == [(before[-1], before[-1])] * 2
         assert state() == before
 

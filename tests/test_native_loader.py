@@ -1,6 +1,6 @@
 """The native kernel loader: build, cache, trust and fallback rules, and
-the input checks of the compiled cache walk's wrapper (the SpMM merge's
-are in ``test_spmm_merge.py``).
+the input checks of the trace generator's and the compiled cache walk's
+wrappers (the SpMM merge's are in ``test_spmm_merge.py``).
 
 Each test points ``tempfile.gettempdir()`` at its own directory and
 resets the loader's per-process memo, so it sees a cold host; the
@@ -22,10 +22,10 @@ import pytest
 
 from repro import native
 from repro.config import CacheConfig
-from repro.core.vectorized import _OP_NONE, _run_vrf_stream, walk_vrf
-from repro.core.vrf import VectorRegisterFile
+from repro.core.vectorized import TraceBuffer, trace_epoch
 from repro.memory.cache import Cache
 from repro.memory.replay_array import walk_level, walk_native, walk_twin
+from tests.walks import GENERATE, csr_epoch, kernels, observe, vrf_pe
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 needs_gcc = pytest.mark.skipif(
@@ -33,22 +33,21 @@ needs_gcc = pytest.mark.skipif(
 )
 
 
-def _stream(seed=0, n=2_000):
-    rng = np.random.default_rng(seed)
-    lines = rng.integers(0, 150, size=n).astype(np.int64)
-    dirty = rng.random(n) < 0.4
-    emit = rng.integers(0, 9, size=n).astype(np.int64)
-    emit[rng.random(n) < 0.1] = _OP_NONE
-    return lines, dirty, emit
-
-
-def _walk(walker):
-    vrf = VectorRegisterFile(64)
-    out = walker(vrf, *_stream(), 99)
-    return [a.tolist() for a in out], list(vrf._tags.items()), (
-        vrf.tag_hits, vrf.tag_misses, vrf.evictions,
-        vrf.eviction_writebacks, vrf.manager_writebacks, vrf._dirty_count,
-    )
+def _generate(walk=None):
+    """A seeded SpMM and SDDMM epoch through the trace generator the
+    loader gives (``walk=None``) or the one ``walk`` forces, with the
+    state each leaves."""
+    rng = np.random.default_rng(0)
+    out = []
+    for kernel in ("spmm", "sddmm"):
+        pe = vrf_pe(kernel, 32)
+        parts = csr_epoch(kernel, rng, 40, 30)
+        if walk is None:
+            out.append(observe(pe, GENERATE[kernel](pe, parts)))
+        else:
+            with kernels(walk):
+                out.append(observe(pe, GENERATE[kernel](pe, parts)))
+    return out
 
 
 def _cache_walk(walker):
@@ -88,8 +87,8 @@ def cold(tmp_path, monkeypatch):
 def _load_recording():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        kernel = native.vrf_walk_kernel()
-        native.vrf_walk_kernel()
+        kernel = native.vrf_epoch_kernel()
+        native.vrf_epoch_kernel()
     return kernel, [w for w in caught if w.category is RuntimeWarning]
 
 
@@ -97,8 +96,9 @@ def _load_recording():
 def test_kernel_loads_where_gcc_exists():
     """A host with gcc must run the compiled kernels: a silent fallback
     would hide the fast path."""
-    assert native.vrf_walk_kernel() is not None
+    assert native.vrf_epoch_kernel() is not None
     assert native.cache_walk_kernel() is not None
+    assert _generate() == _generate("python")
     assert _merge(native.kernels().spmm_merge) == _merge(_add_at)
     assert native.kernels_impl() == "native"
     assert _cache_walk(walk_level) == _cache_walk(walk_twin)
@@ -112,14 +112,14 @@ def test_no_compiler_gives_the_twin_and_one_warning(cold, tmp_path,
     assert native.kernels_impl() is None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _walk(walk_vrf)
-        again = _walk(walk_vrf)
+        got = _generate()
+        again = _generate()
         cache_got = _cache_walk(walk_level)
     runtime = [w for w in caught if w.category is RuntimeWarning]
     assert len(runtime) == 1, [str(w.message) for w in runtime]
     assert "gcc" in str(runtime[0].message)
     assert native.kernels_impl() == "python"
-    assert got == again == _walk(_run_vrf_stream)
+    assert got == again == _generate("python")
     assert cache_got == _cache_walk(walk_twin)
     assert not cold.exists()
 
@@ -143,7 +143,7 @@ def test_build_is_cached_and_published_atomically(cold, monkeypatch):
         return real_run(cmd, *args, **kwargs)
 
     monkeypatch.setattr(native.subprocess, "run", spy)
-    assert native.vrf_walk_kernel() is not None
+    assert native.vrf_epoch_kernel() is not None
     assert all("--version" in cmd for cmd in calls), calls
 
 
@@ -152,7 +152,7 @@ def test_truncated_library_is_rebuilt_not_loaded(cold, tmp_path, monkeypatch):
     # Build in a child: truncating a library this process has mapped
     # would make its pages past the new end of file raise SIGBUS.
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=SRC)
-    code = "import repro.native as n; assert n.vrf_walk_kernel() is not None"
+    code = "import repro.native as n; assert n.vrf_epoch_kernel() is not None"
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=300)
     (lib,) = cold.glob("*.so")
@@ -172,7 +172,7 @@ def test_truncated_library_is_rebuilt_not_loaded(cold, tmp_path, monkeypatch):
     assert kernel is not None and not warned
     assert lib not in loaded, "the truncated library was loaded"
     assert lib.stat().st_size == len(good)
-    assert _walk(walk_vrf) == _walk(_run_vrf_stream)
+    assert _generate() == _generate("python")
     assert _cache_walk(walk_level) == _cache_walk(walk_twin)
 
 
@@ -194,27 +194,27 @@ def test_unsafe_directory_is_refused(cold, tmp_path, kind):
     assert kernel is None
     assert len(warned) == 1
     assert native.kernels_impl() == "python"
-    assert _walk(walk_vrf) == _walk(_run_vrf_stream)
+    assert _generate() == _generate("python")
     inside = cold.resolve() if kind == "symlink" else cold
     assert not list(inside.glob("*.so")), "built into a refused directory"
 
 
 _CHILD = """
-import hashlib, json
+import dataclasses, hashlib, json
 import numpy as np
 from repro import native
-from repro.core.vectorized import walk_vrf
-from repro.core.vrf import VectorRegisterFile
+from repro.config import scaled_config
+from repro.core.accelerator import SpadeSystem
+from repro.sparse.generators import uniform_random
+a = uniform_random(512, 128, nnz=6000, seed=1)
 rng = np.random.default_rng(1)
-lines = rng.integers(0, 150, size=5000).astype(np.int64)
-dirty = rng.random(5000) < 0.4
-emit = rng.integers(0, 9, size=5000).astype(np.int64)
-vrf = VectorRegisterFile(64)
-out = walk_vrf(vrf, lines, dirty, emit, 99)
-h = hashlib.sha256()
-for a in out:
-    h.update(a.tobytes())
-h.update(repr(list(vrf._tags.items())).encode())
+rep = SpadeSystem(scaled_config(2)).sddmm(
+    a, rng.random((512, 32), dtype=np.float32),
+    rng.random((128, 32), dtype=np.float32),
+)
+h = hashlib.sha256(np.ascontiguousarray(rep.output).tobytes())
+h.update(repr(dataclasses.asdict(rep.stats)).encode())
+h.update(repr(dataclasses.asdict(rep.counters)).encode())
 print(json.dumps([native.kernels_impl(), h.hexdigest()]))
 """
 
@@ -314,3 +314,102 @@ def test_cache_walk_kernel_checks_its_geometry():
     cache._sets[0] = {-4: True}
     with pytest.raises(ValueError, match="non-negative"):
         walk_native(kernel, cache, lines, writes, None)
+
+
+# -- the trace generator's input checks -------------------------------------
+
+
+def _epoch_args():
+    """Valid ``trace_epoch`` arguments for a 3-chunk SDDMM epoch of 40
+    nonzeros, as a dict to corrupt one entry of."""
+    r_lines = np.repeat(np.arange(10, dtype=np.int64), 4)
+    return dict(
+        r_lines=r_lines,
+        c_lines=np.arange(40, dtype=np.int64) % 7 + 5000,
+        chunk_nnz=np.array([15, 0, 25], dtype=np.int64),
+        starts=[0, 15, 15],
+        out_starts=np.array([0, 15, 15], dtype=np.int64),
+        cadence=2,
+    )
+
+
+def _set(**changes):
+    return lambda pe, args: args.update(changes)
+
+
+def _negate(name, at):
+    def corrupt(pe, args):
+        arr = args[name].copy()
+        arr[at] = -1
+        args[name] = arr
+    return corrupt
+
+
+def _set_pe(attr, value):
+    def corrupt(pe, args):
+        owner = pe.vrf if attr == "num_registers" else pe
+        setattr(owner, attr, value)
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (_set(chunk_nnz=np.array([15, 0, 24], np.int64)), "sum"),
+        (_set(chunk_nnz=np.array([41, 0, -1], np.int64)), "non-negative"),
+        (_set(chunk_nnz=np.array([15, 0, 25], np.int32)), "chunk_nnz"),
+        (_negate("r_lines", 7), "non-negative"),
+        (_negate("c_lines", 39), "non-negative"),
+        (_negate("out_starts", 2), "non-negative"),
+        (_set(out_starts=np.array([0, 15], np.int64)), "per chunk"),
+        (_set(out_starts=np.array([0, 15, 15], np.int32)), "out_starts"),
+        (_set(cadence=0), "at least 1"),
+        (_set_pe("lines_per_row", 0), "at least 1"),
+        (_set_pe("num_registers", 0), "residents"),
+        (_set_pe("num_registers", 2**31), "residents"),
+        (_set_pe("num_registers", 3), "residents"),
+    ],
+    ids=[
+        "chunks-short", "chunk-negative", "chunks-int32", "r-negative",
+        "c-negative", "out-negative", "out-per-chunk", "out-int32",
+        "cadence-0", "lpr-0", "capacity-0", "capacity-2**31",
+        "residents-above-capacity",
+    ],
+)
+@pytest.mark.parametrize("walk", ["native", "python"])
+def test_trace_epoch_rejects_before_the_walk(corrupt, match, walk):
+    """Each validated input is refused before any walk, by the compiled
+    entry and by the twin alike, on a warm PE: its VRF and trace buffer
+    are left as they were."""
+    pe = vrf_pe("sddmm", 16, 8)
+    args = _epoch_args()
+    with kernels(walk):
+        trace_epoch(pe, **args)  # warm: 8 residents, a non-empty trace
+        before = observe(pe, None)
+        corrupt(pe, args)
+        with pytest.raises((TypeError, ValueError), match=match):
+            trace_epoch(pe, **args)
+    pe.vrf.num_registers = 8
+    pe.lines_per_row = 1
+    assert observe(pe, None) == before
+
+
+@needs_gcc
+def test_short_trace_buffer_is_grown_to_the_walk_bound():
+    """A trace buffer too short for the epoch is grown before the walk,
+    to the walk's bound, not to three entries per access: a long-run
+    epoch fits in less than one entry per unelided access."""
+    rng = np.random.default_rng(4)
+    parts = csr_epoch("spmm", rng, 20, 200, rows=20, cols=8)
+    n = sum(len(p[0]) for p in parts)
+    traces = []
+    for walk in ("native", "python"):
+        pe = vrf_pe("spmm", 32)
+        pe._trace = TraceBuffer(16)
+        pe._trace.extend_range(7, 5, 1)  # a prefix the walk must keep
+        with kernels(walk):
+            traces.append(observe(pe, GENERATE["spmm"](pe, parts)))
+        capacity = pe._trace.storage(0)[0].shape[0]
+        if walk == "native":
+            assert capacity < n * 2 * pe.lines_per_row
+    assert traces[0] == traces[1]

@@ -153,7 +153,7 @@ class TestVrfWalkInvariance:
         from repro import native
         from repro.telemetry.provenance import config_fingerprint
 
-        if native.vrf_walk_kernel() is None:
+        if native.vrf_epoch_kernel() is None:
             pytest.skip("compiled VRF walk unavailable")
         a, b, c = _workload()
         cfg = scaled_config(4, cache_shrink=8)
