@@ -41,7 +41,7 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -58,6 +58,7 @@ from repro.config import (
     scaled_config,
 )
 from repro.core.accelerator import KernelSettings, SpadeSystem
+from repro.jobmodel import NOT_KEYED
 from repro.sparse.coo import COOMatrix
 from repro.sparse.suite import SUITE, Benchmark, get_benchmark
 
@@ -74,14 +75,15 @@ class BenchEnvironment:
     opt_mode: str
     cache_shrink: float = 32.0
     row_panel_divisor: int = 8
-    timeout_s: Optional[float] = None
-    max_retries: int = 0
-    jobs: int = 1
-    cache_dir: Optional[str] = None
-    trace_cache_dir: Optional[str] = None
-    max_attempts: int = 3
-    keep_going: bool = False
-    lease_dir: Optional[str] = None
+    # Orchestration knobs: how cells run, never what they compute.
+    timeout_s: Optional[float] = field(default=None, metadata=NOT_KEYED)
+    max_retries: int = field(default=0, metadata=NOT_KEYED)
+    jobs: int = field(default=1, metadata=NOT_KEYED)
+    cache_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
+    trace_cache_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
+    max_attempts: int = field(default=3, metadata=NOT_KEYED)
+    keep_going: bool = field(default=False, metadata=NOT_KEYED)
+    lease_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
 
     @property
     def ratio(self) -> float:

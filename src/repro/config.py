@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.jobmodel import GEN_KEYED, NOT_KEYED
 
 CACHE_LINE_BYTES = 64
 """System cache line size in bytes (Table 1: 64B VR entries)."""
@@ -61,9 +62,14 @@ class PEConfig:
 
     frequency_ghz: float = 0.8
     issue_vops_per_cycle: int = 1
-    num_vector_registers: int = 64
-    writeback_high_threshold: float = 0.25
-    writeback_low_threshold: float = 0.15
+    # VRF capacity and watermarks decide the generated stream.
+    num_vector_registers: int = field(default=64, metadata=GEN_KEYED)
+    writeback_high_threshold: float = field(
+        default=0.25, metadata=GEN_KEYED
+    )
+    writeback_low_threshold: float = field(
+        default=0.15, metadata=GEN_KEYED
+    )
     dense_load_queue_entries: int = 32
     sparse_load_queue_entries: int = 6
     store_queue_entries: int = 8
@@ -82,51 +88,6 @@ class PEConfig:
     @property
     def cycle_ns(self) -> float:
         return 1.0 / self.frequency_ghz
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """The trace-*generation* identity slice of a :class:`SpadeConfig`.
-
-    Exactly the config facts the generated access stream depends on:
-    PE count (schedule partitioning) and the VRF's capacity and
-    Write-back Manager watermarks (hit/miss outcomes, drain sets, and
-    the elision cadence).  Deliberately excluded: cache geometry,
-    replay backend, execution mode, telemetry and resilience — the
-    emitted trace is bit-identical across all of them, which is what
-    lets the content-addressed trace store
-    (:mod:`repro.memory.trace_store`) be shared across cache-ablation
-    sweep cells.
-    """
-
-    num_pes: int
-    num_vector_registers: int
-    writeback_high_threshold: float
-    writeback_low_threshold: float
-
-    def as_key_dict(self) -> dict:
-        """JSON-stable form for content-addressed key material."""
-        return {
-            "num_pes": int(self.num_pes),
-            "num_vector_registers": int(self.num_vector_registers),
-            "writeback_high_threshold": float(
-                self.writeback_high_threshold
-            ),
-            "writeback_low_threshold": float(
-                self.writeback_low_threshold
-            ),
-        }
-
-
-def gen_config(config: "SpadeConfig") -> GenConfig:
-    """Project the generation-identity slice out of a full config."""
-    pe = config.pe
-    return GenConfig(
-        num_pes=config.num_pes,
-        num_vector_registers=pe.num_vector_registers,
-        writeback_high_threshold=pe.writeback_high_threshold,
-        writeback_low_threshold=pe.writeback_low_threshold,
-    )
 
 
 @dataclass(frozen=True)
@@ -325,14 +286,20 @@ class SpadeConfig:
     """A full SPADE system: host + PEs + shared memory hierarchy."""
 
     name: str = "SPADE1"
-    num_pes: int = 224
+    # The PE count partitions the schedule: it keys generation too.
+    num_pes: int = field(default=224, metadata=GEN_KEYED)
     pe: PEConfig = field(default_factory=PEConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     host: HostCPUConfig = field(default_factory=HostCPUConfig)
-    replay: str = "array"
-    execution: str = "vectorized"
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    # Bit-identical backends, observation, supervision: never keyed.
+    replay: str = field(default="array", metadata=NOT_KEYED)
+    execution: str = field(default="vectorized", metadata=NOT_KEYED)
+    telemetry: TelemetryConfig = field(
+        default_factory=TelemetryConfig, metadata=NOT_KEYED
+    )
+    resilience: ResilienceConfig = field(
+        default_factory=ResilienceConfig, metadata=NOT_KEYED
+    )
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import SpadeConfig, gen_config
+from repro.config import SpadeConfig
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import Schedule
 from repro.core.instructions import InitializationInstruction, Primitive
@@ -25,6 +25,7 @@ from repro.core.pe import PECounters, ProcessingElement
 from repro.core.timing import EpochTiming, epoch_timing, flush_time_ns
 from repro.core.vectorized import generate_sddmm_epoch, generate_spmm_epoch
 from repro.errors import CheckpointError, ConfigError, EngineExecutionError, SpadeError
+from repro.jobmodel import key_projection
 from repro.kernels.reference import sddmm_chunk_vals, spmm_chunk_update
 from repro.memory.address import AddressMap
 from repro.memory.hierarchy import MemorySystem
@@ -153,10 +154,11 @@ class Engine:
         # Every combination gives bit-identical results.
         self.execution = config.execution
         # Content-addressed trace cache: generated epoch traces are a
-        # pure function of (workload, schedule/chunking, GenConfig) —
-        # cache geometry, replay backend, execution mode and telemetry
-        # do not enter the key.  Only the fused (non-scalar) execution
-        # paths consult it; the scalar oracle always generates live.
+        # pure function of (workload, schedule/chunking, the config's
+        # gen-keyed fields) — cache geometry, replay backend, execution
+        # mode and telemetry do not enter the key.  Only the fused
+        # (non-scalar) execution paths consult it; the scalar oracle
+        # always generates live.
         self.trace_store = trace_store if self.execution != "scalar" else None
         self.trace_cache = {
             "hits": 0,
@@ -854,9 +856,9 @@ class Engine:
     def _trace_material(self, primitive: str) -> Dict[str, Any]:
         """Canonical key material for the content-addressed trace
         store: everything generation depends on (workload identity,
-        schedule structure, chunking, GenConfig, op encodings) and
-        nothing it does not (cache geometry, replay backend, execution
-        mode, telemetry)."""
+        schedule structure, chunking, the config's gen-keyed fields, op
+        encodings) and nothing it does not (cache geometry, replay
+        backend, execution mode, telemetry); DESIGN.md section 9.A."""
         import hashlib
 
         tiled = self.tiled
@@ -890,7 +892,7 @@ class Engine:
                 ]
                 for epoch in schedule.epochs
             ],
-            "gen": gen_config(self.config).as_key_dict(),
+            "gen": key_projection(self.config, "gen"),
             "ops": [
                 int(pe0._op_sparse),
                 int(pe0._op_rmatrix_read),

@@ -19,10 +19,16 @@ hash over everything that determines the cell's result:
 - the **schema version** (bumped when cell semantics change, so a code
   change can never resurface stale cached results),
 - the **driver** name (``fig09``, ``table5``, ``run``, ...),
-- the **config hash** — the PR 2 provenance fingerprint of the resolved
+- the **config hash** — :func:`config_fingerprint` of the key
+  projection of the resolved
   :class:`~repro.bench.harness.BenchEnvironment` (which determines
   every system config a driver builds),
 - the **workload hash** — the canonical-JSON digest of the grid point.
+
+This module also owns the key policy (DESIGN.md section 9.A): a
+dataclass field states whether it enters a key in its own declaration,
+through the :data:`NOT_KEYED` or :data:`GEN_KEYED` metadata, and
+:func:`key_projection` derives every key dict from those markers.
 
 Equal jobs hash equal regardless of process, host, or grid position, so
 the key doubles as the result-cache address; distinct jobs collide only
@@ -64,36 +70,75 @@ def value_fingerprint(value: Any) -> str:
     return hashlib.sha256(canonical_blob(value)).hexdigest()
 
 
-_EXCLUDED_ENV_KEYS = (
-    "jobs", "cache_dir", "timeout_s", "max_retries", "trace_cache_dir",
-    "max_attempts", "keep_going", "lease_dir",
-)
-"""Environment fields that orchestrate *how* a job runs but cannot
-change what a cell computes (all execution paths are bit-identical, per
-the PR 3/4 parity suites, and trace-cache replay is bit-identical to
-live generation per the PR 8 trace-store suites) — excluded from the
-fingerprint so changing worker count, supervision policy or trace-cache
-location never invalidates cached results."""
+KEY_SCOPE = "key"
+"""Field-metadata name of a field's key membership (unmarked: keyed)."""
+
+NOT_KEYED = {KEY_SCOPE: False}
+"""A field that says *how* a result is computed, never what it is: it
+enters no key, so changing it invalidates no result, trace or
+checkpoint."""
+
+GEN_KEYED = {KEY_SCOPE: "gen"}
+"""A keyed scalar field that trace generation reads: it also enters the
+trace store's generation key."""
+
+_GEN_TYPES = {"int": int, "float": float}  # declared type -> coercion
+
+
+def key_projection(obj: Any, scope: str = "result") -> Dict[str, Any]:
+    """What of a dataclass enters a key, read off its fields' markers.
+
+    ``scope="result"`` gives the nested ``asdict`` form minus every
+    :data:`NOT_KEYED` field (and its subtree); ``scope="gen"`` gives
+    the flat dict of the :data:`GEN_KEYED` leaves, each coerced to its
+    declared type.
+    """
+    out: Dict[str, Any] = {}
+    for f in dataclasses.fields(obj):
+        marker = f.metadata.get(KEY_SCOPE)
+        value = getattr(obj, f.name)
+        if marker is False:
+            continue
+        if is_dataclass(value):
+            sub = key_projection(value, scope)
+            if scope == "gen":
+                out.update(sub)
+            else:
+                out[f.name] = sub
+        elif scope == "result":
+            out[f.name] = value
+        elif marker == "gen":
+            out[f.name] = _GEN_TYPES[f.type](value)
+    return out
+
+
+def config_fingerprint(config: Any) -> str:
+    """Content hash of a :class:`~repro.config.SpadeConfig` (or any
+    dataclass, or an already flattened dict): sha256 of its
+    canonical-JSON flattening.  Equal configs hash equal regardless of
+    how they were constructed."""
+    if is_dataclass(config):
+        flat = dataclasses.asdict(config)
+    elif isinstance(config, dict):
+        flat = config
+    else:
+        raise TypeError(f"cannot fingerprint {type(config).__name__}")
+    blob = json.dumps(flat, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def environment_fingerprint(env: Any) -> str:
     """Content hash of a job's environment.
 
     ``None`` (environment-free drivers like ``sec7g`` and the service's
-    ``run`` cells) hashes to a fixed sentinel; dataclasses reuse the
-    PR 2 provenance fingerprint (modulo :data:`_EXCLUDED_ENV_KEYS`) so
-    the result cache and the BENCH manifest agree on what "same config"
-    means.
+    ``run`` cells) hashes to a fixed sentinel; a dataclass hashes its
+    :func:`key_projection`, so its orchestration knobs never re-key a
+    cached result.
     """
     if env is None:
         return value_fingerprint("no-environment")
     if is_dataclass(env) and not isinstance(env, type):
-        from repro.telemetry.provenance import config_fingerprint
-
-        fields = dataclasses.asdict(env)
-        for key in _EXCLUDED_ENV_KEYS:
-            fields.pop(key, None)
-        return config_fingerprint(fields)
+        return config_fingerprint(key_projection(env))
     return value_fingerprint(env)
 
 
@@ -136,7 +181,7 @@ class JobSpec:
         point) job has the same result wherever it sits in the grid, so
         reshaped or filtered grids still hit the cache.
         """
-        blob = canonical_blob(
+        return value_fingerprint(
             {
                 "schema_version": self.schema_version,
                 "driver": self.driver,
@@ -144,7 +189,6 @@ class JobSpec:
                 "workload": self.workload_hash,
             }
         )
-        return hashlib.sha256(blob).hexdigest()
 
     @property
     def seed(self) -> int:

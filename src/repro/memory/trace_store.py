@@ -1,11 +1,13 @@
 """Content-addressed on-disk store for generated per-epoch PE traces.
 
 A generated trace is a pure function of (workload identity, schedule
-structure, chunking, :class:`~repro.config.GenConfig`, op encodings) —
+structure, chunking, the config's gen-keyed fields, op encodings) —
 cache geometry, replay backend, execution mode and telemetry do *not*
 enter the key, because the emitted access stream is identical across
-all of them (the exactness lemma DESIGN.md section 12 spells out, and
-the cache-geometry-invariance property test pins).  That makes the
+all of them.  Which config fields are gen-keyed is declared on the
+fields themselves (the key policy of DESIGN.md section 9.A); the
+exactness lemma of DESIGN.md section 12 is a property test over those
+markers (``tests/test_key_policy.py``).  That makes the
 store shareable across every cell of a cache-ablation sweep and every
 layer of a repeated-epoch (GNN) run: the expensive generation phase
 runs once, and every later run replays the cached stream against its

@@ -8,24 +8,22 @@ a digest mismatch or a payload that does not unpickle; this module maps
 each of those to :class:`CheckpointError` and adds the one check of its
 own, the config fingerprint of the run that wrote the snapshot.
 
-The config fingerprint deliberately excludes the execution backend,
-replay mode, telemetry, and the resilience section itself: all backends
-are bit-identical, so a checkpoint written by a vectorized run is valid
-to resume under the scalar backend — which is exactly what the
-supervisor's degradation step needs.
+The config fingerprint leaves out the not-keyed execution backend,
+replay mode, telemetry and resilience section (DESIGN.md section 9.A):
+all backends are bit-identical, so a checkpoint written by a vectorized
+run is valid to resume under the scalar backend — which is exactly what
+the supervisor's degradation step needs.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import os
 import re
 from typing import Any, Dict, Optional, Tuple
 
 from repro.blobstore import BlobError, read_blob, write_blob
 from repro.errors import CheckpointError
+from repro.jobmodel import config_fingerprint, key_projection
 from repro.telemetry import ensure
 
 CHECKPOINT_FORMAT = "spade-checkpoint"
@@ -34,26 +32,13 @@ CHECKPOINT_VERSION = 2
 refused instead of mis-loaded.  Version 2: the BBF stream buffer and
 the STLB are saved as one-set cache states."""
 
-_EXCLUDED_CONFIG_KEYS = (
-    "resilience",
-    "telemetry",
-    "execution",
-    "replay",
-)
-"""Top-level SpadeConfig fields that do not affect simulation results
-(all execution/replay paths are bit-identical) and therefore must not
-invalidate a checkpoint."""
-
 _CKPT_RE = re.compile(r"^ckpt-epoch-(\d{6})\.ckpt$")
 
 
 def checkpoint_fingerprint(config) -> str:
-    """Digest of the result-relevant part of a :class:`SpadeConfig`."""
-    fields = dataclasses.asdict(config)
-    for key in _EXCLUDED_CONFIG_KEYS:
-        fields.pop(key, None)
-    blob = json.dumps(fields, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Digest of the result-relevant part of a :class:`SpadeConfig`:
+    its key projection (DESIGN.md section 9.A)."""
+    return config_fingerprint(key_projection(config))
 
 
 class CheckpointManager:

@@ -43,6 +43,14 @@ RUN_DEFAULTS: Dict[str, Any] = {
 _SCALES = ("tiny", "small", "default", "large")
 _KERNELS = ("spmm", "sddmm")
 
+MAX_REQUEST_PES = 1792
+"""SPADE8, the largest system the paper simulates: a request may not
+make a worker build more PEs than that."""
+
+MAX_REQUEST_K = 128
+"""The largest K the paper evaluates and any driver uses: the dense
+operands are ``rows x K`` floats, so K bounds a worker's memory."""
+
 
 def request_point(body: Mapping[str, Any]) -> Tuple:
     """Normalise a service request body to a ``run`` point tuple.
@@ -82,12 +90,12 @@ def request_point(body: Mapping[str, Any]) -> Tuple:
         raise WorkloadError(
             f"kernel must be one of {_KERNELS}, got {merged['kernel']!r}"
         )
-    for name in ("k", "pes"):
+    for name, limit in (("k", MAX_REQUEST_K), ("pes", MAX_REQUEST_PES)):
         value = merged[name]
         if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 1:
+                or not 1 <= value <= limit:
             raise WorkloadError(
-                f"{name} must be a positive integer, got {value!r}"
+                f"{name} must be an integer in [1, {limit}], got {value!r}"
             )
     seed = merged["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -96,9 +104,9 @@ def request_point(body: Mapping[str, Any]) -> Tuple:
         )
     shrink = merged["cache_shrink"]
     if isinstance(shrink, bool) or not isinstance(shrink, (int, float)) \
-            or shrink <= 0:
+            or not shrink >= 1:
         raise WorkloadError(
-            f"cache_shrink must be a positive number, got {shrink!r}"
+            f"cache_shrink must be a number >= 1, got {shrink!r}"
         )
     merged["cache_shrink"] = float(shrink)
     if merged["replay"] is not None \

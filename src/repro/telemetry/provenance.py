@@ -12,9 +12,6 @@ comparable; anything else is apples to oranges, and
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import platform
 import subprocess
 import sys
@@ -22,24 +19,12 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.jobmodel import config_fingerprint
+
 MANIFEST_SCHEMA_VERSION = 1
 """Bump when manifest keys change meaning; CI rejects records without it."""
 
 _REQUIRED_KEYS = ("schema_version", "created_utc", "host")
-
-
-def config_fingerprint(config) -> str:
-    """Content hash of a :class:`~repro.config.SpadeConfig` (or any
-    dataclass): sha256 of its canonical-JSON flattening.  Equal configs
-    hash equal regardless of how they were constructed."""
-    if dataclasses.is_dataclass(config):
-        flat = dataclasses.asdict(config)
-    elif isinstance(config, dict):
-        flat = config
-    else:
-        raise TypeError(f"cannot fingerprint {type(config).__name__}")
-    blob = json.dumps(flat, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def git_revision(repo_dir: Optional[Path] = None) -> Optional[str]:

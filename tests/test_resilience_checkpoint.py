@@ -199,21 +199,6 @@ class TestCheckpointFiles:
         mgr = CheckpointManager(str(tmp_path), interval=3)
         assert [e for e in range(9) if mgr.should_write(e)] == [2, 5, 8]
 
-    def test_fingerprint_ignores_backend_and_resilience(self, base_config):
-        fp = checkpoint_fingerprint(base_config)
-        variants = [
-            dataclasses.replace(base_config, execution="scalar"),
-            dataclasses.replace(base_config, replay="scalar"),
-            dataclasses.replace(
-                base_config,
-                resilience=ResilienceConfig(checkpoint_dir="/tmp/x"),
-            ),
-        ]
-        for variant in variants:
-            assert checkpoint_fingerprint(variant) == fp
-        shrunk = scaled_config(8, cache_shrink=8)
-        assert checkpoint_fingerprint(shrunk) != fp
-
     def test_fingerprint_unchanged_by_dropping_pipeline_section(self):
         # The digest of this config from before SpadeConfig lost its
         # (excluded) pipeline section: snapshots written then still

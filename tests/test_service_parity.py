@@ -27,7 +27,13 @@ from repro.service.server import (
     ServiceServer,
     SimulationService,
 )
-from repro.service.simulate import format_run_summary, request_point, run_jobspec
+from repro.service.simulate import (
+    MAX_REQUEST_K,
+    MAX_REQUEST_PES,
+    format_run_summary,
+    request_point,
+    run_jobspec,
+)
 from repro.sweep.cache import ResultCache
 
 POINT_ARGS = {
@@ -286,11 +292,16 @@ class TestHttpSurface:
             )
             assert status == 400  # a deleted execution mode
             assert "execution must be one of" in payload["error"]
+            status, payload, _ = client.request(
+                "POST", "/v1/simulate", dict(POINT_ARGS, cache_shrink=0.5),
+            )
+            assert status == 400  # refused before it takes a worker
+            assert "cache_shrink must be a number >= 1" in payload["error"]
             status, payload, _ = client.request("GET", "/nope")
             assert status == 404
             client.simulate(**POINT_ARGS)
             stats = client.stats()
-            assert stats["requests"] == 4  # 3 bad + 1 good
+            assert stats["requests"] == 5  # 4 bad + 1 good
             assert stats["served"] == 1
             text = client.metrics_text()
             assert "spade_service_requests" in text
@@ -312,3 +323,25 @@ def test_replay_field_accepts_exactly_the_two_modes():
     for bad in ("batched", "bogus"):
         with pytest.raises(WorkloadError, match="replay"):
             request_point(dict(POINT_ARGS, replay=bad))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pes", MAX_REQUEST_PES + 1),
+    ("k", MAX_REQUEST_K + 1),
+    ("cache_shrink", 0.5),
+    ("cache_shrink", 0),
+])
+def test_out_of_range_sizes_are_malformed(field, value):
+    """Sizes a worker cannot or must not build are a 400 at admission,
+    not a worker failure.  Only normalised: nothing is run."""
+    from repro.errors import WorkloadError
+
+    with pytest.raises(WorkloadError, match=field):
+        request_point(dict(POINT_ARGS, **{field: value}))
+
+
+def test_sizes_at_the_bounds_are_admitted():
+    point = request_point(dict(
+        POINT_ARGS, pes=MAX_REQUEST_PES, k=MAX_REQUEST_K, cache_shrink=1,
+    ))
+    assert point[3:6] == (MAX_REQUEST_K, MAX_REQUEST_PES, 1.0)

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on the sweep orchestrator's
 hashing, grid expansion, and result cache."""
 
-import dataclasses
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,9 +29,9 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
-# Result-affecting SpadeConfig/environment perturbations: every field
-# here feeds the environment fingerprint (orchestration knobs like
-# ``jobs``/``cache_dir`` are deliberately absent).
+# Result-affecting environment fields: every field here feeds the
+# environment fingerprint.  Also the base environments of the
+# key-policy lemma in test_key_policy.py, which perturbs every field.
 env_perturbations = st.fixed_dictionaries(
     {
         "scale": st.sampled_from(["tiny", "small", "default"]),
@@ -120,25 +119,6 @@ class TestJobKeys:
         b = JobSpec(driver="d", index=7, point=point,
                     config_hash=environment_fingerprint(env))
         assert a.key == b.key and a.seed == b.seed
-
-    @given(fields=env_perturbations,
-           jobs=st.integers(1, 8),
-           timeout=st.none() | st.floats(1, 100, allow_nan=False))
-    def test_orchestration_knobs_do_not_key(self, fields, jobs, timeout):
-        base = make_env(fields)
-        knobbed = dataclasses.replace(
-            base, jobs=jobs, timeout_s=timeout, cache_dir="/tmp/any",
-            max_retries=3,
-        )
-        assert environment_fingerprint(base) == \
-            environment_fingerprint(knobbed)
-
-    @given(fields=env_perturbations)
-    def test_result_affecting_fields_do_key(self, fields):
-        base = make_env(fields)
-        bumped = dataclasses.replace(base, num_pes=base.num_pes + 1)
-        assert environment_fingerprint(base) != \
-            environment_fingerprint(bumped)
 
 
 # -- result cache -------------------------------------------------------------
