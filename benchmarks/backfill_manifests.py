@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.telemetry.provenance import (
+from repro.obs.provenance import (
     run_manifest,
     validate_manifest,
 )

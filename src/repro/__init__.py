@@ -21,7 +21,6 @@ Quick start::
 
 from repro.config import (
     SpadeConfig,
-    TelemetryConfig,
     mini_config,
     paper_config,
     scaled_config,
@@ -35,7 +34,6 @@ from repro.core.accelerator import (
 from repro.core.extensions import sddvv, spmv
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.telemetry import Telemetry
 
 __version__ = "1.0.0"
 
@@ -44,8 +42,6 @@ __all__ = [
     "KernelSettings",
     "ExecutionReport",
     "SpadeConfig",
-    "TelemetryConfig",
-    "Telemetry",
     "paper_config",
     "scaled_config",
     "mini_config",

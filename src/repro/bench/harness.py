@@ -119,14 +119,13 @@ class BenchEnvironment:
             self.spade_config(factor), trace_store=self.trace_store()
         )
 
-    def supervisor(self, telemetry=None, chaos=None):
+    def supervisor(self, chaos=None):
         """A :class:`~repro.resilience.RunSupervisor` with this
         environment's watchdog/retry policy."""
         from repro.resilience import RunSupervisor
 
         return RunSupervisor(
             resilience=self.resilience_config(),
-            telemetry=telemetry,
             chaos=chaos,
             trace_store=self.trace_store(),
         )
@@ -140,7 +139,7 @@ class BenchEnvironment:
             self.spade_config(factor), kernel, a, b, c, settings=settings
         )
 
-    def sweep(self, telemetry=None):
+    def sweep(self):
         """A :class:`~repro.sweep.SweepRunner` for this environment's
         ``jobs``/``cache_dir`` knobs, or ``None`` when both are at their
         defaults (drivers then run their plain serial loops)."""
@@ -151,7 +150,6 @@ class BenchEnvironment:
         return SweepRunner(
             jobs=self.jobs,
             cache=open_cache(self.cache_dir),
-            telemetry=telemetry,
             resilience=self.resilience_config(),
             max_attempts=self.max_attempts,
             keep_going=self.keep_going,
@@ -259,7 +257,7 @@ def write_bench_json(
     Returns the stamped payload.
     """
     from repro.obs.ledger import peak_rss_bytes
-    from repro.telemetry.provenance import stamp
+    from repro.obs.provenance import stamp
 
     extra = dict(extra) if extra else {}
     rss = peak_rss_bytes()

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +34,6 @@ from repro.config import (
     REPLAY_MODES,
     ObsConfig,
     ResilienceConfig,
-    TelemetryConfig,
     config_summary,
     scaled_config,
 )
@@ -67,37 +68,30 @@ def load_matrix(spec: str, scale: str) -> COOMatrix:
     return bench.build(scale)
 
 
-def _telemetry_config(args: argparse.Namespace) -> TelemetryConfig:
-    """Map the CLI observability flags onto a TelemetryConfig."""
-    want_trace = bool(args.trace) or args.profile or args.trace_chunks
-    want_metrics = bool(args.metrics_out)
-    return TelemetryConfig(
-        metrics=want_metrics,
-        trace=want_trace,
-        trace_chunks=args.trace_chunks,
+def _write_exports(
+    args: argparse.Namespace, config, report, ledger, workload
+) -> None:
+    """Write the trace / metrics / manifest files and the profile
+    requested by flags: every one an export of the run ledger's events
+    (plus, for the metrics, the report)."""
+    from repro.obs import (
+        format_profile, run_manifest, run_metrics, write_metrics,
+        write_trace,
     )
 
-
-def _write_telemetry(
-    args: argparse.Namespace, config, telemetry, workload, ledger=None
-) -> None:
-    """Write the trace / metrics / manifest files requested by flags."""
-    from repro.telemetry import run_manifest, write_metrics
-
+    events = ledger.events()
     manifest = run_manifest(
         config=config,
         workload=workload,
         seed=getattr(args, "seed", None),
         argv=sys.argv[1:],
-        ledger=ledger,
+        ledger=ledger if args.ledger else None,
     )
     if args.trace:
-        path = telemetry.tracer.write(
-            args.trace, metadata={"manifest": manifest}
-        )
+        path = write_trace(args.trace, events, metadata={"manifest": manifest})
         print(f"trace written       : {path} (open in Perfetto)")
     if args.metrics_out:
-        path = write_metrics(telemetry.metrics, args.metrics_out)
+        path = write_metrics(run_metrics(report, events), args.metrics_out)
         print(f"metrics written     : {path}")
     if args.manifest_out:
         Path(args.manifest_out).write_text(
@@ -106,13 +100,11 @@ def _write_telemetry(
         print(f"manifest written    : {args.manifest_out}")
     if args.profile:
         print("\nhottest phases (host wall clock)")
-        print(telemetry.tracer.format_profile(args.profile_top))
+        print(format_profile(events, args.profile_top))
 
 
 def _validate_run_args(args: argparse.Namespace) -> Optional[str]:
     """Flag-combination checks; returns an error message or None."""
-    if args.trace_chunks and not args.trace:
-        return "--trace-chunks requires --trace PATH (chunk spans land in the trace file)"
     if (
         args.metrics_out is not None
         and args.metrics_out.suffix not in METRICS_SUFFIXES
@@ -170,6 +162,18 @@ def _open_ledger(args: argparse.Namespace):
     return obs.make_ledger(*sys.argv[1:])
 
 
+def _exports_ledger(args: argparse.Namespace, exporting: bool):
+    """The ``--ledger DIR`` recorder; without one, a run whose exports
+    (``--trace``, ``--metrics-out``, ``--profile``) need the event
+    stream records it in a temporary directory that
+    :func:`_finish_ledger` removes."""
+    if exporting and args.ledger is None:
+        from repro.obs import open_run_ledger
+
+        return open_run_ledger(tempfile.mkdtemp(prefix="repro-ledger-"))
+    return _open_ledger(args)
+
+
 def _close_ledger(ledger, stream=None) -> None:
     if ledger is not None and ledger.enabled:
         ledger.close()
@@ -178,6 +182,14 @@ def _close_ledger(ledger, stream=None) -> None:
             f"({ledger.events_recorded} events)",
             file=stream,
         )
+
+
+def _finish_ledger(args: argparse.Namespace, ledger) -> None:
+    if args.ledger is None and ledger.enabled:
+        ledger.close()
+        shutil.rmtree(ledger.path.parent, ignore_errors=True)
+    else:
+        _close_ledger(ledger)
 
 
 def _sweep_runner(args: argparse.Namespace, resilience=None):
@@ -215,12 +227,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    # Telemetry and resilience flags need the live execution (a cache
-    # hit would skip the simulation the trace/checkpoint observes), so
-    # the sweep/cache path only engages when none of them are set.
+    # Observability and resilience flags need the live execution (a
+    # cache hit would skip the simulation the trace/checkpoint
+    # observes), so the sweep/cache path only engages when none of them
+    # are set.
+    exporting = bool(args.trace or args.metrics_out or args.profile)
     observed = (
-        args.trace or args.trace_chunks or args.metrics_out
-        or args.manifest_out or args.profile or args.checkpoint_dir
+        exporting or args.manifest_out or args.checkpoint_dir
         or args.resume or args.timeout or args.max_retries
         or args.ledger  # the flight recorder must see the live run
     )
@@ -239,7 +252,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(format_run_summary(summary, args.kernel, args.k))
         return 0
     from repro.resilience import RunSupervisor
-    from repro.telemetry import Telemetry
 
     a = load_matrix(args.matrix, args.scale)
     resilience = ResilienceConfig(
@@ -253,31 +265,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     cfg = dataclasses.replace(
         scaled_config(args.pes, cache_shrink=args.cache_shrink),
-        telemetry=_telemetry_config(args),
         resilience=resilience,
     )
     if args.replay is not None:
         cfg = dataclasses.replace(cfg, replay=args.replay)
     if args.execution is not None:
         cfg = dataclasses.replace(cfg, execution=args.execution)
-    telemetry = Telemetry(cfg.telemetry)
-    ledger = _open_ledger(args)
+    ledger = _exports_ledger(args, exporting)
     from repro.memory.trace_store import open_trace_store
 
     trace_store = open_trace_store(
         str(args.trace_cache_dir) if args.trace_cache_dir else None
     )
     supervisor = RunSupervisor(
-        resilience=resilience, telemetry=telemetry, ledger=ledger,
-        trace_store=trace_store,
+        resilience=resilience, ledger=ledger, trace_store=trace_store,
     )
     rng = np.random.default_rng(args.seed)
     b = rng.random((a.num_cols, args.k), dtype=np.float32)
-    if args.kernel == "spmm":
-        report = supervisor.run_kernel(cfg, "spmm", a, b)
-    else:
-        b_r = rng.random((a.num_rows, args.k), dtype=np.float32)
-        report = supervisor.run_kernel(cfg, "sddmm", a, b_r, b)
+    try:
+        if args.kernel == "spmm":
+            report = supervisor.run_kernel(cfg, "spmm", a, b)
+        else:
+            b_r = rng.random((a.num_rows, args.k), dtype=np.float32)
+            report = supervisor.run_kernel(cfg, "sddmm", a, b_r, b)
+    except BaseException:
+        # A failed run's events still reach the --ledger directory.
+        _finish_ledger(args, ledger)
+        raise
     outcome = supervisor.last_outcome
     print(f"matrix              : {a}")
     print(f"kernel              : {args.kernel} (K={args.k})")
@@ -295,15 +309,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{outcome.retries} retries, "
               f"{outcome.degradations} degradations)")
     print(report.stats.summary())
-    _write_telemetry(
-        args, cfg, telemetry,
+    _write_exports(
+        args, cfg, report, ledger,
         workload={
             "matrix": args.matrix, "scale": args.scale,
             "kernel": args.kernel, "k": args.k, "pes": args.pes,
         },
-        ledger=ledger if ledger.enabled else None,
     )
-    _close_ledger(ledger)
+    _finish_ledger(args, ledger)
     return 0
 
 
@@ -338,7 +351,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from repro.telemetry import EventTracer, run_manifest
+    from repro.obs import run_manifest, write_trace
 
     problem = _validate_sweep_args(args)
     if problem is not None:
@@ -364,13 +377,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             )
         _close_ledger(sweep.ledger)
         return 0
-    tracer = EventTracer(enabled=bool(args.trace))
+    ledger = _exports_ledger(args, bool(args.trace))
     print(header)
     for bench in SUITE:
-        with tracer.span(
-            f"build {bench.name}", cat="suite",
-            args={"scale": args.scale},
-        ):
+        with ledger.span(f"build {bench.name}", cat="suite"):
             m = bench.build(args.scale)
         print(
             f"{bench.name:<6} {bench.full_name:<26} {bench.domain:<24} "
@@ -380,9 +390,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         manifest = run_manifest(
             workload={"command": "suite", "scale": args.scale},
             argv=sys.argv[1:],
+            ledger=ledger if args.ledger else None,
         )
-        path = tracer.write(args.trace, metadata={"manifest": manifest})
+        path = write_trace(
+            args.trace, ledger.events(), metadata={"manifest": manifest}
+        )
         print(f"trace written: {path} (open in Perfetto)")
+    _finish_ledger(args, ledger)
     return 0
 
 
@@ -503,18 +517,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sweep.pool import ServicePool
     from repro.service.server import ServiceServer, SimulationService
     from repro.sweep.cache import ResultCache
-    from repro.telemetry import Telemetry
 
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     cache = ResultCache(str(args.cache_dir))
-    telemetry = Telemetry(TelemetryConfig(metrics=True))
     ledger = _open_ledger(args)
     pool = ServicePool(
         cache,
         workers=args.workers,
-        telemetry=telemetry,
         ledger=ledger,
         max_attempts=args.max_attempts,
         lease_dir=str(args.lease_dir) if args.lease_dir else None,
@@ -525,9 +536,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
     )
-    service = SimulationService(
-        cache, pool, policy=policy, telemetry=telemetry, ledger=ledger
-    )
+    service = SimulationService(cache, pool, policy=policy, ledger=ledger)
     server = ServiceServer(service, host=args.host, port=args.port)
 
     async def _serve() -> None:
@@ -711,14 +720,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--k", type=int, default=32,
                        help="dense matrix row size")
     common(run_p)
-    tel = run_p.add_argument_group("telemetry")
+    tel = run_p.add_argument_group(
+        "exports (views of the run ledger; recorded in a temporary "
+        "directory unless --ledger is given)"
+    )
     tel.add_argument("--trace", type=Path, default=None, metavar="PATH",
                      help="write a Chrome trace-event JSON (Perfetto)")
-    tel.add_argument("--trace-chunks", action="store_true",
-                     help="also trace every PE chunk replay (big traces)")
     tel.add_argument("--metrics-out", type=Path, default=None,
                      metavar="PATH",
-                     help="write the metrics registry (.json/.csv/.prom "
+                     help="write the run's metrics (.json/.csv/.prom "
                      "chosen by suffix)")
     tel.add_argument("--manifest-out", type=Path, default=None,
                      metavar="PATH",

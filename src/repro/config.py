@@ -143,31 +143,6 @@ class HostCPUConfig:
 
 
 @dataclass(frozen=True)
-class TelemetryConfig:
-    """Observability switches (see :mod:`repro.telemetry`).
-
-    Everything defaults off: the default config must run the golden
-    fixtures bit-identically and at full speed.  ``metrics`` turns on
-    the structured metrics registry that core/memory publish into;
-    ``trace`` records Perfetto-loadable wall-clock spans of the run;
-    ``trace_chunks`` additionally emits one span per PE chunk replay
-    (fine-grained, larger traces).
-    """
-
-    metrics: bool = False
-    trace: bool = False
-    trace_chunks: bool = False
-
-    def __post_init__(self) -> None:
-        if self.trace_chunks and not self.trace:
-            raise ConfigError("trace_chunks requires trace=True")
-
-    @property
-    def enabled(self) -> bool:
-        return self.metrics or self.trace
-
-
-@dataclass(frozen=True)
 class ObsConfig:
     """Run-ledger (flight recorder) session settings.
 
@@ -294,9 +269,6 @@ class SpadeConfig:
     # Bit-identical backends, observation, supervision: never keyed.
     replay: str = field(default="array", metadata=NOT_KEYED)
     execution: str = field(default="vectorized", metadata=NOT_KEYED)
-    telemetry: TelemetryConfig = field(
-        default_factory=TelemetryConfig, metadata=NOT_KEYED
-    )
     resilience: ResilienceConfig = field(
         default_factory=ResilienceConfig, metadata=NOT_KEYED
     )

@@ -33,9 +33,9 @@ from repro.core.timing import requests_per_cycle
 from repro.errors import ConfigError, WorkloadError
 from repro.memory.address import AddressMap
 from repro.memory.stats import AccessStats
+from repro.obs.ledger import NULL_LEDGER
 from repro.sparse.coo import COOMatrix
 from repro.sparse.tiled import TiledMatrix, tile_matrix
-from repro.telemetry import Telemetry
 
 DEFAULT_ROW_PANEL = 256
 """SPADE Base row panel size (Section 7.A)."""
@@ -87,7 +87,6 @@ class ExecutionReport:
     settings: KernelSettings
     schedule: Schedule
     config: SpadeConfig
-    telemetry: Optional[Telemetry] = None
 
     @property
     def output(self) -> np.ndarray:
@@ -155,7 +154,6 @@ class SpadeSystem:
         config: Optional[SpadeConfig] = None,
         chunk_nnz: int = DEFAULT_CHUNK_NNZ,
         execution: Optional[str] = None,
-        telemetry: Optional[Telemetry] = None,
         chaos=None,
         ledger=None,
         trace_store=None,
@@ -167,19 +165,12 @@ class SpadeSystem:
             )
         self.chunk_nnz = chunk_nnz
         self.cpe = ControlProcessor(self.config.num_pes)
-        # One telemetry session per system: successive kernel runs
-        # accumulate into the same registry/trace (all-off by default).
-        # A supervisor may pass its own session so retried/degraded
-        # attempts accumulate into one registry, and a chaos monkey for
-        # fault-injection testing (forwarded to the engine).
-        self.telemetry = (
-            telemetry if telemetry is not None
-            else Telemetry(self.config.telemetry)
-        )
+        # A chaos monkey for fault-injection testing (forwarded to the
+        # engine).
         self.chaos = chaos
-        # Run ledger (off by default): forwarded to the engine so the
-        # flight recorder and replay dispatch audit see every kernel
-        # this system executes.
+        # Run ledger (off by default), the one recorder: every kernel
+        # this system executes records its host-phase spans, epoch
+        # events and replay dispatch audit into it.
         self.ledger = ledger
         # Content-addressed epoch-trace store (off by default).  Only
         # consulted by the vectorized backend; scalar runs
@@ -231,49 +222,9 @@ class SpadeSystem:
                 "SpMM operand B must be non-empty (K >= 1 columns); "
                 f"got shape {b_dense.shape}"
             )
-        settings = settings or KernelSettings.base()
-        k = b_dense.shape[1]
-        with self.telemetry.tracer.span(
-            "spmm", cat="kernel",
-            args={"nnz": a.nnz, "k": k, "settings": settings.describe()},
-        ):
-            tiled = tile_matrix(
-                a, settings.row_panel_size, settings.col_panel_size
-            )
-            amap = self._build_address_map(tiled, k, Primitive.SPMM)
-            init = self.cpe.make_initialization(
-                Primitive.SPMM,
-                amap,
-                rmatrix_bypass=settings.rmatrix_bypass,
-                cmatrix_bypass=False,
-                dense_row_size=k,
-            )
-            policy = BypassPolicy(
-                rmatrix_bypass=settings.rmatrix_bypass,
-                sparse_stream_bypass=settings.sparse_stream_bypass,
-                sddmm_output_bypass=settings.sddmm_output_bypass,
-            )
-            with self.telemetry.tracer.span(
-                "build_schedule", cat="schedule"
-            ):
-                schedule = self.cpe.build_schedule(
-                    tiled,
-                    ScheduleParams(
-                        use_barriers=settings.use_barriers,
-                        barrier_group_cols=settings.barrier_group_cols,
-                    ),
-                    telemetry=self.telemetry,
-                )
-            engine = Engine(
-                self.config, tiled, init, amap, policy, self.chunk_nnz,
-                telemetry=self.telemetry, chaos=self.chaos,
-                ledger=self.ledger, trace_store=self.trace_store,
-            )
-            engine.bind_schedule(schedule)
-            result = engine.run_spmm(schedule, b_dense)
-            self._absorb_trace_cache(engine)
-        return ExecutionReport(
-            result, settings, schedule, self.config, self.telemetry
+        return self._execute(
+            Primitive.SPMM, a, b_dense.shape[1], settings,
+            lambda engine, schedule: engine.run_spmm(schedule, b_dense),
         )
 
     def sddmm(
@@ -307,18 +258,35 @@ class SpadeSystem:
                 "SDDMM dense operands must have at least one column "
                 f"(K >= 1); got shape {b_dense.shape}"
             )
+        return self._execute(
+            Primitive.SDDMM, a, b_dense.shape[1], settings,
+            lambda engine, schedule: engine.run_sddmm(
+                schedule, b_dense, c_dense
+            ),
+        )
+
+    def _execute(
+        self,
+        primitive: Primitive,
+        a: COOMatrix,
+        k: int,
+        settings: Optional[KernelSettings],
+        run,
+    ) -> ExecutionReport:
+        """Tile, schedule and execute one kernel; ``run(engine,
+        schedule)`` drives the engine's entry point."""
         settings = settings or KernelSettings.base()
-        k = b_dense.shape[1]
-        with self.telemetry.tracer.span(
-            "sddmm", cat="kernel",
-            args={"nnz": a.nnz, "k": k, "settings": settings.describe()},
+        ledger = self.ledger if self.ledger is not None else NULL_LEDGER
+        with ledger.span(
+            primitive.value, cat="kernel", nnz=int(a.nnz), k=int(k),
+            settings=settings.describe(),
         ):
             tiled = tile_matrix(
                 a, settings.row_panel_size, settings.col_panel_size
             )
-            amap = self._build_address_map(tiled, k, Primitive.SDDMM)
+            amap = self._build_address_map(tiled, k, primitive)
             init = self.cpe.make_initialization(
-                Primitive.SDDMM,
+                primitive,
                 amap,
                 rmatrix_bypass=settings.rmatrix_bypass,
                 cmatrix_bypass=False,
@@ -329,28 +297,23 @@ class SpadeSystem:
                 sparse_stream_bypass=settings.sparse_stream_bypass,
                 sddmm_output_bypass=settings.sddmm_output_bypass,
             )
-            with self.telemetry.tracer.span(
-                "build_schedule", cat="schedule"
-            ):
+            with ledger.span("build_schedule", cat="schedule"):
                 schedule = self.cpe.build_schedule(
                     tiled,
                     ScheduleParams(
                         use_barriers=settings.use_barriers,
                         barrier_group_cols=settings.barrier_group_cols,
                     ),
-                    telemetry=self.telemetry,
                 )
             engine = Engine(
                 self.config, tiled, init, amap, policy, self.chunk_nnz,
-                telemetry=self.telemetry, chaos=self.chaos,
-                ledger=self.ledger, trace_store=self.trace_store,
+                chaos=self.chaos, ledger=ledger,
+                trace_store=self.trace_store,
             )
             engine.bind_schedule(schedule)
-            result = engine.run_sddmm(schedule, b_dense, c_dense)
+            result = run(engine, schedule)
             self._absorb_trace_cache(engine)
-        return ExecutionReport(
-            result, settings, schedule, self.config, self.telemetry
-        )
+        return ExecutionReport(result, settings, schedule, self.config)
 
     # -- helpers -----------------------------------------------------------
 

@@ -113,13 +113,8 @@ class ControlProcessor:
         self,
         tiled: TiledMatrix,
         params: Optional[ScheduleParams] = None,
-        telemetry=None,
     ) -> Schedule:
-        """Assign tiles to PEs and group them into barrier epochs.
-
-        With a telemetry session, the schedule's shape (epochs, tiles,
-        nnz balance) is published as gauges so load imbalance is
-        observable before any cycle is simulated."""
+        """Assign tiles to PEs and group them into barrier epochs."""
         params = params or ScheduleParams()
         owner = {
             rp: rp % self.num_pes
@@ -141,23 +136,6 @@ class ControlProcessor:
                 epochs[0][owner[tile.row_panel_id]].append(tile)
         schedule = Schedule(self.num_pes, epochs, params)
         schedule.validate_row_panel_constraint()
-        if telemetry is not None and telemetry.metrics.enabled:
-            m = telemetry.metrics
-            m.gauge(
-                "spade_schedule_epochs", help="barrier epochs scheduled"
-            ).set(schedule.num_epochs)
-            m.gauge(
-                "spade_schedule_tiles", help="tiles assigned"
-            ).set(schedule.num_tiles)
-            m.gauge(
-                "spade_schedule_load_imbalance",
-                help="max/mean per-PE nonzeros",
-            ).set(schedule.load_imbalance())
-            nnz_hist = m.histogram(
-                "spade_schedule_pe_nnz", help="nonzeros assigned per PE"
-            )
-            for nnz in schedule.pe_nnz():
-                nnz_hist.observe(nnz)
         return schedule
 
     # -- instruction streams ------------------------------------------------

@@ -33,8 +33,6 @@ from repro.memory.stats import AccessStats
 from repro.obs.ledger import NULL_LEDGER
 from repro.resilience.checkpoint import CheckpointManager, checkpoint_fingerprint
 from repro.sparse.tiled import TiledMatrix, TileInfo
-from repro.telemetry import Telemetry
-from repro.telemetry.tracer import NULL_SPAN
 
 DEFAULT_CHUNK_NNZ = 4096
 """Interleaving granularity across PEs inside an epoch."""
@@ -54,6 +52,11 @@ class EngineResult:
     per_pe_time_ns: List[float]
     termination_ns: float
     dirty_lines_flushed: int
+    unit_stats: List[Tuple[str, str, Dict[str, int]]] = field(
+        default_factory=list
+    )
+    """Per-unit counters behind ``stats``, as ``(level, unit,
+    counters)`` rows (see :meth:`MemorySystem.unit_stats`)."""
 
     @property
     def compute_time_ns(self) -> float:
@@ -105,7 +108,6 @@ class Engine:
         address_map: AddressMap,
         policy: BypassPolicy,
         chunk_nnz: int = DEFAULT_CHUNK_NNZ,
-        telemetry: Optional[Telemetry] = None,
         chaos=None,
         ledger=None,
         trace_store=None,
@@ -117,17 +119,11 @@ class Engine:
         self.policy = policy
         self.chunk_nnz = max(1, chunk_nnz)
         self.memory = MemorySystem(config)
-        # Run-ledger session (off by default): attached to the memory
-        # system so the replay dispatch audit and the per-epoch phase
-        # timers below record into one correlated event stream.
+        # Run ledger (off by default), the one recorder: attached to the
+        # memory system so the replay dispatch audit, the epoch events
+        # and the host-phase spans below land in one event stream.
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         self.memory.ledger = self.ledger
-        # Telemetry session: a caller-provided one (SpadeSystem shares
-        # its session across runs) or a fresh one from the config.
-        self.telemetry = (
-            telemetry if telemetry is not None
-            else Telemetry(config.telemetry)
-        )
         self._chaos = chaos
         # Epoch checkpointing: snapshots land in resilience.checkpoint_dir
         # after every checkpoint_interval-th epoch; resumed_from_epoch
@@ -140,7 +136,6 @@ class Engine:
                 res.checkpoint_dir,
                 interval=res.checkpoint_interval,
                 fingerprint=checkpoint_fingerprint(config),
-                telemetry=self.telemetry,
                 chaos=chaos,
             )
         # Execution mode: "scalar" is the reference oracle end to end:
@@ -155,8 +150,8 @@ class Engine:
         self.execution = config.execution
         # Content-addressed trace cache: generated epoch traces are a
         # pure function of (workload, schedule/chunking, the config's
-        # gen-keyed fields) — cache geometry, replay backend, execution
-        # mode and telemetry do not enter the key.  Only the fused
+        # gen-keyed fields) — cache geometry, replay backend and
+        # execution mode do not enter the key.  Only the fused
         # (non-scalar) execution paths consult it; the scalar oracle
         # always generates live.
         self.trace_store = trace_store if self.execution != "scalar" else None
@@ -169,8 +164,7 @@ class Engine:
         }
         self.pes = [
             ProcessingElement(
-                i, config.pe, self.memory, init, address_map, policy,
-                telemetry=self.telemetry,
+                i, config.pe, self.memory, init, address_map, policy
             )
             for i in range(config.num_pes)
         ]
@@ -219,7 +213,6 @@ class Engine:
         term_ns, dirty = self._terminate()
         stats = self.memory.collect_stats()
         time_ns = sum(e.epoch_time_ns for e in epochs) + term_ns
-        self._publish_run(stats, time_ns, term_ns)
         return EngineResult(
             primitive=Primitive.SPMM,
             output_dense=d_accum.astype(np.float32),
@@ -231,6 +224,7 @@ class Engine:
             per_pe_time_ns=per_pe_time,
             termination_ns=term_ns,
             dirty_lines_flushed=dirty,
+            unit_stats=self.memory.unit_stats(),
         )
 
     def run_sddmm(
@@ -283,7 +277,6 @@ class Engine:
         term_ns, dirty = self._terminate()
         stats = self.memory.collect_stats()
         time_ns = sum(e.epoch_time_ns for e in epochs) + term_ns
-        self._publish_run(stats, time_ns, term_ns)
         return EngineResult(
             primitive=Primitive.SDDMM,
             output_dense=None,
@@ -295,6 +288,7 @@ class Engine:
             per_pe_time_ns=per_pe_time,
             termination_ns=term_ns,
             dirty_lines_flushed=dirty,
+            unit_stats=self.memory.unit_stats(),
         )
 
     # -- internals ------------------------------------------------------------
@@ -357,17 +351,16 @@ class Engine:
             # Host-side phase split (gen / merge / replay seconds)
             # accumulated by the epoch drivers when a ledger is attached.
             phase = [0.0, 0.0, 0.0] if self.ledger.enabled else None
-            fused_chunks = 0
-            with self.telemetry.tracer.span(
-                f"epoch[{epoch_idx}]", cat="epoch",
-                args={"epoch": epoch_idx},
+            fused_chunks, replay_runs = 0, []
+            with self.ledger.span(
+                f"epoch[{epoch_idx}]", cat="epoch", epoch=epoch_idx
             ):
                 if self.execution == "scalar":
                     self._run_epoch_serial(
                         cursors, gen_chunk, apply_chunk, phase
                     )
                 else:
-                    fused_chunks = self._run_epoch_phased(
+                    fused_chunks, replay_runs = self._run_epoch_phased(
                         cursors, gen_epoch, apply_chunk, phase, epoch_idx
                     )
             per_pe = [pe.counters for pe in self.pes]
@@ -379,7 +372,6 @@ class Engine:
             epoch_results.append(timing)
             for i, t in enumerate(timing.pe_times_ns):
                 per_pe_total[i] += t
-            self._record_epoch_telemetry(epoch_idx, timing, dram_lines)
             if phase is not None:
                 self.ledger.emit(
                     "epoch",
@@ -388,9 +380,12 @@ class Engine:
                     merge_s=phase[1],
                     replay_s=phase[2],
                     epoch_time_ns=float(timing.epoch_time_ns),
+                    bandwidth_time_ns=float(timing.bandwidth_time_ns),
                     dram_lines=int(dram_lines),
                     critical_pe=int(timing.critical_pe),
+                    total_requests=int(timing.total_requests),
                     fused_chunks=int(fused_chunks),
+                    replay_runs=replay_runs,
                 )
             if self._ckpt is not None and self._ckpt.should_write(
                 epoch_idx
@@ -505,8 +500,6 @@ class Engine:
         """
         if phase is None:
             phase = [0.0, 0.0, 0.0]
-        tracer = self.telemetry.tracer
-        trace_chunks = tracer.enabled and self.config.telemetry.trace_chunks
         chaos = self._chaos
         chunk_ordinal = self._chunk_ordinal
         perf_counter = time.perf_counter
@@ -521,25 +514,17 @@ class Engine:
                 tile, lo, hi = nxt
                 chunk_idx = chunk_ordinal[pe.pe_id]
                 chunk_ordinal[pe.pe_id] += 1
-                span = (
-                    tracer.span(
-                        "chunk", cat="replay", tid=pe.pe_id + 1,
-                        args={"nnz": hi - lo},
-                    )
-                    if trace_chunks else NULL_SPAN
-                )
                 try:
                     if chaos is not None:
                         chaos.worker_fault(
                             pe.pe_id, chunk_idx, backend=self.execution
                         )
                         chaos.replay_delay()
-                    with span:
-                        t0 = perf_counter()
-                        gen_chunk(pe, tile, lo, hi)
-                        t1 = perf_counter()
-                        apply_chunk(tile, lo, hi)
-                        phase[1] += perf_counter() - t1
+                    t0 = perf_counter()
+                    gen_chunk(pe, tile, lo, hi)
+                    t1 = perf_counter()
+                    apply_chunk(tile, lo, hi)
+                    phase[1] += perf_counter() - t1
                     phase[0] += t1 - t0
                 except SpadeError:
                     raise
@@ -629,14 +614,14 @@ class Engine:
         dispatch runs against the shared memory system in one
         ``MemorySystem.replay_epoch`` call and folds each run's service
         levels back into its PE's counters.
-        Returns the number of chunks generated at epoch grain (for the
-        ``spade_gen_fused_chunks`` satellite counter; 0 when the trace
-        store served the epoch).
+        Returns the number of chunks generated at epoch grain (0 when
+        the trace store served the epoch) and, with a ledger attached
+        under array replay, the epoch's dispatch runs as ``[pe,
+        accesses]`` pairs (else an empty list).
         """
         parts = self._collect_epoch_parts(cursors)
         num = len(self.pes)
         stats = self.trace_cache
-        m = self.telemetry.metrics
         entry = None
         key = None
         store = self.trace_store
@@ -653,15 +638,6 @@ class Engine:
             wall = time.perf_counter() - t0
             status = "hit" if entry is not None else "miss"
             stats["hits" if entry is not None else "misses"] += 1
-            if m.enabled:
-                name = (
-                    "spade_trace_cache_hits"
-                    if entry is not None
-                    else "spade_trace_cache_misses"
-                )
-                m.counter(
-                    name, help="trace-store probes by outcome"
-                ).inc()
             if self.ledger.enabled:
                 self.ledger.emit(
                     "trace_cache",
@@ -673,13 +649,6 @@ class Engine:
                 )
             if phase is not None:
                 phase[0] += wall
-
-        tracer = self.telemetry.tracer
-        trace_chunks = tracer.enabled and self.config.telemetry.trace_chunks
-        gen_hist = m.histogram(
-            "spade_gen_chunk_seconds",
-            help="wall-clock per-PE epoch trace-generation time",
-        )
 
         traces: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * num
         segs: List[Optional[List[Tuple[int, int]]]] = [None] * num
@@ -696,22 +665,15 @@ class Engine:
             # stays in the PE's own buffer (zero-copy views).
             for i, pe in enumerate(self.pes):
                 self._advance_chunks(i, len(parts[i]))
-                span = (
-                    tracer.span(
-                        "gen_epoch", cat="gen", tid=i + 1,
-                        args={"chunks": len(parts[i])},
-                    )
-                    if trace_chunks else NULL_SPAN
-                )
-                with span:
-                    t0 = time.perf_counter()
+                with self.ledger.span(
+                    "gen_epoch", cat="gen", pe=i, epoch=epoch_idx,
+                    chunks=len(parts[i]),
+                ) as span:
                     segs[i], payloads[i] = self._gen_pe_epoch(
                         i, pe, parts[i], gen_epoch, capture
                     )
-                    gen_s = time.perf_counter() - t0
-                gen_hist.observe(gen_s)
                 if phase is not None:
-                    phase[0] += gen_s
+                    phase[0] += span.dur_s
                 fused_chunks += len(parts[i])
                 if parts[i]:
                     stats["gen_invocations"] += 1
@@ -731,12 +693,6 @@ class Engine:
                         t0 = time.perf_counter()
                         apply_chunk(tile, lo, hi)
                         phase[1] += time.perf_counter() - t0
-                    elif trace_chunks:
-                        with tracer.span(
-                            "chunk", cat="replay", tid=i + 1,
-                            args={"nnz": hi - lo},
-                        ):
-                            apply_chunk(tile, lo, hi)
                     else:
                         apply_chunk(tile, lo, hi)
             except SpadeError:
@@ -764,8 +720,11 @@ class Engine:
                 f"{self.execution} execution failed while replaying "
                 f"epoch {epoch_idx}"
             ) from exc
+        runs = []
         if phase is not None:
             phase[2] += time.perf_counter() - t0
+            if self.config.replay != "scalar":
+                runs = [[i, int(ops.shape[0])] for i, _, ops in replay_runs]
         del replay_runs, levels
 
         if capture and all(
@@ -790,13 +749,7 @@ class Engine:
         for pe in self.pes:
             pe._trace.clear()
         stats["fused_chunks"] += fused_chunks
-        if m.enabled and fused_chunks:
-            m.counter(
-                "spade_gen_fused_chunks",
-                help="chunks whose trace was generated at epoch "
-                "grain",
-            ).inc(fused_chunks)
-        return fused_chunks
+        return fused_chunks, runs
 
     def _gen_pe_epoch(self, i, pe, parts_i, gen_epoch, capture):
         """Generate one PE's epoch trace; optionally capture the
@@ -858,7 +811,7 @@ class Engine:
         store: everything generation depends on (workload identity,
         schedule structure, chunking, the config's gen-keyed fields, op
         encodings) and nothing it does not (cache geometry, replay
-        backend, execution mode, telemetry); DESIGN.md section 9.A."""
+        backend, execution mode); DESIGN.md section 9.A."""
         import hashlib
 
         tiled = self.tiled
@@ -901,62 +854,16 @@ class Engine:
             ],
         }
 
-    def _record_epoch_telemetry(
-        self, epoch_idx: int, timing: EpochTiming, dram_lines: int
-    ) -> None:
-        """Per-epoch metrics: barrier waits and simulated-time facts."""
-        tel = self.telemetry
-        if not tel.enabled:
-            return
-        m = tel.metrics
-        m.counter(
-            "spade_epochs_total", help="barrier epochs executed"
-        ).inc()
-        wait_hist = m.histogram(
-            "spade_epoch_barrier_wait_ns",
-            help="per-PE simulated wait at each epoch barrier "
-            "(epoch time minus the PE's own time)",
-        )
-        for t in timing.pe_times_ns:
-            wait_hist.observe(timing.epoch_time_ns - t)
-        tel.tracer.instant(
-            f"barrier[{epoch_idx}]", cat="epoch",
-            args={
-                "epoch_time_ns": timing.epoch_time_ns,
-                "bandwidth_time_ns": timing.bandwidth_time_ns,
-                "critical_pe": timing.critical_pe,
-                "dram_lines": dram_lines,
-                "total_requests": timing.total_requests,
-            },
-        )
-
     def _terminate(self) -> Tuple[float, int]:
         """WB&Invalidate on every PE; returns (flush time, dirty lines)."""
         dirty = 0
-        with self.telemetry.tracer.span("wb_invalidate", cat="flush"):
+        with self.ledger.span("wb_invalidate", cat="flush"):
             for pe in self.pes:
                 pe.counters = PECounters()
                 dirty += pe.writeback_invalidate()
         # VRF drain stores count as DRAM/cache writes already; the flush
         # time models draining the dirty L1/BBF lines to memory.
         return flush_time_ns(dirty, self.config), dirty
-
-    def _publish_run(
-        self, stats: AccessStats, time_ns: float, term_ns: float
-    ) -> None:
-        """End-of-run metric snapshot: the memory hierarchy's counters
-        plus whole-run simulated-time gauges."""
-        m = self.telemetry.metrics
-        if not m.enabled:
-            return
-        self.memory.publish_metrics(m)
-        m.gauge(
-            "spade_run_time_ns", help="simulated kernel time"
-        ).set(time_ns)
-        m.gauge(
-            "spade_run_termination_ns",
-            help="simulated SPADE->CPU transition time",
-        ).set(term_ns)
 
     def _merged_counters(self) -> PECounters:
         merged = PECounters()

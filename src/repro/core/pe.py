@@ -40,7 +40,6 @@ from repro.memory.hierarchy import (
     ServiceLevel,
     encode_op,
 )
-from repro.telemetry import ensure
 
 _NUM_LEVELS = len(ServiceLevel)
 _OUT_VALS_PER_LINE = CACHE_LINE_BYTES // 4
@@ -112,7 +111,6 @@ class ProcessingElement:
         init: InitializationInstruction,
         address_map: AddressMap,
         policy: BypassPolicy,
-        telemetry=None,
     ) -> None:
         self.pe_id = pe_id
         self.config = config
@@ -133,16 +131,6 @@ class ProcessingElement:
         # trace here; the engine replays it and clears it per epoch.
         # The scalar executors below issue every access directly.
         self._trace = TraceBuffer()
-        # Replay-batch-size histogram, observed per replayed run under
-        # replay="array"; a disabled registry hands back a shared no-op
-        # instrument.
-        self._array_replay = memory.config.replay != "scalar"
-        self._telemetry = ensure(telemetry)
-        self._replay_batch_hist = self._telemetry.metrics.histogram(
-            "spade_replay_batch_accesses",
-            help="accesses per dispatch run replayed by the array backend",
-            pe=str(pe_id),
-        )
         self._op_sparse = encode_op(
             OP_STREAM if policy.sparse_stream_bypass else OP_DENSE,
             False, _R_SPARSE,
@@ -203,8 +191,6 @@ class ProcessingElement:
         """Fold one replayed dispatch run's per-access service levels
         into the counters (the epoch driver replays many runs in one
         call and hands each run's levels back here)."""
-        if self._array_replay:
-            self._replay_batch_hist.observe(ops.shape[0])
         writes = (ops & OP_WRITE) != 0
         sparse = (ops >> OP_REGION_SHIFT) == _R_SPARSE
         # One composite bincount instead of three masked ones: group by

@@ -43,7 +43,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, is_dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 SWEEP_SCHEMA_VERSION = 1
 """Bump when cell-function semantics change: invalidates every cached
@@ -218,7 +218,6 @@ class JobResult:
     source: str = "executed"
     attempt: int = 1
     wall_s: float = 0.0
-    worker_pid: Optional[int] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

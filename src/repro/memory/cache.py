@@ -170,18 +170,15 @@ class Cache:
         self.fills = state["fills"]
         self.flush_writebacks = state["flush_writebacks"]
 
-    def publish_metrics(self, registry, level: str, unit: str) -> None:
-        """Snapshot this cache's counters into a metrics registry as
-        ``spade_cache_*_total{level=,unit=}``.  Call once per run: the
-        counters are cumulative, so repeated publishing double-counts."""
-        for metric, value in (
-            ("spade_cache_hits_total", self.hits),
-            ("spade_cache_misses_total", self.misses),
-            ("spade_cache_writebacks_total", self.writebacks),
-            ("spade_cache_fills_total", self.fills),
-            ("spade_cache_flush_writebacks_total", self.flush_writebacks),
-        ):
-            registry.counter(metric, level=level, unit=unit).inc(value)
+    def counters(self) -> Dict[str, int]:
+        """This cache's cumulative counters, by name."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "writebacks": self.writebacks,
+            "fills": self.fills,
+            "flush_writebacks": self.flush_writebacks,
+        }
 
     def __repr__(self) -> str:
         return (

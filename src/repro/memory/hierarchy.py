@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ctypes
 from enum import IntEnum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -405,73 +405,27 @@ class MemorySystem:
 
     # -- statistics -----------------------------------------------------------
 
-    def publish_metrics(self, registry) -> None:
-        """Snapshot every live counter into a metrics registry.
-
-        Emits per-unit series (``spade_cache_*_total{level=,unit=}``,
-        STLB and BBF counters per unit, DRAM per direction, per-region
-        DRAM lines) plus the level aggregates
-        (``spade_level_{hits,misses,writebacks}_total{level=}``), which
-        are definitionally equal to :meth:`collect_stats` — the
-        telemetry golden test pins that equality.  Call once per run on
-        a registry that hasn't seen this system before.
-        """
-        if not registry.enabled:
-            return
-        for i, l1 in enumerate(self.l1s):
-            l1.publish_metrics(registry, level="l1", unit=f"pe{i}")
-        for g, l2 in enumerate(self.l2s):
-            l2.publish_metrics(registry, level="l2", unit=f"group{g}")
-        self.llc.publish_metrics(registry, level="llc", unit="llc")
+    def unit_stats(self) -> List[Tuple[str, str, Dict[str, int]]]:
+        """Every unit's live counters as ``(level, unit, counters)``
+        rows: the L1s, victim caches and BBF stream buffers per PE, the
+        L2s and STLBs per group, the LLC.  :meth:`collect_stats` is
+        their per-level sum; the metrics export reads both."""
+        rows = [
+            ("l1", f"pe{i}", l1.counters()) for i, l1 in enumerate(self.l1s)
+        ]
+        rows += [
+            ("l2", f"group{g}", l2.counters())
+            for g, l2 in enumerate(self.l2s)
+        ]
+        rows.append(("llc", "llc", self.llc.counters()))
         for i, bbf in enumerate(self.bbfs):
-            bbf.victim.publish_metrics(
-                registry, level="victim", unit=f"pe{i}"
-            )
-            unit = f"pe{i}"
-            registry.counter(
-                "spade_bbf_stream_hits_total", unit=unit
-            ).inc(bbf.stream.hits)
-            registry.counter(
-                "spade_bbf_stream_misses_total", unit=unit
-            ).inc(bbf.stream.misses)
-            registry.counter(
-                "spade_bbf_writebacks_total", unit=unit
-            ).inc(bbf.stream.writebacks)
-        for g, stlb in enumerate(self.stlbs):
-            unit = f"group{g}"
-            registry.counter(
-                "spade_stlb_hits_total", unit=unit
-            ).inc(stlb.hits)
-            registry.counter(
-                "spade_stlb_misses_total", unit=unit
-            ).inc(stlb.misses)
-        registry.counter("spade_dram_lines_total", op="read").inc(
-            self.dram.reads
-        )
-        registry.counter("spade_dram_lines_total", op="write").inc(
-            self.dram.writes
-        )
-        for region, lines in sorted(self._region_traffic.items()):
-            registry.counter(
-                "spade_dram_region_lines_total", region=region
-            ).inc(lines)
-        stats = self.collect_stats()
-        for level, s in (
-            ("l1", stats.l1), ("l2", stats.l2), ("llc", stats.llc),
-            ("victim", stats.victim), ("bbf_stream", stats.bbf_stream),
-        ):
-            registry.counter(
-                "spade_level_hits_total", level=level
-            ).inc(s.hits)
-            registry.counter(
-                "spade_level_misses_total", level=level
-            ).inc(s.misses)
-            registry.counter(
-                "spade_level_writebacks_total", level=level
-            ).inc(s.writebacks)
-        registry.counter("spade_flushed_dirty_lines_total").inc(
-            stats.flushed_dirty_lines
-        )
+            rows.append(("victim", f"pe{i}", bbf.victim.counters()))
+            rows.append(("bbf", f"pe{i}", bbf.stream.counters()))
+        rows += [
+            ("stlb", f"group{g}", stlb.counters())
+            for g, stlb in enumerate(self.stlbs)
+        ]
+        return rows
 
     def collect_stats(self) -> AccessStats:
         """Aggregate the live counters into one AccessStats snapshot."""

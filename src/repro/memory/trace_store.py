@@ -2,7 +2,7 @@
 
 A generated trace is a pure function of (workload identity, schedule
 structure, chunking, the config's gen-keyed fields, op encodings) —
-cache geometry, replay backend, execution mode and telemetry do *not*
+cache geometry, replay backend and execution mode do *not*
 enter the key, because the emitted access stream is identical across
 all of them.  Which config fields are gen-keyed is declared on the
 fields themselves (the key policy of DESIGN.md section 9.A); the

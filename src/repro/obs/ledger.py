@@ -21,9 +21,14 @@ Design points:
   ledger, and meaningless across ledgers by construction (cross-ledger
   ordering uses run ids, not clocks).
 - **Null object**: :data:`NULL_LEDGER` answers the same surface with
-  no-ops and ``enabled = False``, so instrumented code guards the
-  *argument build* with one attribute check and disabled runs write
-  zero events at unmeasurable cost.
+  no-ops and ``enabled = False`` (its ``span`` is one shared no-op),
+  so instrumented code guards the *argument build* with one attribute
+  check and disabled runs write zero events at unmeasurable cost.
+- **One stream**: the ledger is the only recorder.  Host phases are
+  ``span`` events (:meth:`RunLedger.span`); the Chrome trace, the
+  ``--profile`` table and the metrics are exports of the events plus
+  the values the simulator returns (:mod:`repro.obs.trace`,
+  :mod:`repro.obs.metrics`).
 
 Correlation ids: a run ledger derives ``run_id`` from entropy at open;
 sweep job shards reuse the job's sha256 content key (first 16 hex), so
@@ -66,6 +71,50 @@ def derive_run_id(*parts: str) -> str:
     return h.hexdigest()[:16]
 
 
+class _NullSpan:
+    """Shared no-op span handed out by the null ledger."""
+
+    __slots__ = ()
+
+    dur_s = 0.0
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        pass
+
+
+NULL_SPAN = _NullSpan()
+
+
+class _Span:
+    """Times one host phase; on exit emits one ``span`` event."""
+
+    __slots__ = ("ledger", "name", "fields", "start", "dur_s")
+
+    def __init__(self, ledger: "RunLedger", name: str, fields) -> None:
+        self.ledger = ledger
+        self.name = name
+        self.fields = fields
+        self.start = 0.0
+        self.dur_s = 0.0
+
+    def __enter__(self) -> "_Span":
+        self.start = time.monotonic()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.dur_s = time.monotonic() - self.start
+        self.ledger.emit(
+            "span",
+            name=self.name,
+            start_s=round(self.start - self.ledger._t0, 9),
+            dur_s=round(self.dur_s, 9),
+            **self.fields,
+        )
+
+
 class NullLedger:
     """Shared no-op ledger: the disabled path costs one attribute read."""
 
@@ -77,6 +126,12 @@ class NullLedger:
 
     def emit(self, etype: str, **fields: Any) -> None:
         pass
+
+    def span(self, name: str, **fields: Any) -> _NullSpan:
+        return NULL_SPAN
+
+    def events(self) -> List[Dict[str, Any]]:
+        return []
 
     def flush(self) -> None:
         pass
@@ -142,6 +197,13 @@ class RunLedger:
         if full:
             self.flush()
 
+    def span(self, name: str, **fields: Any) -> _Span:
+        """Context manager timing one host phase on the ledger's clock:
+        on exit it emits a ``span`` event with the phase's start
+        (``start_s``, seconds since the ledger opened) and duration
+        (``dur_s``), plus ``fields`` (``cat`` is required)."""
+        return _Span(self, name, fields)
+
     def append_raw(self, lines: Iterable[str]) -> None:
         """Append already-serialised event lines (shard merge path)."""
         with self._lock:
@@ -179,6 +241,11 @@ class RunLedger:
     @property
     def events_recorded(self) -> int:
         return self._events
+
+    def events(self) -> List[Dict[str, Any]]:
+        """Every event recorded so far, in order (flushes first)."""
+        self.flush()
+        return read_events(self.path) if self.path.exists() else []
 
     def summary(self) -> Dict[str, Any]:
         """Provenance cross-link: where the ledger is and what it holds.

@@ -25,6 +25,7 @@ _NUM = (int, float)
 _STR = (str,)
 _INT = (int,)
 _OPT_NUM = (int, float, type(None))
+_LIST = (list,)
 
 
 class LedgerSchemaError(ValueError):
@@ -53,9 +54,12 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         # slower).  Absent when no walk ran.  Never part of a key.
         "kernels": (_STR, False),
     },
-    # One per barrier epoch: host-side phase split + simulated facts.
-    # "fused_chunks" counts chunks generated at epoch grain (0 when the
-    # trace store served the epoch or the scalar oracle ran).
+    # One per barrier epoch: host-side phase split + simulated facts
+    # (the barrier: the epoch's time, its bandwidth bound, the critical
+    # PE and the requests issued).  "fused_chunks" counts chunks
+    # generated at epoch grain (0 when the trace store served the epoch
+    # or the scalar oracle ran); "replay_runs" lists each dispatch run
+    # the array backend replayed as [pe, accesses].
     "epoch": {
         "epoch": (_INT, True),
         "gen_s": (_NUM, True),
@@ -65,6 +69,25 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "dram_lines": (_INT, True),
         "critical_pe": (_INT, True),
         "fused_chunks": (_INT, False),
+        "bandwidth_time_ns": (_NUM, False),
+        "total_requests": (_INT, False),
+        "replay_runs": (_LIST, False),
+    },
+    # One timed host phase (RunLedger.span): kernel, schedule, epoch,
+    # per-PE trace generation ("pe" set), flush.  start_s is on the
+    # ledger's clock, like "t"; the other fields are the phase's
+    # arguments.
+    "span": {
+        "name": (_STR, True),
+        "cat": (_STR, True),
+        "start_s": (_NUM, True),
+        "dur_s": (_NUM, True),
+        "pe": (_INT, False),
+        "epoch": (_INT, False),
+        "chunks": (_INT, False),
+        "nnz": (_INT, False),
+        "k": (_INT, False),
+        "settings": (_STR, False),
     },
     # One per epoch when a content-addressed trace store is attached:
     # the store probe ("hit" | "miss") and, after a generated epoch is
@@ -252,7 +275,7 @@ def as_json_schema() -> Dict[str, Any]:
     def type_name(t: type) -> str:
         return {
             int: "integer", float: "number", str: "string",
-            bool: "boolean", type(None): "null",
+            bool: "boolean", type(None): "null", list: "array",
         }[t]
 
     branches = []

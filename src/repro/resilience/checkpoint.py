@@ -9,7 +9,7 @@ each of those to :class:`CheckpointError` and adds the one check of its
 own, the config fingerprint of the run that wrote the snapshot.
 
 The config fingerprint leaves out the not-keyed execution backend,
-replay mode, telemetry and resilience section (DESIGN.md section 9.A):
+replay mode and resilience section (DESIGN.md section 9.A):
 all backends are bit-identical, so a checkpoint written by a vectorized
 run is valid to resume under the scalar backend — which is exactly what
 the supervisor's degradation step needs.
@@ -24,7 +24,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.blobstore import BlobError, read_blob, write_blob
 from repro.errors import CheckpointError
 from repro.jobmodel import config_fingerprint, key_projection
-from repro.telemetry import ensure
 
 CHECKPOINT_FORMAT = "spade-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -49,7 +48,6 @@ class CheckpointManager:
         directory: str,
         interval: int = 1,
         fingerprint: Optional[str] = None,
-        telemetry=None,
         chaos=None,
     ) -> None:
         if interval < 1:
@@ -58,10 +56,6 @@ class CheckpointManager:
         self.interval = interval
         self.fingerprint = fingerprint
         self._chaos = chaos
-        self._written = ensure(telemetry).metrics.counter(
-            "spade_checkpoints_written",
-            help="epoch checkpoints successfully written",
-        )
         os.makedirs(directory, exist_ok=True)
 
     # -- writing ---------------------------------------------------------
@@ -89,7 +83,6 @@ class CheckpointManager:
             epoch=epoch_index, fingerprint=self.fingerprint,
             meta=meta or {},
         )
-        self._written.inc()
         if self._chaos is not None:
             self._chaos.on_checkpoint_written(path, epoch_index)
         return path

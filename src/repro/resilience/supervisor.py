@@ -7,10 +7,11 @@ protection, outermost first:
    once to the scalar oracle (``execution="scalar"``,
    ``replay="scalar"``).  All backend combinations are bit-identical,
    so degrading changes wall-clock time but never results; the step is
-   recorded in the ``spade_backend_degradations`` telemetry counter.
+   recorded as a ``degradation`` ledger event.
 2. **Bounded retry** — transient failures (worker exceptions, watchdog
    timeouts, I/O hiccups) are retried on the same rung up to
-   ``max_retries`` times with exponential backoff.  When a checkpoint
+   ``max_retries`` times with exponential backoff, each recorded as a
+   ``retry`` ledger event.  When a checkpoint
    directory is configured, retries resume from the latest snapshot
    instead of starting over.  Permanent failures (bad config, bad
    workload, corrupt-beyond-recovery checkpoints) are raised
@@ -40,8 +41,9 @@ from repro.errors import (
     WatchdogTimeout,
     WorkloadError,
 )
+from repro.jobmodel import config_fingerprint
 from repro.obs.ledger import NULL_LEDGER
-from repro.telemetry import ensure
+
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -85,7 +87,6 @@ class RunSupervisor:
     def __init__(
         self,
         resilience=None,
-        telemetry=None,
         chaos=None,
         sleep: Callable[[float], None] = time.sleep,
         ledger=None,
@@ -96,22 +97,12 @@ class RunSupervisor:
         from repro.config import ResilienceConfig
 
         self.resilience = resilience or ResilienceConfig()
-        self.telemetry = ensure(telemetry)
         self.chaos = chaos
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         # Content-addressed epoch-trace store, forwarded to every
         # attempt's system (the scalar rung ignores it by design).
         self.trace_store = trace_store
         self._sleep = sleep
-        metrics = self.telemetry.metrics
-        self._retries = metrics.counter(
-            "spade_run_retries",
-            help="supervised run attempts retried after transient errors",
-        )
-        self._degradations = metrics.counter(
-            "spade_backend_degradations",
-            help="execution-backend fallbacks taken by the supervisor",
-        )
         self.last_outcome: Optional[RunOutcome] = None
 
     # -- generic supervision --------------------------------------------
@@ -167,7 +158,6 @@ class RunSupervisor:
                 last_exc = exc
                 if attempt == res.max_retries:
                     break
-                self._retries.inc()
                 self.ledger.emit(
                     "retry",
                     attempt=attempt + 1,
@@ -238,8 +228,6 @@ class RunSupervisor:
         last_exc: Optional[BaseException] = None
 
         if self.ledger.enabled:
-            from repro.telemetry.provenance import config_fingerprint
-
             self.ledger.emit(
                 "run_start",
                 kernel=kernel,
@@ -253,7 +241,6 @@ class RunSupervisor:
         for rung, (backend, replay_mode) in enumerate(ladder):
             if rung > 0:
                 degradations += 1
-                self._degradations.inc()
                 self.ledger.emit(
                     "degradation",
                     from_execution=ladder[rung - 1][0],
@@ -280,7 +267,6 @@ class RunSupervisor:
                         kwargs["chunk_nnz"] = chunk_nnz
                     system = SpadeSystem(
                         config=cfg,
-                        telemetry=self.telemetry,
                         chaos=self.chaos,
                         ledger=self.ledger,
                         trace_store=self.trace_store,
@@ -300,7 +286,6 @@ class RunSupervisor:
                     if attempt == res.max_retries:
                         break  # next rung
                     retries += 1
-                    self._retries.inc()
                     backoff_s = self._backoff(attempt)
                     self.ledger.emit(
                         "retry",

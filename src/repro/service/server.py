@@ -26,9 +26,11 @@ Request path (``POST /v1/simulate``), cheapest exit first::
                      └─ pool.submit → await → 200 source="executed"
                                              (5xx on quarantine/failure)
 
-Every transition writes a ``service`` ledger event and bumps a
-``spade_service_*`` counter, so ``repro obs report`` can reconstruct
-the memo-hit ratio and the coalescing fan-in after the fact.
+Every transition writes a ``service`` ledger event, so ``repro obs
+report`` can reconstruct the memo-hit ratio and the coalescing fan-in
+after the fact; ``GET /metrics`` renders the ``spade_service_*``
+series from :meth:`SimulationService.stats`, where each is counted
+once.
 
 Routes: ``POST /v1/simulate``, ``POST /v1/sweep`` (a grid body fans
 out through the same per-key path), ``GET /healthz``, ``GET
@@ -69,7 +71,6 @@ from repro.service.simulate import (
     to_plain,
 )
 from repro.sweep.cache import ResultCache
-from repro.telemetry import ensure
 
 SERVICE_SCHEMA_VERSION = 1
 MAX_BODY_BYTES = 1 << 20  # a request is a small JSON object
@@ -105,7 +106,6 @@ class SimulationService:
         cache: ResultCache,
         pool: ServicePool,
         policy: Optional[AdmissionPolicy] = None,
-        telemetry=None,
         ledger=None,
         clock=None,
     ) -> None:
@@ -114,28 +114,6 @@ class SimulationService:
         self.admission = AdmissionController(policy, clock=clock)
         self.coalescer = Coalescer()
         self.ledger = ledger if ledger is not None else NULL_LEDGER
-        self.telemetry = ensure(telemetry)
-        metrics = self.telemetry.metrics
-        self._m_requests = metrics.counter(
-            "spade_service_requests",
-            help="simulation requests received",
-        )
-        self._m_memo = metrics.counter(
-            "spade_service_memo_hits",
-            help="requests answered from the result cache without queuing",
-        )
-        self._m_coalesced = metrics.counter(
-            "spade_service_coalesced",
-            help="requests attached to an already-in-flight execution",
-        )
-        self._m_rejected = metrics.counter(
-            "spade_service_rejected",
-            help="requests refused by admission control (429/503)",
-        )
-        self._m_served = metrics.counter(
-            "spade_service_served",
-            help="requests answered successfully (any source)",
-        )
         self.requests = 0
         self.memo_hits = 0
         self.served = 0
@@ -144,7 +122,6 @@ class SimulationService:
 
     def begin(self, body: Any) -> Union[Reply, PendingReply]:
         self.requests += 1
-        self._m_requests.inc()
         t0 = time.perf_counter()
         tenant = DEFAULT_TENANT
         priority = "interactive"
@@ -169,7 +146,6 @@ class SimulationService:
         hit, value = self.cache.get(key)
         if hit:
             self.memo_hits += 1
-            self._m_memo.inc()
             return self._serve(
                 Outcome(key, point, tenant, "memo", value, 1, t0)
             )
@@ -177,7 +153,6 @@ class SimulationService:
         if not is_leader:
             # Coalesced: charged quota (popularity is not free) but no
             # queue slot (the execution is already accounted for).
-            self._m_coalesced.inc()
             self._emit("coalesced", key=key, tenant=tenant,
                        priority=priority)
             decision = self.admission.admit(
@@ -244,7 +219,6 @@ class SimulationService:
     def _serve(self, outcome: "Outcome") -> Reply:
         wall_s = time.perf_counter() - outcome.t0
         self.served += 1
-        self._m_served.inc()
         self._emit(
             "served", key=outcome.key, tenant=outcome.tenant,
             source=outcome.source, wall_s=round(wall_s, 6),
@@ -278,7 +252,6 @@ class SimulationService:
 
     def _reject(self, key: str, tenant: str, priority: str,
                 decision) -> Reply:
-        self._m_rejected.inc()
         self._emit(
             "rejected", key=key, tenant=tenant, priority=priority,
             code=decision.code, reason=decision.reason,
@@ -492,9 +465,9 @@ class ServiceServer:
     def _metrics_reply(self) -> Reply:
         # /metrics must be Prometheus text, not JSON; the sentinel
         # payload key makes _handle emit the body verbatim.
-        from repro.telemetry import to_prometheus
+        from repro.obs import service_metrics, to_prometheus
 
-        text = to_prometheus(self.service.telemetry.metrics)
+        text = to_prometheus(service_metrics(self.service.stats()))
         return Reply(200, {"__raw_text__": text})
 
     async def _simulate(self, body: Any) -> Reply:

@@ -62,7 +62,6 @@ from repro.obs.ledger import (
 )
 from repro.sweep.cache import ResultCache
 from repro.sweep.lease import heartbeat_path, open_leases
-from repro.telemetry import ensure
 
 _PRIORITY_RANK = {"interactive": 0, "batch": 1}
 
@@ -153,10 +152,10 @@ class _LeaseHeartbeat(threading.Thread):
         self._halt.set()
 
 
-def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any, int]:
+def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any]:
     """Run one job attempt (in a worker process or inline).
 
-    Returns ``(index, ok, value_or_message, pid)``; exceptions are
+    Returns ``(index, ok, value_or_message)``; exceptions are
     folded into strings so a failed job cannot poison the pool's result
     pipe with an unpicklable traceback object.  When the pool carries a
     ledger, each job writes its lifecycle events to a private shard file
@@ -228,7 +227,7 @@ def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any, int]:
         ledger.close()
     if heartbeat is not None:
         heartbeat.stop()
-    return index, ok, value, pid
+    return index, ok, value
 
 
 def _worker_main(conn) -> None:
@@ -322,7 +321,6 @@ class ServicePool:
         self,
         cache: Optional[ResultCache],
         workers: int = 2,
-        telemetry=None,
         ledger=None,
         chaos=None,
         max_attempts: int = 3,
@@ -344,27 +342,6 @@ class ServicePool:
         self._shard_dir = (
             str(open_shard_dir(self.ledger)) if self.ledger.enabled
             else None
-        )
-        metrics = ensure(telemetry).metrics
-        self._m_executed = metrics.counter(
-            "spade_service_executions",
-            help="simulations executed by the service pool",
-        )
-        self._m_requeued = metrics.counter(
-            "spade_service_requeued",
-            help="service jobs requeued after their worker died",
-        )
-        self._m_quarantined = metrics.counter(
-            "spade_service_quarantined",
-            help="poison service jobs quarantined after attempt exhaustion",
-        )
-        self._m_restarted = metrics.counter(
-            "spade_service_workers_restarted",
-            help="service pool workers replaced after dying",
-        )
-        self._m_depth = metrics.gauge(
-            "spade_service_queue_depth",
-            help="service jobs waiting for a worker",
         )
         self._ctx = _pool_context()
         self._lock = threading.Lock()
@@ -531,7 +508,6 @@ class ServicePool:
             if sub is None:
                 break
             self._dispatch(worker, sub)
-        self._m_depth.set(len(self._heap))
 
     def _next_runnable(self) -> Optional[_Submission]:
         """Pop the next job that holds (or just won) its lease.
@@ -551,7 +527,14 @@ class ServicePool:
             if self.leases is not None:
                 manifest = self.leases.is_quarantined(key)
                 if manifest is not None:
+                    # Quarantined by an earlier run or a peer runner.
                     self.quarantined += 1
+                    attempts = manifest.get("attempts")
+                    self._emit(
+                        sub, "quarantined",
+                        str(manifest.get("error", "quarantined")),
+                        attempts if isinstance(attempts, int) else None,
+                    )
                     self._settle(sub, ServiceQuarantined(
                         key,
                         f"quarantined: {manifest.get('error', 'unknown')}",
@@ -701,11 +684,11 @@ class ServicePool:
             sub.future.set_result(outcome)
 
     def _finish(self, sub: _Submission,
-                result: Tuple[int, bool, Any, int]) -> None:
+                result: Tuple[int, bool, Any]) -> None:
         """The outcome order: publish, release, merge, resolve.  Peers
         that win the freed claim find the result instead of executing,
         and whoever the future wakes finds the job in the ledger."""
-        _, ok, value, pid = result
+        _, ok, value = result
         key = sub.spec.key
         outcome: Any
         if ok:
@@ -713,10 +696,9 @@ class ServicePool:
                 self.cache.put(key, value)
             self._release(key)
             self.executed += 1
-            self._m_executed.inc()
             outcome = JobResult(
                 key=key, value=value, source="executed",
-                attempt=sub.attempt, worker_pid=pid,
+                attempt=sub.attempt,
             )
         else:
             self._release(key)
@@ -753,7 +735,6 @@ class ServicePool:
             self._poison(sub, error)
             return
         self.requeued += 1
-        self._m_requeued.inc()
         self._emit(sub, "requeued", error, next_attempt)
         heapq.heappush(self._heap, sub)
 
@@ -773,12 +754,11 @@ class ServicePool:
                 "error": error,
             })
         self.quarantined += 1
-        self._m_quarantined.inc()
         self._emit(sub, "quarantined", error, executed)
         self._settle(sub, ServiceQuarantined(key, error, manifest_path))
 
     def _emit(self, sub: _Submission, status: str, error: str,
-              attempt: int) -> None:
+              attempt: Optional[int]) -> None:
         if self.ledger.enabled:
             self.ledger.emit(
                 "sweep_job",
@@ -788,14 +768,13 @@ class ServicePool:
                 driver=sub.driver,
                 error=error,
                 pid=os.getpid(),
-                attempt=attempt,
+                **({} if attempt is None else {"attempt": attempt}),
             )
 
     def _replace(self, worker: _Worker) -> None:
         worker.retire()
         self._pool[self._pool.index(worker)] = _Worker(self._ctx)
         self.restarted += 1
-        self._m_restarted.inc()
 
     # -- shutdown --------------------------------------------------------
 
@@ -856,4 +835,5 @@ class ServicePool:
             "requeued": self.requeued,
             "quarantined": self.quarantined,
             "failed": self.failed,
+            "restarted": self.restarted,
         }

@@ -18,29 +18,28 @@ section 9) rests on three facts:
    fingerprint, workload fingerprint) — a cache hit *is* the serial
    result.
 
-``map_grid`` probes the cache and the quarantine manifests first, then
-runs the remaining jobs as one pool batch (in the calling process when
-``jobs=1``).  The pool claims each job's lease at dispatch, requeues a
-job whose worker died, and quarantines a job whose attempts exhaust
-``max_attempts``: under ``keep_going`` a quarantined or failed cell
-becomes a ``None`` hole and the rest of the grid completes; otherwise
-the sweep fails with one :class:`~repro.errors.SweepJobError` after the
-batch (completed work still lands in the cache).  ``shard=(i, N)`` runs
-the same grid concurrently from N processes or hosts sharing one
-cache+lease directory: each runner executes the keys it wins, waits for
-keys a live peer holds, and reclaims stale leases from dead peers —
-every runner returns the complete grid-order result list.  See
+``map_grid`` probes the cache first, then runs the remaining jobs as
+one pool batch (in the calling process when ``jobs=1``).  The pool
+skips a job a quarantine manifest already names, claims each job's
+lease at dispatch, requeues a job whose worker died, and quarantines a
+job whose attempts exhaust ``max_attempts``: under ``keep_going`` a
+quarantined or failed cell becomes a ``None`` hole and the rest of the
+grid completes; otherwise the sweep fails with one
+:class:`~repro.errors.SweepJobError` after the batch (completed work
+still lands in the cache).  ``shard=(i, N)`` runs the same grid
+concurrently from N processes or hosts sharing one cache+lease
+directory: each runner executes the keys it wins, waits for keys a
+live peer holds, and reclaims stale leases from dead peers — every
+runner returns the complete grid-order result list.  See
 DESIGN.md section 13.
 
-Progress is published through the telemetry registry:
-``spade_sweep_jobs_{completed,cached,failed,requeued,quarantined}``
-counters, ``spade_sweep_workers_restarted``, and the
-``spade_sweep_queue_depth`` gauge.
+Progress is counted once, in :class:`SweepReport`; the
+``spade_sweep_*`` metrics are derived from it
+(:func:`repro.obs.metrics.sweep_metrics`).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,7 +50,6 @@ from repro.jobmodel import JobSpec, build_jobs
 from repro.sweep.cache import ResultCache
 from repro.sweep.lease import open_leases
 from repro.sweep.pool import ServicePool, ServiceQuarantined
-from repro.telemetry import ensure
 
 
 @dataclass
@@ -64,6 +62,8 @@ class SweepReport:
     failed: int = 0
     requeued: int = 0
     quarantined: int = 0
+    restarted: int = 0
+    """Pool workers replaced after dying."""
 
     @property
     def executed_fraction(self) -> float:
@@ -80,6 +80,7 @@ class SweepReport:
         self.failed += other.failed
         self.requeued += other.requeued
         self.quarantined += other.quarantined
+        self.restarted += other.restarted
 
     def summary(self) -> str:
         text = (
@@ -103,7 +104,6 @@ class _GridRun:
     report: SweepReport
     results: Dict[int, Any] = field(default_factory=dict)
     failures: List[Tuple[Tuple, str]] = field(default_factory=list)
-    worker_pids: Dict[int, int] = field(default_factory=dict)
 
 
 class SweepRunner:
@@ -114,7 +114,6 @@ class SweepRunner:
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        telemetry=None,
         resilience=None,
         ledger=None,
         chaos=None,
@@ -163,37 +162,7 @@ class SweepRunner:
             lease_dir = cache.default_lease_dir()
         self.leases = open_leases(lease_dir, ttl_s=lease_ttl_s)
         self.ledger = ledger if ledger is not None else NULL_LEDGER
-        self.telemetry = ensure(telemetry)
         self.report = SweepReport()
-        metrics = self.telemetry.metrics
-        self._completed = metrics.counter(
-            "spade_sweep_jobs_completed",
-            help="sweep jobs executed by a worker",
-        )
-        self._cached = metrics.counter(
-            "spade_sweep_jobs_cached",
-            help="sweep jobs served from the result cache",
-        )
-        self._failed = metrics.counter(
-            "spade_sweep_jobs_failed",
-            help="sweep jobs that raised in a worker",
-        )
-        self._requeued = metrics.counter(
-            "spade_sweep_jobs_requeued",
-            help="sweep jobs requeued after their worker died",
-        )
-        self._quarantined = metrics.counter(
-            "spade_sweep_jobs_quarantined",
-            help="poison sweep jobs quarantined after attempt exhaustion",
-        )
-        self._workers_restarted = metrics.counter(
-            "spade_sweep_workers_restarted",
-            help="sweep pool workers replaced after dying",
-        )
-        self._queue_depth = metrics.gauge(
-            "spade_sweep_queue_depth",
-            help="sweep jobs waiting for a worker",
-        )
 
     # -- policy ----------------------------------------------------------
 
@@ -234,13 +203,7 @@ class SweepRunner:
                 if hit:
                     self._note_cached(run, spec, value)
                     continue
-            if self.leases is not None:
-                manifest = self.leases.is_quarantined(spec.key)
-                if manifest is not None:
-                    self._note_quarantine_manifest(run, spec, manifest)
-                    continue
             pending.append(spec)
-        self._queue_depth.set(len(pending))
 
         if pending:
             if self.shard is not None:
@@ -270,17 +233,7 @@ class SweepRunner:
             for spec, future in zip(pending, futures):
                 self._note_outcome(run, spec, future)
             run.report.requeued += pool.requeued
-            self._requeued.inc(pool.requeued)
-            self._workers_restarted.inc(pool.restarted)
-            tracer = getattr(self.telemetry, "tracer", None)
-            if tracer is not None:
-                for sort_index, pid in enumerate(sorted(run.worker_pids)):
-                    tracer.set_process_name(
-                        pid,
-                        f"sweep worker {pid}",
-                        sort_index=sort_index + 1,
-                    )
-        self._queue_depth.set(0)
+            run.report.restarted += pool.restarted
 
         self.report.merge(run.report)
         if run.failures and not self.keep_going:
@@ -300,28 +253,23 @@ class SweepRunner:
                 self._note_cached(run, spec, result.value)
                 return
             run.results[spec.index] = result.value
-            run.worker_pids.setdefault(result.worker_pid, spec.index)
             run.report.completed += 1
-            self._completed.inc()
         elif isinstance(exc, ServiceQuarantined):
             if exc.manifest is not None:
-                # A peer (or an earlier run) quarantined it meanwhile.
+                # A peer (or an earlier run) quarantined it.
                 self._note_quarantine_manifest(run, spec, exc.manifest)
                 return
             run.report.quarantined += 1
-            self._quarantined.inc()
             if not self.keep_going:
                 run.failures.append((spec.point, str(exc)))
         else:
             run.report.failed += 1
-            self._failed.inc()
             if not self.keep_going:
                 run.failures.append((spec.point, exc.error))
 
     def _note_cached(self, run: _GridRun, spec: JobSpec, value: Any) -> None:
         run.results[spec.index] = value
         run.report.cached += 1
-        self._cached.inc()
         self.ledger.emit(
             "cache_hit", index=spec.index, key=spec.key, driver=run.driver
         )
@@ -329,23 +277,11 @@ class SweepRunner:
     def _note_quarantine_manifest(
         self, run: _GridRun, spec: JobSpec, manifest: Dict[str, Any]
     ) -> None:
-        """A quarantine manifest written by us or a peer runner: skip
-        the job, surfacing it per the keep-going policy."""
+        """A quarantine manifest written by an earlier run or a peer
+        runner (the pool recorded its ``sweep_job`` event): skip the
+        job, surfacing it per the keep-going policy."""
         error = str(manifest.get("error", "quarantined"))
-        attempts = manifest.get("attempts")
         run.report.quarantined += 1
-        self._quarantined.inc()
-        event: Dict[str, Any] = dict(
-            index=spec.index,
-            status="quarantined",
-            key=spec.key,
-            driver=run.driver,
-            error=error,
-            pid=os.getpid(),
-        )
-        if isinstance(attempts, int):
-            event["attempt"] = attempts
-        self.ledger.emit("sweep_job", **event)
         if not self.keep_going:
             owner = manifest.get("owner", "unknown")
             run.failures.append((

@@ -96,7 +96,7 @@ class TestTelemetryFlags:
         assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
         # The run manifest rides along in otherData.
-        from repro.telemetry import validate_manifest
+        from repro.obs import validate_manifest
 
         validate_manifest(doc["otherData"]["manifest"])
         names = {e["name"] for e in doc["traceEvents"]}
@@ -134,7 +134,7 @@ class TestTelemetryFlags:
     def test_manifest_out(self, tmp_path):
         import json
 
-        from repro.telemetry import validate_manifest
+        from repro.obs import validate_manifest
 
         manifest = tmp_path / "manifest.json"
         assert main(self.RUN + ["--manifest-out", str(manifest)]) == 0
@@ -149,17 +149,37 @@ class TestTelemetryFlags:
         assert "hottest phases" in out
         assert "spmm" in out and "total ms" in out
 
-    def test_trace_chunks_adds_replay_spans(self, tmp_path):
+    def test_trace_has_per_pe_gen_spans_and_barriers(self, tmp_path):
         import json
 
-        trace = tmp_path / "chunks.trace.json"
-        code = main(self.RUN + [
-            "--trace", str(trace), "--trace-chunks",
-        ])
-        assert code == 0
-        doc = json.loads(trace.read_text())
-        cats = {e.get("cat") for e in doc["traceEvents"]}
-        assert "replay" in cats
+        trace = tmp_path / "run.trace.json"
+        assert main(self.RUN + ["--trace", str(trace)]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        spans = {(e["cat"], e["name"]) for e in events if e["ph"] == "X"}
+        assert {
+            ("kernel", "spmm"), ("schedule", "build_schedule"),
+            ("epoch", "epoch[0]"), ("flush", "wb_invalidate"),
+        } <= spans
+        gen = [e for e in events if e.get("cat") == "gen"]
+        # One generation span per PE, each on its PE's track.
+        assert sorted(e["tid"] for e in gen) == [1, 2]
+        barriers = [e for e in events if e["ph"] == "i"]
+        epochs = [e for e in events if e.get("cat") == "epoch"
+                  and e["ph"] == "X"]
+        assert len(barriers) == len(epochs) >= 1
+        assert all("epoch_time_ns" in b["args"] for b in barriers)
+
+    def test_exports_without_ledger_leave_no_recording(
+        self, tmp_path, monkeypatch
+    ):
+        # The exports record into a temporary ledger that is removed.
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        trace = tmp_path / "run.trace.json"
+        assert main(self.RUN + ["--trace", str(trace), "--profile"]) == 0
+        assert trace.exists()
+        assert not list(tmp_path.glob("repro-ledger-*"))
 
     def test_suite_trace(self, tmp_path, capsys):
         import json
@@ -198,11 +218,22 @@ class TestErrorPaths:
         assert "error:" in err
         assert ".yaml" in err and ".json" in err
 
-    def test_trace_chunks_without_trace(self, capsys):
-        assert main(self.RUN + ["--trace-chunks"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "--trace-chunks requires --trace" in err
+    def test_failed_run_still_writes_its_ledger(self, tmp_path, capsys):
+        from repro.obs import iter_ledger_files, read_events
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(self.RUN + ["--checkpoint-dir", ckpt]) == 0
+        # Resuming another matrix's snapshot is a permanent error.
+        ledger_dir = tmp_path / "ledger"
+        code = main([
+            "run", "--matrix", "KRO", "--scale", "tiny", "--pes", "2",
+            "--k", "16", "--checkpoint-dir", ckpt, "--resume",
+            "--ledger", str(ledger_dir),
+        ])
+        assert code == 2
+        assert "does not match this run" in capsys.readouterr().err
+        (path,) = iter_ledger_files([ledger_dir])
+        assert read_events(path)[0]["e"] == "run_start"
 
     def test_unknown_suite_benchmark(self, capsys):
         code = main([
@@ -283,7 +314,7 @@ class TestSweepFlags:
 
     def test_telemetry_flags_force_live_run(self, tmp_path, capsys):
         """A cache hit would skip the simulation the trace observes, so
-        telemetry flags bypass the sweep path."""
+        export flags bypass the sweep path."""
         import json
 
         cache = str(tmp_path / "cache")

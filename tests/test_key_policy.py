@@ -17,6 +17,12 @@ config, reads its scope off the markers and perturbs it:
 - a not-keyed leaf leaves the checkpoint and environment fingerprints
   unchanged and the results bit-identical; any other leaf changes the
   fingerprints.
+
+The two scaled-down workloads are DRAM-bandwidth-bound, so no PE
+timing field can move their facts; a third, on its own base with 32x
+the DRAM bandwidth, is PE-bound in both of its epochs — issue-bound in
+the first, dense-load-latency-bound in the second — so the timing
+fields are exercised too.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import BenchEnvironment
 from repro.config import scaled_config
-from repro.core.accelerator import SpadeSystem
+from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.vrf import VectorRegisterFile
 from repro.errors import ConfigError
 from repro.jobmodel import (
@@ -42,6 +48,7 @@ from repro.jobmodel import (
 from repro.memory.trace_store import TraceStore
 from repro.resilience import checkpoint_fingerprint
 from repro.service.simulate import request_point, run_jobspec
+from repro.sparse.coo import COOMatrix
 from repro.sparse.generators import rmat_graph, uniform_random
 from tests.test_sweep_properties import env_perturbations, make_env
 
@@ -60,6 +67,34 @@ def _spmm_rmat():
     a = rmat_graph(scale=8, seed=5)
     b = np.random.default_rng(0).random((a.num_cols, 32), dtype=np.float32)
     return a, b
+
+
+def _spmm_pe_bound(system):
+    """Two barrier epochs, one per 128-column panel.  The first panel
+    holds ~50 nonzeros a row, so each fetched dense line feeds many vOps
+    and issue sets the PE's time; the second holds ~2 a row, so dense
+    load latency does."""
+    dense = uniform_random(128, 128, nnz=8000, seed=3)
+    sparse = uniform_random(128, 128, nnz=300, seed=4)
+    a = COOMatrix(
+        128, 256,
+        np.concatenate([dense.r_ids, sparse.r_ids]),
+        np.concatenate([dense.c_ids, sparse.c_ids + 128]),
+        np.concatenate([dense.vals, sparse.vals]),
+    )
+    b = np.random.default_rng(0).random((a.num_cols, 128), dtype=np.float32)
+    return system.spmm(a, b, settings=KernelSettings(
+        col_panel_size=128, use_barriers=True
+    ))
+
+
+def _pe_bound(config):
+    """The PE-bound workload's base: 32x the DRAM bandwidth, so the
+    slowest PE, not DRAM, sets every epoch's time."""
+    memory = config.memory
+    return dataclasses.replace(config, memory=dataclasses.replace(
+        memory, dram_achievable_gbps=32 * memory.dram_achievable_gbps
+    ))
 
 
 class TestKeyPins:
@@ -96,16 +131,23 @@ class TestKeyPins:
 
 BASE = scaled_config(4, cache_shrink=8)
 
+def _same(config):
+    return config
+
+
+# name -> (the workload's base, derived from a config; the kernel run)
 WORKLOADS = {
-    "sddmm-uniform": lambda system: system.sddmm(*_sddmm_uniform()),
-    "spmm-rmat": lambda system: system.spmm(*_spmm_rmat()),
+    "sddmm-uniform": (
+        _same, lambda system: system.sddmm(*_sddmm_uniform())
+    ),
+    "spmm-rmat": (_same, lambda system: system.spmm(*_spmm_rmat())),
+    "spmm-pe-bound": (_pe_bound, _spmm_pe_bound),
 }
 
 # Perturbations the config only accepts together with another change,
 # itself in the same (not-keyed) scope.
 COMPANIONS = {
     ("resilience", "resume"): ("resilience", "checkpoint_dir"),
-    ("telemetry", "trace_chunks"): ("telemetry", "trace"),
 }
 
 
@@ -187,13 +229,14 @@ def _observe(config, store_dir):
     """Per workload: the trace-store entries ``{key: bytes}`` a run
     writes and the facts it computes."""
     out = {}
-    for name, run in WORKLOADS.items():
+    for name, (base, run) in WORKLOADS.items():
         store = TraceStore(store_dir / name)
-        run_config = config
+        run_config = base(config)
         ckpt_dir = config.resilience.checkpoint_dir
         if ckpt_dir is not None:  # one snapshot directory per run
             run_config = _replace(
-                config, ("resilience", "checkpoint_dir"), f"{ckpt_dir}-{name}"
+                run_config, ("resilience", "checkpoint_dir"),
+                f"{ckpt_dir}-{name}",
             )
         report = run(
             SpadeSystem(run_config, chunk_nnz=CHUNK_NNZ, trace_store=store)
@@ -227,6 +270,27 @@ def _ids(leaves):
 
 
 class TestExclusionLemma:
+    def test_pe_bound_workload_stays_pe_bound(self):
+        base, run = WORKLOADS["spmm-pe-bound"]
+        config = base(BASE)
+        report = run(SpadeSystem(config, chunk_nnz=CHUNK_NNZ))
+        timings = report.result.epoch_timings
+        assert len(timings) == 2
+        for timing in timings:
+            assert max(timing.pe_times_ns) > timing.bandwidth_time_ns
+        # The first epoch is issue-bound (the PE clock moves it), the
+        # second latency-bound (the DRAM latency moves it).
+        for path in (("pe", "frequency_ghz"), ("memory", "dram_latency_ns")):
+            halved = _replace(config, path, _get(config, path) / 2)
+            epochs = run(
+                SpadeSystem(halved, chunk_nnz=CHUNK_NNZ)
+            ).result.epoch_timings
+            moved = [
+                a.epoch_time_ns != b.epoch_time_ns
+                for a, b in zip(epochs, timings)
+            ]
+            assert moved == [path[0] == "pe", path[0] == "memory"], path
+
     @pytest.mark.parametrize(
         "path,scope", CONFIG_LEAVES, ids=_ids(CONFIG_LEAVES)
     )

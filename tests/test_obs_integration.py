@@ -16,9 +16,8 @@ from repro.obs import NULL_LEDGER, RunLedger, open_run_ledger, read_events
 from repro.obs.schema import DISPATCH_LEVELS
 from repro.resilience import ChaosConfig, ChaosMonkey, RunSupervisor
 from repro.sparse.generators import uniform_random
+from repro.obs import chrome_trace, run_manifest
 from repro.sweep import SweepRunner, open_cache
-from repro.telemetry import Telemetry
-from repro.telemetry.provenance import run_manifest
 
 
 @pytest.fixture(scope="module")
@@ -326,12 +325,11 @@ class TestSweepLedger:
         assert "negative point" in failed[0]["error"]
 
     def test_worker_process_metadata_in_trace(self, tmp_path):
-        from repro.config import TelemetryConfig
-
-        telemetry = Telemetry(TelemetryConfig(trace=True))
-        runner = SweepRunner(jobs=2, telemetry=telemetry)
+        ledger = RunLedger(tmp_path / "run-p.jsonl", run_id="procs")
+        runner = SweepRunner(jobs=2, ledger=ledger)
         runner.map_grid("t", None, _sweep_cell, [(1,), (2,), (3,)])
-        chrome = telemetry.tracer.to_chrome()
+        ledger.close()
+        chrome = chrome_trace(ledger.events())
         names = [
             e for e in chrome["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"

@@ -68,6 +68,10 @@ def _ev(etype="run_start", **overrides):
             "cache": "l1[0]", "level": "l1", "events": 500,
             "chosen": "native", "measured_us": 95.0,
         },
+        "span": {
+            "name": "gen_epoch", "cat": "gen", "start_s": 0.05,
+            "dur_s": 0.04, "pe": 3, "epoch": 0, "chunks": 2,
+        },
     }[etype]
     ev = dict(base)
     ev.update({"e": etype, "t": 0.1, "run": "a" * 16})

@@ -375,19 +375,16 @@ class TestKillAndResume:
     def test_checkpoints_written_counter(
         self, tmp_path, workload, base_config, golden
     ):
-        from repro.config import TelemetryConfig
-        from repro.telemetry import Telemetry
+        from repro.obs import RunLedger, run_metrics
 
         a, b, _ = workload
-        cfg = dataclasses.replace(
-            self._with_resilience(
-                base_config, "scalar", checkpoint_dir=str(tmp_path)
-            ),
-            telemetry=TelemetryConfig(metrics=True),
+        cfg = self._with_resilience(
+            base_config, "scalar", checkpoint_dir=str(tmp_path / "ckpt")
         )
-        telemetry = Telemetry(cfg.telemetry)
-        SpadeSystem(cfg, telemetry=telemetry).spmm(
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        report = SpadeSystem(cfg, ledger=ledger).spmm(
             a, b, settings=MULTI_EPOCH_SETTINGS
         )
-        written = telemetry.metrics.counter("spade_checkpoints_written")
+        metrics = run_metrics(report, ledger.events())
+        written = metrics.counter("spade_checkpoints_written")
         assert written.value == len(golden.result.epoch_timings)

@@ -9,11 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import (
-    ResilienceConfig,
-    TelemetryConfig,
-    scaled_config,
-)
+from repro.config import ResilienceConfig, scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.errors import (
     ConfigError,
@@ -28,8 +24,8 @@ from repro.resilience import (
     InjectedFault,
     RunSupervisor,
 )
+from repro.obs import RunLedger, run_metrics
 from repro.sparse.generators import rmat_graph
-from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +46,11 @@ def scalar_oracle(workload, base_config):
     return SpadeSystem(base_config, execution="scalar").spmm(a, b)
 
 
-def make_supervisor(sleeps=None, chaos=None, telemetry=None, **res):
+def make_supervisor(sleeps=None, chaos=None, ledger=None, **res):
     recorded = [] if sleeps is None else sleeps
     return RunSupervisor(
         resilience=ResilienceConfig(**res),
-        telemetry=telemetry,
+        ledger=ledger,
         chaos=chaos,
         sleep=recorded.append,
     )
@@ -103,10 +99,10 @@ class TestRetryPolicy:
                 sup.call(fails)
             assert len(calls) == 1
 
-    def test_retry_counter_lands_in_telemetry(self):
-        telemetry = Telemetry(TelemetryConfig(metrics=True))
+    def test_retry_counter_lands_in_telemetry(self, tmp_path):
+        ledger = RunLedger(tmp_path / "run.jsonl")
         sup = make_supervisor(
-            telemetry=telemetry, max_retries=1, backoff_base_s=0.0
+            ledger=ledger, max_retries=1, backoff_base_s=0.0
         )
         calls = []
 
@@ -117,7 +113,8 @@ class TestRetryPolicy:
             return "ok"
 
         sup.call(flaky)
-        assert telemetry.metrics.counter("spade_run_retries").value == 1
+        metrics = run_metrics(events=ledger.events())
+        assert metrics.counter("spade_run_retries").value == 1
 
 
 class TestWatchdog:
@@ -151,15 +148,15 @@ class TestDegradationLadder:
         ) == (("vectorized", "array"), ("scalar", "scalar"))
 
     def test_vectorized_faults_degrade_to_scalar(
-        self, workload, base_config, scalar_oracle
+        self, workload, base_config, scalar_oracle, tmp_path
     ):
         a, b = workload
-        telemetry = Telemetry(TelemetryConfig(metrics=True))
+        ledger = RunLedger(tmp_path / "run.jsonl")
         monkey = ChaosMonkey(
             ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
         )
         sup = make_supervisor(
-            chaos=monkey, telemetry=telemetry,
+            chaos=monkey, ledger=ledger,
             max_retries=1, backoff_base_s=0.0,
         )
         cfg = dataclasses.replace(base_config, execution="vectorized")
@@ -174,7 +171,7 @@ class TestDegradationLadder:
         assert outcome.retries == 1
         np.testing.assert_array_equal(report.output, scalar_oracle.output)
         assert report.time_ns == scalar_oracle.time_ns
-        m = telemetry.metrics
+        m = run_metrics(report, ledger.events())
         assert m.counter("spade_backend_degradations").value == 1
         assert m.counter("spade_run_retries").value == 1
 

@@ -262,15 +262,9 @@ class TestConcurrentHttpEndToEnd:
 
 class TestHttpSurface:
     def test_health_stats_metrics_and_rejections(self, tmp_path):
-        from repro.config import TelemetryConfig
-        from repro.telemetry import Telemetry
-
         cache = ResultCache(str(tmp_path / "cache"))
-        telemetry = Telemetry(TelemetryConfig(metrics=True))
-        pool = ServicePool(cache, workers=1, telemetry=telemetry)
-        service = SimulationService(
-            cache, pool, policy=GENEROUS, telemetry=telemetry
-        )
+        pool = ServicePool(cache, workers=1)
+        service = SimulationService(cache, pool, policy=GENEROUS)
         server = ServiceServer(service, port=0)
         server.start_background()
         client = ServiceClient(port=server.port)

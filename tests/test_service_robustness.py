@@ -196,3 +196,50 @@ class TestPoolDirect:
             assert info.value.manifest_path
         finally:
             pool.close()
+
+
+class TestQuarantineFoundOnDisk:
+    def test_counted_once_in_stats_metrics_and_ledger(self, tmp_path):
+        """A key quarantined before the pool started (by an earlier run
+        or a peer): ``/v1/stats``, ``GET /metrics`` and the ledger each
+        report that one quarantine exactly once."""
+        from repro.service.client import ServiceClient
+        from repro.service.server import ServiceServer
+        from repro.sweep.lease import LeaseManager
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        key = run_jobspec(request_point(POINT_ARGS)).key
+        LeaseManager(cache.default_lease_dir(), ttl_s=30.0).quarantine(
+            key, {"driver": "serve", "index": 0, "attempts": 3,
+                  "error": "worker died"},
+        )
+        ledger = RunLedger(
+            tmp_path / "ledger" / "svc.jsonl", run_id="svc-found"
+        )
+        pool = ServicePool(cache, workers=1, ledger=ledger)
+        service = SimulationService(
+            cache, pool, policy=GENEROUS, ledger=ledger
+        )
+        server = ServiceServer(service, port=0)
+        server.start_background()
+        client = ServiceClient(port=server.port)
+        try:
+            status, payload, _ = client.request(
+                "POST", "/v1/simulate", dict(POINT_ARGS)
+            )
+            assert status == 503 and payload["quarantine_manifest"]
+            assert client.stats()["pool"]["quarantined"] == 1
+            assert "spade_service_quarantined 1" in (
+                client.metrics_text().splitlines()
+            )
+            quarantined = [
+                e for e in ledger.events()
+                if e["e"] == "sweep_job" and e["status"] == "quarantined"
+            ]
+            assert len(quarantined) == 1
+            assert quarantined[0]["key"] == key
+            assert quarantined[0]["attempt"] == 3
+        finally:
+            server.stop()
+            pool.close()
+            ledger.close()

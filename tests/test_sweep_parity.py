@@ -18,10 +18,8 @@ from repro.bench import fig09, table5
 # lane (-m "not slow") skips them, tier-1 still runs everything.
 pytestmark = pytest.mark.slow
 from repro.bench.harness import BenchEnvironment, write_bench_json
-from repro.config import TelemetryConfig
 from repro.sweep import SweepRunner, open_cache
-from repro.telemetry import Telemetry
-from repro.telemetry.provenance import diff_manifests
+from repro.obs import diff_manifests, sweep_metrics
 
 TINY_ENV = BenchEnvironment(
     scale="tiny", num_pes=2, opt_mode="quick",
@@ -59,11 +57,11 @@ class TestSerialParallelParity:
     def test_telemetry_counters_match(self, module):
         counts = {}
         for jobs in (1, 4):
-            telemetry = Telemetry(TelemetryConfig(metrics=True))
-            sweep = SweepRunner(jobs=jobs, telemetry=telemetry)
+            sweep = SweepRunner(jobs=jobs)
             run_driver(module, sweep=sweep)
+            metrics = sweep_metrics(sweep.report)
             counts[jobs] = {
-                name: telemetry.metrics.value(name)
+                name: metrics.value(name)
                 for name in (
                     "spade_sweep_jobs_completed",
                     "spade_sweep_jobs_cached",

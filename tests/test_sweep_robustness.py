@@ -21,8 +21,7 @@ from repro.obs.ledger import read_events
 from repro.resilience import ChaosConfig
 from repro.sweep import SweepRunner, build_jobs, open_cache
 from repro.sweep.lease import LeaseManager
-from repro.telemetry import Telemetry
-from repro.config import TelemetryConfig
+from repro.obs import sweep_metrics
 
 POINTS = [(i,) for i in range(6)]
 
@@ -45,12 +44,8 @@ def _slow_cell(env, point):
     return {"value": x * 10}
 
 
-def _telemetry():
-    return Telemetry(TelemetryConfig(metrics=True))
-
-
-def _counter_value(telemetry, name):
-    return telemetry.metrics.value(name)
+def _counter_value(runner, name):
+    return sweep_metrics(runner.report).value(name)
 
 
 FRONTENDS = ("map_grid", "submit")
@@ -110,11 +105,9 @@ class TestWorkerDeathRecovery:
         # results are byte-identical to a serial run.
         serial = [_square_cell(None, p) for p in POINTS]
         chaos = ChaosConfig(sweep_kills=((2, 1),))
-        telemetry = _telemetry()
         runner = SweepRunner(
             jobs=2,
             cache=open_cache(str(tmp_path / "cache")),
-            telemetry=telemetry,
             chaos=chaos,
         )
         results = runner.map_grid("rb", None, _square_cell, POINTS)
@@ -123,10 +116,10 @@ class TestWorkerDeathRecovery:
         assert runner.report.requeued == 1
         assert runner.report.quarantined == 0
         assert _counter_value(
-            telemetry, "spade_sweep_jobs_requeued"
+            runner, "spade_sweep_jobs_requeued"
         ) == 1
         assert _counter_value(
-            telemetry, "spade_sweep_workers_restarted"
+            runner, "spade_sweep_workers_restarted"
         ) >= 1
 
     def test_multiple_kills_still_converge(self, tmp_path):
@@ -188,12 +181,10 @@ class TestQuarantine:
         # it must be quarantined, the rest of the grid completes and
         # caches, and manifest + counter record it.
         chaos = ChaosConfig(sweep_kills=((1, 1), (1, 2), (1, 3)))
-        telemetry = _telemetry()
         cache_dir = str(tmp_path / "cache")
         runner = SweepRunner(
             jobs=2,
             cache=open_cache(cache_dir),
-            telemetry=telemetry,
             chaos=chaos,
             max_attempts=3,
             keep_going=True,
@@ -206,7 +197,7 @@ class TestQuarantine:
         assert runner.report.completed == 5
         assert runner.report.requeued == 2  # attempts 2 and 3 requeued
         assert _counter_value(
-            telemetry, "spade_sweep_jobs_quarantined"
+            runner, "spade_sweep_jobs_quarantined"
         ) == 1
         # Machine-readable manifest in the lease directory.
         leases = LeaseManager(

@@ -1,13 +1,13 @@
-"""Golden agreement: telemetry metrics vs EngineResult/AccessStats.
+"""Golden agreement: exported metrics vs EngineResult/AccessStats.
 
-The metrics registry is a *second reporting channel* for the same
-counters the engine already returns.  These tests pin the contract that
-the two channels agree exactly — per level, per DRAM direction, per
-region — in BOTH replay modes, and that the default (telemetry off)
-leaves the report bit-identical to an untelemetered run.  Test ids name
-the replay by how the engine drives it: ``scalar`` (one call per
-access) or ``batched`` (each epoch's traces in one call,
-``replay="array"``).
+The metrics are a *view* (:func:`repro.obs.run_metrics`) of what the
+engine returns plus what its run ledger recorded.  These tests pin the
+contract that the view agrees exactly with the report — per level, per
+unit, per DRAM direction, per region — in BOTH replay modes, that the
+trace export covers the run, and that the default (no ledger) leaves
+the report bit-identical to a recorded run.  Test ids name the replay
+mode: ``scalar`` (one oracle call per dispatch run) or ``batched``
+(``replay="array"``: each epoch's runs in one call).
 """
 
 from __future__ import annotations
@@ -17,33 +17,39 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import TelemetryConfig, scaled_config
+from repro.config import scaled_config
 from repro.core.accelerator import SpadeSystem
+from repro.obs import NULL_LEDGER, RunLedger, chrome_trace, run_metrics
 from repro.sparse.generators import rmat_graph
 
 LEVELS = ("l1", "l2", "llc", "victim", "bbf_stream")
 
 
-def run_traced(replay: str, telemetry: TelemetryConfig):
+def run_traced(replay: str, ledger=None):
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=8),
         replay="array" if replay == "batched" else replay,
-        telemetry=telemetry,
     )
-    system = SpadeSystem(cfg)
+    system = SpadeSystem(cfg, ledger=ledger)
     a = rmat_graph(scale=7, edge_factor=8, seed=99)
     rng = np.random.default_rng(2024)
     b = rng.random((a.num_cols, 16), dtype=np.float32)
     return system, system.spmm(a, b)
 
 
+def run_recorded(replay: str, tmp_path):
+    """A run recorded into a ledger; returns its metrics, its events
+    and the report."""
+    ledger = RunLedger(tmp_path / f"{replay}.jsonl")
+    _, report = run_traced(replay, ledger)
+    events = ledger.events()
+    return run_metrics(report, events), events, report
+
+
 @pytest.mark.parametrize("replay", ["scalar", "batched"])
 class TestMetricsMatchStats:
-    def test_level_counters_equal_access_stats(self, replay):
-        system, report = run_traced(
-            replay, TelemetryConfig(metrics=True)
-        )
-        m = system.telemetry.metrics
+    def test_level_counters_equal_access_stats(self, replay, tmp_path):
+        m, _, report = run_recorded(replay, tmp_path)
         stats = report.result.stats
         for level in LEVELS:
             s = getattr(stats, level)
@@ -57,11 +63,8 @@ class TestMetricsMatchStats:
                 "spade_level_writebacks_total", level=level
             ) == s.writebacks, level
 
-    def test_per_unit_counters_sum_to_aggregates(self, replay):
-        system, report = run_traced(
-            replay, TelemetryConfig(metrics=True)
-        )
-        m = system.telemetry.metrics
+    def test_per_unit_counters_sum_to_aggregates(self, replay, tmp_path):
+        m, _, report = run_recorded(replay, tmp_path)
         stats = report.result.stats
         # Per-PE L1 series sum to the l1 aggregate.
         assert m.total(
@@ -80,11 +83,8 @@ class TestMetricsMatchStats:
             "spade_stlb_misses_total"
         ) == stats.stlb_misses
 
-    def test_dram_and_region_counters(self, replay):
-        system, report = run_traced(
-            replay, TelemetryConfig(metrics=True)
-        )
-        m = system.telemetry.metrics
+    def test_dram_and_region_counters(self, replay, tmp_path):
+        m, _, report = run_recorded(replay, tmp_path)
         stats = report.result.stats
         assert m.value(
             "spade_dram_lines_total", op="read"
@@ -101,11 +101,8 @@ class TestMetricsMatchStats:
             "spade_flushed_dirty_lines_total"
         ) == stats.flushed_dirty_lines
 
-    def test_run_gauges_and_epochs(self, replay):
-        system, report = run_traced(
-            replay, TelemetryConfig(metrics=True)
-        )
-        m = system.telemetry.metrics
+    def test_run_gauges_and_epochs(self, replay, tmp_path):
+        m, _, report = run_recorded(replay, tmp_path)
         result = report.result
         assert m.value("spade_epochs_total") == len(result.epoch_timings)
         assert m.value(
@@ -115,17 +112,15 @@ class TestMetricsMatchStats:
         assert m.value(
             "spade_run_termination_ns"
         ) == result.termination_ns
-        # Schedule-shape gauges published by the CPE.
+        # Schedule-shape gauges, read off the report's schedule.
         assert m.value(
             "spade_schedule_epochs"
         ) == report.schedule.num_epochs
         assert m.value("spade_schedule_tiles") > 0
 
-    def test_trace_spans_cover_the_run(self, replay):
-        system, report = run_traced(
-            replay, TelemetryConfig(metrics=True, trace=True)
-        )
-        events = system.telemetry.tracer.events
+    def test_trace_spans_cover_the_run(self, replay, tmp_path):
+        _, recorded, report = run_recorded(replay, tmp_path)
+        events = chrome_trace(recorded)["traceEvents"]
         names = {e["name"] for e in events}
         assert "spmm" in names
         assert "build_schedule" in names
@@ -147,16 +142,16 @@ class TestMetricsMatchStats:
 
 
 class TestReplayBatchHistogram:
-    def test_populated_only_in_batched_mode(self):
-        sys_s, _ = run_traced("scalar", TelemetryConfig(metrics=True))
-        sys_b, _ = run_traced("batched", TelemetryConfig(metrics=True))
+    def test_populated_only_in_batched_mode(self, tmp_path):
+        m_s, _, _ = run_recorded("scalar", tmp_path)
+        m_b, _, _ = run_recorded("batched", tmp_path)
         scalar_obs = sum(
             s.value
-            for s in sys_s.telemetry.metrics.samples()
+            for s in m_s.samples()
             if s.name == "spade_replay_batch_accesses"
         )
         batched = [
-            s for s in sys_b.telemetry.metrics.samples()
+            s for s in m_b.samples()
             if s.name == "spade_replay_batch_accesses"
         ]
         assert scalar_obs == 0  # observed under array replay only
@@ -164,15 +159,17 @@ class TestReplayBatchHistogram:
 
 
 class TestDisabledByDefault:
-    def test_default_config_records_nothing(self):
-        system, report = run_traced("batched", TelemetryConfig())
-        assert not system.telemetry.enabled
-        assert len(system.telemetry.metrics) == 0
-        assert system.telemetry.tracer.events == []
-        # ...and the measured result is identical to a metered run.
-        sys_on, rep_on = run_traced(
-            "batched", TelemetryConfig(metrics=True, trace=True)
+    def test_default_config_records_nothing(self, tmp_path):
+        system, report = run_traced("batched")
+        assert system.ledger is None  # the engine records into NULL_LEDGER
+        assert NULL_LEDGER.events() == []
+        assert all(
+            s.value == 0
+            for s in run_metrics(events=NULL_LEDGER.events()).samples()
         )
+        assert chrome_trace(NULL_LEDGER.events())["traceEvents"] == []
+        # ...and the measured result is identical to a recorded run.
+        _, _, rep_on = run_recorded("batched", tmp_path)
         assert report.result.time_ns == rep_on.result.time_ns
         assert dataclasses.asdict(
             report.result.stats

@@ -4,15 +4,8 @@ import json
 
 import pytest
 
-from repro.telemetry import (
-    NULL_INSTRUMENT,
-    MetricsRegistry,
-    to_csv,
-    to_json,
-    to_prometheus,
-    write_metrics,
-)
-from repro.telemetry.registry import Histogram
+from repro.obs.exporters import to_csv, to_json, to_prometheus, write_metrics
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestLabelSemantics:
@@ -61,31 +54,6 @@ class TestLabelSemantics:
 
     def test_value_of_unregistered_is_zero(self):
         assert MetricsRegistry().value("nope", level="l1") == 0.0
-
-
-class TestDisabledMode:
-    def test_all_kinds_return_the_shared_null_instrument(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a", level="l1") is NULL_INSTRUMENT
-        assert reg.gauge("b") is NULL_INSTRUMENT
-        assert reg.histogram("c", pe="3") is NULL_INSTRUMENT
-        # Identity across distinct names/labels: nothing is allocated.
-        assert reg.counter("a") is reg.counter("zzz", any="label")
-
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("a").inc(100)
-        reg.gauge("b").set(5)
-        reg.histogram("c").observe(7)
-        assert len(reg) == 0
-        assert list(reg.samples()) == []
-        assert reg.as_dict()["metrics"] == []
-
-    def test_null_instrument_is_inert(self):
-        NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.set(9)
-        NULL_INSTRUMENT.observe(3.5)
-        assert NULL_INSTRUMENT.value == 0.0
 
 
 class TestInstruments:
@@ -178,7 +146,7 @@ class TestExporters:
         assert "\n\nnext" not in text  # no literal newline inside a value
 
     def test_prometheus_escape_round_trips(self):
-        from repro.telemetry.exporters import _prom_escape
+        from repro.obs.exporters import _prom_escape
 
         assert _prom_escape('a"b') == 'a\\"b'
         assert _prom_escape("a\\b") == "a\\\\b"

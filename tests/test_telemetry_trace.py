@@ -1,46 +1,52 @@
-"""Tracer (Chrome trace-event JSON) and provenance manifest tests."""
+"""Trace export (Chrome trace-event JSON), the profile table, ledger
+spans and provenance manifest tests."""
 
 import json
 
 import pytest
 
 from repro.config import scaled_config
-from repro.telemetry import (
+from repro.jobmodel import config_fingerprint
+from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
-    NULL_SPAN,
-    EventTracer,
-    config_fingerprint,
+    NULL_LEDGER,
+    RunLedger,
+    chrome_trace,
     diff_manifests,
+    format_profile,
+    profile,
     run_manifest,
     stamp,
     validate_manifest,
+    write_trace,
 )
+from repro.obs.ledger import NULL_SPAN
 
 
-class FakeClock:
-    """Deterministic perf_counter stand-in (seconds)."""
-
-    def __init__(self):
-        self.t = 100.0
-
-    def advance(self, seconds):
-        self.t += seconds
-
-    def __call__(self):
-        return self.t
-
-
-@pytest.fixture()
-def clock():
-    return FakeClock()
+def span(name, cat, start_s, dur_s, **fields):
+    """A recorded ``span`` event, as RunLedger.span writes it."""
+    return {
+        "e": "span", "t": start_s + dur_s, "run": "r" * 16,
+        "name": name, "cat": cat, "start_s": start_s, "dur_s": dur_s,
+        **fields,
+    }
 
 
 class TestTracer:
-    def test_span_records_complete_event(self, clock):
-        tr = EventTracer(clock=clock)
-        with tr.span("epoch[0]", cat="epoch", tid=3, args={"epoch": 0}):
-            clock.advance(0.002)
-        (e,) = tr.events
+    def test_ledger_span_records_start_and_duration(self, tmp_path):
+        ledger = RunLedger(tmp_path / "run.jsonl", validate=True)
+        with ledger.span("epoch[0]", cat="epoch", epoch=0) as sp:
+            pass
+        (e,) = ledger.events()
+        assert e["e"] == "span" and e["name"] == "epoch[0]"
+        assert e["epoch"] == 0
+        assert e["dur_s"] == pytest.approx(sp.dur_s, abs=1e-9)
+        assert 0 <= e["start_s"] <= e["t"]
+
+    def test_span_records_complete_event(self):
+        (e,) = chrome_trace(
+            [span("epoch[0]", "epoch", 0.0, 0.002, pe=2, epoch=0)]
+        )["traceEvents"][1:]
         assert e["ph"] == "X"
         assert e["name"] == "epoch[0]"
         assert e["cat"] == "epoch"
@@ -49,30 +55,34 @@ class TestTracer:
         assert e["dur"] == pytest.approx(2000.0)  # 2 ms in us
         assert e["args"] == {"epoch": 0}
 
-    def test_instant_event(self, clock):
-        tr = EventTracer(clock=clock)
-        clock.advance(0.001)
-        tr.instant("barrier[0]", cat="epoch", args={"critical_pe": 2})
-        (e,) = tr.events
+    def test_instant_event(self):
+        epoch = {
+            "e": "epoch", "t": 0.001, "run": "r" * 16, "epoch": 0,
+            "gen_s": 0.0, "merge_s": 0.0, "replay_s": 0.0,
+            "epoch_time_ns": 10.0, "dram_lines": 1, "critical_pe": 2,
+        }
+        (e,) = chrome_trace([epoch])["traceEvents"]
+        assert e["name"] == "barrier[0]"
         assert e["ph"] == "i" and e["s"] == "t"
         assert e["ts"] == pytest.approx(1000.0)
+        assert e["args"]["critical_pe"] == 2
 
-    def test_disabled_tracer_shares_null_span(self, clock):
-        tr = EventTracer(enabled=False, clock=clock)
-        assert tr.span("x") is NULL_SPAN
-        with tr.span("x"):
+    def test_disabled_tracer_shares_null_span(self):
+        assert NULL_LEDGER.span("x") is NULL_SPAN
+        assert NULL_LEDGER.span("y", cat="gen", pe=1) is NULL_SPAN
+        with NULL_LEDGER.span("x"):
             pass
-        tr.instant("y")
-        tr.set_thread_name(1, "pe1")
-        assert tr.events == []
-        assert tr.to_chrome()["traceEvents"] == []
+        assert NULL_LEDGER.events() == []
+        assert chrome_trace(NULL_LEDGER.events())["traceEvents"] == []
 
-    def test_chrome_trace_schema(self, clock, tmp_path):
-        tr = EventTracer(clock=clock)
-        tr.set_thread_name(1, "pe0")
-        with tr.span("kernel", cat="kernel", args={"nnz": 9}):
-            clock.advance(0.01)
-        path = tr.write(tmp_path / "t.json", metadata={"note": "hi"})
+    def test_chrome_trace_schema(self, tmp_path):
+        events = [
+            span("gen_epoch", "gen", 0.0, 0.001, pe=0, chunks=1),
+            span("kernel", "kernel", 0.0, 0.01, nnz=9),
+        ]
+        path = write_trace(
+            tmp_path / "t.json", events, metadata={"note": "hi"}
+        )
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"] == {"note": "hi"}
@@ -86,28 +96,24 @@ class TestTracer:
             if e["ph"] == "X":
                 assert e["dur"] >= 0 and e["ts"] >= 0
 
-    def test_profile_aggregates_by_cat_and_name(self, clock):
-        tr = EventTracer(clock=clock)
-        for dur in (0.001, 0.003):
-            with tr.span("chunk", cat="replay"):
-                clock.advance(dur)
-        with tr.span("epoch[0]", cat="epoch"):
-            clock.advance(0.01)
-        rows = tr.profile()
+    def test_profile_aggregates_by_cat_and_name(self):
+        events = [
+            span("chunk", "replay", 0.0, 0.001),
+            span("chunk", "replay", 0.001, 0.003),
+            span("epoch[0]", "epoch", 0.004, 0.01),
+        ]
+        rows = profile(events)
         assert [r.name for r in rows] == ["epoch[0]", "chunk"]
         chunk = rows[1]
         assert chunk.count == 2
         assert chunk.total_us == pytest.approx(4000.0)
         assert chunk.max_us == pytest.approx(3000.0)
         assert chunk.mean_us == pytest.approx(2000.0)
-        assert tr.profile(top_n=1)[0].name == "epoch[0]"
+        assert profile(events, top_n=1)[0].name == "epoch[0]"
 
-    def test_format_profile(self, clock):
-        tr = EventTracer(clock=clock)
-        assert tr.format_profile() == "(no spans recorded)"
-        with tr.span("kernel", cat="kernel"):
-            clock.advance(0.005)
-        text = tr.format_profile()
+    def test_format_profile(self):
+        assert format_profile([]) == "(no spans recorded)"
+        text = format_profile([span("kernel", "kernel", 0.0, 0.005)])
         assert "phase" in text and "kernel" in text and "total ms" in text
 
 

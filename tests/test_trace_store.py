@@ -151,7 +151,7 @@ class TestVrfWalkInvariance:
         self, tmp_path, monkeypatch
     ):
         from repro import native
-        from repro.telemetry.provenance import config_fingerprint
+        from repro.jobmodel import config_fingerprint
 
         if native.vrf_epoch_kernel() is None:
             pytest.skip("compiled VRF walk unavailable")
