@@ -187,10 +187,11 @@ class ObsConfig:
 
 REPLAY_MODES = ("scalar", "array")
 """Trace-replay backends.  ``scalar`` is the per-access reference oracle
-(one ``MemorySystem`` call per access); ``array`` walks each cache level
-once per epoch over its event stream, through the compiled cache walk or
-its Python twin (:mod:`repro.memory.replay_array`), bit-identical to the
-oracle on all counters and cache state (tests/test_replay_array_parity.py).
+(one ``MemorySystem`` call per access); ``array`` replays each epoch in
+one compiled call that walks each cache once over its event stream, or
+without the compiled library the oracle run by run
+(:mod:`repro.memory.replay_array`), bit-identical to the oracle on all
+counters and cache state (tests/test_replay_array_parity.py).
 The name ``array`` is kept from the NumPy solver it replaced, so config
 fingerprints and stored sweep and service entries stay valid."""
 

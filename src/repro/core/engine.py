@@ -143,8 +143,8 @@ class Engine:
         # straight through MemorySystem.dense_access/stream_access, so
         # the replay mode has no effect.  "vectorized" derives each PE's
         # epoch trace with NumPy and the compiled VRF walk, then replays
-        # the epoch through the replay backend: "array" in one call, one
-        # compiled cache walk per cache level (its Python twin without
+        # the epoch through the replay backend: "array" in one compiled
+        # call for the whole hierarchy (the oracle run by run without
         # gcc); "scalar" one per-access oracle call per dispatch run.
         # Every combination gives bit-identical results.
         self.execution = config.execution

@@ -4,15 +4,13 @@ Used for PE L1Ds, shared L2s, the sliced LLC, and the BBF victim cache;
 as a single set (:func:`fully_associative`) it is also the BBF stream
 buffer and the STLB.  Operates on cache-line indices (not byte
 addresses); the state is one insertion-ordered dict per set, and
-:meth:`Cache.access` is the scalar oracle that the compiled cache walk
-(``repro/native/cache_walk.c``) transcribes.
+:meth:`Cache.access` is the scalar oracle that the compiled epoch
+replay's cache walk (``repro/native/replay_epoch.c``) transcribes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.config import CACHE_LINE_BYTES, CacheConfig
 
@@ -23,21 +21,6 @@ def fully_associative(entries: int) -> CacheConfig:
     return CacheConfig(
         size_bytes=entries * CACHE_LINE_BYTES, associativity=entries
     )
-
-
-def rle_starts(lines: np.ndarray) -> np.ndarray:
-    """Indices where a run of consecutive equal values begins.
-
-    Consecutive repeat accesses to one line are guaranteed hits that
-    leave the line at MRU, so only the first access of each run can
-    change cache state; the repeats contribute hit counts (and their
-    dirty bits OR into the run) without being replayed.
-    """
-    n = lines.shape[0]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
 
 
 class Cache:

@@ -90,9 +90,9 @@ _malloc_trim = _load_malloc_trim()
 def _release_heap() -> None:
     """Return freed heap pages to the OS.  Replaying an epoch at once
     allocates tens of MB of mid-sized temporaries (the concatenated
-    trace, each level's emission buffers, the per-path position gathers
-    and the run-order merges), which glibc keeps in the heap after
-    they are freed.  Trimming once per epoch keeps peak RSS down: on
+    trace, and inside the compiled replay each level's emission buffers,
+    the per-path positions and the run-order merges), which glibc keeps
+    in the heap after they are freed.  Trimming once per epoch keeps peak RSS down: on
     perfbench's engine-spmm-rmat workload (2-vCPU x86-64 host), 286-287
     MB with the trim against 296-297 MB without it."""
     if _malloc_trim is not None:
@@ -255,29 +255,6 @@ class MemorySystem:
             pe_id, line, is_write=is_write, bypass=False, region=region
         )
 
-    def _dram_many(
-        self,
-        region_ids: np.ndarray,
-        table: Sequence[Optional[str]],
-        write: bool,
-    ) -> None:
-        """Count one DRAM line transfer (a write or a read) per entry of
-        ``region_ids``, attributed to the regions they index in
-        ``table``."""
-        k = region_ids.shape[0]
-        if k == 0:
-            return
-        if write:
-            self.dram.writes += k
-        else:
-            self.dram.reads += k
-        traffic = self._region_traffic
-        counts = np.bincount(region_ids, minlength=len(table)).tolist()
-        for rid, c in enumerate(counts):
-            name = table[rid]
-            if c and name is not None:
-                traffic[name] = traffic.get(name, 0) + c
-
     def replay_trace(
         self,
         pe_id,
@@ -294,7 +271,7 @@ class MemorySystem:
         The array backend also accepts a list of dispatch runs
         ``(pe, lo, hi)`` as ``pe_id``, each one PE's accesses
         ``lines[lo:hi]``: :meth:`replay_epoch`'s one call for a whole
-        epoch."""
+        epoch, which is one compiled call for the whole hierarchy."""
         return self._replay_backend(self, pe_id, lines, ops, region_names)
 
     def replay_epoch(
@@ -308,7 +285,8 @@ class MemorySystem:
         The scalar oracle replays the runs one :meth:`replay_trace` call
         each.  The array backend gets the whole epoch in one call: the
         runs' traces back to back, with their bounds as the run list,
-        so every cache walks once per epoch instead of once per run."""
+        so every cache walks once per epoch instead of once per run,
+        all inside one compiled call."""
         if self.config.replay == "scalar":
             return [
                 self.replay_trace(pe, lines, ops, region_names)

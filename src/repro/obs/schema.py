@@ -160,11 +160,12 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "wall_s": (_NUM, False),
         "attempt": (_INT, False),
     },
-    # One per level stream the array backend walked (per PE at L1, per
-    # group at L2, once at the LLC; per group at the STLB, per PE at the
-    # BBF stream buffer and victim cache; per epoch under the fused
-    # execution modes).  "chosen" is the walk that ran: "native" (the
-    # compiled kernel) or "python" (its twin).
+    # One per level stream the array backend's compiled epoch replay
+    # walked (per PE at L1, per group at L2, once at the LLC; per group
+    # at the STLB, per PE at the BBF stream buffer and victim cache),
+    # timed inside the call.  "chosen" is the walk that ran: "native"
+    # (the compiled kernel); without it each run replays through the
+    # scalar oracle and no level stream is walked or recorded.
     "dispatch": {
         "cache": (_STR, True),         # e.g. "l1[3]", "stlb[0]", "llc"
         "level": (_STR, True),         # one of DISPATCH_LEVELS

@@ -279,7 +279,15 @@ class RunSupervisor:
 
                 try:
                     report = self._with_watchdog(run_once)
-                except self.permanent_errors:
+                except self.permanent_errors as exc:
+                    if self.ledger.enabled:
+                        self.ledger.emit(
+                            "run_end",
+                            status="failed",
+                            wall_s=time.perf_counter() - run_t0,
+                            error=repr(exc),
+                            **_kernels_field(),
+                        )
                     raise
                 except self.transient_errors as exc:
                     last_exc = exc

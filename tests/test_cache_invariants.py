@@ -2,9 +2,10 @@
 
 A parametrized "driver" fixture feeds each randomized trace through
 either the scalar ``Cache.access`` loop or one batched call of the
-array backend's level walk (``walk_level``: the compiled cache walk
-where it loads), then asserts the structural invariants that every
-set-associative write-back cache must satisfy:
+array backend's epoch replay (``tests.walks.epoch_walk``: the compiled
+call where it loads, with the cache as a one-PE system's victim cache),
+then asserts the structural invariants that every set-associative
+write-back cache must satisfy:
 
 * ``hits + misses == accesses`` (and ``fills == misses``);
 * ``occupancy() <= num_sets * ways`` at all times;
@@ -34,7 +35,8 @@ from repro.memory.hierarchy import (
     MemorySystem,
     encode_op,
 )
-from repro.memory.replay_array import walk_level
+
+from tests.walks import epoch_walk
 
 GEOM = CacheConfig(size_bytes=8 * 1024, associativity=4)  # 32 sets
 
@@ -45,10 +47,7 @@ def scalar_driver(cache: Cache, lines, writes) -> None:
 
 
 def batched_driver(cache: Cache, lines, writes) -> None:
-    walk_level(
-        cache, np.ascontiguousarray(lines, dtype=np.int64),
-        np.ascontiguousarray(writes, dtype=bool),
-    )
+    epoch_walk(cache, lines, writes)
 
 
 @pytest.fixture(params=["scalar", "batched"])

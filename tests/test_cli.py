@@ -235,6 +235,37 @@ class TestErrorPaths:
         (path,) = iter_ledger_files([ledger_dir])
         assert read_events(path)[0]["e"] == "run_start"
 
+    def test_permanent_error_ends_the_run_as_failed(self, tmp_path, capsys):
+        """A permanent error (here a snapshot of another matrix) still
+        closes the run in the ledger: one ``run_start``, one failed
+        ``run_end`` carrying the error, and the report counts it."""
+        import json
+
+        from repro.obs import iter_ledger_files, read_events
+
+        ckpt = str(tmp_path / "ckpt")
+        assert main(self.RUN + ["--checkpoint-dir", ckpt]) == 0
+        ledger_dir = tmp_path / "ledger"
+        assert main([
+            "run", "--matrix", "KRO", "--scale", "tiny", "--pes", "2",
+            "--k", "16", "--checkpoint-dir", ckpt, "--resume",
+            "--ledger", str(ledger_dir),
+        ]) == 2
+        (path,) = iter_ledger_files([ledger_dir])
+        events = read_events(path)
+        kinds = [ev["e"] for ev in events]
+        assert kinds.count("run_start") == 1
+        ends = [ev for ev in events if ev["e"] == "run_end"]
+        assert len(ends) == 1
+        assert ends[0]["status"] == "failed"
+        assert "does not match this run" in ends[0]["error"]
+        capsys.readouterr()
+        assert main(["obs", "validate", str(ledger_dir)]) == 0
+        assert main(["obs", "report", "--json", str(ledger_dir)]) == 0
+        out = capsys.readouterr().out
+        runs = json.loads(out[out.index("{"):])["runs"]
+        assert runs["failed"] == 1 and runs["ok"] == 0
+
     def test_unknown_suite_benchmark(self, capsys):
         code = main([
             "run", "--matrix", "NOPE", "--scale", "tiny", "--pes", "2",

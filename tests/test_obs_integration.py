@@ -64,6 +64,63 @@ class TestDispatchAudit:
             assert ev["events"] > 0
             assert ev["measured_us"] >= 0
 
+    def test_epoch_replay_records_one_dispatch_per_walked_stream(
+        self, tmp_path
+    ):
+        """One compiled epoch replay on 8 PEs in two L2 groups: one
+        ``dispatch`` event per structure it walked, covering every
+        level, all timed inside the compiled call, within the wall time
+        of the ``replay_trace`` call that made them."""
+        from time import perf_counter
+
+        from repro import native
+        from repro.memory.hierarchy import (
+            OP_DENSE, OP_DENSE_BYPASS, OP_STREAM, encode_op,
+        )
+        from tests.test_replay_epoch_properties import make_system, tiny_config
+
+        if native.replay_epoch_kernel() is None:
+            pytest.skip("the compiled epoch replay does not load here")
+        ms = make_system(dataclasses.replace(tiny_config(), replay="array"))
+        assert ms.num_groups == 2
+        led = tmp_path / "led"
+        ledger = open_run_ledger(led, run_id="fused", validate=True)
+        ms.ledger = ledger
+        rng = np.random.default_rng(2)
+        table, lines, ops, lo = [], [], [], 0
+        for pe in range(8):
+            n = 60
+            path = [OP_DENSE, OP_DENSE_BYPASS, OP_STREAM]
+            lines += rng.integers(0, 4096, size=n).tolist()
+            ops += [
+                encode_op(path[i % 3] if pe % 2 else OP_DENSE, i % 2 == 0, 1)
+                for i in range(n)
+            ]
+            table.append((pe, lo, lo + n))
+            lo += n
+        t0 = perf_counter()
+        ms.replay_trace(
+            table, np.array(lines, np.int64), np.array(ops, np.int64)
+        )
+        wall_us = (perf_counter() - t0) * 1e6
+        ledger.close()
+        dispatch = [e for e in read_events(ledger.path) if e["e"] == "dispatch"]
+        walked = {
+            *(f"stlb[{g}]" for g in range(2)),
+            *(f"l1[{p}]" for p in range(8)),
+            *(f"l2[{g}]" for g in range(2)), "llc",
+            *(f"bbf[{p}].victim" for p in range(1, 8, 2)),
+            *(f"bbf[{p}].stream" for p in range(1, 8, 2)),
+        }
+        assert sorted(e["cache"] for e in dispatch) == sorted(walked)
+        assert {"l1", "l2", "llc", "stlb", "bbf", "victim"} == {
+            e["level"] for e in dispatch
+        }
+        assert all(e["chosen"] == "native" for e in dispatch)
+        assert all(e["events"] > 0 for e in dispatch)
+        assert sum(e["measured_us"] for e in dispatch) <= wall_us
+        assert main(["obs", "validate", "--require-dispatch", str(led)]) == 0
+
     def test_results_identical_with_ledger_on_and_off(
         self, tmp_path, workload
     ):

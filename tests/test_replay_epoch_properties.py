@@ -1,16 +1,17 @@
 """Property tests (hypothesis) for epoch-grain replay.
 
 ``MemorySystem.replay_epoch`` hands a whole epoch's dispatch runs to the
-array backend in one call; it then walks each PE's L1 once over all its
-runs, each L2 group once over its PEs' merged L1 events, and the LLC
-once; likewise each group's STLB once over its pages and each PE's BBF
-stream buffer and victim cache once over its accesses on those paths.
-It must be indistinguishable from replaying the runs one by one through
-the scalar oracle: per-run service levels, every cache counter, the
-ordered (line, dirty) state of every cache, STLB and BBF state, and
-DRAM traffic per region — with the compiled walk loaded and with its
-Python twin forced (``forced``).  The scalar backend still gets one
-call per run, with one PE.
+array backend in one call; the compiled epoch replay then walks each
+PE's L1 once over all its runs, each L2 group once over its PEs' merged
+L1 events, and the LLC once; likewise each group's STLB once over its
+pages and each PE's BBF stream buffer and victim cache once over its
+accesses on those paths.  It must be indistinguishable from replaying
+the runs one by one through the scalar oracle: per-run service levels,
+every cache counter, the ordered (line, dirty) state of every cache,
+STLB and BBF state, and DRAM traffic per region.  ``forced`` runs the
+same epochs with the library refused, where the backend replays each
+run through the oracle itself; both are held to the per-run oracle.
+The scalar backend still gets one call per run, with one PE.
 
 (Test names keep the "per-run batched" wording of the per-run backend
 the oracle replaced as the reference, so the suite's ids stay stable.)
@@ -153,7 +154,8 @@ def epoch_runs(draw):
 
 def check_epochs(epochs, forced: bool) -> MemorySystem:
     """Replay ``epochs`` whole-epoch through the array backend (with the
-    Python twin when ``forced``) and run by run through the oracle."""
+    compiled library refused when ``forced``) and run by run through the
+    oracle."""
     cfg = tiny_config()
     ref = make_system(dataclasses.replace(cfg, replay="scalar"))
     got = make_system(dataclasses.replace(cfg, replay="array"))
