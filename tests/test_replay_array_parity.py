@@ -1,20 +1,19 @@
 """Differential parity: array replay vs the scalar oracle.
 
 The array replay backend (``replay="array"``,
-``repro.memory.replay_array``) walks each cache level once over its
-event stream, through the compiled cache walk or its Python twin.  It
+``repro.memory.replay_array``) replays an epoch in one compiled call,
+or run by run through the oracle where the library does not load.  It
 must be *bit-identical* to the scalar oracle — same AccessStats
 counters at every level, same per-access service levels, same LRU
 orders and dirty bits, same kernel outputs — under every execution
-backend, bypass configuration, and barrier schedule, whichever walk
-runs.
+backend, bypass configuration, and barrier schedule, either way.
 
 Two layers:
 
 * **MemorySystem traces** — randomized interleaved dense/bypass/stream
   op traces at L1-resident, L2-resident, and DRAM-heavy footprints,
-  with the compiled kernel (``auto``: what the host loads) and with
-  the Python twin forced (``forced``).
+  with the compiled call (``auto``: what the host loads) and with the
+  library refused (``forced``).
 * **End-to-end kernels** — SpMM and SDDMM through ``SpadeSystem`` on
   both execution backends (scalar, vectorized), with bypass
   on/off and a barrier-heavy schedule, comparing the full stats
@@ -105,6 +104,28 @@ def test_replay_then_flush_parity():
         assert dataclasses.asdict(ms_s.collect_stats()) == dataclasses.asdict(
             ms_a.collect_stats()
         )
+
+
+@pytest.mark.parametrize("walk", ["native", "python"])
+def test_falsy_region_names_record_no_traffic(walk):
+    """A region named ``None``, ``""`` or ``0`` records no DRAM traffic
+    by name, as the oracle's ``_dram_read`` and ``_dram_write`` skip
+    it; the DRAM counters still count it."""
+    names = (None, "", 0, "dense")
+    cfg = scaled_config(4, cache_shrink=8)
+    rng = np.random.default_rng(11)
+    lines, ops = random_op_trace(rng, 3000, 1 << 14)
+    ms_s = MemorySystem(dataclasses.replace(cfg, replay="scalar"))
+    ms_a = MemorySystem(dataclasses.replace(cfg, replay="array"))
+    want = ms_s.replay_trace(2, lines, ops, names)
+    with kernels(walk):
+        got = ms_a.replay_trace(2, lines, ops, names)
+    assert np.array_equal(got, want)
+    assert ms_a._region_traffic == ms_s._region_traffic
+    assert list(ms_a._region_traffic) == ["dense"]
+    assert (ms_a.dram.reads, ms_a.dram.writes) == (
+        ms_s.dram.reads, ms_s.dram.writes,
+    )
 
 
 # ---------------------------------------------------------------------------
