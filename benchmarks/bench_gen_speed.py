@@ -27,14 +27,6 @@ per-epoch host phase split (``gen_s`` / ``merge_s`` / ``replay_s``)
 through a throwaway run ledger, so BENCH_gen.json shows *where* the
 time went, not just the totals.
 
-The trace-cache section runs the headline workload twice against a
-content-addressed :class:`~repro.memory.trace_store.TraceStore`: the
-cold pass generates and publishes every epoch trace, the warm pass must
-replay with **zero generation invocations** and bit-identical results.
-``--trace-cache-dir`` persists the store across invocations (the CI
-gen-smoke job runs the benchmark twice against one directory and
-byte-compares the ``trace_cache.deterministic`` section).
-
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_gen_speed.py
@@ -48,14 +40,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -63,7 +53,6 @@ from repro.bench.harness import write_bench_json
 from repro.config import EXECUTION_MODES, scaled_config
 from repro.core.accelerator import SpadeSystem
 from repro.core.engine import DEFAULT_CHUNK_NNZ
-from repro.memory.trace_store import TraceStore
 from repro.obs.ledger import RunLedger, read_events
 from repro.sparse.generators import banded, rmat_graph, uniform_random
 
@@ -71,19 +60,18 @@ _PHASES = ("gen_s", "merge_s", "replay_s")
 
 
 def run_once(cfg, execution: str, a, b, c, kernel: str,
-             chunk_nnz: int = DEFAULT_CHUNK_NNZ, trace_store=None):
+             chunk_nnz: int = DEFAULT_CHUNK_NNZ):
     """One timed end-to-end engine run.
 
-    Returns ``(seconds, report, phases, cache)`` where ``phases`` sums
-    the per-epoch host phase split recorded by a throwaway run ledger
-    (plus the fused-generation chunk count) and ``cache`` is the
-    system's trace-cache counter dict.
+    Returns ``(seconds, report, phases)`` where ``phases`` sums the
+    per-epoch host phase split recorded by a throwaway run ledger (plus
+    the fused-generation chunk count).
     """
     with tempfile.TemporaryDirectory(prefix="bench-gen-ledger-") as tmp:
         ledger = RunLedger(Path(tmp) / "ledger.jsonl")
         system = SpadeSystem(
             cfg, chunk_nnz=chunk_nnz, execution=execution,
-            ledger=ledger, trace_store=trace_store,
+            ledger=ledger,
         )
         t0 = time.perf_counter()
         if kernel == "spmm":
@@ -99,7 +87,7 @@ def run_once(cfg, execution: str, a, b, c, kernel: str,
                 for p in _PHASES:
                     phases[p] += ev.get(p, 0.0)
                 phases["fused_chunks"] += int(ev.get("fused_chunks") or 0)
-    return elapsed, report, phases, dict(system.trace_cache)
+    return elapsed, report, phases
 
 
 def assert_parity(name: str, oracle, candidate, mode: str) -> None:
@@ -140,7 +128,7 @@ def bench_one(cfg, name: str, a, b, c, k: int, kernel: str, reps: int,
         # each scalar/vectorized ratio is a paired measurement from the
         # same machine phase.
         for mode in EXECUTION_MODES:
-            dt, report, ph, _ = run_once(
+            dt, report, ph = run_once(
                 cfg, mode, a, b, c, kernel, chunk_nnz
             )
             times[mode].append(dt)
@@ -173,99 +161,6 @@ def bench_one(cfg, name: str, a, b, c, k: int, kernel: str, reps: int,
     for mode in EXECUTION_MODES[1:]:
         row[f"{mode}_speedup"] = round(best["scalar"] / best[mode], 2)
     return row
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _deterministic_facts(report) -> dict:
-    """The simulation facts a trace-cache rerun must reproduce exactly
-    (everything except host wall-clock)."""
-    return {
-        "output_sha256": _sha256(
-            np.ascontiguousarray(report.output).tobytes()
-        ),
-        "time_ns": int(report.result.time_ns),
-        "requests": int(report.counters.total_requests),
-        "stats_sha256": _sha256(
-            json.dumps(
-                dataclasses.asdict(report.stats), sort_keys=True
-            ).encode()
-        ),
-        "counters_sha256": _sha256(
-            json.dumps(
-                dataclasses.asdict(report.counters), sort_keys=True
-            ).encode()
-        ),
-    }
-
-
-def bench_trace_cache(cfg, name: str, a, b, c, kernel: str,
-                      chunk_nnz: int, scalar_s: float, reps: int,
-                      cache_dir: Optional[Path]) -> dict:
-    """Cold-then-warm headline runs against a content-addressed trace
-    store; the warm pass must execute zero generation invocations and
-    reproduce every simulated fact bit for bit."""
-    tmp = None
-    if cache_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="bench-gen-tcache-")
-        cache_dir = Path(tmp.name)
-    try:
-        t_cold, rep_cold, ph_cold, cc_cold = run_once(
-            cfg, "vectorized", a, b, c, kernel, chunk_nnz,
-            trace_store=TraceStore(cache_dir),
-        )
-        warm = []
-        for _ in range(reps):
-            # A fresh TraceStore per warm rep keeps hit/miss counters
-            # per-run; the on-disk entries persist across them.
-            warm.append(run_once(
-                cfg, "vectorized", a, b, c, kernel, chunk_nnz,
-                trace_store=TraceStore(cache_dir),
-            ))
-        i = int(np.argmin([w[0] for w in warm]))
-        t_warm, rep_warm, ph_warm, cc_warm = warm[i]
-
-        if cc_warm["gen_invocations"] != 0:
-            raise AssertionError(
-                f"{name}: warm trace-cache run generated "
-                f"{cc_warm['gen_invocations']} epochs instead of 0"
-            )
-        if cc_warm["misses"] != 0 or cc_warm["hits"] < 1:
-            raise AssertionError(
-                f"{name}: warm trace-cache counters {cc_warm}"
-            )
-        assert_parity(name, rep_cold, rep_warm, "trace-cache warm")
-        facts = _deterministic_facts(rep_cold)
-        if facts != _deterministic_facts(rep_warm):
-            raise AssertionError(
-                f"{name}: warm run diverged from cold in simulated facts"
-            )
-        return {
-            "workload": name,
-            "dir": str(cache_dir) if tmp is None else None,
-            "persistent": tmp is None,
-            "cold_s": round(t_cold, 4),
-            "warm_s": round(t_warm, 4),
-            "warm_speedup_vs_scalar": round(scalar_s / t_warm, 2),
-            "warm_vs_cold": round(t_cold / t_warm, 2),
-            "cold": cc_cold,
-            "warm": cc_warm,
-            "cold_phases": {
-                key: (round(val, 4) if isinstance(val, float) else val)
-                for key, val in ph_cold.items()
-            },
-            "warm_phases": {
-                key: (round(val, 4) if isinstance(val, float) else val)
-                for key, val in ph_warm.items()
-            },
-            "deterministic": facts,
-            "parity": True,
-        }
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
 
 
 def workloads(smoke: bool) -> List[Tuple[str, Callable, int, str, int]]:
@@ -317,14 +212,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--pes", type=int, default=8, help="scaled_config PE count"
     )
-    parser.add_argument(
-        "--trace-cache-dir", type=Path, default=None,
-        help="persistent content-addressed trace store for the "
-        "cold/warm section (default: a throwaway temp dir).  Rerunning "
-        "against the same directory makes even the 'cold' pass warm — "
-        "the CI gen-smoke job uses exactly that to prove cross-process "
-        "reuse.",
-    )
     args = parser.parse_args(argv)
     if args.out is None:
         name = "BENCH_gen_smoke.json" if args.smoke else "BENCH_gen.json"
@@ -337,10 +224,8 @@ def main(argv=None) -> int:
     # generation gains with replay off the critical path.
     cfg = dataclasses.replace(scaled_config(args.pes), replay="array")
     results = []
-    operands = {}
     for name, gen, k, kernel, chunk_nnz in workloads(args.smoke):
         a, b, c = _operands(gen, k, kernel)
-        operands[name] = (a, b, c, k, kernel, chunk_nnz)
         row = bench_one(cfg, name, a, b, c, k, kernel, reps, chunk_nnz)
         row["chunk_nnz"] = chunk_nnz
         results.append(row)
@@ -356,21 +241,6 @@ def main(argv=None) -> int:
             f"gen {gen_share:.0%})  parity=OK"
         )
 
-    head = results[0]
-    a, b, c, k, kernel, chunk_nnz = operands[head["name"]]
-    cache_row = bench_trace_cache(
-        cfg, head["name"], a, b, c, kernel, chunk_nnz,
-        head["scalar_s"], reps, args.trace_cache_dir,
-    )
-    print(
-        f"{'trace-cache warm':22s} cold {cache_row['cold_s']:.3f}s  "
-        f"warm {cache_row['warm_s']:.3f}s "
-        f"({cache_row['warm_speedup_vs_scalar']:.2f}x vs scalar, "
-        f"{cache_row['warm_vs_cold']:.2f}x vs cold)  "
-        f"gen_invocations={cache_row['warm']['gen_invocations']}  "
-        f"parity=OK"
-    )
-
     payload = {
         "benchmark": "gen_speed",
         "mode": "smoke" if args.smoke else "full",
@@ -383,8 +253,7 @@ def main(argv=None) -> int:
             "replay": cfg.replay,
         },
         "workloads": results,
-        "trace_cache": cache_row,
-        "vectorized_speedup": head["vectorized_speedup"],
+        "vectorized_speedup": results[0]["vectorized_speedup"],
     }
     write_bench_json(
         args.out, payload,

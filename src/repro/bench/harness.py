@@ -22,11 +22,6 @@ bench files can run quick (CI) or thorough (full reproduction):
 - ``REPRO_CACHE_DIR`` — content-addressed sweep result cache directory
   so re-runs and partially-failed sweeps skip completed jobs
   (default: off)
-- ``REPRO_TRACE_CACHE_DIR`` — content-addressed epoch-trace store
-  directory (:mod:`repro.memory.trace_store`): generated traces are
-  keyed by (workload, schedule/chunking, VRF elision config) only, so
-  every cache-ablation cell and repeat run replays a cached trace
-  instead of regenerating it (default: off)
 - ``REPRO_MAX_ATTEMPTS`` — lease attempts per sweep job before it is
   quarantined as poison (default: 3)
 - ``REPRO_KEEP_GOING`` — set to 1 to let a sweep complete around
@@ -80,7 +75,6 @@ class BenchEnvironment:
     max_retries: int = field(default=0, metadata=NOT_KEYED)
     jobs: int = field(default=1, metadata=NOT_KEYED)
     cache_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
-    trace_cache_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
     max_attempts: int = field(default=3, metadata=NOT_KEYED)
     keep_going: bool = field(default=False, metadata=NOT_KEYED)
     lease_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
@@ -107,17 +101,8 @@ class BenchEnvironment:
         cfg = dataclasses.replace(cfg, resilience=self.resilience_config())
         return cfg.scaled(factor) if factor > 1 else cfg
 
-    def trace_store(self):
-        """The environment's content-addressed epoch-trace store, or
-        ``None`` when ``REPRO_TRACE_CACHE_DIR`` is unset."""
-        from repro.memory.trace_store import open_trace_store
-
-        return open_trace_store(self.trace_cache_dir)
-
     def spade_system(self, factor: int = 1) -> SpadeSystem:
-        return SpadeSystem(
-            self.spade_config(factor), trace_store=self.trace_store()
-        )
+        return SpadeSystem(self.spade_config(factor))
 
     def supervisor(self, chaos=None):
         """A :class:`~repro.resilience.RunSupervisor` with this
@@ -125,9 +110,7 @@ class BenchEnvironment:
         from repro.resilience import RunSupervisor
 
         return RunSupervisor(
-            resilience=self.resilience_config(),
-            chaos=chaos,
-            trace_store=self.trace_store(),
+            resilience=self.resilience_config(), chaos=chaos
         )
 
     def supervised_run(
@@ -191,7 +174,6 @@ def get_environment() -> BenchEnvironment:
     max_retries = int(os.environ.get("REPRO_MAX_RETRIES", "0"))
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    trace_cache_dir = os.environ.get("REPRO_TRACE_CACHE_DIR") or None
     max_attempts = int(os.environ.get("REPRO_MAX_ATTEMPTS", "3"))
     keep_going = os.environ.get("REPRO_KEEP_GOING", "") not in ("", "0")
     lease_dir = os.environ.get("REPRO_LEASE_DIR") or None
@@ -201,7 +183,7 @@ def get_environment() -> BenchEnvironment:
         scale=scale, num_pes=num_pes, opt_mode=opt_mode,
         cache_shrink=cache_shrink, row_panel_divisor=rp_divisor,
         timeout_s=timeout_s, max_retries=max_retries,
-        jobs=jobs, cache_dir=cache_dir, trace_cache_dir=trace_cache_dir,
+        jobs=jobs, cache_dir=cache_dir,
         max_attempts=max_attempts, keep_going=keep_going,
         lease_dir=lease_dir,
     )

@@ -1,9 +1,8 @@
 """One on-disk blob format, and the sharded store built on it.
 
-The sweep result cache (:mod:`repro.sweep.cache`), the epoch-trace
-store (:mod:`repro.memory.trace_store`) and the epoch checkpoints
-(:mod:`repro.resilience.checkpoint`) all write the same kind of file:
-one JSON header line followed by a pickled payload.
+The sweep result cache (:mod:`repro.sweep.cache`) and the epoch
+checkpoints (:mod:`repro.resilience.checkpoint`) write the same kind of
+file: one JSON header line followed by a pickled payload.
 
 .. code-block:: text
 

@@ -272,14 +272,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.execution is not None:
         cfg = dataclasses.replace(cfg, execution=args.execution)
     ledger = _exports_ledger(args, exporting)
-    from repro.memory.trace_store import open_trace_store
-
-    trace_store = open_trace_store(
-        str(args.trace_cache_dir) if args.trace_cache_dir else None
-    )
-    supervisor = RunSupervisor(
-        resilience=resilience, ledger=ledger, trace_store=trace_store,
-    )
+    supervisor = RunSupervisor(resilience=resilience, ledger=ledger)
     rng = np.random.default_rng(args.seed)
     b = rng.random((a.num_cols, args.k), dtype=np.float32)
     try:
@@ -408,10 +401,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     env = get_environment()
-    if getattr(args, "trace_cache_dir", None):
-        env = dataclasses.replace(
-            env, trace_cache_dir=str(args.trace_cache_dir)
-        )
     # CLI flags win; otherwise fall back to REPRO_JOBS/REPRO_CACHE_DIR.
     sweep = (
         _sweep_runner(args, resilience=env.resilience_config())
@@ -702,15 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record a run-ledger flight recording "
                          "into DIR (JSONL lifecycle events plus the "
                          "replay dispatch audit; see 'repro obs')")
-        grp.add_argument("--trace-cache-dir", type=Path, default=None,
-                         metavar="DIR",
-                         help="content-addressed epoch-trace store: "
-                         "vectorized runs reuse cached "
-                         "generated traces (keyed by workload + "
-                         "schedule + VRF config only, so entries are "
-                         "shared across cache-geometry ablations); "
-                         "results stay bit-identical to live "
-                         "generation")
 
     run_p = sub.add_parser("run", help="execute one kernel")
     run_p.add_argument("--matrix", required=True,

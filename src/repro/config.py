@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.jobmodel import GEN_KEYED, NOT_KEYED
+from repro.jobmodel import NOT_KEYED
 
 CACHE_LINE_BYTES = 64
 """System cache line size in bytes (Table 1: 64B VR entries)."""
@@ -62,14 +62,9 @@ class PEConfig:
 
     frequency_ghz: float = 0.8
     issue_vops_per_cycle: int = 1
-    # VRF capacity and watermarks decide the generated stream.
-    num_vector_registers: int = field(default=64, metadata=GEN_KEYED)
-    writeback_high_threshold: float = field(
-        default=0.25, metadata=GEN_KEYED
-    )
-    writeback_low_threshold: float = field(
-        default=0.15, metadata=GEN_KEYED
-    )
+    num_vector_registers: int = 64
+    writeback_high_threshold: float = 0.25
+    writeback_low_threshold: float = 0.15
     dense_load_queue_entries: int = 32
     sparse_load_queue_entries: int = 6
     store_queue_entries: int = 8
@@ -262,8 +257,7 @@ class SpadeConfig:
     """A full SPADE system: host + PEs + shared memory hierarchy."""
 
     name: str = "SPADE1"
-    # The PE count partitions the schedule: it keys generation too.
-    num_pes: int = field(default=224, metadata=GEN_KEYED)
+    num_pes: int = 224
     pe: PEConfig = field(default_factory=PEConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     host: HostCPUConfig = field(default_factory=HostCPUConfig)

@@ -156,7 +156,6 @@ class SpadeSystem:
         execution: Optional[str] = None,
         chaos=None,
         ledger=None,
-        trace_store=None,
     ) -> None:
         self.config = config or paper_config()
         if execution is not None and execution != self.config.execution:
@@ -172,23 +171,6 @@ class SpadeSystem:
         # this system executes records its host-phase spans, epoch
         # events and replay dispatch audit into it.
         self.ledger = ledger
-        # Content-addressed epoch-trace store (off by default).  Only
-        # consulted by the vectorized backend; scalar runs
-        # always generate live.  ``trace_cache`` accumulates the
-        # hit/miss/generation counters across every kernel this system
-        # executes (the CI warm-run check reads ``gen_invocations``).
-        self.trace_store = trace_store
-        self.trace_cache = {
-            "hits": 0,
-            "misses": 0,
-            "stored": 0,
-            "gen_invocations": 0,
-            "fused_chunks": 0,
-        }
-
-    def _absorb_trace_cache(self, engine: Engine) -> None:
-        for key, value in engine.trace_cache.items():
-            self.trace_cache[key] = self.trace_cache.get(key, 0) + value
 
     @classmethod
     def scaled(cls, num_pes: int = 28, **kwargs) -> "SpadeSystem":
@@ -308,11 +290,9 @@ class SpadeSystem:
             engine = Engine(
                 self.config, tiled, init, amap, policy, self.chunk_nnz,
                 chaos=self.chaos, ledger=ledger,
-                trace_store=self.trace_store,
             )
             engine.bind_schedule(schedule)
             result = run(engine, schedule)
-            self._absorb_trace_cache(engine)
         return ExecutionReport(result, settings, schedule, self.config)
 
     # -- helpers -----------------------------------------------------------

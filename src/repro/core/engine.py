@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from repro.core.pe import PECounters, ProcessingElement
 from repro.core.timing import EpochTiming, epoch_timing, flush_time_ns
 from repro.core.vectorized import generate_sddmm_epoch, generate_spmm_epoch
 from repro.errors import CheckpointError, ConfigError, EngineExecutionError, SpadeError
-from repro.jobmodel import key_projection
 from repro.kernels.reference import sddmm_chunk_vals, spmm_chunk_update
 from repro.memory.address import AddressMap
 from repro.memory.hierarchy import MemorySystem
@@ -110,7 +109,6 @@ class Engine:
         chunk_nnz: int = DEFAULT_CHUNK_NNZ,
         chaos=None,
         ledger=None,
-        trace_store=None,
     ) -> None:
         self.config = config
         self.tiled = tiled
@@ -148,20 +146,6 @@ class Engine:
         # gcc); "scalar" one per-access oracle call per dispatch run.
         # Every combination gives bit-identical results.
         self.execution = config.execution
-        # Content-addressed trace cache: generated epoch traces are a
-        # pure function of (workload, schedule/chunking, the config's
-        # gen-keyed fields) — cache geometry, replay backend and
-        # execution mode do not enter the key.  Only the fused
-        # (non-scalar) execution paths consult it; the scalar oracle
-        # always generates live.
-        self.trace_store = trace_store if self.execution != "scalar" else None
-        self.trace_cache = {
-            "hits": 0,
-            "misses": 0,
-            "stored": 0,
-            "gen_invocations": 0,
-            "fused_chunks": 0,
-        }
         self.pes = [
             ProcessingElement(
                 i, config.pe, self.memory, init, address_map, policy
@@ -314,13 +298,6 @@ class Engine:
                 f"schedule is for {schedule.num_pes} PEs but the system "
                 f"has {self.config.num_pes}"
             )
-        # Trace-store identity for this run (content-addressed key
-        # material): only computed when a store is attached.
-        self._store_material = (
-            self._trace_material(primitive)
-            if self.trace_store is not None
-            else None
-        )
         epoch_results: List[EpochTiming] = []
         per_pe_total = [0.0] * self.config.num_pes
         self._epoch_counters: List[List[PECounters]] = []
@@ -606,78 +583,41 @@ class Engine:
 
     def _run_epoch_phased(
         self, cursors, gen_epoch, apply_chunk, phase, epoch_idx
-    ) -> int:
+    ) -> Tuple[int, List[List[int]]]:
         """Epoch driver for the vectorized execution mode: Phase A
-        derives each PE's *whole epoch* trace in one pass (or restores
-        it from the trace store), Phase B runs the output math per chunk
-        in the coalesced round-robin dispatch order, then replays all
-        dispatch runs against the shared memory system in one
-        ``MemorySystem.replay_epoch`` call and folds each run's service
-        levels back into its PE's counters.
-        Returns the number of chunks generated at epoch grain (0 when
-        the trace store served the epoch) and, with a ledger attached
-        under array replay, the epoch's dispatch runs as ``[pe,
-        accesses]`` pairs (else an empty list).
+        derives each PE's *whole epoch* trace in one pass, Phase B runs
+        the output math per chunk in the coalesced round-robin dispatch
+        order, then replays all dispatch runs against the shared memory
+        system in one ``MemorySystem.replay_epoch`` call and folds each
+        run's service levels back into its PE's counters.
+        Returns the number of chunks generated at epoch grain and, with
+        a ledger attached under array replay, the epoch's dispatch runs
+        as ``[pe, accesses]`` pairs (else an empty list).
         """
         parts = self._collect_epoch_parts(cursors)
-        num = len(self.pes)
-        stats = self.trace_cache
-        entry = None
-        key = None
-        store = self.trace_store
-        if store is not None and self._store_material is not None:
-            from repro.memory.trace_store import (
-                canonical_key, pack_epoch_entry, unpack_pe_entry,
-            )
-
-            t0 = time.perf_counter()
-            key = canonical_key(self._store_material, epoch_idx)
-            hit, payload = store.get(key)
-            if hit and self._entry_fits(payload, parts):
-                entry = payload
-            wall = time.perf_counter() - t0
-            status = "hit" if entry is not None else "miss"
-            stats["hits" if entry is not None else "misses"] += 1
-            if self.ledger.enabled:
-                self.ledger.emit(
-                    "trace_cache",
-                    epoch=epoch_idx,
-                    status=status,
-                    key=key,
-                    pes=num,
-                    wall_s=wall,
-                )
+        traces: List[Tuple[np.ndarray, np.ndarray]] = []
+        segs: List[List[Tuple[int, int]]] = []
+        # Phase A: generate every PE's epoch in PE order; the trace
+        # stays in the PE's own buffer (zero-copy views).
+        for i, pe in enumerate(self.pes):
+            self._advance_chunks(i, len(parts[i]))
+            with self.ledger.span(
+                "gen_epoch", cat="gen", pe=i, epoch=epoch_idx,
+                chunks=len(parts[i]),
+            ) as span:
+                try:
+                    segs.append(gen_epoch(pe, parts[i]))
+                except SpadeError:
+                    raise
+                except Exception as exc:
+                    raise EngineExecutionError(
+                        f"{self.execution} execution failed while "
+                        f"generating an epoch trace",
+                        pe_id=i,
+                    ) from exc
             if phase is not None:
-                phase[0] += wall
-
-        traces: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * num
-        segs: List[Optional[List[Tuple[int, int]]]] = [None] * num
-        payloads: List[Optional[dict]] = [None] * num
-        fused_chunks = 0
-        capture = entry is None and store is not None and key is not None
-
-        if entry is not None:
-            for i, pe in enumerate(self.pes):
-                self._advance_chunks(i, len(parts[i]))
-                traces[i], segs[i] = unpack_pe_entry(pe, entry["pes"][i])
-        else:
-            # Phase A: generate every PE's epoch in PE order; the trace
-            # stays in the PE's own buffer (zero-copy views).
-            for i, pe in enumerate(self.pes):
-                self._advance_chunks(i, len(parts[i]))
-                with self.ledger.span(
-                    "gen_epoch", cat="gen", pe=i, epoch=epoch_idx,
-                    chunks=len(parts[i]),
-                ) as span:
-                    segs[i], payloads[i] = self._gen_pe_epoch(
-                        i, pe, parts[i], gen_epoch, capture
-                    )
-                if phase is not None:
-                    phase[0] += span.dur_s
-                fused_chunks += len(parts[i])
-                if parts[i]:
-                    stats["gen_invocations"] += 1
-                traces[i] = pe._trace.views()
+                phase[0] += span.dur_s
+            traces.append(pe._trace.views())
 
         # Phase B: output math per chunk in dispatch order, then one
         # replay call for the whole epoch's coalesced runs.
@@ -726,133 +666,9 @@ class Engine:
             if self.config.replay != "scalar":
                 runs = [[i, int(ops.shape[0])] for i, _, ops in replay_runs]
         del replay_runs, levels
-
-        if capture and all(
-            p is not None or not parts[i]
-            for i, p in enumerate(payloads)
-        ):
-            t0 = time.perf_counter()
-            store.put(
-                key,
-                pack_epoch_entry(parts, traces, segs, payloads),
-            )
-            stats["stored"] += 1
-            if self.ledger.enabled:
-                self.ledger.emit(
-                    "trace_cache",
-                    epoch=epoch_idx,
-                    status="stored",
-                    key=key,
-                    pes=num,
-                    wall_s=time.perf_counter() - t0,
-                )
         for pe in self.pes:
             pe._trace.clear()
-        stats["fused_chunks"] += fused_chunks
-        return fused_chunks, runs
-
-    def _gen_pe_epoch(self, i, pe, parts_i, gen_epoch, capture):
-        """Generate one PE's epoch trace; optionally capture the
-        trace-store payload fragment (front-end counter deltas, VRF
-        deltas and final state, rMatrix rows) around the generation."""
-        if capture:
-            vrf = pe.vrf
-            c_before = (
-                vrf.tag_hits, vrf.tag_misses, vrf.evictions,
-                vrf.eviction_writebacks, vrf.manager_writebacks,
-            )
-            rows_before = set(pe._rmatrix_rows_touched)
-        try:
-            seg = gen_epoch(pe, parts_i)
-        except SpadeError:
-            raise
-        except Exception as exc:
-            raise EngineExecutionError(
-                f"{self.execution} execution failed while generating "
-                f"an epoch trace",
-                pe_id=i,
-            ) from exc
-        if not capture:
-            return seg, None
-        vrf = pe.vrf
-        c = pe.counters
-        payload = {
-            "counters": (
-                c.tops, c.vops, c.sparse_line_reads,
-                c.output_line_writes,
-            ),
-            "vrf_delta": (
-                vrf.tag_hits - c_before[0],
-                vrf.tag_misses - c_before[1],
-                vrf.evictions - c_before[2],
-                vrf.eviction_writebacks - c_before[3],
-                vrf.manager_writebacks - c_before[4],
-            ),
-            "vrf_tags": list(vrf._tags.items()),
-            "vrf_dirty_count": vrf._dirty_count,
-            "rows": sorted(pe._rmatrix_rows_touched - rows_before),
-        }
-        return seg, payload
-
-    @staticmethod
-    def _entry_fits(payload, parts) -> bool:
-        """Cheap structural sanity on a trace-store hit (the key should
-        already guarantee this; a mismatch degrades to a miss)."""
-        pes = payload.get("pes") if isinstance(payload, dict) else None
-        if not isinstance(pes, list) or len(pes) != len(parts):
-            return False
-        return all(
-            len(p.get("segs", ())) == len(parts_i)
-            for p, parts_i in zip(pes, parts)
-        )
-
-    def _trace_material(self, primitive: str) -> Dict[str, Any]:
-        """Canonical key material for the content-addressed trace
-        store: everything generation depends on (workload identity,
-        schedule structure, chunking, the config's gen-keyed fields, op
-        encodings) and nothing it does not (cache geometry, replay
-        backend, execution mode); DESIGN.md section 9.A."""
-        import hashlib
-
-        tiled = self.tiled
-        dig = hashlib.sha256()
-        dig.update(np.ascontiguousarray(tiled.r_ids).tobytes())
-        dig.update(np.ascontiguousarray(tiled.c_ids).tobytes())
-        pe0 = self.pes[0]
-        schedule = self._schedule
-        return {
-            "primitive": primitive,
-            "chunk_nnz": int(self.chunk_nnz),
-            "k": int(self.init.dense_row_size),
-            "sizeof_indices": int(self.init.sizeof_indices),
-            "sizeof_vals": int(self.init.sizeof_vals),
-            "num_rows": int(tiled.num_rows),
-            "num_cols": int(tiled.num_cols),
-            "nnz": int(len(tiled.r_ids)),
-            "out_vals_length": int(tiled.out_vals_length),
-            "matrix_sha256": dig.hexdigest(),
-            "schedule": [
-                [
-                    [
-                        [
-                            int(t.sparse_in_start_offset),
-                            int(t.nnz),
-                            int(t.sparse_out_start_offset),
-                        ]
-                        for t in tiles
-                    ]
-                    for tiles in epoch
-                ]
-                for epoch in schedule.epochs
-            ],
-            "gen": key_projection(self.config, "gen"),
-            "ops": [
-                int(pe0._op_sparse),
-                int(pe0._op_rmatrix_read),
-                int(pe0._op_cmatrix_read),
-                int(pe0._op_store),
-            ],
-        }
+        return sum(len(p) for p in parts), runs
 
     def _terminate(self) -> Tuple[float, int]:
         """WB&Invalidate on every PE; returns (flush time, dirty lines)."""

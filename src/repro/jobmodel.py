@@ -27,8 +27,8 @@ hash over everything that determines the cell's result:
 
 This module also owns the key policy (DESIGN.md section 9.A): a
 dataclass field states whether it enters a key in its own declaration,
-through the :data:`NOT_KEYED` or :data:`GEN_KEYED` metadata, and
-:func:`key_projection` derives every key dict from those markers.
+through the :data:`NOT_KEYED` metadata, and :func:`key_projection`
+derives every key dict from those markers.
 
 Equal jobs hash equal regardless of process, host, or grid position, so
 the key doubles as the result-cache address; distinct jobs collide only
@@ -75,40 +75,19 @@ KEY_SCOPE = "key"
 
 NOT_KEYED = {KEY_SCOPE: False}
 """A field that says *how* a result is computed, never what it is: it
-enters no key, so changing it invalidates no result, trace or
-checkpoint."""
-
-GEN_KEYED = {KEY_SCOPE: "gen"}
-"""A keyed scalar field that trace generation reads: it also enters the
-trace store's generation key."""
-
-_GEN_TYPES = {"int": int, "float": float}  # declared type -> coercion
+enters no key, so changing it invalidates no result or checkpoint."""
 
 
-def key_projection(obj: Any, scope: str = "result") -> Dict[str, Any]:
-    """What of a dataclass enters a key, read off its fields' markers.
-
-    ``scope="result"`` gives the nested ``asdict`` form minus every
-    :data:`NOT_KEYED` field (and its subtree); ``scope="gen"`` gives
-    the flat dict of the :data:`GEN_KEYED` leaves, each coerced to its
-    declared type.
-    """
+def key_projection(obj: Any) -> Dict[str, Any]:
+    """What of a dataclass enters a key, read off its fields' markers:
+    the nested ``asdict`` form minus every :data:`NOT_KEYED` field (and
+    its subtree)."""
     out: Dict[str, Any] = {}
     for f in dataclasses.fields(obj):
-        marker = f.metadata.get(KEY_SCOPE)
-        value = getattr(obj, f.name)
-        if marker is False:
+        if f.metadata.get(KEY_SCOPE) is False:
             continue
-        if is_dataclass(value):
-            sub = key_projection(value, scope)
-            if scope == "gen":
-                out.update(sub)
-            else:
-                out[f.name] = sub
-        elif scope == "result":
-            out[f.name] = value
-        elif marker == "gen":
-            out[f.name] = _GEN_TYPES[f.type](value)
+        value = getattr(obj, f.name)
+        out[f.name] = key_projection(value) if is_dataclass(value) else value
     return out
 
 

@@ -2,8 +2,8 @@
 
 Several subsystems publish files into directories that may be shared by
 many workers at once: the blob stores (:mod:`repro.blobstore` — the
-sweep result cache, the epoch-trace store and the epoch checkpoints)
-and the sweep lease protocol (:mod:`repro.sweep.lease`).  They publish
+sweep result cache and the epoch checkpoints) and the sweep lease
+protocol (:mod:`repro.sweep.lease`).  They publish
 with the atomic temp-file + ``os.replace`` idiom, which is only atomic
 when each writer owns its *own* temp file.  A fixed ``path + ".tmp"``
 name breaks that: two workers racing on the same key open the same temp

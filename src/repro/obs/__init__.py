@@ -6,7 +6,7 @@ exports.
   correlation ids and timed ``span`` phases; the shared null object
   makes disabled runs free.
 - :mod:`~repro.obs.schema`: the typed event taxonomy (run / span /
-  epoch / trace-cache / checkpoint / retry / degradation / sweep-job /
+  epoch / checkpoint / retry / degradation / sweep-job /
   cache-hit / service / dispatch) and its dependency-free validator.
 - :mod:`~repro.obs.report`: ``repro obs report`` aggregation — phase
   hotspots, replay time per cache level, which walks (compiled or

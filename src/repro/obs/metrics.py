@@ -5,7 +5,7 @@ of a run are a *view*: :func:`run_metrics` derives them from what the
 engine returns (the :class:`~repro.core.accelerator.ExecutionReport`:
 traffic per level, per unit and per region, epoch timings, the
 schedule) plus the host-side facts of its run ledger (spans, epoch
-events, trace-store probes, checkpoints, retries);
+events, checkpoints, retries);
 :func:`sweep_metrics` and :func:`service_metrics` derive the sweep and
 service series from the accounting those layers already keep.  The
 exporters (:mod:`repro.obs.exporters`) render a registry as JSON, CSV
@@ -351,7 +351,6 @@ def _replay_batch(reg: MetricsRegistry, pe) -> Histogram:
 def _event_metrics(reg: MetricsRegistry, events: Iterable[Mapping]) -> None:
     """The host-side facts a run ledger recorded."""
     counts = {"retry": 0, "degradation": 0, "checkpoint": 0}
-    probes = {"hit": 0, "miss": 0}
     fused = 0
     gen_s: List[float] = []
     runs: List[Sequence[int]] = []
@@ -359,8 +358,6 @@ def _event_metrics(reg: MetricsRegistry, events: Iterable[Mapping]) -> None:
         kind = ev.get("e")
         if kind in counts:
             counts[kind] += 1
-        elif kind == "trace_cache" and ev["status"] in probes:
-            probes[ev["status"]] += 1
         elif kind == "epoch":
             fused += ev.get("fused_chunks", 0)
             runs.extend(ev.get("replay_runs", ()))
@@ -379,12 +376,6 @@ def _event_metrics(reg: MetricsRegistry, events: Iterable[Mapping]) -> None:
             "spade_checkpoints_written",
             help="epoch checkpoints successfully written",
         ).inc(counts["checkpoint"])
-    if any(probes.values()):
-        for status, name in (("hit", "hits"), ("miss", "misses")):
-            reg.counter(
-                f"spade_trace_cache_{name}",
-                help="trace-store probes by outcome",
-            ).inc(probes[status])
     if fused:
         reg.counter(
             "spade_gen_fused_chunks",

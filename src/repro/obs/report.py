@@ -6,9 +6,7 @@ whole directories of either) into a single rollup:
 - **phase hotspots** — host seconds per engine phase (generation,
   merge, replay) summed over every epoch event, plus checkpoint and
   whole-run wall time, the epoch-grain generation chunk count, which
-  walks (compiled kernels or Python twins) the runs used,
-  and the trace-cache hit/miss/store tally when a content-addressed
-  trace store was attached;
+  walks (compiled kernels or Python twins) the runs used;
 - **replay by level** — per cache level: streams walked, by which walk
   (native or python), events and measured time;
 - **cache/sweep hit rates** — result-cache hits vs executed jobs;
@@ -28,7 +26,6 @@ from repro.obs.ledger import iter_ledger_files, read_events
 from repro.obs.schema import DISPATCH_LEVELS
 
 _PHASES = ("gen", "merge", "replay")
-_TRACE_CACHE_BUCKETS = {"hit": "hits", "miss": "misses", "stored": "stored"}
 
 
 def _level_bucket() -> Dict[str, Any]:
@@ -51,9 +48,6 @@ def aggregate(paths) -> Dict[str, Any]:
         "kernels": {},
         "phases": {p: {"seconds": 0.0, "epochs": 0} for p in _PHASES},
         "fused_chunks": 0,
-        "trace_cache": {
-            "hits": 0, "misses": 0, "stored": 0, "seconds": 0.0,
-        },
         "checkpoints": {"count": 0, "seconds": 0.0},
         "run_wall_s": 0.0,
         "sim_time_ns": 0.0,
@@ -83,12 +77,6 @@ def aggregate(paths) -> Dict[str, Any]:
                     agg["phases"][p]["seconds"] += ev.get(f"{p}_s", 0.0)
                     agg["phases"][p]["epochs"] += 1
                 agg["fused_chunks"] += int(ev.get("fused_chunks") or 0)
-            elif etype == "trace_cache":
-                tc = agg["trace_cache"]
-                bucket = _TRACE_CACHE_BUCKETS.get(ev.get("status"))
-                if bucket:
-                    tc[bucket] += 1
-                tc["seconds"] += ev.get("wall_s", 0.0)
             elif etype == "checkpoint":
                 agg["checkpoints"]["count"] += 1
                 agg["checkpoints"]["seconds"] += ev.get("wall_s", 0.0)
@@ -271,12 +259,6 @@ def format_report(agg: Dict[str, Any], top: int = 10) -> str:
     if agg["fused_chunks"]:
         lines.append(
             f"epoch-grain generation: {agg['fused_chunks']} chunks"
-        )
-    tc = agg["trace_cache"]
-    if tc["hits"] or tc["misses"] or tc["stored"]:
-        lines.append(
-            f"trace cache  : {tc['hits']} hits / {tc['misses']} misses / "
-            f"{tc['stored']} stored ({tc['seconds']:.4f}s probe+publish)"
         )
     lines.append("")
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Tuple
 
-LEDGER_SCHEMA_VERSION = 2
-"""Bump when envelope fields or event payloads change meaning."""
+LEDGER_SCHEMA_VERSION = 3
+"""Bump when envelope fields or event payloads change meaning (v3
+removed the epoch-trace store's probe events with the store)."""
 
 _NUM = (int, float)
 _STR = (str,)
@@ -57,9 +58,9 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
     # One per barrier epoch: host-side phase split + simulated facts
     # (the barrier: the epoch's time, its bandwidth bound, the critical
     # PE and the requests issued).  "fused_chunks" counts chunks
-    # generated at epoch grain (0 when the trace store served the epoch
-    # or the scalar oracle ran); "replay_runs" lists each dispatch run
-    # the array backend replayed as [pe, accesses].
+    # generated at epoch grain (0 when the scalar oracle ran);
+    # "replay_runs" lists each dispatch run the array backend replayed
+    # as [pe, accesses].
     "epoch": {
         "epoch": (_INT, True),
         "gen_s": (_NUM, True),
@@ -88,16 +89,6 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "nnz": (_INT, False),
         "k": (_INT, False),
         "settings": (_STR, False),
-    },
-    # One per epoch when a content-addressed trace store is attached:
-    # the store probe ("hit" | "miss") and, after a generated epoch is
-    # published, a "stored" event under the same key.
-    "trace_cache": {
-        "epoch": (_INT, True),
-        "status": (_STR, True),        # "hit" | "miss" | "stored"
-        "key": (_STR, True),
-        "pes": (_INT, True),
-        "wall_s": (_NUM, True),
     },
     "checkpoint": {
         "epoch": (_INT, True),
@@ -183,7 +174,6 @@ _JOB_STATUS = (
 DISPATCH_LEVELS = ("l1", "l2", "llc", "stlb", "bbf", "victim")
 """Structures the array backend walks, dense cascade first: each is an
 LRU cache (the STLB and the BBF stream buffer with one set)."""
-_TRACE_CACHE_STATUS = ("hit", "miss", "stored")
 _SERVICE_STATUS = (
     "request_received", "coalesced", "admitted", "rejected",
     "served", "failed",
@@ -253,14 +243,6 @@ def validate_event(event: Mapping[str, Any]) -> None:
     if etype == "sweep_job" and event["status"] not in _JOB_STATUS:
         raise LedgerSchemaError(
             f"sweep_job: status must be one of {_JOB_STATUS}, "
-            f"got {event['status']!r}"
-        )
-    if (
-        etype == "trace_cache"
-        and event["status"] not in _TRACE_CACHE_STATUS
-    ):
-        raise LedgerSchemaError(
-            f"trace_cache: status must be one of {_TRACE_CACHE_STATUS}, "
             f"got {event['status']!r}"
         )
     if etype == "service" and event["status"] not in _SERVICE_STATUS:

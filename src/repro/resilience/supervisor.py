@@ -90,7 +90,6 @@ class RunSupervisor:
         chaos=None,
         sleep: Callable[[float], None] = time.sleep,
         ledger=None,
-        trace_store=None,
     ) -> None:
         # Deferred import: config pulls in nothing heavy, but keeping it
         # local to __init__ mirrors the SpadeSystem lazy import below.
@@ -99,9 +98,6 @@ class RunSupervisor:
         self.resilience = resilience or ResilienceConfig()
         self.chaos = chaos
         self.ledger = ledger if ledger is not None else NULL_LEDGER
-        # Content-addressed epoch-trace store, forwarded to every
-        # attempt's system (the scalar rung ignores it by design).
-        self.trace_store = trace_store
         self._sleep = sleep
         self.last_outcome: Optional[RunOutcome] = None
 
@@ -269,7 +265,6 @@ class RunSupervisor:
                         config=cfg,
                         chaos=self.chaos,
                         ledger=self.ledger,
-                        trace_store=self.trace_store,
                         **kwargs,
                     )
                     fn = getattr(system, kernel)

@@ -1,10 +1,9 @@
-"""The shared blob format and its three users.
+"""The shared blob format and its two users.
 
-One corruption suite runs over the sweep result cache, the epoch-trace
-store and the checkpoint manager: every way a file can be bad is a miss
-that evicts the entry for the two stores, and a
-:class:`~repro.errors.CheckpointError` (with an older valid snapshot
-still loadable) for checkpoints.  Byte-literal files in the header
+One corruption suite runs over the sweep result cache and the
+checkpoint manager: every way a file can be bad is a miss that evicts
+the entry for the cache, and a :class:`~repro.errors.CheckpointError`
+(with an older valid snapshot still loadable) for checkpoints.  Byte-literal files in the header
 field order of the previous, per-store writers pin on-disk
 compatibility.
 """
@@ -19,7 +18,6 @@ import pytest
 
 from repro.blobstore import BlobError, read_blob, write_blob
 from repro.errors import CheckpointError
-from repro.memory.trace_store import TraceStore, canonical_key
 from repro.resilience.checkpoint import CheckpointManager
 from repro.sweep.cache import ResultCache
 
@@ -129,7 +127,6 @@ class _CheckpointCase:
 
 CASES = {
     "ResultCache": lambda d: _StoreCase(ResultCache, d),
-    "TraceStore": lambda d: _StoreCase(TraceStore, d),
     "CheckpointManager": _CheckpointCase,
 }
 
@@ -175,15 +172,6 @@ LEGACY_FILES = {
         + b'"}\n'
         + _PAYLOAD
     ),
-    "TraceStore": (
-        b'{"format": "spade-trace-cache", "version": 1, "schema_version": 1,'
-        b' "key": "'
-        + KEY.encode()
-        + b'", "payload_bytes": 21, "payload_sha256": "'
-        + _DIGEST.encode()
-        + b'"}\n'
-        + _PAYLOAD
-    ),
     "CheckpointManager": (
         b'{"format": "spade-checkpoint", "version": 2, "epoch": 0,'
         b' "fingerprint": "'
@@ -197,7 +185,7 @@ LEGACY_FILES = {
 
 
 class TestCrossVersion:
-    @pytest.mark.parametrize("kind", ["ResultCache", "TraceStore"])
+    @pytest.mark.parametrize("kind", ["ResultCache"])
     def test_legacy_store_entry_is_a_hit(self, tmp_path, kind):
         store = CASES[kind](tmp_path).store
         path = store.path_for(KEY)
@@ -243,12 +231,6 @@ class TestBlob:
 
 
 class TestKeys:
-    def test_canonical_key_pin(self):
-        assert canonical_key({"m": 1}, 0) == (
-            "12700b7956f44ddf07a2a30270336e0302071b73"
-            "a059a95db49f3d971bc49794"
-        )
-
     def test_result_cache_get_is_its_own(self):
         """Profilers wrap ``ResultCache.get`` through the class dict; an
         inherited ``get`` would be skipped."""

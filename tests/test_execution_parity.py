@@ -16,6 +16,11 @@ run killed under one path and resumed under the other must match the
 uninterrupted oracle as well: the resume restores the output
 accumulator partway through the run.
 
+Two whole-run checks sit beside them: a 30k-nonzero run gives the same
+facts with the library loaded and refused, and the same seeded
+workloads run in two processes with different string-hash seeds give
+byte-identical facts.
+
 Test ids name the replay by how the vectorized engine drives it:
 ``scalar`` (one call per access) or ``batched`` (each epoch's generated
 traces replayed in one call), which is ``replay="array"``.  The scalar
@@ -25,6 +30,11 @@ oracle issues every access directly under either replay mode.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -269,6 +279,104 @@ class TestResumeParity:
         assert got.output_dense.tobytes() == oracle.output_dense.tobytes()
         assert got.time_ns == oracle.time_ns
         assert got.counters == oracle.counters
+
+
+class TestVrfWalkInvariance:
+    """A whole run at engine scale (30k nonzeros in 8k-nonzero chunks,
+    so the compiled VRF walk elides long protected runs that its twin
+    walks one by one) gives the same output bytes, simulated time,
+    AccessStats and counters with the compiled kernels loaded and
+    refused."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        a = uniform_random(num_rows=1024, num_cols=256, nnz=30_000, seed=3)
+        rng = np.random.default_rng(7)
+        b = rng.random((a.num_rows, 16), dtype=np.float32)
+        c = rng.random((a.num_cols, 16), dtype=np.float32)
+        return a, b, c
+
+    @staticmethod
+    def _facts(kernel, a, b, c):
+        system = SpadeSystem(
+            scaled_config(4, cache_shrink=8), chunk_nnz=8192
+        )
+        if kernel == "spmm":
+            report = system.spmm(a, c)
+        else:
+            report = system.sddmm(a, b, c)
+        return (
+            report.output.tobytes(),
+            report.result.time_ns,
+            dataclasses.asdict(report.stats),
+            report.counters,
+        )
+
+    @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
+    def test_python_walk_matches_compiled_walk(self, workload, kernel):
+        from repro import native
+
+        if native.vrf_epoch_kernel() is None:
+            pytest.skip("compiled VRF walk unavailable")
+        facts = {}
+        for walk in WALKS:
+            with kernels(walk):
+                facts[walk] = self._facts(kernel, *workload)
+                assert native.kernels_impl() == walk
+        assert facts["python"] == facts["native"]
+
+
+_FACTS_CHILD = """
+import dataclasses, hashlib, json
+import numpy as np
+from repro.config import scaled_config
+from repro.core.accelerator import SpadeSystem
+from repro.sparse.generators import rmat_graph, uniform_random
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+def facts(report):
+    return {
+        "output_sha256": sha(np.ascontiguousarray(report.output).tobytes()),
+        "time_ns": report.result.time_ns,
+        "requests": report.counters.total_requests,
+        "stats": dataclasses.asdict(report.stats),
+        "counters": dataclasses.asdict(report.counters),
+    }
+
+rng = np.random.default_rng(7)
+system = SpadeSystem(scaled_config(8))
+a = uniform_random(512, 256, nnz=20_000, seed=11)
+b = rng.random((a.num_rows, 16), dtype=np.float32)
+c = rng.random((a.num_cols, 16), dtype=np.float32)
+g = rmat_graph(9, edge_factor=8, seed=5)
+d = rng.random((g.num_cols, 16), dtype=np.float32)
+print(json.dumps(
+    {"sddmm": facts(system.sddmm(a, b, c)), "spmm": facts(system.spmm(g, d))},
+    sort_keys=True,
+))
+"""
+
+
+class TestCrossProcessDeterminism:
+    """The same seeded workloads run in two processes with different
+    string-hash seeds give byte-identical simulated facts: output
+    sha256, simulated time, request counts, AccessStats and counters."""
+
+    def test_facts_identical_across_hash_seeds(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", _FACTS_CHILD], env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert json.loads(outs[0])["sddmm"]["requests"] > 0
+        assert outs[0] == outs[1]
 
 
 class TestTraceParity:

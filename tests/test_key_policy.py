@@ -2,21 +2,15 @@
 lemma as a property generated from the fields' key markers.
 
 The checkpoint fingerprint (``2df5c2…``, in
-``test_resilience_checkpoint.py``) and the trace store's
-``canonical_key`` (``12700b…``, in ``test_blobstore.py``) are pinned
-next to their stores.  The pins here cover the remaining keys: the
-sweep environment fingerprint, a service job key and the trace-store
-keys of a real engine run.  None of them may be regenerated: a changed
-digest orphans every result, trace and checkpoint written before it.
+``test_resilience_checkpoint.py``) is pinned next to its store.  The
+pins here cover the remaining keys: the sweep environment fingerprint
+and a service job key.  None of them may be regenerated: a changed
+digest orphans every result and checkpoint written before it.
 
-The lemma (DESIGN.md sections 9.A and 12) walks every scalar leaf of a
-config, reads its scope off the markers and perturbs it:
-
-- a leaf outside the gen scope leaves the trace-store keys and entry
-  bytes unchanged; a gen leaf changes the keys;
-- a not-keyed leaf leaves the checkpoint and environment fingerprints
-  unchanged and the results bit-identical; any other leaf changes the
-  fingerprints.
+The lemma (DESIGN.md section 9.A) walks every scalar leaf of a config,
+reads its scope off the markers and perturbs it: a not-keyed leaf
+leaves the checkpoint and environment fingerprints unchanged and the
+results bit-identical; any other leaf changes the fingerprints.
 
 The two scaled-down workloads are DRAM-bandwidth-bound, so no PE
 timing field can move their facts; a third, on its own base with 32x
@@ -40,12 +34,7 @@ from repro.config import scaled_config
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.vrf import VectorRegisterFile
 from repro.errors import ConfigError
-from repro.jobmodel import (
-    KEY_SCOPE,
-    environment_fingerprint,
-    key_projection,
-)
-from repro.memory.trace_store import TraceStore
+from repro.jobmodel import KEY_SCOPE, environment_fingerprint
 from repro.resilience import checkpoint_fingerprint
 from repro.service.simulate import request_point, run_jobspec
 from repro.sparse.coo import COOMatrix
@@ -115,17 +104,6 @@ class TestKeyPins:
             "1107b94aa7ff1faa8bbf3a1a5c34f6ca"
         )
 
-    def test_trace_store_key_pin(self, tmp_path):
-        store = TraceStore(tmp_path)
-        SpadeSystem(
-            scaled_config(4, cache_shrink=8), chunk_nnz=2048,
-            trace_store=store,
-        ).sddmm(*_sddmm_uniform())
-        assert store.keys() == [
-            "219db74df7d8d62746e1130fd4ba6a9a"
-            "409f4db3c7a9a95ef36eea54512aff8f"
-        ]
-
 
 # -- the exclusion lemma ------------------------------------------------------
 
@@ -153,7 +131,7 @@ COMPANIONS = {
 
 def _leaves(obj, path=(), scope="result") -> Iterator[Tuple]:
     """``(path, scope)`` of every scalar leaf, the scope read off the
-    markers: ``False`` (not keyed), ``"gen"`` or ``"result"``."""
+    markers: ``False`` (not keyed) or ``"result"``."""
     for f in dataclasses.fields(obj):
         marker = f.metadata.get(KEY_SCOPE, "result")
         leaf_scope = False if scope is False else marker
@@ -225,12 +203,10 @@ def _vrf_accepts(config) -> bool:
     return True
 
 
-def _observe(config, store_dir):
-    """Per workload: the trace-store entries ``{key: bytes}`` a run
-    writes and the facts it computes."""
+def _observe(config):
+    """Per workload: the facts a run computes."""
     out = {}
     for name, (base, run) in WORKLOADS.items():
-        store = TraceStore(store_dir / name)
         run_config = base(config)
         ckpt_dir = config.resilience.checkpoint_dir
         if ckpt_dir is not None:  # one snapshot directory per run
@@ -238,25 +214,19 @@ def _observe(config, store_dir):
                 run_config, ("resilience", "checkpoint_dir"),
                 f"{ckpt_dir}-{name}",
             )
-        report = run(
-            SpadeSystem(run_config, chunk_nnz=CHUNK_NNZ, trace_store=store)
-        )
-        entries = {}
-        for key in store.keys():
-            with open(store.path_for(key), "rb") as fh:
-                entries[key] = fh.read()
-        out[name] = (entries, (
+        report = run(SpadeSystem(run_config, chunk_nnz=CHUNK_NNZ))
+        out[name] = (
             np.ascontiguousarray(report.output).tobytes(),
             report.result.time_ns,
             dataclasses.asdict(report.stats),
             report.counters,
-        ))
+        )
     return out
 
 
 @pytest.fixture(scope="module")
-def baseline(tmp_path_factory):
-    return _observe(BASE, tmp_path_factory.mktemp("base"))
+def baseline():
+    return _observe(BASE)
 
 
 CONFIG_LEAVES = list(_leaves(BASE))
@@ -303,24 +273,12 @@ class TestExclusionLemma:
         config = _perturb(data, BASE, path, str(tmp / "ckpt"))
         assume(_vrf_accepts(config))
         assert (
-            key_projection(config, "gen") == key_projection(BASE, "gen")
-        ) == (scope != "gen")
-        assert (
             checkpoint_fingerprint(config) == checkpoint_fingerprint(BASE)
         ) == (scope is False)
-        observed = _observe(config, tmp)
-        for name, (entries, facts) in observed.items():
-            base_entries, base_facts = baseline[name]
-            if config.execution == "scalar":
-                # The scalar oracle generates live and never probes the
-                # store; its key material is the gen projection above.
-                assert entries == {}
-            elif scope == "gen":
-                assert not set(entries) & set(base_entries), name
-            else:
-                assert entries == base_entries, name
+        observed = _observe(config)
+        for name, facts in observed.items():
             if scope is False:
-                assert facts == base_facts, name
+                assert facts == baseline[name], name
 
     @pytest.mark.parametrize(
         "path,scope", ENV_LEAVES, ids=_ids(ENV_LEAVES)

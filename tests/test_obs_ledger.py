@@ -60,10 +60,6 @@ def _ev(etype="run_start", **overrides):
             "priority": "interactive", "source": "memo", "code": 200,
             "wall_s": 0.001,
         },
-        "trace_cache": {
-            "epoch": 0, "status": "hit", "key": "cd" * 32, "pes": 8,
-            "wall_s": 0.002,
-        },
         "dispatch": {
             "cache": "l1[0]", "level": "l1", "events": 500,
             "chosen": "native", "measured_us": 95.0,
