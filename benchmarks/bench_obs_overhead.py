@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     reps = 1 if args.smoke else max(1, args.reps)
     max_overhead = args.max_overhead or (2.0 if args.smoke else 1.03)
 
-    # The BENCH_gen/BENCH_replay headline workload, so the overhead
+    # perfbench's engine-sddmm-uniform inputs, so the overhead
     # number is measured exactly where the dispatch audit is busiest.
     if args.smoke:
         name = "smoke-unif-sddmm"

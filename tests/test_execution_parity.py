@@ -17,14 +17,15 @@ uninterrupted oracle as well: the resume restores the output
 accumulator partway through the run.
 
 Two whole-run checks sit beside them: a 30k-nonzero run gives the same
-facts with the library loaded and refused, and the same seeded
-workloads run in two processes with different string-hash seeds give
-byte-identical facts.
+facts with the library loaded and refused; and two seeded smoke
+workloads give the same facts, final cache state included, under each
+distinct execution and replay pair, byte-identical in two processes
+with different string-hash seeds.
 
-Test ids name the replay by how the vectorized engine drives it:
-``scalar`` (one call per access) or ``batched`` (each epoch's generated
-traces replayed in one call), which is ``replay="array"``.  The scalar
-oracle issues every access directly under either replay mode.
+Test ids name the replay mode of ``repro.config.REPLAY_MODES``: under
+``scalar`` the vectorized engine replays its generated traces one
+access at a time, under ``array`` each epoch's traces in one call.  The
+scalar oracle issues every access directly under either replay mode.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from repro.config import EXECUTION_MODES, ResilienceConfig, scaled_config
+from repro.config import (
+    EXECUTION_MODES,
+    REPLAY_MODES,
+    ResilienceConfig,
+    scaled_config,
+)
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import ScheduleParams
@@ -53,7 +59,6 @@ from repro.sparse.tiled import tile_matrix
 from tests.walks import WALKS, kernels
 
 MODES = ("vectorized",)
-REPLAY_OF = {"scalar": "scalar", "batched": "array"}
 
 
 def _run_engine(
@@ -68,7 +73,7 @@ def _run_engine(
     """Build an Engine directly (so PEs stay reachable) and run once."""
     cfg = dataclasses.replace(
         scaled_config(4, cache_shrink=8), execution=execution,
-        replay=REPLAY_OF[replay],
+        replay=replay,
     )
     settings = settings or KernelSettings.base()
     system = SpadeSystem(cfg, chunk_nnz=chunk_nnz)
@@ -162,14 +167,14 @@ def rect():
 
 
 class TestExecutionParity:
-    @pytest.mark.parametrize("replay", ["scalar", "batched"])
+    @pytest.mark.parametrize("replay", REPLAY_MODES)
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
     def test_modes_bit_identical(self, graph, kernel, replay):
         _assert_same(graph, 16, kernel, replay)
 
     def test_rmatrix_bypass(self, rect):
         _assert_same(
-            rect, 16, "spmm", "batched",
+            rect, 16, "spmm", "array",
             KernelSettings(rmatrix_bypass=True),
         )
 
@@ -177,7 +182,7 @@ class TestExecutionParity:
         # Pre-CFG4 sparse path: the stream goes through the caches, so
         # the sparse ops take the dense-cached branch of the generators.
         _assert_same(
-            rect, 16, "sddmm", "batched",
+            rect, 16, "sddmm", "array",
             KernelSettings(sparse_stream_bypass=False),
         )
 
@@ -189,7 +194,7 @@ class TestExecutionParity:
 
     def test_barrier_epochs(self, graph):
         _assert_same(
-            graph, 16, "spmm", "batched",
+            graph, 16, "spmm", "array",
             KernelSettings(
                 row_panel_size=64, col_panel_size=64, use_barriers=True
             ),
@@ -199,13 +204,13 @@ class TestExecutionParity:
         # K=256 -> 16 lines/row: the elision cadence degenerates to 1
         # (the VRF cannot protect a run), so the generators must fall
         # back to streaming every access and still match the oracle.
-        _assert_same(rect, 256, "spmm", "batched")
-        _assert_same(rect, 256, "sddmm", "batched")
+        _assert_same(rect, 256, "spmm", "array")
+        _assert_same(rect, 256, "sddmm", "array")
 
     def test_tiny_chunks(self, rect):
         # chunk_nnz smaller than typical row runs: runs split across
         # chunk boundaries exercise the first/last-touch rules.
-        _assert_same(rect, 16, "spmm", "batched", chunk_nnz=17)
+        _assert_same(rect, 16, "spmm", "array", chunk_nnz=17)
 
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
@@ -215,7 +220,7 @@ class TestExecutionParity:
             generate_spmm_epoch,
         )
 
-        eng, _, _ = _run_engine(rect, 16, kernel, "vectorized", "batched")
+        eng, _, _ = _run_engine(rect, 16, kernel, "vectorized", "array")
         pe = eng.pes[0]
 
         def state():
@@ -329,40 +334,74 @@ class TestVrfWalkInvariance:
 _FACTS_CHILD = """
 import dataclasses, hashlib, json
 import numpy as np
+import repro.core.accelerator as accelerator
 from repro.config import scaled_config
-from repro.core.accelerator import SpadeSystem
 from repro.sparse.generators import rmat_graph, uniform_random
+
+engines = []
+
+class KeptEngine(accelerator.Engine):
+    # SpadeSystem drops its engine after a run; keep it, so the final
+    # memory hierarchy stays reachable.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        engines.append(self)
+
+accelerator.Engine = KeptEngine
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 def facts(report):
+    # state_dict lists every set's residents in LRU order; sorting the
+    # dict keys drops only the order regions were first touched in.
+    memory = json.dumps(engines[-1].memory.state_dict(), sort_keys=True)
     return {
         "output_sha256": sha(np.ascontiguousarray(report.output).tobytes()),
         "time_ns": report.result.time_ns,
         "requests": report.counters.total_requests,
         "stats": dataclasses.asdict(report.stats),
         "counters": dataclasses.asdict(report.counters),
+        "memory_sha256": sha(memory.encode()),
     }
 
 rng = np.random.default_rng(7)
-system = SpadeSystem(scaled_config(8))
 a = uniform_random(512, 256, nnz=20_000, seed=11)
 b = rng.random((a.num_rows, 16), dtype=np.float32)
 c = rng.random((a.num_cols, 16), dtype=np.float32)
 g = rmat_graph(9, edge_factor=8, seed=5)
 d = rng.random((g.num_cols, 16), dtype=np.float32)
-print(json.dumps(
-    {"sddmm": facts(system.sddmm(a, b, c)), "spmm": facts(system.spmm(g, d))},
-    sort_keys=True,
-))
+runs = {}
+for pair in (("vectorized", "array"), ("vectorized", "scalar"),
+             ("scalar", "scalar")):
+    cfg = dataclasses.replace(
+        scaled_config(8), execution=pair[0], replay=pair[1]
+    )
+    system = accelerator.SpadeSystem(cfg)
+    runs[pair] = {
+        "sddmm": facts(system.sddmm(a, b, c)),
+        "spmm": facts(system.spmm(g, d)),
+    }
+first = runs["vectorized", "array"]
+for pair, got in runs.items():
+    diverged = [
+        (kernel, key) for kernel in first for key in first[kernel]
+        if got[kernel][key] != first[kernel][key]
+    ]
+    assert not diverged, f"{pair} diverged from the array replay: {diverged}"
+print(json.dumps(first, sort_keys=True))
 """
 
 
 class TestCrossProcessDeterminism:
-    """The same seeded workloads run in two processes with different
-    string-hash seeds give byte-identical simulated facts: output
-    sha256, simulated time, request counts, AccessStats and counters."""
+    """Two seeded smoke workloads (a 20k-nonzero uniform SDDMM and an
+    RMAT scale-9 SpMM, K=16 on 8 PEs) give the same simulated facts
+    under the ``(vectorized, array)``, ``(vectorized, scalar)`` and
+    ``(scalar, scalar)`` execution and replay pairs: output sha256,
+    simulated time, request counts, AccessStats, counters and a sha256
+    of the final memory hierarchy's state with its LRU order.  Run in
+    two processes with different string-hash seeds, the facts are
+    byte-identical."""
 
     def test_facts_identical_across_hash_seeds(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -444,7 +483,7 @@ class TestTraceParity:
         # held to the oracle's per-access calls below.
         streams = {}
         runs = [("scalar", "native")] + [
-            ("batched", walk) for walk in WALKS
+            ("array", walk) for walk in WALKS
         ]
         for replay, walk in runs:
             with monkeypatch.context() as mp, kernels(walk):
@@ -490,7 +529,7 @@ class TestTraceParity:
         with monkeypatch.context() as mp:
             chunks = self._capture_chunks(mp)
             eng_a, res_a, out_a = _run_engine(
-                rect, 16, kernel, "scalar", "batched"
+                rect, 16, kernel, "scalar", "array"
             )
         assert chunks == []
         assert out_a.tobytes() == out_o.tobytes()

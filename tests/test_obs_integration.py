@@ -16,7 +16,7 @@ from repro.obs import NULL_LEDGER, RunLedger, open_run_ledger, read_events
 from repro.obs.schema import DISPATCH_LEVELS
 from repro.resilience import ChaosConfig, ChaosMonkey, RunSupervisor
 from repro.sparse.generators import uniform_random
-from repro.obs import chrome_trace, run_manifest
+from repro.obs import chrome_trace, run_manifest, validate_manifest
 from repro.sweep import SweepRunner, open_cache
 
 
@@ -430,6 +430,7 @@ class TestProvenanceLinks:
         on_disk = json.loads((tmp_path / "BENCH_x.json").read_text())
         assert on_disk["metric"] == 1.0
         assert on_disk["manifest"]["ledger"]["events"] == 1
+        validate_manifest(on_disk["manifest"])
 
 
 class TestObsConfig:

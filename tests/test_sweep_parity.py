@@ -100,19 +100,22 @@ class TestSerialParallelParity:
 
 class TestCacheParity:
     def test_warm_cache_serves_serial_bytes(self, tmp_path):
-        """A jobs=4 run populates the cache; a second run is 100% cache
-        hits and still serialises to the same bytes as serial."""
-        serial = run_driver(fig09)
-        cold = SweepRunner(jobs=4, cache=open_cache(tmp_path / "c"))
-        assert canonical_json(run_driver(fig09, sweep=cold)) == \
-            canonical_json(serial)
-        assert cold.report.completed == cold.report.total
+        """For fig09 and table5, a jobs=4 run populates the cache; a
+        second run executes zero simulator calls (100% cache hits) and
+        still serialises to the same bytes as serial."""
+        for module in (fig09, table5):
+            name = module.__name__
+            serial = run_driver(module)
+            cold = SweepRunner(jobs=4, cache=open_cache(tmp_path / name))
+            assert canonical_json(run_driver(module, sweep=cold)) == \
+                canonical_json(serial), name
+            assert cold.report.completed == cold.report.total > 0, name
 
-        warm = SweepRunner(jobs=4, cache=open_cache(tmp_path / "c"))
-        rows = run_driver(fig09, sweep=warm)
-        assert canonical_json(rows) == canonical_json(serial)
-        assert warm.report.cached == warm.report.total
-        assert warm.report.completed == 0
+            warm = SweepRunner(jobs=4, cache=open_cache(tmp_path / name))
+            rows = run_driver(module, sweep=warm)
+            assert canonical_json(rows) == canonical_json(serial), name
+            assert warm.report.cached == warm.report.total, name
+            assert warm.report.completed == 0, name
 
     def test_cache_is_orchestration_invariant(self, tmp_path):
         """Worker count and watchdog knobs are excluded from job keys:

@@ -171,46 +171,3 @@ class TestProvenance:
         assert "seed" not in d
         assert diff_manifests(a, a) == {}
 
-
-class TestBackfill:
-    def _load_backfill(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "backfill_manifests.py"
-        )
-        spec = importlib.util.spec_from_file_location("backfill", path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod
-
-    def test_backfill_adds_manifest_without_touching_numbers(
-        self, tmp_path
-    ):
-        mod = self._load_backfill()
-        path = tmp_path / "BENCH_x.json"
-        original = {"headline_speedup": 3.19, "workloads": [{"a": 1}]}
-        path.write_text(json.dumps(original))
-
-        assert mod.backfill_file(path, write=False) == "missing"
-        assert mod.backfill_file(path) == "stamped"
-        stamped = json.loads(path.read_text())
-        assert stamped["headline_speedup"] == 3.19
-        assert stamped["workloads"] == [{"a": 1}]
-        validate_manifest(stamped["manifest"])
-        assert stamped["manifest"]["extra"]["backfilled"] is True
-        # Second pass is idempotent.
-        assert mod.backfill_file(path) == "ok"
-
-    def test_backfill_check_mode_exit_codes(self, tmp_path, capsys):
-        mod = self._load_backfill()
-        good = tmp_path / "BENCH_good.json"
-        good.write_text(json.dumps(stamp({"v": 1})))
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"v": 2}))
-        assert mod.main([str(good), "--check"]) == 0
-        assert mod.main([str(bad), "--check"]) == 1
-        assert mod.main([str(bad)]) == 0  # stamps it
-        assert mod.main([str(bad), "--check"]) == 0
