@@ -27,7 +27,7 @@ from repro.core.vectorized import generate_sddmm_epoch, generate_spmm_epoch
 from repro.errors import CheckpointError, ConfigError, EngineExecutionError, SpadeError
 from repro.kernels.reference import sddmm_chunk_vals, spmm_chunk_update
 from repro.memory.address import AddressMap
-from repro.memory.hierarchy import MemorySystem
+from repro.memory.hierarchy import MemorySystem, ServiceLevel
 from repro.memory.stats import AccessStats
 from repro.obs.ledger import NULL_LEDGER
 from repro.resilience.checkpoint import CheckpointManager, checkpoint_fingerprint
@@ -650,9 +650,7 @@ class Engine:
                 replay_runs.append((i, lines[s0:s1], ops[s0:s1]))
         t0 = time.perf_counter()
         try:
-            levels = self.memory.replay_epoch(replay_runs)
-            for (i, _, ops), lv in zip(replay_runs, levels):
-                self.pes[i].record_replay(lv, ops)
+            self._replay_into_counters(replay_runs)
         except SpadeError:
             raise
         except Exception as exc:
@@ -665,18 +663,45 @@ class Engine:
             phase[2] += time.perf_counter() - t0
             if self.config.replay != "scalar":
                 runs = [[i, int(ops.shape[0])] for i, _, ops in replay_runs]
-        del replay_runs, levels
+        del replay_runs
         for pe in self.pes:
             pe._trace.clear()
         return sum(len(p) for p in parts), runs
 
+    def _replay_into_counters(self, runs) -> None:
+        """Replay dispatch runs ``(pe, lines, ops)`` as one epoch and add
+        each PE's per-level tallies into its counters."""
+        tally = np.zeros(
+            (len(self.pes), 3, len(ServiceLevel)), dtype=np.int64
+        )
+        self.memory.replay_epoch(runs, tally=tally)
+        for pe, rows in zip(self.pes, tally.tolist()):
+            pe.counters.add_tally(rows)
+
     def _terminate(self) -> Tuple[float, int]:
-        """WB&Invalidate on every PE; returns (flush time, dirty lines)."""
+        """WB&Invalidate on every PE; returns (flush time, dirty lines).
+
+        The scalar oracle drains and flushes one PE after the other.
+        Vectorized execution replays every PE's VRF drain as one epoch
+        of runs in PE order, then flushes every PE: a PE's flush touches
+        only its own L1 and BBF, and ``Cache.flush`` does not cascade,
+        so no later PE's drain sees it and the result is the oracle's
+        (DESIGN.md section 10).  The drain then never reads the compiled
+        replay's state back into dicts."""
         dirty = 0
         with self.ledger.span("wb_invalidate", cat="flush"):
             for pe in self.pes:
                 pe.counters = PECounters()
-                dirty += pe.writeback_invalidate()
+            if self.execution == "scalar":
+                for pe in self.pes:
+                    dirty += pe.writeback_invalidate()
+            else:
+                drains = [(pe.pe_id, *pe.drain_trace()) for pe in self.pes]
+                self._replay_into_counters(
+                    [run for run in drains if run[1].shape[0]]
+                )
+                for pe in self.pes:
+                    dirty += self.memory.flush_pe(pe.pe_id)
         # VRF drain stores count as DRAM/cache writes already; the flush
         # time models draining the dirty L1/BBF lines to memory.
         return flush_time_ns(dirty, self.config), dirty

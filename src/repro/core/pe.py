@@ -19,7 +19,7 @@ per-service-level request counts tallied here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +32,8 @@ from repro.memory.address import AddressMap, padded_row_bytes
 from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
-    OP_REGION_SHIFT,
     OP_STREAM,
-    OP_WRITE,
+    SPARSE_REGION,
     TRACE_REGIONS,
     MemorySystem,
     ServiceLevel,
@@ -45,7 +44,6 @@ _NUM_LEVELS = len(ServiceLevel)
 _OUT_VALS_PER_LINE = CACHE_LINE_BYTES // 4
 
 # Region ids into TRACE_REGIONS used by the PE trace ops.
-_R_SPARSE = TRACE_REGIONS.index("sparse")
 _R_RMATRIX = TRACE_REGIONS.index("rmatrix")
 _R_CMATRIX = TRACE_REGIONS.index("cmatrix")
 _R_SPARSE_OUT = TRACE_REGIONS.index("sparse_out")
@@ -77,6 +75,18 @@ class PECounters:
             + sum(self.dense_reads_by_level)
             + sum(self.stores_by_level)
         )
+
+    def add_tally(self, tally: Sequence[Sequence[int]]) -> None:
+        """Add per-level tallies: dense reads, stores and sparse accesses,
+        one count per service level each (see
+        :func:`repro.memory.hierarchy.level_tally`)."""
+        for mine, theirs in zip(
+            (self.dense_reads_by_level, self.stores_by_level,
+             self.sparse_by_level),
+            tally,
+        ):
+            for i, x in enumerate(theirs):
+                mine[i] += x
 
     def merged(self, other: "PECounters") -> "PECounters":
         out = PECounters(
@@ -133,7 +143,7 @@ class ProcessingElement:
         self._trace = TraceBuffer()
         self._op_sparse = encode_op(
             OP_STREAM if policy.sparse_stream_bypass else OP_DENSE,
-            False, _R_SPARSE,
+            False, SPARSE_REGION,
         )
         self._op_rmatrix_read = encode_op(
             OP_DENSE_BYPASS if policy.rmatrix_bypass else OP_DENSE,
@@ -186,31 +196,6 @@ class ProcessingElement:
                         self.pe_id, line, region="sparse"
                     )
                     counters.sparse_by_level[lvl] += 1
-
-    def record_replay(self, levels: np.ndarray, ops: np.ndarray) -> None:
-        """Fold one replayed dispatch run's per-access service levels
-        into the counters (the epoch driver replays many runs in one
-        call and hands each run's levels back here)."""
-        writes = (ops & OP_WRITE) != 0
-        sparse = (ops >> OP_REGION_SHIFT) == _R_SPARSE
-        # One composite bincount instead of three masked ones: group by
-        # (write, sparse) x level, then fold groups into the tallies.
-        # Sparse writes land in both stores and sparse counts, exactly
-        # like the masked version (the masks overlap there).
-        key = levels.astype(np.int64)
-        key += writes * _NUM_LEVELS
-        key += sparse * (2 * _NUM_LEVELS)
-        counts = np.bincount(key, minlength=4 * _NUM_LEVELS).tolist()
-        c = self.counters
-        for i in range(_NUM_LEVELS):
-            w0 = counts[_NUM_LEVELS + i] + counts[3 * _NUM_LEVELS + i]
-            s0 = counts[2 * _NUM_LEVELS + i] + counts[3 * _NUM_LEVELS + i]
-            if w0:
-                c.stores_by_level[i] += w0
-            if s0:
-                c.sparse_by_level[i] += s0
-            if counts[i]:
-                c.dense_reads_by_level[i] += counts[i]
 
     # -- dense path helpers -----------------------------------------------
 
@@ -367,6 +352,13 @@ class ProcessingElement:
         """Flush remaining dirty VRs (WB&Invalidate prelude)."""
         for line in self.vrf.invalidate_all():
             self._issue_store(line)
+
+    def drain_trace(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The VRF drain of :meth:`drain` as a trace ``(lines, ops)`` of
+        this PE's stores, for a replay backend to replay; the VRF is
+        left empty, as after :meth:`drain`."""
+        lines = np.array(self.vrf.invalidate_all(), dtype=np.int64)
+        return lines, np.full(lines.shape[0], self._op_store, dtype=np.int64)
 
     def writeback_invalidate(self) -> int:
         """Full WB&Invalidate: VRF drain plus L1/BBF flush.  Returns the

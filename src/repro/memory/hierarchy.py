@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.config import CacheConfig, SpadeConfig
 from repro.memory.bbf import BypassBuffer
 from repro.memory.cache import Cache
@@ -67,9 +68,52 @@ TRACE_REGIONS: Tuple[Optional[str], ...] = (
 """Default region-name table for :meth:`MemorySystem.replay_trace`."""
 
 
+SPARSE_REGION = TRACE_REGIONS.index("sparse")
+"""The region id whose accesses :func:`level_tally` counts as sparse."""
+
+
 def encode_op(path: int, is_write: bool, region_id: int) -> int:
     """Pack one trace op (see the bit layout above)."""
     return path | (OP_WRITE if is_write else 0) | (region_id << OP_REGION_SHIFT)
+
+
+def level_tally(levels: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """One run's service levels folded into the PE's per-level tallies:
+    a ``(3, len(ServiceLevel))`` int64 array of dense reads (accesses
+    that neither write nor lie in :data:`SPARSE_REGION`), stores (every
+    write) and sparse accesses (every access in the region; a sparse
+    write counts as a store too) by level.  The reference fold; the
+    compiled replay's ``repro_tally_epoch`` is held to it."""
+    n_levels = len(ServiceLevel)
+    key = levels.astype(np.int64)
+    key += ((ops & OP_WRITE) != 0) * n_levels
+    key += ((ops >> OP_REGION_SHIFT) == SPARSE_REGION) * (2 * n_levels)
+    # Rows: plain reads, plain writes, sparse reads, sparse writes.
+    c = np.bincount(key, minlength=4 * n_levels).reshape(4, n_levels)
+    return np.stack([c[0], c[1] + c[3], c[2] + c[3]])
+
+
+class TraceParts:
+    """One array of an epoch's trace (its lines or its ops) held as its
+    dispatch runs' arrays, which the compiled replay reads in place:
+    the concatenation it stands for is built only when something asks
+    for it as an array (``np.asarray``)."""
+
+    __slots__ = ("parts", "shape")
+
+    def __init__(self, parts: Sequence[np.ndarray]) -> None:
+        self.parts = list(parts)
+        self.shape = (sum(int(a.shape[0]) for a in self.parts),)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        whole = (
+            np.concatenate(self.parts) if self.parts
+            else np.empty(0, dtype=np.int64)
+        )
+        return whole if dtype is None else whole.astype(dtype, copy=False)
 
 
 TRIM_MIN_EVENTS = 1 << 16
@@ -89,12 +133,12 @@ _malloc_trim = _load_malloc_trim()
 
 def _release_heap() -> None:
     """Return freed heap pages to the OS.  Replaying an epoch at once
-    allocates tens of MB of mid-sized temporaries (the concatenated
-    trace, and inside the compiled replay each level's emission buffers,
-    the per-path positions and the run-order merges), which glibc keeps
-    in the heap after they are freed.  Trimming once per epoch keeps peak RSS down: on
-    perfbench's engine-spmm-rmat workload (2-vCPU x86-64 host), 286-287
-    MB with the trim against 296-297 MB without it."""
+    allocates tens of MB of mid-sized temporaries (inside the compiled
+    replay each level's emission buffers, the deduped streams and the
+    run-order merges), which glibc keeps in the heap after they are
+    freed.  Trimming once per epoch keeps peak RSS down: on perfbench's
+    engine-spmm-rmat workload (2-vCPU x86-64 host), 286-287 MB with the
+    trim against 296-297 MB without it."""
     if _malloc_trim is not None:
         _malloc_trim(0)
 
@@ -278,36 +322,55 @@ class MemorySystem:
         self,
         runs: Sequence[Tuple[int, np.ndarray, np.ndarray]],
         region_names: Sequence[Optional[str]] = TRACE_REGIONS,
+        tally: Optional[np.ndarray] = None,
     ) -> List[np.ndarray]:
         """Replay one epoch's dispatch runs ``(pe_id, lines, ops)`` in
         order; returns each run's per-access service levels.
 
         The scalar oracle replays the runs one :meth:`replay_trace` call
-        each.  The array backend gets the whole epoch in one call: the
-        runs' traces back to back, with their bounds as the run list,
-        so every cache walks once per epoch instead of once per run,
-        all inside one compiled call."""
+        each.  The array backend gets the whole epoch in one call, the
+        runs' arrays as :class:`TraceParts` with their bounds as the run
+        list, so every cache walks once per epoch instead of once per
+        run, all inside one compiled call that reads the runs in place.
+
+        ``tally``, when given, is a ``(PEs, 3, len(ServiceLevel))``
+        int64 array: each run's levels are added into its PE's row as
+        :func:`level_tally` counts them (by ``repro_tally_epoch`` where
+        the array backend's library loads)."""
         if self.config.replay == "scalar":
-            return [
+            levels = [
                 self.replay_trace(pe, lines, ops, region_names)
                 for pe, lines, ops in runs
             ]
-        if not runs:
+        elif not runs:
             return []
-        bounds = np.cumsum([0] + [r[1].shape[0] for r in runs]).tolist()
-        table = [
-            (int(r[0]), lo, hi) for r, lo, hi in zip(runs, bounds, bounds[1:])
-        ]
-        if len(runs) == 1:
-            lines, ops = runs[0][1], runs[0][2]
         else:
-            lines = np.concatenate([r[1] for r in runs])
-            ops = np.concatenate([r[2] for r in runs])
-        levels = self.replay_trace(table, lines, ops, region_names)
-        del lines, ops
-        if levels.shape[0] >= TRIM_MIN_EVENTS:
-            _release_heap()
-        return [levels[lo:hi] for _, lo, hi in table]
+            runs = [
+                (int(pe), np.asarray(lines), np.asarray(ops))
+                for pe, lines, ops in runs
+            ]
+            bounds = np.cumsum([0] + [r[1].shape[0] for r in runs]).tolist()
+            table = [
+                (r[0], lo, hi) for r, lo, hi in zip(runs, bounds, bounds[1:])
+            ]
+            whole = self.replay_trace(
+                table, TraceParts([r[1] for r in runs]),
+                TraceParts([r[2] for r in runs]), region_names,
+            )
+            levels = [whole[lo:hi] for _, lo, hi in table]
+            kernel = native.tally_epoch_kernel()
+            if tally is not None and kernel is not None:
+                kernel(tally, [
+                    (pe, lines, np.ascontiguousarray(ops, dtype=np.int64))
+                    for pe, lines, ops in runs
+                ], whole)
+                tally = None
+            if whole.shape[0] >= TRIM_MIN_EVENTS:
+                _release_heap()
+        if tally is not None:
+            for (pe, _, ops), lv in zip(runs, levels):
+                tally[pe] += level_tally(lv, np.asarray(ops))
+        return levels
 
     def replay_trace_scalar(
         self,
@@ -433,7 +496,7 @@ class MemorySystem:
         stats.dram_reads = self.dram.reads
         stats.dram_writes = self.dram.writes
         stats.stlb_misses = sum(t.misses for t in self.stlbs)
-        stats.by_region = dict(self._region_traffic)
+        stats.by_region = dict(sorted(self._region_traffic.items()))
         stats.flushed_dirty_lines = (
             sum(l1.flush_writebacks for l1 in self.l1s)
             + sum(l2.flush_writebacks for l2 in self.l2s)
@@ -458,7 +521,7 @@ class MemorySystem:
             "stlbs": [t.state_dict() for t in self.stlbs],
             "llc": self.llc.state_dict(),
             "dram": self.dram.state_dict(),
-            "region_traffic": dict(self._region_traffic),
+            "region_traffic": dict(sorted(self._region_traffic.items())),
         }
 
     def load_state_dict(self, state: dict) -> None:

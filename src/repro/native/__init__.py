@@ -15,12 +15,15 @@ Three kernels live here, built into one library:
   :func:`repro.memory.replay_array.replay_trace_array`: every STLB, L1,
   L2, the LLC, and every BBF stream buffer and victim cache walks once
   over its own event stream, the levels' events merged along the
-  epoch's dispatch runs.  Each walk reads the resident sets it touches
-  from the caches' dicts through a callback, and the binding writes
-  them back once the whole call has succeeded.  Its reference is the
-  scalar oracle,
+  epoch's dispatch runs, each run's arrays read in place.  The
+  residents live in C between epochs, one :class:`ReplayState` per
+  structure, made from the caches' dicts on first use and turned back
+  into dicts only when they are read.  Its reference is the scalar
+  oracle,
   :meth:`repro.memory.hierarchy.MemorySystem.replay_trace_scalar`, run
-  by run, which is also the path taken without the library;
+  by run, which is also the path taken without the library; its
+  ``repro_tally_epoch`` folds the levels into each PE's per-level
+  tallies, held to :func:`repro.memory.hierarchy.level_tally`;
 - ``spmm_merge.c``, the SpMM output merge behind
   :func:`repro.kernels.reference.spmm_chunk_update`; its twin is the
   ``np.add.at`` scatter it transcribes.
@@ -66,8 +69,9 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 from array import array
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -87,6 +91,8 @@ class Kernels(NamedTuple):
 
     vrf_epoch: Callable
     replay_epoch: Callable
+    tally_epoch: Callable
+    live_states: Callable[[], int]
     spmm_merge: Callable
 
 
@@ -186,6 +192,7 @@ def kernels() -> Optional[Kernels]:
                 lib = _load_library()
                 _kernels = Kernels(
                     _bind_vrf_epoch(lib), _bind_replay_epoch(lib),
+                    _bind_tally_epoch(lib), lib.repro_state_live,
                     _bind_spmm_merge(lib),
                 )
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
@@ -210,6 +217,12 @@ def replay_epoch_kernel() -> Optional[Callable]:
     """The compiled epoch replay, or ``None`` (see :func:`kernels`)."""
     k = kernels()
     return k.replay_epoch if k is not None else None
+
+
+def tally_epoch_kernel() -> Optional[Callable]:
+    """The compiled epoch tally, or ``None`` (see :func:`kernels`)."""
+    k = kernels()
+    return k.tally_epoch if k is not None else None
 
 
 def kernels_impl() -> Optional[str]:
@@ -396,7 +409,7 @@ def check_replay_epoch(
 
 class ReplayResult(NamedTuple):
     """What one compiled epoch replay found, decoded per structure and
-    per region; the structures' residents are already written back."""
+    per region; the structures' states already hold their residents."""
 
     levels: np.ndarray
     """Each access's service level."""
@@ -405,9 +418,9 @@ class ReplayResult(NamedTuple):
     dram_reads: int
     dram_writes: int
     traffic: List[Tuple[int, int]]
-    """``(region id, accesses)`` of the DRAM traffic, in the order the
-    regions first see it: the dense path's reads and writes, then each
-    PE's victim cache's, then each PE's stream buffer's."""
+    """``(region id, accesses)`` of the DRAM traffic: the dense path's
+    reads and writes, then each PE's victim cache's, then each PE's
+    stream buffer's."""
     walks: List[Tuple[str, object, int, int]]
     """``(level, cache, events, nanoseconds)`` per walked stream."""
 
@@ -427,43 +440,140 @@ def replay_structures(ms) -> List[Tuple[str, object]]:
     )
 
 
-_ERR_ALLOC, _ERR_CALLBACK = -1, -2
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_FETCH = ctypes.CFUNCTYPE(
-    ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64, ctypes.c_void_p,
-    ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_void_p),
-)
-_STORE = ctypes.CFUNCTYPE(
-    ctypes.c_int64, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-)
+_ERR_ALLOC, _ERR_OUTSIDE, _ERR_OVERFULL, _ERR_TWICE = -1, -3, -4, -5
+
+
+class ReplayState:
+    """One structure's resident lines, held in C by the compiled replay
+    from one epoch to the next (``repro_state_*`` in
+    ``replay_epoch.c``): per-set LRU lists in a node pool, and a line
+    table.  :class:`repro.memory.cache.Cache` makes one from its dicts
+    on the first compiled epoch and turns it back into dicts when they
+    are read.  The C state is freed when this object goes (or at
+    :meth:`close`); copies of a process made by ``fork`` hold their own
+    copy of it."""
+
+    __slots__ = ("ptr", "num_sets", "ways", "_lib", "_free", "__weakref__")
+
+    def __init__(self, lib: ctypes.CDLL, num_sets: int, ways: int) -> None:
+        ptr = lib.repro_state_new(num_sets, ways)
+        if not ptr:
+            raise MemoryError(
+                f"the compiled replay could not allocate {num_sets} sets "
+                f"of {ways} ways"
+            )
+        self.ptr, self.num_sets, self.ways, self._lib = (
+            ptr, num_sets, ways, lib
+        )
+        self._free = weakref.finalize(self, lib.repro_state_free, ptr)
+        self._free.atexit = False  # the process is going anyway
+
+    def load(self, sets, name: str) -> None:
+        """Take the residents of ``sets``, one ``{line: dirty}`` dict
+        per set in LRU order, into this empty state.  Raises
+        ``ValueError`` for dicts that are not one per set, a set over
+        its ways, a negative line, a line outside its set or a line
+        twice; the state must then be dropped."""
+        counts = array("q", map(len, sets))
+        if len(counts) != self.num_sets:
+            raise ValueError(
+                f"{name}: {len(counts)} resident dicts for "
+                f"{self.num_sets} sets"
+            )
+        total = sum(counts)
+        if not total:
+            return
+        lines = array("q", chain.from_iterable(sets))
+        dirty = array("B", chain.from_iterable(d.values() for d in sets))
+        if not len(lines) == len(dirty) == total:
+            raise ValueError(f"{name}: resident dicts changed while read")
+        rc = self._lib.repro_state_import(
+            self.ptr, counts.buffer_info()[0], lines.buffer_info()[0],
+            dirty.buffer_info()[0],
+        )
+        if rc == _ERR_ALLOC:
+            raise MemoryError(f"{name}: could not allocate its residents")
+        if rc == _ERR_OVERFULL:
+            raise ValueError(
+                f"{name}: a set holds more residents than its "
+                f"{self.ways} ways"
+            )
+        if rc == _ERR_OUTSIDE:
+            raise ValueError(
+                f"{name}: a negative line or a resident outside its set"
+            )
+        if rc < 0:
+            raise ValueError(f"{name}: a line resident twice")
+
+    def export(self) -> Tuple[List[int], List[int], List[bool]]:
+        """The residents: each set's count, then every line and its dirty
+        flag, set after set in LRU order (oldest first)."""
+        n = self._lib.repro_state_size(self.ptr)
+        counts = np.empty(self.num_sets, dtype=np.int64)
+        lines = np.empty(n, dtype=np.int64)
+        dirty = np.empty(n, dtype=np.bool_)
+        self._lib.repro_state_export(
+            self.ptr, counts.ctypes.data, lines.ctypes.data,
+            dirty.ctypes.data,
+        )
+        return counts.tolist(), lines.tolist(), dirty.tolist()
+
+    def dirty(self) -> int:
+        """The number of dirty residents."""
+        return self._lib.repro_state_dirty(self.ptr)
+
+    def close(self) -> None:
+        """Free the C state now."""
+        self._free()
+
+    def __reduce__(self):
+        raise TypeError("a compiled replay state cannot be copied")
+
+
+def live_states() -> int:
+    """Compiled replay states allocated and not yet freed in this
+    process (0 without the library)."""
+    k = kernels()
+    return k.live_states() if k is not None else 0
 
 
 def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
     from repro.memory.tlb import LINES_PER_PAGE
 
-    fn = lib.repro_replay_epoch
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
+    lib.repro_state_new.restype = ptr
+    lib.repro_state_new.argtypes = [i64, i64]
+    lib.repro_state_free.restype = None
+    lib.repro_state_free.argtypes = [ptr]
+    lib.repro_state_live.restype = i64
+    lib.repro_state_live.argtypes = []
+    lib.repro_state_import.restype = i64
+    lib.repro_state_import.argtypes = [ptr, ptr, ptr, ptr]
+    lib.repro_state_export.restype = None
+    lib.repro_state_export.argtypes = [ptr, ptr, ptr, ptr]
+    for name in ("repro_state_size", "repro_state_dirty"):
+        getattr(lib, name).restype = i64
+        getattr(lib, name).argtypes = [ptr]
+    fn = lib.repro_replay_epoch
     fn.restype = i64
     fn.argtypes = [
-        ptr, ptr, i64,            # lines, ops, n
-        ptr, i64,                 # runs, n_runs
+        ptr, ptr, ptr, i64,       # runs, run lines, run ops, n_runs
         i64, i64, i64, i64,       # PEs, PEs per L2, lines per page, regions
-        ptr, _FETCH, _STORE,      # geometry, resident callbacks
+        ptr,                      # states
         ptr, ptr, ptr, ptr,       # out: levels, counters, DRAM, walks
     ]
 
-    def replay(
-        ms, lines: np.ndarray, ops: np.ndarray, runs: np.ndarray,
-        n_regions: int,
-    ) -> ReplayResult:
-        """Replay an epoch :func:`check_replay_epoch` accepted through
-        every structure of the memory system ``ms``.  ``runs`` is the
-        ``(R, 3)`` int64 run table ``(pe, lo, hi)``.  The walks read the
-        residents of exactly the sets they touch from each structure's
-        per-set ``{line: dirty}`` dicts (LRU order), and those sets are
-        rewritten only once the whole call has succeeded."""
+    def new_state(num_sets: int, ways: int) -> ReplayState:
+        return ReplayState(lib, num_sets, ways)
+
+    def replay(ms, runs, n_regions: int) -> ReplayResult:
+        """Replay an epoch's runs ``(pe, lines, ops)``, each pair 1-D
+        C-contiguous int64 that :func:`check_replay_epoch` accepted,
+        through every structure of the memory system ``ms``, reading
+        the runs in place.  Each structure's residents move into its
+        compiled state on first use (:meth:`Cache._replay_state`) and
+        stay there.  A refused or failed call changes no resident."""
         units = replay_structures(ms)
         caches = [c for _, c in units]
         num_pes = len(ms.l1s)
@@ -477,58 +587,21 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
                 f"BBFs and {n_groups} L2s and STLBs, not {len(ms.bbfs)}, "
                 f"{len(ms.l2s)} and {len(ms.stlbs)}"
             )
-        n = int(lines.shape[0])
-        _require("runs", runs, np.int64, 2)
-        if runs.shape[1:] != (3,):
-            raise ValueError("runs must be (pe, lo, hi) rows")
-        shapes = [(c.num_sets, c.ways) for c in caches]
-        if min(map(min, shapes)) < 1:
+        if min(min(c.num_sets, c.ways) for c in caches) < 1:
             raise ValueError("every structure needs a set and a way")
-        geometry = np.array(shapes, dtype=np.int64)
-        for c in caches:
-            if len(c._sets) != c.num_sets:
-                raise ValueError(
-                    f"{len(c._sets)} resident dicts for {c.num_sets} sets"
-                )
-        keep: List[array] = []
-        staged: List[Tuple[list, List[int], List[int], bytes, bytes]] = []
-        failed: List[BaseException] = []
-
-        def fetch(c, ids, k, counts_at, lines_out, dirty_out):
-            try:
-                cache_sets = caches[c]._sets
-                counts: List[int] = []
-                keys: List[int] = []
-                flags: List[bool] = []
-                for s in ids[:k]:
-                    d = cache_sets[s]
-                    counts.append(len(d))
-                    keys += d
-                    flags += d.values()
-                res_counts = array("q", counts)
-                res_lines = array("q", keys)
-                res_dirty = array("B", flags)
-                ctypes.memmove(counts_at, res_counts.buffer_info()[0], 8 * k)
-                keep[:] = res_lines, res_dirty  # until the next fetch
-                lines_out[0] = res_lines.buffer_info()[0]
-                dirty_out[0] = res_dirty.buffer_info()[0]
-                return len(keys)
-            except BaseException as exc:  # raised again after the call
-                failed.append(exc)
-                return _ERR_CALLBACK
-
-        def store(c, ids, counts, k, lines_at, dirty_at, m):
-            try:
-                staged.append((
-                    caches[c]._sets, ids[:k], counts[:k],
-                    ctypes.string_at(lines_at, 8 * m),
-                    ctypes.string_at(dirty_at, m),
-                ))
-                return 0
-            except BaseException as exc:  # raised again after the call
-                failed.append(exc)
-                return _ERR_CALLBACK
-
+        states = np.array(
+            [c._replay_state(new_state).ptr for c in caches], dtype=np.uintp
+        )
+        table, line_at, op_at = [], [], []
+        n = 0
+        for pe, lines, ops in runs:
+            table.append((pe, n, n + lines.shape[0]))
+            n += lines.shape[0]
+            line_at.append(lines.ctypes.data)
+            op_at.append(ops.ctypes.data)
+        runs_arr = np.array(table, dtype=np.int64).reshape(-1, 3)
+        line_ptrs = np.array(line_at, dtype=np.uintp)
+        op_ptrs = np.array(op_at, dtype=np.uintp)
         levels = np.empty(n, dtype=np.uint8)
         counters = np.zeros((len(caches), 3), dtype=np.int64)
         # Slots of n_regions counts: dense reads, dense writes, then per
@@ -536,33 +609,17 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
         # writes.
         dram = np.zeros((2 + 4 * num_pes, n_regions), dtype=np.int64)
         walks = np.empty((len(caches), 3), dtype=np.int64)
-        callbacks = _FETCH(fetch), _STORE(store)  # alive for the call
         rc = fn(
-            lines.ctypes.data, ops.ctypes.data, n,
-            runs.ctypes.data, runs.shape[0],
-            num_pes, pes_per_l2, LINES_PER_PAGE, n_regions,
-            geometry.ctypes.data, *callbacks,
+            runs_arr.ctypes.data, line_ptrs.ctypes.data, op_ptrs.ctypes.data,
+            len(table), num_pes, pes_per_l2, LINES_PER_PAGE, n_regions,
+            states.ctypes.data,
             levels.ctypes.data, counters.ctypes.data, dram.ctypes.data,
             walks.ctypes.data,
         )
-        if rc == _ERR_CALLBACK and failed:
-            raise failed[0]
         if rc == _ERR_ALLOC:
             raise MemoryError("epoch replay could not allocate its state")
         if rc < 0:
-            raise ValueError(
-                "epoch replay refused its input: a resident outside its "
-                "set, or a malformed run, op or line"
-            )
-        # Each set's dict is rebuilt as the old one goes, so the two
-        # states never coexist whole.
-        for cache_sets, set_ids, counts, res_lines, res_dirty in staged:
-            pairs = zip(
-                np.frombuffer(res_lines, np.int64).tolist(),
-                np.frombuffer(res_dirty, np.bool_).tolist(),
-            )
-            for s, cnt in zip(set_ids, counts):
-                cache_sets[s] = dict(islice(pairs, cnt))
+            raise ValueError("epoch replay refused its run table")
         by_slot = dram.tolist()
         return ReplayResult(
             levels,
@@ -574,6 +631,47 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
         )
 
     return replay
+
+
+def _bind_tally_epoch(lib: ctypes.CDLL) -> Callable[..., None]:
+    from repro.memory.hierarchy import SPARSE_REGION, ServiceLevel
+
+    fn = lib.repro_tally_epoch
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
+
+    def tally_epoch(tally: np.ndarray, runs, levels: np.ndarray) -> None:
+        """Add the levels of an epoch's runs ``(pe, lines, ops)`` (int64
+        ops, C-contiguous), ``levels`` their concatenated service levels,
+        into ``tally``: a C-contiguous int64 ``(PEs, 3, levels)`` array
+        of dense reads, stores and sparse accesses by level, as
+        :func:`repro.memory.hierarchy.level_tally` counts them."""
+        _require("tally", tally, np.int64, 3)
+        _require("levels", levels, np.uint8)
+        if tally.shape[1:] != (3, len(ServiceLevel)):
+            raise ValueError("tally must be (PEs, 3, levels)")
+        table, op_at = [], []
+        n = 0
+        for pe, _, ops in runs:
+            _require("ops", ops, np.int64)
+            table.append((pe, n, n + ops.shape[0]))
+            n += ops.shape[0]
+            op_at.append(ops.ctypes.data)
+        if n != levels.shape[0]:
+            raise ValueError(f"{levels.shape[0]} levels for {n} accesses")
+        runs_arr = np.array(table, dtype=np.int64).reshape(-1, 3)
+        op_ptrs = np.array(op_at, dtype=np.uintp)
+        rc = fn(
+            runs_arr.ctypes.data, op_ptrs.ctypes.data, len(table),
+            tally.shape[0], SPARSE_REGION, levels.ctypes.data,
+            tally.ctypes.data,
+        )
+        if rc < 0:
+            raise ValueError("epoch tally refused its runs or levels")
+
+    return tally_epoch
 
 
 def check_spmm_chunk(

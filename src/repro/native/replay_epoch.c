@@ -2,30 +2,39 @@
  * One epoch of trace replay through the whole memory hierarchy.
  *
  * repro_replay_epoch replays an epoch's dispatch runs (pe, lo, hi),
- * which tile the trace in order, through every LRU structure of
- * repro.memory.hierarchy.MemorySystem: each L2 group's STLB, each PE's
- * L1, each group's L2, the LLC, and each PE's BBF victim cache and
- * stream buffer.  It writes every access's service level, every
- * structure's counters, the DRAM reads and writes per region, and the
- * final residents of every set it touched.  Its reference is the
- * scalar oracle, MemorySystem.replay_trace_scalar, run after run;
- * DESIGN.md section 10 gives the argument that the two agree.
+ * which tile the epoch's trace positions in order, through every LRU
+ * structure of repro.memory.hierarchy.MemorySystem: each L2 group's
+ * STLB, each PE's L1, each group's L2, the LLC, and each PE's BBF
+ * victim cache and stream buffer.  It writes every access's service
+ * level, every structure's counters and the DRAM reads and writes per
+ * region.  Each run's lines and ops are read in place through a table
+ * of pointers; the trace they stand for is never concatenated.  Its
+ * reference is the scalar oracle, MemorySystem.replay_trace_scalar, run
+ * after run; DESIGN.md section 10 gives the argument that the two
+ * agree.  repro_tally_epoch folds the service levels into each PE's
+ * per-level tallies.
+ *
+ * Resident state lives here.  Each structure is a State: one doubly
+ * linked LRU list per set (head = oldest) threaded through a node pool,
+ * and one open-addressing table (Fibonacci hashing, linear probing,
+ * backward-shift deletion) mapping a line to its node; a line lives in
+ * one set, so one table serves them all, and a one-set 1,536-way
+ * structure costs no more per access than an 8-way set.  The nodes in
+ * use are exactly the residents.  A State persists from one epoch to
+ * the next; the binding creates it from the structure's per-set dicts
+ * (repro_state_import) and turns it back into dicts when Python reads
+ * them (repro_state_export).
  *
  * Every structure walks once, over its own event stream, through
  * walk(): a transcription of repro.memory.cache.Cache.access applied to
  * each event in order.  Per-set LRU, where a hit moves the line to MRU
  * and ORs the write flag into its dirty bit, and a miss evicts the
  * set's LRU line when the set is full, then allocates the new line
- * with the write flag (write-allocate).  Its state is a node pool
- * holding one doubly linked LRU list per touched set (head = oldest)
- * and one open-addressing table (Fibonacci hashing, linear probing,
- * backward-shift deletion) mapping a line to its node; a line lives in
- * one set, so one table serves them all, and a one-set 1,536-way
- * structure costs no more per access than an 8-way set.  A walk emits
- * the next level's events in stream order: an event's dirty victim (a
- * write), then its own fill read when it missed and fills.  Every
- * event carries the trace position of the access responsible (its
- * trigger), which sets service levels and DRAM regions.
+ * with the write flag (write-allocate).  A walk emits the next level's
+ * events in stream order: an event's dirty victim (a write), then its
+ * own fill read when it missed and fills.  Every event carries the
+ * trace position of the access responsible (its trigger), which sets
+ * service levels and DRAM regions.
  *
  * The streams:
  * - STLB g: the pages of group g's accesses, run after run;
@@ -37,13 +46,10 @@
  * The first five are run-length deduped first: a repeat of the previous
  * line is an MRU hit that only ORs its write flag into the line.
  *
- * Resident state stays with the caller.  Before a walk the entry asks
- * the caller's fetch callback for the residents of exactly the sets
- * the walk will touch (its stream's sets, in first-touch order), and
- * after the walk hands their final residents to the store callback,
- * in the same layout: a count per set, then the lines and dirty bits
- * set after set in LRU order, oldest first.  The caller applies what
- * it was given only once the whole call has succeeded.
+ * A call either succeeds or changes no State: every node pool, table
+ * and event buffer a walk can need is allocated, to a bound, before
+ * the first walk.  The caller checks the lines and ops
+ * (repro.native.check_replay_epoch); the entry checks the run table.
  */
 
 #include <stdint.h>
@@ -56,24 +62,18 @@
 #define OP_WRITE 4
 #define OP_REGION_SHIFT 3
 enum { PATH_DENSE, PATH_BYPASS, PATH_STREAM, N_PATHS };
-enum { LV_L1, LV_VICTIM, LV_BBF, LV_L2, LV_LLC, LV_DRAM };
+enum { LV_L1, LV_VICTIM, LV_BBF, LV_L2, LV_LLC, LV_DRAM, N_LEVELS };
 
-/* Error returns: allocation failed, a callback failed, an input
-   (resident, run, op or line) is malformed. */
-enum { ERR_ALLOC = -1, ERR_CALLBACK = -2, ERR_INPUT = -3 };
+/* Error returns: allocation failed; a malformed run table; a resident
+   outside its set (or negative); a set holding more residents than
+   ways; a line twice. */
+enum {
+    ERR_ALLOC = -1, ERR_INPUT = -2, ERR_OUTSIDE = -3, ERR_OVERFULL = -4,
+    ERR_TWICE = -5
+};
 
-/* fetch(structure, set ids, n sets, counts, &lines, &dirty): write the
-   resident count of each set to counts and point lines / dirty at the
-   residents, set after set, LRU first; they stay valid until the next
-   callback.  Returns the number of residents, or < 0 on failure.
-   store(structure, set ids, counts, n sets, lines, dirty, n lines):
-   take the final residents of the sets a walk touched (valid during
-   the call only).  Returns < 0 on failure. */
-typedef int64_t (*fetch_fn)(int64_t, const int64_t *, int64_t, int64_t *,
-                            const int64_t **, const uint8_t **);
-typedef int64_t (*store_fn)(int64_t, const int64_t *, const int64_t *,
-                            int64_t, const int64_t *, const uint8_t *,
-                            int64_t);
+/* The most nodes one State holds: node indices are int32. */
+#define NODE_LIMIT ((int64_t)INT32_MAX - 1)
 
 typedef struct {
     int64_t line;
@@ -81,50 +81,65 @@ typedef struct {
     uint8_t dirty;
 } Node;
 
-typedef struct {
-    Node *node;
-    int32_t *slot; /* node index + 1; 0 = empty */
-    uint64_t mask;
-    int shift;
-} Table;
-
-static inline uint64_t home(const Table *t, int64_t line)
-{
-    return ((uint64_t)line * 0x9E3779B97F4A7C15ull) >> t->shift;
-}
-
-/* Table position holding `line`, or the empty slot where it belongs. */
-static inline uint64_t probe(const Table *t, int64_t line)
-{
-    uint64_t i = home(t, line);
-    while (t->slot[i] && t->node[t->slot[i] - 1].line != line)
-        i = (i + 1) & t->mask;
-    return i;
-}
-
-static void table_remove(Table *t, uint64_t i)
-{
-    uint64_t j = i;
-    for (;;) {
-        j = (j + 1) & t->mask;
-        int32_t s = t->slot[j];
-        if (!s)
-            break;
-        uint64_t k = home(t, t->node[s - 1].line);
-        /* Move s back into the hole unless its home lies cyclically
-           in (i, j]. */
-        if (j > i ? (k <= i || k > j) : (k <= i && k > j)) {
-            t->slot[i] = s;
-            i = j;
-        }
-    }
-    t->slot[i] = 0;
-}
-
-/* One LRU list per touched set. */
+/* One LRU list per set. */
 typedef struct {
     int32_t head, tail, size;
 } Set;
+
+typedef struct {
+    int64_t num_sets, ways;
+    int64_t capacity; /* num_sets * ways, saturated */
+    int pow2;
+    Set *set;
+    Node *node;
+    int64_t cap, used; /* nodes allocated; nodes in use = residents */
+    int32_t *slot;     /* node index + 1; 0 = empty */
+    uint64_t mask;
+    int shift;
+} State;
+
+static int64_t live_states;
+
+static inline uint64_t home(const State *st, int64_t line)
+{
+    return ((uint64_t)line * 0x9E3779B97F4A7C15ull) >> st->shift;
+}
+
+/* Table position holding `line`, or the empty slot where it belongs. */
+static inline uint64_t probe(const State *st, int64_t line)
+{
+    uint64_t i = home(st, line);
+    while (st->slot[i] && st->node[st->slot[i] - 1].line != line)
+        i = (i + 1) & st->mask;
+    return i;
+}
+
+static void table_remove(State *st, uint64_t i)
+{
+    uint64_t j = i;
+    for (;;) {
+        j = (j + 1) & st->mask;
+        int32_t s = st->slot[j];
+        if (!s)
+            break;
+        uint64_t k = home(st, st->node[s - 1].line);
+        /* Move s back into the hole unless its home lies cyclically
+           in (i, j]. */
+        if (j > i ? (k <= i || k > j) : (k <= i && k > j)) {
+            st->slot[i] = s;
+            i = j;
+        }
+    }
+    st->slot[i] = 0;
+}
+
+/* Lines are non-negative (the caller checks); the unsigned remainder
+   keeps even an unchecked line inside the set array. */
+static inline Set *set_of(const State *st, int64_t line)
+{
+    uint64_t x = (uint64_t)line, ns = (uint64_t)st->num_sets;
+    return &st->set[st->pow2 ? x & (ns - 1) : x % ns];
+}
 
 static inline void list_unlink(Node *node, Set *s, int32_t x)
 {
@@ -149,6 +164,164 @@ static inline void list_append(Node *node, Set *s, int32_t x)
     else
         s->head = x;
     s->tail = x;
+}
+
+/* An empty structure of num_sets sets of `ways` lines, or NULL when it
+   cannot be allocated.  Its pool and table grow on demand. */
+State *repro_state_new(int64_t num_sets, int64_t ways)
+{
+    if (num_sets < 1 || ways < 1 ||
+        (uint64_t)num_sets > SIZE_MAX / sizeof(Set))
+        return NULL;
+    State *st = calloc(1, sizeof(State));
+    if (!st)
+        return NULL;
+    st->set = malloc((size_t)num_sets * sizeof(Set));
+    if (!st->set) {
+        free(st);
+        return NULL;
+    }
+    for (int64_t s = 0; s < num_sets; s++)
+        st->set[s] = (Set){-1, -1, 0};
+    st->num_sets = num_sets;
+    st->ways = ways;
+    st->capacity = num_sets > INT64_MAX / ways ? INT64_MAX : num_sets * ways;
+    st->pow2 = (num_sets & (num_sets - 1)) == 0;
+    __atomic_add_fetch(&live_states, 1, __ATOMIC_RELAXED);
+    return st;
+}
+
+void repro_state_free(State *st)
+{
+    if (!st)
+        return;
+    free(st->set);
+    free(st->node);
+    free(st->slot);
+    free(st);
+    __atomic_sub_fetch(&live_states, 1, __ATOMIC_RELAXED);
+}
+
+/* States allocated and not yet freed, process-wide. */
+int64_t repro_state_live(void)
+{
+    return __atomic_load_n(&live_states, __ATOMIC_RELAXED);
+}
+
+/* Make room for `extra` more residents (at most the capacity).  A
+   sparse table keeps most probes and removals to one slot: 16 slots
+   per node while the table stays within 256 KiB, else 4 (a table that
+   large misses the CPU caches either way).  On the benchmark's RMAT
+   level streams (x86-64, gcc 12 -O2) the L1 walks take 16 ms at 1/16
+   load against 38 ms at 1/4, and the L2 walks are no faster with a
+   sparser table.  Returns 0 when the memory is not there; the
+   residents are untouched either way. */
+static int reserve(State *st, int64_t extra)
+{
+    int64_t want = st->capacity - st->used <= extra ? st->capacity
+                                                    : st->used + extra;
+    if (want <= st->cap)
+        return 1;
+    if (want > NODE_LIMIT)
+        return 0;
+    /* Doubling, so that a structure filling up over many epochs
+       reallocates and rehashes only a few times. */
+    int64_t cap = 2 * st->cap > want ? 2 * st->cap : want;
+    if (cap > st->capacity)
+        cap = st->capacity;
+    if (cap > NODE_LIMIT)
+        cap = NODE_LIMIT;
+    Node *node = realloc(st->node, (size_t)cap * sizeof(Node));
+    if (!node)
+        return 0;
+    st->node = node;
+    uint64_t slots = 16 * (uint64_t)cap;
+    if (slots > ((uint64_t)1 << 16))
+        slots = 4 * (uint64_t)cap;
+    int bits = 6;
+    while (((uint64_t)1 << bits) < slots)
+        bits++;
+    if (!st->slot || bits != 64 - st->shift) {
+        int32_t *slot = calloc((size_t)1 << bits, sizeof(int32_t));
+        if (!slot)
+            return 0;
+        free(st->slot);
+        st->slot = slot;
+        st->mask = ((uint64_t)1 << bits) - 1;
+        st->shift = 64 - bits;
+        for (int64_t x = 0; x < st->used; x++)
+            st->slot[probe(st, node[x].line)] = (int32_t)(x + 1);
+    }
+    st->cap = cap;
+    return 1;
+}
+
+/*
+ * Fill an empty State with residents: counts[s] lines for each set s,
+ * then the lines and dirty flags set after set, oldest first.  Returns
+ * 0, or an error code when a set holds more lines than ways, a line is
+ * negative or outside its set, or a line comes twice; the State is
+ * then to be freed.
+ */
+int64_t repro_state_import(State *st, const int64_t *counts,
+                           const int64_t *lines, const uint8_t *dirty)
+{
+    int64_t total = 0;
+    for (int64_t s = 0; s < st->num_sets; s++) {
+        if (counts[s] < 0 || counts[s] > st->ways)
+            return ERR_OVERFULL;
+        total += counts[s];
+    }
+    if (!total)
+        return 0;
+    if (!reserve(st, total))
+        return ERR_ALLOC;
+    for (int64_t s = 0, r = 0; s < st->num_sets; s++) {
+        for (int64_t end = r + counts[s]; r < end; r++) {
+            if (lines[r] < 0 || set_of(st, lines[r]) != &st->set[s])
+                return ERR_OUTSIDE;
+            uint64_t i = probe(st, lines[r]);
+            if (st->slot[i])
+                return ERR_TWICE;
+            int32_t x = (int32_t)st->used++;
+            st->node[x].line = lines[r];
+            st->node[x].dirty = dirty[r] != 0;
+            list_append(st->node, &st->set[s], x);
+            st->set[s].size++;
+            st->slot[i] = x + 1;
+        }
+    }
+    return 0;
+}
+
+/* The number of residents. */
+int64_t repro_state_size(const State *st)
+{
+    return st->used;
+}
+
+/* The number of dirty residents. */
+int64_t repro_state_dirty(const State *st)
+{
+    int64_t d = 0;
+    for (int64_t x = 0; x < st->used; x++)
+        d += st->node[x].dirty;
+    return d;
+}
+
+/* The residents in repro_state_import's layout: counts has num_sets
+   slots, lines and dirty repro_state_size each. */
+void repro_state_export(const State *st, int64_t *counts, int64_t *lines,
+                        uint8_t *dirty)
+{
+    int64_t r = 0;
+    for (int64_t s = 0; s < st->num_sets; s++) {
+        counts[s] = st->set[s].size;
+        for (int32_t y = st->set[s].head; y >= 0; y = st->node[y].next) {
+            lines[r] = st->node[y].line;
+            dirty[r++] = st->node[y].dirty;
+        }
+    }
 }
 
 /* An event stream: lines, write flags and each event's trigger. */
@@ -205,140 +378,27 @@ static int64_t cut(Slice *sl, int64_t n_sl, const Events *src, int64_t *at,
     return n_sl;
 }
 
-/* One structure: its index, geometry and the caller's callbacks. */
-typedef struct {
-    int64_t id, num_sets, ways;
-    fetch_fn fetch;
-    store_fn store;
-} Cache;
-
-static inline int64_t set_of_line(int64_t line, int64_t ns, int pow2)
-{
-    return pow2 ? line & (ns - 1) : line % ns;
-}
-
 /*
- * Walk the events of the n_sl slices `sl` in order through cache `c`
- * and append its emissions to `out` (room for two per event), each
- * carrying its event's trigger:
- * a dirty victim (a write), then the event's own fill read when it
- * missed and fills (every miss, or only reads when reads_fill).  `out`
- * may be NULL.  The touched sets' residents come from c->fetch and
- * their final residents go to c->store.  Adds [hits, misses,
- * writebacks] to counters.  Returns 0 or an error code.
+ * Walk the events of the n_sl slices `sl` in order through `st` and
+ * append its emissions to `out` (room for two per event), each
+ * carrying its event's trigger: a dirty victim (a write), then the
+ * event's own fill read when it missed and fills (every miss, or only
+ * reads when reads_fill).  `out` may be NULL.  The State must have room
+ * for one more resident per event (reserve).  Adds [hits, misses,
+ * writebacks] to counters.
  */
-static int64_t walk(const Cache *c, const Slice *sl, int64_t n_sl,
-                    int reads_fill, Events *out, int64_t *counters)
+static void walk(State *st, const Slice *sl, int64_t n_sl, int reads_fill,
+                 Events *out, int64_t *counters)
 {
-    const int64_t ns = c->num_sets, ways = c->ways;
-    int64_t n = 0;
-    for (int64_t k = 0; k < n_sl; k++)
-        n += sl[k].b - sl[k].a;
-    const int pow2 = (ns & (ns - 1)) == 0;
-    int64_t rc = ERR_ALLOC;
-    Table t = {NULL, NULL, 0, 0};
-    Set *set = NULL;
-    int64_t *touched = NULL, *counts = NULL, *res_line = NULL;
-    uint8_t *res_dirty = NULL;
-    /* Set id -> 1 + its index among the touched sets. */
-    int32_t *set_of = calloc((size_t)ns, sizeof(int32_t));
-    int64_t max_touched = n < ns ? n : ns;
-    touched = malloc((size_t)(max_touched + 1) * sizeof(int64_t));
-    counts = malloc((size_t)(max_touched + 1) * sizeof(int64_t));
-    if (!set_of || !touched || !counts)
-        goto done;
-
-    /* The touched sets, in first-touch order. */
-    rc = ERR_INPUT;
-    int64_t n_touched = 0;
-    for (int64_t k = 0; k < n_sl; k++) {
-        const int64_t *lines = sl[k].src->line;
-        for (int64_t p = sl[k].a; p < sl[k].b; p++) {
-            if (lines[p] < 0)
-                goto done;
-            int64_t s = set_of_line(lines[p], ns, pow2);
-            if (!set_of[s]) {
-                touched[n_touched++] = s;
-                set_of[s] = (int32_t)n_touched;
-            }
-        }
-    }
-    const int64_t *in_line;
-    const uint8_t *in_dirty;
-    int64_t nres = c->fetch(c->id, touched, n_touched, counts, &in_line,
-                            &in_dirty);
-    rc = ERR_CALLBACK;
-    if (nres < 0)
-        goto done;
-    rc = ERR_INPUT;
-    for (int64_t k = 0, sum = 0; k <= n_touched; k++) {
-        if (k == n_touched) {
-            if (sum != nres)
-                goto done;
-            break;
-        }
-        if (counts[k] < 0 || counts[k] > ways)
-            goto done;
-        sum += counts[k];
-    }
-
-    /* Every node holds a resident or a line some event allocated. */
-    int64_t cap = nres + n;
-    if (n_touched <= cap / ways && n_touched * ways < cap)
-        cap = n_touched * ways;
-    rc = ERR_ALLOC;
-    if (cap >= INT32_MAX)
-        goto done;
-    /* A sparse table keeps most probes and removals to one slot: 16
-       slots per node while the table stays within 256 KiB, else 4 (a
-       table that large misses the CPU caches either way).  On the
-       benchmark's RMAT level streams (x86-64, gcc 12 -O2) the L1 walks
-       take 16 ms at 1/16 load against 38 ms at 1/4, and the L2 walks
-       are no faster with a sparser table. */
-    uint64_t want = 16 * (uint64_t)cap;
-    if (want > ((uint64_t)1 << 16))
-        want = 4 * (uint64_t)cap;
-    uint64_t tsize = 64;
-    int bits = 6;
-    while (tsize < want) {
-        tsize <<= 1;
-        bits++;
-    }
-    t.node = malloc((size_t)(cap ? cap : 1) * sizeof(Node));
-    t.slot = calloc((size_t)tsize, sizeof(int32_t));
-    t.mask = tsize - 1;
-    t.shift = 64 - bits;
-    set = malloc((size_t)(n_touched ? n_touched : 1) * sizeof(Set));
-    if (!t.node || !t.slot || !set)
-        goto done;
-
-    rc = ERR_INPUT;
-    int32_t used = 0;
-    for (int64_t k = 0, r = 0; k < n_touched; k++) {
-        set[k].head = set[k].tail = -1;
-        set[k].size = (int32_t)counts[k];
-        for (int64_t end = r + counts[k]; r < end; r++) {
-            int64_t line = in_line[r];
-            if (line < 0 || set_of_line(line, ns, pow2) != touched[k])
-                goto done; /* a resident outside its set */
-            uint64_t i = probe(&t, line);
-            if (t.slot[i])
-                goto done; /* a line twice in one set */
-            int32_t x = used++;
-            t.node[x].line = line;
-            t.node[x].dirty = in_dirty[r] != 0;
-            list_append(t.node, &set[k], x);
-            t.slot[i] = x + 1;
-        }
-    }
-
+    const int64_t ways = st->ways;
     /* Locals, so that no store through one buffer forces a reload of
        another's pointer or count. */
     int64_t *e_line = out ? out->line : NULL;
     uint8_t *e_write = out ? out->write : NULL;
     int32_t *e_trig = out ? out->trig : NULL;
     int64_t ne = out ? out->n : 0;
-    Node *node = t.node;
+    Node *node = st->node;
+    int32_t used = (int32_t)st->used;
     int64_t hits = 0, misses = 0, wbs = 0;
     for (int64_t k = 0; k < n_sl; k++) {
         const int64_t *lines = sl[k].src->line;
@@ -347,12 +407,12 @@ static int64_t walk(const Cache *c, const Slice *sl, int64_t n_sl,
         for (int64_t p = sl[k].a; p < sl[k].b; p++) {
             int64_t line = lines[p];
             uint8_t w = writes[p] != 0;
-            uint64_t i = probe(&t, line);
-            Set *s = &set[set_of[set_of_line(line, ns, pow2)] - 1];
+            uint64_t i = probe(st, line);
+            Set *s = set_of(st, line);
             int32_t x;
-            if (t.slot[i]) {
+            if (st->slot[i]) {
                 hits++;
-                x = t.slot[i] - 1;
+                x = st->slot[i] - 1;
                 if (x != s->tail) {
                     list_unlink(node, s, x);
                     list_append(node, s, x);
@@ -364,7 +424,7 @@ static int64_t walk(const Cache *c, const Slice *sl, int64_t n_sl,
             if (s->size >= ways) {
                 x = s->head;
                 list_unlink(node, s, x);
-                table_remove(&t, probe(&t, node[x].line));
+                table_remove(st, probe(st, node[x].line));
                 if (node[x].dirty) {
                     wbs++;
                     if (e_line) {
@@ -373,7 +433,7 @@ static int64_t walk(const Cache *c, const Slice *sl, int64_t n_sl,
                         e_trig[ne++] = trig[p];
                     }
                 }
-                i = probe(&t, line); /* the removal may shift entries */
+                i = probe(st, line); /* the removal may shift entries */
             } else {
                 x = used++;
                 s->size++;
@@ -381,7 +441,7 @@ static int64_t walk(const Cache *c, const Slice *sl, int64_t n_sl,
             node[x].line = line;
             node[x].dirty = w;
             list_append(node, s, x);
-            t.slot[i] = x + 1;
+            st->slot[i] = x + 1;
             if (e_line && !(reads_fill && w)) {
                 e_line[ne] = line;
                 e_write[ne] = 0;
@@ -389,65 +449,65 @@ static int64_t walk(const Cache *c, const Slice *sl, int64_t n_sl,
             }
         }
     }
+    st->used = used;
     if (out)
         out->n = ne;
-
-    rc = ERR_ALLOC;
-    res_line = malloc((size_t)(used ? used : 1) * sizeof(int64_t));
-    res_dirty = malloc((size_t)(used ? used : 1));
-    if (!res_line || !res_dirty)
-        goto done;
-    int64_t n_res = 0;
-    for (int64_t k = 0; k < n_touched; k++) {
-        counts[k] = set[k].size;
-        for (int32_t y = set[k].head; y >= 0; y = node[y].next) {
-            res_line[n_res] = node[y].line;
-            res_dirty[n_res++] = node[y].dirty;
-        }
-    }
-    rc = ERR_CALLBACK;
-    if (c->store(c->id, touched, counts, n_touched, res_line, res_dirty,
-                 n_res) < 0)
-        goto done;
     counters[0] += hits;
     counters[1] += misses;
     counters[2] += wbs;
-    rc = 0;
-
-done:
-    free(t.node);
-    free(t.slot);
-    free(set);
-    free(touched);
-    free(counts);
-    free(res_line);
-    free(res_dirty);
-    free(set_of);
-    return rc;
 }
 
-/* Run-length dedup of the accesses at trace positions pos[0..k) into
-   s: consecutive repeats of one line OR their write flags into the
-   first, which is the trigger.  Returns the repeats dropped. */
-static int64_t dedup(const int32_t *pos, int64_t k, const int64_t *lines,
-                     const int64_t *ops, Events *s)
+/* The epoch's trace as its runs: (pe, lo, hi) triples over the trace
+   positions, and each run's hi - lo lines and ops. */
+typedef struct {
+    const int64_t *run;
+    const int64_t *const *line;
+    const int64_t *const *op;
+    int64_t n_runs;
+} Trace;
+
+/* The op at trace position i, for positions asked in increasing order:
+   *k is the cursor, the run holding the last position asked. */
+static inline int64_t op_at(const Trace *tr, int64_t *k, int64_t i)
 {
-    int64_t *line = s->line, m = 0;
+    while (tr->run[3 * *k + 2] <= i)
+        ++*k;
+    return tr->op[*k][i - tr->run[3 * *k + 1]];
+}
+
+/* Run-length dedup of PE p's accesses on `path` (its runs are
+   prun[0..m), in order) into s: consecutive repeats of one line OR
+   their write flags into the first, which is the trigger.  Each
+   access's level is set to `level` unless it is negative.  Returns the
+   repeats dropped. */
+static int64_t dedup(const Trace *tr, const int64_t *prun, int64_t m,
+                     int64_t path, int level, uint8_t *levels, Events *s)
+{
+    int64_t *line = s->line, n = 0, seen = 0;
     uint8_t *write = s->write;
     int32_t *trig = s->trig;
-    for (int64_t j = 0; j < k; j++) {
-        int32_t i = pos[j];
-        uint8_t w = (ops[i] & OP_WRITE) != 0;
-        if (m && line[m - 1] == lines[i]) {
-            write[m - 1] |= w;
-        } else {
-            line[m] = lines[i];
-            write[m] = w;
-            trig[m++] = i;
+    for (int64_t r = 0; r < m; r++) {
+        int64_t k = prun[r], lo = tr->run[3 * k + 1];
+        int64_t len = tr->run[3 * k + 2] - lo;
+        const int64_t *lines = tr->line[k], *ops = tr->op[k];
+        for (int64_t j = 0; j < len; j++) {
+            if ((ops[j] & OP_PATH_MASK) != path)
+                continue;
+            seen++;
+            if (level >= 0)
+                levels[lo + j] = (uint8_t)level;
+            uint8_t w = (ops[j] & OP_WRITE) != 0;
+            if (n && line[n - 1] == lines[j]) {
+                write[n - 1] |= w;
+            } else {
+                line[n] = lines[j];
+                write[n] = w;
+                trig[n++] = (int32_t)(lo + j);
+            }
         }
     }
-    s->n = m;
-    return k - m;
+    s->n = n;
+    return seen - n;
 }
 
 static int64_t now_ns(void)
@@ -457,13 +517,27 @@ static int64_t now_ns(void)
     return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
+/* Check a run table: PEs below num_pes, runs tiling [0, n) in order.
+   Returns n, or ERR_INPUT. */
+static int64_t check_runs(const int64_t *runs, int64_t n_runs,
+                          int64_t num_pes)
+{
+    int64_t end = 0;
+    for (int64_t k = 0; k < n_runs; k++) {
+        const int64_t *r = &runs[3 * k];
+        if (r[0] < 0 || r[0] >= num_pes || r[1] != end || r[2] < r[1])
+            return ERR_INPUT;
+        end = r[2];
+    }
+    return end < INT32_MAX ? end : ERR_INPUT;
+}
+
 /*
- * lines/ops: the n-access trace.  runs: n_runs (pe, lo, hi) triples
- * that tile [0, n) in order.  Structures, indexed in this order (P
- * PEs, G = ceil(P / pes_per_l2) groups): L1 0..P-1, victim cache
- * 0..P-1, stream buffer 0..P-1, L2 0..G-1, STLB 0..G-1, the LLC.
- * geometry: (num_sets, ways) per structure.  fetch, store: the
- * resident callbacks, called with the structure's index.
+ * runs: n_runs (pe, lo, hi) triples that tile the epoch's trace
+ * positions [0, n) in order; run_lines / run_ops: each run's hi - lo
+ * accesses.  state: the structures, in this order (P PEs, G =
+ * ceil(P / pes_per_l2) groups): L1 0..P-1, victim cache 0..P-1, stream
+ * buffer 0..P-1, L2 0..G-1, STLB 0..G-1, the LLC.
  *
  * Out: levels (n service levels); counters, zeroed by the caller:
  * [hits, misses, writebacks] per structure; dram, zeroed by the
@@ -472,85 +546,93 @@ static int64_t now_ns(void)
  * victim-cache reads and writes, then per PE stream reads and writes;
  * walks: (structure, events walked, nanoseconds) per walked stream.
  *
- * Returns the number of walks, or an error code: nothing the caller
- * reads is meaningful then.
+ * Returns the number of walks, or an error code; no State has changed
+ * then, and nothing else the caller reads is meaningful.
  */
 int64_t repro_replay_epoch(
-    const int64_t *lines, const int64_t *ops, int64_t n,
-    const int64_t *runs, int64_t n_runs,
+    const int64_t *runs, const int64_t *const *run_lines,
+    const int64_t *const *run_ops, int64_t n_runs,
     int64_t num_pes, int64_t pes_per_l2, int64_t lines_per_page,
-    int64_t n_regions,
-    const int64_t *geometry, fetch_fn fetch, store_fn store,
+    int64_t n_regions, State *const *state,
     uint8_t *levels, int64_t *counters, int64_t *dram, int64_t *walks)
 {
     if (num_pes < 1 || pes_per_l2 < 1 || lines_per_page < 1 ||
-        n_regions < 1 || n < 0 || n >= INT32_MAX)
+        n_regions < 1)
         return ERR_INPUT;
+    const int64_t n = check_runs(runs, n_runs, num_pes);
+    if (n < 0)
+        return n;
     const int64_t P = num_pes, G = (num_pes + pes_per_l2 - 1) / pes_per_l2;
-    const int64_t n_caches = 3 * P + 2 * G + 1;
     const int64_t L1 = 0, VICTIM = P, STREAM = 2 * P, L2 = 3 * P,
                   STLB = 3 * P + G, LLC = 3 * P + 2 * G;
-
-    for (int64_t k = 0, end = 0; k <= n_runs; k++) {
-        if (k == n_runs) {
-            if (end != n)
-                return ERR_INPUT;
-            break;
-        }
-        const int64_t *r = &runs[3 * k];
-        if (r[0] < 0 || r[0] >= P || r[1] != end || r[2] < r[1])
-            return ERR_INPUT;
-        end = r[2];
-    }
-    for (int64_t i = 0; i < n; i++)
-        if (lines[i] < 0 || ops[i] < 0 ||
-            (ops[i] & OP_PATH_MASK) >= N_PATHS ||
-            (ops[i] >> OP_REGION_SHIFT) >= n_regions)
-            return ERR_INPUT;
+    const Trace tr = {runs, run_lines, run_ops, n_runs};
 
     int64_t rc = ERR_ALLOC, n_walks = 0;
-    Cache *cache = malloc((size_t)n_caches * sizeof(Cache));
-    int64_t *bucket = calloc((size_t)(N_PATHS * P + 1), sizeof(int64_t));
-    int64_t *cursor = malloc((size_t)(N_PATHS * P) * sizeof(int64_t));
-    int32_t *pos = malloc((size_t)(n ? n : 1) * sizeof(int32_t));
+    /* Accesses per PE and path, then per group. */
+    int64_t *count = calloc((size_t)(N_PATHS * P + G), sizeof(int64_t));
+    int64_t *prun = malloc((size_t)(n_runs ? n_runs : 1) * sizeof(int64_t));
+    int64_t *pfirst = calloc((size_t)(P + 1), sizeof(int64_t));
+    int64_t *cursor = calloc((size_t)P, sizeof(int64_t));
     Events *l1 = calloc((size_t)P, sizeof(Events));
     Events *l2 = calloc((size_t)G, sizeof(Events));
     Events s = {NULL, NULL, NULL, 0}, out = s;
     Slice *sl = malloc((size_t)(n_runs + 1) * sizeof(Slice));
-    if (!cache || !bucket || !cursor || !pos || !l1 || !l2 || !sl ||
-        !events_alloc(&s, n))
+    if (!count || !prun || !pfirst || !cursor || !l1 || !l2 || !sl)
+        goto done;
+    int64_t *group_total = count + N_PATHS * P;
+
+    /* Each PE's runs, in order. */
+    for (int64_t k = 0; k < n_runs; k++) {
+        const int64_t p = runs[3 * k], len = runs[3 * k + 2] - runs[3 * k + 1];
+        const int64_t *ops = run_ops[k];
+        for (int64_t j = 0; j < len; j++)
+            count[N_PATHS * p + (ops[j] & OP_PATH_MASK)]++;
+        group_total[p / pes_per_l2] += len;
+        pfirst[p + 1]++;
+    }
+    for (int64_t p = 0; p < P; p++) {
+        cursor[p] = pfirst[p];
+        pfirst[p + 1] += pfirst[p];
+    }
+    for (int64_t k = 0; k < n_runs; k++)
+        prun[cursor[runs[3 * k]]++] = k;
+
+    /* Room, before any walk, for everything the walks can allocate:
+       each stream's deduped events, each level's emissions (two per
+       event at most) and one new resident per event. */
+    int64_t s_max = 0, l2_total = 0, out_max = 0;
+    for (int64_t g = 0; g < G; g++) {
+        int64_t dense = 0;
+        for (int64_t p = g * pes_per_l2; p < P && p < (g + 1) * pes_per_l2;
+             p++)
+            dense += count[N_PATHS * p + PATH_DENSE];
+        if (!events_alloc(&l2[g], 4 * dense) ||
+            !reserve(state[L2 + g], 2 * dense) ||
+            !reserve(state[STLB + g], group_total[g]))
+            goto done;
+        l2_total += 4 * dense;
+        if (group_total[g] > s_max)
+            s_max = group_total[g];
+    }
+    for (int64_t p = 0; p < P; p++) {
+        const int64_t *c = &count[N_PATHS * p];
+        if (!events_alloc(&l1[p], 2 * c[PATH_DENSE]) ||
+            !reserve(state[L1 + p], c[PATH_DENSE]) ||
+            !reserve(state[VICTIM + p], c[PATH_BYPASS]) ||
+            !reserve(state[STREAM + p], c[PATH_STREAM]))
+            goto done;
+        for (int path = PATH_BYPASS; path <= PATH_STREAM; path++)
+            if (2 * c[path] > out_max)
+                out_max = 2 * c[path];
+    }
+    if (2 * l2_total > out_max)
+        out_max = 2 * l2_total;
+    if (!reserve(state[LLC], l2_total) || !events_alloc(&s, s_max) ||
+        !events_alloc(&out, out_max))
         goto done;
 
-    for (int64_t c = 0; c < n_caches; c++) {
-        cache[c] = (Cache){c, geometry[2 * c], geometry[2 * c + 1], fetch,
-                           store};
-        if (cache[c].num_sets < 1 || cache[c].ways < 1) {
-            rc = ERR_INPUT;
-            goto done;
-        }
-    }
-
-    /* Each PE's trace positions per path, in trace order. */
-    for (int64_t k = 0; k < n_runs; k++)
-        for (int64_t i = runs[3 * k + 1]; i < runs[3 * k + 2]; i++)
-            bucket[1 + N_PATHS * runs[3 * k] + (ops[i] & OP_PATH_MASK)]++;
-    for (int64_t b = 0; b < N_PATHS * P; b++) {
-        bucket[b + 1] += bucket[b];
-        cursor[b] = bucket[b];
-    }
-    for (int64_t k = 0; k < n_runs; k++)
-        for (int64_t i = runs[3 * k + 1]; i < runs[3 * k + 2]; i++)
-            pos[cursor[N_PATHS * runs[3 * k] + (ops[i] & OP_PATH_MASK)]++] =
-                (int32_t)i;
     memset(levels, LV_L1, (size_t)n);
 
-#define WALK(c, n_sl, reads_fill, emit)                                    \
-    do {                                                                   \
-        rc = walk(&cache[c], sl, (n_sl), (reads_fill), (emit),             \
-                  &counters[3 * (c)]);                                     \
-        if (rc < 0)                                                        \
-            goto done;                                                     \
-    } while (0)
 #define RECORD(c, events, t0)                                              \
     do {                                                                   \
         walks[3 * n_walks] = (c);                                          \
@@ -566,19 +648,19 @@ int64_t repro_replay_epoch(
         if ((int64_t)1 << b == lines_per_page)
             page_shift = b;
     for (int64_t g = 0; g < G; g++) {
-        int64_t t0 = now_ns(), total = 0, m = 0;
+        int64_t t0 = now_ns(), m = 0;
         for (int64_t k = 0; k < n_runs; k++) {
             const int64_t *r = &runs[3 * k];
             if (r[0] / pes_per_l2 != g)
                 continue;
-            total += r[2] - r[1];
-            for (int64_t i = r[1]; i < r[2]; i++) {
-                int64_t page = page_shift >= 0 ? lines[i] >> page_shift
-                                              : lines[i] / lines_per_page;
+            const int64_t *lines = run_lines[k];
+            for (int64_t j = 0; j < r[2] - r[1]; j++) {
+                int64_t page = page_shift >= 0 ? lines[j] >> page_shift
+                                               : lines[j] / lines_per_page;
                 if (!m || s.line[m - 1] != page) {
                     s.line[m] = page;
                     s.write[m] = 0;
-                    s.trig[m++] = (int32_t)i;
+                    s.trig[m++] = (int32_t)(r[1] + j);
                 }
             }
         }
@@ -586,24 +668,20 @@ int64_t repro_replay_epoch(
         if (!m)
             continue;
         sl[0] = (Slice){&s, 0, m};
-        WALK(STLB + g, 1, 0, NULL);
-        counters[3 * (STLB + g)] += total - m;
+        walk(state[STLB + g], sl, 1, 0, NULL, &counters[3 * (STLB + g)]);
+        counters[3 * (STLB + g)] += group_total[g] - m;
         RECORD(STLB + g, m, t0);
     }
 
     /* L1: each PE's dense-cached accesses; a fill reaches the L2. */
     for (int64_t p = 0; p < P; p++) {
-        int64_t t0 = now_ns(), b = N_PATHS * p + PATH_DENSE;
-        int64_t repeats = dedup(pos + bucket[b], bucket[b + 1] - bucket[b],
-                                lines, ops, &s);
+        int64_t t0 = now_ns();
+        int64_t repeats = dedup(&tr, prun + pfirst[p], pfirst[p + 1] -
+                                pfirst[p], PATH_DENSE, -1, levels, &s);
         if (!s.n)
             continue;
-        if (!events_alloc(&l1[p], 2 * s.n)) {
-            rc = ERR_ALLOC;
-            goto done;
-        }
         sl[0] = (Slice){&s, 0, s.n};
-        WALK(L1 + p, 1, 0, &l1[p]);
+        walk(state[L1 + p], sl, 1, 0, &l1[p], &counters[3 * (L1 + p)]);
         counters[3 * (L1 + p)] += repeats;
         for (int64_t e = 0; e < l1[p].n; e++)
             if (!l1[p].write[e])
@@ -612,7 +690,7 @@ int64_t repro_replay_epoch(
     }
 
     /* L2: each group over its PEs' L1 events, merged along the runs. */
-    memset(cursor, 0, (size_t)(N_PATHS * P) * sizeof(int64_t));
+    memset(cursor, 0, (size_t)P * sizeof(int64_t));
     for (int64_t g = 0; g < G; g++) {
         int64_t t0 = now_ns(), total = 0;
         for (int64_t p = g * pes_per_l2; p < P && p < (g + 1) * pes_per_l2;
@@ -620,17 +698,13 @@ int64_t repro_replay_epoch(
             total += l1[p].n;
         if (!total)
             continue;
-        if (!events_alloc(&l2[g], 2 * total)) {
-            rc = ERR_ALLOC;
-            goto done;
-        }
         int64_t n_sl = 0;
         for (int64_t k = 0; k < n_runs; k++) {
             const int64_t *r = &runs[3 * k];
             if (r[0] / pes_per_l2 == g)
                 n_sl = cut(sl, n_sl, &l1[r[0]], &cursor[r[0]], r[2]);
         }
-        WALK(L2 + g, n_sl, 1, &l2[g]);
+        walk(state[L2 + g], sl, n_sl, 1, &l2[g], &counters[3 * (L2 + g)]);
         for (int64_t e = 0; e < l2[g].n; e++)
             if (!l2[g].write[e])
                 levels[l2[g].trig[e]] = LV_LLC;
@@ -647,20 +721,18 @@ int64_t repro_replay_epoch(
         for (int64_t g = 0; g < G; g++)
             total += l2[g].n;
         if (total) {
-            if (!events_alloc(&out, 2 * total)) {
-                rc = ERR_ALLOC;
-                goto done;
-            }
-            memset(cursor, 0, (size_t)(N_PATHS * P) * sizeof(int64_t));
+            memset(cursor, 0, (size_t)P * sizeof(int64_t));
             int64_t n_sl = 0;
             for (int64_t k = 0; k < n_runs; k++) {
                 int64_t g = runs[3 * k] / pes_per_l2;
                 n_sl = cut(sl, n_sl, &l2[g], &cursor[g], runs[3 * k + 2]);
             }
-            WALK(LLC, n_sl, 1, &out);
+            out.n = 0;
+            walk(state[LLC], sl, n_sl, 1, &out, &counters[3 * LLC]);
+            int64_t at = 0;
             for (int64_t e = 0; e < out.n; e++) {
                 int32_t i = out.trig[e];
-                int64_t rid = ops[i] >> OP_REGION_SHIFT;
+                int64_t rid = op_at(&tr, &at, i) >> OP_REGION_SHIFT;
                 if (out.write[e]) {
                     dram[n_regions + rid]++;
                 } else {
@@ -669,9 +741,6 @@ int64_t repro_replay_epoch(
                 }
             }
             RECORD(LLC, total, t0);
-            events_free(&out);
-            for (int64_t g = 0; g < G; g++)
-                events_free(&l2[g]);
         }
     }
 
@@ -682,31 +751,27 @@ int64_t repro_replay_epoch(
        stream-buffer victim only counts as a writeback. */
     for (int64_t kind = PATH_BYPASS; kind <= PATH_STREAM; kind++) {
         int64_t base = kind == PATH_BYPASS ? VICTIM : STREAM;
-        uint8_t hit_level = kind == PATH_BYPASS ? LV_VICTIM : LV_BBF;
+        int hit_level = kind == PATH_BYPASS ? LV_VICTIM : LV_BBF;
         int64_t *slots = dram + n_regions * (kind == PATH_BYPASS ? 2 : 2 + 2 * P);
         for (int64_t p = 0; p < P; p++) {
-            int64_t t0 = now_ns(), b = N_PATHS * p + kind;
-            int64_t k = bucket[b + 1] - bucket[b];
-            int64_t repeats = dedup(pos + bucket[b], k, lines, ops, &s);
-            if (!s.n)
+            if (!count[N_PATHS * p + kind])
                 continue;
-            if (!events_alloc(&out, 2 * s.n)) {
-                rc = ERR_ALLOC;
-                goto done;
-            }
+            int64_t t0 = now_ns();
+            int64_t repeats = dedup(&tr, prun + pfirst[p], pfirst[p + 1] -
+                                    pfirst[p], kind, hit_level, levels, &s);
             sl[0] = (Slice){&s, 0, s.n};
-            WALK(base + p, 1, 0, &out);
+            out.n = 0;
+            walk(state[base + p], sl, 1, 0, &out, &counters[3 * (base + p)]);
             counters[3 * (base + p)] += repeats;
-            for (int64_t j = bucket[b]; j < bucket[b + 1]; j++)
-                levels[pos[j]] = hit_level;
             int64_t *reads = slots + 2 * p * n_regions;
             int64_t *writes = reads + n_regions;
+            int64_t at = 0;
             for (int64_t e = 0; e < out.n; e++) {
                 int32_t i = out.trig[e];
-                int64_t rid = ops[i] >> OP_REGION_SHIFT;
+                int64_t op = op_at(&tr, &at, i), rid = op >> OP_REGION_SHIFT;
                 if (!out.write[e]) {
                     levels[i] = LV_DRAM;
-                    if (ops[i] & OP_WRITE) {
+                    if (op & OP_WRITE) {
                         if (kind == PATH_STREAM)
                             writes[rid]++;
                     } else {
@@ -717,7 +782,6 @@ int64_t repro_replay_epoch(
                 }
             }
             RECORD(base + p, s.n, t0);
-            events_free(&out);
         }
     }
     rc = n_walks;
@@ -734,11 +798,54 @@ done:
     free(sl);
     free(l1);
     free(l2);
-    free(pos);
     free(cursor);
-    free(bucket);
-    free(cache);
+    free(pfirst);
+    free(prun);
+    free(count);
     return rc;
-#undef WALK
 #undef RECORD
+}
+
+/*
+ * Add each access's service level into its PE's tallies, as
+ * repro.memory.hierarchy.level_tally does run by run: tally holds, per
+ * PE, N_LEVELS counts each of dense reads (neither a write nor in
+ * sparse_region), stores (writes) and sparse accesses (in
+ * sparse_region; a sparse write counts as a store too).  runs and
+ * run_ops as for repro_replay_epoch; levels the epoch's n levels.
+ * Returns 0, or ERR_INPUT for a malformed run table or level.
+ */
+int64_t repro_tally_epoch(const int64_t *runs, const int64_t *const *run_ops,
+                          int64_t n_runs, int64_t num_pes,
+                          int64_t sparse_region, const uint8_t *levels,
+                          int64_t *tally)
+{
+    const int64_t n = check_runs(runs, n_runs, num_pes);
+    if (n < 0)
+        return n;
+    for (int64_t i = 0; i < n; i++)
+        if (levels[i] >= N_LEVELS)
+            return ERR_INPUT;
+    for (int64_t k = 0; k < n_runs; k++) {
+        const int64_t lo = runs[3 * k + 1], len = runs[3 * k + 2] - lo;
+        const int64_t *ops = run_ops[k];
+        const uint8_t *lv = levels + lo;
+        /* One count per (write, sparse) class and level, as
+           level_tally's bincount: plain reads, plain writes, sparse
+           reads, sparse writes. */
+        int64_t c[4 * N_LEVELS] = {0};
+        for (int64_t j = 0; j < len; j++) {
+            int64_t w = (ops[j] & OP_WRITE) != 0;
+            int64_t sp = (ops[j] >> OP_REGION_SHIFT) == sparse_region;
+            c[(w + 2 * sp) * N_LEVELS + lv[j]]++;
+        }
+        int64_t *reads = tally + 3 * N_LEVELS * runs[3 * k];
+        int64_t *stores = reads + N_LEVELS, *sparse = stores + N_LEVELS;
+        for (int l = 0; l < N_LEVELS; l++) {
+            reads[l] += c[l];
+            stores[l] += c[N_LEVELS + l] + c[3 * N_LEVELS + l];
+            sparse[l] += c[2 * N_LEVELS + l] + c[3 * N_LEVELS + l];
+        }
+    }
+    return 0;
 }

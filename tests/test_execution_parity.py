@@ -332,7 +332,7 @@ class TestVrfWalkInvariance:
 
 
 _FACTS_CHILD = """
-import dataclasses, hashlib, json
+import dataclasses, hashlib, json, pickle
 import numpy as np
 import repro.core.accelerator as accelerator
 from repro.config import scaled_config
@@ -353,16 +353,17 @@ def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 def facts(report):
-    # state_dict lists every set's residents in LRU order; sorting the
-    # dict keys drops only the order regions were first touched in.
-    memory = json.dumps(engines[-1].memory.state_dict(), sort_keys=True)
+    # state_dict lists every set's residents in LRU order and the
+    # region traffic sorted by name, so its pickle is one byte string
+    # whichever backend replayed.
+    memory = pickle.dumps(engines[-1].memory.state_dict())
     return {
         "output_sha256": sha(np.ascontiguousarray(report.output).tobytes()),
         "time_ns": report.result.time_ns,
         "requests": report.counters.total_requests,
         "stats": dataclasses.asdict(report.stats),
         "counters": dataclasses.asdict(report.counters),
-        "memory_sha256": sha(memory.encode()),
+        "memory_sha256": sha(memory),
     }
 
 rng = np.random.default_rng(7)

@@ -97,8 +97,11 @@ GEOMETRIES = [
 
 
 def cache_state(cache: Cache):
-    """Insertion order in the per-set dicts IS the LRU order."""
-    return [list(s.items()) for s in cache._sets]
+    """Every set's ``(line, dirty)`` residents in LRU order (insertion
+    order in the per-set dicts IS the LRU order), read as a snapshot: a
+    compiled replay's state keeps the residents, so the next replay
+    starts from it as a run of epochs would."""
+    return cache.state_dict()["sets"]
 
 
 def scalar_cache_replay(cache: Cache, lines, writes):

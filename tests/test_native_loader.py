@@ -309,13 +309,13 @@ def test_cache_walk_rejects_wrong_dtypes_and_layouts():
 def test_cache_walk_kernel_checks_its_geometry():
     """The compiled replay's wrapper refuses a hierarchy it cannot hold:
     structures that are not the PEs' and groups', a structure with no
-    ways, resident dicts that are not one per set; the C entry refuses
-    sets with more residents than ways and residents outside their set,
-    and the refused resident dicts are left as they were."""
+    ways, resident dicts that are not one per set; taking the residents
+    into a compiled state refuses sets with more residents than ways,
+    negative lines and residents outside their set, and the refused
+    resident dicts are left as they were."""
     replay = native.replay_epoch_kernel()
     lines = np.array([0, 2], np.int64)
     ops = _dense(2)
-    runs = np.array([[0, 0, 2]], np.int64)
 
     def system(l1_set0=None):
         # One PE, one group: every structure 2 sets of 2 ways.
@@ -331,7 +331,7 @@ def test_cache_walk_kernel_checks_its_geometry():
         return ms
 
     def call(ms):
-        return replay(ms, lines, ops, runs, 4)
+        return replay(ms, [(0, lines, ops)], 4)
 
     ms = system()
     ms.bbfs.append(ms.bbfs[0])
@@ -345,13 +345,13 @@ def test_cache_walk_kernel_checks_its_geometry():
     ms.llc._sets.pop()
     with pytest.raises(ValueError, match="resident dicts"):
         call(ms)
-    for residents in (
-        {4: False, 6: True, 8: False},  # three lines in two ways
-        {3: True},                      # line 3 lives in set 1
-        {-4: True},
+    for residents, match in (
+        ({4: False, 6: True, 8: False}, "more residents than its 2 ways"),
+        ({3: True}, "resident outside its set"),  # line 3 lives in set 1
+        ({-4: True}, "negative line"),
     ):
         ms = system(dict(residents))
-        with pytest.raises(ValueError, match="resident outside its set"):
+        with pytest.raises(ValueError, match=match):
             call(ms)
         assert ms.l1s[0]._sets[0] == residents
 

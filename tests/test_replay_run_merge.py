@@ -207,16 +207,23 @@ class _Unreadable(dict):
 
 
 def test_failed_compiled_call_changes_nothing():
-    """The C entry's error returns raise before any cache, counter or
-    DRAM field is written, although the walks before the failing one
-    (the STLBs, then the L1s) have finished: a resident outside its set
-    (planted in an L1 the epoch walks) and a resident set the binding
-    cannot read (in an L2 the epoch walks)."""
+    """A compiled call refused for a resident raises before any cache,
+    counter or DRAM field is written, although the structures before the
+    refused one (the L1s, victim caches, stream buffers, L2s and STLBs,
+    read back into dicts first) have already moved into compiled states:
+    a resident outside its set (planted in an L1, then in the LLC, the
+    last structure) and a resident set that cannot be read (in an L2)."""
     compiled_replay()
     lines, ops = epoch_trace()
     ops[::3] = encode_op(OP_DENSE_BYPASS, True, 1)
     ops[1::3] = encode_op(OP_STREAM, True, 3)
     table = [(0, 0, 20), (4, 20, N)]
+
+    def read_back():
+        ms = warm_system()
+        for _, cache in native.replay_structures(ms):
+            cache._sets  # every structure's residents back in dicts
+        return ms
 
     ms = warm_system()
     ms.l1s[4]._sets[1] = {2: True}  # line 2 lives in set 2 of 4
@@ -225,7 +232,14 @@ def test_failed_compiled_call_changes_nothing():
         ms.replay_trace(table, lines, ops)
     assert snapshot(ms) == before
 
-    ms = warm_system()
+    ms = read_back()
+    ms.llc._sets[3] = {5: False}  # line 5 lives in set 5 of 16
+    before = snapshot(ms)
+    with pytest.raises(ValueError, match="llc: .* outside its set"):
+        ms.replay_trace(table, lines, ops)
+    assert snapshot(ms) == before
+
+    ms = read_back()
     l2 = ms.l2s[1]
     l2._sets = [_Unreadable(d) for d in l2._sets]
     before = snapshot(ms)
@@ -263,14 +277,14 @@ def one_pe_system():
 
 @pytest.mark.parametrize("error", ["alloc", "callback", "foreign_set"])
 def test_compiled_entry_error_returns(error):
-    """Each error return of ``repro_replay_epoch``, forced through its
-    binding by a geometry or a resident set: an L1 with more sets than
-    any allocation holds, a resident set the binding cannot read, and
-    a resident in a set its line does not map to.  Every structure's
-    resident dicts are left as they were."""
+    """Each way the compiled replay's binding refuses a structure while
+    it takes the residents into a compiled state, forced by a geometry
+    or a resident set: an L1 with more sets than any allocation holds,
+    a resident set that cannot be read, and a resident in a set its
+    line does not map to.  Every structure's resident dicts are left
+    as they were."""
     lines = np.array([0, 8, 1, 0], np.int64)
     ops = np.full(4, encode_op(OP_DENSE, True, 1), np.int64)
-    runs = np.array([[0, 0, 4]], np.int64)
     ms = one_pe_system()
     l1 = ms.l1s[0]
     if error == "alloc":
@@ -288,7 +302,7 @@ def test_compiled_entry_error_returns(error):
     }[error]
     replay = compiled_replay()
     with pytest.raises(expected[0], match=expected[1]):
-        replay(ms, lines, ops, runs, 4)
+        replay(ms, [(0, lines, ops)], 4)
     assert [
         list(map(dict, c._sets)) for _, c in native.replay_structures(ms)
     ] == kept

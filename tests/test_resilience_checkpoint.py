@@ -6,11 +6,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.config import ResilienceConfig, scaled_config
+from repro.core import accelerator
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.errors import CheckpointError
 from repro.memory.hierarchy import MemorySystem
@@ -210,6 +212,25 @@ class TestCheckpointFiles:
         )
 
 
+def final_memory(monkeypatch, config, a, b, **kwargs):
+    """Run SpMM under ``config`` and return the report with the pickled
+    ``state_dict()`` of the run's final memory hierarchy (``SpadeSystem``
+    drops its engine after a run; a subclass keeps it reachable)."""
+    engines = []
+
+    class KeptEngine(accelerator.Engine):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            engines.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(accelerator, "Engine", KeptEngine)
+        report = SpadeSystem(config, **kwargs).spmm(
+            a, b, settings=MULTI_EPOCH_SETTINGS
+        )
+    return report, pickle.dumps(engines[-1].memory.state_dict())
+
+
 class TestKillAndResume:
     def _with_resilience(self, config, backend, **res):
         return dataclasses.replace(
@@ -220,12 +241,21 @@ class TestKillAndResume:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_kill_then_resume_is_bit_identical(
-        self, tmp_path, workload, base_config, golden, backend
+        self, tmp_path, workload, base_config, golden, backend, monkeypatch
     ):
+        """Killed halfway with a checkpoint after every epoch, the resumed
+        run gives the uninterrupted run's facts and final memory state,
+        pickled byte for byte.  Under array replay every checkpoint reads
+        the residents out of the compiled replay's states."""
         a, b, _ = workload
+        assert base_config.replay == "array"
         kill_at = len(golden.result.epoch_timings) // 2
         cfg = self._with_resilience(
-            base_config, backend, checkpoint_dir=str(tmp_path)
+            base_config, backend, checkpoint_dir=str(tmp_path),
+            checkpoint_interval=1,
+        )
+        _, uninterrupted = final_memory(
+            monkeypatch, self._with_resilience(base_config, backend), a, b
         )
         monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=kill_at))
         with pytest.raises(InjectedCrash):
@@ -233,12 +263,12 @@ class TestKillAndResume:
                 a, b, settings=MULTI_EPOCH_SETTINGS
             )
         resumed_cfg = self._with_resilience(
-            base_config, backend, checkpoint_dir=str(tmp_path), resume=True
+            base_config, backend, checkpoint_dir=str(tmp_path),
+            checkpoint_interval=1, resume=True,
         )
-        report = SpadeSystem(resumed_cfg).spmm(
-            a, b, settings=MULTI_EPOCH_SETTINGS
-        )
+        report, resumed = final_memory(monkeypatch, resumed_cfg, a, b)
         assert fingerprint(report) == fingerprint(golden)
+        assert resumed == uninterrupted
 
     def test_mid_run_snapshot_holds_one_set_caches_and_resumes(
         self, tmp_path, workload, base_config, golden
@@ -272,13 +302,22 @@ class TestKillAndResume:
         assert fingerprint(report) == fingerprint(golden)
 
     def test_cross_backend_resume(
-        self, tmp_path, workload, base_config, golden
+        self, tmp_path, workload, base_config, golden, monkeypatch
     ):
-        """A checkpoint written by a vectorized run resumes under the
-        scalar backend (what the degradation step relies on)."""
+        """A checkpoint written by a vectorized run under array replay
+        (every epoch, from the compiled replay's states) resumes under
+        the scalar backend (what the degradation step relies on), with
+        the uninterrupted array run's facts and final memory state,
+        pickled byte for byte."""
         a, b, _ = workload
+        assert base_config.replay == "array"
+        _, uninterrupted = final_memory(
+            monkeypatch, self._with_resilience(base_config, "vectorized"),
+            a, b,
+        )
         cfg = self._with_resilience(
-            base_config, "vectorized", checkpoint_dir=str(tmp_path)
+            base_config, "vectorized", checkpoint_dir=str(tmp_path),
+            checkpoint_interval=1,
         )
         monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
         with pytest.raises(InjectedCrash):
@@ -288,10 +327,9 @@ class TestKillAndResume:
         resumed_cfg = self._with_resilience(
             base_config, "scalar", checkpoint_dir=str(tmp_path), resume=True
         )
-        report = SpadeSystem(resumed_cfg).spmm(
-            a, b, settings=MULTI_EPOCH_SETTINGS
-        )
+        report, resumed = final_memory(monkeypatch, resumed_cfg, a, b)
         assert fingerprint(report) == fingerprint(golden)
+        assert resumed == uninterrupted
 
     def test_checkpointing_does_not_perturb_results(
         self, tmp_path, workload, base_config, golden
