@@ -137,8 +137,8 @@ def _release_heap() -> None:
     replay each level's emission buffers, the deduped streams and the
     run-order merges), which glibc keeps in the heap after they are
     freed.  Trimming once per epoch keeps peak RSS down: on perfbench's
-    engine-spmm-rmat workload (2-vCPU x86-64 host), 286-287 MB with the
-    trim against 296-297 MB without it."""
+    engine-spmm-rmat workload (2-vCPU x86-64 host, seed 3), 271 MB with
+    the trim against 303 MB without it."""
     if _malloc_trim is not None:
         _malloc_trim(0)
 
