@@ -319,14 +319,22 @@ def sddmm_output_to_coo(
     tiled: TiledMatrix, out_vals: np.ndarray
 ) -> COOMatrix:
     """Extract the SDDMM result as a COO matrix from the padded output
-    vals array (inverse of the Appendix A output layout)."""
+    vals array (inverse of the Appendix A output layout): a tile's
+    ``i``-th entry moves from ``sparse_out_start_offset + i`` to
+    ``sparse_in_start_offset + i``, every tile in one gather."""
+    meta = np.array(
+        [(t.sparse_in_start_offset, t.sparse_out_start_offset, t.nnz)
+         for t in tiled.tiles],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    in_at, out_at, nnz = meta.T
+    within = np.arange(int(nnz.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(nnz) - nnz, nnz
+    )
     vals = np.empty(tiled.nnz, dtype=np.float32)
-    for tile in tiled.tiles:
-        lo = tile.sparse_in_start_offset
-        vals[lo : lo + tile.nnz] = out_vals[
-            tile.sparse_out_start_offset : tile.sparse_out_start_offset
-            + tile.nnz
-        ]
+    vals[np.repeat(in_at, nnz) + within] = np.asarray(out_vals)[
+        np.repeat(out_at, nnz) + within
+    ]
     return COOMatrix(
         tiled.num_rows, tiled.num_cols, tiled.r_ids, tiled.c_ids, vals
     )

@@ -221,8 +221,9 @@ class Engine:
         if self.init.primitive is not Primitive.SDDMM:
             raise ConfigError("engine was initialised for a different primitive")
         out_vals = np.zeros(self.tiled.out_vals_length, dtype=np.float64)
-        b64 = np.asarray(b_dense, dtype=np.float64)
-        c64 = np.asarray(c_dense, dtype=np.float64)
+        # Once per run: the merge takes C-contiguous float64 B and C.
+        b64 = np.ascontiguousarray(b_dense, dtype=np.float64)
+        c64 = np.ascontiguousarray(c_dense, dtype=np.float64)
 
         def gen_chunk(pe: ProcessingElement, tile: TileInfo, lo: int, hi: int):
             off = tile.sparse_in_start_offset
@@ -238,10 +239,10 @@ class Engine:
             r = self.tiled.r_ids[off + lo : off + hi]
             c = self.tiled.c_ids[off + lo : off + hi]
             v = self.tiled.vals[off + lo : off + hi]
-            out_offsets = tile.sparse_out_start_offset + np.arange(
-                lo, hi, dtype=np.int64
+            sddmm_chunk_vals(
+                out_vals, tile.sparse_out_start_offset + lo, r, c, v, b64,
+                c64,
             )
-            sddmm_chunk_vals(out_vals, out_offsets, r, c, v, b64, c64)
 
         def gen_epoch(pe: ProcessingElement, parts):
             chunks = []

@@ -18,6 +18,20 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
 
+def _dots(
+    b64: np.ndarray, c64: np.ndarray, r_ids: np.ndarray, c_ids: np.ndarray
+) -> np.ndarray:
+    """``sum_j b64[r_ids[i], j] * c64[c_ids[i], j]`` for each ``i``, in
+    float64, summed left to right over ``j`` from 0.0: one rounded
+    multiply and one rounded add per term (DESIGN.md section 10).  The
+    order is fixed, so the sums are the same on every host, unlike
+    ``einsum``'s, which depend on its SIMD dispatch."""
+    inner = np.zeros(r_ids.shape[0], dtype=np.float64)
+    for j in range(b64.shape[1]):
+        inner += b64[r_ids, j] * c64[c_ids, j]
+    return inner
+
+
 def _check_operands(a: COOMatrix, b: np.ndarray, name: str) -> None:
     if b.ndim != 2:
         raise ValueError(f"{name} must be 2-D")
@@ -63,10 +77,8 @@ def sddmm_reference(
         raise ValueError(f"C has {c.shape[0]} rows; expected {a.num_cols}")
     if b.shape[1] != c.shape[1]:
         raise ValueError("B and C must share the dense row size K")
-    inner = np.einsum(
-        "ij,ij->i",
-        b[a.r_ids].astype(np.float64),
-        c[a.c_ids].astype(np.float64),
+    inner = _dots(
+        b.astype(np.float64), c.astype(np.float64), a.r_ids, a.c_ids
     )
     vals = (a.vals.astype(np.float64) * inner).astype(np.float32)
     return COOMatrix(a.num_rows, a.num_cols, a.r_ids, a.c_ids, vals)
@@ -111,7 +123,7 @@ def spmm_chunk_update(
 
 def sddmm_chunk_vals(
     out_vals: np.ndarray,
-    out_offsets: np.ndarray,
+    out_base: int,
     r_ids: np.ndarray,
     c_ids: np.ndarray,
     vals: np.ndarray,
@@ -119,11 +131,31 @@ def sddmm_chunk_vals(
     c64: np.ndarray,
 ) -> None:
     """Segment dot products for one chunk of SDDMM nonzeros, written
-    into ``out_vals`` (float64, in place) at the chunk's padded output
-    offsets.  Offsets are unique per nonzero, so chunk application
-    order cannot change the result."""
-    inner = np.einsum("ij,ij->i", b64[r_ids], c64[c_ids])
-    out_vals[out_offsets] = vals.astype(np.float64) * inner
+    into ``out_vals`` (float64, in place) at ``out_base`` onwards: a
+    chunk's output slots are contiguous in the padded layout.  Slots
+    are unique per nonzero, so chunk application order cannot change
+    the result.
+
+    This is the engine's per-chunk functional kernel.  It runs the
+    compiled merge (``repro/native/sddmm_merge.c``) when the kernel
+    library loads, and its twin otherwise.  Both compute, for each
+    nonzero ``i``, ``float64(vals[i]) * sum_j b64[r_ids[i], j] *
+    c64[c_ids[i], j]`` with the sum taken left to right over ``j``
+    (:func:`_dots`), so the bytes are the same on either path and on
+    every host.
+
+    The chunk is checked whole before anything is written
+    (:func:`repro.native.check_sddmm_chunk`): a bad chunk raises the
+    same error on either path and leaves ``out_vals`` untouched.
+    """
+    native.check_sddmm_chunk(out_vals, out_base, r_ids, c_ids, vals, b64, c64)
+    kernels = native.kernels()
+    if kernels is not None:
+        kernels.sddmm_merge(out_vals, out_base, r_ids, c_ids, vals, b64, c64)
+    else:
+        out_vals[out_base : out_base + r_ids.shape[0]] = (
+            vals.astype(np.float64) * _dots(b64, c64, r_ids, c_ids)
+        )
 
 
 def spmm_reference_csr(a: CSRMatrix, b: np.ndarray) -> np.ndarray:

@@ -65,10 +65,10 @@ def _checked_runs(
 ) -> Tuple[int, List[Run]]:
     """The replay's total accesses and its non-empty runs ``(pe, lines,
     ops)``, every input checked once: integer arrays (``TypeError``),
-    the run table (:func:`_run_table`), and each array pair as
-    :func:`repro.native.check_replay_epoch` requires.  Trace ``lines``
-    and ``ops`` are either one array each, cut by the run table, or
-    :class:`TraceParts` holding one array per run."""
+    the run table (:func:`_run_table`), and the array pairs as
+    :func:`repro.native.check_replay_runs` requires, every run in one
+    pass.  Trace ``lines`` and ``ops`` are either one array each, cut by
+    the run table, or :class:`TraceParts` holding one array per run."""
     if isinstance(lines, TraceParts) or isinstance(ops, TraceParts):
         if not (isinstance(lines, TraceParts) and isinstance(ops, TraceParts)
                 and len(lines.parts) == len(ops.parts)):
@@ -83,15 +83,14 @@ def _checked_runs(
             raise ValueError("the run table does not match the runs' parts")
         if n >= 2**31:
             raise ValueError(f"{n} accesses do not fit one replay")
-        for part_lines, part_ops in zip(line_parts, op_parts):
-            native.check_replay_epoch(part_lines, part_ops, n_regions)
-        pairs = zip(line_parts, op_parts)
+        pairs = list(zip(line_parts, op_parts))
+        native.check_replay_runs(pairs, n_regions)
     else:
         lines = _as_int64("lines", lines)
         ops = _as_int64("ops", ops)
         n = lines.shape[0]
         table = _run_table(ms, pe_id, n)
-        native.check_replay_epoch(lines, ops, n_regions)
+        native.check_replay_runs([(lines, ops)], n_regions)
         pairs = ((lines[lo:hi], ops[lo:hi]) for _, lo, hi in table)
     return n, [
         (p, part_lines, part_ops)

@@ -1,6 +1,6 @@
 """Compiled kernels, built with the host's gcc on first use.
 
-Three kernels live here, built into one library:
+Five kernels live here, built into one library:
 
 - ``vrf_walk.c``, one PE-epoch of trace generation behind
   :func:`repro.core.vectorized.trace_epoch`: it derives the dense-operand
@@ -23,10 +23,21 @@ Three kernels live here, built into one library:
   :meth:`repro.memory.hierarchy.MemorySystem.replay_trace_scalar`, run
   by run, which is also the path taken without the library; its
   ``repro_tally_epoch`` folds the levels into each PE's per-level
-  tallies, held to :func:`repro.memory.hierarchy.level_tally`;
+  tallies, held to :func:`repro.memory.hierarchy.level_tally`, and
+  ``repro_check_trace`` checks every run's lines and ops in one pass
+  before the replay (:func:`check_replay_runs`; its twin is the same
+  checks in NumPy, run by run);
 - ``spmm_merge.c``, the SpMM output merge behind
   :func:`repro.kernels.reference.spmm_chunk_update`; its twin is the
-  ``np.add.at`` scatter it transcribes.
+  ``np.add.at`` scatter it transcribes;
+- ``sddmm_merge.c``, the SDDMM output merge behind
+  :func:`repro.kernels.reference.sddmm_chunk_vals`: one dot product
+  per nonzero, summed left to right over K; its twin is the same sum as
+  a NumPy loop over the K columns;
+- ``tile.c``, the tiled layout's entry order behind
+  :func:`repro.sparse.tiled.tile_matrix`: a composite-key pass that
+  finds already-ordered input, else a stable LSD radix sort; its twin
+  is ``np.lexsort``.
 
 A twin (for the replay, the oracle itself) is the reference and the
 path taken when the library does not load; results are identical
@@ -34,9 +45,9 @@ either way, only slower.
 
 Build, cache and trust rules:
 
-- Nothing compiles at import.  The first :func:`kernels` call (a walk
-  or an SpMM merge) builds the library and the outcome holds for the
-  rest of the process.
+- Nothing compiles at import.  The first :func:`kernels` call (a
+  walk, a merge or a tiling) builds the library and the outcome holds
+  for the rest of the process.
 - Builds live in one per-user, host-wide directory,
   ``<tempfile.gettempdir()>/repro-native-<uid>/``, created with mode
   0700.  A directory that is a symlink, not a directory, owned by
@@ -79,10 +90,13 @@ import numpy as np
 
 SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("vrf_walk.c", "replay_epoch.c", "spmm_merge.c")
+    for name in (
+        "vrf_walk.c", "replay_epoch.c", "spmm_merge.c", "sddmm_merge.c",
+        "tile.c",
+    )
 )
 # -ffp-contract=off: no fused multiply-add may skip a rounding the
-# NumPy twins perform (the SpMM merge's product).
+# NumPy twins perform (the merges' products).
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
@@ -94,6 +108,9 @@ class Kernels(NamedTuple):
     tally_epoch: Callable
     live_states: Callable[[], int]
     spmm_merge: Callable
+    sddmm_merge: Callable
+    tile: Callable
+    check_trace: Callable
 
 
 _lock = threading.Lock()
@@ -193,7 +210,8 @@ def kernels() -> Optional[Kernels]:
                 _kernels = Kernels(
                     _bind_vrf_epoch(lib), _bind_replay_epoch(lib),
                     _bind_tally_epoch(lib), lib.repro_state_live,
-                    _bind_spmm_merge(lib),
+                    _bind_spmm_merge(lib), _bind_sddmm_merge(lib),
+                    _bind_tile(lib), _bind_check_trace(lib),
                 )
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
                 warnings.warn(
@@ -380,31 +398,82 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
     return epoch
 
 
-def check_replay_epoch(
-    lines: np.ndarray, ops: np.ndarray, n_regions: int
-) -> None:
-    """Validate an epoch's trace before its replay: ``lines`` and ``ops``
-    1-D C-contiguous int64 of one length below ``2**31``; no negative
-    line (C's ``%`` differs from Python's on those); every op
-    non-negative, on one of the three paths, with a region id below
-    ``n_regions``."""
-    _require("lines", lines, np.int64)
-    _require("ops", ops, np.int64)
-    n = lines.shape[0]
-    if ops.shape[0] != n:
-        raise ValueError("lines and ops differ in length")
-    if n >= 2**31:
-        raise ValueError(f"{n} accesses do not fit one replay")
-    if not n:
-        return
+_TRACE_REFUSALS = {
+    1: "cache lines must be non-negative",
+    2: "trace ops must be non-negative",
+    3: "a trace op names no access path",
+    4: "a trace op's region id is not below {}",
+}
+"""``repro_check_trace``'s failure codes, in their order of precedence
+within a run, as the ``ValueError`` each raises."""
+
+
+def _trace_refusal(lines: np.ndarray, ops: np.ndarray, n_regions: int) -> int:
+    """The twin of ``repro_check_trace`` for one run: its failure code,
+    0 if it has none."""
+    if not lines.shape[0]:
+        return 0
     if int(lines.min()) < 0:
-        raise ValueError("cache lines must be non-negative")
+        return 1
     if int(ops.min()) < 0:
-        raise ValueError("trace ops must be non-negative")
+        return 2
     if int((ops & 3).max()) == 3:
-        raise ValueError("a trace op names no access path")
+        return 3
     if int(ops.max()) >> 3 >= n_regions:
-        raise ValueError(f"a trace op's region id is not below {n_regions}")
+        return 4
+    return 0
+
+
+def check_replay_runs(
+    pairs: List[Tuple[np.ndarray, np.ndarray]], n_regions: int
+) -> None:
+    """Validate an epoch's trace, its runs' ``(lines, ops)`` pairs, before
+    its replay: each pair 1-D C-contiguous int64 of one length below
+    ``2**31``; no negative line (C's ``%`` differs from Python's on
+    those); every op non-negative, on one of the three paths, with a
+    region id below ``n_regions``.  The values of every run are checked
+    in one compiled pass (``repro_check_trace``), or run by run with
+    NumPy without the library; the first failing run's failure is
+    raised either way."""
+    for lines, ops in pairs:
+        _require("lines", lines, np.int64)
+        _require("ops", ops, np.int64)
+        n = lines.shape[0]
+        if ops.shape[0] != n:
+            raise ValueError("lines and ops differ in length")
+        if n >= 2**31:
+            raise ValueError(f"{n} accesses do not fit one replay")
+    k = kernels()
+    if k is not None:
+        code = k.check_trace(pairs, n_regions)
+    else:
+        code = next(
+            filter(None, (_trace_refusal(*p, n_regions) for p in pairs)), 0
+        )
+    if code:
+        raise ValueError(_TRACE_REFUSALS[code].format(n_regions))
+
+
+def _bind_check_trace(lib: ctypes.CDLL) -> Callable[..., int]:
+    fn = lib.repro_check_trace
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [ptr, ptr, ptr, i64, i64]
+
+    def check_trace(pairs, n_regions: int) -> int:
+        """Run the C check over ``(lines, ops)`` pairs whose shapes
+        :func:`check_replay_runs` accepted; the first failing run's
+        failure code (``_TRACE_REFUSALS``), or 0."""
+        line_ptrs = np.array([l.ctypes.data for l, _ in pairs], np.uintp)
+        op_ptrs = np.array([o.ctypes.data for _, o in pairs], np.uintp)
+        lens = np.array([l.shape[0] for l, _ in pairs], np.int64)
+        return fn(
+            line_ptrs.ctypes.data, op_ptrs.ctypes.data, lens.ctypes.data,
+            len(lens), n_regions,
+        )
+
+    return check_trace
 
 
 class ReplayResult(NamedTuple):
@@ -569,7 +638,7 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
 
     def replay(ms, runs, n_regions: int) -> ReplayResult:
         """Replay an epoch's runs ``(pe, lines, ops)``, each pair 1-D
-        C-contiguous int64 that :func:`check_replay_epoch` accepted,
+        C-contiguous int64 that :func:`check_replay_runs` accepted,
         through every structure of the memory system ``ms``, reading
         the runs in place.  Each structure's residents move into its
         compiled state on first use (:meth:`Cache._replay_state`) and
@@ -740,3 +809,140 @@ def _bind_spmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
             raise IndexError("SpMM merge index out of range")
 
     return merge
+
+
+def check_sddmm_chunk(
+    out_vals: np.ndarray,
+    out_base: int,
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    vals: np.ndarray,
+    b64: np.ndarray,
+    c64: np.ndarray,
+) -> None:
+    """Validate one SDDMM merge chunk before anything is written:
+    ``r_ids``/``c_ids`` 1-D C-contiguous int64 and ``vals`` 1-D
+    C-contiguous float32, all of one length; ``out_vals`` 1-D
+    C-contiguous, writeable float64; ``b64`` and ``c64`` 2-D
+    C-contiguous float64 with the same number of columns; the output
+    slots ``[out_base, out_base + len(vals))`` inside ``out_vals``, every
+    row id in ``[0, len(b64))`` and column id in ``[0, len(c64))``
+    (``IndexError`` otherwise)."""
+    _require("r_ids", r_ids, np.int64)
+    _require("c_ids", c_ids, np.int64)
+    _require("vals", vals, np.float32)
+    _require("out_vals", out_vals, np.float64)
+    _require("b64", b64, np.float64, 2)
+    _require("c64", c64, np.float64, 2)
+    if not out_vals.flags.writeable:
+        raise ValueError("out_vals must be writeable")
+    if not r_ids.shape == c_ids.shape == vals.shape:
+        raise ValueError("r_ids, c_ids and vals differ in length")
+    if b64.shape[1] != c64.shape[1]:
+        raise ValueError(f"b64 has {b64.shape[1]} columns, c64 {c64.shape[1]}")
+    n = r_ids.shape[0]
+    if not 0 <= out_base <= out_vals.shape[0] - n:
+        raise IndexError(
+            f"output slots [{out_base}, {out_base + n}) fall outside "
+            f"[0, {out_vals.shape[0]})"
+        )
+    if n:
+        for name, ids, bound in (
+            ("r_ids", r_ids, b64.shape[0]),
+            ("c_ids", c_ids, c64.shape[0]),
+        ):
+            if int(ids.min()) < 0 or int(ids.max()) >= bound:
+                raise IndexError(f"{name} fall outside [0, {bound})")
+
+
+def _bind_sddmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
+    fn = lib.repro_sddmm_merge
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [
+        ptr, i64, i64,            # out_vals, length, base
+        ptr, i64, ptr, i64, i64,  # b64, b rows, c64, c rows, k
+        ptr, ptr, ptr, i64,       # r_ids, c_ids, vals, n
+    ]
+
+    def merge(
+        out_vals: np.ndarray,
+        out_base: int,
+        r_ids: np.ndarray,
+        c_ids: np.ndarray,
+        vals: np.ndarray,
+        b64: np.ndarray,
+        c64: np.ndarray,
+    ) -> None:
+        """Run the C merge over a chunk :func:`check_sddmm_chunk`
+        accepted, in place.  The kernel checks the output range and the
+        indices again before it writes; a rejected chunk raises
+        ``IndexError``."""
+        rc = fn(
+            out_vals.ctypes.data, out_vals.shape[0], out_base,
+            b64.ctypes.data, b64.shape[0], c64.ctypes.data, c64.shape[0],
+            b64.shape[1],
+            r_ids.ctypes.data, c_ids.ctypes.data, vals.ctypes.data,
+            r_ids.shape[0],
+        )
+        if rc != 0:
+            raise IndexError("SDDMM merge index out of range")
+
+    return merge
+
+
+def _bind_tile(lib: ctypes.CDLL) -> Callable[..., Tuple[np.ndarray, ...]]:
+    fn = lib.repro_tile
+    i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = i64
+    fn.argtypes = [
+        ptr, ptr, ptr, i64,       # r_ids, c_ids, vals, n
+        i64, i64, i64, i64, i64,  # rows, cols, RP, CP, column panels
+        ptr, ptr, ptr, ptr,       # out: r_ids, c_ids, vals, tile ids
+    ]
+
+    def tile(
+        r_ids: np.ndarray,
+        c_ids: np.ndarray,
+        vals: np.ndarray,
+        num_rows: int,
+        num_cols: int,
+        row_panel_size: int,
+        col_panel_size: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries in tiled order and each one's tile id, as
+        ``(r_ids, c_ids, vals, tile ids)``.  ``r_ids``/``c_ids`` 1-D
+        C-contiguous int64, ``vals`` 1-D C-contiguous float32, of one
+        length below ``2**32``; panel sizes at least 1 and a key span
+        (panels times panel area) below ``2**63``.  Raises
+        ``ValueError`` for an entry outside the matrix."""
+        _require("r_ids", r_ids, np.int64)
+        _require("c_ids", c_ids, np.int64)
+        _require("vals", vals, np.float32)
+        n = r_ids.shape[0]
+        if not c_ids.shape[0] == vals.shape[0] == n:
+            raise ValueError("r_ids, c_ids and vals differ in length")
+        n_rp = -(-num_rows // row_panel_size)
+        n_cp = -(-num_cols // col_panel_size)
+        if min(row_panel_size, col_panel_size) < 1 or n >= 2**32 or (
+            n_rp * n_cp * row_panel_size * col_panel_size >= 2**63
+        ):
+            raise ValueError("the compiled tiler cannot take this matrix")
+        out = (
+            np.empty(n, np.int64), np.empty(n, np.int64),
+            np.empty(n, np.float32), np.empty(n, np.int64),
+        )
+        rc = fn(
+            r_ids.ctypes.data, c_ids.ctypes.data, vals.ctypes.data, n,
+            num_rows, num_cols, row_panel_size, col_panel_size, n_cp,
+            *(a.ctypes.data for a in out),
+        )
+        if rc == -2:
+            raise MemoryError("the tiler could not allocate its sort")
+        if rc < 0:
+            raise ValueError("an entry lies outside the matrix")
+        return out
+
+    return tile

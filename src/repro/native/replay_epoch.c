@@ -48,8 +48,9 @@
  *
  * A call either succeeds or changes no State: every node pool, table
  * and event buffer a walk can need is allocated, to a bound, before
- * the first walk.  The caller checks the lines and ops
- * (repro.native.check_replay_epoch); the entry checks the run table.
+ * the first walk.  The caller checks the lines and ops first, every
+ * run in one repro_check_trace call (repro.native.check_replay_runs);
+ * the entry checks the run table.
  */
 
 #include <stdint.h>
@@ -846,6 +847,63 @@ int64_t repro_tally_epoch(const int64_t *runs, const int64_t *const *run_ops,
             stores[l] += c[N_LEVELS + l] + c[3 * N_LEVELS + l];
             sparse[l] += c[2 * N_LEVELS + l] + c[3 * N_LEVELS + l];
         }
+    }
+    return 0;
+}
+
+/*
+ * Check an epoch's trace before its replay, run after run: no negative
+ * line (C's % differs from Python's on those), and every op
+ * non-negative, on one of the three paths, with a region id below
+ * n_regions.  run_lines / run_ops: each run's lens[k] accesses.
+ * Returns 0, or the first failing run's failure, in this order of
+ * precedence within a run: 1 a negative line, 2 a negative op, 3 an
+ * op on no path, 4 a region id out of range.
+ *
+ * The scan ORs the values together, which needs no compare per access:
+ * a negative value sets the sign bit of the OR; op & (op >> 1) has bit
+ * 0 set exactly for an op on path 3; and no op's region id exceeds the
+ * OR's, so only a run whose OR fails the region bound is scanned again
+ * for its largest region id.
+ */
+int64_t repro_check_trace(const int64_t *const *run_lines,
+                          const int64_t *const *run_ops,
+                          const int64_t *lens, int64_t n_runs,
+                          int64_t n_regions)
+{
+    for (int64_t k = 0; k < n_runs; k++) {
+        const int64_t *lines = run_lines[k], *ops = run_ops[k];
+        const int64_t n = lens[k];
+        uint64_t line_or[4] = {0}, op_or[4] = {0}, path_or[4] = {0};
+        int64_t j = 0;
+        for (; j + 4 <= n; j += 4)
+            for (int u = 0; u < 4; u++) {
+                const uint64_t op = (uint64_t)ops[j + u];
+                line_or[u] |= (uint64_t)lines[j + u];
+                op_or[u] |= op;
+                path_or[u] |= op & (op >> 1);
+            }
+        for (; j < n; j++) {
+            const uint64_t op = (uint64_t)ops[j];
+            line_or[0] |= (uint64_t)lines[j];
+            op_or[0] |= op;
+            path_or[0] |= op & (op >> 1);
+        }
+        const uint64_t lines_all = line_or[0] | line_or[1] | line_or[2] |
+                                   line_or[3];
+        const uint64_t ops_all = op_or[0] | op_or[1] | op_or[2] | op_or[3];
+        const uint64_t path_all = path_or[0] | path_or[1] | path_or[2] |
+                                  path_or[3];
+        if ((int64_t)lines_all < 0)
+            return 1;
+        if ((int64_t)ops_all < 0)
+            return 2;
+        if (path_all & 1)
+            return 3;
+        if ((int64_t)(ops_all >> OP_REGION_SHIFT) >= n_regions)
+            for (j = 0; j < n; j++)
+                if (ops[j] >> OP_REGION_SHIFT >= n_regions)
+                    return 4;
     }
     return 0;
 }

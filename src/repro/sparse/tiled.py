@@ -29,6 +29,7 @@ from typing import List
 
 import numpy as np
 
+from repro import native
 from repro.config import CACHE_LINE_BYTES, FLOAT_BYTES
 from repro.sparse.coo import COOMatrix
 
@@ -145,30 +146,35 @@ def _pad_to_line(n_vals: int) -> int:
     return -(-n_vals // _OUT_VALS_PER_LINE) * _OUT_VALS_PER_LINE
 
 
-def _radix_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort for non-negative integer keys.
-
-    NumPy's ``kind="stable"`` argsort is a radix sort only for <= 16-bit
-    integers; wider dtypes take a comparison sort that is ~10x slower on
-    tile keys.  Keys are rebased to their minimum first, then keys under
-    2**16 sort in one 16-bit pass, keys under 2**31 in two (low then
-    high half, composed stably); anything wider falls back to NumPy's
-    comparison sort.
-    """
-    n = keys.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    lo = int(keys.min())
-    m = int(keys.max()) - lo
-    if lo != 0:
-        keys = keys - lo
-    if m < (1 << 16):
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    if m < (1 << 31):
-        o1 = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-        hi = (keys[o1] >> 16).astype(np.uint16)
-        return o1[np.argsort(hi, kind="stable")]
-    return np.argsort(keys, kind="stable")
+def _order_twin(
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    vals: np.ndarray,
+    num_rows: int,
+    num_cols: int,
+    row_panel_size: int,
+    col_panel_size: int,
+):
+    """The twin of the compiled tiler (``repro/native/tile.c``): the
+    entries in tiled order and each one's tile id ``rp * n_cp + cp``, by
+    ``np.lexsort``; ids past int64 (a grid of ``2**63`` tiles or more)
+    come as Python ints.  Raises ``ValueError`` for an entry outside the
+    matrix."""
+    if r_ids.shape[0] and (
+        int(r_ids.min()) < 0 or int(r_ids.max()) >= num_rows
+        or int(c_ids.min()) < 0 or int(c_ids.max()) >= num_cols
+    ):
+        raise ValueError("an entry lies outside the matrix")
+    rp = r_ids // row_panel_size
+    cp = c_ids // col_panel_size
+    order = np.lexsort((c_ids, r_ids, cp, rp))
+    n_cp = -(-num_cols // col_panel_size)
+    if -(-num_rows // row_panel_size) * n_cp >= 2**63:
+        rp = rp.astype(object)
+    return (
+        r_ids[order], c_ids[order], vals[order],
+        (rp * n_cp + cp)[order],
+    )
 
 
 def tile_matrix(
@@ -182,6 +188,17 @@ def tile_matrix(
     SPADE Base setting.  Tiles are laid out row-panel-major: all tiles of
     row panel 0 left to right, then row panel 1, and so on — the order
     the CPE walks when no barriers are used (Figure 5a).
+
+    The entries are ordered by (row panel, column panel, row, column):
+    tiles contiguous, row-major inside each tile, repeated coordinates
+    in input order.  The reference ordering is ``np.lexsort((c, r, cp,
+    rp))``; the compiled tiler (``repro/native/tile.c``) computes each
+    entry's composite key in one pass, takes input whose keys are
+    already in order (row-major COO under the Base setting) as it is,
+    and otherwise sorts it with a stable LSD radix sort.  Without the
+    library, or for a matrix beyond its limits (``2**32`` entries, a key
+    span of ``2**63``), the reference runs instead; the layout is the
+    same either way.
     """
     if row_panel_size < 1:
         raise ValueError("row_panel_size must be >= 1")
@@ -189,66 +206,40 @@ def tile_matrix(
         col_panel_size = coo.num_cols
     col_panel_size = max(1, min(col_panel_size, max(coo.num_cols, 1)))
 
-    rp = coo.r_ids // row_panel_size
-    cp = coo.c_ids // col_panel_size
-    # Sort entries by (row panel, col panel, row, col): tiles contiguous,
-    # row-major inside each tile.  Within a tile the panel ids are fixed,
-    # so (rp, cp, r, c) orders identically to the composite key
-    # ((rp*NCP + cp)*RPS + r%RPS)*CPS + c%CPS, whose span is
-    # tiles x panel-area — small enough for a radix argsort on every
-    # realistic shape.  Ties cannot occur between distinct entries of the
-    # same (r, c), and equal entries keep input order (both sorts stable).
     n_cp = -(-coo.num_cols // col_panel_size)
     n_rp = -(-coo.num_rows // row_panel_size)
     span = n_rp * n_cp * row_panel_size * col_panel_size
-    if span < (1 << 62):
-        key = (
-            (rp * n_cp + cp) * row_panel_size
-            + (coo.r_ids - rp * row_panel_size)
-        ) * col_panel_size + (coo.c_ids - cp * col_panel_size)
-        order = None
-        if 0 < coo.nnz and span <= max(8 * coo.nnz, 1 << 20):
-            # Deduplicated matrices have pairwise-distinct keys, and a
-            # distinct-key sort is a bitmap scatter + flatnonzero —
-            # about half the cost of the radix passes.  Duplicate keys
-            # (repeated COO entries) show up as a short flatnonzero and
-            # fall through to the stable radix path.
-            mask = np.zeros(span, dtype=bool)
-            mask[key] = True
-            fn = np.flatnonzero(mask)
-            if fn.size == coo.nnz:
-                inv = np.empty(span, dtype=np.int64)
-                inv[key] = np.arange(coo.nnz, dtype=np.int64)
-                order = inv[fn]
-        if order is None:
-            order = _radix_argsort(key)
-    else:  # pragma: no cover - astronomically large panel spaces
-        order = np.lexsort((coo.c_ids, coo.r_ids, cp, rp))
-    r = coo.r_ids[order]
-    c = coo.c_ids[order]
-    v = coo.vals[order]
-    rp = rp[order]
-    cp = cp[order]
+    kernels = native.kernels()
+    order = (
+        kernels.tile if kernels is not None
+        and coo.nnz < 2**32 and span < 2**63
+        else _order_twin
+    )
+    r, c, v, tile_key = order(
+        coo.r_ids, coo.c_ids, coo.vals, coo.num_rows, coo.num_cols,
+        row_panel_size, col_panel_size,
+    )
 
     tiles: List[TileInfo] = []
     if coo.nnz:
-        tile_key = rp * (-(-coo.num_cols // col_panel_size)) + cp
-        boundaries = np.flatnonzero(np.diff(tile_key)) + 1
+        boundaries = np.flatnonzero(tile_key[1:] != tile_key[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
         ends = np.concatenate((boundaries, [coo.nnz]))
         out_offset = 0
-        for tid, (lo, hi) in enumerate(zip(starts, ends)):
+        for tid, (lo, hi, key) in enumerate(zip(
+            starts.tolist(), ends.tolist(), tile_key[starts].tolist()
+        )):
             tiles.append(
                 TileInfo(
                     tile_id=tid,
-                    row_panel_id=int(rp[lo]),
-                    col_panel_id=int(cp[lo]),
-                    sparse_in_start_offset=int(lo),
+                    row_panel_id=key // n_cp,
+                    col_panel_id=key % n_cp,
+                    sparse_in_start_offset=lo,
                     sparse_out_start_offset=out_offset,
-                    nnz=int(hi - lo),
+                    nnz=hi - lo,
                 )
             )
-            out_offset += _pad_to_line(int(hi - lo))
+            out_offset += _pad_to_line(hi - lo)
 
     return TiledMatrix(
         num_rows=coo.num_rows,

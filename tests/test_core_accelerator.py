@@ -85,6 +85,28 @@ class TestSDDMMCorrectness:
         got = sddmm_output_to_coo(tiled, report.output)
         assert got == sddmm_reference(small_graph, b, c)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_extraction_matches_the_tile_loop(self, dtype):
+        """One gather reads the padded output exactly as a loop over
+        the tiles does, on a layout of thousands of tiles."""
+        from repro.sparse.generators import uniform_random
+
+        a = uniform_random(400, 300, 6000, seed=3)
+        tiled = tile_matrix(a, 8, 8)
+        assert tiled.num_tiles > 1000
+        out = np.random.default_rng(4).standard_normal(
+            tiled.out_vals_length
+        ).astype(dtype)
+        want = np.empty(tiled.nnz, dtype=np.float32)
+        for t in tiled.tiles:
+            lo, at = t.sparse_in_start_offset, t.sparse_out_start_offset
+            want[lo : lo + t.nnz] = out[at : at + t.nnz]
+        got = sddmm_output_to_coo(tiled, out)
+        assert got.vals.dtype == np.float32
+        assert got.vals.tobytes() == want.tobytes()
+        assert np.array_equal(got.r_ids, tiled.r_ids)
+        assert np.array_equal(got.c_ids, tiled.c_ids)
+
     def test_shape_validation(self, small_system, random_rect):
         b_bad = np.ones((random_rect.num_rows + 1, 8), dtype=np.float32)
         c = np.ones((random_rect.num_cols, 8), dtype=np.float32)

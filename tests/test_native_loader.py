@@ -1,6 +1,7 @@
 """The native kernel loader: build, cache, trust and fallback rules, and
 the input checks of the trace generator's and the compiled epoch
-replay's wrappers (the SpMM merge's are in ``test_spmm_merge.py``; the
+replay's wrappers (the merges' are in ``test_spmm_merge.py`` and
+``test_sddmm_merge.py``, the tiler's in ``test_sparse_tiled.py``; the
 epoch replay's error returns in ``test_replay_run_merge.py``).
 
 Each test points ``tempfile.gettempdir()`` at its own directory and
@@ -25,10 +26,14 @@ import pytest
 from repro import native
 from repro.config import CacheConfig, scaled_config
 from repro.core.vectorized import TraceBuffer, trace_epoch
+from repro.kernels.reference import _dots, sddmm_chunk_vals
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import OP_DENSE, MemorySystem, encode_op
+from repro.sparse.coo import COOMatrix
+from repro.sparse.tiled import _order_twin, tile_matrix
 from tests.walks import (
     GENERATE,
+    WALKS,
     csr_epoch,
     epoch_walk,
     kernels,
@@ -85,6 +90,53 @@ def _merge(merge):
     return d_accum.tobytes()
 
 
+def _sddmm_twin(out_vals, out_base, r_ids, c_ids, vals, b64, c64):
+    out_vals[out_base : out_base + len(vals)] = (
+        vals.astype(np.float64) * _dots(b64, c64, r_ids, c_ids)
+    )
+
+
+def _sddmm(merge):
+    """One seeded SDDMM merge chunk through ``merge``, as bytes."""
+    rng = np.random.default_rng(4)
+    out = rng.random(420)
+    merge(out, 7, rng.integers(0, 6, 400), rng.integers(0, 9, 400),
+          rng.random(400, dtype=np.float32), rng.standard_normal((6, 17)),
+          rng.standard_normal((9, 17)))
+    return out.tobytes()
+
+
+def _tile(order):
+    """One seeded shuffled tiling through ``order``, as bytes."""
+    rng = np.random.default_rng(6)
+    r, c = rng.integers(0, 50, 500), rng.integers(0, 40, 500)
+    out = order(r, c, rng.random(500, dtype=np.float32), 50, 40, 7, 6)
+    return [a.tobytes() for a in out]
+
+
+def _dispatched(entries):
+    """The kernels of ``entries`` that ``tile_matrix`` and
+    ``sddmm_chunk_vals`` call when the library loads."""
+    called = set()
+    k = native.kernels()
+
+    def recording(name):
+        def call(*args):
+            called.add(name)
+            return getattr(k, name)(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "_kernels", k._replace(
+            **{name: recording(name) for name in entries}
+        ))
+        tile_matrix(COOMatrix(4, 4, [3, 0], [1, 2], [1.0, 2.0]), 2, 2)
+        sddmm_chunk_vals(np.zeros(2), 0, np.zeros(2, np.int64),
+                         np.zeros(2, np.int64), np.ones(2, np.float32),
+                         np.ones((1, 3)), np.ones((1, 3)))
+    return called
+
+
 @pytest.fixture()
 def cold(tmp_path, monkeypatch):
     """A fresh temp dir and an unloaded kernel; returns the build dir."""
@@ -110,6 +162,9 @@ def test_kernel_loads_where_gcc_exists():
     assert native.replay_epoch_kernel() is not None
     assert _generate() == _generate("python")
     assert _merge(native.kernels().spmm_merge) == _merge(_add_at)
+    assert _sddmm(native.kernels().sddmm_merge) == _sddmm(_sddmm_twin)
+    assert _tile(native.kernels().tile) == _tile(_order_twin)
+    assert _dispatched({"tile", "sddmm_merge"}) == {"tile", "sddmm_merge"}
     assert native.kernels_impl() == "native"
     assert _cache_walk(epoch_walk) == _cache_walk(oracle_walk)
 
@@ -284,24 +339,93 @@ def test_cache_walk_rejects_negative_lines():
 
 def test_cache_walk_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="length"):
-        native.check_replay_epoch(np.arange(4, dtype=np.int64), _dense(3), 4)
+        native.check_replay_runs([(np.arange(4, dtype=np.int64),
+                                   _dense(3))], 4)
     with pytest.raises(ValueError, match="length"):
-        native.check_replay_epoch(np.arange(4, dtype=np.int64), _dense(5), 4)
+        native.check_replay_runs([(np.arange(4, dtype=np.int64),
+                                   _dense(5))], 4)
+
+
+def _ops(*values):
+    return np.array(values, np.int64)
+
+
+_GOOD_RUN = (np.arange(5, dtype=np.int64), _dense(5))
+_NO_PATH, _REGION_9 = 3, encode_op(OP_DENSE, False, 9)
+
+def _region(region):
+    return encode_op(OP_DENSE, False, region)
+
+
+TRACE_CHECKS = {
+    "clean": ([_GOOD_RUN, _GOOD_RUN], 4, None),
+    "line-before-op": (
+        [_GOOD_RUN, (np.array([1, -1, 2]), _ops(1, _NO_PATH, -8))], 4,
+        "lines must be non-negative",
+    ),
+    "negative-op-before-path": (
+        [(np.arange(3), _ops(_NO_PATH, -1, _REGION_9))], 4,
+        "ops must be non-negative",
+    ),
+    "path-before-region": (
+        [(np.arange(3), _ops(_REGION_9, 1, _NO_PATH))], 4,
+        "no access path",
+    ),
+    "region": ([_GOOD_RUN, (np.arange(2), _ops(1, _REGION_9))], 4,
+               "region id is not below 4"),
+    "region-ids-whose-or-is-past-the-bound": (
+        [(np.arange(3), _ops(_region(1), _region(2), _region(0)))], 3,
+        None,
+    ),
+    "region-past-a-bound-of-three": (
+        [(np.arange(3), _ops(_region(1), _region(3), _region(2)))], 3,
+        "region id is not below 3",
+    ),
+    "first-failing-run": (
+        [_GOOD_RUN, (np.arange(2), _ops(1, _REGION_9)),
+         (np.array([-4]), _ops(-1))], 4,
+        "region id is not below 4",
+    ),
+    "empty-runs": ([(np.arange(0), _ops()), _GOOD_RUN], 4, None),
+    "long-run": (
+        [(np.arange(1000), np.full(1000, _region(2), np.int64)),
+         (np.arange(1003), np.r_[np.full(1002, _region(2)), -1])], 4,
+        "ops must be non-negative",
+    ),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("case", sorted(TRACE_CHECKS))
+def test_trace_check_reports_the_first_failing_run(case, walk):
+    """One pass over every run (``repro_check_trace``) or NumPy run by
+    run: the first failing run's failure, by the precedence within a
+    run (negative line, negative op, no path, region), as the same
+    message on either path."""
+    runs, n_regions, message = TRACE_CHECKS[case]
+    runs = [(lines.astype(np.int64), ops.astype(np.int64))
+            for lines, ops in runs]
+    with kernels(walk):
+        if message is None:
+            native.check_replay_runs(runs, n_regions)
+        else:
+            with pytest.raises(ValueError, match=message):
+                native.check_replay_runs(runs, n_regions)
 
 
 def test_cache_walk_rejects_wrong_dtypes_and_layouts():
     lines = np.arange(4, dtype=np.int64)
     with pytest.raises(TypeError, match="lines"):
-        native.check_replay_epoch(lines.astype(np.int32), _dense(4), 4)
+        native.check_replay_runs([(lines.astype(np.int32), _dense(4))], 4)
     with pytest.raises(TypeError, match="ops"):
-        native.check_replay_epoch(lines, _dense(4).astype(np.uint8), 4)
+        native.check_replay_runs([(lines, _dense(4).astype(np.uint8))], 4)
     with pytest.raises(TypeError, match="lines"):
         _checked_replay(lines.astype(np.float64), _dense(4))
     with pytest.raises(TypeError, match="ops"):
         _checked_replay(lines, _dense(4).astype(np.float64))
     with pytest.raises(ValueError, match="contiguous"):
-        native.check_replay_epoch(
-            np.arange(8, dtype=np.int64)[::2], _dense(4), 4
+        native.check_replay_runs(
+            [(np.arange(8, dtype=np.int64)[::2], _dense(4))], 4
         )
 
 

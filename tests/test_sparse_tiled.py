@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro import native
 from repro.sparse.coo import COOMatrix
-from repro.sparse.tiled import TileInfo, _pad_to_line, tile_matrix
+from repro.sparse.tiled import TileInfo, _order_twin, _pad_to_line, tile_matrix
+from tests.walks import WALKS, kernels
 
 
 class TestAppendixAExample:
@@ -139,3 +142,180 @@ class TestEdgeCases:
         tiled.tiles[0] = bad
         with pytest.raises(ValueError):
             tiled.validate()
+
+
+# -- the compiled tiler against its twin, np.lexsort -----------------------
+
+
+def _needs_kernel():
+    if native.kernels() is None:
+        pytest.skip("the compiled kernels do not load on this host")
+
+
+def _layout(walk, coo, rp, cp):
+    """Everything ``tile_matrix`` gives on ``walk``, entry arrays as
+    bytes with their dtypes."""
+    with kernels(walk):
+        t = tile_matrix(coo, rp, cp)
+    t.validate()
+    arrays = [(a.dtype.str, a.tobytes()) for a in (t.r_ids, t.c_ids, t.vals)]
+    return arrays, t.tiles, t.row_panel_size, t.col_panel_size
+
+
+@st.composite
+def tilings(draw):
+    """(COO, RP, CP): shapes from empty to 2**21 on a side (a wide key
+    span takes several radix passes), rows not a multiple of RP, CP
+    from 1 past the column count or ``None``, and the entries in
+    row-major, shuffled or reversed order."""
+    rows = draw(st.sampled_from([0, 1, 7, 33, 64, 5000, 2**21]))
+    cols = draw(st.sampled_from([0, 1, 5, 40, 256, 3000, 2**21]))
+    n = draw(st.integers(0, min(rows * cols, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.sort(rng.choice(rows * cols, size=n, replace=False))
+    order = draw(st.sampled_from(["sorted", "shuffled", "reversed"]))
+    if order == "shuffled":
+        cells = rng.permutation(cells)
+    elif order == "reversed":
+        cells = cells[::-1]
+    coo = COOMatrix(
+        rows, cols, cells // max(cols, 1), cells % max(cols, 1),
+        rng.standard_normal(n).astype(np.float32),
+    )
+    rp = draw(st.integers(1, max(rows, 1) + 3))
+    cp = draw(st.one_of(st.none(), st.integers(1, max(cols, 1) + 3)))
+    return coo, rp, cp
+
+
+@given(tilings())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_twin(tiling):
+    _needs_kernel()
+    assert _layout("native", *tiling) == _layout("python", *tiling)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
+@pytest.mark.parametrize("rp,cp", [(16, None), (16, 16), (5, 7), (1, 1)])
+def test_layout_is_the_lexsort_order(small_graph, walk, order, rp, cp):
+    """On either path the entries come out in ``np.lexsort((c, r, cp,
+    rp))`` order whatever order they came in, and each tile's ids are
+    its panels'."""
+    rng = np.random.default_rng(1)
+    perm = {
+        "sorted": np.arange(small_graph.nnz),
+        "shuffled": rng.permutation(small_graph.nnz),
+        "reversed": np.arange(small_graph.nnz)[::-1],
+    }[order]
+    a = small_graph
+    coo = COOMatrix(
+        a.num_rows, a.num_cols, a.r_ids[perm], a.c_ids[perm], a.vals[perm]
+    )
+    with kernels(walk):
+        t = tile_matrix(coo, rp, cp)
+    col = t.col_panel_size
+    want = np.lexsort((coo.c_ids, coo.r_ids, coo.c_ids // col,
+                       coo.r_ids // rp))
+    assert np.array_equal(t.r_ids, coo.r_ids[want])
+    assert np.array_equal(t.c_ids, coo.c_ids[want])
+    assert np.array_equal(t.vals, coo.vals[want])
+    for tile in t.tiles:
+        r, c, _ = t.tile_entries(tile)
+        assert np.all(r // rp == tile.row_panel_id)
+        assert np.all(c // col == tile.col_panel_id)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 200))
+@settings(max_examples=60, deadline=None)
+@example(0, 0)
+def test_kernel_keeps_repeated_coordinates_in_input_order(seed, n):
+    """A COO matrix holds each coordinate once, but the compiled order
+    is stable like lexsort's: repeats keep their input order."""
+    _needs_kernel()
+    rng = np.random.default_rng(seed)
+    rows, cols, rp, cp = 9, 11, 4, 3
+    args = (
+        rng.integers(0, rows, size=n), rng.integers(0, cols, size=n),
+        np.arange(n, dtype=np.float32), rows, cols, rp, cp,
+    )
+    got = native.kernels().tile(*args)
+    want = _order_twin(*args)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_key_span_past_the_kernel_takes_the_twin(monkeypatch):
+    """A key span of 2**63 or more (here 2**80) is beyond the compiled
+    tiler: tile_matrix takes the twin without calling it."""
+    coo = COOMatrix(
+        2**40, 2**40, np.array([5, 0, 5, 2**40 - 1]),
+        np.array([2**40 - 1, 3, 0, 7]), np.ones(4, np.float32),
+    )
+    k = native.kernels()
+    if k is not None:
+        def refuse(*args):
+            raise AssertionError("the compiled tiler was called")
+
+        monkeypatch.setattr(native, "_kernels", k._replace(tile=refuse))
+    t = tile_matrix(coo, 1, 1)
+    t.validate()
+    assert t.r_ids.tolist() == [0, 5, 5, 2**40 - 1]
+    assert t.c_ids.tolist() == [3, 0, 2**40 - 1, 7]
+    assert [(x.row_panel_id, x.col_panel_id) for x in t.tiles] == [
+        (0, 3), (5, 0), (5, 2**40 - 1), (2**40 - 1, 7)
+    ]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("field,value", [
+    ("r_ids", -1), ("r_ids", 12), ("c_ids", -3), ("c_ids", 9),
+])
+def test_entry_outside_the_matrix_is_refused(walk, field, value):
+    """An entry outside the matrix (a COO mutated after its checks) is
+    refused on either path, and the input arrays are left alone."""
+    coo = COOMatrix(12, 9, np.array([0, 4, 11]), np.array([8, 0, 3]),
+                    np.ones(3, np.float32))
+    getattr(coo, field)[1] = value
+    before = [a.tobytes() for a in (coo.r_ids, coo.c_ids, coo.vals)]
+    with kernels(walk), pytest.raises(ValueError, match="outside"):
+        tile_matrix(coo, 5, 4)
+    assert [a.tobytes() for a in (coo.r_ids, coo.c_ids, coo.vals)] == before
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_input_arrays_are_not_reordered_in_place(small_graph, walk):
+    rng = np.random.default_rng(2)
+    perm = rng.permutation(small_graph.nnz)
+    a = small_graph
+    coo = COOMatrix(a.num_rows, a.num_cols, a.r_ids[perm], a.c_ids[perm],
+                    a.vals[perm])
+    before = [x.copy() for x in (coo.r_ids, coo.c_ids, coo.vals)]
+    with kernels(walk):
+        t = tile_matrix(coo, 8, 8)
+    for x, y in zip((coo.r_ids, coo.c_ids, coo.vals), before):
+        assert x.tobytes() == y.tobytes()
+    assert not np.shares_memory(t.r_ids, coo.r_ids)
+
+
+_GOOD = (np.array([2, 0, 1]), np.array([0, 1, 1]),
+         np.ones(3, np.float32), 3, 2, 2, 1)
+
+KERNEL_REJECTED = {
+    "r_ids-dtype": (TypeError, 0, np.array([2, 0, 1], np.int32)),
+    "c_ids-dtype": (TypeError, 1, np.array([0, 1, 1], np.uint64)),
+    "vals-dtype": (TypeError, 2, np.ones(3)),
+    "r_ids-strided": (ValueError, 0, np.array([2, 9, 0, 9, 1, 9])[::2]),
+    "vals-strided": (ValueError, 2, np.ones(6, np.float32)[::2]),
+    "lengths": (ValueError, 1, np.array([0, 1])),
+    "outside": (ValueError, 0, np.array([2, 0, 3])),
+    "span": (ValueError, 3, 2**62),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_REJECTED))
+def test_kernel_refuses_what_it_cannot_take(case):
+    _needs_kernel()
+    error, at, value = KERNEL_REJECTED[case]
+    args = list(_GOOD)
+    args[at] = value
+    with pytest.raises(error):
+        native.kernels().tile(*args)
