@@ -97,7 +97,8 @@ def gathered_traffic(
     while True:
         window = access_rows // w
         key = window * max_gather + gather_ids
-        distinct = len(np.unique(key))
+        key.sort()
+        distinct = 1 + int(np.count_nonzero(key[1:] != key[:-1]))
         num_windows = int(window.max()) + 1
         avg_per_window = distinct / num_windows
         if avg_per_window <= capacity_rows or best_traffic is None:

@@ -136,7 +136,6 @@ class ProcessingElement:
         self.counters = PECounters()
         k = init.dense_row_size
         self.lines_per_row = padded_row_bytes(k) // CACHE_LINE_BYTES
-        self._rmatrix_rows_touched: set = set()
         # The vectorized epoch generators append the PE's (line, op)
         # trace here; the engine replays it and clears it per epoch.
         # The scalar executors below issue every access directly.
@@ -256,7 +255,6 @@ class ProcessingElement:
         )
         counters.tops += len(r_ids)
         counters.vops += len(r_ids) * lpr
-        self._rmatrix_rows_touched.update(np.unique(r_ids).tolist())
 
         for rbase, cbase in zip(r_lines.tolist(), c_lines.tolist()):
             for i in range(lpr):
@@ -381,16 +379,11 @@ class ProcessingElement:
                 f"PE {self.pe_id} has a non-empty trace buffer; "
                 "checkpoints are only valid at epoch boundaries"
             )
-        return {
-            "vrf": self.vrf.state_dict(),
-            "rmatrix_rows_touched": sorted(self._rmatrix_rows_touched),
-        }
+        return {"vrf": self.vrf.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict`; keys it does not write (older
+        snapshots also held the set of rMatrix rows touched) are
+        ignored."""
         self.vrf.load_state_dict(state["vrf"])
-        self._rmatrix_rows_touched = set(state["rmatrix_rows_touched"])
         self._trace.clear()
-
-    @property
-    def rmatrix_rows_touched(self) -> int:
-        return len(self._rmatrix_rows_touched)

@@ -438,10 +438,9 @@ def generate_spmm_epoch(
     if not parts:
         return []
     lpr = pe.lines_per_row
-    segs, r_all = _generate(pe, parts, None, _elision_cadence(
+    segs, _ = _generate(pe, parts, None, _elision_cadence(
         pe.vrf, slots_per_nnz=2 * lpr, live_lines=lpr, dirty_live=lpr
     ))
-    pe._rmatrix_rows_touched.update(np.unique(r_all).tolist())
     return segs
 
 

@@ -63,8 +63,11 @@ class COOMatrix:
     ) -> "COOMatrix":
         """Build from an ``(nnz, 2)`` array of (row, col) pairs.
 
-        Duplicate coordinates are collapsed (values summed), matching the
-        semantics of assembling a graph adjacency matrix.
+        Duplicate coordinates are collapsed (values summed in float32,
+        matching the semantics of assembling a graph adjacency matrix).
+        The output is in row-major order.  The stable sort keeps each
+        coordinate's values in input order; ``np.add.reduceat`` then adds
+        the first of them to the pairwise float32 sum of the rest.
         """
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -75,15 +78,12 @@ class COOMatrix:
         order = np.argsort(key, kind="stable")
         key = key[order]
         vals = np.asarray(vals, dtype=np.float32)[order]
-        unique_key, start = np.unique(key, return_index=True)
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        start = np.flatnonzero(first)
         summed = np.add.reduceat(vals, start) if len(vals) else vals
-        return cls(
-            num_rows,
-            num_cols,
-            unique_key // num_cols,
-            unique_key % num_cols,
-            summed,
-        )
+        key = key[start]
+        return cls(num_rows, num_cols, key // num_cols, key % num_cols, summed)
 
     # -- properties ----------------------------------------------------
 
@@ -113,7 +113,8 @@ class COOMatrix:
             if self.c_ids.min() < 0 or self.c_ids.max() >= self.num_cols:
                 raise ValueError("column index out of range")
             key = self.r_ids * self.num_cols + self.c_ids
-            if len(np.unique(key)) != n:
+            key.sort()
+            if (key[1:] == key[:-1]).any():
                 raise ValueError("duplicate coordinates in COO matrix")
 
     def sorted_by_row(self) -> "COOMatrix":

@@ -14,6 +14,7 @@ import pytest
 from repro.config import ResilienceConfig, scaled_config
 from repro.core import accelerator
 from repro.core.accelerator import KernelSettings, SpadeSystem
+from repro.core.pe import ProcessingElement
 from repro.errors import CheckpointError
 from repro.memory.hierarchy import MemorySystem
 from repro.resilience import (
@@ -385,6 +386,52 @@ class TestKillAndResume:
             SpadeSystem(resumed_cfg).sddmm(
                 a, b_r, b, settings=MULTI_EPOCH_SETTINGS
             )
+
+    def test_resume_from_a_snapshot_with_the_old_pe_state(
+        self, tmp_path, workload, base_config, golden, monkeypatch
+    ):
+        """Version-2 snapshots written while each PE's state also held
+        the set of rMatrix rows it touched still resume to the
+        uninterrupted run's facts and final memory state, byte for
+        byte."""
+        a, b, _ = workload
+        plain = self._with_resilience(base_config, "vectorized")
+        cfg = self._with_resilience(
+            base_config, "vectorized", checkpoint_dir=str(tmp_path)
+        )
+        monkey = ChaosMonkey(ChaosConfig(kill_after_epoch=1))
+        with pytest.raises(InjectedCrash):
+            SpadeSystem(cfg, chaos=monkey).spmm(
+                a, b, settings=MULTI_EPOCH_SETTINGS
+            )
+        manager = CheckpointManager(str(tmp_path))
+        epoch, path = manager.list_checkpoints()[-1]
+        header, state = manager.read(path)
+        assert [sorted(pe) for pe in state["pes"]] == [["vrf"]] * 4
+        rows = sorted(set(a.r_ids.tolist()))
+        for pe in state["pes"]:
+            pe["rmatrix_rows_touched"] = rows
+        CheckpointManager(
+            str(tmp_path), fingerprint=header["fingerprint"]
+        ).write(epoch, state, header["meta"])
+
+        _, uninterrupted = final_memory(monkeypatch, plain, a, b)
+        loaded = []
+        load = ProcessingElement.load_state_dict
+        monkeypatch.setattr(
+            ProcessingElement, "load_state_dict",
+            lambda pe, st: (loaded.append(sorted(st)), load(pe, st))[1],
+        )
+        report, resumed = final_memory(
+            monkeypatch,
+            dataclasses.replace(cfg, resilience=dataclasses.replace(
+                cfg.resilience, resume=True
+            )),
+            a, b,
+        )
+        assert loaded == [["rmatrix_rows_touched", "vrf"]] * 4
+        assert fingerprint(report) == fingerprint(golden)
+        assert resumed == uninterrupted
 
     def test_sddmm_kill_then_resume(self, tmp_path, workload, base_config):
         a, b, b_r = workload

@@ -273,12 +273,11 @@ def observe(pe: ProcessingElement, segs) -> tuple:
         list(vrf._tags.items()),
         tuple(getattr(vrf, a) for a in VRF_STATE),
         dataclasses.asdict(pe.counters),
-        sorted(pe._rmatrix_rows_touched),
     )
 
 
 OBSERVED = ("segments", "trace lines", "trace ops", "ordered tags",
-            "VRF counters", "PE counters", "rMatrix rows")
+            "VRF counters", "PE counters")
 
 
 def chunk_parts(
