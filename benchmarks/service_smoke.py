@@ -10,7 +10,10 @@ service's whole contract from the outside:
 * the run ledger shows **exactly one** simulator execution per key
   (``sweep_job completed`` events — the coalescing/at-most-once audit);
 * a warm rerun of all 32 bodies is answered 100% from the memo cache
-  with zero new executions.
+  with zero new executions;
+* the warm rerun's 32 sequential requests and the stats call after it
+  travel over one kept connection (the server's ``connections`` count
+  rises by exactly one).
 
 Usage::
 
@@ -158,7 +161,12 @@ def main(argv: list[str] | None = None) -> int:
         for answer in answers:
             sources[answer["source"]] = sources.get(answer["source"], 0) + 1
 
-        # Warm rerun: every body answers from the memo cache.
+        # Warm rerun: every body answers from the memo cache, over the
+        # one connection this thread keeps.  The count before it is read
+        # over a probe's own connection, which the count includes.
+        probe = ServiceClient(port=port)
+        connections_before = probe.stats()["connections"]
+        probe.close()
         t0 = time.monotonic()
         warm = [client.simulate(**body) for body in bodies]
         warm_s = time.monotonic() - t0
@@ -166,6 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         assert not not_memo, f"warm rerun was not 100% memo: {not_memo}"
 
         stats = client.stats()
+        warm_connections = stats["connections"] - connections_before
+        assert warm_connections == 1, (
+            f"warm rerun opened {warm_connections} connections, not 1"
+        )
         client.shutdown()
         proc.wait(timeout=60)
     finally:
@@ -189,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         "cold_wall_s": round(cold_s, 3),
         "warm_wall_s": round(warm_s, 3),
         "warm_memo": len(warm),
+        "warm_connections": warm_connections,
         "server_stats": stats,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -199,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(
         f"ok: {len(bodies)} concurrent requests over {len(by_key)} keys -> "
-        f"{len(completed)} executions (exactly-once), warm rerun 100% memo"
+        f"{len(completed)} executions (exactly-once), warm rerun 100% memo "
+        "over one connection"
     )
     return 0
 

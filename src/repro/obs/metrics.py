@@ -435,11 +435,14 @@ def sweep_metrics(report) -> MetricsRegistry:
 
 
 def service_metrics(stats: Mapping[str, Any]) -> MetricsRegistry:
-    """``GET /metrics``: the service series, read off
-    :meth:`~repro.service.server.SimulationService.stats`."""
+    """``GET /metrics``: the service series, read off the ``GET
+    /v1/stats`` payload (:meth:`~repro.service.server.SimulationService.stats`
+    plus the server's ``connections``)."""
     pool = stats["pool"]
     admission = stats["admission"]
     reg = _counters(MetricsRegistry(), (
+        ("spade_service_connections", stats["connections"],
+         "HTTP connections accepted"),
         ("spade_service_requests", stats["requests"],
          "simulation requests received"),
         ("spade_service_memo_hits", stats["memo_hits"],

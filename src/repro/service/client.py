@@ -1,16 +1,22 @@
 """Blocking HTTP client for the simulation service (stdlib only).
 
 Used by ``repro submit``, the tests, and the CI ``service-smoke`` lane.
-One :class:`ServiceClient` per endpoint; connections are per-request
-(the server speaks ``Connection: close``), so a client instance is
+One :class:`ServiceClient` per endpoint.  Each calling thread keeps one
+persistent HTTP/1.1 connection (``threading.local``), so sequential
+requests from a thread share a connection and one client instance is
 safe to share across threads — the smoke lane fires 32 concurrent
-requests through one of these via a thread pool.
+requests through one of these, one thread each.  The server closes an
+idle connection after a while; a request that finds its kept
+connection closed before any byte of a reply came back is sent once
+more on a fresh one.  That resend is safe: a key executes at most once
+(memo and coalescing), and every other route is idempotent.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SpadeError
@@ -30,6 +36,12 @@ class ServiceError(SpadeError):
         self.retry_after_s = retry_after_s
 
 
+# Failures that leave no byte of a reply read: the send failed, or the
+# peer closed or reset before a status line (``RemoteDisconnected`` is a
+# ``ConnectionResetError``).
+_NO_REPLY = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
+
+
 class ServiceClient:
     """Talk to one ``repro serve`` endpoint."""
 
@@ -38,6 +50,7 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
+        self._local = threading.local()
 
     # -- raw transport ---------------------------------------------------
 
@@ -45,26 +58,47 @@ class ServiceClient:
         self, method: str, path: str, body: Optional[Mapping] = None
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         """One HTTP exchange; returns (status, json payload, headers)."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+        raw = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if raw else {}
+        reused = conn.sock is not None
         try:
-            raw = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if raw else {}
-            conn.request(method, path, body=raw, headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, path, body=raw, headers=headers)
+                response = conn.getresponse()
+            except _NO_REPLY:
+                # Only a kept connection is retried, and only once: the
+                # server closed it while idle, so the request was never
+                # read.  A fresh connection failing is a real failure.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=raw, headers=headers)
+                response = conn.getresponse()
             data = response.read()
-            header_map = {
-                k.lower(): v for k, v in response.getheaders()
-            }
-            if header_map.get("content-type", "").startswith(
-                "application/json"
-            ):
-                payload = json.loads(data.decode("utf-8")) if data else {}
-            else:
-                payload = {"text": data.decode("utf-8", "replace")}
-            return response.status, payload, header_map
-        finally:
+        except BaseException:
+            conn.close()  # a half-read exchange cannot be continued
+            raise
+        header_map = {
+            k.lower(): v for k, v in response.getheaders()
+        }
+        if header_map.get("content-type", "").startswith(
+            "application/json"
+        ):
+            payload = json.loads(data.decode("utf-8")) if data else {}
+        else:
+            payload = {"text": data.decode("utf-8", "replace")}
+        return response.status, payload, header_map
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request from
+        this thread opens a new one)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
             conn.close()
 
     def _checked(self, method: str, path: str,

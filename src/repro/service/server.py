@@ -12,9 +12,15 @@ Two layers, separable for testing:
   the leader/waiter split race-free; the heavy lifting happens on the
   pool's worker processes.
 - :class:`ServiceServer` — a hand-rolled HTTP/1.1 server on
-  ``asyncio.start_server`` (stdlib only — the container has no web
-  framework, and the protocol surface is five routes with
-  ``Connection: close`` semantics).
+  ``asyncio.start_server`` (stdlib only — no web framework; the
+  protocol surface is a few routes).  Connections are persistent: one
+  carries request after request, each framed by ``Content-Length``,
+  and the server closes it after a reply only when the client asked
+  (``Connection: close``, or an HTTP/1.0 request), when the request
+  could not be framed (400/411/413: its unread bytes are not a
+  request), or on shutdown; an idle connection is closed silently
+  after :data:`READ_TIMEOUT_S`, which also bounds how long one request
+  may take to arrive.
 
 Request path (``POST /v1/simulate``), cheapest exit first::
 
@@ -46,7 +52,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import SpadeError, WorkloadError
 from repro.jobmodel import JobResult
@@ -342,6 +348,100 @@ MAX_SWEEP_POINTS = 256
 
 # -- the HTTP layer ---------------------------------------------------------
 
+READ_TIMEOUT_S = 30.0
+"""How long a kept connection may sit idle before the server closes it,
+and how long a request may take to arrive once its first byte has."""
+
+_STATUS_LINES = {
+    200: "200 OK", 400: "400 Bad Request",
+    404: "404 Not Found", 405: "405 Method Not Allowed",
+    411: "411 Length Required", 413: "413 Payload Too Large",
+    429: "429 Too Many Requests",
+    500: "500 Internal Server Error", 502: "502 Bad Gateway",
+    503: "503 Service Unavailable",
+}
+
+
+@dataclass
+class _Request:
+    method: str
+    path: str
+    body: bytes
+    keep_alive: bool
+
+
+class _Unframed(Exception):
+    """A request whose end cannot be found: answered with ``status``,
+    then the connection is closed (its unread bytes are not a request)."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.status = status
+
+
+async def _read_request(first: bytes,
+                        reader: asyncio.StreamReader) -> _Request:
+    """Read one request whose first byte is ``first``.  Raises
+    :class:`_Unframed`, or ``IncompleteReadError`` when the peer closes
+    mid-request."""
+    try:
+        parts = (first + await reader.readline()).decode("latin-1").split()
+        if len(parts) < 2:
+            raise _Unframed(400, "malformed request line")
+        # HTTP/1.0 (and a request line without a version) closes.
+        keep_alive = len(parts) > 2 and parts[2].upper() == "HTTP/1.1"
+        content_length = None
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length":
+                if not (value.isascii() and value.isdigit()) or (
+                    content_length not in (None, int(value))
+                ):
+                    raise _Unframed(400, "bad Content-Length")
+                content_length = int(value)
+            elif name == "transfer-encoding":
+                raise _Unframed(
+                    411, "Transfer-Encoding is not supported; "
+                         "send the body with Content-Length"
+                )
+            elif name == "connection" and "close" in (
+                token.strip().lower() for token in value.split(",")
+            ):
+                keep_alive = False
+    except ValueError:  # a line past the stream's limit
+        raise _Unframed(400, "request line or header too long") from None
+    if content_length is not None and content_length > MAX_BODY_BYTES:
+        raise _Unframed(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    body = await reader.readexactly(content_length) \
+        if content_length else b""
+    return _Request(parts[0].upper(), parts[1], body, keep_alive)
+
+
+def _render(reply: Reply, keep_alive: bool) -> bytes:
+    """The reply's bytes on the wire, head and body."""
+    if "__raw_text__" in reply.payload:
+        body = str(reply.payload["__raw_text__"]).encode()
+        content_type = "text/plain; version=0.0.4"
+    else:
+        body = json.dumps(reply.payload, sort_keys=True).encode()
+        content_type = "application/json"
+    status_line = _STATUS_LINES.get(reply.status, f"{reply.status} Status")
+    headers = [
+        f"HTTP/1.1 {status_line}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
+    ]
+    if reply.retry_after_s > 0:
+        headers.append(
+            f"Retry-After: {max(1, int(reply.retry_after_s + 0.999))}"
+        )
+    return "\r\n".join(headers).encode() + b"\r\n\r\n" + body
+
 
 class ServiceServer:
     """Minimal HTTP/1.1 front end for one :class:`SimulationService`."""
@@ -356,85 +456,67 @@ class ServiceServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
+        self.connections = 0  # accepted since start
+        # Writers of the connections waiting for a request's first byte:
+        # shutdown closes these at once and lets busy ones finish.
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     # -- plumbing --------------------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve one connection: requests one after another, each framed
+        by ``Content-Length``, until a reply closes it."""
+        self.connections += 1
         try:
-            reply, extra_headers = await self._respond(reader)
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            reply = Reply(500, {"error": f"internal error: {exc}"})
-            extra_headers = {}
-        if "__raw_text__" in reply.payload:
-            body = str(reply.payload["__raw_text__"]).encode()
-            content_type = "text/plain; version=0.0.4"
-        else:
-            body = json.dumps(reply.payload, sort_keys=True).encode()
-            content_type = "application/json"
-        status_line = {
-            200: "200 OK", 400: "400 Bad Request",
-            404: "404 Not Found", 405: "405 Method Not Allowed",
-            413: "413 Payload Too Large",
-            429: "429 Too Many Requests",
-            500: "500 Internal Server Error", 502: "502 Bad Gateway",
-            503: "503 Service Unavailable",
-        }.get(reply.status, f"{reply.status} Status")
-        headers = [
-            f"HTTP/1.1 {status_line}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
-        if reply.retry_after_s > 0:
-            headers.append(
-                f"Retry-After: {max(1, int(reply.retry_after_s + 0.999))}"
-            )
-        for name, value in extra_headers.items():
-            headers.append(f"{name}: {value}")
-        writer.write(
-            "\r\n".join(headers).encode() + b"\r\n\r\n" + body
-        )
-        try:
-            await writer.drain()
+            while not self._stop.is_set():
+                # Idle: no byte of the next request yet.  A timeout or
+                # the peer's close ends the connection without a reply.
+                self._idle.add(writer)
+                try:
+                    first = await asyncio.wait_for(
+                        reader.readexactly(1), timeout=READ_TIMEOUT_S
+                    )
+                except (asyncio.TimeoutError,
+                        asyncio.IncompleteReadError):
+                    return
+                finally:
+                    self._idle.discard(writer)
+                if self._stop.is_set():
+                    return  # shutdown closed us as the byte came in
+                reply, keep_alive = await self._respond(first, reader)
+                keep_alive = keep_alive and not self._stop.is_set()
+                writer.write(_render(reply, keep_alive))
+                await writer.drain()
+                if not keep_alive:
+                    return
+        except (OSError, asyncio.IncompleteReadError):
+            pass  # the peer went away mid-request or mid-reply
+        finally:
             writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
-    async def _respond(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[Reply, Dict[str, str]]:
+    async def _respond(self, first: bytes,
+                       reader: asyncio.StreamReader) -> Tuple[Reply, bool]:
+        """Read the rest of one request and answer it; says whether the
+        connection may carry another request."""
         try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=30.0
+            request = await asyncio.wait_for(
+                _read_request(first, reader), timeout=READ_TIMEOUT_S
             )
         except asyncio.TimeoutError:
-            return Reply(400, {"error": "request timed out"}), {}
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return Reply(400, {"error": "malformed request line"}), {}
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return Reply(
-                        400, {"error": "bad Content-Length"}
-                    ), {}
-        if content_length > MAX_BODY_BYTES:
-            return Reply(413, {
-                "error": f"body exceeds {MAX_BODY_BYTES} bytes"
-            }), {}
-        raw = await reader.readexactly(content_length) \
-            if content_length else b""
-        return await self._route(method, path, raw), {}
+            return Reply(400, {"error": "request timed out"}), False
+        except _Unframed as exc:
+            return Reply(exc.status, {"error": str(exc)}), False
+        try:
+            reply = await self._route(
+                request.method, request.path, request.body
+            )
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            reply = Reply(500, {"error": f"internal error: {exc}"})
+        return reply, request.keep_alive
+
+    def _stats(self) -> Dict[str, Any]:
+        return dict(self.service.stats(), connections=self.connections)
 
     async def _route(self, method: str, path: str,
                      raw: bytes) -> Reply:
@@ -442,7 +524,7 @@ class ServiceServer:
             if path == "/healthz":
                 return Reply(200, {"ok": True})
             if path == "/v1/stats":
-                return Reply(200, self.service.stats())
+                return Reply(200, self._stats())
             if path == "/metrics":
                 return self._metrics_reply()
             return Reply(404, {"error": f"no route {method} {path}"})
@@ -464,10 +546,10 @@ class ServiceServer:
 
     def _metrics_reply(self) -> Reply:
         # /metrics must be Prometheus text, not JSON; the sentinel
-        # payload key makes _handle emit the body verbatim.
+        # payload key makes _render emit the body verbatim.
         from repro.obs import service_metrics, to_prometheus
 
-        text = to_prometheus(service_metrics(self.service.stats()))
+        text = to_prometheus(service_metrics(self._stats()))
         return Reply(200, {"__raw_text__": text})
 
     async def _simulate(self, body: Any) -> Reply:
@@ -527,23 +609,22 @@ class ServiceServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_safe, self.host, self.port
+            self._handle, self.host, self.port
         )
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
         self._started.set()
-        async with self._server:
-            await self._stop.wait()
-
-    async def _handle_safe(self, reader, writer) -> None:
         try:
-            await self._handle(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            try:
+            await self._stop.wait()
+        finally:
+            # Stop accepting, then end every idle keep-alive connection
+            # (its handler sees end of stream).  Nothing here waits for
+            # the connections to drain: which ones ``Server.wait_closed``
+            # waits for differs between Python versions.
+            self._server.close()
+            for writer in list(self._idle):
                 writer.close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
 
     def start_background(self, timeout_s: float = 10.0) -> None:
         """Run the loop on a daemon thread; returns once the socket is
