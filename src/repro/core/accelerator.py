@@ -335,6 +335,6 @@ def sddmm_output_to_coo(
     vals[np.repeat(in_at, nnz) + within] = np.asarray(out_vals)[
         np.repeat(out_at, nnz) + within
     ]
-    return COOMatrix(
+    return COOMatrix.trusted(
         tiled.num_rows, tiled.num_cols, tiled.r_ids, tiled.c_ids, vals
     )

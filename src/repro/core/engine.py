@@ -96,6 +96,30 @@ class _ChunkCursor:
         return None
 
 
+def _chunk_table(chunks: List[Tuple[TileInfo, int, int]]) -> np.ndarray:
+    """The int64 ``(chunks, 3)`` table of (input offset, count, output
+    start) of ``(tile, lo, hi)`` chunks: where each chunk's nonzeros sit
+    in the tiled arrays, and where its SDDMM output values go."""
+    return np.array(
+        [
+            (t.sparse_in_start_offset + lo, hi - lo,
+             t.sparse_out_start_offset + lo)
+            for t, lo, hi in chunks
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+
+
+def _chunk_table_of_runs(
+    tables: List[np.ndarray], runs: List[Tuple[int, int, int]]
+) -> np.ndarray:
+    """The rows of every dispatch run ``(pe, chunk_lo, chunk_hi)`` of the
+    per-PE chunk ``tables``, in run order: the epoch's merge order."""
+    if not runs:
+        return np.zeros((0, 3), dtype=np.int64)
+    return np.concatenate([tables[i][c0:c1] for i, c0, c1 in runs])
+
+
 class Engine:
     """Binds a config, memory system, and PEs to execute one kernel."""
 
@@ -167,32 +191,24 @@ class Engine:
         # Once per run: the merge takes a C-contiguous float64 B.
         b64 = np.ascontiguousarray(b_dense, dtype=np.float64)
 
+        tiled = self.tiled
+
         def gen_chunk(pe: ProcessingElement, tile: TileInfo, lo: int, hi: int):
             off = tile.sparse_in_start_offset
-            r = self.tiled.r_ids[off + lo : off + hi]
-            c = self.tiled.c_ids[off + lo : off + hi]
+            r = tiled.r_ids[off + lo : off + hi]
+            c = tiled.c_ids[off + lo : off + hi]
             pe.execute_spmm_chunk(r, c, off + lo)
 
-        def apply_chunk(tile: TileInfo, lo: int, hi: int):
-            off = tile.sparse_in_start_offset
-            r = self.tiled.r_ids[off + lo : off + hi]
-            c = self.tiled.c_ids[off + lo : off + hi]
-            v = self.tiled.vals[off + lo : off + hi]
-            spmm_chunk_update(d_accum, r, c, v, b64)
+        def merge(segments: np.ndarray):
+            spmm_chunk_update(
+                d_accum, tiled.r_ids, tiled.c_ids, tiled.vals, b64, segments
+            )
 
-        def gen_epoch(pe: ProcessingElement, parts):
-            chunks = []
-            for tile, lo, hi in parts:
-                off = tile.sparse_in_start_offset
-                chunks.append((
-                    self.tiled.r_ids[off + lo : off + hi],
-                    self.tiled.c_ids[off + lo : off + hi],
-                    off + lo,
-                ))
-            return generate_spmm_epoch(pe, chunks)
+        def gen_epoch(pe: ProcessingElement, chunks: np.ndarray):
+            return generate_spmm_epoch(pe, tiled.r_ids, tiled.c_ids, chunks)
 
         epochs, per_pe_time = self._run_epochs(
-            gen_chunk, apply_chunk, d_accum, "spmm", gen_epoch
+            gen_chunk, merge, d_accum, "spmm", gen_epoch
         )
         term_ns, dirty = self._terminate()
         stats = self.memory.collect_stats()
@@ -225,39 +241,28 @@ class Engine:
         b64 = np.ascontiguousarray(b_dense, dtype=np.float64)
         c64 = np.ascontiguousarray(c_dense, dtype=np.float64)
 
+        tiled = self.tiled
+
         def gen_chunk(pe: ProcessingElement, tile: TileInfo, lo: int, hi: int):
             off = tile.sparse_in_start_offset
-            r = self.tiled.r_ids[off + lo : off + hi]
-            c = self.tiled.c_ids[off + lo : off + hi]
+            r = tiled.r_ids[off + lo : off + hi]
+            c = tiled.c_ids[off + lo : off + hi]
             out_offsets = tile.sparse_out_start_offset + np.arange(
                 lo, hi, dtype=np.int64
             )
             pe.execute_sddmm_chunk(r, c, off + lo, out_offsets)
 
-        def apply_chunk(tile: TileInfo, lo: int, hi: int):
-            off = tile.sparse_in_start_offset
-            r = self.tiled.r_ids[off + lo : off + hi]
-            c = self.tiled.c_ids[off + lo : off + hi]
-            v = self.tiled.vals[off + lo : off + hi]
+        def merge(segments: np.ndarray):
             sddmm_chunk_vals(
-                out_vals, tile.sparse_out_start_offset + lo, r, c, v, b64,
-                c64,
+                out_vals, tiled.r_ids, tiled.c_ids, tiled.vals, b64, c64,
+                segments,
             )
 
-        def gen_epoch(pe: ProcessingElement, parts):
-            chunks = []
-            for tile, lo, hi in parts:
-                off = tile.sparse_in_start_offset
-                chunks.append((
-                    self.tiled.r_ids[off + lo : off + hi],
-                    self.tiled.c_ids[off + lo : off + hi],
-                    off + lo,
-                    tile.sparse_out_start_offset + lo,
-                ))
-            return generate_sddmm_epoch(pe, chunks)
+        def gen_epoch(pe: ProcessingElement, chunks: np.ndarray):
+            return generate_sddmm_epoch(pe, tiled.r_ids, tiled.c_ids, chunks)
 
         epochs, per_pe_time = self._run_epochs(
-            gen_chunk, apply_chunk, out_vals, "sddmm", gen_epoch
+            gen_chunk, merge, out_vals, "sddmm", gen_epoch
         )
         term_ns, dirty = self._terminate()
         stats = self.memory.collect_stats()
@@ -286,7 +291,7 @@ class Engine:
     def _run_epochs(
         self,
         gen_chunk,
-        apply_chunk,
+        merge,
         output: np.ndarray,
         primitive: str,
         gen_epoch,
@@ -334,12 +339,10 @@ class Engine:
                 f"epoch[{epoch_idx}]", cat="epoch", epoch=epoch_idx
             ):
                 if self.execution == "scalar":
-                    self._run_epoch_serial(
-                        cursors, gen_chunk, apply_chunk, phase
-                    )
+                    self._run_epoch_serial(cursors, gen_chunk, merge, phase)
                 else:
                     fused_chunks, replay_runs = self._run_epoch_phased(
-                        cursors, gen_epoch, apply_chunk, phase, epoch_idx
+                        cursors, gen_epoch, merge, phase, epoch_idx
                     )
             per_pe = [pe.counters for pe in self.pes]
             self._epoch_counters.append(per_pe)
@@ -466,12 +469,11 @@ class Engine:
 
     # -- epoch drivers ---------------------------------------------------
 
-    def _run_epoch_serial(
-        self, cursors, gen_chunk, apply_chunk, phase=None
-    ) -> None:
+    def _run_epoch_serial(self, cursors, gen_chunk, merge, phase=None) -> None:
         """Round-robin chunk interleave of the scalar oracle: each
         chunk's VRF walk issues its accesses to the memory system as it
-        goes, so generation and replay are one step.
+        goes, so generation and replay are one step; each chunk then
+        merges as a one-segment table.
 
         ``phase`` accumulates host seconds as ``[gen, merge, replay]``;
         generation includes the replay it issues, so ``replay`` stays 0.
@@ -501,7 +503,7 @@ class Engine:
                     t0 = perf_counter()
                     gen_chunk(pe, tile, lo, hi)
                     t1 = perf_counter()
-                    apply_chunk(tile, lo, hi)
+                    merge(_chunk_table([nxt]))
                     phase[1] += perf_counter() - t1
                     phase[0] += t1 - t0
                 except SpadeError:
@@ -583,11 +585,12 @@ class Engine:
         return base
 
     def _run_epoch_phased(
-        self, cursors, gen_epoch, apply_chunk, phase, epoch_idx
+        self, cursors, gen_epoch, merge, phase, epoch_idx
     ) -> Tuple[int, List[List[int]]]:
         """Epoch driver for the vectorized execution mode: Phase A
-        derives each PE's *whole epoch* trace in one pass, Phase B runs
-        the output math per chunk in the coalesced round-robin dispatch
+        derives each PE's *whole epoch* trace in one generation call
+        over its chunk table, Phase B runs the output math for every
+        chunk in one merge call over the coalesced round-robin dispatch
         order, then replays all dispatch runs against the shared memory
         system in one ``MemorySystem.replay_epoch`` call and folds each
         run's service levels back into its PE's counters.
@@ -596,6 +599,7 @@ class Engine:
         as ``[pe, accesses]`` pairs (else an empty list).
         """
         parts = self._collect_epoch_parts(cursors)
+        tables = [_chunk_table(p) for p in parts]
         traces: List[Tuple[np.ndarray, np.ndarray]] = []
         segs: List[List[Tuple[int, int]]] = []
         # Phase A: generate every PE's epoch in PE order; the trace
@@ -607,7 +611,7 @@ class Engine:
                 chunks=len(parts[i]),
             ) as span:
                 try:
-                    segs.append(gen_epoch(pe, parts[i]))
+                    segs.append(gen_epoch(pe, tables[i]))
                 except SpadeError:
                     raise
                 except Exception as exc:
@@ -620,30 +624,27 @@ class Engine:
                 phase[0] += span.dur_s
             traces.append(pe._trace.views())
 
-        # Phase B: output math per chunk in dispatch order, then one
-        # replay call for the whole epoch's coalesced runs.
+        # Phase B: the output math for the whole epoch in dispatch
+        # order, then one replay call for its coalesced runs.
+        dispatch = self._coalesced_dispatch(parts)
         chaos = self._chaos
+        if chaos is not None:
+            for _ in range(sum(len(p) for p in parts)):
+                chaos.replay_delay()
+        t0 = time.perf_counter()
+        try:
+            merge(_chunk_table_of_runs(tables, dispatch))
+        except SpadeError:
+            raise
+        except Exception as exc:
+            raise EngineExecutionError(
+                f"{self.execution} execution failed while merging "
+                f"epoch {epoch_idx}"
+            ) from exc
+        if phase is not None:
+            phase[1] += time.perf_counter() - t0
         replay_runs: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for i, c0, c1 in self._coalesced_dispatch(parts):
-            try:
-                for c in range(c0, c1):
-                    tile, lo, hi = parts[i][c]
-                    if chaos is not None:
-                        chaos.replay_delay()
-                    if phase is not None:
-                        t0 = time.perf_counter()
-                        apply_chunk(tile, lo, hi)
-                        phase[1] += time.perf_counter() - t0
-                    else:
-                        apply_chunk(tile, lo, hi)
-            except SpadeError:
-                raise
-            except Exception as exc:
-                raise EngineExecutionError(
-                    f"{self.execution} execution failed on a chunk",
-                    pe_id=i,
-                    chunk_index=self._chunk_ordinal[i] - len(parts[i]) + c0,
-                ) from exc
+        for i, c0, c1 in dispatch:
             s0 = segs[i][c0][0]
             s1 = segs[i][c1 - 1][1]
             if s1 > s0:

@@ -2,14 +2,14 @@
 
 The scalar executors in :mod:`repro.core.pe` walk every nonzero in
 Python and push each operand through ``VectorRegisterFile.access``.
-This module derives each nonzero's dense lines for a PE's whole epoch
-*as NumPy arrays* straight from the tile's CSR/COO index slices
-(line-id arithmetic through :class:`~repro.memory.address.AddressMap`)
-and hands them to :func:`trace_epoch`: one call of the compiled entry
-in :mod:`repro.native`, which assembles the VRF access stream, elides
-the touches that are provably invisible hits, walks the VRF and writes
-the trace, or, where no kernel loads, its Python twin
-:func:`_trace_epoch_twin`, which walks the full unelided stream.  The
+This module hands a PE's whole epoch to one call of the compiled entry
+in :mod:`repro.native`: the tiled id arrays, read in place through a
+chunk table of (input offset, count, output start), with the operands'
+first lines and lines per row.  The entry derives each nonzero's dense
+lines, checks them, assembles the VRF access stream, elides the
+touches that are provably invisible hits, walks the VRF and writes the
+trace; where no kernel loads, its Python twin
+:func:`_trace_epoch_twin` walks the full unelided stream.  The
 emitted ``(lines, ops)`` trace, the VRF state and counters, and
 therefore everything downstream (replay, ``AccessStats``,
 ``PECounters``, timing) are bit-identical to the scalar oracle — the
@@ -244,26 +244,37 @@ def _run_vrf_stream(
     )
 
 
-def _sparse_ranges(
-    pe, starts: Sequence[int], chunk_nnz: np.ndarray
-) -> np.ndarray:
+def _sparse_ranges(pe, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sparse Data Loader: each chunk's ``(first, count)`` line ranges of
     the tile's r_ids, c_ids and vals streams, as a ``(chunks, 6)`` int64
-    array."""
-    amap = pe.address_map
+    array; chunk ``k`` reads ``counts[k]`` elements from element
+    ``starts[k]`` on.  The vectorized form of
+    :meth:`~repro.memory.address.AddressMap.stream_lines`, with its
+    check that no range runs past its region."""
+    regions = pe.address_map.regions
     idx_b = pe.init.sizeof_indices
-    val_b = pe.init.sizeof_vals
-    ranges: List[int] = []
-    for start, nnz in zip(starts, chunk_nnz.tolist()):
-        for region, elem_bytes in (
-            ("sparse_r_ids", idx_b),
-            ("sparse_c_ids", idx_b),
-            ("sparse_vals", val_b),
-        ):
-            ranges += amap.stream_lines(
-                region, start * elem_bytes, nnz * elem_bytes
+    out = np.zeros((starts.shape[0], 6), dtype=np.int64)
+    for col, (name, elem_bytes) in enumerate((
+        ("sparse_r_ids", idx_b),
+        ("sparse_c_ids", idx_b),
+        ("sparse_vals", pe.init.sizeof_vals),
+    )):
+        region = regions[name]
+        at = starts * elem_bytes
+        nbytes = counts * elem_bytes
+        past = np.flatnonzero(at + nbytes > region.size)
+        if past.shape[0]:
+            k = int(past[0])
+            raise ValueError(
+                f"range [{int(at[k])}, {int(at[k] + nbytes[k])}) exceeds "
+                f"region {name!r} of size {region.size}"
             )
-    return np.array(ranges, dtype=np.int64).reshape(-1, 6)
+        first = (region.base + at) // CACHE_LINE_BYTES
+        last = (region.base + at + nbytes - 1) // CACHE_LINE_BYTES
+        some = nbytes > 0
+        out[:, 2 * col] = np.where(some, first, 0)
+        out[:, 2 * col + 1] = np.where(some, last - first + 1, 0)
+    return out
 
 
 def _emit_chunks(
@@ -334,56 +345,74 @@ def _trace_epoch_twin(
     return _emit_chunks(pe, emissions, sparse, cols * b_nnz)
 
 
-def trace_epoch(
+def _walk(
     pe,
-    r_lines: np.ndarray,
-    c_lines: np.ndarray,
-    chunk_nnz: np.ndarray,
-    starts: Sequence[int],
-    out_starts: Optional[np.ndarray],
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    chunks: np.ndarray,
+    starts: np.ndarray,
+    sddmm: bool,
+    bases: Tuple[int, int],
+    stride: int,
     cadence: int,
 ) -> List[Tuple[int, int]]:
-    """Append one PE-epoch's trace to ``pe._trace`` and return each
-    chunk's ``(start, end)`` segment of it.
+    """The one generation call :func:`trace_epoch` and the epoch
+    generators share: append one PE-epoch's trace to ``pe._trace`` and
+    return each chunk's ``(start, end)`` segment of it.
 
-    Nonzero ``i`` touches, for each of ``pe.lines_per_row`` line pairs
-    ``l``, rMatrix line ``r_lines[i] + l`` then cMatrix line
-    ``c_lines[i] + l``; with ``out_starts`` (SDDMM) it then writes its
-    output value into line ``(out_starts[chunk] + j) // 16`` of the
-    output region, ``j`` being its index in the chunk.  ``chunk_nnz``
-    splits the nonzeros into chunks, whose sparse streams start at
-    element ``starts[chunk]``.  ``cadence`` is the elision cadence of
-    :func:`_elision_cadence` (1 walks every touch).  Each chunk's trace
-    is its sparse-stream line ranges, then the VRF's emissions for its
-    nonzeros.  The inputs are checked before any walk; a rejected epoch
-    leaves the VRF and the trace untouched."""
+    Chunk ``k`` is row ``k`` of ``chunks``, (input offset, count, output
+    start): the nonzeros ``[offset, offset + count)`` of ``r_ids`` and
+    ``c_ids``, whose sparse streams start at element ``starts[k]``.
+    Nonzero ``i``'s first rMatrix and cMatrix lines are ``bases[0] +
+    r_ids[i] * stride`` and ``bases[1] + c_ids[i] * stride``; it touches,
+    for each of ``pe.lines_per_row`` line pairs ``l``, the rMatrix line
+    plus ``l`` then the cMatrix line plus ``l``.  With ``sddmm`` it then
+    writes its output value into line ``(output start + j) // 16`` of
+    the output region, ``j`` being its index in the chunk.
+    ``cadence`` is the elision cadence of :func:`_elision_cadence` (1
+    walks every touch).  Each chunk's trace is its sparse-stream line
+    ranges, then the VRF's emissions for its nonzeros.  The inputs are
+    checked before any walk (:func:`repro.native.check_epoch`, then the
+    walk's first pass or its twin); a rejected epoch leaves the VRF and
+    the trace untouched."""
     vrf = pe.vrf
     tags = vrf._tags
     lpr = pe.lines_per_row
     native.check_epoch(
-        r_lines, c_lines, chunk_nnz, out_starts, lpr, cadence,
-        vrf.num_registers, len(tags),
+        r_ids, c_ids, chunks, lpr, stride, cadence, vrf.num_registers,
+        len(tags),
     )
-    sparse = _sparse_ranges(pe, starts, chunk_nnz)
+    counts = chunks[:, 1]
+    sparse = _sparse_ranges(pe, starts, counts)
     out_base = 0
-    if out_starts is not None:
+    if sddmm:
         out_region = pe.address_map.regions["sparse_out_vals"]
         out_base = out_region.base // CACHE_LINE_BYTES
     kernel = native.vrf_epoch_kernel()
     if kernel is None:
+        native.refuse_epoch(native.epoch_refusal(
+            r_ids, c_ids, chunks, sddmm, bases, stride, lpr
+        ))
+        idx = np.concatenate([
+            np.arange(off, off + cnt, dtype=np.int64)
+            for off, cnt, _ in chunks.tolist()
+        ] or [np.zeros(0, dtype=np.int64)])
         segs = _trace_epoch_twin(
-            pe, r_lines, c_lines, chunk_nnz, out_starts, out_base, sparse
+            pe, bases[0] + r_ids[idx] * stride, bases[1] + c_ids[idx] * stride,
+            np.ascontiguousarray(counts),
+            np.ascontiguousarray(chunks[:, 2]) if sddmm else None,
+            out_base, sparse,
         )
     else:
-        counts, final, segs = kernel(
+        counts_out, final, segs = kernel(
             vrf.num_registers, vrf._high, vrf._low, tags, vrf._dirty_count,
-            r_lines, c_lines, chunk_nnz, out_starts, out_base, sparse,
+            r_ids, c_ids, chunks, sddmm, bases, stride, out_base, sparse,
             lpr, cadence,
             (pe._op_rmatrix_read, pe._op_cmatrix_read, pe._op_store,
              pe._op_sparse),
             pe._trace,
         )
-        hits, misses, evc, evw, mwb, dc = counts
+        hits, misses, evc, evw, mwb, dc = counts_out
         vrf.tag_hits += hits
         vrf.tag_misses += misses
         vrf.evictions += evc
@@ -396,72 +425,115 @@ def trace_epoch(
     return segs
 
 
-def _generate(
-    pe, parts, out_starts: Optional[np.ndarray], cadence: int
-) -> Tuple[List[Tuple[int, int]], np.ndarray]:
-    """The line arithmetic and the :func:`trace_epoch` call the two
-    generators share, with the tOp/vOp counts; returns the segments and
-    the epoch's r_ids."""
-    r_all = np.concatenate([p[0] for p in parts])
-    c_all = np.concatenate([p[1] for p in parts])
-    amap = pe.address_map
-    k = pe.init.dense_row_size
-    segs = trace_epoch(
-        pe,
-        amap.dense_row_base_lines("rmatrix", r_all, k),
-        amap.dense_row_base_lines("cmatrix", c_all, k),
-        np.array([len(p[0]) for p in parts], dtype=np.int64),
-        [p[2] for p in parts],
-        out_starts,
-        cadence,
+def trace_epoch(
+    pe,
+    r_lines: np.ndarray,
+    c_lines: np.ndarray,
+    chunk_nnz: np.ndarray,
+    starts: Sequence[int],
+    out_starts: Optional[np.ndarray],
+    cadence: int,
+) -> List[Tuple[int, int]]:
+    """Append one PE-epoch's trace to ``pe._trace`` from each nonzero's
+    first lines, and return each chunk's ``(start, end)`` segment of it.
+
+    The line form of :func:`_walk`: nonzero ``i``'s first rMatrix and
+    cMatrix lines are ``r_lines[i]`` and ``c_lines[i]`` (1-D
+    C-contiguous int64 of one length); ``chunk_nnz`` (1-D C-contiguous
+    int64, summing to that length) splits them into consecutive chunks,
+    whose sparse streams start at element ``starts[chunk]``; with
+    ``out_starts`` (SDDMM; 1-D C-contiguous int64, one per chunk) chunk
+    ``k``'s nonzeros write output values ``out_starts[k]``,
+    ``out_starts[k] + 1``, ...  The inputs are checked before any walk;
+    a rejected epoch leaves the VRF and the trace untouched."""
+    native._require("r_lines", r_lines, np.int64)
+    native._require("c_lines", c_lines, np.int64)
+    native._require("chunk_nnz", chunk_nnz, np.int64)
+    n_chunks = chunk_nnz.shape[0]
+    if out_starts is not None:
+        native._require("out_starts", out_starts, np.int64)
+        if out_starts.shape != chunk_nnz.shape:
+            raise ValueError("one output start offset per chunk")
+    n = r_lines.shape[0]
+    if int(chunk_nnz.sum()) != n:
+        raise ValueError(f"chunk sizes do not sum to the {n} nonzeros")
+    chunks = np.zeros((n_chunks, 3), dtype=np.int64)
+    np.cumsum(chunk_nnz[:-1], out=chunks[1:, 0])
+    chunks[:, 1] = chunk_nnz
+    if out_starts is not None:
+        chunks[:, 2] = out_starts
+    return _walk(
+        pe, r_lines, c_lines, chunks, np.asarray(starts, dtype=np.int64),
+        out_starts is not None, (0, 0), 1, cadence,
     )
+
+
+def _generate(
+    pe, r_ids: np.ndarray, c_ids: np.ndarray, chunks: np.ndarray,
+    sddmm: bool, cadence: int,
+) -> List[Tuple[int, int]]:
+    """The :func:`_walk` call the two generators share, with the
+    tOp/vOp counts: a chunk's sparse streams start at its input
+    offset, and its dense lines follow from the address map."""
+    amap = pe.address_map
+    lpr = pe.lines_per_row
+    bases = tuple(
+        amap.regions[name].base // CACHE_LINE_BYTES
+        for name in ("rmatrix", "cmatrix")
+    )
+    segs = _walk(
+        pe, r_ids, c_ids, chunks, chunks[:, 0], sddmm, bases, lpr, cadence
+    )
+    nnz = int(chunks[:, 1].sum())
     counters = pe.counters
-    counters.tops += r_all.shape[0]
-    counters.vops += r_all.shape[0] * pe.lines_per_row
-    return segs, r_all
+    counters.tops += nnz
+    counters.vops += nnz * lpr
+    if sddmm:
+        counters.output_line_writes += nnz
+    return segs
 
 
 def generate_spmm_epoch(
-    pe, parts: Sequence[Tuple[np.ndarray, np.ndarray, int]]
+    pe, r_ids: np.ndarray, c_ids: np.ndarray, chunks: np.ndarray
 ) -> List[Tuple[int, int]]:
     """Derive one PE's trace for a run of SpMM chunks in one pass and
     append it to ``pe._trace``; the trace twin of
     ``ProcessingElement.execute_spmm_chunk`` over each chunk in turn.
 
-    ``parts`` lists the chunks as ``(r_ids, c_ids, start_offset)`` in
-    dispatch order.  Per nonzero the scalar pipeline touches, in order,
-    ``r+0, c+0, r+1, c+1, ...`` for ``lines_per_row`` line pairs; the
-    rMatrix slot is read-modify-write (dirty), the cMatrix slot is
-    read-only.  CSR runs of equal r_id make the rMatrix touches of
-    elided nonzeros guaranteed dirty hits (see module docstring).
-    Returns each chunk's ``(start, end)`` segment of ``pe._trace``."""
-    if not parts:
+    ``r_ids``/``c_ids`` are the tiled id arrays, read in place;
+    ``chunks`` is the int64 ``(chunks, 3)`` table of (input offset,
+    count, output start) in dispatch order, the output start unused
+    here.  A chunk's ids are ``r_ids[offset : offset + count]`` and its
+    sparse streams start at element ``offset``.  Per nonzero the scalar
+    pipeline touches, in order, ``r+0, c+0, r+1, c+1, ...`` for
+    ``lines_per_row`` line pairs; the rMatrix slot is read-modify-write
+    (dirty), the cMatrix slot is read-only.  CSR runs of equal r_id
+    make the rMatrix touches of elided nonzeros guaranteed dirty hits
+    (see module docstring).  Returns each chunk's ``(start, end)``
+    segment of ``pe._trace``."""
+    if not chunks.shape[0]:
         return []
     lpr = pe.lines_per_row
-    segs, _ = _generate(pe, parts, None, _elision_cadence(
+    return _generate(pe, r_ids, c_ids, chunks, False, _elision_cadence(
         pe.vrf, slots_per_nnz=2 * lpr, live_lines=lpr, dirty_live=lpr
     ))
-    return segs
 
 
 def generate_sddmm_epoch(
-    pe, parts: Sequence[Tuple[np.ndarray, np.ndarray, int, int]]
+    pe, r_ids: np.ndarray, c_ids: np.ndarray, chunks: np.ndarray
 ) -> List[Tuple[int, int]]:
-    """SDDMM twin of :func:`generate_spmm_epoch`; ``parts`` entries are
-    ``(r_ids, c_ids, start_offset, out_start)``, the chunk's nonzeros
-    writing output values ``out_start, out_start + 1, ...``.
+    """SDDMM twin of :func:`generate_spmm_epoch`: chunk ``k``'s nonzeros
+    write output values ``out, out + 1, ...`` from its output start
+    ``out`` (the table's third column) on.
 
     Per nonzero: ``lines_per_row`` read-only (r, c) line pairs followed
     by one write-only output-line touch (dirty, no load on miss).  Both
     the rMatrix CSR runs and the 16-nonzeros-per-line output runs are
     elidable."""
-    if not parts:
+    if not chunks.shape[0]:
         return []
     lpr = pe.lines_per_row
-    out_starts = np.array([p[3] for p in parts], dtype=np.int64)
-    segs, r_all = _generate(pe, parts, out_starts, _elision_cadence(
+    return _generate(pe, r_ids, c_ids, chunks, True, _elision_cadence(
         pe.vrf, slots_per_nnz=2 * lpr + 1, live_lines=lpr + 1,
         dirty_live=1,
     ))
-    pe.counters.output_line_writes += r_all.shape[0]
-    return segs

@@ -81,7 +81,7 @@ def sddmm_reference(
         b.astype(np.float64), c.astype(np.float64), a.r_ids, a.c_ids
     )
     vals = (a.vals.astype(np.float64) * inner).astype(np.float32)
-    return COOMatrix(a.num_rows, a.num_cols, a.r_ids, a.c_ids, vals)
+    return COOMatrix.trusted(a.num_rows, a.num_cols, a.r_ids, a.c_ids, vals)
 
 
 def spmm_chunk_update(
@@ -90,71 +90,95 @@ def spmm_chunk_update(
     c_ids: np.ndarray,
     vals: np.ndarray,
     b64: np.ndarray,
+    segments: np.ndarray,
 ) -> None:
-    """Scatter-accumulate one chunk of SpMM nonzeros into ``d_accum``
-    (float64, in place).
+    """Scatter-accumulate SpMM nonzeros into ``d_accum`` (float64, in
+    place): the chunks of ``segments``, an int64 ``(n, 3)`` table whose
+    rows are (input offset, count, output start) in dispatch order.  The
+    output start is the SDDMM merge's and is not read here.
 
-    This is the engine's per-chunk functional kernel.  It runs the
-    compiled merge (``repro/native/spmm_merge.c``) when the kernel
-    library loads, and its twin, ``np.add.at``, otherwise.  Both perform
+    This is the engine's functional kernel, one call per epoch (one per
+    chunk under scalar execution).  It runs the compiled merge
+    (``repro/native/spmm_merge.c``) when the kernel library loads, and
+    its twin, ``np.add.at`` segment by segment, otherwise.  Both perform
     the same operations in the same order: for each nonzero ``i`` in
-    chunk order and each column ``j``, the product
+    segment order and each column ``j``, the product
     ``float64(vals[i]) * b64[c_ids[i], j]`` rounded once, then added to
     ``d_accum[r_ids[i], j]`` and rounded once (the C build forbids a
     fused multiply-add).  Rows hit by several nonzeros therefore
     accumulate in nonzero order on either path, and the float32 result
-    is identical whichever execution backend generated the chunk's
-    trace, as long as chunks are applied in the round-robin schedule
-    order.
+    is identical whichever execution backend generated the chunks'
+    traces, as long as the chunks are applied in the round-robin
+    schedule order.
 
-    The chunk is checked whole before anything is written
-    (:func:`repro.native.check_spmm_chunk`): a bad chunk raises the
-    same error on either path and leaves ``d_accum`` untouched.
+    The table is checked whole before anything is written
+    (:func:`repro.native.check_spmm_merge`, then the C merge or
+    :func:`repro.native.merge_refusal`): a bad one raises the same
+    error on either path and leaves ``d_accum`` untouched.
     """
-    native.check_spmm_chunk(d_accum, r_ids, c_ids, vals, b64)
+    native.check_spmm_merge(d_accum, r_ids, c_ids, vals, b64, segments)
     kernels = native.kernels()
     if kernels is not None:
-        kernels.spmm_merge(d_accum, r_ids, c_ids, vals, b64)
-    else:
+        kernels.spmm_merge(d_accum, r_ids, c_ids, vals, b64, segments)
+        return
+    why = native.merge_refusal(segments, (
+        ("r_ids", r_ids, d_accum.shape[0]), ("c_ids", c_ids, b64.shape[0]),
+    ))
+    if why is not None:
+        raise IndexError(why)
+    for off, cnt, _ in segments.tolist():
+        part = slice(off, off + cnt)
         np.add.at(
-            d_accum, r_ids, vals[:, None].astype(np.float64) * b64[c_ids]
+            d_accum, r_ids[part],
+            vals[part, None].astype(np.float64) * b64[c_ids[part]],
         )
 
 
 def sddmm_chunk_vals(
     out_vals: np.ndarray,
-    out_base: int,
     r_ids: np.ndarray,
     c_ids: np.ndarray,
     vals: np.ndarray,
     b64: np.ndarray,
     c64: np.ndarray,
+    segments: np.ndarray,
 ) -> None:
-    """Segment dot products for one chunk of SDDMM nonzeros, written
-    into ``out_vals`` (float64, in place) at ``out_base`` onwards: a
-    chunk's output slots are contiguous in the padded layout.  Slots
-    are unique per nonzero, so chunk application order cannot change
-    the result.
+    """Segment dot products for SDDMM nonzeros, written into
+    ``out_vals`` (float64, in place): the chunks of ``segments``, an
+    int64 ``(n, 3)`` table whose rows are (input offset, count, output
+    start).  A chunk's output slots are contiguous in the padded layout,
+    from its output start on.  Slots are unique per nonzero, so chunk
+    application order cannot change the result.
 
-    This is the engine's per-chunk functional kernel.  It runs the
-    compiled merge (``repro/native/sddmm_merge.c``) when the kernel
-    library loads, and its twin otherwise.  Both compute, for each
+    This is the engine's functional kernel, one call per epoch (one per
+    chunk under scalar execution).  It runs the compiled merge
+    (``repro/native/sddmm_merge.c``) when the kernel library loads, and
+    its twin, segment by segment, otherwise.  Both compute, for each
     nonzero ``i``, ``float64(vals[i]) * sum_j b64[r_ids[i], j] *
     c64[c_ids[i], j]`` with the sum taken left to right over ``j``
     (:func:`_dots`), so the bytes are the same on either path and on
     every host.
 
-    The chunk is checked whole before anything is written
-    (:func:`repro.native.check_sddmm_chunk`): a bad chunk raises the
-    same error on either path and leaves ``out_vals`` untouched.
+    The table is checked whole before anything is written
+    (:func:`repro.native.check_sddmm_merge`, then the C merge or
+    :func:`repro.native.merge_refusal`): a bad one raises the same
+    error on either path and leaves ``out_vals`` untouched.
     """
-    native.check_sddmm_chunk(out_vals, out_base, r_ids, c_ids, vals, b64, c64)
+    native.check_sddmm_merge(out_vals, r_ids, c_ids, vals, b64, c64, segments)
     kernels = native.kernels()
     if kernels is not None:
-        kernels.sddmm_merge(out_vals, out_base, r_ids, c_ids, vals, b64, c64)
-    else:
-        out_vals[out_base : out_base + r_ids.shape[0]] = (
-            vals.astype(np.float64) * _dots(b64, c64, r_ids, c_ids)
+        kernels.sddmm_merge(out_vals, r_ids, c_ids, vals, b64, c64, segments)
+        return
+    why = native.merge_refusal(segments, (
+        ("r_ids", r_ids, b64.shape[0]), ("c_ids", c_ids, c64.shape[0]),
+    ), out_vals.shape[0])
+    if why is not None:
+        raise IndexError(why)
+    for off, cnt, at in segments.tolist():
+        part = slice(off, off + cnt)
+        out_vals[at : at + cnt] = (
+            vals[part].astype(np.float64)
+            * _dots(b64, c64, r_ids[part], c_ids[part])
         )
 
 

@@ -3,10 +3,11 @@
 Five kernels live here, built into one library:
 
 - ``vrf_walk.c``, one PE-epoch of trace generation behind
-  :func:`repro.core.vectorized.trace_epoch`: it derives the dense-operand
-  access stream from each nonzero's lines, drops the touches the
-  elision argument (DESIGN.md section 7) proves invisible, walks the
-  vector register file exactly and writes the chunks' traces.  Its
+  :mod:`repro.core.vectorized`: it reads the epoch's chunks of ids in
+  place through a chunk table, derives each nonzero's dense lines,
+  checks them, drops the touches the elision argument (DESIGN.md
+  section 7) proves invisible, walks the vector register file exactly
+  and writes the chunks' traces.  Its
   Python twin, ``repro.core.vectorized._trace_epoch_twin``, walks the
   full unelided stream, so every comparison of the two also checks the
   elision argument;
@@ -28,12 +29,13 @@ Five kernels live here, built into one library:
   before the replay (:func:`check_replay_runs`; its twin is the same
   checks in NumPy, run by run);
 - ``spmm_merge.c``, the SpMM output merge behind
-  :func:`repro.kernels.reference.spmm_chunk_update`; its twin is the
-  ``np.add.at`` scatter it transcribes;
+  :func:`repro.kernels.reference.spmm_chunk_update`, one call per epoch
+  over its dispatch-ordered segment table; its twin is the
+  ``np.add.at`` scatter it transcribes, segment by segment;
 - ``sddmm_merge.c``, the SDDMM output merge behind
-  :func:`repro.kernels.reference.sddmm_chunk_vals`: one dot product
-  per nonzero, summed left to right over K; its twin is the same sum as
-  a NumPy loop over the K columns;
+  :func:`repro.kernels.reference.sddmm_chunk_vals`, the same way: one
+  dot product per nonzero, summed left to right over K; its twin is
+  the same sum as a NumPy loop over the K columns;
 - ``tile.c``, the tiled layout's entry order behind
   :func:`repro.sparse.tiled.tile_matrix`: a composite-key pass that
   finds already-ordered input, else a stable LSD radix sort; its twin
@@ -96,8 +98,11 @@ SOURCES = tuple(
     )
 )
 # -ffp-contract=off: no fused multiply-add may skip a rounding the
-# NumPy twins perform (the merges' products).
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# NumPy twins perform (the merges' products).  -O3 reorders no
+# floating-point operation; the flags that would (-ffast-math and the
+# like) or that tie a build to one CPU (-march) stay out
+# (tests/test_source_rules.py).
+FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class Kernels(NamedTuple):
@@ -261,45 +266,81 @@ def _require(name: str, arr, dtype, ndim: int = 1) -> None:
 
 
 def check_epoch(
-    r_lines: np.ndarray,
-    c_lines: np.ndarray,
-    chunk_nnz: np.ndarray,
-    out_starts: Optional[np.ndarray],
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    chunks: np.ndarray,
     lpr: int,
+    stride: int,
     cadence: int,
     cap: int,
     n_resident: int,
 ) -> None:
-    """Validate one PE-epoch of trace generation before any walk:
-    ``r_lines``/``c_lines`` (each nonzero's first rMatrix and cMatrix
-    line) 1-D C-contiguous int64 of one length, no line negative;
-    ``chunk_nnz`` 1-D C-contiguous int64, no size negative, summing to
-    that length; ``out_starts`` (``None`` for SpMM) 1-D C-contiguous
-    int64 with one non-negative output offset per chunk; ``lpr`` and
-    ``cadence`` at least 1; a VRF of ``1 <= cap < 2**31`` lines holding
-    at most ``cap`` residents."""
-    _require("r_lines", r_lines, np.int64)
-    _require("c_lines", c_lines, np.int64)
-    _require("chunk_nnz", chunk_nnz, np.int64)
-    if out_starts is not None:
-        _require("out_starts", out_starts, np.int64)
-        if out_starts.shape != chunk_nnz.shape:
-            raise ValueError("one output start offset per chunk")
-        if out_starts.shape[0] and int(out_starts.min()) < 0:
-            raise ValueError("output offsets must be non-negative")
-    n = r_lines.shape[0]
-    if c_lines.shape[0] != n:
-        raise ValueError("r_lines and c_lines differ in length")
-    if chunk_nnz.shape[0] and int(chunk_nnz.min()) < 0:
-        raise ValueError("chunk sizes must be non-negative")
-    if int(chunk_nnz.sum()) != n:
-        raise ValueError(f"chunk sizes do not sum to the {n} nonzeros")
-    if n and min(int(r_lines.min()), int(c_lines.min())) < 0:
-        raise ValueError("dense lines must be non-negative")
-    if lpr < 1 or cadence < 1:
-        raise ValueError("lines per row and cadence must be at least 1")
+    """Validate the form of one PE-epoch of trace generation before any
+    walk: ``r_ids``/``c_ids`` 1-D C-contiguous int64 of one length;
+    ``chunks`` a C-contiguous int64 ``(chunks, 3)`` table of (input
+    offset, count, output start); ``lpr``, ``stride`` and ``cadence`` at
+    least 1; a VRF of ``1 <= cap < 2**31`` lines holding at most ``cap``
+    residents.  The values are the walk's first pass to check, in C or
+    by :func:`epoch_refusal`, and :func:`refuse_epoch` raises what it
+    finds."""
+    _require("r_ids", r_ids, np.int64)
+    _require("c_ids", c_ids, np.int64)
+    _require("chunks", chunks, np.int64, 2)
+    if chunks.shape[1] != 3:
+        raise ValueError("chunks must be (input offset, count, output start)")
+    if c_ids.shape[0] != r_ids.shape[0]:
+        raise ValueError("r_ids and c_ids differ in length")
+    if min(lpr, stride, cadence) < 1:
+        raise ValueError(
+            "lines per row, id stride and cadence must be at least 1"
+        )
     if not 1 <= cap < 2**31 or n_resident > cap:
         raise ValueError(f"{n_resident} residents in a {cap}-line VRF")
+
+
+_EPOCH_REFUSALS = {
+    4: "chunks must be non-negative ranges inside the ids",
+    5: "output offsets must be non-negative",
+    6: "dense lines must be non-negative and below 2**63",
+}
+"""``repro_vrf_epoch``'s refusals (its return value negated), in their
+order of precedence, as the ``ValueError`` each raises."""
+
+
+def epoch_refusal(
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    chunks: np.ndarray,
+    sddmm: bool,
+    bases: Tuple[int, int],
+    stride: int,
+    lpr: int,
+) -> int:
+    """The twin of ``repro_vrf_epoch``'s first pass over an epoch
+    :func:`check_epoch` accepted: its refusal code, 0 if it has none.
+    Each chunk must be a range inside the ids; with ``sddmm`` each
+    output start non-negative; every line ``base + id * stride + l``
+    (``l < lpr``) in ``[0, 2**63)``."""
+    n = r_ids.shape[0]
+    table = chunks.tolist()
+    if any(off < 0 or cnt < 0 or off > n - cnt for off, cnt, _ in table):
+        return 4
+    if sddmm and any(at < 0 for _, _, at in table):
+        return 5
+    for ids, base in zip((r_ids, c_ids), bases):
+        top = (2**63 - 1 - base - (lpr - 1)) // stride
+        for off, cnt, _ in table:
+            part = ids[off : off + cnt]
+            if cnt and (int(part.min()) < 0 or int(part.max()) > top):
+                return 6
+    return 0
+
+
+def refuse_epoch(code: int) -> None:
+    """Raise the ``ValueError`` of a first-pass refusal code (none for
+    0)."""
+    if code:
+        raise ValueError(_EPOCH_REFUSALS[code])
 
 
 EpochResult = Tuple[
@@ -317,9 +358,10 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
     fn.argtypes = [
         i64, i64, i64,            # cap, high, low
         ptr, ptr, ptr,            # tag lines, tag dirty, tag count
-        ptr, ptr,                 # r_lines, c_lines
-        ptr, ptr, i64,            # chunk sizes, output starts, chunks
-        ptr, i64, i64, i64,       # sparse ranges, lpr, cadence, out base
+        ptr, ptr, i64,            # r_ids, c_ids, ids
+        ptr, i64, i64,            # chunk table, chunks, SDDMM
+        i64, i64, i64, i64,       # rMatrix/cMatrix base, stride, out base
+        ptr, i64, i64,            # sparse ranges, lpr, cadence
         ptr,                      # ops
         ptr, ptr, i64, i64,       # trace lines, ops, start, room
         ptr, ptr,                 # segments, counters
@@ -331,10 +373,12 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
         low: int,
         tags: Dict[int, bool],
         dirty_count: int,
-        r_lines: np.ndarray,
-        c_lines: np.ndarray,
-        chunk_nnz: np.ndarray,
-        out_starts: Optional[np.ndarray],
+        r_ids: np.ndarray,
+        c_ids: np.ndarray,
+        chunks: np.ndarray,
+        sddmm: bool,
+        bases: Tuple[int, int],
+        stride: int,
         out_base: int,
         sparse: np.ndarray,
         lpr: int,
@@ -342,12 +386,16 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
         ops: Tuple[int, int, int, int],
         trace,
     ) -> EpochResult:
-        """Run the C entry over an epoch :func:`check_epoch` accepted.
-        ``sparse`` is the ``(chunks, 6)`` int64 array of each chunk's
-        ``(first, count)`` r_ids, c_ids and vals line ranges; ``ops`` the
-        rMatrix load, cMatrix load, store and sparse-read op codes.  The
-        trace is appended to ``trace`` (a ``TraceBuffer``), grown first
-        when its room is below the walk's bound; a short buffer changes
+        """Run the C entry over an epoch :func:`check_epoch` accepted,
+        reading the ids in place through the chunk table.  ``bases`` are
+        the rMatrix and cMatrix first lines (at least 0); ``sparse`` is
+        the ``(chunks, 6)`` int64 array of each chunk's ``(first,
+        count)`` r_ids, c_ids and vals line ranges; ``ops`` the rMatrix
+        load, cMatrix load, store and sparse-read op codes.  The trace
+        is appended to ``trace`` (a ``TraceBuffer``), grown first when
+        its room is below the walk's bound; a short buffer changes
+        nothing.  A chunk table, output start or line the first pass
+        refuses raises ``ValueError`` (:func:`refuse_epoch`) and changes
         nothing.  Returns ``((hits, misses, evictions,
         eviction_writebacks, manager_writebacks, dirty_count), final
         tags in LRU order, each chunk's (start, end) trace segment)``."""
@@ -359,7 +407,7 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
         n_tags = np.array([nres], dtype=np.int64)
         counters = np.zeros(7, dtype=np.int64)
         counters[5] = dirty_count
-        n_chunks = int(chunk_nnz.shape[0])
+        n_chunks = int(chunks.shape[0])
         segs = np.empty(2 * n_chunks, dtype=np.int64)
         op_arr = np.array(ops, dtype=np.int64)
         room = 0
@@ -369,11 +417,10 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
                 cap, high, low,
                 tag_lines.ctypes.data, tag_dirty.ctypes.data,
                 n_tags.ctypes.data,
-                r_lines.ctypes.data, c_lines.ctypes.data,
-                chunk_nnz.ctypes.data,
-                None if out_starts is None else out_starts.ctypes.data,
-                n_chunks,
-                sparse.ctypes.data, lpr, cadence, out_base,
+                r_ids.ctypes.data, c_ids.ctypes.data, r_ids.shape[0],
+                chunks.ctypes.data, n_chunks, int(sddmm),
+                bases[0], bases[1], stride, out_base,
+                sparse.ctypes.data, lpr, cadence,
                 op_arr.ctypes.data,
                 t_lines.ctypes.data, t_ops.ctypes.data, t_pos,
                 t_lines.shape[0],
@@ -384,6 +431,8 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
             room = int(counters[6]) - t_pos
         if rc == -1:
             raise MemoryError("VRF walk could not allocate its state")
+        if -rc in _EPOCH_REFUSALS:
+            refuse_epoch(-rc)
         if rc < 0:
             raise RuntimeError("VRF walk overflowed its trace bound")
         trace.commit(rc)
@@ -743,24 +792,35 @@ def _bind_tally_epoch(lib: ctypes.CDLL) -> Callable[..., None]:
     return tally_epoch
 
 
-def check_spmm_chunk(
+def _require_segments(segments: np.ndarray) -> None:
+    _require("segments", segments, np.int64, 2)
+    if segments.shape[1] != 3:
+        raise ValueError(
+            "segments must be (input offset, count, output start)"
+        )
+
+
+def check_spmm_merge(
     d_accum: np.ndarray,
     r_ids: np.ndarray,
     c_ids: np.ndarray,
     vals: np.ndarray,
     b64: np.ndarray,
+    segments: np.ndarray,
 ) -> None:
-    """Validate one SpMM merge chunk before anything is written:
+    """Validate the form of an SpMM merge before anything is written:
     ``r_ids``/``c_ids`` 1-D C-contiguous int64 and ``vals`` 1-D
     C-contiguous float32, all of one length; ``d_accum`` and ``b64``
     2-D C-contiguous float64 with the same number of columns, and
-    ``d_accum`` writeable; every row id in ``[0, len(d_accum))`` and
-    column id in ``[0, len(b64))`` (``IndexError`` otherwise)."""
+    ``d_accum`` writeable; ``segments`` a C-contiguous int64 ``(n, 3)``
+    table.  The values are checked by :func:`merge_refusal` or by the C
+    merge itself."""
     _require("r_ids", r_ids, np.int64)
     _require("c_ids", c_ids, np.int64)
     _require("vals", vals, np.float32)
     _require("d_accum", d_accum, np.float64, 2)
     _require("b64", b64, np.float64, 2)
+    _require_segments(segments)
     if not d_accum.flags.writeable:
         raise ValueError("d_accum must be writeable")
     if not r_ids.shape == c_ids.shape == vals.shape:
@@ -769,13 +829,65 @@ def check_spmm_chunk(
         raise ValueError(
             f"d_accum has {d_accum.shape[1]} columns, b64 {b64.shape[1]}"
         )
-    if r_ids.shape[0]:
-        for name, ids, bound in (
-            ("r_ids", r_ids, d_accum.shape[0]),
-            ("c_ids", c_ids, b64.shape[0]),
-        ):
-            if int(ids.min()) < 0 or int(ids.max()) >= bound:
-                raise IndexError(f"{name} fall outside [0, {bound})")
+
+
+def check_sddmm_merge(
+    out_vals: np.ndarray,
+    r_ids: np.ndarray,
+    c_ids: np.ndarray,
+    vals: np.ndarray,
+    b64: np.ndarray,
+    c64: np.ndarray,
+    segments: np.ndarray,
+) -> None:
+    """Validate the form of an SDDMM merge before anything is written:
+    ``r_ids``/``c_ids`` 1-D C-contiguous int64 and ``vals`` 1-D
+    C-contiguous float32, all of one length; ``out_vals`` 1-D
+    C-contiguous, writeable float64; ``b64`` and ``c64`` 2-D
+    C-contiguous float64 with the same number of columns; ``segments``
+    a C-contiguous int64 ``(n, 3)`` table.  The values are checked by
+    :func:`merge_refusal` or by the C merge itself."""
+    _require("r_ids", r_ids, np.int64)
+    _require("c_ids", c_ids, np.int64)
+    _require("vals", vals, np.float32)
+    _require("out_vals", out_vals, np.float64)
+    _require("b64", b64, np.float64, 2)
+    _require("c64", c64, np.float64, 2)
+    _require_segments(segments)
+    if not out_vals.flags.writeable:
+        raise ValueError("out_vals must be writeable")
+    if not r_ids.shape == c_ids.shape == vals.shape:
+        raise ValueError("r_ids, c_ids and vals differ in length")
+    if b64.shape[1] != c64.shape[1]:
+        raise ValueError(f"b64 has {b64.shape[1]} columns, c64 {c64.shape[1]}")
+
+
+def merge_refusal(
+    segments: np.ndarray,
+    ids: Tuple[Tuple[str, np.ndarray, int], ...],
+    out_room: Optional[int] = None,
+) -> Optional[str]:
+    """The twin of the C merges' checks: why the merge must refuse its
+    ``segments``, or ``None``.  Each segment must be a range inside the
+    ids; with ``out_room`` (the length of the SDDMM output) its
+    output range must lie in ``[0, out_room)``; each of ``ids``, as
+    ``(name, array, bound)``, must lie in ``[0, bound)`` on every
+    segment."""
+    n = ids[0][1].shape[0]
+    for off, cnt, at in segments.tolist():
+        if off < 0 or cnt < 0 or off > n - cnt:
+            return f"segment [{off}, {off + cnt}) falls outside [0, {n})"
+        if out_room is not None and (at < 0 or at > out_room - cnt):
+            return (
+                f"output slots [{at}, {at + cnt}) fall outside "
+                f"[0, {out_room})"
+            )
+        if cnt:
+            for name, arr, bound in ids:
+                part = arr[off : off + cnt]
+                if int(part.min()) < 0 or int(part.max()) >= bound:
+                    return f"{name} fall outside [0, {bound})"
+    return None
 
 
 def _bind_spmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
@@ -787,6 +899,7 @@ def _bind_spmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
         ptr, i64,                 # d_accum, rows
         ptr, i64, i64,            # b64, b rows, k
         ptr, ptr, ptr, i64,       # r_ids, c_ids, vals, n
+        ptr, i64,                 # segments, segment count
     ]
 
     def merge(
@@ -795,64 +908,21 @@ def _bind_spmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
         c_ids: np.ndarray,
         vals: np.ndarray,
         b64: np.ndarray,
+        segments: np.ndarray,
     ) -> None:
-        """Run the C merge over a chunk :func:`check_spmm_chunk`
-        accepted, in place.  The kernel checks the indices again before
-        it writes; a rejected chunk raises ``IndexError``."""
+        """Run the C merge over a table :func:`check_spmm_merge`
+        accepted, in place.  The kernel checks every segment and index
+        before it writes; a refused table raises ``IndexError``."""
         rc = fn(
             d_accum.ctypes.data, d_accum.shape[0],
             b64.ctypes.data, b64.shape[0], b64.shape[1],
             r_ids.ctypes.data, c_ids.ctypes.data, vals.ctypes.data,
-            r_ids.shape[0],
+            r_ids.shape[0], segments.ctypes.data, segments.shape[0],
         )
         if rc != 0:
-            raise IndexError("SpMM merge index out of range")
+            raise IndexError("SpMM merge segment or index out of range")
 
     return merge
-
-
-def check_sddmm_chunk(
-    out_vals: np.ndarray,
-    out_base: int,
-    r_ids: np.ndarray,
-    c_ids: np.ndarray,
-    vals: np.ndarray,
-    b64: np.ndarray,
-    c64: np.ndarray,
-) -> None:
-    """Validate one SDDMM merge chunk before anything is written:
-    ``r_ids``/``c_ids`` 1-D C-contiguous int64 and ``vals`` 1-D
-    C-contiguous float32, all of one length; ``out_vals`` 1-D
-    C-contiguous, writeable float64; ``b64`` and ``c64`` 2-D
-    C-contiguous float64 with the same number of columns; the output
-    slots ``[out_base, out_base + len(vals))`` inside ``out_vals``, every
-    row id in ``[0, len(b64))`` and column id in ``[0, len(c64))``
-    (``IndexError`` otherwise)."""
-    _require("r_ids", r_ids, np.int64)
-    _require("c_ids", c_ids, np.int64)
-    _require("vals", vals, np.float32)
-    _require("out_vals", out_vals, np.float64)
-    _require("b64", b64, np.float64, 2)
-    _require("c64", c64, np.float64, 2)
-    if not out_vals.flags.writeable:
-        raise ValueError("out_vals must be writeable")
-    if not r_ids.shape == c_ids.shape == vals.shape:
-        raise ValueError("r_ids, c_ids and vals differ in length")
-    if b64.shape[1] != c64.shape[1]:
-        raise ValueError(f"b64 has {b64.shape[1]} columns, c64 {c64.shape[1]}")
-    n = r_ids.shape[0]
-    if not 0 <= out_base <= out_vals.shape[0] - n:
-        raise IndexError(
-            f"output slots [{out_base}, {out_base + n}) fall outside "
-            f"[0, {out_vals.shape[0]})"
-        )
-    if n:
-        for name, ids, bound in (
-            ("r_ids", r_ids, b64.shape[0]),
-            ("c_ids", c_ids, c64.shape[0]),
-        ):
-            if int(ids.min()) < 0 or int(ids.max()) >= bound:
-                raise IndexError(f"{name} fall outside [0, {bound})")
 
 
 def _bind_sddmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
@@ -861,33 +931,34 @@ def _bind_sddmm_merge(lib: ctypes.CDLL) -> Callable[..., None]:
     ptr = ctypes.c_void_p
     fn.restype = i64
     fn.argtypes = [
-        ptr, i64, i64,            # out_vals, length, base
+        ptr, i64,                 # out_vals, length
         ptr, i64, ptr, i64, i64,  # b64, b rows, c64, c rows, k
         ptr, ptr, ptr, i64,       # r_ids, c_ids, vals, n
+        ptr, i64,                 # segments, segment count
     ]
 
     def merge(
         out_vals: np.ndarray,
-        out_base: int,
         r_ids: np.ndarray,
         c_ids: np.ndarray,
         vals: np.ndarray,
         b64: np.ndarray,
         c64: np.ndarray,
+        segments: np.ndarray,
     ) -> None:
-        """Run the C merge over a chunk :func:`check_sddmm_chunk`
-        accepted, in place.  The kernel checks the output range and the
-        indices again before it writes; a rejected chunk raises
-        ``IndexError``."""
+        """Run the C merge over a table :func:`check_sddmm_merge`
+        accepted, in place.  The kernel checks the output ranges, every
+        segment and every index before it writes; a refused table
+        raises ``IndexError``."""
         rc = fn(
-            out_vals.ctypes.data, out_vals.shape[0], out_base,
+            out_vals.ctypes.data, out_vals.shape[0],
             b64.ctypes.data, b64.shape[0], c64.ctypes.data, c64.shape[0],
             b64.shape[1],
             r_ids.ctypes.data, c_ids.ctypes.data, vals.ctypes.data,
-            r_ids.shape[0],
+            r_ids.shape[0], segments.ctypes.data, segments.shape[0],
         )
         if rc != 0:
-            raise IndexError("SDDMM merge index out of range")
+            raise IndexError("SDDMM merge segment or index out of range")
 
     return merge
 

@@ -213,10 +213,11 @@ int64_t repro_state_live(void)
    sparse table keeps most probes and removals to one slot: 16 slots
    per node while the table stays within 256 KiB, else 4 (a table that
    large misses the CPU caches either way).  On the benchmark's RMAT
-   level streams (x86-64, gcc 12 -O2) the L1 walks take 16 ms at 1/16
-   load against 38 ms at 1/4, and the L2 walks are no faster with a
-   sparser table.  Returns 0 when the memory is not there; the
-   residents are untouched either way. */
+   level streams (x86-64, gcc 12 -O3, traced, two runs each) the L1
+   walks take 22-26 ms per kernel call at 1/16 load against 31-32 ms at
+   1/4, and the L2 walks 13.0-13.7 ms against 10.6-10.9 ms.  Returns 0
+   when the memory is not there; the residents are untouched either
+   way. */
 static int reserve(State *st, int64_t extra)
 {
     int64_t want = st->capacity - st->used <= extra ? st->capacity

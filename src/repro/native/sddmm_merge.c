@@ -1,11 +1,14 @@
 /*
- * SDDMM chunk merge: one dot product per nonzero, scaled by the
- * nonzero's value, written to the chunk's contiguous output slots.
+ * SDDMM merge: one dot product per nonzero, scaled by the nonzero's
+ * value, written to each chunk's contiguous output slots.
  *
- * For each nonzero i in chunk order:
+ * The chunks are a table of segments in dispatch order, row s being
+ * (input offset, count, output start): the nonzeros [offset, offset +
+ * count) write the slots [start, start + count).  For
+ * each nonzero i of a segment, m its index there:
  *
  *     s = 0.0;  for j < k:  s += b[r[i], j] * c[c[i], j]
- *     out[base + i] = (double)v[i] * s
+ *     out[start + m] = (double)v[i] * s
  *
  * summed left to right over j: one rounded multiply, then one rounded
  * add per term.  The twin (repro.kernels.reference._dots) performs the
@@ -13,24 +16,17 @@
  * out the same on every host.  Built with -ffp-contract=off: a fused
  * multiply-add would skip the product's rounding.
  *
- * Every index and the output range are checked before anything is
- * written; a refused chunk returns -1 and leaves out untouched.
+ * Every segment, its output range and every index are checked before
+ * anything is written; a refused table returns -1 and leaves out
+ * untouched.
  */
 
 #include <stdint.h>
 
-int64_t repro_sddmm_merge(
-    double *out, int64_t out_len, int64_t base,
-    const double *b, int64_t b_rows, const double *c, int64_t c_rows,
-    int64_t k,
-    const int64_t *r, const int64_t *ci, const float *v, int64_t n)
+static void dots(double *out, const double *b, const double *c, int64_t k,
+                 const int64_t *r, const int64_t *ci, const float *v,
+                 int64_t n)
 {
-    if (n < 0 || base < 0 || base > out_len - n)
-        return -1;
-    for (int64_t i = 0; i < n; i++)
-        if (r[i] < 0 || r[i] >= b_rows || ci[i] < 0 || ci[i] >= c_rows)
-            return -1;
-    out += base;
     int64_t i = 0;
     /* Four nonzeros at a time: four independent sums, each still left
      * to right over j, so the adds' latencies overlap. */
@@ -57,6 +53,30 @@ int64_t repro_sddmm_merge(
         for (int64_t j = 0; j < k; j++)
             s += x[j] * y[j];
         out[i] = (double)v[i] * s;
+    }
+}
+
+int64_t repro_sddmm_merge(
+    double *out, int64_t out_len,
+    const double *b, int64_t b_rows, const double *c, int64_t c_rows,
+    int64_t k,
+    const int64_t *r, const int64_t *ci, const float *v, int64_t n,
+    const int64_t *segs, int64_t n_segs)
+{
+    for (int64_t s = 0; s < n_segs; s++) {
+        int64_t off = segs[3 * s], cnt = segs[3 * s + 1];
+        int64_t at = segs[3 * s + 2];
+        if (off < 0 || cnt < 0 || off > n - cnt || at < 0
+            || at > out_len - cnt)
+            return -1;
+        for (int64_t i = off; i < off + cnt; i++)
+            if (r[i] < 0 || r[i] >= b_rows || ci[i] < 0 || ci[i] >= c_rows)
+                return -1;
+    }
+    for (int64_t s = 0; s < n_segs; s++) {
+        int64_t off = segs[3 * s];
+        dots(out + segs[3 * s + 2], b, c, k, r + off, ci + off,
+             v + off, segs[3 * s + 1]);
     }
     return 0;
 }

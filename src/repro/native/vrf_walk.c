@@ -10,11 +10,17 @@
  * unelided stream through _run_vrf_stream (the inlined form of
  * VectorRegisterFile.access).
  *
- * Access stream: nonzero i touches, for l < lpr, r_lines[i] + l then
- * c_lines[i] + l.  SpMM (out_starts == NULL): the rMatrix touch is
+ * Inputs, read in place: the id arrays r_ids and c_ids (the tiled
+ * matrix's, in the engine) and a chunk table whose row k is (input
+ * offset, count, output start): chunk k is the nonzeros
+ * [offset, offset + count) of the id arrays.  Nonzero i's first lines
+ * are r_base + r_ids[i] * stride and c_base + c_ids[i] * stride.
+ *
+ * Access stream: each nonzero touches, for l < lpr, its rMatrix line + l
+ * then its cMatrix line + l.  SpMM (sddmm == 0): the rMatrix touch is
  * read-modify-write (dirty), the cMatrix touch read-only.  SDDMM: both
  * are read-only and the nonzero then touches its output line
- * out_base + (out_starts[chunk] + j) / 16 (j = index in the chunk),
+ * out_base + (output start + j) / 16 (j = index in the chunk),
  * write-only: dirty, with no load on a miss.
  *
  * Elision: of each run of equal rMatrix lines (and, for SDDMM, output
@@ -214,59 +220,102 @@ static inline void mark(uint8_t *keep, uint8_t bit, int64_t i,
 #define KEEP_R 1
 #define KEEP_OUT 2
 
+/* Return codes.  The first pass refuses ERR_CHUNK, then ERR_OUT, then
+   ERR_LINE, before anything is written. */
+#define ERR_ALLOC (-1)
+#define ERR_OVERFLOW (-2)
+#define ERR_ROOM (-3)
+#define ERR_CHUNK (-4)  /* a chunk is not a range inside the ids */
+#define ERR_OUT (-5)    /* a negative output start */
+#define ERR_LINE (-6)   /* a dense line negative or past INT64_MAX */
+
+/* 0 if every chunk's ids give lines in [0, INT64_MAX]: base + id * stride
+   + (lpr - 1) must not overflow. */
+static int check_ids(const int64_t *ids, const int64_t *chunks,
+                     int64_t n_chunks, int64_t base, int64_t stride,
+                     int64_t lpr)
+{
+    const int64_t top = (INT64_MAX - base - (lpr - 1)) / stride;
+    for (int64_t k = 0; k < n_chunks; k++) {
+        const int64_t *p = ids + chunks[3 * k];
+        for (int64_t j = 0; j < chunks[3 * k + 1]; j++)
+            if (p[j] < 0 || p[j] > top)
+                return 1;
+    }
+    return 0;
+}
+
 /*
  * tag_lines / tag_dirty (room for `cap`): in the *n_tags resident lines
  * in LRU order (oldest first, at most cap, pairwise distinct), out the
- * final ones.  chunk_nnz[n_chunks] sums to the length of r_lines and
- * c_lines; sparse[6 * chunk] holds the chunk's (first, count) line
- * ranges of the r_ids, c_ids and vals streams.  ops: rMatrix load,
- * cMatrix load, store, sparse-stream read.  The trace is written to
- * t_lines / t_ops from t_pos on (room up to t_cap); segs[2 * chunk] gets
- * each chunk's (start, end).  counters: in [5] = dirty count; out
- * [hits, misses, evictions, eviction_writebacks, manager_writebacks,
- * dirty_count, trace length needed].
+ * final ones.  r_ids and c_ids hold n_ids ids each; chunks[3 * k] is
+ * chunk k's (input offset, count, output start), the output start read
+ * only for SDDMM; sparse[6 * k] holds chunk k's (first, count) line
+ * ranges of the r_ids, c_ids and vals streams.  r_base, c_base: the
+ * first lines of the rMatrix and cMatrix (at least 0); stride, lpr,
+ * cadence at least 1.  ops: rMatrix load, cMatrix load, store,
+ * sparse-stream read.  The trace is written to t_lines / t_ops from
+ * t_pos on (room up to t_cap); segs[2 * k] gets each chunk's (start,
+ * end).  counters: in [5] = dirty count; out [hits, misses, evictions,
+ * eviction_writebacks, manager_writebacks, dirty_count, trace length
+ * needed].
  *
- * Returns the new trace length; -1 when allocation fails, -2 when the
- * emissions overflowed their bound, -3 when t_cap is below the bound
- * (counters[6] then holds the length to reserve).  Only a success
- * writes the tags or the counters.
+ * Returns the new trace length, or a refusal: ERR_CHUNK, ERR_OUT or
+ * ERR_LINE for an input the first pass rejects, ERR_ALLOC when
+ * allocation fails, ERR_OVERFLOW when the emissions overflowed their
+ * bound, ERR_ROOM when t_cap is below the bound (counters[6] then holds
+ * the length to reserve).  Only a success writes the tags or the
+ * counters.
  */
 int64_t repro_vrf_epoch(
     int64_t cap, int64_t high, int64_t low,
     int64_t *tag_lines, uint8_t *tag_dirty, int64_t *n_tags,
-    const int64_t *r_lines, const int64_t *c_lines,
-    const int64_t *chunk_nnz, const int64_t *out_starts, int64_t n_chunks,
-    const int64_t *sparse, int64_t lpr, int64_t cadence, int64_t out_base,
+    const int64_t *r_ids, const int64_t *c_ids, int64_t n_ids,
+    const int64_t *chunks, int64_t n_chunks, int64_t sddmm,
+    int64_t r_base, int64_t c_base, int64_t stride, int64_t out_base,
+    const int64_t *sparse, int64_t lpr, int64_t cadence,
     const int64_t *ops,
     int64_t *t_lines, int64_t *t_ops, int64_t t_pos, int64_t t_cap,
     int64_t *segs, int64_t *counters)
 {
-    const int sddmm = out_starts != NULL;
     const int64_t op_r = ops[0], op_c = ops[1], op_sparse = ops[3];
+    /* Pass 1: check the chunk table, the output starts and the ids;
+       then the keep flags, and from them a bound on the trace. */
     int64_t n = 0, n_sparse = 0;
-    for (int64_t ci = 0; ci < n_chunks; ci++) {
-        n += chunk_nnz[ci];
-        n_sparse += sparse[6 * ci + 1] + sparse[6 * ci + 3]
-                    + sparse[6 * ci + 5];
+    for (int64_t k = 0; k < n_chunks; k++) {
+        int64_t off = chunks[3 * k], cnt = chunks[3 * k + 1];
+        if (off < 0 || cnt < 0 || off > n_ids - cnt)
+            return ERR_CHUNK;
+        n += cnt;
+        n_sparse += sparse[6 * k + 1] + sparse[6 * k + 3]
+                    + sparse[6 * k + 5];
     }
+    if (sddmm)
+        for (int64_t k = 0; k < n_chunks; k++)
+            if (chunks[3 * k + 2] < 0)
+                return ERR_OUT;
+    if (check_ids(r_ids, chunks, n_chunks, r_base, stride, lpr)
+        || check_ids(c_ids, chunks, n_chunks, c_base, stride, lpr))
+        return ERR_LINE;
 
-    /* Pass 1: the keep flags, and from them a bound on the trace.  Each
-       walked touch with a load op loads at most once; each store cleans
-       a dirty flag, set by a walked dirty touch or carried in. */
+    /* Equal ids give equal lines (stride >= 1), so the runs are found
+       on the ids.  For the bound: each walked touch with a load op
+       loads at most once; each store cleans a dirty flag, set by a
+       walked dirty touch or carried in. */
     uint8_t *keep = calloc((size_t)(n ? n : 1), 1);
     if (!keep)
-        return -1;
+        return ERR_ALLOC;
     {
         Run rr = {0, 0}, ro = {0, 0};
         int64_t i = 0;
-        for (int64_t ci = 0; ci < n_chunks; ci++) {
-            int64_t os = sddmm ? out_starts[ci] : 0;
-            for (int64_t j = 0; j < chunk_nnz[ci]; j++, i++) {
-                mark(keep, KEEP_R, i, r_lines[i], &rr, cadence);
+        for (int64_t k = 0; k < n_chunks; k++) {
+            const int64_t *rp = r_ids + chunks[3 * k];
+            int64_t os = sddmm ? chunks[3 * k + 2] : 0;
+            for (int64_t j = 0; j < chunks[3 * k + 1]; j++, i++) {
+                mark(keep, KEEP_R, i, rp[j], &rr, cadence);
                 if (sddmm)
-                    mark(keep, KEEP_OUT, i,
-                         out_base + (os + j) / OUT_VALS_PER_LINE, &ro,
-                         cadence);
+                    mark(keep, KEEP_OUT, i, (os + j) / OUT_VALS_PER_LINE,
+                         &ro, cadence);
             }
         }
         if (n)
@@ -282,7 +331,7 @@ int64_t repro_vrf_epoch(
     if (need > t_cap) {
         counters[6] = need;
         free(keep);
-        return -3;
+        return ERR_ROOM;
     }
 
     /* Pass 2: the walk. */
@@ -290,9 +339,9 @@ int64_t repro_vrf_epoch(
     uint64_t tsize = 64;
     int bits = 6;
     /* A sparse table (at most 1/32 full) keeps nearly every probe and
-       removal to one slot: on the benchmark's VRF streams (x86-64,
-       gcc 12 -O2) 15 ns per access against 60 ns half full, for
-       8 KiB at 64 registers. */
+       removal to one slot: on the benchmark's SDDMM workload (x86-64,
+       gcc 12 -O3) the walks take 28-31 ms per kernel call against
+       61-63 ms half full, for 8 KiB at 64 registers. */
     while (tsize < 32 * (uint64_t)cap) {
         tsize <<= 1;
         bits++;
@@ -303,7 +352,7 @@ int64_t repro_vrf_epoch(
         free(v.node);
         free(v.slot);
         free(keep);
-        return -1;
+        return ERR_ALLOC;
     }
     v.mask = tsize - 1;
     v.shift = 64 - bits;
@@ -326,16 +375,19 @@ int64_t repro_vrf_epoch(
     v.size = *n_tags;
 
     int64_t i = 0;
-    for (int64_t ci = 0; ci < n_chunks; ci++) {
-        segs[2 * ci] = v.t;
+    for (int64_t k = 0; k < n_chunks; k++) {
+        segs[2 * k] = v.t;
         for (int s = 0; s < 3; s++) {
-            int64_t first = sparse[6 * ci + 2 * s];
-            for (int64_t l = 0; l < sparse[6 * ci + 2 * s + 1]; l++)
+            int64_t first = sparse[6 * k + 2 * s];
+            for (int64_t l = 0; l < sparse[6 * k + 2 * s + 1]; l++)
                 emit(&v, first + l, op_sparse);
         }
-        int64_t os = sddmm ? out_starts[ci] : 0;
-        for (int64_t j = 0; j < chunk_nnz[ci]; j++, i++) {
-            int64_t r = r_lines[i], c = c_lines[i];
+        const int64_t *rp = r_ids + chunks[3 * k];
+        const int64_t *cp = c_ids + chunks[3 * k];
+        int64_t os = sddmm ? chunks[3 * k + 2] : 0;
+        for (int64_t j = 0; j < chunks[3 * k + 1]; j++, i++) {
+            int64_t r = r_base + rp[j] * stride;
+            int64_t c = c_base + cp[j] * stride;
             uint8_t kept = keep[i];
             for (int64_t l = 0; l < lpr; l++) {
                 if (kept & KEEP_R)
@@ -352,14 +404,14 @@ int64_t repro_vrf_epoch(
                     v.hits++;
             }
         }
-        segs[2 * ci + 1] = v.t;
+        segs[2 * k + 1] = v.t;
     }
     free(keep);
 
     if (v.t > t_cap) {
         free(v.node);
         free(v.slot);
-        return -2;
+        return ERR_OVERFLOW;
     }
     int64_t k = 0;
     for (int32_t y = v.head; y >= 0; y = v.node[y].next, k++) {

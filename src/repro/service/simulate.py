@@ -17,8 +17,18 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Mapping, Tuple
 
+import numpy as np
+
+from repro.config import (
+    EXECUTION_MODES,
+    REPLAY_MODES,
+    ResilienceConfig,
+    scaled_config,
+)
 from repro.errors import WorkloadError
 from repro.jobmodel import JobSpec, build_jobs
+from repro.resilience import RunSupervisor
+from repro.sparse.suite import SUITE
 
 RUN_DRIVER = "run"
 
@@ -60,9 +70,6 @@ def request_point(body: Mapping[str, Any]) -> Tuple:
     Table 2 suite short names: a served system must not let clients
     name arbitrary filesystem paths.
     """
-    from repro.config import EXECUTION_MODES, REPLAY_MODES
-    from repro.sparse.suite import SUITE
-
     if not isinstance(body, Mapping):
         raise WorkloadError("request body must be a JSON object")
     unknown = set(body) - set(RUN_POINT_FIELDS) - {"tenant", "priority"}
@@ -140,11 +147,6 @@ def run_cell(env: Any, point: Tuple) -> dict:
     than the full execution report.  Every parameter that determines
     the result is in the point, so ``env`` is None.
     """
-    import numpy as np
-
-    from repro.config import ResilienceConfig, scaled_config
-    from repro.resilience import RunSupervisor
-
     (
         matrix, scale, kernel, k, pes, cache_shrink, seed, replay,
         execution,
@@ -198,11 +200,25 @@ def format_run_summary(summary: Mapping[str, Any], kernel: str,
     ])
 
 
+_PLAIN_LEAVES = frozenset((float, int, str, bool, type(None)))
+
+
 def to_plain(value: Any) -> Any:
     """Recursively fold numpy scalars/arrays to plain Python so a
     summary survives the JSON wire format losslessly (Python floats
     round-trip exactly through ``json``; numpy int64 does not dump at
-    all)."""
+    all).
+
+    A memo hit's summary is already plain: exact ``dict``/``list`` and
+    plain leaves take a fast path that gives what the general one
+    would, without its attribute probes and ``Mapping`` check."""
+    kind = type(value)
+    if kind in _PLAIN_LEAVES:
+        return value
+    if kind is dict:
+        return {str(k): to_plain(v) for k, v in value.items()}
+    if kind is list:
+        return [to_plain(v) for v in value]
     item = getattr(value, "item", None)
     if item is not None and not isinstance(value, (str, bytes)):
         try:

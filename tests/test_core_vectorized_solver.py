@@ -33,6 +33,7 @@ from tests.walks import (
     COLS,
     GENERATE,
     OBSERVED,
+    SPARSE_NNZ,
     VRF_STATE,
     WALKS,
     chunk_parts,
@@ -154,7 +155,7 @@ def test_empty_stream_keeps_warm_state():
     rng = np.random.default_rng(5)
     e = np.zeros(0, dtype=np.int64)
     for kernel in _KINDS:
-        empty = [(e, e, 0) if kernel == "spmm" else (e, e, 0, 0)] * 3
+        empty = (e, e, np.zeros((3, 3), dtype=np.int64))
         warm = csr_epoch(kernel, rng, 20, 10, rows=30, cols=30)
         pe = _check_parts(kernel, 16, 8, [empty, warm, empty], "empty")
         assert pe.vrf.occupancy == 8
@@ -383,3 +384,97 @@ def test_dirty_line_touched_clean():
     vrf = _check_epochs([(lines, dirty, emit)] * 3, 8, "clean touch",
                         high=3, low=1)
     assert vrf.manager_writebacks > 0
+
+
+# -- the id form: chunk tables over the tiled arrays ------------------------
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("k", [16, 64])
+def test_id_form_matches_line_form(walk, k):
+    """The generators read ids in place through the chunk table and
+    derive the lines in the walk; :func:`trace_epoch` takes the lines
+    the address map gives.  Both leave the same trace, segments, tags
+    and VRF counters, epoch after epoch."""
+    rng = np.random.default_rng(k)
+    for kernel in _KINDS:
+        by_ids, by_lines = vrf_pe(kernel, k), vrf_pe(kernel, k)
+        amap = by_lines.address_map
+        for _ in range(3):
+            r_ids, c_ids, table = csr_epoch(kernel, rng, 20, 40)
+            idx = np.concatenate([
+                np.arange(off, off + cnt) for off, cnt, _ in table.tolist()
+            ]).astype(np.int64)
+            lpr = by_lines.lines_per_row
+            slots, live, dirty = (
+                (2 * lpr, lpr, lpr) if kernel == "spmm"
+                else (2 * lpr + 1, lpr + 1, 1)
+            )
+            with kernels(walk):
+                got = observe(by_ids, GENERATE[kernel](by_ids, (
+                    r_ids, c_ids, table,
+                )))
+                want = observe(by_lines, trace_epoch(
+                    by_lines,
+                    amap.dense_row_base_lines("rmatrix", r_ids[idx], k),
+                    amap.dense_row_base_lines("cmatrix", c_ids[idx], k),
+                    np.ascontiguousarray(table[:, 1]), table[:, 0].tolist(),
+                    np.ascontiguousarray(table[:, 2])
+                    if kernel == "sddmm" else None,
+                    vectorized._elision_cadence(
+                        by_lines.vrf, slots, live, dirty
+                    ),
+                ))
+            # The line form leaves the tOp/vOp counts to its callers.
+            assert got[:-1] == want[:-1]
+
+
+def _corrupt_row(row, col, value):
+    def corrupt(r_ids, c_ids, table):
+        table[row, col] = value
+    return corrupt
+
+
+def _corrupt_id(name, at, value):
+    def corrupt(r_ids, c_ids, table):
+        (r_ids if name == "r" else c_ids)[table[1, 0] + at] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (_corrupt_row(1, 0, -1), "inside the ids"),
+    (_corrupt_row(2, 1, -1), "inside the ids"),
+    # The sparse stream, as long as the ids, refuses it first.
+    (_corrupt_row(2, 0, SPARSE_NNZ), "exceeds region"),
+    (_corrupt_row(1, 2, -3), "output offsets"),
+    (_corrupt_id("r", 0, -1), "dense lines"),
+    (_corrupt_id("c", 2, -5), "dense lines"),
+    (_corrupt_id("c", 1, 2**62), "dense lines"),
+], ids=["offset-negative", "count-negative", "past-end", "output-negative",
+        "r-negative", "c-negative", "line-overflow"])
+@pytest.mark.parametrize("walk", WALKS)
+def test_chunk_table_is_checked_before_the_walk(corrupt, match, walk):
+    """The compiled entry's first pass and the twin's check refuse the
+    same tables and ids, on a warm PE, before anything is walked."""
+    rng = np.random.default_rng(1)
+    pe = vrf_pe("sddmm", 64, 8)
+    r_ids, c_ids, table = csr_epoch("sddmm", rng, 10, 20, rows=8)
+    with kernels(walk):
+        GENERATE["sddmm"](pe, (r_ids, c_ids, table))
+        before = observe(pe, None)
+        corrupt(r_ids, c_ids, table)
+        with pytest.raises(ValueError, match=match):
+            GENERATE["sddmm"](pe, (r_ids, c_ids, table))
+    assert observe(pe, None) == before
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((2, 2), np.int64), np.zeros((2, 3), np.int32),
+    np.zeros((3, 2), np.int64).T,
+], ids=["two-columns", "int32", "strided"])
+def test_chunk_table_form_is_checked(table):
+    e = np.zeros(4, dtype=np.int64)
+    for walk in WALKS:
+        pe = vrf_pe("spmm")
+        with kernels(walk), pytest.raises((TypeError, ValueError)):
+            GENERATE["spmm"](pe, (e, e, table))

@@ -230,10 +230,11 @@ class TestExecutionParity:
 
         before = state()
         e = np.zeros(0, dtype=np.int64)
+        chunks = np.zeros((2, 3), dtype=np.int64)
         if kernel == "spmm":
-            segs = generate_spmm_epoch(pe, [(e, e, 0)] * 2)
+            segs = generate_spmm_epoch(pe, e, e, chunks)
         else:
-            segs = generate_sddmm_epoch(pe, [(e, e, 0, 0)] * 2)
+            segs = generate_sddmm_epoch(pe, e, e, chunks)
         assert segs == [(before[-1], before[-1])] * 2
         assert state() == before
 

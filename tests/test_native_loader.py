@@ -39,6 +39,7 @@ from tests.walks import (
     kernels,
     observe,
     oracle_walk,
+    segment,
     vrf_pe,
 )
 
@@ -77,7 +78,8 @@ def _cache_walk(walker):
     )
 
 
-def _add_at(d_accum, r_ids, c_ids, vals, b64):
+def _add_at(d_accum, r_ids, c_ids, vals, b64, segments):
+    """The twin of a one-segment SpMM merge table over all the ids."""
     np.add.at(d_accum, r_ids, vals[:, None].astype(np.float64) * b64[c_ids])
 
 
@@ -86,12 +88,14 @@ def _merge(merge):
     rng = np.random.default_rng(3)
     d_accum = rng.random((6, 5))
     merge(d_accum, rng.integers(0, 6, 400), rng.integers(0, 9, 400),
-          rng.random(400, dtype=np.float32), rng.random((9, 5)))
+          rng.random(400, dtype=np.float32), rng.random((9, 5)), segment(400))
     return d_accum.tobytes()
 
 
-def _sddmm_twin(out_vals, out_base, r_ids, c_ids, vals, b64, c64):
-    out_vals[out_base : out_base + len(vals)] = (
+def _sddmm_twin(out_vals, r_ids, c_ids, vals, b64, c64, segments):
+    """The twin of a one-segment SDDMM merge table over all the ids."""
+    at = int(segments[0, 2])
+    out_vals[at : at + len(vals)] = (
         vals.astype(np.float64) * _dots(b64, c64, r_ids, c_ids)
     )
 
@@ -100,9 +104,9 @@ def _sddmm(merge):
     """One seeded SDDMM merge chunk through ``merge``, as bytes."""
     rng = np.random.default_rng(4)
     out = rng.random(420)
-    merge(out, 7, rng.integers(0, 6, 400), rng.integers(0, 9, 400),
+    merge(out, rng.integers(0, 6, 400), rng.integers(0, 9, 400),
           rng.random(400, dtype=np.float32), rng.standard_normal((6, 17)),
-          rng.standard_normal((9, 17)))
+          rng.standard_normal((9, 17)), segment(400, 7))
     return out.tobytes()
 
 
@@ -131,9 +135,9 @@ def _dispatched(entries):
             **{name: recording(name) for name in entries}
         ))
         tile_matrix(COOMatrix(4, 4, [3, 0], [1, 2], [1.0, 2.0]), 2, 2)
-        sddmm_chunk_vals(np.zeros(2), 0, np.zeros(2, np.int64),
+        sddmm_chunk_vals(np.zeros(2), np.zeros(2, np.int64),
                          np.zeros(2, np.int64), np.ones(2, np.float32),
-                         np.ones((1, 3)), np.ones((1, 3)))
+                         np.ones((1, 3)), np.ones((1, 3)), segment(2))
     return called
 
 
@@ -565,7 +569,7 @@ def test_short_trace_buffer_is_grown_to_the_walk_bound():
     epoch fits in less than one entry per unelided access."""
     rng = np.random.default_rng(4)
     parts = csr_epoch("spmm", rng, 20, 200, rows=20, cols=8)
-    n = sum(len(p[0]) for p in parts)
+    n = int(parts[2][:, 1].sum())
     traces = []
     for walk in ("native", "python"):
         pe = vrf_pe("spmm", 32)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import native
 from repro.kernels.reference import sddmm_chunk_vals
-from tests.walks import WALKS, kernels
+from tests.walks import WALKS, kernels, segment
 
 
 def _merge(walk, out_vals, out_base, r_ids, c_ids, vals, b64, c64):
@@ -26,7 +26,8 @@ def _merge(walk, out_vals, out_base, r_ids, c_ids, vals, b64, c64):
     merged, so the caller's array is left alone)."""
     out = out_vals.copy()
     with kernels(walk):
-        sddmm_chunk_vals(out, out_base, r_ids, c_ids, vals, b64, c64)
+        sddmm_chunk_vals(out, r_ids, c_ids, vals, b64, c64,
+                         segment(r_ids.shape[0], out_base))
     return out.tobytes()
 
 
@@ -115,7 +116,7 @@ def test_sum_runs_left_to_right(walk):
     vals = np.array([1.5, -2.0, 0.25, 1.0, 3.0], np.float32)
     out = np.zeros(8)
     with kernels(walk):
-        sddmm_chunk_vals(out, 2, r_ids, c_ids, vals, b64, c64)
+        sddmm_chunk_vals(out, r_ids, c_ids, vals, b64, c64, segment(5, 2))
     want = []
     for r, c, v in zip(r_ids.tolist(), c_ids.tolist(), vals.tolist()):
         s = 0.0
@@ -133,12 +134,12 @@ def test_sum_runs_left_to_right(walk):
 def _good():
     return dict(
         out_vals=np.full(6, 9.0),
-        out_base=2,
         r_ids=np.array([0, 3, 1], np.int64),
         c_ids=np.array([4, 0, 2], np.int64),
         vals=np.ones(3, np.float32),
         b64=np.ones((4, 3)),
         c64=np.ones((5, 3)),
+        segments=segment(3, 2),
     )
 
 
@@ -174,8 +175,8 @@ REJECTED = {
     ),
     "lengths": (ValueError, _bad(vals=np.ones(2, np.float32))),
     "k-mismatch": (ValueError, _bad(c64=np.ones((5, 4)))),
-    "base-negative": (IndexError, _bad(out_base=-1)),
-    "base-past-end": (IndexError, _bad(out_base=4)),
+    "base-negative": (IndexError, _bad(segments=segment(3, -1))),
+    "base-past-end": (IndexError, _bad(segments=segment(3, 4))),
     "r_ids-negative": (IndexError, _bad(r_ids=np.array([0, 3, -1]))),
     "r_ids-past-b-rows": (IndexError, _bad(r_ids=np.array([0, 4, 1]))),
     "c_ids-negative": (IndexError, _bad(c_ids=np.array([4, 0, -2]))),
@@ -197,8 +198,8 @@ def test_bad_chunk_is_refused_before_any_write(case, walk):
 @pytest.mark.parametrize("case", [
     ("r_ids", np.array([0, 1, 4], np.int64)),
     ("c_ids", np.array([0, -1, 2], np.int64)),
-    ("out_base", 4),
-    ("out_base", -1),
+    ("segments", segment(3, 4)),
+    ("segments", segment(3, -1)),
 ])
 def test_kernel_refuses_bad_index_itself(case):
     """The C loop checks the output range and every index before it
@@ -212,3 +213,72 @@ def test_kernel_refuses_bad_index_itself(case):
     with pytest.raises(IndexError):
         native.kernels().sddmm_merge(**args)
     assert args["out_vals"].tobytes() == before.tobytes()
+
+
+# -- one call per epoch: the segment table ---------------------------------
+
+
+@st.composite
+def tables(draw):
+    """A chunk from :func:`chunks` and a table of segments over it, in
+    any order, each writing its own output slots (as the tiled layout's
+    chunks do); ``out`` is long enough for them all."""
+    out_vals, _, r_ids, c_ids, vals, b64, c64 = draw(chunks())
+    n = r_ids.shape[0]
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n), st.integers(0, 20)),
+        max_size=6,
+    ))
+    segs, at = [], 0
+    for a, b, gap in rows:
+        at += gap
+        segs.append((min(a, b), abs(a - b), at))
+        at += abs(a - b)
+    out = np.resize(out_vals, at + 5) if out_vals.size else np.zeros(at + 5)
+    return out, r_ids, c_ids, vals, b64, c64, np.array(
+        segs, dtype=np.int64
+    ).reshape(-1, 3)
+
+
+@given(tables(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_a_table_merges_as_its_segments_one_by_one(case, base):
+    """One call over a segment table leaves the bytes of one call per
+    segment, each at the base plus its output start, on both paths."""
+    out_vals, r_ids, c_ids, vals, b64, c64, segs = case
+    out_vals = np.concatenate([out_vals, np.zeros(base)])
+    want = out_vals.copy()
+    for off, cnt, at in segs.tolist():
+        part = slice(off, off + cnt)
+        sddmm_chunk_vals(want, r_ids[part], c_ids[part], vals[part], b64,
+                         c64, segment(cnt, base + at))
+    shifted = segs + np.array([0, 0, base], dtype=np.int64)
+    for walk in WALKS:
+        out = out_vals.copy()
+        with kernels(walk):
+            sddmm_chunk_vals(out, r_ids, c_ids, vals, b64, c64, shifted)
+        assert out.tobytes() == want.tobytes(), walk
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("segs,bad_c", [
+    ([[0, 2, 2], [2, 2, 4]], None),
+    ([[0, 2, 2], [-1, 1, 4]], None),
+    ([[0, 2, 2], [2, 1, -1]], None),
+    ([[0, 2, 2], [2, 1, 6]], None),
+    ([[0, 2, 2], [2, 1, 4]], 7),
+], ids=["past-end", "offset-negative", "output-negative", "output-past-end",
+        "index-in-last"])
+def test_bad_table_is_refused_before_any_write(walk, segs, bad_c):
+    """A segment outside the ids or the output, or a bad index in the
+    last segment, refuses the whole table: the segment before it writes
+    nothing."""
+    args = _good()  # 6 output slots
+    args["segments"] = np.array(segs, dtype=np.int64)
+    if bad_c is not None:
+        args["c_ids"][2] = bad_c
+    out = args["out_vals"]
+    before = out.copy()
+    with kernels(walk), pytest.raises(IndexError):
+        sddmm_chunk_vals(**args)
+    assert out.tobytes() == before.tobytes()

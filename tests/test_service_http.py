@@ -16,8 +16,11 @@ import json
 import socket
 import threading
 import time
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.service.server as server_mod
 from repro.service import ServicePool
@@ -28,6 +31,7 @@ from repro.service.server import (
     ServiceServer,
     SimulationService,
 )
+from repro.service.simulate import to_plain
 from repro.sweep.cache import ResultCache
 
 POINT_ARGS = {
@@ -305,3 +309,64 @@ class TestShutdown:
             idle_client.close()
             server.stop()
             pool.close()
+
+
+def _general_to_plain(value):
+    """``to_plain`` without its fast path: the general fold, the
+    reference a memo hit's reply is held to."""
+    item = getattr(value, "item", None)
+    if item is not None and not isinstance(value, (str, bytes)):
+        try:
+            return item()
+        except (TypeError, ValueError):
+            pass
+    tolist = getattr(value, "tolist", None)
+    if tolist is not None and not isinstance(value, (str, bytes)):
+        return tolist()
+    if isinstance(value, Mapping):
+        return {str(k): _general_to_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_general_to_plain(v) for v in value]
+    return value
+
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False)
+    | st.integers(-2**40, 2**40).map(np.int64)
+    | st.floats(width=32, allow_nan=False).map(np.float32)
+    | st.lists(st.integers(-9, 9), max_size=3).map(np.array)
+)
+
+
+class TestMemoReplyBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        _LEAVES,
+        lambda inner: (
+            st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=4) | st.integers(0, 9),
+                              inner, max_size=4)
+        ),
+        max_leaves=20,
+    ))
+    def test_fast_path_folds_like_the_general_one(self, value):
+        plain = to_plain(value)
+        assert json.dumps(plain) == json.dumps(_general_to_plain(value))
+        # A memo hit folds an already plain summary: unchanged.
+        assert json.dumps(to_plain(plain)) == json.dumps(plain)
+
+    def test_memo_reply_carries_the_executed_bytes(self, served):
+        server, _ = served
+        body = json.dumps(dict(POINT_ARGS, k=16)).encode()
+        request = (
+            b"POST /v1/simulate HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        replies, _ = _exchange(server.port, request * 2, replies=2)
+        (s1, _, first), (s2, _, memo) = replies
+        assert (s1, s2) == (200, 200)
+        assert memo["source"] == "memo"
+        assert json.dumps(memo["result"]) == json.dumps(first["result"])
+        assert json.dumps(memo["point"]) == json.dumps(first["point"])

@@ -50,3 +50,24 @@ def test_the_rule_sees_each_spelling():
         "x.unique(a)\nnp.sort(a)\n"
     )
     assert sorted(_unique_calls(tree)) == [3, 4, 5, 6]
+
+
+_UNSAFE_FLAGS = (
+    "-ffast-math", "-Ofast", "-fassociative-math",
+    "-funsafe-math-optimizations",
+)
+
+
+def test_native_flags_keep_floating_point_bit_identity():
+    """The kernels must give the same bytes as their NumPy twins on
+    every host: no fused multiply-add, no flag that lets gcc reorder
+    floating-point operations, and no flag that ties the build to the
+    building host's CPU."""
+    from repro import native
+
+    flags = native.FLAGS
+    assert "-ffp-contract=off" in flags
+    assert not [f for f in flags if f in _UNSAFE_FLAGS], flags
+    assert not [
+        f for f in flags if f.startswith(("-march=", "-mtune="))
+    ], flags

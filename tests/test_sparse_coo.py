@@ -271,6 +271,91 @@ class TestFromEdgesBytes:
         assert (m.r_ids.tolist(), m.c_ids.tolist()) == ([1], [2])
         assert m.vals.tobytes() == np.array([-0.0], F32).tobytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_wide_keys_take_the_stable_argsort(self, data):
+        """A 2**31 x 2**31 shape leaves no room to pack an index beside
+        a key, so the stable ``argsort`` orders the edges; it gives the
+        reference's bytes, and the packed sort's on the same edges in a
+        small shape."""
+        coords = data.draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=2, max_size=40,
+        ))
+        vals = data.draw(st.lists(
+            st.sampled_from(ORDER_SENSITIVE),
+            min_size=len(coords), max_size=len(coords),
+        ))
+        edges = np.array(coords, dtype=np.int64)
+        v = np.array(vals, dtype=np.float32)
+        wide = COOMatrix.from_edges(2**31, 2**31, edges, v)
+        narrow = COOMatrix.from_edges(4, 4, edges, v)
+        r, c, want = _from_edges_reference(coords, vals)
+        for m in (wide, narrow):
+            assert m.r_ids.tobytes() == r.tobytes()
+            assert m.c_ids.tobytes() == c.tobytes()
+            assert m.vals.tobytes() == want.tobytes()
+
+    def test_shapes_past_an_int64_key_are_refused(self):
+        """Past ``2**63 - 1`` cells a ``row * num_cols + col`` key would
+        wrap silently; up to it the last cell keeps its coordinates."""
+        with pytest.raises(ValueError, match="int64 key"):
+            COOMatrix.from_edges(2**32, 2**31, np.array([[0, 0]]))
+        cols = (2**63 - 1) // 7  # 7 * cols == 2**63 - 1
+        m = COOMatrix.from_edges(7, cols, np.array([[6, cols - 1], [0, 0]]))
+        assert m.r_ids.tolist() == [0, 6]
+        assert m.c_ids.tolist() == [0, cols - 1]
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 0], [0, 3]], [[0, 0], [0, -1]], [[3, 0]], [[-1, 1]],
+    ], ids=["col-past", "col-negative", "row-past", "row-negative"])
+    def test_edges_outside_the_shape_are_refused(self, edges):
+        """A column past the last would otherwise land in the next row."""
+        with pytest.raises(ValueError, match="index out of range"):
+            COOMatrix.from_edges(3, 3, np.array(edges))
+
+    def test_one_value_per_edge(self):
+        with pytest.raises(ValueError, match="one value per edge"):
+            COOMatrix.from_edges(3, 3, np.array([[0, 0], [1, 1]]), [1.0])
+
+
+class TestTrustedConstruction:
+    def test_public_construction_still_validates(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            COOMatrix(3, 3, [0, 0], [1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="out of range"):
+            COOMatrix(3, 3, [0, 3], [1, 1], [1.0, 2.0])
+
+    def test_trusted_skips_the_checks_and_coerces(self):
+        m = COOMatrix.trusted(3, 3, [0, 0], [1, 1], [1.0, 2.0])
+        assert (m.r_ids.dtype, m.c_ids.dtype, m.vals.dtype) == (
+            np.int64, np.int64, np.float32
+        )
+        with pytest.raises(ValueError, match="duplicate"):
+            m.validate()
+
+    def test_derived_matrices_are_valid(self, random_rect):
+        from repro.core.accelerator import sddmm_output_to_coo
+        from repro.kernels.reference import sddmm_reference
+        from repro.sparse.tiled import tile_matrix
+
+        rng = np.random.default_rng(0)
+        b = rng.random((random_rect.num_rows, 4), dtype=np.float32)
+        c = rng.random((random_rect.num_cols, 4), dtype=np.float32)
+        tiled = tile_matrix(random_rect, 8, 8)
+        derived = [
+            random_rect.transpose(),
+            random_rect.sorted_by_row(),
+            sddmm_reference(random_rect, b, c),
+            tiled.to_coo(),
+            sddmm_output_to_coo(tiled, np.zeros(tiled.out_vals_length)),
+        ]
+        for m in derived:
+            m.validate()
+            assert type(m) is COOMatrix
+        assert derived[0].transpose() == random_rect
+        assert derived[3] == random_rect
+
 
 # sha256 of r_ids, c_ids and vals of the perfbench inputs and the ten
 # tiny suite matrices.  The perfbench oracle, tests/golden and

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import native
 from repro.kernels.reference import spmm_chunk_update
-from tests.walks import WALKS, kernels
+from tests.walks import WALKS, kernels, segment
 
 
 def _merge(walk, d_accum, r_ids, c_ids, vals, b64):
@@ -25,7 +25,7 @@ def _merge(walk, d_accum, r_ids, c_ids, vals, b64):
     merged, so the caller's array is left alone)."""
     d = d_accum.copy()
     with kernels(walk):
-        spmm_chunk_update(d, r_ids, c_ids, vals, b64)
+        spmm_chunk_update(d, r_ids, c_ids, vals, b64, segment(r_ids.shape[0]))
     return d.tobytes()
 
 
@@ -94,12 +94,13 @@ def test_order_of_additions_is_visible_and_kept():
     for walk in WALKS:
         d = d_accum.copy()
         with kernels(walk):
-            spmm_chunk_update(d, r_ids, c_ids, vals, b64)
+            spmm_chunk_update(d, r_ids, c_ids, vals, b64, segment(3))
         assert d[0, 0] == 0.0, walk
         assert np.signbit(d[0, 1]), walk
     flipped = d_accum.copy()
     order = np.array([0, 2, 1])
-    spmm_chunk_update(flipped, r_ids, c_ids[order], vals[order], b64)
+    spmm_chunk_update(flipped, r_ids, c_ids[order], vals[order], b64,
+                      segment(3))
     assert flipped[0, 0] == 1.0
 
 
@@ -113,6 +114,7 @@ def _good():
         c_ids=np.array([4, 0, 2], np.int64),
         vals=np.ones(3, np.float32),
         b64=np.ones((5, 3)),
+        segments=segment(3),
     )
 
 
@@ -173,3 +175,72 @@ def test_kernel_refuses_bad_index_itself(index):
     with pytest.raises(IndexError):
         native.kernels().spmm_merge(**args)
     assert np.array_equal(args["d_accum"], before)
+
+
+# -- one call per epoch: the segment table ---------------------------------
+
+
+@st.composite
+def tables(draw):
+    """A chunk from :func:`chunks` and a table of segments over it: any
+    ranges, in any order, overlapping or empty."""
+    d_accum, r_ids, c_ids, vals, b64 = draw(chunks())
+    n = r_ids.shape[0]
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)), max_size=6,
+    ))
+    segs = np.array(
+        [(min(a, b), abs(a - b), 0) for a, b in rows], dtype=np.int64
+    ).reshape(-1, 3)
+    return d_accum, r_ids, c_ids, vals, b64, segs
+
+
+@given(tables())
+@settings(max_examples=150, deadline=None)
+def test_a_table_merges_as_its_segments_one_by_one(case):
+    """One call over a segment table leaves the bytes of one call per
+    segment in table order, on both paths."""
+    d_accum, r_ids, c_ids, vals, b64, segs = case
+    want = d_accum.copy()
+    for off, cnt, _ in segs.tolist():
+        spmm_chunk_update(want, r_ids[off : off + cnt],
+                          c_ids[off : off + cnt], vals[off : off + cnt], b64,
+                          segment(cnt))
+    for walk in WALKS:
+        d = d_accum.copy()
+        with kernels(walk):
+            spmm_chunk_update(d, r_ids, c_ids, vals, b64, segs)
+        assert d.tobytes() == want.tobytes(), walk
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("segs,bad_r", [
+    ([[0, 2, 0], [2, 2, 0]], None),
+    ([[0, 2, 0], [-1, 1, 0]], None),
+    ([[0, 2, 0], [1, -1, 0]], None),
+    ([[0, 2, 0], [2, 1, 0]], 9),
+], ids=["past-end", "offset-negative", "count-negative", "index-in-last"])
+def test_bad_table_is_refused_before_any_write(walk, segs, bad_r):
+    """A segment outside the ids, or a bad index in the last segment,
+    refuses the whole table: the segment before it writes nothing."""
+    args = _good()
+    args["segments"] = np.array(segs, dtype=np.int64)
+    if bad_r is not None:
+        args["r_ids"][2] = bad_r
+    d = args["d_accum"]
+    before = d.copy()
+    with kernels(walk), pytest.raises(IndexError):
+        spmm_chunk_update(**args)
+    assert d.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros((2, 2), np.int64), np.zeros((2, 3), np.int32),
+    np.zeros(3, np.int64), np.zeros((3, 2), np.int64).T,
+], ids=["two-columns", "int32", "1-d", "strided"])
+def test_table_form_is_checked(table):
+    args = _good()
+    args["segments"] = table
+    for walk in WALKS:
+        with kernels(walk), pytest.raises((TypeError, ValueError)):
+            spmm_chunk_update(**args)

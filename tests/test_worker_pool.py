@@ -123,3 +123,30 @@ class TestClaimHeartbeat:
             assert pool.requeued == 1
         finally:
             pool.close()
+
+
+_forking_threads = None
+"""While a test records: the name of each thread that forked."""
+
+
+def _record_fork():
+    if _forking_threads is not None:
+        _forking_threads.append(threading.current_thread().name)
+
+
+os.register_at_fork(before=_record_fork)
+
+
+class TestWorkerStart:
+    def test_initial_workers_fork_in_the_constructing_thread(self, tmp_path):
+        """The workers are forked before the dispatcher thread starts,
+        so no child inherits a lock that thread held."""
+        global _forking_threads
+        _forking_threads = []
+        try:
+            pool = ServicePool(open_cache(str(tmp_path / "cache")), workers=2)
+            pool.close()
+            forks = list(_forking_threads)
+        finally:
+            _forking_threads = None
+        assert forks == [threading.current_thread().name] * 2

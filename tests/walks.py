@@ -54,6 +54,12 @@ def kernels(walk: str):
         yield
 
 
+def segment(n: int, at: int = 0) -> np.ndarray:
+    """The one-row merge table over the first ``n`` nonzeros, writing
+    (SDDMM) from output slot ``at``: one chunk's merge."""
+    return np.array([[0, n, at]], dtype=np.int64)
+
+
 Outcomes = Tuple[np.ndarray, np.ndarray]
 """Per access of a walked stream: whether it hit, and the dirty line it
 evicted (:data:`NO_LINE` if none)."""
@@ -208,7 +214,11 @@ SPARSE_NNZ = 4096
 OUT_VALS = 8192
 """Values of the SDDMM output array."""
 
-GENERATE = {"spmm": generate_spmm_epoch, "sddmm": generate_sddmm_epoch}
+GENERATE = {
+    "spmm": lambda pe, epoch: generate_spmm_epoch(pe, *epoch),
+    "sddmm": lambda pe, epoch: generate_sddmm_epoch(pe, *epoch),
+}
+"""Generate one epoch ``(r_ids, c_ids, chunks)`` on a PE."""
 
 VRF_STATE = (
     "tag_hits",
@@ -287,25 +297,38 @@ def chunk_parts(
     cuts,
     rng: np.random.Generator,
     out_jumps=(),
-) -> list:
+) -> tuple:
     """Split an epoch's nonzeros into chunks at ``cuts`` (sorted
-    positions; repeats make empty chunks), each with a random sparse
-    start.  SDDMM chunks write consecutive output values, so output-line
-    runs cross chunk bounds, except that chunk ``i`` starts at a random
-    offset when ``i`` is in ``out_jumps``."""
+    positions; repeats make empty chunks) and lay them out as the
+    generators read them: ``(r_ids, c_ids, chunks)``, the id arrays
+    :data:`SPARSE_NNZ` long with each chunk's ids at a random sparse
+    start, in a random order along the stream with random gaps, and the
+    int64 chunk table of (input offset, count, output start).  SDDMM
+    chunks write consecutive output values, so output-line runs cross
+    chunk bounds, except that chunk ``i`` starts at a random offset when
+    ``i`` is in ``out_jumps``."""
     bounds = [0, *cuts, len(r_ids)]
-    parts = []
+    sizes = np.diff(bounds)
+    slack = SPARSE_NNZ - len(r_ids)
+    gaps = np.sort(rng.integers(0, slack + 1, size=len(sizes)))
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    placed = 0
+    for gap, i in zip(gaps.tolist(), rng.permutation(len(sizes)).tolist()):
+        starts[i] = gap + placed
+        placed += sizes[i]
+    table = np.zeros((len(sizes), 3), dtype=np.int64)
+    r_out = np.zeros(SPARSE_NNZ, dtype=np.int64)
+    c_out = np.zeros(SPARSE_NNZ, dtype=np.int64)
     out = int(rng.integers(0, 64))
     for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        start = int(rng.integers(0, SPARSE_NNZ - (hi - lo) + 1))
-        if kernel == "spmm":
-            parts.append((r_ids[lo:hi], c_ids[lo:hi], start))
-            continue
-        if i in out_jumps:
+        start = int(starts[i])
+        r_out[start : start + hi - lo] = r_ids[lo:hi]
+        c_out[start : start + hi - lo] = c_ids[lo:hi]
+        if kernel == "sddmm" and i in out_jumps:
             out = int(rng.integers(0, OUT_VALS // 2))
-        parts.append((r_ids[lo:hi], c_ids[lo:hi], start, out))
+        table[i] = (start, hi - lo, out if kernel == "sddmm" else 0)
         out += hi - lo
-    return parts
+    return r_out, c_out, table
 
 
 def csr_epoch(
@@ -316,9 +339,10 @@ def csr_epoch(
     rows: int = 40,
     cols: int = COLS,
     n_chunks: int = 4,
-) -> list:
+) -> tuple:
     """A seeded epoch shaped like a CSR row panel: runs of equal r_ids,
-    random c_ids, cut into chunks at random points."""
+    random c_ids, cut into chunks at random points (laid out by
+    :func:`chunk_parts`)."""
     runs = rng.integers(1, max_run + 1, size=n_runs)
     r_ids = np.repeat(rng.integers(0, rows, size=n_runs), runs)
     c_ids = rng.integers(0, cols, size=r_ids.size)
