@@ -230,13 +230,13 @@ def write_bench_json(
 ) -> dict:
     """Stamp ``payload`` with a provenance manifest and write it as JSON.
 
-    Every benchmark result that lands on disk goes through here so the
-    ``BENCH_*.json`` trajectory stays comparable across PRs: the
-    manifest records schema version, config fingerprint, git SHA, host,
-    and the process's peak RSS; pass ``ledger`` to cross-link the run's
-    flight-recorder file (path, run id, event count, content digest).
-    The measured numbers in ``payload`` pass through unchanged.
-    Returns the stamped payload.
+    Today its writer is ``benchmarks/bench_obs_overhead.py`` (the
+    observability overhead gate's result): the manifest records schema
+    version, config fingerprint, git SHA, host, and the process's peak
+    RSS, so a result file says what produced it; pass ``ledger`` to
+    cross-link the run's flight-recorder file (path, run id, event
+    count, content digest).  The measured numbers in ``payload`` pass
+    through unchanged.  Returns the stamped payload.
     """
     from repro.obs.ledger import peak_rss_bytes
     from repro.obs.provenance import stamp

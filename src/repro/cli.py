@@ -38,10 +38,9 @@ from repro.config import (
     scaled_config,
 )
 from repro.core.accelerator import SpadeSystem
-from repro.errors import SpadeError, WorkloadError
+from repro.errors import SpadeError
 from repro.sparse.analysis import estimate_ru, reuse_stats
-from repro.sparse.coo import COOMatrix
-from repro.sparse.suite import SUITE, get_benchmark
+from repro.sparse.suite import SUITE, get_benchmark, load_matrix
 from repro.tuning.autotune import autotune
 
 METRICS_SUFFIXES = (".json", ".csv", ".prom", ".txt")
@@ -50,22 +49,6 @@ EXPERIMENTS = (
     "fig02", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
     "table5", "table6", "sec7d", "sec7g",
 )
-
-
-def load_matrix(spec: str, scale: str) -> COOMatrix:
-    """The matrix a ``--matrix`` value names: a Matrix Market file, or a
-    suite matrix built at ``scale``."""
-    path = Path(spec)
-    if path.suffix == ".mtx" or path.exists():
-        from repro.sparse.io import read_matrix_market
-
-        return read_matrix_market(path)
-    try:
-        bench = get_benchmark(spec)
-    except KeyError as exc:
-        # KeyError str() adds quotes around the message; unwrap it.
-        raise WorkloadError(exc.args[0]) from exc
-    return bench.build(scale)
 
 
 def _write_exports(

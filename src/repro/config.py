@@ -194,9 +194,10 @@ EXECUTION_MODES = ("scalar", "vectorized")
 """PE execution backends: ``scalar`` is the reference oracle end to end
 (every nonzero walks the VRF in Python and every access is one
 ``MemorySystem`` call, whatever the replay mode); ``vectorized`` derives
-each PE's epoch trace with NumPy and the compiled VRF walk and replays
+each PE's epoch trace in one call of the compiled VRF walk and replays
 it through the ``replay`` backend (bit-identical traces, outputs, stats,
-and counters — see tests/test_execution_parity.py)."""
+and counters — see tests/test_execution_parity.py).  Where the compiled
+library does not load, ``vectorized`` runs as the scalar executor."""
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.config import SpadeConfig
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import Schedule
@@ -164,12 +165,18 @@ class Engine:
         # every nonzero walks the VRF in Python and every access goes
         # straight through MemorySystem.dense_access/stream_access, so
         # the replay mode has no effect.  "vectorized" derives each PE's
-        # epoch trace with NumPy and the compiled VRF walk, then replays
-        # the epoch through the replay backend: "array" in one compiled
-        # call for the whole hierarchy (the oracle run by run without
-        # gcc); "scalar" one per-access oracle call per dispatch run.
-        # Every combination gives bit-identical results.
+        # epoch trace in one compiled call, then replays the epoch
+        # through the replay backend: "array" in one compiled call for
+        # the whole hierarchy; "scalar" one per-access oracle call per
+        # dispatch run.  Without the compiled library vectorized
+        # execution runs the scalar executors (_per_chunk), while
+        # self.execution stays the requested mode for chaos targeting,
+        # errors and the run outcome.  Every combination gives
+        # bit-identical results.
         self.execution = config.execution
+        self._per_chunk = (
+            self.execution == "scalar" or native.vrf_epoch_kernel() is None
+        )
         self.pes = [
             ProcessingElement(
                 i, config.pe, self.memory, init, address_map, policy
@@ -338,7 +345,7 @@ class Engine:
             with self.ledger.span(
                 f"epoch[{epoch_idx}]", cat="epoch", epoch=epoch_idx
             ):
-                if self.execution == "scalar":
+                if self._per_chunk:
                     self._run_epoch_serial(cursors, gen_chunk, merge, phase)
                 else:
                     fused_chunks, replay_runs = self._run_epoch_phased(
@@ -470,7 +477,8 @@ class Engine:
     # -- epoch drivers ---------------------------------------------------
 
     def _run_epoch_serial(self, cursors, gen_chunk, merge, phase=None) -> None:
-        """Round-robin chunk interleave of the scalar oracle: each
+        """Round-robin chunk interleave of the scalar oracle (and of
+        vectorized execution without the compiled library): each
         chunk's VRF walk issues its accesses to the memory system as it
         goes, so generation and replay are one step; each chunk then
         merges as a one-segment table.
@@ -587,7 +595,8 @@ class Engine:
     def _run_epoch_phased(
         self, cursors, gen_epoch, merge, phase, epoch_idx
     ) -> Tuple[int, List[List[int]]]:
-        """Epoch driver for the vectorized execution mode: Phase A
+        """Epoch driver for vectorized execution with the compiled
+        library: Phase A
         derives each PE's *whole epoch* trace in one generation call
         over its chunk table, Phase B runs the output math for every
         chunk in one merge call over the coalesced round-robin dispatch
@@ -683,7 +692,7 @@ class Engine:
     def _terminate(self) -> Tuple[float, int]:
         """WB&Invalidate on every PE; returns (flush time, dirty lines).
 
-        The scalar oracle drains and flushes one PE after the other.
+        The per-chunk driver drains and flushes one PE after the other.
         Vectorized execution replays every PE's VRF drain as one epoch
         of runs in PE order, then flushes every PE: a PE's flush touches
         only its own L1 and BBF, and ``Cache.flush`` does not cascade,
@@ -694,7 +703,7 @@ class Engine:
         with self.ledger.span("wb_invalidate", cat="flush"):
             for pe in self.pes:
                 pe.counters = PECounters()
-            if self.execution == "scalar":
+            if self._per_chunk:
                 for pe in self.pes:
                     dirty += pe.writeback_invalidate()
             else:

@@ -14,6 +14,11 @@ from repro.memory.tlb import STLB
 from repro.memory.stats import AccessStats, LevelStats
 from repro.memory.hierarchy import MemorySystem, ServiceLevel
 
+# The array replay backend, which MemorySystem looks up when it is made
+# (it imports hierarchy, so hierarchy cannot import it at the top):
+# loaded with the package, so a process forked to run jobs has it.
+from repro.memory import replay_array  # noqa: F401
+
 __all__ = [
     "AddressMap",
     "line_of",

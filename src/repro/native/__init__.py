@@ -7,10 +7,11 @@ Five kernels live here, built into one library:
   place through a chunk table, derives each nonzero's dense lines,
   checks them, drops the touches the elision argument (DESIGN.md
   section 7) proves invisible, walks the vector register file exactly
-  and writes the chunks' traces.  Its
-  Python twin, ``repro.core.vectorized._trace_epoch_twin``, walks the
-  full unelided stream, so every comparison of the two also checks the
-  elision argument;
+  and writes the chunks' traces.  It has no Python twin: its
+  reference is the scalar executors
+  (``ProcessingElement.execute_{spmm,sddmm}_chunk``), which walk every
+  touch, so every comparison with them also checks the elision
+  argument, and without the library the engine runs them instead;
 - ``replay_epoch.c``, one epoch of trace replay through the whole
   memory hierarchy behind
   :func:`repro.memory.replay_array.replay_trace_array`: every STLB, L1,
@@ -41,9 +42,9 @@ Five kernels live here, built into one library:
   finds already-ordered input, else a stable LSD radix sort; its twin
   is ``np.lexsort``.
 
-A twin (for the replay, the oracle itself) is the reference and the
-path taken when the library does not load; results are identical
-either way, only slower.
+Each kernel's reference (for generation and the replay, the oracle
+itself) is also the path taken when the library does not load; results
+are identical either way, only slower.
 
 Build, cache and trust rules:
 
@@ -66,7 +67,7 @@ Build, cache and trust rules:
   identical builds.
 - With no gcc on ``PATH``, an unsafe directory or a failed build, the
   loader issues one ``RuntimeWarning`` and callers take the Python
-  twins.
+  paths.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def kernels() -> Optional[Kernels]:
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
                 warnings.warn(
                     f"compiled kernels unavailable ({exc}); using the "
-                    "Python twins: same results, slower",
+                    "Python paths: same results, slower",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -280,9 +281,8 @@ def check_epoch(
     ``chunks`` a C-contiguous int64 ``(chunks, 3)`` table of (input
     offset, count, output start); ``lpr``, ``stride`` and ``cadence`` at
     least 1; a VRF of ``1 <= cap < 2**31`` lines holding at most ``cap``
-    residents.  The values are the walk's first pass to check, in C or
-    by :func:`epoch_refusal`, and :func:`refuse_epoch` raises what it
-    finds."""
+    residents.  The values are the compiled walk's first pass to check
+    (:data:`_EPOCH_REFUSALS`)."""
     _require("r_ids", r_ids, np.int64)
     _require("c_ids", c_ids, np.int64)
     _require("chunks", chunks, np.int64, 2)
@@ -305,42 +305,6 @@ _EPOCH_REFUSALS = {
 }
 """``repro_vrf_epoch``'s refusals (its return value negated), in their
 order of precedence, as the ``ValueError`` each raises."""
-
-
-def epoch_refusal(
-    r_ids: np.ndarray,
-    c_ids: np.ndarray,
-    chunks: np.ndarray,
-    sddmm: bool,
-    bases: Tuple[int, int],
-    stride: int,
-    lpr: int,
-) -> int:
-    """The twin of ``repro_vrf_epoch``'s first pass over an epoch
-    :func:`check_epoch` accepted: its refusal code, 0 if it has none.
-    Each chunk must be a range inside the ids; with ``sddmm`` each
-    output start non-negative; every line ``base + id * stride + l``
-    (``l < lpr``) in ``[0, 2**63)``."""
-    n = r_ids.shape[0]
-    table = chunks.tolist()
-    if any(off < 0 or cnt < 0 or off > n - cnt for off, cnt, _ in table):
-        return 4
-    if sddmm and any(at < 0 for _, _, at in table):
-        return 5
-    for ids, base in zip((r_ids, c_ids), bases):
-        top = (2**63 - 1 - base - (lpr - 1)) // stride
-        for off, cnt, _ in table:
-            part = ids[off : off + cnt]
-            if cnt and (int(part.min()) < 0 or int(part.max()) > top):
-                return 6
-    return 0
-
-
-def refuse_epoch(code: int) -> None:
-    """Raise the ``ValueError`` of a first-pass refusal code (none for
-    0)."""
-    if code:
-        raise ValueError(_EPOCH_REFUSALS[code])
 
 
 EpochResult = Tuple[
@@ -395,8 +359,8 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
         is appended to ``trace`` (a ``TraceBuffer``), grown first when
         its room is below the walk's bound; a short buffer changes
         nothing.  A chunk table, output start or line the first pass
-        refuses raises ``ValueError`` (:func:`refuse_epoch`) and changes
-        nothing.  Returns ``((hits, misses, evictions,
+        refuses raises ``ValueError`` (:data:`_EPOCH_REFUSALS`) and
+        changes nothing.  Returns ``((hits, misses, evictions,
         eviction_writebacks, manager_writebacks, dirty_count), final
         tags in LRU order, each chunk's (start, end) trace segment)``."""
         nres = len(tags)
@@ -432,7 +396,7 @@ def _bind_vrf_epoch(lib: ctypes.CDLL) -> Callable[..., EpochResult]:
         if rc == -1:
             raise MemoryError("VRF walk could not allocate its state")
         if -rc in _EPOCH_REFUSALS:
-            refuse_epoch(-rc)
+            raise ValueError(_EPOCH_REFUSALS[-rc])
         if rc < 0:
             raise RuntimeError("VRF walk overflowed its trace bound")
         trace.commit(rc)

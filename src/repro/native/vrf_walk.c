@@ -5,10 +5,11 @@
  * epoch of chunks, drops the touches DESIGN.md section 7 proves to be
  * invisible hits, walks the rest through an exact model of the vector
  * register file (VRF) and writes each chunk's trace: its sparse-stream
- * line ranges, then its VRF emissions.  The reference it is held to is
- * repro.core.vectorized._trace_epoch_twin, which walks the full,
- * unelided stream through _run_vrf_stream (the inlined form of
- * VectorRegisterFile.access).
+ * line ranges, then its VRF emissions.  It is held to the scalar
+ * executors (ProcessingElement.execute_spmm_chunk and
+ * execute_sddmm_chunk, chunk by chunk), which walk every touch through
+ * VectorRegisterFile.access; without this library the engine runs them
+ * instead.
  *
  * Inputs, read in place: the id arrays r_ids and c_ids (the tiled
  * matrix's, in the engine) and a chunk table whose row k is (input

@@ -6,7 +6,7 @@ whole directories of either) into a single rollup:
 - **phase hotspots** — host seconds per engine phase (generation,
   merge, replay) summed over every epoch event, plus checkpoint and
   whole-run wall time, the epoch-grain generation chunk count, which
-  walks (compiled kernels or Python twins) the runs used;
+  walks (compiled kernels or Python paths) the runs used;
 - **replay by level** — per cache level: streams walked, by which walk
   (native or python), events and measured time;
 - **cache/sweep hit rates** — result-cache hits vs executed jobs;

@@ -51,7 +51,7 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "time_ns": (_OPT_NUM, False),  # simulated time, ok runs only
         "error": (_STR, False),
         # Which walks (VRF and cache) the process ran: "native" (the
-        # compiled kernels) or "python" (their twins; no gcc, so
+        # compiled kernels) or "python" (their Python paths; no gcc, so
         # slower).  Absent when no walk ran.  Never part of a key.
         "kernels": (_STR, False),
     },

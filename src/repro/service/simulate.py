@@ -28,7 +28,7 @@ from repro.config import (
 from repro.errors import WorkloadError
 from repro.jobmodel import JobSpec, build_jobs
 from repro.resilience import RunSupervisor
-from repro.sparse.suite import SUITE
+from repro.sparse.suite import SUITE, load_matrix
 
 RUN_DRIVER = "run"
 
@@ -151,8 +151,6 @@ def run_cell(env: Any, point: Tuple) -> dict:
         matrix, scale, kernel, k, pes, cache_shrink, seed, replay,
         execution,
     ) = point
-    from repro.cli import load_matrix
-
     a = load_matrix(matrix, scale)
     cfg = scaled_config(pes, cache_shrink=cache_shrink)
     if replay is not None:

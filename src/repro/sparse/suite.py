@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Dict, List
 
+from repro.errors import WorkloadError
 from repro.sparse import generators as gen
 from repro.sparse.coo import COOMatrix
+from repro.sparse.io import read_matrix_market
 
 
 class RU(Enum):
@@ -151,6 +154,20 @@ def get_benchmark(name: str) -> Benchmark:
             f"unknown benchmark {name!r}; choose from "
             f"{sorted(_BY_NAME)}"
         ) from None
+
+
+def load_matrix(spec: str, scale: str) -> COOMatrix:
+    """The matrix a ``--matrix`` value names: a Matrix Market file, or a
+    suite matrix built at ``scale``."""
+    path = Path(spec)
+    if path.suffix == ".mtx" or path.exists():
+        return read_matrix_market(path)
+    try:
+        bench = get_benchmark(spec)
+    except KeyError as exc:
+        # KeyError str() adds quotes around the message; unwrap it.
+        raise WorkloadError(exc.args[0]) from exc
+    return bench.build(scale)
 
 
 def suite_names() -> List[str]:

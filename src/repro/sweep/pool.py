@@ -777,6 +777,10 @@ class ServicePool:
             )
 
     def _replace(self, worker: _Worker) -> None:
+        # Forks from the dispatcher thread while other threads run.  The
+        # child inherits no import lock trouble because a job imports
+        # nothing there: the ``run`` job path is imported with the
+        # ``repro`` package (tests/test_worker_pool.py pins it).
         worker.retire()
         self._pool[self._pool.index(worker)] = _Worker(self._ctx)
         self.restarted += 1

@@ -1,18 +1,20 @@
 """Differential parity: vectorized execution vs the scalar oracle.
 
-The vectorized backend derives the post-VRF trace with NumPy plus
-protected-run elision.  It must be *bit-identical* to the scalar
-per-nonzero oracle on every observable: the emitted trace (content and
-order), numeric outputs, simulated time, AccessStats, per-epoch
-PECounters, and the VRF's own hit/miss/writeback counters (elision
-bulk-credits skipped hits, so these pin that accounting too).
+The vectorized backend derives the post-VRF trace in one compiled call
+per PE-epoch, with protected-run elision.  It must be *bit-identical*
+to the scalar per-nonzero oracle on every observable: the emitted trace
+(content and order), numeric outputs, simulated time, AccessStats,
+per-epoch PECounters, and the VRF's own hit/miss/writeback counters
+(elision bulk-credits skipped hits, so these pin that accounting too).
 
 Every run happens with the compiled kernels (VRF walk, cache walk and
-SpMM merge) and with their twins, forced by patching the loader's memo
-for the duration of the run (a test-only switch; the simulator picks
-the kernels by whether the library loads).  The oracle runs with the
-kernels loaded; its twin run must match it too.  A checkpointed SpMM
-run killed under one path and resumed under the other must match the
+merges) and with the library refused, forced by patching the loader's
+memo for the duration of the run (a test-only switch; the simulator
+picks the kernels by whether the library loads).  Refused, vectorized
+execution runs the scalar executor and the replay and merges their
+Python paths.  The oracle runs with the kernels loaded; its run with
+the library refused must match it too.  A checkpointed SpMM run killed
+under one path and resumed under the other must match the
 uninterrupted oracle as well: the resume restores the output
 accumulator partway through the run.
 
@@ -41,19 +43,28 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
+from repro import native
 from repro.config import (
     EXECUTION_MODES,
     REPLAY_MODES,
     ResilienceConfig,
     scaled_config,
 )
+from repro.core import engine as engine_module
 from repro.core.accelerator import KernelSettings, SpadeSystem
 from repro.core.bypass import BypassPolicy
 from repro.core.cpe import ScheduleParams
 from repro.core.engine import Engine
 from repro.core.instructions import Primitive
+from repro.core.pe import ProcessingElement
 from repro.memory.hierarchy import TRACE_REGIONS, MemorySystem
-from repro.resilience import ChaosConfig, ChaosMonkey, InjectedCrash
+from repro.resilience import (
+    ChaosConfig,
+    ChaosMonkey,
+    InjectedCrash,
+    RunSupervisor,
+)
+from repro.sparse.coo import COOMatrix
 from repro.sparse.generators import rmat_graph, uniform_random
 from repro.sparse.tiled import tile_matrix
 from tests.walks import WALKS, kernels
@@ -220,6 +231,8 @@ class TestExecutionParity:
             generate_spmm_epoch,
         )
 
+        if native.vrf_epoch_kernel() is None:
+            pytest.skip("compiled trace generator unavailable")
         eng, _, _ = _run_engine(rect, 16, kernel, "vectorized", "array")
         pe = eng.pes[0]
 
@@ -237,6 +250,90 @@ class TestExecutionParity:
             segs = generate_sddmm_epoch(pe, e, e, chunks)
         assert segs == [(before[-1], before[-1])] * 2
         assert state() == before
+
+
+def test_spmm_merge_keeps_dispatch_order():
+    """Float64 sums that depend on their order: one output row gets
+    ``2**60``, ``-2**60`` and ``1`` (times a B row of ones) from three
+    one-nonzero chunks of one epoch.  In dispatch order the row sums to
+    1; an epoch merge that took the chunks in another order would lose
+    the 1 and give 0.  Vectorized execution must give the oracle's
+    bytes."""
+    rng = np.random.default_rng(2)
+    n = 64
+    filler = rng.choice(np.arange(n, n * n), size=300, replace=False)
+    rows = np.concatenate([[0, 0, 0], filler // n])
+    cols = np.concatenate([[0, 1, 2], filler % n])
+    vals = np.concatenate([
+        [2.0**60, -(2.0**60), 1.0], rng.random(300),
+    ]).astype(np.float32)
+    a = COOMatrix(n, n, rows, cols, vals)
+    b = np.ones((n, 16), dtype=np.float32)
+    out = {}
+    for execution in EXECUTION_MODES:
+        cfg = dataclasses.replace(scaled_config(4), execution=execution)
+        report = SpadeSystem(cfg, chunk_nnz=1).spmm(a, b)
+        assert len(report.result.epoch_timings) == 1
+        out[execution] = report.output
+    assert out["scalar"][0, 0] == 1.0
+    assert out["vectorized"].tobytes() == out["scalar"].tobytes()
+
+
+class TestNoLibraryFallback:
+    """Without the compiled library, vectorized execution is the scalar
+    executor: it walks chunk by chunk, never calls the epoch generators,
+    and its chaos faults still target the requested backend.  (The
+    generators themselves refuse without the library:
+    ``tests/test_native_loader.py``.)"""
+
+    @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
+    def test_vectorized_runs_the_scalar_executor(
+        self, rect, kernel, monkeypatch
+    ):
+        calls = {"chunks": 0}
+        name = f"execute_{kernel}_chunk"
+        execute = getattr(ProcessingElement, name)
+
+        def counting(pe, *args):
+            calls["chunks"] += 1
+            return execute(pe, *args)
+
+        def refuse(*args):
+            raise AssertionError("generated an epoch without the library")
+
+        oracle = _run_engine(rect, 16, kernel, "scalar", "array")
+        with kernels("python"):
+            monkeypatch.setattr(ProcessingElement, name, counting)
+            monkeypatch.setattr(engine_module, f"generate_{kernel}_epoch",
+                                refuse)
+            eng, res, out = _run_engine(rect, 16, kernel, "vectorized",
+                                        "array")
+        assert eng.execution == "vectorized"
+        assert calls["chunks"] > 0
+        assert out.tobytes() == oracle[2].tobytes()
+        assert _fingerprint(eng, res, out) == _fingerprint(*oracle)
+
+    def test_chaos_faults_still_fire_and_degrade(self, rect):
+        b = np.random.default_rng(7).random(
+            (rect.num_cols, 16), dtype=np.float32
+        )
+        cfg = dataclasses.replace(scaled_config(4), execution="vectorized")
+        want = SpadeSystem(
+            dataclasses.replace(cfg, execution="scalar")
+        ).spmm(rect, b)
+        monkey = ChaosMonkey(
+            ChaosConfig(worker_fault_rate=1.0, fault_backends=("vectorized",))
+        )
+        sup = RunSupervisor(chaos=monkey, sleep=lambda s: None)
+        with kernels("python"):
+            report = sup.run_kernel(cfg, "spmm", rect, b)
+        outcome = sup.last_outcome
+        assert monkey.worker_faults_injected > 0
+        assert outcome.requested_backend == "vectorized"
+        assert outcome.backend == "scalar"
+        assert outcome.degradations == 1
+        assert report.output.tobytes() == want.output.tobytes()
+        assert report.time_ns == want.time_ns
 
 
 class TestResumeParity:
@@ -289,10 +386,10 @@ class TestResumeParity:
 
 class TestVrfWalkInvariance:
     """A whole run at engine scale (30k nonzeros in 8k-nonzero chunks,
-    so the compiled VRF walk elides long protected runs that its twin
-    walks one by one) gives the same output bytes, simulated time,
-    AccessStats and counters with the compiled kernels loaded and
-    refused."""
+    so the compiled VRF walk elides long protected runs that the scalar
+    executor, run without the library, walks one by one) gives the same
+    output bytes, simulated time, AccessStats and counters with the
+    compiled kernels loaded and refused."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -320,8 +417,6 @@ class TestVrfWalkInvariance:
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
     def test_python_walk_matches_compiled_walk(self, workload, kernel):
-        from repro import native
-
         if native.vrf_epoch_kernel() is None:
             pytest.skip("compiled VRF walk unavailable")
         facts = {}
@@ -482,21 +577,22 @@ class TestTraceParity:
         # The vectorized backend hands the same access stream to
         # replay_trace whether it replays an epoch in one array call or
         # run by run under scalar replay; the scalar-replay stream is
-        # held to the oracle's per-access calls below.
+        # held to the oracle's per-access calls below.  Without the
+        # library it is the scalar executor and hands over none.
         streams = {}
-        runs = [("scalar", "native")] + [
-            ("array", walk) for walk in WALKS
-        ]
-        for replay, walk in runs:
-            with monkeypatch.context() as mp, kernels(walk):
-                chunks = self._capture_chunks(mp)
-                _run_engine(graph, 16, kernel, "vectorized", replay)
-                streams[replay, walk] = self._flatten(chunks)
+        for replay in REPLAY_MODES:
+            for walk in WALKS:
+                with monkeypatch.context() as mp, kernels(walk):
+                    chunks = self._capture_chunks(mp)
+                    _run_engine(graph, 16, kernel, "vectorized", replay)
+                    streams[replay, walk] = self._flatten(chunks)
+        assert streams["scalar", "python"] == streams["array", "python"] == []
+        if native.vrf_epoch_kernel() is None:
+            pytest.skip("compiled trace generator unavailable")
         assert streams["scalar", "native"]
-        for key in runs[1:]:
-            assert streams[key] == streams["scalar", "native"], (
-                f"{key}: replay access stream diverged"
-            )
+        assert streams["array", "native"] == streams["scalar", "native"], (
+            "array replay access stream diverged"
+        )
 
     @pytest.mark.parametrize("kernel", ["spmm", "sddmm"])
     def test_scalar_replay_access_stream_identical(

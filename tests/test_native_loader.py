@@ -25,19 +25,22 @@ import pytest
 
 from repro import native
 from repro.config import CacheConfig, scaled_config
-from repro.core.vectorized import TraceBuffer, trace_epoch
+from repro.core import vectorized
+from repro.core.vectorized import TraceBuffer
 from repro.kernels.reference import _dots, sddmm_chunk_vals
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import OP_DENSE, MemorySystem, encode_op
 from repro.sparse.coo import COOMatrix
 from repro.sparse.tiled import _order_twin, tile_matrix
 from tests.walks import (
+    EXECUTE,
     GENERATE,
     WALKS,
     csr_epoch,
     epoch_walk,
     kernels,
     observe,
+    oracle_pe,
     oracle_walk,
     segment,
     vrf_pe,
@@ -49,21 +52,33 @@ needs_gcc = pytest.mark.skipif(
 )
 
 
-def _generate(walk=None):
-    """A seeded SpMM and SDDMM epoch through the trace generator the
-    loader gives (``walk=None``) or the one ``walk`` forces, with the
-    state each leaves."""
+def _generate(oracle=False):
+    """A seeded SpMM and SDDMM epoch through the trace generator, or
+    with ``oracle`` through the scalar executor, with the state each
+    leaves."""
     rng = np.random.default_rng(0)
     out = []
     for kernel in ("spmm", "sddmm"):
-        pe = vrf_pe(kernel, 32)
         parts = csr_epoch(kernel, rng, 40, 30)
-        if walk is None:
-            out.append(observe(pe, GENERATE[kernel](pe, parts)))
+        if oracle:
+            pe = oracle_pe(kernel, 32)
+            out.append(observe(pe, EXECUTE[kernel](pe, parts)))
         else:
-            with kernels(walk):
-                out.append(observe(pe, GENERATE[kernel](pe, parts)))
+            pe = vrf_pe(kernel, 32)
+            out.append(observe(pe, GENERATE[kernel](pe, parts)))
     return out
+
+
+def _generation_refused():
+    """Generation without the library: each generator raises
+    ``NativeUnavailable`` and leaves its PE as it was."""
+    rng = np.random.default_rng(0)
+    for kernel in ("spmm", "sddmm"):
+        pe = vrf_pe(kernel, 32)
+        before = observe(pe, None)
+        with pytest.raises(native.NativeUnavailable):
+            GENERATE[kernel](pe, csr_epoch(kernel, rng, 40, 30))
+        assert observe(pe, None) == before
 
 
 def _cache_walk(walker):
@@ -164,7 +179,7 @@ def test_kernel_loads_where_gcc_exists():
     would hide the fast path."""
     assert native.vrf_epoch_kernel() is not None
     assert native.replay_epoch_kernel() is not None
-    assert _generate() == _generate("python")
+    assert _generate() == _generate(oracle=True)
     assert _merge(native.kernels().spmm_merge) == _merge(_add_at)
     assert _sddmm(native.kernels().sddmm_merge) == _sddmm(_sddmm_twin)
     assert _tile(native.kernels().tile) == _tile(_order_twin)
@@ -181,14 +196,12 @@ def test_no_compiler_gives_the_twin_and_one_warning(cold, tmp_path,
     assert native.kernels_impl() is None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _generate()
-        again = _generate()
+        _generation_refused()
         cache_got = _cache_walk(epoch_walk)
     runtime = [w for w in caught if w.category is RuntimeWarning]
     assert len(runtime) == 1, [str(w.message) for w in runtime]
     assert "gcc" in str(runtime[0].message)
     assert native.kernels_impl() == "python"
-    assert got == again == _generate("python")
     assert cache_got == _cache_walk(oracle_walk)
     assert not cold.exists()
 
@@ -241,7 +254,7 @@ def test_truncated_library_is_rebuilt_not_loaded(cold, tmp_path, monkeypatch):
     assert kernel is not None and not warned
     assert lib not in loaded, "the truncated library was loaded"
     assert lib.stat().st_size == len(good)
-    assert _generate() == _generate("python")
+    assert _generate() == _generate(oracle=True)
     assert _cache_walk(epoch_walk) == _cache_walk(oracle_walk)
 
 
@@ -263,7 +276,7 @@ def test_unsafe_directory_is_refused(cold, tmp_path, kind):
     assert kernel is None
     assert len(warned) == 1
     assert native.kernels_impl() == "python"
-    assert _generate() == _generate("python")
+    _generation_refused()
     inside = cold.resolve() if kind == "symlink" else cold
     assert not list(inside.glob("*.so")), "built into a refused directory"
 
@@ -487,76 +500,76 @@ def test_cache_walk_kernel_checks_its_geometry():
 # -- the trace generator's input checks -------------------------------------
 
 
-def _epoch_args():
-    """Valid ``trace_epoch`` arguments for a 3-chunk SDDMM epoch of 40
-    nonzeros, as a dict to corrupt one entry of."""
-    r_lines = np.repeat(np.arange(10, dtype=np.int64), 4)
-    return dict(
-        r_lines=r_lines,
-        c_lines=np.arange(40, dtype=np.int64) % 7 + 5000,
-        chunk_nnz=np.array([15, 0, 25], dtype=np.int64),
-        starts=[0, 15, 15],
-        out_starts=np.array([0, 15, 15], dtype=np.int64),
-        cadence=2,
-    )
+def _epoch():
+    """A warm SDDMM PE and a valid 3-chunk epoch of 40 nonzeros for it,
+    ``(r_ids, c_ids, chunks)`` as a list to corrupt one entry of."""
+    pe = vrf_pe("sddmm", 16, 8)
+    r_ids = np.repeat(np.arange(10, dtype=np.int64), 4)
+    c_ids = np.arange(40, dtype=np.int64) % 7 + 5000
+    chunks = np.array([[0, 15, 0], [15, 0, 15], [15, 25, 15]], np.int64)
+    epoch = [r_ids, c_ids, chunks]
+    GENERATE["sddmm"](pe, epoch)  # warm: 8 residents, a non-empty trace
+    return pe, epoch
 
 
-def _set(**changes):
-    return lambda pe, args: args.update(changes)
+def _set(at, value):
+    def corrupt(pe, epoch, mp):
+        epoch[at] = value(epoch[at])
+    return corrupt
 
 
-def _negate(name, at):
-    def corrupt(pe, args):
-        arr = args[name].copy()
-        arr[at] = -1
-        args[name] = arr
+def _negate(at, row, col=None):
+    def corrupt(pe, epoch, mp):
+        arr = epoch[at].copy()
+        arr[row if col is None else (row, col)] = -1
+        epoch[at] = arr
     return corrupt
 
 
 def _set_pe(attr, value):
-    def corrupt(pe, args):
+    def corrupt(pe, epoch, mp):
         owner = pe.vrf if attr == "num_registers" else pe
         setattr(owner, attr, value)
+    return corrupt
+
+
+def _cadence(value):
+    def corrupt(pe, epoch, mp):
+        mp.setattr(vectorized, "_elision_cadence", lambda *a, **kw: value)
     return corrupt
 
 
 @pytest.mark.parametrize(
     "corrupt,match",
     [
-        (_set(chunk_nnz=np.array([15, 0, 24], np.int64)), "sum"),
-        (_set(chunk_nnz=np.array([41, 0, -1], np.int64)), "non-negative"),
-        (_set(chunk_nnz=np.array([15, 0, 25], np.int32)), "chunk_nnz"),
-        (_negate("r_lines", 7), "non-negative"),
-        (_negate("c_lines", 39), "non-negative"),
-        (_negate("out_starts", 2), "non-negative"),
-        (_set(out_starts=np.array([0, 15], np.int64)), "per chunk"),
-        (_set(out_starts=np.array([0, 15, 15], np.int32)), "out_starts"),
-        (_set(cadence=0), "at least 1"),
+        (_negate(2, 2, 1), "non-negative"),
+        (_set(2, lambda t: t.astype(np.int32)), "chunks"),
+        (_set(0, lambda r: r.astype(np.int32)), "r_ids"),
+        (_negate(0, 7), "non-negative"),
+        (_negate(1, 39), "non-negative"),
+        (_negate(2, 2, 2), "non-negative"),
+        (_cadence(0), "at least 1"),
         (_set_pe("lines_per_row", 0), "at least 1"),
         (_set_pe("num_registers", 0), "residents"),
         (_set_pe("num_registers", 2**31), "residents"),
         (_set_pe("num_registers", 3), "residents"),
     ],
     ids=[
-        "chunks-short", "chunk-negative", "chunks-int32", "r-negative",
-        "c-negative", "out-negative", "out-per-chunk", "out-int32",
-        "cadence-0", "lpr-0", "capacity-0", "capacity-2**31",
-        "residents-above-capacity",
+        "chunk-negative", "chunks-int32", "r-int32", "r-negative",
+        "c-negative", "out-negative", "cadence-0", "lpr-0", "capacity-0",
+        "capacity-2**31", "residents-above-capacity",
     ],
 )
-@pytest.mark.parametrize("walk", ["native", "python"])
-def test_trace_epoch_rejects_before_the_walk(corrupt, match, walk):
-    """Each validated input is refused before any walk, by the compiled
-    entry and by the twin alike, on a warm PE: its VRF and trace buffer
-    are left as they were."""
-    pe = vrf_pe("sddmm", 16, 8)
-    args = _epoch_args()
-    with kernels(walk):
-        trace_epoch(pe, **args)  # warm: 8 residents, a non-empty trace
-        before = observe(pe, None)
-        corrupt(pe, args)
-        with pytest.raises((TypeError, ValueError), match=match):
-            trace_epoch(pe, **args)
+def test_generation_rejects_before_the_walk(corrupt, match, monkeypatch):
+    """Each validated input is refused before any walk on a warm PE:
+    its VRF, trace buffer and counters are left as they were."""
+    if native.vrf_epoch_kernel() is None:
+        pytest.skip("compiled trace generator unavailable")
+    pe, epoch = _epoch()
+    before = observe(pe, None)
+    corrupt(pe, epoch, monkeypatch)
+    with pytest.raises((TypeError, ValueError), match=match):
+        GENERATE["sddmm"](pe, epoch)
     pe.vrf.num_registers = 8
     pe.lines_per_row = 1
     assert observe(pe, None) == before
@@ -566,18 +579,26 @@ def test_trace_epoch_rejects_before_the_walk(corrupt, match, walk):
 def test_short_trace_buffer_is_grown_to_the_walk_bound():
     """A trace buffer too short for the epoch is grown before the walk,
     to the walk's bound, not to three entries per access: a long-run
-    epoch fits in less than one entry per unelided access."""
+    epoch fits in less than one entry per unelided access.  The trace
+    after the kept prefix is the scalar executor's."""
     rng = np.random.default_rng(4)
     parts = csr_epoch("spmm", rng, 20, 200, rows=20, cols=8)
     n = int(parts[2][:, 1].sum())
-    traces = []
-    for walk in ("native", "python"):
-        pe = vrf_pe("spmm", 32)
-        pe._trace = TraceBuffer(16)
-        pe._trace.extend_range(7, 5, 1)  # a prefix the walk must keep
-        with kernels(walk):
-            traces.append(observe(pe, GENERATE["spmm"](pe, parts)))
-        capacity = pe._trace.storage(0)[0].shape[0]
-        if walk == "native":
-            assert capacity < n * 2 * pe.lines_per_row
-    assert traces[0] == traces[1]
+    pe = vrf_pe("spmm", 32)
+    pe._trace = TraceBuffer(16)
+    lines, ops, _ = pe._trace.storage(5)
+    lines[:5] = np.arange(7, 12)  # a prefix the walk must keep
+    ops[:5] = 1
+    pe._trace.commit(5)
+    got = observe(pe, GENERATE["spmm"](pe, parts))
+    assert pe._trace.storage(0)[0].shape[0] < n * 2 * pe.lines_per_row
+    oracle = oracle_pe("spmm", 32)
+    segs, t_lines, t_ops, *rest = observe(
+        oracle, EXECUTE["spmm"](oracle, parts)
+    )
+    assert got == (
+        [(a + 5, b + 5) for a, b in segs],
+        lines[:5].tobytes() + t_lines,
+        ops[:5].tobytes() + t_ops,
+        *rest,
+    )

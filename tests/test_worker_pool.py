@@ -13,12 +13,18 @@ Cells are module-level (workers import them by reference) and avoid
 the simulator so the suite stays tier-1 fast.
 """
 
+import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 from repro.obs.ledger import RunLedger, read_events
+from repro.sparse.generators import banded
+from repro.sparse.io import write_matrix_market
 from repro.sweep import build_jobs, open_cache
 from repro.sweep.lease import LeaseManager
 from repro.sweep.pool import ServicePool
@@ -150,3 +156,59 @@ class TestWorkerStart:
         finally:
             _forking_threads = None
         assert forks == [threading.current_thread().name] * 2
+
+    def test_run_jobs_import_nothing_in_forked_workers(self, tmp_path):
+        """A worker forked from the pool, at construction or as a
+        respawn from the dispatcher thread, finds the whole ``run`` job
+        path imported: a job adds no ``repro`` module, so no child
+        waits on an import lock a parent thread held at the fork.  The
+        parent is a fresh process that imports only the pool and the
+        cell, as ``repro serve`` does."""
+        mtx = tmp_path / "band.mtx"
+        write_matrix_market(banded(64, 3, seed=1), str(mtx))
+        out = subprocess.run(
+            [sys.executable, "-c", _FORKED_RUN_JOBS, str(tmp_path), str(mtx)],
+            env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        added, restarted = json.loads(out.stdout.splitlines()[-1])
+        assert added == [[], [], []]
+        assert restarted == 2
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_FORKED_RUN_JOBS = """
+import json, os, sys
+from repro.jobmodel import build_jobs
+from repro.service.simulate import run_cell
+from repro.sweep.pool import ServicePool
+
+def cell(env, point):
+    marker, point = point[0], point[1:]
+    if not os.path.exists(marker):
+        # This worker dies; the pool respawns one from its dispatcher
+        # thread and runs the job there.
+        open(marker, "w").close()
+        os._exit(1)
+    before = set(sys.modules)
+    run_cell(env, point)
+    return sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+
+tmp, mtx = sys.argv[1:]
+first = os.path.join(tmp, "first")
+open(first, "w").close()  # the first job runs on the initial worker
+pool = ServicePool(None, workers=1)
+try:
+    added = []
+    for i, (marker, matrix) in enumerate(
+        [(first, "KRO"), (os.path.join(tmp, "kro"), "KRO"),
+         (os.path.join(tmp, "mtx"), mtx)]
+    ):
+        point = (marker, matrix, "tiny", "spmm", 16, 2, 32.0, 0, None, None)
+        spec = build_jobs("fork-imports", None, [point])[0]
+        added.append(pool.submit(spec, cell).result(timeout=240).value)
+    print(json.dumps([added, pool.restarted]))
+finally:
+    pool.close()
+"""

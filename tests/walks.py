@@ -1,13 +1,15 @@
 """Test-only switches between the compiled kernels and their twins.
 
 The simulator runs the compiled kernels (``repro/native/``) when the
-library loads on the host and their Python twins otherwise (for trace
-replay, the scalar oracle itself); tests force the twins by patching
-the loader's per-process memo for the duration of a block.  That is a
-test-only switch, not a knob.
+library loads on the host and their Python paths otherwise (for trace
+generation and replay, the scalar oracle itself); tests force the
+Python paths by patching the loader's per-process memo for the
+duration of a block.  That is a test-only switch, not a knob.
 
 Also here: a bare processing element and seeded chunk lists for driving
-trace generation (``repro.core.vectorized``) directly.
+trace generation (``repro.core.vectorized``) directly, and the scalar
+executors over the same chunk tables on a recording memory system, the
+oracle the generators are held to.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ from repro.memory.hierarchy import (
     OP_DENSE,
     OP_DENSE_BYPASS,
     OP_REGION_SHIFT,
+    OP_STREAM,
     OP_WRITE,
+    TRACE_REGIONS,
     MemorySystem,
     ServiceLevel,
+    encode_op,
 )
 
 WALKS = ("native", "python")
@@ -46,7 +51,7 @@ WALKS = ("native", "python")
 @contextmanager
 def kernels(walk: str):
     """Run the block with the compiled kernels (``"native"``) or with
-    their Python twins forced (``"python"``)."""
+    their Python paths forced (``"python"``)."""
     with pytest.MonkeyPatch.context() as mp:
         if walk == "python":
             mp.setattr(native, "_tried", True)
@@ -220,6 +225,76 @@ GENERATE = {
 }
 """Generate one epoch ``(r_ids, c_ids, chunks)`` on a PE."""
 
+
+class RecordingMemory(MemorySystem):
+    """A memory system that records each access a scalar executor
+    issues as ``(line, op)``, in the generators' trace encoding, then
+    serves it as the real one does."""
+
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        self.lines: List[int] = []
+        self.ops: List[int] = []
+
+    def _record(self, line, path, is_write, region) -> None:
+        self.lines.append(line)
+        self.ops.append(
+            encode_op(path, is_write, TRACE_REGIONS.index(region))
+        )
+
+    def dense_access(self, pe_id, line, is_write=False, bypass=False,
+                     region=None):
+        self._record(line, OP_DENSE_BYPASS if bypass else OP_DENSE,
+                     is_write, region)
+        return super().dense_access(pe_id, line, is_write, bypass, region)
+
+    def stream_access(self, pe_id, line, is_write=False, region=None):
+        self._record(line, OP_STREAM, is_write, region)
+        return super().stream_access(pe_id, line, is_write, region)
+
+    def cached_stream_access(self, pe_id, line, is_write=False,
+                             region=None):
+        # The base routes through dense_access; serve it from there
+        # without recording the access twice.
+        self._record(line, OP_DENSE, is_write, region)
+        return super().dense_access(pe_id, line, is_write, False, region)
+
+    def views(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The recorded ``(lines, ops)``, as a trace buffer's views."""
+        return (np.array(self.lines, dtype=np.int64),
+                np.array(self.ops, dtype=np.int64))
+
+
+def _execute(
+    kernel: str, pe: ProcessingElement, epoch
+) -> List[Tuple[int, int]]:
+    """The scalar executor over an epoch ``(r_ids, c_ids, chunks)``,
+    chunk by chunk in table order, on a PE made by :func:`oracle_pe`;
+    returns each chunk's ``(start, end)`` segment of the recorded
+    trace, as a generator returns its segments of the trace buffer."""
+    r_ids, c_ids, chunks = epoch
+    recorded = pe.memory.lines
+    segs = []
+    for off, count, out in chunks.tolist():
+        start = len(recorded)
+        r, c = r_ids[off : off + count], c_ids[off : off + count]
+        if kernel == "spmm":
+            pe.execute_spmm_chunk(r, c, off)
+        else:
+            pe.execute_sddmm_chunk(
+                r, c, off, out + np.arange(count, dtype=np.int64)
+            )
+        segs.append((start, len(recorded)))
+    return segs
+
+
+EXECUTE = {
+    "spmm": functools.partial(_execute, "spmm"),
+    "sddmm": functools.partial(_execute, "sddmm"),
+}
+"""Run one epoch ``(r_ids, c_ids, chunks)`` through the scalar executor
+on a PE from :func:`oracle_pe`: the oracle of :data:`GENERATE`."""
+
 VRF_STATE = (
     "tag_hits",
     "tag_misses",
@@ -254,14 +329,19 @@ def vrf_pe(
     cap: int = 64,
     high: Optional[int] = None,
     low: Optional[int] = None,
+    memory: Optional[MemorySystem] = None,
 ) -> ProcessingElement:
     """A cold PE for ``kernel`` ("spmm" or "sddmm") with dense rows of
     ``k`` values and a ``cap``-line VRF with the paper's 25%/15%
     watermarks, or explicit ones (set directly, so geometries the
     constructor rejects, such as one register or ``high == 0``, can be
-    walked too)."""
-    cfg, memory, init, amap = _pe_setup(kernel, k)
-    pe = ProcessingElement(0, cfg.pe, memory, init, amap, BypassPolicy())
+    walked too).  It shares one memory system per ``(kernel, k)``
+    (generation never touches it) unless given ``memory``."""
+    cfg, shared, init, amap = _pe_setup(kernel, k)
+    pe = ProcessingElement(
+        0, cfg.pe, shared if memory is None else memory, init, amap,
+        BypassPolicy(),
+    )
     vrf = pe.vrf
     ref = type(vrf)(max(cap, 2), 0.25, 0.15)
     vrf.num_registers = cap
@@ -270,19 +350,33 @@ def vrf_pe(
     return pe
 
 
+def oracle_pe(kernel: str, k: int = 16, cap: int = 64,
+              high: Optional[int] = None,
+              low: Optional[int] = None) -> ProcessingElement:
+    """:func:`vrf_pe`'s PE on a fresh :class:`RecordingMemory`, for
+    :data:`EXECUTE`."""
+    return vrf_pe(kernel, k, cap, high, low,
+                  RecordingMemory(_pe_setup(kernel, k)[0]))
+
+
 def observe(pe: ProcessingElement, segs) -> tuple:
     """What one generation call leaves behind: its segments, the trace
     bytes, the ordered VRF tags, the VRF counters and dirty count, and
-    the PE counters."""
-    lines, ops = pe._trace.views()
+    the PE counters generation keeps (the per-level tallies are the
+    replay's).  On a PE from :func:`oracle_pe` the trace is the one its
+    memory recorded."""
+    memory = pe.memory
+    trace = memory if isinstance(memory, RecordingMemory) else pe._trace
+    lines, ops = trace.views()
     vrf = pe.vrf
+    c = pe.counters
     return (
         segs,
         lines.tobytes(),
         ops.tobytes(),
         list(vrf._tags.items()),
         tuple(getattr(vrf, a) for a in VRF_STATE),
-        dataclasses.asdict(pe.counters),
+        (c.tops, c.vops, c.sparse_line_reads, c.output_line_writes),
     )
 
 
