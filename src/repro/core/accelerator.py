@@ -291,7 +291,6 @@ class SpadeSystem:
                 self.config, tiled, init, amap, policy, self.chunk_nnz,
                 chaos=self.chaos, ledger=ledger,
             )
-            engine.bind_schedule(schedule)
             result = run(engine, schedule)
         return ExecutionReport(result, settings, schedule, self.config)
 
@@ -322,18 +321,12 @@ def sddmm_output_to_coo(
     vals array (inverse of the Appendix A output layout): a tile's
     ``i``-th entry moves from ``sparse_out_start_offset + i`` to
     ``sparse_in_start_offset + i``, every tile in one gather."""
-    meta = np.array(
-        [(t.sparse_in_start_offset, t.sparse_out_start_offset, t.nnz)
-         for t in tiled.tiles],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    in_at, out_at, nnz = meta.T
-    within = np.arange(int(nnz.sum()), dtype=np.int64) - np.repeat(
-        np.cumsum(nnz) - nnz, nnz
+    shift = np.repeat(
+        tiled.sparse_out_start_offset - tiled.sparse_in_start_offset,
+        tiled.tile_nnz_num,
     )
-    vals = np.empty(tiled.nnz, dtype=np.float32)
-    vals[np.repeat(in_at, nnz) + within] = np.asarray(out_vals)[
-        np.repeat(out_at, nnz) + within
+    vals = np.asarray(out_vals, dtype=np.float32)[
+        np.arange(tiled.nnz) + shift
     ]
     return COOMatrix.trusted(
         tiled.num_rows, tiled.num_cols, tiled.r_ids, tiled.c_ids, vals

@@ -20,7 +20,9 @@ Scheduling rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.instructions import (
     Instruction,
@@ -31,7 +33,7 @@ from repro.core.instructions import (
     TileInstruction,
     WBInvalidateInstruction,
 )
-from repro.sparse.tiled import TiledMatrix, TileInfo
+from repro.sparse.tiled import TiledMatrix
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,14 @@ class ScheduleParams:
 class Schedule:
     """Tile work organised as epochs x PEs.
 
-    ``epochs[e][p]`` is the ordered tile list PE ``p`` executes during
-    epoch ``e``.  Without barriers there is exactly one epoch.
+    ``epochs[e][p]`` is the int64 array of the tiles (indices into
+    ``tiled``'s tile table) PE ``p`` executes during epoch ``e``, in
+    layout order.  Without barriers there is exactly one epoch.
     """
 
     num_pes: int
-    epochs: List[List[List[TileInfo]]]
+    epochs: List[List[np.ndarray]]
+    tiled: TiledMatrix
     params: ScheduleParams = field(default_factory=ScheduleParams)
 
     @property
@@ -64,18 +68,19 @@ class Schedule:
 
     @property
     def num_tiles(self) -> int:
-        return sum(
-            len(tiles) for epoch in self.epochs for tiles in epoch
-        )
+        return sum(len(tiles) for epoch in self.epochs for tiles in epoch)
 
-    def tiles_for_pe(self, pe_id: int) -> List[TileInfo]:
+    def tiles_for_pe(self, pe_id: int) -> np.ndarray:
         """All tiles of one PE across epochs, in execution order."""
-        return [t for epoch in self.epochs for t in epoch[pe_id]]
+        return np.concatenate(
+            [np.zeros(0, np.int64)] + [e[pe_id] for e in self.epochs]
+        )
 
     def pe_nnz(self) -> List[int]:
         """Total nonzeros assigned to each PE (load-balance metric)."""
+        nnz = self.tiled.tile_nnz_num
         return [
-            sum(t.nnz for t in self.tiles_for_pe(p))
+            int(nnz[self.tiles_for_pe(p)].sum())
             for p in range(self.num_pes)
         ]
 
@@ -87,16 +92,18 @@ class Schedule:
 
     def validate_row_panel_constraint(self) -> None:
         """Assert the SpMM anti-race rule: one row panel, one PE."""
-        owner: Dict[int, int] = {}
-        for epoch in self.epochs:
-            for pe_id, tiles in enumerate(epoch):
-                for t in tiles:
-                    prev = owner.setdefault(t.row_panel_id, pe_id)
-                    if prev != pe_id:
-                        raise AssertionError(
-                            f"row panel {t.row_panel_id} split across "
-                            f"PEs {prev} and {pe_id}"
-                        )
+        tiles = [self.tiles_for_pe(p) for p in range(self.num_pes)]
+        pe = np.repeat(np.arange(self.num_pes), [len(t) for t in tiles])
+        rp = self.tiled.tile_row_panel_id[np.concatenate(tiles)]
+        by_panel = np.lexsort((pe, rp))
+        rp, pe = rp[by_panel], pe[by_panel]
+        split = np.flatnonzero((rp[1:] == rp[:-1]) & (pe[1:] != pe[:-1]))
+        if split.size:
+            i = split[0]
+            raise AssertionError(
+                f"row panel {rp[i]} split across PEs {pe[i]} and "
+                f"{pe[i + 1]}"
+            )
 
 
 class ControlProcessor:
@@ -114,27 +121,31 @@ class ControlProcessor:
         tiled: TiledMatrix,
         params: Optional[ScheduleParams] = None,
     ) -> Schedule:
-        """Assign tiles to PEs and group them into barrier epochs."""
+        """Assign tiles to PEs and group them into barrier epochs.
+
+        Row panel ``rp`` belongs to PE ``rp % num_pes``; with barriers a
+        tile's epoch is its column panel's group, and groups without a
+        tile are dropped.  A stable sort by (epoch, PE) keeps each PE's
+        tiles in layout order."""
         params = params or ScheduleParams()
-        owner = {
-            rp: rp % self.num_pes
-            for rp in range(tiled.num_row_panels)
-        }
-        if params.use_barriers:
-            groups = -(-tiled.num_col_panels // params.barrier_group_cols)
-            epochs = [
-                [[] for _ in range(self.num_pes)] for _ in range(groups)
-            ]
-            for tile in tiled.tiles:
-                epoch = tile.col_panel_id // params.barrier_group_cols
-                epochs[epoch][owner[tile.row_panel_id]].append(tile)
-            # Drop epochs with no tiles at all (fully empty column groups).
-            epochs = [e for e in epochs if any(e)]
-        else:
-            epochs = [[[] for _ in range(self.num_pes)]]
-            for tile in tiled.tiles:
-                epochs[0][owner[tile.row_panel_id]].append(tile)
-        schedule = Schedule(self.num_pes, epochs, params)
+        p = self.num_pes
+        pe = tiled.tile_row_panel_id % p
+        group = (
+            tiled.tile_col_panel_id // params.barrier_group_cols
+            if params.use_barriers else np.zeros_like(pe)
+        )
+        order = np.lexsort((pe, group))
+        new_epoch = np.diff(group[order], prepend=-1) != 0
+        slot = (np.cumsum(new_epoch) - 1) * p + pe[order]
+        # Without barriers there is one epoch, even with no tiles.
+        num_epochs = max(int(new_epoch.sum()), not params.use_barriers)
+        ends = np.searchsorted(slot, np.arange(num_epochs * p), "right")
+        parts = [
+            order[lo:hi]
+            for lo, hi in zip([0, *ends[:-1].tolist()], ends.tolist())
+        ]
+        epochs = [parts[e * p:(e + 1) * p] for e in range(num_epochs)]
+        schedule = Schedule(p, epochs, tiled, params)
         schedule.validate_row_panel_constraint()
         return schedule
 
@@ -151,15 +162,20 @@ class ControlProcessor:
         streams: List[List[Instruction]] = [
             [init] for _ in range(schedule.num_pes)
         ]
+        tiled = schedule.tiled
         for epoch_idx, epoch in enumerate(schedule.epochs):
             for pe_id, tiles in enumerate(epoch):
                 streams[pe_id].extend(
                     TileInstruction(
-                        sparse_in_start_offset=t.sparse_in_start_offset,
-                        sparse_out_start_offset=t.sparse_out_start_offset,
-                        nnz_num=t.nnz,
+                        sparse_in_start_offset=lo,
+                        sparse_out_start_offset=out,
+                        nnz_num=nnz,
                     )
-                    for t in tiles
+                    for lo, nnz, out in zip(
+                        tiled.sparse_in_start_offset[tiles].tolist(),
+                        tiled.tile_nnz_num[tiles].tolist(),
+                        tiled.sparse_out_start_offset[tiles].tolist(),
+                    )
                 )
             if (
                 schedule.params.use_barriers

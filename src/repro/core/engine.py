@@ -32,7 +32,7 @@ from repro.memory.hierarchy import MemorySystem, ServiceLevel
 from repro.memory.stats import AccessStats
 from repro.obs.ledger import NULL_LEDGER
 from repro.resilience.checkpoint import CheckpointManager, checkpoint_fingerprint
-from repro.sparse.tiled import TiledMatrix, TileInfo
+from repro.sparse.tiled import TiledMatrix
 
 DEFAULT_CHUNK_NNZ = 4096
 """Interleaving granularity across PEs inside an epoch."""
@@ -73,52 +73,74 @@ class EngineResult:
         return (self.dram_bytes / self.time_ns) / peak_gbps
 
 
-@dataclass
-class _ChunkCursor:
-    """Walks one PE's tile list in fixed-size nonzero chunks."""
-
-    tiles: List[TileInfo]
-    chunk_nnz: int
-    tile_idx: int = 0
-    offset_in_tile: int = 0
-
-    def next_chunk(self) -> Optional[Tuple[TileInfo, int, int]]:
-        """Return (tile, lo, hi) nnz-range of the next chunk, or None."""
-        while self.tile_idx < len(self.tiles):
-            tile = self.tiles[self.tile_idx]
-            if self.offset_in_tile >= tile.nnz:
-                self.tile_idx += 1
-                self.offset_in_tile = 0
-                continue
-            lo = self.offset_in_tile
-            hi = min(lo + self.chunk_nnz, tile.nnz)
-            self.offset_in_tile = hi
-            return tile, lo, hi
-        return None
-
-
-def _chunk_table(chunks: List[Tuple[TileInfo, int, int]]) -> np.ndarray:
-    """The int64 ``(chunks, 3)`` table of (input offset, count, output
-    start) of ``(tile, lo, hi)`` chunks: where each chunk's nonzeros sit
-    in the tiled arrays, and where its SDDMM output values go."""
-    return np.array(
-        [
-            (t.sparse_in_start_offset + lo, hi - lo,
-             t.sparse_out_start_offset + lo)
-            for t, lo, hi in chunks
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+def chunk_tables(
+    tiled: TiledMatrix, groups: List[np.ndarray], chunk_nnz: int
+) -> List[np.ndarray]:
+    """Each tile-index array of ``groups`` (a schedule's per-PE tile
+    lists) cut into chunks of up to ``chunk_nnz`` nonzeros: one int64
+    ``(chunks, 3)`` table per group of (input offset, count, output
+    start), where each chunk's nonzeros sit in the tiled arrays and
+    where its SDDMM output values go.  Chunking restarts at every tile,
+    and a tile without nonzeros gives no chunk."""
+    tiles = np.concatenate([np.zeros(0, np.int64), *groups])
+    nnz = tiled.tile_nnz_num[tiles]
+    per_tile = -(-nnz // chunk_nnz)
+    chunk_end = np.cumsum(per_tile)
+    tile = np.repeat(tiles, per_tile)
+    lo = chunk_nnz * (
+        np.arange(tile.size) - np.repeat(chunk_end - per_tile, per_tile)
+    )
+    table = np.empty((tile.size, 3), dtype=np.int64)
+    table[:, 0] = tiled.sparse_in_start_offset[tile] + lo
+    table[:, 1] = np.minimum(tiled.tile_nnz_num[tile] - lo, chunk_nnz)
+    table[:, 2] = tiled.sparse_out_start_offset[tile] + lo
+    ends = np.append(0, chunk_end)[np.cumsum([len(g) for g in groups])]
+    return _cut(table, ends)
 
 
-def _chunk_table_of_runs(
-    tables: List[np.ndarray], runs: List[Tuple[int, int, int]]
-) -> np.ndarray:
-    """The rows of every dispatch run ``(pe, chunk_lo, chunk_hi)`` of the
-    per-PE chunk ``tables``, in run order: the epoch's merge order."""
-    if not runs:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate([tables[i][c0:c1] for i, c0, c1 in runs])
+def _cut(array: np.ndarray, ends: np.ndarray) -> List[np.ndarray]:
+    """``array`` cut into consecutive pieces ending at ``ends``."""
+    ends = ends.tolist()
+    return [array[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
+def _coalesced_dispatch(
+    counts: np.ndarray,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The round-robin chunk dispatch order of every epoch, whose PEs
+    have ``counts[epoch, pe]`` chunks: every PE's next chunk in PE
+    order, round after round, skipping PEs whose chunks are done.
+
+    Gives each epoch's order twice: coalesced into maximal consecutive
+    same-PE runs, an int64 ``(runs, 3)`` array of ``(pe, chunk_lo,
+    chunk_hi)``, and as the permutation of the epoch's concatenated
+    per-PE chunk tables.  Shared levels (L2/LLC/STLB) make replay order
+    across PEs observable, so only *consecutive* chunks of the same PE
+    may share a replay call, which happens exactly when other PEs have
+    exhausted their chunks.  The order is a function of the chunk
+    counts alone, never of queue timing, so the replayed stream is
+    deterministic and bit-identical to the scalar oracle's."""
+    pes = counts.shape[1]
+    flat = counts.ravel()
+    slot = np.repeat(np.arange(flat.size), flat)  # epoch * pes + pe
+    ordinal = np.arange(slot.size) - np.repeat(np.cumsum(flat) - flat, flat)
+    order = np.lexsort((slot, ordinal, slot // pes))
+    slot, ordinal = slot[order], ordinal[order]
+    start = np.flatnonzero(np.diff(slot, prepend=-1))
+    length = np.diff(np.append(start, slot.size))
+    runs = np.stack(
+        [slot[start] % pes, ordinal[start], ordinal[start] + length], 1
+    )
+    epoch_end = np.cumsum(counts.sum(axis=1))
+    epoch_start = [0, *epoch_end[:-1].tolist()]
+    return [
+        (epoch_runs, epoch_order - first)
+        for epoch_runs, epoch_order, first in zip(
+            _cut(runs, np.searchsorted(start, epoch_end)),
+            _cut(order, epoch_end),
+            epoch_start,
+        )
+    ]
 
 
 class Engine:
@@ -200,11 +222,12 @@ class Engine:
 
         tiled = self.tiled
 
-        def gen_chunk(pe: ProcessingElement, tile: TileInfo, lo: int, hi: int):
-            off = tile.sparse_in_start_offset
-            r = tiled.r_ids[off + lo : off + hi]
-            c = tiled.c_ids[off + lo : off + hi]
-            pe.execute_spmm_chunk(r, c, off + lo)
+        def gen_chunk(
+            pe: ProcessingElement, off: int, count: int, out: int
+        ):
+            r = tiled.r_ids[off : off + count]
+            c = tiled.c_ids[off : off + count]
+            pe.execute_spmm_chunk(r, c, off)
 
         def merge(segments: np.ndarray):
             spmm_chunk_update(
@@ -215,7 +238,7 @@ class Engine:
             return generate_spmm_epoch(pe, tiled.r_ids, tiled.c_ids, chunks)
 
         epochs, per_pe_time = self._run_epochs(
-            gen_chunk, merge, d_accum, "spmm", gen_epoch
+            schedule, gen_chunk, merge, d_accum, "spmm", gen_epoch
         )
         term_ns, dirty = self._terminate()
         stats = self.memory.collect_stats()
@@ -250,14 +273,13 @@ class Engine:
 
         tiled = self.tiled
 
-        def gen_chunk(pe: ProcessingElement, tile: TileInfo, lo: int, hi: int):
-            off = tile.sparse_in_start_offset
-            r = tiled.r_ids[off + lo : off + hi]
-            c = tiled.c_ids[off + lo : off + hi]
-            out_offsets = tile.sparse_out_start_offset + np.arange(
-                lo, hi, dtype=np.int64
-            )
-            pe.execute_sddmm_chunk(r, c, off + lo, out_offsets)
+        def gen_chunk(
+            pe: ProcessingElement, off: int, count: int, out: int
+        ):
+            r = tiled.r_ids[off : off + count]
+            c = tiled.c_ids[off : off + count]
+            out_offsets = out + np.arange(count, dtype=np.int64)
+            pe.execute_sddmm_chunk(r, c, off, out_offsets)
 
         def merge(segments: np.ndarray):
             sddmm_chunk_vals(
@@ -269,7 +291,7 @@ class Engine:
             return generate_sddmm_epoch(pe, tiled.r_ids, tiled.c_ids, chunks)
 
         epochs, per_pe_time = self._run_epochs(
-            gen_chunk, merge, out_vals, "sddmm", gen_epoch
+            schedule, gen_chunk, merge, out_vals, "sddmm", gen_epoch
         )
         term_ns, dirty = self._terminate()
         stats = self.memory.collect_stats()
@@ -290,22 +312,19 @@ class Engine:
 
     # -- internals ------------------------------------------------------------
 
-    _schedule: Optional[Schedule] = None
-
-    def bind_schedule(self, schedule: Schedule) -> None:
-        self._schedule = schedule
-
     def _run_epochs(
         self,
+        schedule: Schedule,
         gen_chunk,
         merge,
         output: np.ndarray,
         primitive: str,
         gen_epoch,
     ) -> Tuple[List[EpochTiming], List[float]]:
-        schedule = self._schedule
-        if schedule is None:
-            raise RuntimeError("bind_schedule() must be called before running")
+        if schedule.tiled is not self.tiled:
+            raise ConfigError(
+                "schedule was built for a different tiled matrix"
+            )
         if schedule.num_pes != self.config.num_pes:
             raise ConfigError(
                 f"schedule is for {schedule.num_pes} PEs but the system "
@@ -329,15 +348,22 @@ class Engine:
         # chunk_index (and chaos targeting) identifies the n-th chunk a
         # PE processed this run, across epochs.
         self._chunk_ordinal = [0] * self.config.num_pes
-        for epoch_idx, epoch in enumerate(schedule.epochs):
-            if epoch_idx < start_epoch:
-                continue
+        # Every epoch's per-PE chunk tables and dispatch order, built
+        # once from the schedule's tile arrays.
+        pes = schedule.num_pes
+        tables = chunk_tables(
+            self.tiled,
+            [tiles for epoch in schedule.epochs for tiles in epoch],
+            self.chunk_nnz,
+        )
+        dispatch = _coalesced_dispatch(
+            np.array([len(t) for t in tables], np.int64).reshape(-1, pes)
+        )
+        for epoch_idx in range(start_epoch, schedule.num_epochs):
+            epoch_tables = tables[epoch_idx * pes : (epoch_idx + 1) * pes]
             for pe in self.pes:
                 pe.counters = PECounters()
             dram_before = self.memory.dram.accesses
-            cursors = [
-                _ChunkCursor(tiles, self.chunk_nnz) for tiles in epoch
-            ]
             # Host-side phase split (gen / merge / replay seconds)
             # accumulated by the epoch drivers when a ledger is attached.
             phase = [0.0, 0.0, 0.0] if self.ledger.enabled else None
@@ -346,10 +372,14 @@ class Engine:
                 f"epoch[{epoch_idx}]", cat="epoch", epoch=epoch_idx
             ):
                 if self._per_chunk:
-                    self._run_epoch_serial(cursors, gen_chunk, merge, phase)
+                    self._run_epoch_serial(
+                        epoch_tables, dispatch[epoch_idx], gen_chunk,
+                        merge, phase,
+                    )
                 else:
                     fused_chunks, replay_runs = self._run_epoch_phased(
-                        cursors, gen_epoch, merge, phase, epoch_idx
+                        epoch_tables, dispatch[epoch_idx], gen_epoch,
+                        merge, phase, epoch_idx,
                     )
             per_pe = [pe.counters for pe in self.pes]
             self._epoch_counters.append(per_pe)
@@ -476,12 +506,16 @@ class Engine:
 
     # -- epoch drivers ---------------------------------------------------
 
-    def _run_epoch_serial(self, cursors, gen_chunk, merge, phase=None) -> None:
+    def _run_epoch_serial(
+        self, tables, dispatch, gen_chunk, merge, phase=None
+    ) -> None:
         """Round-robin chunk interleave of the scalar oracle (and of
         vectorized execution without the compiled library): each
         chunk's VRF walk issues its accesses to the memory system as it
         goes, so generation and replay are one step; each chunk then
-        merges as a one-segment table.
+        merges as a one-row table.  The chunks are the epoch's per-PE
+        chunk ``tables``, run in ``dispatch`` order (the epoch's item of
+        :func:`_coalesced_dispatch`), as the phased driver merges them.
 
         ``phase`` accumulates host seconds as ``[gen, merge, replay]``;
         generation includes the replay it issues, so ``replay`` stays 0.
@@ -491,27 +525,23 @@ class Engine:
         chaos = self._chaos
         chunk_ordinal = self._chunk_ordinal
         perf_counter = time.perf_counter
-        active = True
-        while active:
-            active = False
-            for pe, cursor in zip(self.pes, cursors):
-                nxt = cursor.next_chunk()
-                if nxt is None:
-                    continue
-                active = True
-                tile, lo, hi = nxt
-                chunk_idx = chunk_ordinal[pe.pe_id]
-                chunk_ordinal[pe.pe_id] += 1
+        runs, _ = dispatch
+        for i, c0, c1 in runs.tolist():
+            pe = self.pes[i]
+            for c in range(c0, c1):
+                chunk_idx = chunk_ordinal[i]
+                chunk_ordinal[i] += 1
+                row = tables[i][c : c + 1]
                 try:
                     if chaos is not None:
                         chaos.worker_fault(
-                            pe.pe_id, chunk_idx, backend=self.execution
+                            i, chunk_idx, backend=self.execution
                         )
                         chaos.replay_delay()
                     t0 = perf_counter()
-                    gen_chunk(pe, tile, lo, hi)
+                    gen_chunk(pe, *row[0].tolist())
                     t1 = perf_counter()
-                    merge(_chunk_table([nxt]))
+                    merge(row)
                     phase[1] += perf_counter() - t1
                     phase[0] += t1 - t0
                 except SpadeError:
@@ -519,55 +549,11 @@ class Engine:
                 except Exception as exc:
                     raise EngineExecutionError(
                         f"{self.execution} execution failed on a chunk",
-                        pe_id=pe.pe_id,
+                        pe_id=i,
                         chunk_index=chunk_idx,
                     ) from exc
 
     # -- whole-epoch fused driver ----------------------------------------
-
-    @staticmethod
-    def _collect_epoch_parts(cursors) -> List[List[Tuple[TileInfo, int, int]]]:
-        """Materialise every PE's chunk list for the epoch up front (the
-        dispatch order is a pure function of the per-PE chunk counts)."""
-        parts: List[List[Tuple[TileInfo, int, int]]] = []
-        for cursor in cursors:
-            lst: List[Tuple[TileInfo, int, int]] = []
-            while True:
-                nxt = cursor.next_chunk()
-                if nxt is None:
-                    break
-                lst.append(nxt)
-            parts.append(lst)
-        return parts
-
-    @staticmethod
-    def _coalesced_dispatch(parts) -> List[Tuple[int, int, int]]:
-        """The serial round-robin chunk dispatch order, coalesced into
-        maximal consecutive same-PE runs ``(pe, chunk_lo, chunk_hi)``.
-
-        Shared levels (L2/LLC/STLB) make replay order across PEs
-        observable, so only *consecutive* chunks of the same PE may be
-        merged into one replay call — which happens exactly when other
-        PEs have exhausted their chunk lists.  The runs are derived from
-        chunk counts alone, never from queue timing, so the replayed
-        stream is deterministic and bit-identical to the scalar oracle.
-        """
-        counts = [len(p) for p in parts]
-        runs: List[Tuple[int, int, int]] = []
-        remaining = sum(counts)
-        ci = [0] * len(counts)
-        while remaining:
-            for i, count in enumerate(counts):
-                if ci[i] >= count:
-                    continue
-                start = ci[i]
-                ci[i] = start + 1
-                remaining -= 1
-                if runs and runs[-1][0] == i and runs[-1][2] == start:
-                    runs[-1] = (i, runs[-1][1], start + 1)
-                else:
-                    runs.append((i, start, start + 1))
-        return runs
 
     def _advance_chunks(self, i: int, count: int) -> int:
         """Claim ``count`` chunk ordinals for PE ``i`` and fire the
@@ -593,31 +579,29 @@ class Engine:
         return base
 
     def _run_epoch_phased(
-        self, cursors, gen_epoch, merge, phase, epoch_idx
+        self, tables, dispatch, gen_epoch, merge, phase, epoch_idx
     ) -> Tuple[int, List[List[int]]]:
         """Epoch driver for vectorized execution with the compiled
-        library: Phase A
-        derives each PE's *whole epoch* trace in one generation call
-        over its chunk table, Phase B runs the output math for every
-        chunk in one merge call over the coalesced round-robin dispatch
-        order, then replays all dispatch runs against the shared memory
-        system in one ``MemorySystem.replay_epoch`` call and folds each
-        run's service levels back into its PE's counters.
+        library: Phase A derives each PE's *whole epoch* trace in one
+        generation call over its chunk table, Phase B runs the output
+        math for every chunk in one merge call in ``dispatch`` order
+        (the epoch's item of :func:`_coalesced_dispatch`), then replays
+        all dispatch runs against the shared memory system in one
+        ``MemorySystem.replay_epoch`` call and folds each run's service
+        levels back into its PE's counters.
         Returns the number of chunks generated at epoch grain and, with
         a ledger attached under array replay, the epoch's dispatch runs
         as ``[pe, accesses]`` pairs (else an empty list).
         """
-        parts = self._collect_epoch_parts(cursors)
-        tables = [_chunk_table(p) for p in parts]
         traces: List[Tuple[np.ndarray, np.ndarray]] = []
         segs: List[List[Tuple[int, int]]] = []
         # Phase A: generate every PE's epoch in PE order; the trace
         # stays in the PE's own buffer (zero-copy views).
         for i, pe in enumerate(self.pes):
-            self._advance_chunks(i, len(parts[i]))
+            self._advance_chunks(i, len(tables[i]))
             with self.ledger.span(
                 "gen_epoch", cat="gen", pe=i, epoch=epoch_idx,
-                chunks=len(parts[i]),
+                chunks=len(tables[i]),
             ) as span:
                 try:
                     segs.append(gen_epoch(pe, tables[i]))
@@ -635,14 +619,14 @@ class Engine:
 
         # Phase B: the output math for the whole epoch in dispatch
         # order, then one replay call for its coalesced runs.
-        dispatch = self._coalesced_dispatch(parts)
+        dispatch, order = dispatch
         chaos = self._chaos
         if chaos is not None:
-            for _ in range(sum(len(p) for p in parts)):
+            for _ in range(order.size):
                 chaos.replay_delay()
         t0 = time.perf_counter()
         try:
-            merge(_chunk_table_of_runs(tables, dispatch))
+            merge(np.concatenate(tables)[order])
         except SpadeError:
             raise
         except Exception as exc:
@@ -653,7 +637,7 @@ class Engine:
         if phase is not None:
             phase[1] += time.perf_counter() - t0
         replay_runs: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for i, c0, c1 in dispatch:
+        for i, c0, c1 in dispatch.tolist():
             s0 = segs[i][c0][0]
             s1 = segs[i][c1 - 1][1]
             if s1 > s0:
@@ -677,7 +661,7 @@ class Engine:
         del replay_runs
         for pe in self.pes:
             pe._trace.clear()
-        return sum(len(p) for p in parts), runs
+        return int(order.size), runs
 
     def _replay_into_counters(self, runs) -> None:
         """Replay dispatch runs ``(pe, lines, ops)`` as one epoch and add

@@ -24,7 +24,6 @@ from repro.core.accelerator import (
     sddmm_output_to_coo,
 )
 from repro.sparse.coo import COOMatrix
-from repro.sparse.tiled import tile_matrix
 
 
 def spmv(
@@ -62,9 +61,5 @@ def sddvv(
         raise ValueError(f"u must have shape ({a.num_rows},)")
     if v.ndim != 1 or len(v) != a.num_cols:
         raise ValueError(f"v must have shape ({a.num_cols},)")
-    settings = settings or KernelSettings.base()
     report = system.sddmm(a, u[:, None], v[:, None], settings)
-    tiled = tile_matrix(
-        a, settings.row_panel_size, settings.col_panel_size
-    )
-    return sddmm_output_to_coo(tiled, report.output), report
+    return sddmm_output_to_coo(report.schedule.tiled, report.output), report

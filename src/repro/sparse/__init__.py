@@ -13,12 +13,11 @@ layout of Appendix A.  This package provides:
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.tiled import TiledMatrix, TileInfo, tile_matrix
+from repro.sparse.tiled import TiledMatrix, tile_matrix
 
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "TiledMatrix",
-    "TileInfo",
     "tile_matrix",
 ]

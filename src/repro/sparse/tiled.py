@@ -2,7 +2,9 @@
 
 A matrix is partitioned into tiles of ``row_panel_size`` x
 ``col_panel_size``.  The COO entry arrays are reordered so that each
-tile's entries are contiguous, and tiling metadata is attached:
+tile's entries are contiguous, and the tile table is attached: five
+int64 arrays with one element per non-empty tile, in layout order, each
+named as in Appendix A:
 
 - ``sparse_in_start_offset`` — offset of each tile's first nonzero in the
   reordered ``r_ids``/``c_ids``/``vals`` arrays,
@@ -18,14 +20,14 @@ tile's entries are contiguous, and tiling metadata is attached:
 - ``tile_col_panel_id`` — which column panel each tile belongs to, used
   by the scheduling-barrier scheduler (Figure 5b).
 
-Empty tiles are dropped from the layout (they occupy no metadata).
-Within a tile, nonzeros keep row-major order, matching Figure 15(b).
+A tile is named by its index into these arrays.  Empty tiles are dropped
+from the layout (they occupy no metadata).  Within a tile, nonzeros keep
+row-major order, matching Figure 15(b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -34,22 +36,6 @@ from repro.config import CACHE_LINE_BYTES, FLOAT_BYTES
 from repro.sparse.coo import COOMatrix
 
 _OUT_VALS_PER_LINE = CACHE_LINE_BYTES // FLOAT_BYTES
-
-
-@dataclass(frozen=True)
-class TileInfo:
-    """Metadata for one non-empty tile, in layout order."""
-
-    tile_id: int
-    row_panel_id: int
-    col_panel_id: int
-    sparse_in_start_offset: int
-    sparse_out_start_offset: int
-    nnz: int
-
-    @property
-    def sparse_in_end_offset(self) -> int:
-        return self.sparse_in_start_offset + self.nnz
 
 
 @dataclass
@@ -63,7 +49,11 @@ class TiledMatrix:
     r_ids: np.ndarray
     c_ids: np.ndarray
     vals: np.ndarray
-    tiles: List[TileInfo]
+    sparse_in_start_offset: np.ndarray
+    tile_nnz_num: np.ndarray
+    sparse_out_start_offset: np.ndarray
+    tile_row_panel_id: np.ndarray
+    tile_col_panel_id: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -71,7 +61,7 @@ class TiledMatrix:
 
     @property
     def num_tiles(self) -> int:
-        return len(self.tiles)
+        return len(self.tile_nnz_num)
 
     @property
     def num_row_panels(self) -> int:
@@ -85,21 +75,12 @@ class TiledMatrix:
     def out_vals_length(self) -> int:
         """Length of the SDDMM output ``vals`` array including the
         per-tile cache-line alignment padding."""
-        if not self.tiles:
+        if not self.num_tiles:
             return 0
-        last = self.tiles[-1]
-        return last.sparse_out_start_offset + _pad_to_line(last.nnz)
-
-    def tiles_in_row_panel(self, row_panel_id: int) -> List[TileInfo]:
-        return [t for t in self.tiles if t.row_panel_id == row_panel_id]
-
-    def tiles_in_col_panel(self, col_panel_id: int) -> List[TileInfo]:
-        return [t for t in self.tiles if t.col_panel_id == col_panel_id]
-
-    def tile_entries(self, tile: TileInfo):
-        """The (r_ids, c_ids, vals) slices of one tile."""
-        lo, hi = tile.sparse_in_start_offset, tile.sparse_in_end_offset
-        return self.r_ids[lo:hi], self.c_ids[lo:hi], self.vals[lo:hi]
+        return int(
+            self.sparse_out_start_offset[-1]
+            + _pad_to_line(self.tile_nnz_num[-1])
+        )
 
     def to_coo(self) -> COOMatrix:
         """Recover the (unordered) COO matrix."""
@@ -109,29 +90,30 @@ class TiledMatrix:
 
     def validate(self) -> None:
         """Check layout invariants: contiguous tiles, entries in-panel."""
-        expected_offset = 0
-        expected_out = 0
-        seen = set()
-        for tile in self.tiles:
-            if tile.sparse_in_start_offset != expected_offset:
-                raise ValueError("tiles are not contiguous in entry arrays")
-            if tile.sparse_out_start_offset != expected_out:
-                raise ValueError("output offsets are not line-aligned")
-            if tile.nnz <= 0:
-                raise ValueError("empty tile present in layout")
-            key = (tile.row_panel_id, tile.col_panel_id)
-            if key in seen:
-                raise ValueError(f"duplicate tile {key}")
-            seen.add(key)
-            r, c, _ = self.tile_entries(tile)
-            if np.any(r // self.row_panel_size != tile.row_panel_id):
-                raise ValueError("entry outside its row panel")
-            if np.any(c // self.col_panel_size != tile.col_panel_id):
-                raise ValueError("entry outside its column panel")
-            expected_offset += tile.nnz
-            expected_out += _pad_to_line(tile.nnz)
-        if expected_offset != self.nnz:
+        nnz = self.tile_nnz_num
+        rp, cp = self.tile_row_panel_id, self.tile_col_panel_id
+        padded = _pad_to_line(nnz)
+        if np.any(self.sparse_in_start_offset != np.cumsum(nnz) - nnz):
+            raise ValueError("tiles are not contiguous in entry arrays")
+        if np.any(
+            self.sparse_out_start_offset != np.cumsum(padded) - padded
+        ):
+            raise ValueError("output offsets are not line-aligned")
+        if np.any(nnz <= 0):
+            raise ValueError("empty tile present in layout")
+        by_key = np.lexsort((cp, rp))
+        dup = np.flatnonzero(
+            (np.diff(rp[by_key]) == 0) & (np.diff(cp[by_key]) == 0)
+        )
+        if dup.size:
+            t = by_key[dup[0]]
+            raise ValueError(f"duplicate tile {(int(rp[t]), int(cp[t]))}")
+        if int(nnz.sum()) != self.nnz:
             raise ValueError("tile nnz sum does not cover all entries")
+        if np.any(self.r_ids // self.row_panel_size != np.repeat(rp, nnz)):
+            raise ValueError("entry outside its row panel")
+        if np.any(self.c_ids // self.col_panel_size != np.repeat(cp, nnz)):
+            raise ValueError("entry outside its column panel")
 
     def __repr__(self) -> str:
         return (
@@ -141,8 +123,9 @@ class TiledMatrix:
         )
 
 
-def _pad_to_line(n_vals: int) -> int:
-    """Round an output-value count up to a whole number of cache lines."""
+def _pad_to_line(n_vals):
+    """Round output-value counts (an int or an array) up to a whole
+    number of cache lines."""
     return -(-n_vals // _OUT_VALS_PER_LINE) * _OUT_VALS_PER_LINE
 
 
@@ -220,27 +203,15 @@ def tile_matrix(
         row_panel_size, col_panel_size,
     )
 
-    tiles: List[TileInfo] = []
-    if coo.nnz:
-        boundaries = np.flatnonzero(tile_key[1:] != tile_key[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [coo.nnz]))
-        out_offset = 0
-        for tid, (lo, hi, key) in enumerate(zip(
-            starts.tolist(), ends.tolist(), tile_key[starts].tolist()
-        )):
-            tiles.append(
-                TileInfo(
-                    tile_id=tid,
-                    row_panel_id=key // n_cp,
-                    col_panel_id=key % n_cp,
-                    sparse_in_start_offset=lo,
-                    sparse_out_start_offset=out_offset,
-                    nnz=hi - lo,
-                )
-            )
-            out_offset += _pad_to_line(hi - lo)
-
+    # A tile starts wherever the tile id changes; ids past int64 (the
+    # twin's Python ints) still give int64 panel ids.
+    new_tile = np.empty(coo.nnz, dtype=bool)
+    new_tile[:1] = True
+    new_tile[1:] = tile_key[1:] != tile_key[:-1]
+    starts = np.flatnonzero(new_tile)
+    nnz = np.diff(starts, append=coo.nnz)
+    keys = tile_key[starts]
+    padded = _pad_to_line(nnz)
     return TiledMatrix(
         num_rows=coo.num_rows,
         num_cols=coo.num_cols,
@@ -249,5 +220,9 @@ def tile_matrix(
         r_ids=r,
         c_ids=c,
         vals=v,
-        tiles=tiles,
+        sparse_in_start_offset=starts,
+        tile_nnz_num=nnz,
+        sparse_out_start_offset=np.cumsum(padded) - padded,
+        tile_row_panel_id=(keys // n_cp).astype(np.int64, copy=False),
+        tile_col_panel_id=(keys % n_cp).astype(np.int64, copy=False),
     )

@@ -98,9 +98,12 @@ class TestSDDMMCorrectness:
             tiled.out_vals_length
         ).astype(dtype)
         want = np.empty(tiled.nnz, dtype=np.float32)
-        for t in tiled.tiles:
-            lo, at = t.sparse_in_start_offset, t.sparse_out_start_offset
-            want[lo : lo + t.nnz] = out[at : at + t.nnz]
+        for lo, nnz, at in zip(
+            tiled.sparse_in_start_offset.tolist(),
+            tiled.tile_nnz_num.tolist(),
+            tiled.sparse_out_start_offset.tolist(),
+        ):
+            want[lo : lo + nnz] = out[at : at + nnz]
         got = sddmm_output_to_coo(tiled, out)
         assert got.vals.dtype == np.float32
         assert got.vals.tobytes() == want.tobytes()

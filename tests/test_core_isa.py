@@ -1,5 +1,6 @@
 """Unit tests for the tile ISA, bypass policy, and CPE scheduler."""
 
+import numpy as np
 import pytest
 
 from repro.core.bypass import BypassPolicy
@@ -90,10 +91,9 @@ class TestScheduling:
         tiled = tile_matrix(small_graph, 8, None)
         cpe = ControlProcessor(num_pes=4)
         schedule = cpe.build_schedule(tiled)
-        for tiles in schedule.epochs[0]:
-            panels = {t.row_panel_id for t in tiles}
-            owners = {rp % 4 for rp in panels}
-            assert len(owners) <= 1
+        for pe, tiles in enumerate(schedule.epochs[0]):
+            assert tiles.dtype == np.int64
+            assert np.all(tiled.tile_row_panel_id[tiles] % 4 == pe)
 
     def test_no_barriers_single_epoch(self, small_graph):
         tiled = tile_matrix(small_graph, 8, 16)
@@ -106,11 +106,12 @@ class TestScheduling:
             tiled, ScheduleParams(use_barriers=True, barrier_group_cols=2)
         )
         assert schedule.num_epochs >= 2
-        for epoch_idx, epoch in enumerate(schedule.epochs):
+        for epoch in schedule.epochs:
             groups = {
-                t.col_panel_id // 2 for tiles in epoch for t in tiles
+                cp // 2 for tiles in epoch
+                for cp in tiled.tile_col_panel_id[tiles].tolist()
             }
-            assert len(groups) <= 1
+            assert len(groups) == 1
 
     def test_all_tiles_scheduled_exactly_once(self, small_graph):
         tiled = tile_matrix(small_graph, 8, 16)
@@ -118,13 +119,10 @@ class TestScheduling:
             schedule = ControlProcessor(3).build_schedule(
                 tiled, ScheduleParams(use_barriers=barriers)
             )
-            ids = [
-                t.tile_id
-                for epoch in schedule.epochs
-                for tiles in epoch
-                for t in tiles
-            ]
-            assert sorted(ids) == [t.tile_id for t in tiled.tiles]
+            ids = np.concatenate(
+                [tiles for epoch in schedule.epochs for tiles in epoch]
+            )
+            assert sorted(ids.tolist()) == list(range(tiled.num_tiles))
 
     def test_load_imbalance_metric(self, small_graph):
         tiled = tile_matrix(small_graph, 8, None)
@@ -139,7 +137,10 @@ class TestScheduling:
         schedule = ControlProcessor(2).build_schedule(tiled)
         for pe in range(2):
             tiles = schedule.tiles_for_pe(pe)
-            keys = [(t.row_panel_id, t.col_panel_id) for t in tiles]
+            keys = list(zip(
+                tiled.tile_row_panel_id[tiles].tolist(),
+                tiled.tile_col_panel_id[tiles].tolist(),
+            ))
             assert keys == sorted(keys)
 
 
@@ -186,6 +187,12 @@ class TestInstructionStreams:
         tile_instrs = [
             i for i in streams[0] if isinstance(i, TileInstruction)
         ]
-        assert [t.sparse_in_start_offset for t in tile_instrs] == [
-            t.sparse_in_start_offset for t in tiled.tiles
-        ]
+        assert [t.sparse_in_start_offset for t in tile_instrs] == (
+            tiled.sparse_in_start_offset.tolist()
+        )
+        assert [t.nnz_num for t in tile_instrs] == (
+            tiled.tile_nnz_num.tolist()
+        )
+        assert [t.sparse_out_start_offset for t in tile_instrs] == (
+            tiled.sparse_out_start_offset.tolist()
+        )

@@ -113,7 +113,6 @@ def _run_engine(
         ),
     )
     engine = Engine(cfg, tiled, init, amap, policy, chunk_nnz)
-    engine.bind_schedule(schedule)
     rng = np.random.default_rng(7)
     if kernel == "spmm":
         b = rng.random((a.num_cols, k), dtype=np.float32)

@@ -6,8 +6,31 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import native
 from repro.sparse.coo import COOMatrix
-from repro.sparse.tiled import TileInfo, _order_twin, _pad_to_line, tile_matrix
+from repro.sparse.tiled import _order_twin, _pad_to_line, tile_matrix
 from tests.walks import WALKS, kernels
+
+TILE_ARRAYS = (
+    "sparse_in_start_offset", "tile_nnz_num", "sparse_out_start_offset",
+    "tile_row_panel_id", "tile_col_panel_id",
+)
+"""The Appendix A tile table, one int64 element per tile."""
+
+
+def _panels(tiled):
+    return list(zip(
+        tiled.tile_row_panel_id.tolist(), tiled.tile_col_panel_id.tolist()
+    ))
+
+
+def _entries_in_panels(tiled):
+    """Every entry lies in its tile's row and column panel."""
+    nnz = tiled.tile_nnz_num
+    return bool(
+        np.all(tiled.r_ids // tiled.row_panel_size
+               == np.repeat(tiled.tile_row_panel_id, nnz))
+        and np.all(tiled.c_ids // tiled.col_panel_size
+                   == np.repeat(tiled.tile_col_panel_id, nnz))
+    )
 
 
 class TestAppendixAExample:
@@ -16,25 +39,27 @@ class TestAppendixAExample:
     def test_tile_count_and_order(self, tiny_matrix):
         tiled = tile_matrix(tiny_matrix, 2, 2)
         assert tiled.num_tiles == 4
-        panels = [(t.row_panel_id, t.col_panel_id) for t in tiled.tiles]
-        assert panels == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert _panels(tiled) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for name in TILE_ARRAYS:
+            assert getattr(tiled, name).dtype == np.int64
 
     def test_tile_nnz_counts(self, tiny_matrix):
         tiled = tile_matrix(tiny_matrix, 2, 2)
-        assert [t.nnz for t in tiled.tiles] == [1, 2, 2, 2]
+        assert tiled.tile_nnz_num.tolist() == [1, 2, 2, 2]
 
     def test_offsets_contiguous(self, tiny_matrix):
         tiled = tile_matrix(tiny_matrix, 2, 2)
-        offsets = [t.sparse_in_start_offset for t in tiled.tiles]
-        assert offsets == [0, 1, 3, 5]
+        assert tiled.sparse_in_start_offset.tolist() == [0, 1, 3, 5]
 
     def test_entry_reordering_matches_figure(self, tiny_matrix):
         # Figure 15(b): vals reordered so per-tile entries consolidate;
         # the first tile holds only (0,1)->1.0 (value "c" in the paper's
         # letters corresponds to our from_dense value at [0,1]).
         tiled = tile_matrix(tiny_matrix, 2, 2)
-        r, c, v = tiled.tile_entries(tiled.tiles[0])
-        assert list(r) == [0] and list(c) == [1]
+        lo = tiled.sparse_in_start_offset[0]
+        hi = lo + tiled.tile_nnz_num[0]
+        assert list(tiled.r_ids[lo:hi]) == [0]
+        assert list(tiled.c_ids[lo:hi]) == [1]
 
     def test_roundtrip(self, tiny_matrix):
         tiled = tile_matrix(tiny_matrix, 2, 2)
@@ -53,25 +78,24 @@ class TestLayoutInvariants:
 
     def test_tiles_cover_all_entries(self, small_graph):
         tiled = tile_matrix(small_graph, 32, 32)
-        assert sum(t.nnz for t in tiled.tiles) == small_graph.nnz
+        assert int(tiled.tile_nnz_num.sum()) == small_graph.nnz
 
     def test_no_empty_tiles(self, small_graph):
         tiled = tile_matrix(small_graph, 8, 8)
-        assert all(t.nnz > 0 for t in tiled.tiles)
+        assert np.all(tiled.tile_nnz_num > 0)
 
     def test_row_major_within_tile(self, small_graph):
         tiled = tile_matrix(small_graph, 64, 64)
-        for tile in tiled.tiles[:10]:
-            r, c, _ = tiled.tile_entries(tile)
+        for lo, nnz in zip(tiled.sparse_in_start_offset[:10].tolist(),
+                           tiled.tile_nnz_num[:10].tolist()):
+            r = tiled.r_ids[lo : lo + nnz]
+            c = tiled.c_ids[lo : lo + nnz]
             keys = r * small_graph.num_cols + c
             assert np.all(np.diff(keys) > 0)
 
     def test_entries_within_panels(self, small_graph):
         tiled = tile_matrix(small_graph, 16, 48)
-        for tile in tiled.tiles:
-            r, c, _ = tiled.tile_entries(tile)
-            assert np.all(r // 16 == tile.row_panel_id)
-            assert np.all(c // 48 == tile.col_panel_id)
+        assert _entries_in_panels(tiled)
 
 
 class TestOutputAlignment:
@@ -79,12 +103,11 @@ class TestOutputAlignment:
 
     def test_out_offsets_line_aligned(self, small_graph):
         tiled = tile_matrix(small_graph, 16, 16)
-        for tile in tiled.tiles:
-            assert tile.sparse_out_start_offset % 16 == 0
+        assert np.all(tiled.sparse_out_start_offset % 16 == 0)
 
     def test_out_length_covers_padded_tiles(self, small_graph):
         tiled = tile_matrix(small_graph, 16, 16)
-        expected = sum(_pad_to_line(t.nnz) for t in tiled.tiles)
+        expected = sum(_pad_to_line(n) for n in tiled.tile_nnz_num.tolist())
         assert tiled.out_vals_length == expected
 
     def test_pad_to_line(self):
@@ -95,15 +118,22 @@ class TestOutputAlignment:
 
 class TestPanelQueries:
     def test_tiles_in_row_panel(self, small_graph):
+        """A row panel's tiles hold exactly its rows' entries."""
         tiled = tile_matrix(small_graph, 32, 32)
-        for rp in range(min(tiled.num_row_panels, 3)):
-            tiles = tiled.tiles_in_row_panel(rp)
-            assert all(t.row_panel_id == rp for t in tiles)
+        for rp in range(tiled.num_row_panels):
+            tiles = tiled.tile_row_panel_id == rp
+            assert int(tiled.tile_nnz_num[tiles].sum()) == int(
+                np.sum(small_graph.r_ids // 32 == rp)
+            )
 
     def test_tiles_in_col_panel(self, small_graph):
+        """A column panel's tiles hold exactly its columns' entries."""
         tiled = tile_matrix(small_graph, 32, 32)
-        tiles = tiled.tiles_in_col_panel(0)
-        assert all(t.col_panel_id == 0 for t in tiles)
+        for cp in range(tiled.num_col_panels):
+            tiles = tiled.tile_col_panel_id == cp
+            assert int(tiled.tile_nnz_num[tiles].sum()) == int(
+                np.sum(small_graph.c_ids // 32 == cp)
+            )
 
     def test_panel_counts(self, small_graph):
         tiled = tile_matrix(small_graph, 32, 48)
@@ -113,7 +143,7 @@ class TestPanelQueries:
     def test_none_col_panel_means_all_columns(self, small_graph):
         tiled = tile_matrix(small_graph, 32, None)
         assert tiled.num_col_panels == 1
-        assert all(t.col_panel_id == 0 for t in tiled.tiles)
+        assert np.all(tiled.tile_col_panel_id == 0)
 
 
 class TestEdgeCases:
@@ -124,23 +154,41 @@ class TestEdgeCases:
     def test_panel_larger_than_matrix(self, tiny_matrix):
         tiled = tile_matrix(tiny_matrix, 1000, 1000)
         assert tiled.num_tiles == 1
-        assert tiled.tiles[0].nnz == tiny_matrix.nnz
+        assert tiled.tile_nnz_num.tolist() == [tiny_matrix.nnz]
 
     def test_empty_matrix(self):
         empty = COOMatrix(4, 4, np.array([]), np.array([]), np.array([]))
         tiled = tile_matrix(empty, 2, 2)
         assert tiled.num_tiles == 0
         assert tiled.out_vals_length == 0
+        for name in TILE_ARRAYS:
+            assert getattr(tiled, name).dtype == np.int64
         tiled.validate()
 
     def test_validate_detects_corruption(self, tiny_matrix):
         tiled = tile_matrix(tiny_matrix, 2, 2)
-        bad = TileInfo(
-            tile_id=0, row_panel_id=0, col_panel_id=0,
-            sparse_in_start_offset=1, sparse_out_start_offset=0, nnz=1,
-        )
-        tiled.tiles[0] = bad
-        with pytest.raises(ValueError):
+        tiled.sparse_in_start_offset[0] = 1
+        with pytest.raises(ValueError, match="not contiguous"):
+            tiled.validate()
+
+    @pytest.mark.parametrize("array,tile,value,match", [
+        ("sparse_in_start_offset", 2, 4, "not contiguous"),
+        ("sparse_out_start_offset", 1, 8, "not line-aligned"),
+        ("tile_nnz_num", 3, 0, "empty tile"),
+        ("tile_col_panel_id", 1, 0, r"duplicate tile \(0, 0\)"),
+        ("tile_nnz_num", 3, 3, "does not cover"),
+        ("tile_row_panel_id", 0, 5, "outside its row panel"),
+        ("tile_col_panel_id", 3, 7, "outside its column panel"),
+    ])
+    def test_validate_names_each_fault(
+        self, tiny_matrix, array, tile, value, match
+    ):
+        """Each check is reached by editing one element of one array of
+        the Figure 15 layout."""
+        tiled = tile_matrix(tiny_matrix, 2, 2)
+        tiled.validate()
+        getattr(tiled, array)[tile] = value
+        with pytest.raises(ValueError, match=match):
             tiled.validate()
 
 
@@ -153,13 +201,17 @@ def _needs_kernel():
 
 
 def _layout(walk, coo, rp, cp):
-    """Everything ``tile_matrix`` gives on ``walk``, entry arrays as
-    bytes with their dtypes."""
+    """Everything ``tile_matrix`` gives on ``walk``, entry arrays and
+    tile arrays as bytes with their dtypes."""
     with kernels(walk):
         t = tile_matrix(coo, rp, cp)
     t.validate()
-    arrays = [(a.dtype.str, a.tobytes()) for a in (t.r_ids, t.c_ids, t.vals)]
-    return arrays, t.tiles, t.row_panel_size, t.col_panel_size
+    arrays = [
+        (a.dtype.str, a.tobytes())
+        for a in (t.r_ids, t.c_ids, t.vals,
+                  *(getattr(t, name) for name in TILE_ARRAYS))
+    ]
+    return arrays, t.row_panel_size, t.col_panel_size
 
 
 @st.composite
@@ -219,10 +271,7 @@ def test_layout_is_the_lexsort_order(small_graph, walk, order, rp, cp):
     assert np.array_equal(t.r_ids, coo.r_ids[want])
     assert np.array_equal(t.c_ids, coo.c_ids[want])
     assert np.array_equal(t.vals, coo.vals[want])
-    for tile in t.tiles:
-        r, c, _ = t.tile_entries(tile)
-        assert np.all(r // rp == tile.row_panel_id)
-        assert np.all(c // col == tile.col_panel_id)
+    assert _entries_in_panels(t)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 200))
@@ -260,9 +309,11 @@ def test_key_span_past_the_kernel_takes_the_twin(monkeypatch):
     t.validate()
     assert t.r_ids.tolist() == [0, 5, 5, 2**40 - 1]
     assert t.c_ids.tolist() == [3, 0, 2**40 - 1, 7]
-    assert [(x.row_panel_id, x.col_panel_id) for x in t.tiles] == [
+    assert _panels(t) == [
         (0, 3), (5, 0), (5, 2**40 - 1), (2**40 - 1, 7)
     ]
+    for name in TILE_ARRAYS:
+        assert getattr(t, name).dtype == np.int64
 
 
 @pytest.mark.parametrize("walk", WALKS)
