@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import native
 from repro.config import CacheConfig, SpadeConfig
 from repro.memory.bbf import BypassBuffer
 from repro.memory.cache import Cache
@@ -83,7 +82,7 @@ def level_tally(levels: np.ndarray, ops: np.ndarray) -> np.ndarray:
     that neither write nor lie in :data:`SPARSE_REGION`), stores (every
     write) and sparse accesses (every access in the region; a sparse
     write counts as a store too) by level.  The reference fold; the
-    compiled replay's ``repro_tally_epoch`` is held to it."""
+    compiled epoch replay's fold is held to it."""
     n_levels = len(ServiceLevel)
     key = levels.astype(np.int64)
     key += ((ops & OP_WRITE) != 0) * n_levels
@@ -305,6 +304,7 @@ class MemorySystem:
         lines: np.ndarray,
         ops: np.ndarray,
         region_names: Sequence[Optional[str]] = TRACE_REGIONS,
+        tally: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Replay an interleaved access trace in a single call through
         the ``config.replay`` backend: :meth:`replay_trace_scalar` (the
@@ -315,8 +315,14 @@ class MemorySystem:
         The array backend also accepts a list of dispatch runs
         ``(pe, lo, hi)`` as ``pe_id``, each one PE's accesses
         ``lines[lo:hi]``: :meth:`replay_epoch`'s one call for a whole
-        epoch, which is one compiled call for the whole hierarchy."""
-        return self._replay_backend(self, pe_id, lines, ops, region_names)
+        epoch, which is one compiled call for the whole hierarchy.
+
+        ``tally``, when given, is a ``(PEs, 3, len(ServiceLevel))``
+        int64 array: the levels of each PE's accesses are added into its
+        row as :func:`level_tally` counts them."""
+        return self._replay_backend(
+            self, pe_id, lines, ops, region_names, tally
+        )
 
     def replay_epoch(
         self,
@@ -335,42 +341,31 @@ class MemorySystem:
 
         ``tally``, when given, is a ``(PEs, 3, len(ServiceLevel))``
         int64 array: each run's levels are added into its PE's row as
-        :func:`level_tally` counts them (by ``repro_tally_epoch`` where
-        the array backend's library loads)."""
+        :func:`level_tally` counts them, inside the :meth:`replay_trace`
+        call (in the compiled replay where the array backend's library
+        loads)."""
         if self.config.replay == "scalar":
-            levels = [
-                self.replay_trace(pe, lines, ops, region_names)
+            return [
+                self.replay_trace(pe, lines, ops, region_names, tally)
                 for pe, lines, ops in runs
             ]
-        elif not runs:
+        if not runs:
             return []
-        else:
-            runs = [
-                (int(pe), np.asarray(lines), np.asarray(ops))
-                for pe, lines, ops in runs
-            ]
-            bounds = np.cumsum([0] + [r[1].shape[0] for r in runs]).tolist()
-            table = [
-                (r[0], lo, hi) for r, lo, hi in zip(runs, bounds, bounds[1:])
-            ]
-            whole = self.replay_trace(
-                table, TraceParts([r[1] for r in runs]),
-                TraceParts([r[2] for r in runs]), region_names,
-            )
-            levels = [whole[lo:hi] for _, lo, hi in table]
-            kernel = native.tally_epoch_kernel()
-            if tally is not None and kernel is not None:
-                kernel(tally, [
-                    (pe, lines, np.ascontiguousarray(ops, dtype=np.int64))
-                    for pe, lines, ops in runs
-                ], whole)
-                tally = None
-            if whole.shape[0] >= TRIM_MIN_EVENTS:
-                _release_heap()
-        if tally is not None:
-            for (pe, _, ops), lv in zip(runs, levels):
-                tally[pe] += level_tally(lv, np.asarray(ops))
-        return levels
+        runs = [
+            (int(pe), np.asarray(lines), np.asarray(ops))
+            for pe, lines, ops in runs
+        ]
+        bounds = np.cumsum([0] + [r[1].shape[0] for r in runs]).tolist()
+        table = [
+            (r[0], lo, hi) for r, lo, hi in zip(runs, bounds, bounds[1:])
+        ]
+        whole = self.replay_trace(
+            table, TraceParts([r[1] for r in runs]),
+            TraceParts([r[2] for r in runs]), region_names, tally,
+        )
+        if whole.shape[0] >= TRIM_MIN_EVENTS:
+            _release_heap()
+        return [whole[lo:hi] for _, lo, hi in table]
 
     def replay_trace_scalar(
         self,
@@ -378,9 +373,11 @@ class MemorySystem:
         lines: np.ndarray,
         ops: np.ndarray,
         region_names: Sequence[Optional[str]] = TRACE_REGIONS,
+        tally: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Scalar twin of :meth:`replay_trace`: one per-access call per
-        trace entry, in trace order.
+        trace entry, in trace order; with ``tally``, the levels are
+        then added into row ``pe_id`` by :func:`level_tally`.
 
         This is how a ``replay="scalar"`` engine under
         ``execution="vectorized"`` replays each dispatch run of an
@@ -395,7 +392,7 @@ class MemorySystem:
         n = lines.shape[0]
         levels = np.empty(n, dtype=np.uint8)
         if n == 0:
-            return levels
+            return levels  # nothing to tally
         dense = self.dense_access
         stream = self.stream_access
         for i, (line, op) in enumerate(zip(lines.tolist(), ops.tolist())):
@@ -409,6 +406,8 @@ class MemorySystem:
                     pe_id, line, w,
                     bypass=(path == OP_DENSE_BYPASS), region=region,
                 )
+        if tally is not None:
+            tally[pe_id] += level_tally(levels, ops)
         return levels
 
     # -- maintenance --------------------------------------------------------

@@ -9,9 +9,11 @@ its dense-cached accesses, each L2 group over its PEs' L1 events merged
 along the runs, the LLC over every group's L2 events merged the same
 way, and each PE's BBF stream buffer and victim cache over their own
 accesses.  The residents stay in the structures' compiled states from
-one epoch to the next; the call returns the per-access service levels,
-every structure's counters and the DRAM traffic per region; DESIGN.md
-section 10 argues that this is the scalar oracle's result.
+one epoch to the next; the call checks the runs' lines and ops in the
+pass that counts them, and returns the per-access service levels, every
+structure's counters and the DRAM traffic per region, with each PE's
+per-level tallies added into the caller's array; DESIGN.md section 10
+argues that this is the scalar oracle's result.
 
 Without the compiled library each run replays through
 :meth:`MemorySystem.replay_trace_scalar`, the oracle itself.
@@ -24,7 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import native
-from repro.memory.hierarchy import TRACE_REGIONS, MemorySystem, TraceParts
+from repro.memory.hierarchy import (
+    TRACE_REGIONS,
+    MemorySystem,
+    ServiceLevel,
+    TraceParts,
+)
 
 Run = Tuple[int, np.ndarray, np.ndarray]
 
@@ -57,18 +64,29 @@ def _as_int64(name: str, arr) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.dtype.kind not in "iu":
         raise TypeError(f"{name} must be an integer array, not {arr.dtype}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _checked_runs(
-    ms: MemorySystem, pe_id, lines, ops, n_regions: int
+    ms: MemorySystem, pe_id, lines, ops, tally
 ) -> Tuple[int, List[Run]]:
     """The replay's total accesses and its non-empty runs ``(pe, lines,
-    ops)``, every input checked once: integer arrays (``TypeError``),
-    the run table (:func:`_run_table`), and the array pairs as
-    :func:`repro.native.check_replay_runs` requires, every run in one
-    pass.  Trace ``lines`` and ``ops`` are either one array each, cut by
-    the run table, or :class:`TraceParts` holding one array per run."""
+    ops)``, every input's form checked before anything replays: integer
+    arrays (``TypeError``), the run table (:func:`_run_table`), lines
+    and ops of one length, fewer than ``2**31`` accesses, and a
+    ``tally`` that is ``None`` or a C-contiguous, writeable int64
+    ``(PEs, 3, len(ServiceLevel))`` array.  The values of the lines and
+    ops are checked by the compiled replay, or by
+    :func:`repro.native._trace_refusal` without it.  Trace ``lines``
+    and ``ops`` are either one array each, cut by the run table, or
+    :class:`TraceParts` holding one array per run."""
+    if tally is not None:
+        native._require("tally", tally, np.int64, 3)
+        want = (ms.config.num_pes, 3, len(ServiceLevel))
+        if tally.shape != want or not tally.flags.writeable:
+            raise ValueError(f"tally must be a writeable {want} array")
     if isinstance(lines, TraceParts) or isinstance(ops, TraceParts):
         if not (isinstance(lines, TraceParts) and isinstance(ops, TraceParts)
                 and len(lines.parts) == len(ops.parts)):
@@ -81,17 +99,19 @@ def _checked_runs(
             hi - lo != a.shape[0] for (_, lo, hi), a in zip(table, line_parts)
         ):
             raise ValueError("the run table does not match the runs' parts")
-        if n >= 2**31:
-            raise ValueError(f"{n} accesses do not fit one replay")
-        pairs = list(zip(line_parts, op_parts))
-        native.check_replay_runs(pairs, n_regions)
+        if any(a.shape != b.shape for a, b in zip(line_parts, op_parts)):
+            raise ValueError("lines and ops differ in length")
+        pairs = zip(line_parts, op_parts)
     else:
         lines = _as_int64("lines", lines)
         ops = _as_int64("ops", ops)
+        if lines.shape != ops.shape:
+            raise ValueError("lines and ops differ in length")
         n = lines.shape[0]
         table = _run_table(ms, pe_id, n)
-        native.check_replay_runs([(lines, ops)], n_regions)
         pairs = ((lines[lo:hi], ops[lo:hi]) for _, lo, hi in table)
+    if n >= 2**31:
+        raise ValueError(f"{n} accesses do not fit one replay")
     return n, [
         (p, part_lines, part_ops)
         for (p, lo, hi), (part_lines, part_ops) in zip(table, pairs)
@@ -105,33 +125,43 @@ def replay_trace_array(
     lines,
     ops,
     region_names: Sequence[Optional[str]] = TRACE_REGIONS,
+    tally: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``replay="array"`` entry point.  ``pe_id`` is one PE, or an
     epoch's dispatch runs ``(pe, lo, hi)`` over ``lines``/``ops`` (one
-    array each, or :class:`TraceParts` of one array per run).
+    array each, or :class:`TraceParts` of one array per run).  With
+    ``tally``, each run's service levels are added into its PE's row as
+    :func:`repro.memory.hierarchy.level_tally` counts them.
 
-    The inputs are checked before anything is replayed
-    (:func:`_checked_runs`): the run table, integer ``lines`` and
-    ``ops`` of one length, no negative line, and ops on the three paths
-    with region ids inside ``region_names``.  A rejected epoch, or a
-    compiled call that fails, raises with every cache, counter and DRAM
-    field as it was."""
-    n, runs = _checked_runs(ms, pe_id, lines, ops, len(region_names))
+    Everything is checked before anything is replayed: the forms
+    (:func:`_checked_runs`), then no negative line and ops on the three
+    paths with region ids inside ``region_names``, the first failing
+    run's failure raised (:data:`repro.native._TRACE_REFUSALS`).  A
+    rejected epoch, or a compiled call that fails, raises with every
+    cache, counter, DRAM field and the tally as they were."""
+    n, runs = _checked_runs(ms, pe_id, lines, ops, tally)
     if n == 0:
         return np.empty(0, dtype=np.uint8)
     kernel = native.replay_epoch_kernel()
     if kernel is None:
+        n_regions = len(region_names)
+        for _, part_lines, part_ops in runs:
+            code = native._trace_refusal(part_lines, part_ops, n_regions)
+            if code:
+                raise ValueError(
+                    native._TRACE_REFUSALS[code].format(n_regions)
+                )
         levels = np.empty(n, dtype=np.uint8)
         lo = 0
         for p, part_lines, part_ops in runs:
             hi = lo + part_lines.shape[0]
             levels[lo:hi] = ms.replay_trace_scalar(
-                p, part_lines, part_ops, region_names
+                p, part_lines, part_ops, region_names, tally
             )
             lo = hi
         return levels
 
-    result = kernel(ms, runs, len(region_names))
+    result = kernel(ms, runs, len(region_names), tally)
     for cache, hits, misses, writebacks in result.counters:
         cache.hits += hits
         cache.misses += misses

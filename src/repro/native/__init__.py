@@ -23,12 +23,12 @@ Five kernels live here, built into one library:
   into dicts only when they are read.  Its reference is the scalar
   oracle,
   :meth:`repro.memory.hierarchy.MemorySystem.replay_trace_scalar`, run
-  by run, which is also the path taken without the library; its
-  ``repro_tally_epoch`` folds the levels into each PE's per-level
-  tallies, held to :func:`repro.memory.hierarchy.level_tally`, and
-  ``repro_check_trace`` checks every run's lines and ops in one pass
-  before the replay (:func:`check_replay_runs`; its twin is the same
-  checks in NumPy, run by run);
+  by run, which is also the path taken without the library.  The same
+  call checks every run's lines and ops in the pass that counts them
+  (its twin, and the check without the library, is
+  :func:`_trace_refusal`, run by run) and folds the levels into each
+  PE's per-level tallies before it returns (held to
+  :func:`repro.memory.hierarchy.level_tally`);
 - ``spmm_merge.c``, the SpMM output merge behind
   :func:`repro.kernels.reference.spmm_chunk_update`, one call per epoch
   over its dispatch-ordered segment table; its twin is the
@@ -37,10 +37,11 @@ Five kernels live here, built into one library:
   :func:`repro.kernels.reference.sddmm_chunk_vals`, the same way: one
   dot product per nonzero, summed left to right over K; its twin is
   the same sum as a NumPy loop over the K columns;
-- ``tile.c``, the tiled layout's entry order behind
-  :func:`repro.sparse.tiled.tile_matrix`: a composite-key pass that
-  finds already-ordered input, else a stable LSD radix sort; its twin
-  is ``np.lexsort``.
+- ``tile.c``, the tiled layout behind
+  :func:`repro.sparse.tiled.tile_matrix`: one composite-key pass checks
+  the indices, finds input already in tiled order (which keeps its own
+  arrays) and writes the tile table, else a stable LSD radix sort into
+  new arrays; its twin is ``np.lexsort``.
 
 Each kernel's reference (for generation and the replay, the oracle
 itself) is also the path taken when the library does not load; results
@@ -111,12 +112,10 @@ class Kernels(NamedTuple):
 
     vrf_epoch: Callable
     replay_epoch: Callable
-    tally_epoch: Callable
     live_states: Callable[[], int]
     spmm_merge: Callable
     sddmm_merge: Callable
     tile: Callable
-    check_trace: Callable
 
 
 _lock = threading.Lock()
@@ -215,9 +214,8 @@ def kernels() -> Optional[Kernels]:
                 lib = _load_library()
                 _kernels = Kernels(
                     _bind_vrf_epoch(lib), _bind_replay_epoch(lib),
-                    _bind_tally_epoch(lib), lib.repro_state_live,
-                    _bind_spmm_merge(lib), _bind_sddmm_merge(lib),
-                    _bind_tile(lib), _bind_check_trace(lib),
+                    lib.repro_state_live, _bind_spmm_merge(lib),
+                    _bind_sddmm_merge(lib), _bind_tile(lib),
                 )
             except (NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
                 warnings.warn(
@@ -241,12 +239,6 @@ def replay_epoch_kernel() -> Optional[Callable]:
     """The compiled epoch replay, or ``None`` (see :func:`kernels`)."""
     k = kernels()
     return k.replay_epoch if k is not None else None
-
-
-def tally_epoch_kernel() -> Optional[Callable]:
-    """The compiled epoch tally, or ``None`` (see :func:`kernels`)."""
-    k = kernels()
-    return k.tally_epoch if k is not None else None
 
 
 def kernels_impl() -> Optional[str]:
@@ -417,12 +409,16 @@ _TRACE_REFUSALS = {
     3: "a trace op names no access path",
     4: "a trace op's region id is not below {}",
 }
-"""``repro_check_trace``'s failure codes, in their order of precedence
-within a run, as the ``ValueError`` each raises."""
+"""The failure codes of an epoch's trace check (``check_run`` in
+``replay_epoch.c``), in their order of precedence within a run, as the
+``ValueError`` each raises: no negative line (C's ``%`` differs from
+Python's on those); every op non-negative, on one of the three paths,
+with a region id below the number of regions."""
 
 
 def _trace_refusal(lines: np.ndarray, ops: np.ndarray, n_regions: int) -> int:
-    """The twin of ``repro_check_trace`` for one run: its failure code,
+    """The twin of the compiled replay's check of one run's int64
+    ``lines`` and ``ops``: its failure code (:data:`_TRACE_REFUSALS`),
     0 if it has none."""
     if not lines.shape[0]:
         return 0
@@ -435,58 +431,6 @@ def _trace_refusal(lines: np.ndarray, ops: np.ndarray, n_regions: int) -> int:
     if int(ops.max()) >> 3 >= n_regions:
         return 4
     return 0
-
-
-def check_replay_runs(
-    pairs: List[Tuple[np.ndarray, np.ndarray]], n_regions: int
-) -> None:
-    """Validate an epoch's trace, its runs' ``(lines, ops)`` pairs, before
-    its replay: each pair 1-D C-contiguous int64 of one length below
-    ``2**31``; no negative line (C's ``%`` differs from Python's on
-    those); every op non-negative, on one of the three paths, with a
-    region id below ``n_regions``.  The values of every run are checked
-    in one compiled pass (``repro_check_trace``), or run by run with
-    NumPy without the library; the first failing run's failure is
-    raised either way."""
-    for lines, ops in pairs:
-        _require("lines", lines, np.int64)
-        _require("ops", ops, np.int64)
-        n = lines.shape[0]
-        if ops.shape[0] != n:
-            raise ValueError("lines and ops differ in length")
-        if n >= 2**31:
-            raise ValueError(f"{n} accesses do not fit one replay")
-    k = kernels()
-    if k is not None:
-        code = k.check_trace(pairs, n_regions)
-    else:
-        code = next(
-            filter(None, (_trace_refusal(*p, n_regions) for p in pairs)), 0
-        )
-    if code:
-        raise ValueError(_TRACE_REFUSALS[code].format(n_regions))
-
-
-def _bind_check_trace(lib: ctypes.CDLL) -> Callable[..., int]:
-    fn = lib.repro_check_trace
-    i64 = ctypes.c_int64
-    ptr = ctypes.c_void_p
-    fn.restype = i64
-    fn.argtypes = [ptr, ptr, ptr, i64, i64]
-
-    def check_trace(pairs, n_regions: int) -> int:
-        """Run the C check over ``(lines, ops)`` pairs whose shapes
-        :func:`check_replay_runs` accepted; the first failing run's
-        failure code (``_TRACE_REFUSALS``), or 0."""
-        line_ptrs = np.array([l.ctypes.data for l, _ in pairs], np.uintp)
-        op_ptrs = np.array([o.ctypes.data for _, o in pairs], np.uintp)
-        lens = np.array([l.shape[0] for l, _ in pairs], np.int64)
-        return fn(
-            line_ptrs.ctypes.data, op_ptrs.ctypes.data, lens.ctypes.data,
-            len(lens), n_regions,
-        )
-
-    return check_trace
 
 
 class ReplayResult(NamedTuple):
@@ -523,6 +467,7 @@ def replay_structures(ms) -> List[Tuple[str, object]]:
 
 
 _ERR_ALLOC, _ERR_OUTSIDE, _ERR_OVERFULL, _ERR_TWICE = -1, -3, -4, -5
+_ERR_TRACE = -10  # a run's lines or ops fail: _ERR_TRACE - its code
 
 
 class ReplayState:
@@ -620,6 +565,7 @@ def live_states() -> int:
 
 
 def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
+    from repro.memory.hierarchy import SPARSE_REGION
     from repro.memory.tlb import LINES_PER_PAGE
 
     i64 = ctypes.c_int64
@@ -642,20 +588,27 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
     fn.argtypes = [
         ptr, ptr, ptr, i64,       # runs, run lines, run ops, n_runs
         i64, i64, i64, i64,       # PEs, PEs per L2, lines per page, regions
-        ptr,                      # states
-        ptr, ptr, ptr, ptr,       # out: levels, counters, DRAM, walks
+        i64, ptr,                 # sparse region, states
+        ptr, ptr, ptr, ptr, ptr,  # out: levels, counters, DRAM, tally, walks
     ]
 
     def new_state(num_sets: int, ways: int) -> ReplayState:
         return ReplayState(lib, num_sets, ways)
 
-    def replay(ms, runs, n_regions: int) -> ReplayResult:
+    def replay(ms, runs, n_regions: int, tally=None) -> ReplayResult:
         """Replay an epoch's runs ``(pe, lines, ops)``, each pair 1-D
-        C-contiguous int64 that :func:`check_replay_runs` accepted,
+        C-contiguous int64 of one length (as
+        :func:`repro.memory.replay_array._checked_runs` gives them),
         through every structure of the memory system ``ms``, reading
-        the runs in place.  Each structure's residents move into its
-        compiled state on first use (:meth:`Cache._replay_state`) and
-        stay there.  A refused or failed call changes no resident."""
+        the runs in place, and add each run's service levels into its
+        PE's row of ``tally`` (a C-contiguous int64 ``(PEs, 3,
+        levels)`` array, as :func:`repro.memory.hierarchy.level_tally`
+        counts them) unless it is ``None``.  Each structure's residents
+        move into its compiled state on first use
+        (:meth:`Cache._replay_state`) and stay there.  A line or op the
+        trace check refuses raises its :data:`_TRACE_REFUSALS` message
+        for the first failing run.  A refused or failed call changes no
+        resident and no tally."""
         units = replay_structures(ms)
         caches = [c for _, c in units]
         num_pes = len(ms.l1s)
@@ -694,12 +647,16 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
         rc = fn(
             runs_arr.ctypes.data, line_ptrs.ctypes.data, op_ptrs.ctypes.data,
             len(table), num_pes, pes_per_l2, LINES_PER_PAGE, n_regions,
-            states.ctypes.data,
+            SPARSE_REGION, states.ctypes.data,
             levels.ctypes.data, counters.ctypes.data, dram.ctypes.data,
-            walks.ctypes.data,
+            None if tally is None else tally.ctypes.data, walks.ctypes.data,
         )
         if rc == _ERR_ALLOC:
             raise MemoryError("epoch replay could not allocate its state")
+        if _ERR_TRACE - rc in _TRACE_REFUSALS:
+            raise ValueError(
+                _TRACE_REFUSALS[_ERR_TRACE - rc].format(n_regions)
+            )
         if rc < 0:
             raise ValueError("epoch replay refused its run table")
         by_slot = dram.tolist()
@@ -713,47 +670,6 @@ def _bind_replay_epoch(lib: ctypes.CDLL) -> Callable[..., ReplayResult]:
         )
 
     return replay
-
-
-def _bind_tally_epoch(lib: ctypes.CDLL) -> Callable[..., None]:
-    from repro.memory.hierarchy import SPARSE_REGION, ServiceLevel
-
-    fn = lib.repro_tally_epoch
-    i64 = ctypes.c_int64
-    ptr = ctypes.c_void_p
-    fn.restype = i64
-    fn.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr]
-
-    def tally_epoch(tally: np.ndarray, runs, levels: np.ndarray) -> None:
-        """Add the levels of an epoch's runs ``(pe, lines, ops)`` (int64
-        ops, C-contiguous), ``levels`` their concatenated service levels,
-        into ``tally``: a C-contiguous int64 ``(PEs, 3, levels)`` array
-        of dense reads, stores and sparse accesses by level, as
-        :func:`repro.memory.hierarchy.level_tally` counts them."""
-        _require("tally", tally, np.int64, 3)
-        _require("levels", levels, np.uint8)
-        if tally.shape[1:] != (3, len(ServiceLevel)):
-            raise ValueError("tally must be (PEs, 3, levels)")
-        table, op_at = [], []
-        n = 0
-        for pe, _, ops in runs:
-            _require("ops", ops, np.int64)
-            table.append((pe, n, n + ops.shape[0]))
-            n += ops.shape[0]
-            op_at.append(ops.ctypes.data)
-        if n != levels.shape[0]:
-            raise ValueError(f"{levels.shape[0]} levels for {n} accesses")
-        runs_arr = np.array(table, dtype=np.int64).reshape(-1, 3)
-        op_ptrs = np.array(op_at, dtype=np.uintp)
-        rc = fn(
-            runs_arr.ctypes.data, op_ptrs.ctypes.data, len(table),
-            tally.shape[0], SPARSE_REGION, levels.ctypes.data,
-            tally.ctypes.data,
-        )
-        if rc < 0:
-            raise ValueError("epoch tally refused its runs or levels")
-
-    return tally_epoch
 
 
 def _require_segments(segments: np.ndarray) -> None:
@@ -935,7 +851,8 @@ def _bind_tile(lib: ctypes.CDLL) -> Callable[..., Tuple[np.ndarray, ...]]:
     fn.argtypes = [
         ptr, ptr, ptr, i64,       # r_ids, c_ids, vals, n
         i64, i64, i64, i64, i64,  # rows, cols, RP, CP, column panels
-        ptr, ptr, ptr, ptr,       # out: r_ids, c_ids, vals, tile ids
+        ptr, ptr, ptr,            # out: r_ids, c_ids, vals (or NULL)
+        ptr, ptr,                 # out: tile starts, tile ids
     ]
 
     def tile(
@@ -946,13 +863,16 @@ def _bind_tile(lib: ctypes.CDLL) -> Callable[..., Tuple[np.ndarray, ...]]:
         num_cols: int,
         row_panel_size: int,
         col_panel_size: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The entries in tiled order and each one's tile id, as
-        ``(r_ids, c_ids, vals, tile ids)``.  ``r_ids``/``c_ids`` 1-D
-        C-contiguous int64, ``vals`` 1-D C-contiguous float32, of one
-        length below ``2**32``; panel sizes at least 1 and a key span
-        (panels times panel area) below ``2**63``.  Raises
-        ``ValueError`` for an entry outside the matrix."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries in tiled order and the tile table, as ``(r_ids,
+        c_ids, vals, tile starts, tile ids)``: each non-empty tile's
+        first entry and its id ``rp * n_cp + cp``.  Entries already in
+        tiled order come back as the input arrays themselves; otherwise
+        they are new arrays.  ``r_ids``/``c_ids`` 1-D C-contiguous
+        int64, ``vals`` 1-D C-contiguous float32, of one length below
+        ``2**32``; panel sizes at least 1 and a key span (panels times
+        panel area) below ``2**63``.  Raises ``ValueError`` for an entry
+        outside the matrix."""
         _require("r_ids", r_ids, np.int64)
         _require("c_ids", c_ids, np.int64)
         _require("vals", vals, np.float32)
@@ -965,19 +885,25 @@ def _bind_tile(lib: ctypes.CDLL) -> Callable[..., Tuple[np.ndarray, ...]]:
             n_rp * n_cp * row_panel_size * col_panel_size >= 2**63
         ):
             raise ValueError("the compiled tiler cannot take this matrix")
-        out = (
-            np.empty(n, np.int64), np.empty(n, np.int64),
-            np.empty(n, np.float32), np.empty(n, np.int64),
-        )
-        rc = fn(
+        room = min(n, n_rp * n_cp)
+        starts, ids = np.empty(room, np.int64), np.empty(room, np.int64)
+        args = (
             r_ids.ctypes.data, c_ids.ctypes.data, vals.ctypes.data, n,
             num_rows, num_cols, row_panel_size, col_panel_size, n_cp,
-            *(a.ctypes.data for a in out),
         )
+        table = (starts.ctypes.data, ids.ctypes.data)
+        out = (r_ids, c_ids, vals)
+        rc = fn(*args, None, None, None, *table)
+        if rc == -3:  # not in tiled order: sort into new arrays
+            out = (
+                np.empty(n, np.int64), np.empty(n, np.int64),
+                np.empty(n, np.float32),
+            )
+            rc = fn(*args, *(a.ctypes.data for a in out), *table)
         if rc == -2:
             raise MemoryError("the tiler could not allocate its sort")
         if rc < 0:
             raise ValueError("an entry lies outside the matrix")
-        return out
+        return (*out, starts[:rc].copy(), ids[:rc].copy())
 
     return tile

@@ -11,8 +11,8 @@
  * of pointers; the trace they stand for is never concatenated.  Its
  * reference is the scalar oracle, MemorySystem.replay_trace_scalar, run
  * after run; DESIGN.md section 10 gives the argument that the two
- * agree.  repro_tally_epoch folds the service levels into each PE's
- * per-level tallies.
+ * agree.  Before it returns it folds the service levels into each PE's
+ * per-level tallies (tally_runs).
  *
  * Resident state lives here.  Each structure is a State: one doubly
  * linked LRU list per set (head = oldest) threaded through a node pool,
@@ -44,13 +44,16 @@
  *   run after run; only reads fill;
  * - LLC: every group's L2 events merged the same way; only reads fill.
  * The first five are run-length deduped first: a repeat of the previous
- * line is an MRU hit that only ORs its write flag into the line.
+ * line is an MRU hit that only ORs its write flag into the line.  Each
+ * PE's three paths are bucketed and deduped in one pass over its runs.
  *
- * A call either succeeds or changes no State: every node pool, table
- * and event buffer a walk can need is allocated, to a bound, before
- * the first walk.  The caller checks the lines and ops first, every
- * run in one repro_check_trace call (repro.native.check_replay_runs);
- * the entry checks the run table.
+ * A call either succeeds or changes no State and no tally: the entry
+ * checks the run table, then every run's lines and ops in the pass
+ * that counts its accesses per path (check_run; the first failing run
+ * is reported), and every node pool, table and event buffer a walk can
+ * need is allocated, to a bound, before the first walk.  So each run's
+ * ops are read three times (that pass, the bucketing and the tally) and
+ * its lines three times (that pass, the STLB's and the bucketing).
  */
 
 #include <stdint.h>
@@ -72,6 +75,8 @@ enum {
     ERR_ALLOC = -1, ERR_INPUT = -2, ERR_OUTSIDE = -3, ERR_OVERFULL = -4,
     ERR_TWICE = -5
 };
+/* A run's lines or ops fail check_run: ERR_TRACE - its code (1-4). */
+#define ERR_TRACE (-10)
 
 /* The most nodes one State holds: node indices are int32. */
 #define NODE_LIMIT ((int64_t)INT32_MAX - 1)
@@ -477,39 +482,41 @@ static inline int64_t op_at(const Trace *tr, int64_t *k, int64_t i)
     return tr->op[*k][i - tr->run[3 * *k + 1]];
 }
 
-/* Run-length dedup of PE p's accesses on `path` (its runs are
-   prun[0..m), in order) into s: consecutive repeats of one line OR
+/* Bucket PE p's accesses (its runs are prun[0..m), in order) by path
+   into s, each path's events at its own offset at[path], run-length
+   deduped on the way: consecutive repeats of one line on a path OR
    their write flags into the first, which is the trigger.  Each
-   access's level is set to `level` unless it is negative.  Returns the
-   repeats dropped. */
-static int64_t dedup(const Trace *tr, const int64_t *prun, int64_t m,
-                     int64_t path, int level, uint8_t *levels, Events *s)
+   access's level is set to its path's first level.  Leaves each path's
+   end in at[path]. */
+static void bucket(const Trace *tr, const int64_t *prun, int64_t m,
+                   uint8_t *levels, Events *s, int64_t *at)
 {
-    int64_t *line = s->line, n = 0, seen = 0;
+    static const uint8_t first_level[N_PATHS] = {LV_L1, LV_VICTIM, LV_BBF};
+    int64_t *line = s->line;
     uint8_t *write = s->write;
     int32_t *trig = s->trig;
+    const int64_t start[N_PATHS] = {at[0], at[1], at[2]};
+    int64_t end[N_PATHS] = {at[0], at[1], at[2]};
     for (int64_t r = 0; r < m; r++) {
         int64_t k = prun[r], lo = tr->run[3 * k + 1];
         int64_t len = tr->run[3 * k + 2] - lo;
         const int64_t *lines = tr->line[k], *ops = tr->op[k];
         for (int64_t j = 0; j < len; j++) {
-            if ((ops[j] & OP_PATH_MASK) != path)
-                continue;
-            seen++;
-            if (level >= 0)
-                levels[lo + j] = (uint8_t)level;
-            uint8_t w = (ops[j] & OP_WRITE) != 0;
-            if (n && line[n - 1] == lines[j]) {
-                write[n - 1] |= w;
+            const int64_t path = ops[j] & OP_PATH_MASK, e = end[path];
+            const uint8_t w = (ops[j] & OP_WRITE) != 0;
+            levels[lo + j] = first_level[path];
+            if (e > start[path] && line[e - 1] == lines[j]) {
+                write[e - 1] |= w;
             } else {
-                line[n] = lines[j];
-                write[n] = w;
-                trig[n++] = (int32_t)(lo + j);
+                line[e] = lines[j];
+                write[e] = w;
+                trig[e] = (int32_t)(lo + j);
+                end[path] = e + 1;
             }
         }
     }
-    s->n = n;
-    return seen - n;
+    for (int path = 0; path < N_PATHS; path++)
+        at[path] = end[path];
 }
 
 static int64_t now_ns(void)
@@ -535,6 +542,117 @@ static int64_t check_runs(const int64_t *runs, int64_t n_runs,
 }
 
 /*
+ * Check one run's n lines and ops and count its accesses on the dense
+ * and bypass paths (the rest are on the stream path).  Returns 0, or
+ * the run's failure in this order of precedence: 1 a negative line
+ * (C's % differs from Python's on those), 2 a negative op, 3 an op on
+ * no path, 4 a region id not below n_regions.
+ *
+ * The scan ORs and adds, which needs no compare or table per access: a
+ * negative value sets the sign bit of the OR; op & (op >> 1) has bit 0
+ * set exactly for an op on path 3, so, that excluded, bit 0 and bit 1
+ * of the ops count the bypass and stream accesses; and no op's region
+ * id exceeds the OR's, so only a run whose OR fails the region bound is
+ * scanned again for its largest region id.
+ */
+static int check_run(const int64_t *lines, const int64_t *ops, int64_t n,
+                     int64_t n_regions, int64_t *count)
+{
+    uint64_t line_or = 0, op_or = 0, path_or = 0, bypass = 0, stream = 0;
+    for (int64_t j = 0; j < n; j++) {
+        const uint64_t op = (uint64_t)ops[j];
+        line_or |= (uint64_t)lines[j];
+        op_or |= op;
+        path_or |= op & (op >> 1);
+        bypass += op & 1;
+        stream += (op >> 1) & 1;
+    }
+    if ((int64_t)line_or < 0)
+        return 1;
+    if ((int64_t)op_or < 0)
+        return 2;
+    if (path_or & 1)
+        return 3;
+    if ((int64_t)(op_or >> OP_REGION_SHIFT) >= n_regions)
+        for (int64_t j = 0; j < n; j++)
+            if (ops[j] >> OP_REGION_SHIFT >= n_regions)
+                return 4;
+    count[PATH_DENSE] += n - (int64_t)(bypass + stream);
+    count[PATH_BYPASS] += (int64_t)bypass;
+    count[PATH_STREAM] += (int64_t)stream;
+    return 0;
+}
+
+/*
+ * Add each access's service level into its PE's tallies, as
+ * repro.memory.hierarchy.level_tally does run by run: tally holds, per
+ * PE, N_LEVELS counts each of dense reads (neither a write nor in
+ * sparse_region), stores (writes) and sparse accesses (in
+ * sparse_region; a sparse write counts as a store too).
+ */
+static void tally_runs(const Trace *tr, int64_t sparse_region,
+                       const uint8_t *levels, int64_t *tally)
+{
+    for (int64_t k = 0; k < tr->n_runs; k++) {
+        const int64_t lo = tr->run[3 * k + 1];
+        const int64_t len = tr->run[3 * k + 2] - lo;
+        const int64_t *ops = tr->op[k];
+        const uint8_t *lv = levels + lo;
+        /* One count per (write, sparse) class and level, as
+           level_tally's bincount: plain reads, plain writes, sparse
+           reads, sparse writes; four copies, so that consecutive
+           accesses of one class and level do not wait on each other's
+           increments. */
+        int64_t c[4][4 * N_LEVELS] = {{0}};
+        for (int64_t j = 0; j < len; j++) {
+            int64_t w = (ops[j] & OP_WRITE) != 0;
+            int64_t sp = (ops[j] >> OP_REGION_SHIFT) == sparse_region;
+            c[j & 3][(w + 2 * sp) * N_LEVELS + lv[j]]++;
+        }
+        int64_t *reads = tally + 3 * N_LEVELS * tr->run[3 * k];
+        int64_t *stores = reads + N_LEVELS, *sparse = stores + N_LEVELS;
+        for (int u = 0; u < 4; u++)
+            for (int l = 0; l < N_LEVELS; l++) {
+                reads[l] += c[u][l];
+                stores[l] += c[u][N_LEVELS + l] + c[u][3 * N_LEVELS + l];
+                sparse[l] += c[u][2 * N_LEVELS + l] + c[u][3 * N_LEVELS + l];
+            }
+    }
+}
+
+/* Walk one PE's deduped bypass-path stream [a, b) of s through its
+   victim cache (kind PATH_BYPASS) or stream buffer (PATH_STREAM), out
+   collecting the emissions.  A miss goes to DRAM: a read unless the
+   access writes.  A dirty victim-cache eviction is a DRAM write; a
+   stream miss that writes is charged as a DRAM write when it happens,
+   so a dirty stream-buffer victim only counts as a writeback.  reads
+   and writes: the PE's n_regions DRAM counts for this path. */
+static void walk_bypass(State *st, const Trace *tr, int kind, Events *s,
+                        int64_t a, int64_t b, uint8_t *levels, Events *out,
+                        int64_t *counters, int64_t *reads, int64_t *writes)
+{
+    Slice sl = {s, a, b};
+    out->n = 0;
+    walk(st, &sl, 1, 0, out, counters);
+    int64_t at = 0;
+    for (int64_t e = 0; e < out->n; e++) {
+        int32_t i = out->trig[e];
+        int64_t op = op_at(tr, &at, i), rid = op >> OP_REGION_SHIFT;
+        if (!out->write[e]) {
+            levels[i] = LV_DRAM;
+            if (op & OP_WRITE) {
+                if (kind == PATH_STREAM)
+                    writes[rid]++;
+            } else {
+                reads[rid]++;
+            }
+        } else if (kind == PATH_BYPASS) {
+            writes[rid]++;
+        }
+    }
+}
+
+/*
  * runs: n_runs (pe, lo, hi) triples that tile the epoch's trace
  * positions [0, n) in order; run_lines / run_ops: each run's hi - lo
  * accesses.  state: the structures, in this order (P PEs, G =
@@ -546,17 +664,22 @@ static int64_t check_runs(const int64_t *runs, int64_t n_runs,
  * caller: (2 + 4P) slots of n_regions counts each, indexed by the
  * region id of the trigger: dense reads, dense writes, then per PE
  * victim-cache reads and writes, then per PE stream reads and writes;
- * walks: (structure, events walked, nanoseconds) per walked stream.
+ * walks: (structure, events walked, nanoseconds) per walked stream;
+ * tally, unless NULL: P rows of 3 * N_LEVELS counts the levels are
+ * added into (tally_runs), sparse_region naming the sparse accesses.
  *
- * Returns the number of walks, or an error code; no State has changed
+ * Returns the number of walks, or an error code: ERR_INPUT for a
+ * malformed run table, ERR_TRACE - code for the first run whose lines
+ * or ops fail check_run, ERR_ALLOC.  No State or tally has changed
  * then, and nothing else the caller reads is meaningful.
  */
 int64_t repro_replay_epoch(
     const int64_t *runs, const int64_t *const *run_lines,
     const int64_t *const *run_ops, int64_t n_runs,
     int64_t num_pes, int64_t pes_per_l2, int64_t lines_per_page,
-    int64_t n_regions, State *const *state,
-    uint8_t *levels, int64_t *counters, int64_t *dram, int64_t *walks)
+    int64_t n_regions, int64_t sparse_region, State *const *state,
+    uint8_t *levels, int64_t *counters, int64_t *dram, int64_t *tally,
+    int64_t *walks)
 {
     if (num_pes < 1 || pes_per_l2 < 1 || lines_per_page < 1 ||
         n_regions < 1)
@@ -583,12 +706,16 @@ int64_t repro_replay_epoch(
         goto done;
     int64_t *group_total = count + N_PATHS * P;
 
-    /* Each PE's runs, in order. */
+    /* Check every run and count its accesses; then each PE's runs, in
+       order. */
     for (int64_t k = 0; k < n_runs; k++) {
         const int64_t p = runs[3 * k], len = runs[3 * k + 2] - runs[3 * k + 1];
-        const int64_t *ops = run_ops[k];
-        for (int64_t j = 0; j < len; j++)
-            count[N_PATHS * p + (ops[j] & OP_PATH_MASK)]++;
+        int code = check_run(run_lines[k], run_ops[k], len, n_regions,
+                             &count[N_PATHS * p]);
+        if (code) {
+            rc = ERR_TRACE - code;
+            goto done;
+        }
         group_total[p / pes_per_l2] += len;
         pfirst[p + 1]++;
     }
@@ -633,8 +760,6 @@ int64_t repro_replay_epoch(
         !events_alloc(&out, out_max))
         goto done;
 
-    memset(levels, LV_L1, (size_t)n);
-
 #define RECORD(c, events, t0)                                              \
     do {                                                                   \
         walks[3 * n_walks] = (c);                                          \
@@ -675,20 +800,39 @@ int64_t repro_replay_epoch(
         RECORD(STLB + g, m, t0);
     }
 
-    /* L1: each PE's dense-cached accesses; a fill reaches the L2. */
+    /* Each PE's accesses, bucketed by path in one pass (the bucketing
+       is timed with the L1 walk); then its L1 over the dense-cached
+       ones, where a fill reaches the L2, and its victim cache and
+       stream buffer over the bypass and stream ones. */
     for (int64_t p = 0; p < P; p++) {
+        const int64_t *c = &count[N_PATHS * p];
         int64_t t0 = now_ns();
-        int64_t repeats = dedup(&tr, prun + pfirst[p], pfirst[p + 1] -
-                                pfirst[p], PATH_DENSE, -1, levels, &s);
-        if (!s.n)
-            continue;
-        sl[0] = (Slice){&s, 0, s.n};
-        walk(state[L1 + p], sl, 1, 0, &l1[p], &counters[3 * (L1 + p)]);
-        counters[3 * (L1 + p)] += repeats;
-        for (int64_t e = 0; e < l1[p].n; e++)
-            if (!l1[p].write[e])
-                levels[l1[p].trig[e]] = LV_L2;
-        RECORD(L1 + p, s.n, t0);
+        int64_t at[N_PATHS] = {0, c[PATH_DENSE], c[PATH_DENSE] + c[PATH_BYPASS]};
+        const int64_t start[N_PATHS] = {at[0], at[1], at[2]};
+        bucket(&tr, prun + pfirst[p], pfirst[p + 1] - pfirst[p], levels, &s,
+               at);
+        if (at[PATH_DENSE]) {
+            sl[0] = (Slice){&s, 0, at[PATH_DENSE]};
+            walk(state[L1 + p], sl, 1, 0, &l1[p], &counters[3 * (L1 + p)]);
+            counters[3 * (L1 + p)] += c[PATH_DENSE] - at[PATH_DENSE];
+            for (int64_t e = 0; e < l1[p].n; e++)
+                if (!l1[p].write[e])
+                    levels[l1[p].trig[e]] = LV_L2;
+            RECORD(L1 + p, at[PATH_DENSE], t0);
+        }
+        for (int kind = PATH_BYPASS; kind <= PATH_STREAM; kind++) {
+            if (!c[kind])
+                continue;
+            const int64_t base = kind == PATH_BYPASS ? VICTIM : STREAM;
+            int64_t *reads = dram + n_regions *
+                (kind == PATH_BYPASS ? 2 + 2 * p : 2 + 2 * P + 2 * p);
+            t0 = now_ns();
+            walk_bypass(state[base + p], &tr, kind, &s, start[kind], at[kind],
+                        levels, &out, &counters[3 * (base + p)], reads,
+                        reads + n_regions);
+            counters[3 * (base + p)] += c[kind] - (at[kind] - start[kind]);
+            RECORD(base + p, at[kind] - start[kind], t0);
+        }
     }
 
     /* L2: each group over its PEs' L1 events, merged along the runs. */
@@ -745,47 +889,8 @@ int64_t repro_replay_epoch(
             RECORD(LLC, total, t0);
         }
     }
-
-    /* Bypass paths: each PE's victim cache, then each stream buffer.
-       A miss goes to DRAM: a read unless the access writes.  A dirty
-       victim-cache eviction is a DRAM write; a stream miss that
-       writes is charged as a DRAM write when it happens, so a dirty
-       stream-buffer victim only counts as a writeback. */
-    for (int64_t kind = PATH_BYPASS; kind <= PATH_STREAM; kind++) {
-        int64_t base = kind == PATH_BYPASS ? VICTIM : STREAM;
-        int hit_level = kind == PATH_BYPASS ? LV_VICTIM : LV_BBF;
-        int64_t *slots = dram + n_regions * (kind == PATH_BYPASS ? 2 : 2 + 2 * P);
-        for (int64_t p = 0; p < P; p++) {
-            if (!count[N_PATHS * p + kind])
-                continue;
-            int64_t t0 = now_ns();
-            int64_t repeats = dedup(&tr, prun + pfirst[p], pfirst[p + 1] -
-                                    pfirst[p], kind, hit_level, levels, &s);
-            sl[0] = (Slice){&s, 0, s.n};
-            out.n = 0;
-            walk(state[base + p], sl, 1, 0, &out, &counters[3 * (base + p)]);
-            counters[3 * (base + p)] += repeats;
-            int64_t *reads = slots + 2 * p * n_regions;
-            int64_t *writes = reads + n_regions;
-            int64_t at = 0;
-            for (int64_t e = 0; e < out.n; e++) {
-                int32_t i = out.trig[e];
-                int64_t op = op_at(&tr, &at, i), rid = op >> OP_REGION_SHIFT;
-                if (!out.write[e]) {
-                    levels[i] = LV_DRAM;
-                    if (op & OP_WRITE) {
-                        if (kind == PATH_STREAM)
-                            writes[rid]++;
-                    } else {
-                        reads[rid]++;
-                    }
-                } else if (kind == PATH_BYPASS) {
-                    writes[rid]++;
-                }
-            }
-            RECORD(base + p, s.n, t0);
-        }
-    }
+    if (tally)
+        tally_runs(&tr, sparse_region, levels, tally);
     rc = n_walks;
 
 done:
@@ -806,105 +911,4 @@ done:
     free(count);
     return rc;
 #undef RECORD
-}
-
-/*
- * Add each access's service level into its PE's tallies, as
- * repro.memory.hierarchy.level_tally does run by run: tally holds, per
- * PE, N_LEVELS counts each of dense reads (neither a write nor in
- * sparse_region), stores (writes) and sparse accesses (in
- * sparse_region; a sparse write counts as a store too).  runs and
- * run_ops as for repro_replay_epoch; levels the epoch's n levels.
- * Returns 0, or ERR_INPUT for a malformed run table or level.
- */
-int64_t repro_tally_epoch(const int64_t *runs, const int64_t *const *run_ops,
-                          int64_t n_runs, int64_t num_pes,
-                          int64_t sparse_region, const uint8_t *levels,
-                          int64_t *tally)
-{
-    const int64_t n = check_runs(runs, n_runs, num_pes);
-    if (n < 0)
-        return n;
-    for (int64_t i = 0; i < n; i++)
-        if (levels[i] >= N_LEVELS)
-            return ERR_INPUT;
-    for (int64_t k = 0; k < n_runs; k++) {
-        const int64_t lo = runs[3 * k + 1], len = runs[3 * k + 2] - lo;
-        const int64_t *ops = run_ops[k];
-        const uint8_t *lv = levels + lo;
-        /* One count per (write, sparse) class and level, as
-           level_tally's bincount: plain reads, plain writes, sparse
-           reads, sparse writes. */
-        int64_t c[4 * N_LEVELS] = {0};
-        for (int64_t j = 0; j < len; j++) {
-            int64_t w = (ops[j] & OP_WRITE) != 0;
-            int64_t sp = (ops[j] >> OP_REGION_SHIFT) == sparse_region;
-            c[(w + 2 * sp) * N_LEVELS + lv[j]]++;
-        }
-        int64_t *reads = tally + 3 * N_LEVELS * runs[3 * k];
-        int64_t *stores = reads + N_LEVELS, *sparse = stores + N_LEVELS;
-        for (int l = 0; l < N_LEVELS; l++) {
-            reads[l] += c[l];
-            stores[l] += c[N_LEVELS + l] + c[3 * N_LEVELS + l];
-            sparse[l] += c[2 * N_LEVELS + l] + c[3 * N_LEVELS + l];
-        }
-    }
-    return 0;
-}
-
-/*
- * Check an epoch's trace before its replay, run after run: no negative
- * line (C's % differs from Python's on those), and every op
- * non-negative, on one of the three paths, with a region id below
- * n_regions.  run_lines / run_ops: each run's lens[k] accesses.
- * Returns 0, or the first failing run's failure, in this order of
- * precedence within a run: 1 a negative line, 2 a negative op, 3 an
- * op on no path, 4 a region id out of range.
- *
- * The scan ORs the values together, which needs no compare per access:
- * a negative value sets the sign bit of the OR; op & (op >> 1) has bit
- * 0 set exactly for an op on path 3; and no op's region id exceeds the
- * OR's, so only a run whose OR fails the region bound is scanned again
- * for its largest region id.
- */
-int64_t repro_check_trace(const int64_t *const *run_lines,
-                          const int64_t *const *run_ops,
-                          const int64_t *lens, int64_t n_runs,
-                          int64_t n_regions)
-{
-    for (int64_t k = 0; k < n_runs; k++) {
-        const int64_t *lines = run_lines[k], *ops = run_ops[k];
-        const int64_t n = lens[k];
-        uint64_t line_or[4] = {0}, op_or[4] = {0}, path_or[4] = {0};
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4)
-            for (int u = 0; u < 4; u++) {
-                const uint64_t op = (uint64_t)ops[j + u];
-                line_or[u] |= (uint64_t)lines[j + u];
-                op_or[u] |= op;
-                path_or[u] |= op & (op >> 1);
-            }
-        for (; j < n; j++) {
-            const uint64_t op = (uint64_t)ops[j];
-            line_or[0] |= (uint64_t)lines[j];
-            op_or[0] |= op;
-            path_or[0] |= op & (op >> 1);
-        }
-        const uint64_t lines_all = line_or[0] | line_or[1] | line_or[2] |
-                                   line_or[3];
-        const uint64_t ops_all = op_or[0] | op_or[1] | op_or[2] | op_or[3];
-        const uint64_t path_all = path_or[0] | path_or[1] | path_or[2] |
-                                  path_or[3];
-        if ((int64_t)lines_all < 0)
-            return 1;
-        if ((int64_t)ops_all < 0)
-            return 2;
-        if (path_all & 1)
-            return 3;
-        if ((int64_t)(ops_all >> OP_REGION_SHIFT) >= n_regions)
-            for (j = 0; j < n; j++)
-                if (ops[j] >> OP_REGION_SHIFT >= n_regions)
-                    return 4;
-    }
-    return 0;
 }

@@ -230,22 +230,6 @@ static inline void mark(uint8_t *keep, uint8_t bit, int64_t i,
 #define ERR_OUT (-5)    /* a negative output start */
 #define ERR_LINE (-6)   /* a dense line negative or past INT64_MAX */
 
-/* 0 if every chunk's ids give lines in [0, INT64_MAX]: base + id * stride
-   + (lpr - 1) must not overflow. */
-static int check_ids(const int64_t *ids, const int64_t *chunks,
-                     int64_t n_chunks, int64_t base, int64_t stride,
-                     int64_t lpr)
-{
-    const int64_t top = (INT64_MAX - base - (lpr - 1)) / stride;
-    for (int64_t k = 0; k < n_chunks; k++) {
-        const int64_t *p = ids + chunks[3 * k];
-        for (int64_t j = 0; j < chunks[3 * k + 1]; j++)
-            if (p[j] < 0 || p[j] > top)
-                return 1;
-    }
-    return 0;
-}
-
 /*
  * tag_lines / tag_dirty (room for `cap`): in the *n_tags resident lines
  * in LRU order (oldest first, at most cap, pairwise distinct), out the
@@ -280,8 +264,9 @@ int64_t repro_vrf_epoch(
     int64_t *segs, int64_t *counters)
 {
     const int64_t op_r = ops[0], op_c = ops[1], op_sparse = ops[3];
-    /* Pass 1: check the chunk table, the output starts and the ids;
-       then the keep flags, and from them a bound on the trace. */
+    /* Pass 1: check the chunk table and the output starts; then the
+       ids with the keep flags, and from them a bound on the trace.
+       Nothing the caller reads is written before it ends. */
     int64_t n = 0, n_sparse = 0;
     for (int64_t k = 0; k < n_chunks; k++) {
         int64_t off = chunks[3 * k], cnt = chunks[3 * k + 1];
@@ -295,29 +280,38 @@ int64_t repro_vrf_epoch(
         for (int64_t k = 0; k < n_chunks; k++)
             if (chunks[3 * k + 2] < 0)
                 return ERR_OUT;
-    if (check_ids(r_ids, chunks, n_chunks, r_base, stride, lpr)
-        || check_ids(c_ids, chunks, n_chunks, c_base, stride, lpr))
-        return ERR_LINE;
 
-    /* Equal ids give equal lines (stride >= 1), so the runs are found
-       on the ids.  For the bound: each walked touch with a load op
-       loads at most once; each store cleans a dirty flag, set by a
-       walked dirty touch or carried in. */
+    /* The keep flags, in the same pass as the ids' check: every id
+       must give lines in [0, INT64_MAX], so base + id * stride +
+       (lpr - 1) must not overflow.  Equal ids give equal lines (stride
+       >= 1), so the runs are found on the ids.  For the bound: each
+       walked touch with a load op loads at most once; each store cleans
+       a dirty flag, set by a walked dirty touch or carried in. */
     uint8_t *keep = calloc((size_t)(n ? n : 1), 1);
     if (!keep)
         return ERR_ALLOC;
     {
+        const int64_t r_top = (INT64_MAX - r_base - (lpr - 1)) / stride;
+        const int64_t c_top = (INT64_MAX - c_base - (lpr - 1)) / stride;
         Run rr = {0, 0}, ro = {0, 0};
         int64_t i = 0;
+        int bad = 0;
         for (int64_t k = 0; k < n_chunks; k++) {
             const int64_t *rp = r_ids + chunks[3 * k];
+            const int64_t *cp = c_ids + chunks[3 * k];
             int64_t os = sddmm ? chunks[3 * k + 2] : 0;
             for (int64_t j = 0; j < chunks[3 * k + 1]; j++, i++) {
+                bad |= (rp[j] < 0) | (rp[j] > r_top) | (cp[j] < 0)
+                       | (cp[j] > c_top);
                 mark(keep, KEEP_R, i, rp[j], &rr, cadence);
                 if (sddmm)
                     mark(keep, KEEP_OUT, i, (os + j) / OUT_VALS_PER_LINE,
                          &ro, cadence);
             }
+        }
+        if (bad) {
+            free(keep);
+            return ERR_LINE;
         }
         if (n)
             keep[n - 1] = KEEP_R | KEEP_OUT;

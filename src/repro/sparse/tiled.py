@@ -138,12 +138,15 @@ def _order_twin(
     row_panel_size: int,
     col_panel_size: int,
 ):
-    """The twin of the compiled tiler (``repro/native/tile.c``): the
-    entries in tiled order and each one's tile id ``rp * n_cp + cp``, by
-    ``np.lexsort``; ids past int64 (a grid of ``2**63`` tiles or more)
-    come as Python ints.  Raises ``ValueError`` for an entry outside the
-    matrix."""
-    if r_ids.shape[0] and (
+    """The twin of the compiled tiler (``repro/native/tile.c``), by
+    ``np.lexsort``: the entries in tiled order and the tile table, as
+    ``(r_ids, c_ids, vals, tile starts, tile ids)``, each non-empty
+    tile's first entry and its id ``rp * n_cp + cp``.  Entries already
+    in tiled order come back as the input arrays themselves.  Ids past
+    int64 (a grid of ``2**63`` tiles or more) come as Python ints.
+    Raises ``ValueError`` for an entry outside the matrix."""
+    n = r_ids.shape[0]
+    if n and (
         int(r_ids.min()) < 0 or int(r_ids.max()) >= num_rows
         or int(c_ids.min()) < 0 or int(c_ids.max()) >= num_cols
     ):
@@ -154,10 +157,15 @@ def _order_twin(
     n_cp = -(-num_cols // col_panel_size)
     if -(-num_rows // row_panel_size) * n_cp >= 2**63:
         rp = rp.astype(object)
-    return (
-        r_ids[order], c_ids[order], vals[order],
-        (rp * n_cp + cp)[order],
-    )
+    tile_ids = rp * n_cp + cp
+    if not np.array_equal(order, np.arange(n)):
+        r_ids, c_ids, vals = r_ids[order], c_ids[order], vals[order]
+        tile_ids = tile_ids[order]
+    new_tile = np.empty(n, dtype=bool)
+    new_tile[:1] = True
+    new_tile[1:] = tile_ids[1:] != tile_ids[:-1]
+    starts = np.flatnonzero(new_tile)
+    return r_ids, c_ids, vals, starts, tile_ids[starts]
 
 
 def tile_matrix(
@@ -176,12 +184,14 @@ def tile_matrix(
     tiles contiguous, row-major inside each tile, repeated coordinates
     in input order.  The reference ordering is ``np.lexsort((c, r, cp,
     rp))``; the compiled tiler (``repro/native/tile.c``) computes each
-    entry's composite key in one pass, takes input whose keys are
-    already in order (row-major COO under the Base setting) as it is,
-    and otherwise sorts it with a stable LSD radix sort.  Without the
-    library, or for a matrix beyond its limits (``2**32`` entries, a key
-    span of ``2**63``), the reference runs instead; the layout is the
-    same either way.
+    entry's composite key in one pass that also checks the indices and
+    finds the tiles.  Input already in that order (row-major COO under
+    the Base setting) keeps its arrays: the layout's ``r_ids``,
+    ``c_ids`` and ``vals`` are the COO's own, as :meth:`TiledMatrix.to_coo`
+    hands them back.  Other input is sorted, with a stable LSD radix
+    sort, into new arrays.  Without the library, or for a matrix beyond
+    its limits (``2**32`` entries, a key span of ``2**63``), the
+    reference runs instead; the layout is the same either way.
     """
     if row_panel_size < 1:
         raise ValueError("row_panel_size must be >= 1")
@@ -198,19 +208,11 @@ def tile_matrix(
         and coo.nnz < 2**32 and span < 2**63
         else _order_twin
     )
-    r, c, v, tile_key = order(
+    r, c, v, starts, keys = order(
         coo.r_ids, coo.c_ids, coo.vals, coo.num_rows, coo.num_cols,
         row_panel_size, col_panel_size,
     )
-
-    # A tile starts wherever the tile id changes; ids past int64 (the
-    # twin's Python ints) still give int64 panel ids.
-    new_tile = np.empty(coo.nnz, dtype=bool)
-    new_tile[:1] = True
-    new_tile[1:] = tile_key[1:] != tile_key[:-1]
-    starts = np.flatnonzero(new_tile)
     nnz = np.diff(starts, append=coo.nnz)
-    keys = tile_key[starts]
     padded = _pad_to_line(nnz)
     return TiledMatrix(
         num_rows=coo.num_rows,
@@ -223,6 +225,8 @@ def tile_matrix(
         sparse_in_start_offset=starts,
         tile_nnz_num=nnz,
         sparse_out_start_offset=np.cumsum(padded) - padded,
+        # Tile ids past int64 (the twin's Python ints) still give int64
+        # panel ids.
         tile_row_panel_id=(keys // n_cp).astype(np.int64, copy=False),
         tile_col_panel_id=(keys % n_cp).astype(np.int64, copy=False),
     )

@@ -522,11 +522,12 @@ class TestTraceParity:
         chunks: List = []
         orig = MemorySystem.replay_trace
 
-        def cap(self, pe_id, lines, ops, region_names=TRACE_REGIONS):
+        def cap(self, pe_id, lines, ops, region_names=TRACE_REGIONS,
+                tally=None):
             chunks.append(
                 (pe_id, np.array(lines).tolist(), np.array(ops).tolist())
             )
-            return orig(self, pe_id, lines, ops, region_names)
+            return orig(self, pe_id, lines, ops, region_names, tally)
 
         monkeypatch.setattr(MemorySystem, "replay_trace", cap)
         return chunks

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,13 @@ from repro.core import vectorized
 from repro.core.vectorized import TraceBuffer
 from repro.kernels.reference import _dots, sddmm_chunk_vals
 from repro.memory.cache import Cache
-from repro.memory.hierarchy import OP_DENSE, MemorySystem, encode_op
+from repro.memory.hierarchy import (
+    OP_DENSE,
+    MemorySystem,
+    ServiceLevel,
+    TraceParts,
+    encode_op,
+)
 from repro.sparse.coo import COOMatrix
 from repro.sparse.tiled import _order_twin, tile_matrix
 from tests.walks import (
@@ -356,11 +363,15 @@ def test_cache_walk_rejects_negative_lines():
 
 def test_cache_walk_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="length"):
-        native.check_replay_runs([(np.arange(4, dtype=np.int64),
-                                   _dense(3))], 4)
+        _checked_replay(np.arange(4, dtype=np.int64), _dense(3))
     with pytest.raises(ValueError, match="length"):
-        native.check_replay_runs([(np.arange(4, dtype=np.int64),
-                                   _dense(5))], 4)
+        ms = MemorySystem(
+            dataclasses.replace(scaled_config(1), replay="array")
+        )
+        ms.replay_trace(
+            [(0, 0, 4)], TraceParts([np.arange(4, dtype=np.int64)]),
+            TraceParts([_dense(5)]),
+        )
 
 
 def _ops(*values):
@@ -415,35 +426,52 @@ TRACE_CHECKS = {
 @pytest.mark.parametrize("walk", WALKS)
 @pytest.mark.parametrize("case", sorted(TRACE_CHECKS))
 def test_trace_check_reports_the_first_failing_run(case, walk):
-    """One pass over every run (``repro_check_trace``) or NumPy run by
-    run: the first failing run's failure, by the precedence within a
-    run (negative line, negative op, no path, region), as the same
-    message on either path."""
+    """The epoch replay checks every run before it replays any, in the
+    compiled call's counting pass or with NumPy run by run: the first
+    failing run's failure, by the precedence within a run (negative
+    line, negative op, no path, region), as the same message on either
+    path.  The runs alternate between two PEs; a refused epoch leaves
+    the warm system's residents and counters and the tally as they
+    were."""
     runs, n_regions, message = TRACE_CHECKS[case]
-    runs = [(lines.astype(np.int64), ops.astype(np.int64))
-            for lines, ops in runs]
+    runs = [(k % 2, lines.astype(np.int64), ops.astype(np.int64))
+            for k, (lines, ops) in enumerate(runs)]
+    regions = tuple(f"region{r}" for r in range(n_regions))
+    ms = MemorySystem(dataclasses.replace(scaled_config(2), replay="array"))
+    tally = np.zeros((2, 3, len(ServiceLevel)), np.int64)
     with kernels(walk):
+        ms.replay_epoch([(1, np.arange(40, dtype=np.int64) * 3, _dense(40))],
+                        regions, tally)
+        before = (pickle.dumps(ms.state_dict()), tally.tobytes())
         if message is None:
-            native.check_replay_runs(runs, n_regions)
+            ms.replay_epoch(runs, regions, tally)
+            assert pickle.dumps(ms.state_dict()) != before[0]
         else:
             with pytest.raises(ValueError, match=message):
-                native.check_replay_runs(runs, n_regions)
+                ms.replay_epoch(runs, regions, tally)
+            assert (pickle.dumps(ms.state_dict()), tally.tobytes()) == before
 
 
 def test_cache_walk_rejects_wrong_dtypes_and_layouts():
+    """The replay takes any 1-D integer arrays, converted to contiguous
+    int64 before the check (an int32 line, a uint8 op and a strided
+    array replay like their int64 copies), and refuses the rest before
+    anything replays."""
     lines = np.arange(4, dtype=np.int64)
-    with pytest.raises(TypeError, match="lines"):
-        native.check_replay_runs([(lines.astype(np.int32), _dense(4))], 4)
-    with pytest.raises(TypeError, match="ops"):
-        native.check_replay_runs([(lines, _dense(4).astype(np.uint8))], 4)
+    want = _checked_replay(lines, _dense(4)).tolist()
+    assert _checked_replay(lines.astype(np.int32), _dense(4)).tolist() == want
+    assert _checked_replay(
+        lines, _dense(4).astype(np.uint8)
+    ).tolist() == want
     with pytest.raises(TypeError, match="lines"):
         _checked_replay(lines.astype(np.float64), _dense(4))
     with pytest.raises(TypeError, match="ops"):
         _checked_replay(lines, _dense(4).astype(np.float64))
-    with pytest.raises(ValueError, match="contiguous"):
-        native.check_replay_runs(
-            [(np.arange(8, dtype=np.int64)[::2], _dense(4))], 4
-        )
+    assert _checked_replay(
+        np.arange(8, dtype=np.int64)[::2], _dense(4)
+    ).tolist() == _checked_replay(np.arange(0, 8, 2), _dense(4)).tolist()
+    with pytest.raises(ValueError, match="1-D"):
+        _checked_replay(lines.reshape(2, 2), _dense(4).reshape(2, 2))
 
 
 @needs_gcc
@@ -526,6 +554,25 @@ def _negate(at, row, col=None):
     return corrupt
 
 
+def _assign(at, row, value):
+    def corrupt(pe, epoch, mp):
+        arr = epoch[at].copy()
+        arr[row] = value
+        epoch[at] = arr
+    return corrupt
+
+
+def _all(*corruptions):
+    def corrupt(pe, epoch, mp):
+        for c in corruptions:
+            c(pe, epoch, mp)
+    return corrupt
+
+
+_TOP = np.iinfo(np.int64).max
+_LINE = "dense lines must be non-negative and below"
+
+
 def _set_pe(attr, value):
     def corrupt(pe, epoch, mp):
         owner = pe.vrf if attr == "num_registers" else pe
@@ -553,16 +600,24 @@ def _cadence(value):
         (_set_pe("num_registers", 0), "residents"),
         (_set_pe("num_registers", 2**31), "residents"),
         (_set_pe("num_registers", 3), "residents"),
+        (_assign(1, 39, _TOP), _LINE),
+        (_all(_negate(0, 3), _assign(1, 39, _TOP)), _LINE),
+        (_all(_negate(0, 3), _negate(2, 2, 1)), "chunks must be"),
+        (_all(_assign(1, 2, _TOP), _negate(2, 2, 2)), "output offsets"),
     ],
     ids=[
         "chunk-negative", "chunks-int32", "r-int32", "r-negative",
         "c-negative", "out-negative", "cadence-0", "lpr-0", "capacity-0",
         "capacity-2**31", "residents-above-capacity",
+        "c-past-the-top-in-the-last-chunk", "r-and-c-bad",
+        "chunk-before-line", "output-before-line",
     ],
 )
 def test_generation_rejects_before_the_walk(corrupt, match, monkeypatch):
     """Each validated input is refused before any walk on a warm PE:
-    its VRF, trace buffer and counters are left as they were."""
+    its VRF, trace buffer and counters are left as they were.  A bad
+    chunk table, then a negative output start, wins over a bad id, which
+    the keep-marking pass finds in any chunk, r or c."""
     if native.vrf_epoch_kernel() is None:
         pytest.skip("compiled trace generator unavailable")
     pe, epoch = _epoch()

@@ -256,9 +256,9 @@ def test_backend_without_epoch_gets_one_call_per_run():
     calls = []
     real = ms.replay_trace
 
-    def spy(pe_id, lines, ops, region_names=TRACE_REGIONS):
+    def spy(pe_id, lines, ops, region_names=TRACE_REGIONS, tally=None):
         calls.append(pe_id)
-        return real(pe_id, lines, ops, region_names)
+        return real(pe_id, lines, ops, region_names, tally)
 
     ms.replay_trace = spy
     rng = np.random.default_rng(3)

@@ -8,7 +8,10 @@ are freed with their memory system, a forked child's replay leaves its
 parent's states alone, and reading the dicts mid-run, changing them
 through ``Cache.access`` and replaying on still gives the oracle's
 result.  The per-PE tallies the compiled call folds are held to the
-reference fold run by run.
+reference fold run by run, and its trace check to the first failing
+run's refusal, with nothing changed.  Without the library the same
+tests hold the Python paths (the oracle run by run,
+``native._trace_refusal`` and ``level_tally``) to the same results.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import dataclasses
 import gc
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import native
 from repro.config import scaled_config
@@ -29,6 +34,7 @@ from repro.memory.hierarchy import (
     OP_DENSE_BYPASS,
     OP_STREAM,
     SPARSE_REGION,
+    TRACE_REGIONS,
     MemorySystem,
     ServiceLevel,
     encode_op,
@@ -38,6 +44,7 @@ from repro.sparse.generators import rmat_graph
 
 from tests.test_replay_epoch_properties import (
     NUM_PES,
+    epoch_runs,
     full_state,
     make_system,
     tiny_config,
@@ -173,9 +180,9 @@ def test_sets_read_mid_run_then_changed_replay_like_the_oracle(walk):
 
 @pytest.mark.parametrize("walk", WALKS)
 def test_epoch_tally_is_the_per_run_fold(walk):
-    """``replay_epoch``'s per-PE tallies (``repro_tally_epoch`` where the
-    library loads) add up to :func:`level_tally` of each run's levels,
-    and accumulate across calls."""
+    """``replay_epoch``'s per-PE tallies (folded inside the compiled
+    replay call where the library loads) add up to :func:`level_tally`
+    of each run's levels, and accumulate across calls."""
     ms = array_system()
     tally = np.zeros((NUM_PES, 3, len(ServiceLevel)), dtype=np.int64)
     want = np.zeros_like(tally)
@@ -187,3 +194,98 @@ def test_epoch_tally_is_the_per_run_fold(walk):
                 want[pe] += level_tally(lv, ops)
     assert want[:, 2].sum() > 0 and want[:, 1].sum() > 0
     assert np.array_equal(tally, want)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@given(epochs=st.lists(epoch_runs(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_fused_tally_is_level_tally_run_by_run(walk, epochs):
+    """Over random epochs (runs of any PE, every path, every region,
+    repeats across runs) the tally the replay call adds is, after each
+    epoch, :func:`level_tally` of each run's levels summed per PE."""
+    ms = array_system()
+    tally = np.zeros((NUM_PES, 3, len(ServiceLevel)), dtype=np.int64)
+    want = np.zeros_like(tally)
+    with kernels(walk):
+        for runs in epochs:
+            levels = ms.replay_epoch(runs, tally=tally)
+            for (pe, _, ops), lv in zip(runs, levels):
+                want[pe] += level_tally(lv, ops)
+            assert np.array_equal(tally, want)
+
+
+N_REGIONS = len(TRACE_REGIONS)
+
+
+@st.composite
+def refused_epochs(draw):
+    """An epoch with faults planted at distinct places, and the refusal
+    code it must raise: the first faulty run's lowest code, 1 a
+    negative line, 2 a negative op, 3 an op on no path, 4 a region id
+    not below ``N_REGIONS``."""
+    runs = [(pe, lines.copy(), ops.copy())
+            for pe, lines, ops in draw(epoch_runs())]
+    faults = draw(st.lists(
+        st.tuples(st.integers(0, len(runs) - 1), st.integers(1, 4),
+                  st.integers(0, 2**20), st.integers(0, 2**40)),
+        min_size=1, max_size=6,
+    ))
+    planted, codes = set(), {}
+    for k, code, at, x in faults:
+        _, lines, ops = runs[k]
+        j = at % lines.shape[0]
+        if (k, j, code == 1) in planted:
+            continue
+        planted.add((k, j, code == 1))
+        if code == 1:
+            lines[j] = -1 - x
+        elif code == 2:
+            ops[j] = -1 - x
+        elif code == 3:
+            ops[j] |= 3
+        else:
+            ops[j] = encode_op(x % 3, bool(x & 8), N_REGIONS + x % 1000)
+        codes.setdefault(k, set()).add(code)
+    return runs, min(codes[min(codes)])
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@given(case=refused_epochs())
+@settings(max_examples=60, deadline=None)
+def test_refused_epoch_names_the_first_failing_run_and_changes_nothing(
+    walk, case
+):
+    """A bad line or op anywhere raises the first failing run's refusal,
+    by the precedence within a run, before anything replays: every
+    structure's residents and counters, the DRAM traffic and the tally
+    are as they were."""
+    runs, code = case
+    ms = array_system()
+    tally = np.zeros((NUM_PES, 3, len(ServiceLevel)), dtype=np.int64)
+    with kernels(walk):
+        ms.replay_epoch(epoch(1), tally=tally)
+        before = (pickle.dumps(ms.state_dict()), tally.tobytes())
+        message = native._TRACE_REFUSALS[code].format(N_REGIONS)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ms.replay_epoch(runs, tally=tally)
+        assert (pickle.dumps(ms.state_dict()), tally.tobytes()) == before
+
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_tally_of_the_wrong_form_is_refused_before_the_replay(walk):
+    """A tally that is not a writeable int64 (PEs, 3, levels) array is
+    refused before anything replays."""
+    ms = array_system()
+    before = pickle.dumps(ms.state_dict())
+    good = np.zeros((NUM_PES, 3, len(ServiceLevel)), dtype=np.int64)
+    read_only = good.copy()
+    read_only.flags.writeable = False
+    with kernels(walk):
+        for tally, error in (
+            (good[:-1], ValueError), (good.astype(np.int32), TypeError),
+            (read_only, ValueError),
+        ):
+            with pytest.raises(error, match="tally"):
+                ms.replay_epoch(epoch(1), tally=tally)
+            assert pickle.dumps(ms.state_dict()) == before

@@ -370,3 +370,95 @@ def test_kernel_refuses_what_it_cannot_take(case):
     args[at] = value
     with pytest.raises(error):
         native.kernels().tile(*args)
+
+
+def _row_major(rows, cols, n, seed=0):
+    """A row-major COO of ``n`` distinct entries."""
+    rng = np.random.default_rng(seed)
+    cells = np.sort(rng.choice(rows * cols, size=n, replace=False))
+    return COOMatrix(rows, cols, cells // cols, cells % cols,
+                     rng.standard_normal(n).astype(np.float32))
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("rp,cp", [(16, None), (7, None), (1, None)])
+def test_ordered_input_keeps_its_arrays(walk, rp, cp):
+    """Row-major input under the Base setting is already in tiled order:
+    the layout's entry arrays are the COO's own, not copies."""
+    coo = _row_major(60, 45, 700)
+    with kernels(walk):
+        t = tile_matrix(coo, rp, cp)
+    t.validate()
+    for ours, theirs in zip((t.r_ids, t.c_ids, t.vals),
+                            (coo.r_ids, coo.c_ids, coo.vals)):
+        assert np.shares_memory(ours, theirs)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("order", ["row-major, two column panels",
+                                   "reversed"])
+def test_unordered_input_gets_new_arrays(walk, order):
+    """Input out of tiled order is sorted into new arrays: none shares
+    memory with the COO's, whose own order is left alone."""
+    coo = _row_major(60, 45, 700)
+    cp = 20
+    if order == "reversed":
+        coo = COOMatrix(60, 45, coo.r_ids[::-1], coo.c_ids[::-1],
+                        coo.vals[::-1])
+        cp = None
+    before = [a.tobytes() for a in (coo.r_ids, coo.c_ids, coo.vals)]
+    with kernels(walk):
+        t = tile_matrix(coo, 16, cp)
+    t.validate()
+    for ours in (t.r_ids, t.c_ids, t.vals):
+        for theirs in (coo.r_ids, coo.c_ids, coo.vals):
+            assert not np.shares_memory(ours, theirs)
+    assert [a.tobytes() for a in (coo.r_ids, coo.c_ids, coo.vals)] == before
+
+
+def _tiler_input(kind):
+    """Kernel arguments ``(r, c, vals, rows, cols, RP, CP)`` of one
+    kind."""
+    rng = np.random.default_rng(8)
+    rows, cols = 30, 25
+    if kind == "empty":
+        r = c = np.zeros(0, np.int64)
+    elif kind == "repeated":
+        r, c = rng.integers(0, rows, 300), rng.integers(0, cols, 300)
+    else:
+        coo = _row_major(rows, cols, 200, seed=8)
+        r, c = coo.r_ids, coo.c_ids
+        if kind == "unordered":
+            perm = rng.permutation(200)
+            r, c = r[perm], c[perm]
+    vals = np.arange(r.shape[0], dtype=np.float32)
+    rp, cp = {"one-tile": (rows, cols)}.get(kind, (4, 6))
+    if kind == "ordered":
+        cp = cols
+    return r, c, vals, rows, cols, rp, cp
+
+
+@pytest.mark.parametrize(
+    "kind", ["ordered", "unordered", "repeated", "empty", "one-tile"]
+)
+def test_kernel_and_twin_give_one_tile_table(kind):
+    """The compiled tiler and its twin agree byte for byte on the
+    entries, the tile starts and the tile ids, and on whether the
+    entries are the input's own arrays."""
+    _needs_kernel()
+    args = _tiler_input(kind)
+    got = native.kernels().tile(*args)
+    want = _order_twin(*args)
+    assert [a.dtype.str for a in got] == [a.dtype.str for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [g is a for g, a in zip(got, args)] == [
+        w is a for w, a in zip(want, args)
+    ]
+    starts, ids = got[3], got[4]
+    if kind == "one-tile":
+        assert starts.tolist() == [0] and ids.tolist() == [0]
+    elif kind == "empty":
+        assert starts.size == ids.size == 0
+    else:
+        assert starts.size > 1 and np.all(np.diff(ids) > 0)
+    assert (got[0] is args[0]) == (kind in ("ordered", "one-tile", "empty"))
