@@ -22,12 +22,10 @@ bench files can run quick (CI) or thorough (full reproduction):
 - ``REPRO_CACHE_DIR`` — content-addressed sweep result cache directory
   so re-runs and partially-failed sweeps skip completed jobs
   (default: off)
-- ``REPRO_MAX_ATTEMPTS`` — lease attempts per sweep job before it is
-  quarantined as poison (default: 3)
+- ``REPRO_MAX_ATTEMPTS`` — attempts per sweep job (each ended by its
+  worker's death) before the job is quarantined as poison (default: 3)
 - ``REPRO_KEEP_GOING`` — set to 1 to let a sweep complete around
   quarantined/failed jobs instead of raising (default: off)
-- ``REPRO_LEASE_DIR`` — explicit lease/quarantine directory; defaults
-  to ``<cache dir>/.leases`` when a result cache is configured
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ class BenchEnvironment:
     cache_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
     max_attempts: int = field(default=3, metadata=NOT_KEYED)
     keep_going: bool = field(default=False, metadata=NOT_KEYED)
-    lease_dir: Optional[str] = field(default=None, metadata=NOT_KEYED)
 
     @property
     def ratio(self) -> float:
@@ -136,7 +133,6 @@ class BenchEnvironment:
             resilience=self.resilience_config(),
             max_attempts=self.max_attempts,
             keep_going=self.keep_going,
-            lease_dir=self.lease_dir,
         )
 
     def base_settings(self, **overrides) -> KernelSettings:
@@ -176,7 +172,6 @@ def get_environment() -> BenchEnvironment:
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
     max_attempts = int(os.environ.get("REPRO_MAX_ATTEMPTS", "3"))
     keep_going = os.environ.get("REPRO_KEEP_GOING", "") not in ("", "0")
-    lease_dir = os.environ.get("REPRO_LEASE_DIR") or None
     if opt_mode not in ("quick", "full"):
         raise ValueError("REPRO_OPT must be 'quick' or 'full'")
     return BenchEnvironment(
@@ -185,7 +180,6 @@ def get_environment() -> BenchEnvironment:
         timeout_s=timeout_s, max_retries=max_retries,
         jobs=jobs, cache_dir=cache_dir,
         max_attempts=max_attempts, keep_going=keep_going,
-        lease_dir=lease_dir,
     )
 
 

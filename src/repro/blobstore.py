@@ -164,8 +164,9 @@ class BlobStore:
 
     def keys(self) -> List[str]:
         """Every key currently stored, sorted.  Only two-character shard
-        directories are searched (which hides dot-directories such as
-        the sweep's ``.leases``), and leftover temp files
+        directories are searched (which hides dot-directories, such as
+        the coordination state older releases kept in a result cache),
+        and leftover temp files
         (``.<name>.<pid>.<n>.tmp``) do not end in the suffix."""
         pattern = os.path.join(
             glob.escape(self.directory), "??", "*" + self.suffix

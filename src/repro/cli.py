@@ -6,8 +6,8 @@ Usage::
     python -m repro autotune --matrix ORK --kernel spmm --k 32
     python -m repro suite                       # list the Table 2 suite
     python -m repro experiment fig09 table5 ... # run paper experiments
-    python -m repro sweep fig14 --shard 0/2 --cache-dir CACHE
-                                                # crash-safe sharded sweeps
+    python -m repro experiment fig14 --jobs 4 --cache-dir CACHE --keep-going
+                                                # parallel, cached, crash-safe
     python -m repro config --pes 224            # show a system config
 
 Matrices are either Table 2 suite short names (with ``--scale``) or
@@ -101,30 +101,6 @@ def _validate_run_args(args: argparse.Namespace) -> Optional[str]:
     return _validate_sweep_args(args)
 
 
-def _shard_spec(text: str) -> tuple:
-    """Parse ``--shard i/N`` (0-based shard index / runner count)."""
-    try:
-        index_s, count_s = text.split("/", 1)
-        index, count = int(index_s), int(count_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard must look like i/N (e.g. 0/2), got {text!r}"
-        )
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"shard runner count must be >= 1, got {text!r}"
-        )
-    if not 0 <= index < count:
-        # Same 0-based fix-it the runner gives, so CLI and API errors
-        # diagnose a 1-based "N/N" slip identically.
-        raise argparse.ArgumentTypeError(
-            f"shard index is 0-based: valid shards for {count} "
-            f"runner(s) are 0/{count} .. {count - 1}/{count}, "
-            f"got {text!r}"
-        )
-    return (index, count)
-
-
 def _validate_sweep_args(args: argparse.Namespace) -> Optional[str]:
     """Sweep flag-combination checks; returns an error message or None."""
     if args.jobs < 1:
@@ -175,20 +151,28 @@ def _finish_ledger(args: argparse.Namespace, ledger) -> None:
         _close_ledger(ledger)
 
 
-def _sweep_runner(args: argparse.Namespace, resilience=None):
+def _sweep_runner(args: argparse.Namespace, env=None):
     """A SweepRunner from the CLI sweep flags, or None when they are
-    all at their defaults (callers then keep their serial paths)."""
+    all at their defaults (callers then keep their serial paths).
+    ``env`` supplies the supervision, attempt and keep-going policy."""
     cache_dir = None if args.no_cache else args.cache_dir
     ledger_dir = getattr(args, "ledger", None)
-    if args.jobs <= 1 and cache_dir is None and ledger_dir is None:
+    keep_going = getattr(args, "keep_going", False)
+    if (args.jobs <= 1 and cache_dir is None and ledger_dir is None
+            and not keep_going):
         return None
     from repro.sweep import SweepRunner, open_cache
 
+    policy = {} if env is None else dict(
+        resilience=env.resilience_config(),
+        max_attempts=env.max_attempts,
+        keep_going=env.keep_going,
+    )
     return SweepRunner(
         jobs=args.jobs,
         cache=open_cache(str(cache_dir) if cache_dir else None),
-        resilience=resilience,
         ledger=_open_ledger(args),
+        **policy,
     )
 
 
@@ -380,103 +364,55 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     import importlib
 
     problem = _validate_sweep_args(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    env = get_environment()
-    # CLI flags win; otherwise fall back to REPRO_JOBS/REPRO_CACHE_DIR.
-    sweep = (
-        _sweep_runner(args, resilience=env.resilience_config())
-        or env.sweep()
-    )
-    for name in args.names:
-        if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; choose from "
-                  f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
-            return 2
-        module = importlib.import_module(f"repro.bench.{name}")
-        result = (
-            module.run(sweep=sweep)
-            if name == "sec7g"
-            else module.run(env, sweep=sweep)
-        )
-        print(module.format_result(result))
-        print()
-    if sweep is not None and sweep.report.total:
-        print(f"sweep: {sweep.report.summary()}", file=sys.stderr)
-    if sweep is not None:
-        _close_ledger(sweep.ledger)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Crash-safe sweep execution: like ``experiment``, but with the
-    lease protocol always on — shard runners claim jobs from a shared
-    cache+lease directory, dead runners' jobs are reclaimed, and poison
-    jobs are quarantined instead of crash-looping."""
-    import importlib
-
-    problem = _validate_sweep_args(args)
-    if problem is None and args.max_attempts < 1:
+    if problem is None and args.max_attempts is not None \
+            and args.max_attempts < 1:
         problem = "--max-attempts must be >= 1"
-    if problem is None and args.lease_ttl <= 0:
-        problem = "--lease-ttl must be a positive number of seconds"
-    if problem is None and args.shard is not None and (
-        args.cache_dir is None or args.no_cache
-    ):
-        problem = (
-            "--shard i/N requires --cache-dir DIR: the shared cache is "
-            "how shard runners exchange results"
-        )
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     env = get_environment()
-    from repro.sweep import SweepRunner, open_cache
-
-    cache_dir = None if args.no_cache else args.cache_dir
-    sweep = SweepRunner(
-        jobs=args.jobs,
-        cache=open_cache(str(cache_dir) if cache_dir else None),
-        resilience=env.resilience_config(),
-        ledger=_open_ledger(args),
-        max_attempts=args.max_attempts,
-        keep_going=args.keep_going,
-        shard=args.shard,
-        lease_dir=str(args.lease_dir) if args.lease_dir else None,
-        lease_ttl_s=args.lease_ttl,
-    )
+    # CLI flags win; otherwise fall back to REPRO_JOBS/REPRO_CACHE_DIR/
+    # REPRO_MAX_ATTEMPTS/REPRO_KEEP_GOING.
+    if args.keep_going:
+        env = dataclasses.replace(env, keep_going=True)
+    if args.max_attempts is not None:
+        env = dataclasses.replace(env, max_attempts=args.max_attempts)
+    sweep = _sweep_runner(args, env) or env.sweep()
     for name in args.names:
         if name not in EXPERIMENTS:
             print(f"unknown experiment {name!r}; choose from "
                   f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
             return 2
         module = importlib.import_module(f"repro.bench.{name}")
-        holes_before = sweep.report.failed + sweep.report.quarantined
+        holes_before = _holes(sweep)
         result = (
             module.run(sweep=sweep)
             if name == "sec7g"
             else module.run(env, sweep=sweep)
         )
-        holes = (
-            sweep.report.failed + sweep.report.quarantined - holes_before
-        )
+        holes = _holes(sweep) - holes_before
         if holes:
             # Results have None holes; the driver's formatter cannot
             # render them, so report the gap instead of a partial table.
             print(f"{name}: output suppressed — {holes} grid cell(s) "
-                  f"failed or quarantined (see the lease directory's "
-                  f"quarantine manifests and the run ledger)")
-            print()
+                  f"failed or quarantined (see the run ledger)")
         else:
             print(module.format_result(result))
-            print()
-    if sweep.report.total:
-        print(f"sweep: {sweep.report.summary()}", file=sys.stderr)
-    # Diagnostics go to stderr so stdout stays byte-comparable with
-    # ``repro experiment`` (the shard-merge CI lane diffs them).
-    _close_ledger(sweep.ledger, stream=sys.stderr)
+        print()
+    if sweep is not None:
+        if sweep.report.total:
+            print(f"sweep: {sweep.report.summary()}", file=sys.stderr)
+        # Diagnostics go to stderr so stdout stays byte-comparable
+        # between serial, parallel and cached runs.
+        _close_ledger(sweep.ledger, stream=sys.stderr)
     return 0
+
+
+def _holes(sweep) -> int:
+    """Grid cells a keep-going sweep has left as ``None`` so far."""
+    if sweep is None:
+        return 0
+    return sweep.report.failed + sweep.report.quarantined
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -500,8 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         ledger=ledger,
         max_attempts=args.max_attempts,
-        lease_dir=str(args.lease_dir) if args.lease_dir else None,
-        lease_ttl_s=args.lease_ttl,
     )
     policy = AdmissionPolicy(
         max_queue=args.max_queue,
@@ -745,41 +679,17 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("names", nargs="+",
                        help=f"one of: {', '.join(EXPERIMENTS)}")
     sweep_flags(exp_p)
-    exp_p.set_defaults(func=_cmd_experiment)
-
-    swp_p = sub.add_parser(
-        "sweep",
-        help="crash-safe, shardable experiment sweeps (lease protocol)",
-    )
-    swp_p.add_argument("names", nargs="+",
-                       help=f"one of: {', '.join(EXPERIMENTS)}")
-    sweep_flags(swp_p)
-    crash = swp_p.add_argument_group("crash safety / sharding")
-    crash.add_argument("--shard", type=_shard_spec, default=None,
-                       metavar="i/N",
-                       help="run shard i of N concurrent runners "
-                       "(0-based: the first of 2 runners is 0/2, the "
-                       "last 1/2) splitting one grid by claiming job "
-                       "leases in a shared --cache-dir; every runner "
-                       "returns the full merged result, byte-identical "
-                       "to serial")
+    crash = exp_p.add_argument_group("crash safety")
     crash.add_argument("--keep-going", action="store_true",
                        help="complete the sweep around failed or "
-                       "quarantined jobs instead of raising")
-    crash.add_argument("--max-attempts", type=int, default=3,
+                       "quarantined cells instead of raising "
+                       "(default: REPRO_KEEP_GOING)")
+    crash.add_argument("--max-attempts", type=int, default=None,
                        metavar="N",
-                       help="lease attempts before a crash-looping job "
-                       "is quarantined as poison (default 3)")
-    crash.add_argument("--lease-ttl", type=float, default=30.0,
-                       metavar="S",
-                       help="seconds without a heartbeat before a "
-                       "lease is presumed orphaned and reclaimed "
-                       "(default 30)")
-    crash.add_argument("--lease-dir", type=Path, default=None,
-                       metavar="DIR",
-                       help="lease/quarantine directory (default: "
-                       "<cache-dir>/.leases)")
-    swp_p.set_defaults(func=_cmd_sweep)
+                       help="attempts before a cell that keeps killing "
+                       "its worker is quarantined (default: "
+                       "REPRO_MAX_ATTEMPTS, else 3)")
+    exp_p.set_defaults(func=_cmd_experiment)
 
     srv_p = sub.add_parser(
         "serve",
@@ -795,8 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv_p.add_argument("--cache-dir", type=Path, required=True,
                        metavar="DIR",
                        help="content-addressed result cache backing "
-                       "the memo layer (shared with 'repro run/sweep "
-                       "--cache-dir': their keys are identical)")
+                       "the memo layer (shared with 'repro "
+                       "run/experiment --cache-dir': their keys are "
+                       "identical)")
     srv_p.add_argument("--ledger", type=Path, default=None,
                        metavar="DIR",
                        help="record request lifecycle + execution "
@@ -815,13 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="attempts before a crash-looping job is "
                        "quarantined (default 3)")
-    srv_p.add_argument("--lease-ttl", type=float, default=30.0,
-                       metavar="S",
-                       help="lease heartbeat TTL in seconds (default 30)")
-    srv_p.add_argument("--lease-dir", type=Path, default=None,
-                       metavar="DIR",
-                       help="lease/quarantine directory (default: "
-                       "<cache-dir>/.leases)")
     srv_p.set_defaults(func=_cmd_serve)
 
     sub_p = sub.add_parser(

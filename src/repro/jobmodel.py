@@ -7,8 +7,9 @@ Three consumers speak this vocabulary:
 
 - the **sweep runner** (:mod:`repro.sweep.runner`) runs grids of
   :class:`JobSpec` on the supervised worker pool and merges by index;
-- the **sharded runner** (``repro sweep --shard i/N``) exchanges
-  results between hosts keyed by :attr:`JobSpec.key`;
+- the **result cache** (:mod:`repro.sweep.cache`) stores each
+  answer under :attr:`JobSpec.key`, so every process sharing a cache
+  directory reuses it;
 - the **simulation service** (:mod:`repro.service`) resolves client
   requests to the same keys, so a served answer, a sweep cell, and a
   ``repro run`` invocation all address one content-addressed result.
@@ -175,19 +176,16 @@ class JobSpec:
         return int(self.key[:16], 16)
 
 
-RESULT_SOURCES = ("executed", "cached", "coalesced")
-"""Where a :class:`JobResult` came from: a worker ran the cell, the
-content-addressed cache answered, or an identical in-flight execution
-fanned its answer out."""
+RESULT_SOURCES = ("executed", "coalesced")
+"""Where a :class:`JobResult` came from: a worker ran the cell, or an
+identical in-flight execution fanned its answer out."""
 
 
 @dataclass(frozen=True)
 class JobResult:
     """One job's answer plus the provenance of how it was obtained.
 
-    The *value* is exactly what the cell returned (or the cached bytes
-    of a previous identical execution — the cache stores pickled cell
-    output, so a cached value *is* the executed value).  The envelope
+    The *value* is exactly what the cell returned.  The envelope
     records how the answer was produced, which the service reports to
     clients and the exactly-once audits reason about.
     """

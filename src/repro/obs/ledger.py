@@ -280,7 +280,7 @@ def shard_path(directory, index: int, key: str) -> Path:
 
 def open_shard_dir(ledger: RunLedger) -> Path:
     """A fresh directory, beside ``ledger``'s file, for the job shards
-    of one runner.  Runners that share a ledger directory (sweep shards,
+    of one runner.  Runners that share a ledger directory (two sweeps,
     a service pool next to a sweep) each merge only their own shards.
     The leading dot keeps it out of ledger-directory listings."""
     parent = ledger.path.parent

@@ -116,7 +116,7 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
     # the job and "quarantined" when its attempts are exhausted — the
     # crash-recovery ladder is fully reconstructible from the ledger,
     # and "every key has exactly one completed event" is the
-    # exactly-once audit for sharded sweeps.
+    # exactly-once audit for one pool's work.
     "sweep_job": {
         "index": (_INT, True),
         "status": (_STR, True),        # see _JOB_STATUS
@@ -125,7 +125,7 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "wall_s": (_NUM, False),       # completed / failed only
         "error": (_STR, False),
         "pid": (_INT, False),
-        "attempt": (_INT, False),      # 1-based lease attempt count
+        "attempt": (_INT, False),      # 1-based attempt count
     },
     "cache_hit": {
         "index": (_INT, True),
@@ -145,7 +145,7 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[tuple, bool]]] = {
         "key": (_STR, False),          # absent on malformed requests
         "tenant": (_STR, False),
         "priority": (_STR, False),
-        "source": (_STR, False),       # "memo"|"executed"|"cached"|"coalesced"
+        "source": (_STR, False),       # "memo"|"executed"|"coalesced"
         "code": (_INT, False),         # HTTP status on rejected/failed
         "reason": (_STR, False),
         "wall_s": (_NUM, False),

@@ -24,13 +24,9 @@ Injection points:
   chosen epoch, simulating a kill for kill-then-resume tests.
 * ``sweep_kill(index, attempt)`` — ``SIGKILL`` the calling sweep worker
   process at a hash-selected (seed, job) point, exercising the sweep
-  pool's dead-worker detection / lease reclamation / requeue /
-  quarantine ladder.  Unlike :class:`InjectedFault` this is a *real*
-  process death: no exception propagates, no ``finally`` runs.
-* ``stall_lease_heartbeat()`` — tell the worker's lease-heartbeat
-  thread not to refresh the claim file, so the lease ages out and a
-  concurrent shard runner observes (and reclaims) an apparently dead
-  owner while the worker is in fact still running.
+  pool's dead-worker detection / requeue / quarantine ladder.  Unlike
+  :class:`InjectedFault` this is a *real* process death: no exception
+  propagates, no ``finally`` runs.
 """
 
 from __future__ import annotations
@@ -95,9 +91,6 @@ class ChaosConfig:
     sweep_kill_attempts: Tuple[int, ...] = (1,)
     """Attempt numbers at which the rate-based kill is eligible to
     fire (by default only the first, so retries survive)."""
-    lease_heartbeat_stall: bool = False
-    """Suppress lease heartbeats in sweep workers, simulating a live
-    owner that looks dead to everyone sharing the lease directory."""
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.worker_fault_rate <= 1.0:
@@ -220,7 +213,3 @@ class ChaosMonkey:
         process sentinel — exactly what a real OOM kill looks like."""
         if self.should_sweep_kill(index, attempt):
             os.kill(os.getpid(), signal.SIGKILL)
-
-    def stall_lease_heartbeat(self) -> bool:
-        """Whether sweep workers should stop refreshing their lease."""
-        return self.config.lease_heartbeat_stall

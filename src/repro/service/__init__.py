@@ -1,8 +1,8 @@
 """repro.service: simulation-as-a-service over the sweep substrate.
 
 The PR 5–9 sweep stack made simulations *content-addressed jobs*:
-hashable keys, a durable result cache, a crash-safe worker pool, and a
-lease protocol for concurrent runners.  This package puts an HTTP front
+hashable keys, a durable result cache with atomic publishes, and a
+crash-safe worker pool.  This package puts an HTTP front
 end on that substrate so the simulator runs as a long-lived shared
 service instead of a per-invocation CLI:
 
@@ -15,8 +15,8 @@ service instead of a per-invocation CLI:
   execution; every waiter's answer comes from the leader's future;
 - :class:`ServicePool` (:mod:`repro.sweep.pool`) — the supervised
   worker pool sweeps also run on, fed one job per leader: priority
-  heap, wakeup pipe, lease-bumped requeue after worker death,
-  poison-job quarantine;
+  heap, wakeup pipe, requeue after worker death, poison-job quarantine
+  for the pool's lifetime;
 - :mod:`~repro.service.server` — hand-rolled asyncio HTTP/1.1 server
   (stdlib only): ``POST /v1/simulate``, ``POST /v1/sweep``,
   ``GET /healthz``, ``GET /v1/stats``, ``GET /metrics``,

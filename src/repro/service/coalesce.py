@@ -8,14 +8,15 @@ the rest become **waiters** on the same :class:`concurrent.futures
 .Future`.  The leader resolves the future once; every waiter's HTTP
 response materialises from that single outcome.
 
-Correctness leans on the PR 9 publish-before-release ordering: the
+Correctness leans on the pool's publish-before-resolve ordering: the
 pool writes the result to the :class:`~repro.sweep.cache.ResultCache`
-*before* the lease is released and the future resolves.  A request
-that arrives after the leader's entry was removed therefore probes the
-cache and hits — there is no window where a key is neither in-flight
-nor cached yet already executed, so each key runs **at most once per
-cache lifetime** (pinned by the ledger exactly-once audit in
-``tests/test_service_parity.py``).
+*before* the future resolves, and a request that becomes a leader
+probes the cache once more after joining.  A key whose previous leader
+published between a request's memo probe and its join therefore hits
+on that second probe — there is no window where a key is neither
+in-flight nor cached yet already executed, so each key runs **at most
+once per cache lifetime** in one service (pinned by the ledger
+exactly-once audit in ``tests/test_service_parity.py``).
 
 Futures are :mod:`concurrent.futures` (thread-safe, resolvable from
 the pool thread); the asyncio server bridges with
@@ -67,7 +68,8 @@ class Coalescer:
         """Publish the outcome to every waiter and retire the key.
         The entry is removed *before* the future resolves so a racing
         ``join`` either becomes a waiter (entry still present) or a
-        fresh cache probe (result already published by the pool)."""
+        leader whose cache probe after the join finds the result the
+        pool already published."""
         entry = self._pop(key)
         if entry is not None and not entry.future.done():
             entry.future.set_result(value)

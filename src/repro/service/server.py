@@ -27,10 +27,11 @@ Request path (``POST /v1/simulate``), cheapest exit first::
     parse+validate ── 400
       └─ memo probe (ResultCache) ── 200 source="memo"
            └─ coalesce join: waiter? ── quota check ── await leader
-                └─ leader: admission (queue bound, tenant quota)
-                     ├─ 429 / 503 (+ Retry-After)
-                     └─ pool.submit → await → 200 source="executed"
-                                             (5xx on quarantine/failure)
+                └─ leader: memo probe again ── 200 source="memo"
+                     └─ admission (queue bound, tenant quota)
+                          ├─ 429 / 503 (+ Retry-After)
+                          └─ pool.submit → await → 200 source="executed"
+                                                  (5xx on quarantine/failure)
 
 Every transition writes a ``service`` ledger event, so ``repro obs
 report`` can reconstruct the memo-hit ratio and the coalescing fan-in
@@ -151,10 +152,7 @@ class SimulationService:
                    priority=priority)
         hit, value = self.cache.get(key)
         if hit:
-            self.memo_hits += 1
-            return self._serve(
-                Outcome(key, point, tenant, "memo", value, 1, t0)
-            )
+            return self._memo(key, point, tenant, value, t0)
         is_leader, entry = self.coalescer.join(key)
         if not is_leader:
             # Coalesced: charged quota (popularity is not free) but no
@@ -172,6 +170,13 @@ class SimulationService:
                 entry.future, key, point, tenant, priority,
                 is_leader=False, t0=t0,
             )
+        # The key's previous leader may have published and left the
+        # in-flight table between the probe above and the join: probe
+        # again, or the key would execute twice.
+        hit, value = self.cache.get(key)
+        if hit:
+            self.coalescer.resolve(key, JobResult(key=key, value=value))
+            return self._memo(key, point, tenant, value, t0)
         decision = self.admission.admit(tenant, priority,
                                         needs_slot=True)
         if not decision.ok:
@@ -215,12 +220,19 @@ class SimulationService:
         if exc is not None:
             return self._serve_error(pending, exc)
         source = result.source
-        if not pending.is_leader and source in ("executed", "cached"):
+        if not pending.is_leader:
             source = "coalesced"
         return self._serve(Outcome(
             pending.key, pending.point, pending.tenant, source,
             result.value, result.attempt, pending.t0,
         ))
+
+    def _memo(self, key: str, point: Tuple, tenant: str, value: Any,
+              t0: float) -> Reply:
+        self.memo_hits += 1
+        return self._serve(
+            Outcome(key, point, tenant, "memo", value, 1, t0)
+        )
 
     def _serve(self, outcome: "Outcome") -> Reply:
         wall_s = time.perf_counter() - outcome.t0
@@ -249,7 +261,7 @@ class SimulationService:
             return Reply(503, {
                 "error": str(exc),
                 "key": pending.key,
-                "quarantine_manifest": exc.manifest_path,
+                "attempts": exc.attempts,
             })
         code = 500 if isinstance(exc, ServiceExecutionError) else 502
         self._emit("failed", key=pending.key, tenant=pending.tenant,

@@ -14,16 +14,12 @@ package turns any such grid into hashable jobs and fans them out:
   completed jobs;
 - :mod:`~repro.sweep.pool` — :class:`ServicePool`, the supervised
   worker pool sweeps and the simulation service share: fork workers,
-  claim-at-dispatch leases, dead workers detected via process
-  sentinels and their in-flight jobs requeued, poison jobs quarantined;
+  dead workers detected via process sentinels and their in-flight jobs
+  requeued, poison jobs quarantined for the pool's lifetime;
 - :mod:`~repro.sweep.runner` — :class:`SweepRunner`, which runs a grid
   as one pool batch with deterministic per-job seeds and **grid-order
   merge**, so parallel output is byte-identical to serial (pinned by
-  tests/test_sweep_parity.py);
-- :mod:`~repro.sweep.lease` — :class:`LeaseManager`, per-job-key claim
-  files with heartbeats, stale reclamation, attempt accounting, and
-  poison-job quarantine, coordinating concurrent shard runners over one
-  shared cache directory (``repro sweep --shard i/N``).
+  tests/test_sweep_parity.py).
 
 Every ``repro.bench`` driver accepts ``sweep=SweepRunner(...)``; the
 CLI exposes it as ``--jobs N --cache-dir PATH`` on ``run`` / ``suite``
@@ -41,15 +37,12 @@ from repro.jobmodel import (
     value_fingerprint,
 )
 from repro.sweep.cache import ResultCache, open_cache
-from repro.sweep.lease import LeaseManager, LeaseState, open_leases
 from repro.sweep.runner import SweepReport, SweepRunner, sweep_map
 
 __all__ = [
     "SWEEP_SCHEMA_VERSION",
     "JobResult",
     "JobSpec",
-    "LeaseManager",
-    "LeaseState",
     "ResultCache",
     "SweepReport",
     "SweepRunner",
@@ -58,7 +51,6 @@ __all__ = [
     "environment_fingerprint",
     "expand_grid",
     "open_cache",
-    "open_leases",
     "sweep_map",
     "value_fingerprint",
 ]

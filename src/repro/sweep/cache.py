@@ -5,13 +5,13 @@ One blob per job key at ``<dir>/ab/<key>.res``, in the shared format of
 ``key`` and ``schema_version``).  An entry is only trusted when every
 header check passes; anything else (truncation, a foreign file, a
 payload that does not unpickle) reads as a cache *miss* and the file is
-removed so the slot heals itself.  Two workers completing the same job
-race benignly: both publish identical bytes and the last rename wins.
+removed so the slot heals itself.  Two writers completing the same job
+race benignly, whether pool workers or separate processes sharing the
+directory: both publish identical bytes and the last rename wins.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional, Tuple
 
 from repro.blobstore import BlobStore
@@ -29,13 +29,6 @@ class ResultCache(BlobStore):
             directory, RESULT_FORMAT, RESULT_VERSION, ".res",
             schema_version=SWEEP_SCHEMA_VERSION,
         )
-
-    def default_lease_dir(self) -> str:
-        """Where the lease protocol lives when no explicit lease dir is
-        configured: a dot-directory inside the cache, so one shared path
-        carries both results and coordination state.  The name is not a
-        two-character shard, so :meth:`keys` never sees it."""
-        return os.path.join(self.directory, ".leases")
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; corrupt or foreign entries are

@@ -1,12 +1,13 @@
 """The supervised worker pool behind sweeps and the simulation service.
 
 Every result the evaluation reports is a grid of independent
-``(matrix, config)`` cells.  ``repro sweep``/``experiment`` run a grid
-as one batch (:meth:`ServicePool.run_batch`, driven by
+``(matrix, config)`` cells.  ``repro experiment`` runs a grid as one
+batch (:meth:`ServicePool.run_batch`, driven by
 :meth:`~repro.sweep.runner.SweepRunner.map_grid`); ``repro serve``
 feeds the same pool a stream of single jobs
 (:meth:`ServicePool.submit`), each answered through its own
-:class:`concurrent.futures.Future`.  The pool owns:
+:class:`concurrent.futures.Future`.  Both callers probe the result
+cache before they submit, so the pool always executes.  The pool owns:
 
 - **workers** — long-lived ``fork`` processes, each with a private
   duplex pipe (a shared queue's internal lock would be poisoned by a
@@ -17,23 +18,17 @@ feeds the same pool a stream of single jobs
 - **the dispatcher** — one thread, woken through a pipe on submission,
   popping jobs from a heap ordered by (priority rank, arrival) —
   interactive before batch, FIFO within a class;
-- **the claim walk** — a quarantined key fails fast, a claimed key is
-  re-probed in the cache (a peer may have published first), and a key
-  whose lease records ``max_attempts`` dead owners is poison;
-- **foreign leases** — a key a live peer holds is deferred and polled
-  every :data:`FOREIGN_POLL_S`: it resolves from the cache once the
-  peer publishes, or is reclaimed when the peer's lease goes stale;
-- **death** — lease attempt bump, then requeue (priority kept) or, past
-  ``max_attempts``, quarantine;
-- **the claim heartbeat** — claimed jobs waiting in the heap (requeued
-  after a death) belong to no worker, so the dispatcher refreshes their
-  leases every ``ttl/4``;
-- **the outcome order** — publish to the cache, release the lease,
-  merge the job's ledger shard, resolve the future (DESIGN.md §13).
+- **death** — the job's attempt count (kept on its submission) is
+  bumped and the job requeued with its priority, or, past
+  ``max_attempts``, quarantined: the key enters this pool's in-memory
+  quarantine map, and a later submission of it fails fast with
+  :class:`ServiceQuarantined` for the pool's lifetime;
+- **the outcome order** — publish to the cache, merge the job's ledger
+  shard, resolve the future (DESIGN.md §13).
 
 With ``workers=0`` there are no processes and no thread: a submission
-runs through the same claim walk and outcome code in the calling
-thread before it returns (``SweepRunner(jobs=1)``).
+runs through the same outcome code in the calling thread before it
+returns (``SweepRunner(jobs=1)``).
 """
 
 from __future__ import annotations
@@ -64,30 +59,18 @@ from repro.obs.ledger import (
 )
 from repro.resilience import ChaosMonkey, RunSupervisor
 from repro.sweep.cache import ResultCache
-from repro.sweep.lease import heartbeat_path, open_leases
 
 _PRIORITY_RANK = {"interactive": 0, "batch": 1}
 
-FOREIGN_POLL_S = 0.05
-"""How often a key held by a live foreign runner is re-probed."""
-
 
 class ServiceQuarantined(SpadeError):
-    """A job exhausted its attempts; the manifest has the post-mortem."""
+    """A job's worker died on each of its ``attempts``; the pool
+    refuses the key from then on."""
 
-    def __init__(
-        self,
-        key: str,
-        error: str,
-        manifest_path: Optional[str],
-        manifest: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def __init__(self, key: str, error: str, attempts: int) -> None:
         super().__init__(error)
         self.key = key
-        self.manifest_path = manifest_path
-        self.manifest = manifest
-        """The manifest the claim walk found when the key was already
-        quarantined; ``None`` when this pool quarantined it."""
+        self.attempts = attempts
 
 
 class ServiceExecutionError(SpadeError):
@@ -126,28 +109,9 @@ class _JobPayload:
     shard: Optional[Tuple[str, str, str]]  # (ledger dir, key, driver)
     attempt: int = 1
     chaos: Any = None  # ChaosConfig (picklable frozen dataclass)
-    lease_path: Optional[str] = None
-    lease_interval_s: float = 0.0
     in_worker: bool = False
     """Process-level chaos (SIGKILL) only arms in a pool worker — an
     inline job shares the runner's process and must not kill it."""
-
-
-class _LeaseHeartbeat(threading.Thread):
-    """Refreshes one lease file's mtime while its job runs."""
-
-    def __init__(self, path: str, interval_s: float) -> None:
-        super().__init__(name="sweep-lease-heartbeat", daemon=True)
-        self._path = path
-        self._interval_s = max(0.05, interval_s)
-        self._halt = threading.Event()
-
-    def run(self) -> None:
-        while not self._halt.wait(self._interval_s):
-            heartbeat_path(self._path)
-
-    def stop(self) -> None:
-        self._halt.set()
 
 
 def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any]:
@@ -185,16 +149,6 @@ def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any]:
         # Flush immediately: if this attempt dies to a SIGKILL the
         # started-with-no-completed event is the post-mortem evidence.
         ledger.flush()
-    heartbeat = None
-    if (
-        payload.lease_path is not None
-        and payload.lease_interval_s > 0
-        and not (monkey is not None and monkey.stall_lease_heartbeat())
-    ):
-        heartbeat = _LeaseHeartbeat(
-            payload.lease_path, payload.lease_interval_s
-        )
-        heartbeat.start()
     if monkey is not None and payload.in_worker:
         # Real process death: when selected, this call does not return.
         monkey.sweep_kill(index, payload.attempt)
@@ -221,8 +175,6 @@ def _execute_job(payload: _JobPayload) -> Tuple[int, bool, Any]:
             **({} if ok else {"error": value}),
         )
         ledger.close()
-    if heartbeat is not None:
-        heartbeat.stop()
     return index, ok, value
 
 
@@ -295,22 +247,22 @@ class _Submission:
     future: Future = field(compare=False)
     env: Any = field(compare=False, default=None)
     driver: str = field(compare=False, default="serve")
-    """The label of the job's ledger events and quarantine manifest."""
+    """The label of the job's ledger events."""
     merge: bool = field(compare=False, default=True)
     """Merge the job's ledger shard before resolving its future.  A
     sweep batch leaves its shards to :meth:`ServicePool.close`, which
     merges them in grid order."""
     attempt: int = field(compare=False, default=1)
-    claimed: bool = field(compare=False, default=False)
+    """The attempt being run (or next to run): 1 plus the deaths so far."""
 
 
 class ServicePool:
     """Supervised worker pool for sweep batches and service streams.
 
     With workers, ``submit`` and ``run_batch`` are callable from any
-    thread.  The pool shares its cache and lease directories with every
-    other pool (a service, concurrent ``repro sweep --shard`` runners)
-    pointed at them.
+    thread.  Other processes may write the same cache directory at the
+    same time (DESIGN.md §13): a race on one key costs duplicate work,
+    never a wrong or torn entry.
     """
 
     def __init__(
@@ -320,8 +272,6 @@ class ServicePool:
         ledger=None,
         chaos=None,
         max_attempts: int = 3,
-        lease_dir: Optional[str] = None,
-        lease_ttl_s: float = 30.0,
     ) -> None:
         if workers < 0:
             raise SpadeError(f"pool workers must be >= 0, got {workers}")
@@ -329,9 +279,6 @@ class ServicePool:
         self.workers = workers
         self.max_attempts = max_attempts
         self.chaos = chaos
-        if lease_dir is None and cache is not None:
-            lease_dir = cache.default_lease_dir()
-        self.leases = open_leases(lease_dir, ttl_s=lease_ttl_s)
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         # Job shards go to a directory of our own: other pools may
         # share the ledger directory, and each merges only its shards.
@@ -344,8 +291,8 @@ class ServicePool:
         self._seq = itertools.count()
         self._inbox: List[_Submission] = []
         self._heap: List[_Submission] = []
-        self._deferred: List[Tuple[float, _Submission]] = []
-        self._next_heartbeat = 0.0
+        self._quarantine: Dict[str, Tuple[int, str]] = {}
+        """Poison keys: key -> (attempts, last error).  Dispatcher-only."""
         self._halt = threading.Event()
         self._pool: List[_Worker] = []
         self.executed = 0
@@ -382,9 +329,9 @@ class ServicePool:
         priority: str = "interactive",
     ) -> Future:
         """Queue one service execution; the future resolves to a
-        :class:`~repro.jobmodel.JobResult` (source ``"executed"`` or
-        ``"cached"`` if a peer published first) or fails with
-        :class:`ServiceQuarantined` / :class:`ServiceExecutionError`."""
+        :class:`~repro.jobmodel.JobResult` (source ``"executed"``) or
+        fails with :class:`ServiceQuarantined` /
+        :class:`ServiceExecutionError`."""
         sub = _Submission(
             (_PRIORITY_RANK.get(priority, 1), next(self._seq)),
             spec, cell, resilience, Future(),
@@ -452,8 +399,6 @@ class ServicePool:
         (the inline batch), else once :meth:`close` asked for it."""
         while True:
             self._absorb_inbox()
-            self._revive_deferred()
-            self._heartbeat_claims()
             self._dispatch_ready()
             if (self._thread is None or self._halt.is_set()) \
                     and self._idle():
@@ -466,38 +411,20 @@ class ServicePool:
         return (
             empty_inbox
             and not self._heap
-            and not self._deferred
             and all(w.state is None for w in self._pool)
         )
 
     def _absorb_inbox(self) -> None:
+        """Queue new submissions; a key this pool quarantined fails
+        fast without reaching a worker."""
         with self._lock:
             incoming, self._inbox = self._inbox, []
         for sub in incoming:
-            heapq.heappush(self._heap, sub)
-
-    def _revive_deferred(self) -> None:
-        now = time.monotonic()
-        still: List[Tuple[float, _Submission]] = []
-        for retry_at, sub in self._deferred:
-            if now >= retry_at:
+            poison = self._quarantine.get(sub.spec.key)
+            if poison is None:
                 heapq.heappush(self._heap, sub)
             else:
-                still.append((retry_at, sub))
-        self._deferred = still
-
-    def _heartbeat_claims(self) -> None:
-        """Refresh the leases of claimed jobs waiting in the heap: no
-        worker heartbeats them until they are dispatched."""
-        if self.leases is None:
-            return
-        now = time.monotonic()
-        if now < self._next_heartbeat:
-            return
-        self._next_heartbeat = now + self.leases.ttl_s / 4.0
-        for sub in self._heap:
-            if sub.claimed:
-                self.leases.heartbeat(sub.spec.key)
+                self._refuse(sub, *poison)
 
     def _dispatch_ready(self) -> None:
         if self._thread is None:
@@ -515,84 +442,18 @@ class ServicePool:
             self._dispatch(worker, sub)
 
     def _next_runnable(self) -> Optional[_Submission]:
-        """Pop the next job that holds (or just won) its lease.
-
-        Claim-at-dispatch (rather than claim-the-whole-grid upfront) is
-        what lets concurrent runners share a grid: each only owns what
-        it is about to execute."""
+        """Pop the next job an interrupted batch did not cancel."""
         while self._heap:
             sub = heapq.heappop(self._heap)
-            key = sub.spec.key
-            if sub.future.cancelled():
-                if sub.claimed:
-                    self._release(key)
-                continue
-            if sub.claimed:
-                return sub  # requeued after a death, lease retained
-            if self.leases is not None:
-                manifest = self.leases.is_quarantined(key)
-                if manifest is not None:
-                    # Quarantined by an earlier run or a peer runner.
-                    self.quarantined += 1
-                    attempts = manifest.get("attempts")
-                    self._emit(
-                        sub, "quarantined",
-                        str(manifest.get("error", "quarantined")),
-                        attempts if isinstance(attempts, int) else None,
-                    )
-                    self._settle(sub, ServiceQuarantined(
-                        key,
-                        f"quarantined: {manifest.get('error', 'unknown')}",
-                        self.leases.quarantine_path(key),
-                        manifest,
-                    ))
-                    continue
-                attempt = self.leases.try_claim(key)
-                if attempt is None:
-                    # A live foreign runner holds it: poll until its
-                    # result is published or its lease goes stale.
-                    if not self._from_cache(sub):
-                        self._deferred.append(
-                            (time.monotonic() + FOREIGN_POLL_S, sub)
-                        )
-                    continue
-                # Re-probe under the claim: a peer may have published
-                # between the caller's probe and our winning the lease.
-                if self._from_cache(sub):
-                    continue
-                if attempt > self.max_attempts:
-                    self._poison(
-                        sub,
-                        f"attempts exhausted: lease records "
-                        f"{attempt - 1} prior attempt(s) by dead owners",
-                    )
-                    continue
-                sub.attempt = attempt
-            sub.claimed = True
-            return sub
+            if not sub.future.cancelled():
+                return sub
         return None
-
-    def _from_cache(self, sub: _Submission) -> bool:
-        """Answer ``sub`` from the cache if a result is published,
-        dropping our claim on the key if we hold one."""
-        if self.cache is None:
-            return False
-        hit, value = self.cache.get(sub.spec.key)
-        if hit:
-            self._release(sub.spec.key)
-            self._settle(
-                sub, JobResult(key=sub.spec.key, value=value, source="cached")
-            )
-        return hit
 
     def _payload(self, sub: _Submission) -> _JobPayload:
         spec = sub.spec
         shard = None
         if self._shard_dir is not None:
             shard = (self._shard_dir, spec.key, sub.driver)
-        lease_path = None
-        if self.leases is not None:
-            lease_path = self.leases.path_for(spec.key)
         return _JobPayload(
             index=spec.index,
             cell=sub.cell,
@@ -603,10 +464,6 @@ class ServicePool:
             shard=shard,
             attempt=sub.attempt,
             chaos=self.chaos,
-            lease_path=lease_path,
-            lease_interval_s=(
-                self.leases.ttl_s / 4.0 if self.leases is not None else 0.0
-            ),
             in_worker=self._thread is not None,
         )
 
@@ -622,21 +479,12 @@ class ServicePool:
         worker.state = sub
 
     def _select(self) -> None:
-        timeout = 1.0
-        if self.leases is not None:
-            timeout = min(timeout, self.leases.ttl_s / 4.0)
-        if self._deferred:
-            soonest = min(at for at, _ in self._deferred)
-            timeout = min(timeout, max(0.0, soonest - time.monotonic()))
-        if self._thread is None:
-            time.sleep(timeout)  # only deferred foreign keys remain
-            return
+        """Block until a submission, a result or a worker death."""
         busy = [w for w in self._pool if w.state is not None]
         conn_map = {w.conn: w for w in busy}
         sentinel_map = {w.proc.sentinel: w for w in busy}
         ready = _mp_wait(
-            [self._wake_r] + list(conn_map) + list(sentinel_map),
-            timeout=timeout,
+            [self._wake_r] + list(conn_map) + list(sentinel_map)
         )
         dead: List[_Worker] = []
         for obj in ready:
@@ -676,10 +524,6 @@ class ServicePool:
 
     # -- outcomes --------------------------------------------------------
 
-    def _release(self, key: str) -> None:
-        if self.leases is not None:
-            self.leases.release(key)
-
     def _settle(self, sub: _Submission, outcome: Any) -> None:
         if sub.future.done():
             return  # cancelled by an interrupted batch
@@ -690,23 +534,21 @@ class ServicePool:
 
     def _finish(self, sub: _Submission,
                 result: Tuple[int, bool, Any]) -> None:
-        """The outcome order: publish, release, merge, resolve.  Peers
-        that win the freed claim find the result instead of executing,
-        and whoever the future wakes finds the job in the ledger."""
+        """The outcome order: publish, merge, resolve.  Whoever the
+        future wakes finds the result in the cache and the job in the
+        ledger."""
         _, ok, value = result
         key = sub.spec.key
         outcome: Any
         if ok:
             if self.cache is not None:
                 self.cache.put(key, value)
-            self._release(key)
             self.executed += 1
             outcome = JobResult(
                 key=key, value=value, source="executed",
                 attempt=sub.attempt,
             )
         else:
-            self._release(key)
             self.failed += 1
             outcome = ServiceExecutionError(key, value)
         if sub.merge and self._shard_dir is not None:
@@ -719,7 +561,7 @@ class ServicePool:
 
     def _handle_death(self, worker: _Worker) -> None:
         """A busy worker died: requeue its job (attempt bumped) or, when
-        attempts are exhausted, quarantine it."""
+        attempts are exhausted, quarantine its key."""
         sub, worker.state = worker.state, None
         worker.proc.join(timeout=5.0)
         error = (
@@ -727,43 +569,25 @@ class ServicePool:
             f"exitcode={worker.proc.exitcode}) while executing "
             f"attempt {sub.attempt}"
         )
-        next_attempt = None
-        if self.leases is not None:
-            next_attempt = self.leases.bump(sub.spec.key)
-        if next_attempt is None:
-            # No lease (or it was stolen after a stall): fall back to
-            # the in-memory attempt.
-            next_attempt = sub.attempt + 1
-        sub.attempt = next_attempt
         self._replace(worker)
-        if next_attempt > self.max_attempts:
-            self._poison(sub, error)
+        if sub.attempt >= self.max_attempts:
+            self._quarantine[sub.spec.key] = (sub.attempt, error)
+            self._refuse(sub, sub.attempt, error)
             return
+        sub.attempt += 1
         self.requeued += 1
-        self._emit(sub, "requeued", error, next_attempt)
+        self._emit(sub, "requeued", error, sub.attempt)
         heapq.heappush(self._heap, sub)
 
-    def _poison(self, sub: _Submission, error: str) -> None:
-        """Attempts exhausted: quarantine (and drop our lease)."""
-        key = sub.spec.key
-        # ``sub.attempt`` is the would-be-next attempt at poison time;
-        # the manifest records how many attempts actually executed.
-        executed = sub.attempt - 1
-        manifest_path = None
-        if self.leases is not None:
-            manifest_path = self.leases.quarantine(key, {
-                "driver": sub.driver,
-                "index": sub.spec.index,
-                "point": repr(sub.spec.point),
-                "attempts": executed,
-                "error": error,
-            })
+    def _refuse(self, sub: _Submission, attempts: int, error: str) -> None:
+        """Fail ``sub`` as poison: its key's worker died ``attempts``
+        times in this pool."""
         self.quarantined += 1
-        self._emit(sub, "quarantined", error, executed)
-        self._settle(sub, ServiceQuarantined(key, error, manifest_path))
+        self._emit(sub, "quarantined", error, attempts)
+        self._settle(sub, ServiceQuarantined(sub.spec.key, error, attempts))
 
     def _emit(self, sub: _Submission, status: str, error: str,
-              attempt: Optional[int]) -> None:
+              attempt: int) -> None:
         if self.ledger.enabled:
             self.ledger.emit(
                 "sweep_job",
@@ -773,7 +597,7 @@ class ServicePool:
                 driver=sub.driver,
                 error=error,
                 pid=os.getpid(),
-                **({} if attempt is None else {"attempt": attempt}),
+                attempt=attempt,
             )
 
     def _replace(self, worker: _Worker) -> None:
@@ -801,16 +625,13 @@ class ServicePool:
         """Fail every unresolved job.  After a clean close nothing is in
         flight; after a dispatcher crash the in-flight jobs fail too, so
         no caller waits forever."""
-        leftovers = list(self._heap) + [s for _, s in self._deferred]
+        leftovers = list(self._heap)
         leftovers += [w.state for w in self._pool if w.state is not None]
         with self._lock:
             leftovers += self._inbox
             self._inbox = []
         self._heap = []
-        self._deferred = []
         for sub in leftovers:
-            if sub.claimed:
-                self._release(sub.spec.key)
             self._settle(
                 sub, SpadeError("service pool shut down before execution")
             )
@@ -839,7 +660,6 @@ class ServicePool:
         return {
             "workers": self.workers,
             "queued": len(self._heap) + inbox,
-            "deferred": len(self._deferred),
             "executed": self.executed,
             "requeued": self.requeued,
             "quarantined": self.quarantined,

@@ -20,17 +20,11 @@ section 9) rests on three facts:
 
 ``map_grid`` probes the cache first, then runs the remaining jobs as
 one pool batch (in the calling process when ``jobs=1``).  The pool
-skips a job a quarantine manifest already names, claims each job's
-lease at dispatch, requeues a job whose worker died, and quarantines a
-job whose attempts exhaust ``max_attempts``: under ``keep_going`` a
-quarantined or failed cell becomes a ``None`` hole and the rest of the
-grid completes; otherwise the sweep fails with one
-:class:`~repro.errors.SweepJobError` after the batch (completed work
-still lands in the cache).  ``shard=(i, N)`` runs the same grid
-concurrently from N processes or hosts sharing one cache+lease
-directory: each runner executes the keys it wins, waits for keys a
-live peer holds, and reclaims stale leases from dead peers — every
-runner returns the complete grid-order result list.  See
+requeues a job whose worker died and quarantines a job whose attempts
+exhaust ``max_attempts``: under ``keep_going`` a quarantined or failed
+cell becomes a ``None`` hole and the rest of the grid completes;
+otherwise the sweep fails with one :class:`~repro.errors.SweepJobError`
+after the batch (completed work still lands in the cache).  See
 DESIGN.md section 13.
 
 Progress is counted once, in :class:`SweepReport`; the
@@ -48,7 +42,6 @@ from repro.errors import SweepError, SweepJobError
 from repro.obs.ledger import NULL_LEDGER
 from repro.jobmodel import JobSpec, build_jobs
 from repro.sweep.cache import ResultCache
-from repro.sweep.lease import open_leases
 from repro.sweep.pool import ServicePool, ServiceQuarantined
 
 
@@ -119,9 +112,6 @@ class SweepRunner:
         chaos=None,
         max_attempts: int = 3,
         keep_going: bool = False,
-        shard: Optional[Tuple[int, int]] = None,
-        lease_dir: Optional[str] = None,
-        lease_ttl_s: float = 30.0,
     ) -> None:
         if jobs < 1:
             raise SweepError(f"sweep jobs must be >= 1, got {jobs}")
@@ -129,38 +119,12 @@ class SweepRunner:
             raise SweepError(
                 f"sweep max_attempts must be >= 1, got {max_attempts}"
             )
-        if shard is not None:
-            index, count = shard
-            if count < 1:
-                raise SweepError(
-                    f"sweep shard runner count must be >= 1, "
-                    f"got {index}/{count}"
-                )
-            if not 0 <= index < count:
-                # Shards are 0-based; spell out the valid range so a
-                # 1-based "N/N" slip gets a fix-it, not just a bound.
-                raise SweepError(
-                    f"sweep shard index is 0-based: valid shards for "
-                    f"{count} runner(s) are 0/{count} .. "
-                    f"{count - 1}/{count}, got {index}/{count}"
-                )
-            if cache is None:
-                raise SweepError(
-                    "sharded sweeps need a shared result cache "
-                    "(--cache-dir): the cache is how shard runners "
-                    "exchange results"
-                )
         self.jobs = jobs
         self.cache = cache
         self.resilience = resilience
         self.chaos = chaos
         self.max_attempts = max_attempts
         self.keep_going = keep_going
-        self.shard = shard
-        self.lease_ttl_s = lease_ttl_s
-        if lease_dir is None and cache is not None:
-            lease_dir = cache.default_lease_dir()
-        self.leases = open_leases(lease_dir, ttl_s=lease_ttl_s)
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         self.report = SweepReport()
 
@@ -206,21 +170,12 @@ class SweepRunner:
             pending.append(spec)
 
         if pending:
-            if self.shard is not None:
-                # Start each shard runner's claim walk at a different
-                # offset so N runners fan out over the grid instead of
-                # colliding on job 0 and serialising.
-                index, count = self.shard
-                offset = (index * len(pending)) // count
-                pending = pending[offset:] + pending[:offset]
             pool = ServicePool(
                 self.cache,
                 workers=0 if self.jobs == 1 else min(self.jobs, len(pending)),
                 ledger=self.ledger,
                 chaos=self.chaos,
                 max_attempts=self.max_attempts,
-                lease_dir=self.leases.directory if self.leases else None,
-                lease_ttl_s=self.lease_ttl_s,
             )
             try:
                 futures = pool.run_batch(
@@ -248,17 +203,9 @@ class SweepRunner:
     ) -> None:
         exc = future.exception()
         if exc is None:
-            result = future.result()
-            if result.source == "cached":
-                self._note_cached(run, spec, result.value)
-                return
-            run.results[spec.index] = result.value
+            run.results[spec.index] = future.result().value
             run.report.completed += 1
         elif isinstance(exc, ServiceQuarantined):
-            if exc.manifest is not None:
-                # A peer (or an earlier run) quarantined it.
-                self._note_quarantine_manifest(run, spec, exc.manifest)
-                return
             run.report.quarantined += 1
             if not self.keep_going:
                 run.failures.append((spec.point, str(exc)))
@@ -273,22 +220,6 @@ class SweepRunner:
         self.ledger.emit(
             "cache_hit", index=spec.index, key=spec.key, driver=run.driver
         )
-
-    def _note_quarantine_manifest(
-        self, run: _GridRun, spec: JobSpec, manifest: Dict[str, Any]
-    ) -> None:
-        """A quarantine manifest written by an earlier run or a peer
-        runner (the pool recorded its ``sweep_job`` event): skip the
-        job, surfacing it per the keep-going policy."""
-        error = str(manifest.get("error", "quarantined"))
-        run.report.quarantined += 1
-        if not self.keep_going:
-            owner = manifest.get("owner", "unknown")
-            run.failures.append((
-                spec.point,
-                f"quarantined (by {owner}): {error} — clear "
-                f"{self.leases.quarantine_path(spec.key)} to retry",
-            ))
 
 
 def sweep_map(

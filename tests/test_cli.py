@@ -394,6 +394,9 @@ class TestSweepFlagErrors:
 
 
 class TestSweepCommand:
+    """``repro experiment``'s sweep flags: parallel, cached and
+    crash-safe runs print what the serial run prints."""
+
     def _tiny(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_PES", "2")
@@ -405,7 +408,8 @@ class TestSweepCommand:
         assert main(["experiment", "fig14"]) == 0
         serial = capsys.readouterr()
         cache = str(tmp_path / "cache")
-        argv = ["sweep", "fig14", "--jobs", "2", "--cache-dir", cache]
+        argv = ["experiment", "fig14", "--jobs", "2", "--cache-dir", cache,
+                "--keep-going", "--max-attempts", "2"]
         assert main(argv) == 0
         first = capsys.readouterr()
         assert first.out == serial.out
@@ -415,86 +419,44 @@ class TestSweepCommand:
         second = capsys.readouterr()
         assert second.out == serial.out
         assert "0 executed" in second.err
-        # The lease directory lives inside the cache without polluting
-        # the result key space.
+        # Nothing but the result key space lives in the cache.
         import os
 
-        assert os.path.isdir(os.path.join(cache, ".leases"))
-
-    def test_single_shard_grid(self, tmp_path, capsys, monkeypatch):
-        self._tiny(monkeypatch)
-        assert main(["experiment", "fig14"]) == 0
-        serial = capsys.readouterr()
-        cache = str(tmp_path / "cache")
-        assert main([
-            "sweep", "fig14", "--shard", "0/1", "--cache-dir", cache,
-        ]) == 0
-        sharded = capsys.readouterr()
-        assert sharded.out == serial.out
-
-    def test_shard_requires_cache_dir(self, capsys):
-        assert main(["sweep", "fig14", "--shard", "0/2"]) == 2
-        err = capsys.readouterr().err
-        assert "--shard i/N requires --cache-dir" in err
-
-    # (a leading-dash spec like "-1/2" never reaches _shard_spec —
-    # argparse treats it as an option and rejects it on its own)
-    @pytest.mark.parametrize("spec, diagnostic", [
-        ("2/2", "0-based"),          # 1-based slip gets the fix-it
-        ("4/2", "0/2 .. 1/2"),       # ...spelling out the valid range
-        ("1", "i/N"),
-        ("a/b", "i/N"),
-        ("1/0", "count must be >= 1"),
-    ])
-    def test_bad_shard_spec_rejected(
-        self, spec, diagnostic, tmp_path, capsys
-    ):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([
-                "sweep", "fig14", "--shard", spec,
-                "--cache-dir", str(tmp_path / "c"),
-            ])
-        err = capsys.readouterr().err
-        assert "shard" in err
-        assert diagnostic in err
-
-    def test_shard_help_documents_zero_base(self):
-        # The help text and the error diagnostics must agree that
-        # shards are 0-based (regression: the help used to show i/N
-        # with no base, and 1-based N/N slips got an opaque bound).
-        import argparse as _argparse
-
-        parser = build_parser()
-        sweep_parser = None
-        for action in parser._subparsers._group_actions:
-            sweep_parser = action.choices.get("sweep")
-        assert sweep_parser is not None
-        help_text = sweep_parser.format_help()
-        assert "0-based" in help_text
-        with pytest.raises(_argparse.ArgumentTypeError) as info:
-            from repro.cli import _shard_spec
-
-            _shard_spec("2/2")
-        assert "0-based" in str(info.value)
+        assert not os.path.exists(os.path.join(cache, ".leases"))
 
     def test_bad_max_attempts_rejected(self, tmp_path, capsys):
         assert main([
-            "sweep", "fig14", "--max-attempts", "0",
+            "experiment", "fig14", "--max-attempts", "0",
             "--cache-dir", str(tmp_path / "c"),
         ]) == 2
         assert "--max-attempts" in capsys.readouterr().err
 
     def test_unknown_experiment_rejected(self, capsys):
-        assert main(["sweep", "nope"]) == 2
+        assert main(["experiment", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["sweep", "fig14"])
-        assert args.shard is None
-        assert args.max_attempts == 3
+        args = build_parser().parse_args(["experiment", "fig14"])
+        assert args.max_attempts is None  # REPRO_MAX_ATTEMPTS, else 3
         assert args.keep_going is False
-        assert args.lease_ttl == 30.0
-        assert args.lease_dir is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "fig14"])
+
+    def test_keep_going_suppresses_a_table_with_holes(
+        self, capsys, monkeypatch
+    ):
+        self._tiny(monkeypatch)
+        import repro.bench.fig14 as fig14
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken cell")
+
+        monkeypatch.setattr(fig14, "_cell", broken)
+        assert main(["experiment", "fig14", "--keep-going"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("fig14: output suppressed — ")
+        assert "failed or quarantined (see the run ledger)" in out
+        assert "failed" in err
 
 
 class TestResilienceFlags:

@@ -32,7 +32,9 @@ from repro.service.simulate import (
     MAX_REQUEST_PES,
     format_run_summary,
     request_point,
+    run_cell,
     run_jobspec,
+    to_plain,
 )
 from repro.sweep.cache import ResultCache
 
@@ -180,6 +182,35 @@ class TestCoalescing:
             assert service.coalescer.stats()["coalesced"] == 3
         finally:
             pool.close()
+
+
+    def test_result_published_between_probe_and_join_runs_once(
+        self, stack, monkeypatch
+    ):
+        # The key's previous leader publishes and leaves the in-flight
+        # table after this request's memo probe missed but before it
+        # joins: the new leader must find the result, not execute.
+        cache, pool, service = stack
+        point = request_point(POINT_ARGS)
+        key = run_jobspec(point).key
+        value = run_cell(None, point)
+        probe = cache.get
+        raced = []
+
+        def get(k):
+            hit = probe(k)
+            if k == key and not raced:
+                raced.append(k)
+                cache.put(key, value)
+            return hit
+
+        monkeypatch.setattr(cache, "get", get)
+        reply = _answer(service, dict(POINT_ARGS))
+        assert reply.status == 200
+        assert reply.payload["source"] == "memo"
+        assert reply.payload["result"] == to_plain(value)
+        assert pool.stats()["executed"] == 0
+        assert service.coalescer.in_flight == 0
 
 
 class TestConcurrentHttpEndToEnd:

@@ -3,9 +3,9 @@
 Reuses the sweep ChaosMonkey's deterministic ``sweep_kills`` schedule —
 every service job has grid index 0, so ``((0, 1),)`` kills the first
 attempt of whatever executes first, exercising the sentinel-detected
-death -> lease attempt bump -> requeue ladder under a live request.
-When every attempt dies, the job is quarantined and the HTTP answer is
-a 503 carrying the quarantine manifest path.
+death -> attempt bump -> requeue ladder under a live request.  When
+every attempt dies, the pool quarantines the key and the HTTP answer is
+a 503 carrying the attempt count; later requests for the key fail fast.
 """
 
 import pytest
@@ -115,22 +115,15 @@ class TestQuarantine:
             ledger=ledger,
         )
 
-    def test_poison_request_gets_503_with_manifest(self, tmp_path):
-        import json
-        import os
-
+    def test_poison_request_gets_503_with_attempts(self, tmp_path):
         cache, pool = self._poison_pool(tmp_path)
         try:
             service = SimulationService(cache, pool, policy=GENEROUS)
             reply = _answer(service, dict(POINT_ARGS))
             assert reply.status == 503
-            manifest_path = reply.payload["quarantine_manifest"]
-            assert manifest_path and os.path.exists(manifest_path)
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-            assert manifest["driver"] == "serve"
-            assert manifest["attempts"] == 3
-            assert "worker died" in manifest["error"]
+            assert reply.payload["attempts"] == pool.max_attempts
+            assert "worker died" in reply.payload["error"]
+            assert "quarantine_manifest" not in reply.payload
             assert pool.quarantined == 1
         finally:
             pool.close()
@@ -141,13 +134,17 @@ class TestQuarantine:
             service = SimulationService(cache, pool, policy=GENEROUS)
             first = _answer(service, dict(POINT_ARGS))
             assert first.status == 503
+            before = pool.stats()
             # The next request for the same key never reaches a worker:
-            # the manifest answers immediately.
+            # the pool's quarantine map answers immediately.
             again = _answer(service, dict(POINT_ARGS))
             assert again.status == 503
-            assert again.payload["quarantine_manifest"]
-            # Fail-fast means no new attempts were burned: still 3.
-            assert pool.quarantined == 2  # one ladder + one manifest hit
+            assert again.payload["attempts"] == pool.max_attempts
+            after = pool.stats()
+            # Fail-fast means no new attempts were burned.
+            for counter in ("executed", "requeued", "restarted"):
+                assert after[counter] == before[counter], counter
+            assert pool.quarantined == 2  # one ladder + one map hit
         finally:
             pool.close()
 
@@ -193,41 +190,38 @@ class TestPoolDirect:
             with pytest.raises(ServiceQuarantined) as info:
                 future.result(timeout=120)
             assert info.value.key == spec.key
-            assert info.value.manifest_path
+            assert info.value.attempts == pool.max_attempts
         finally:
             pool.close()
 
 
-class TestQuarantineFoundOnDisk:
+class TestQuarantineReported:
     def test_counted_once_in_stats_metrics_and_ledger(self, tmp_path):
-        """A key quarantined before the pool started (by an earlier run
-        or a peer): ``/v1/stats``, ``GET /metrics`` and the ledger each
-        report that one quarantine exactly once."""
+        """One key quarantined over HTTP: ``/v1/stats``, ``GET
+        /metrics`` and the ledger each report it exactly once."""
         from repro.service.client import ServiceClient
         from repro.service.server import ServiceServer
-        from repro.sweep.lease import LeaseManager
 
         cache = ResultCache(str(tmp_path / "cache"))
         key = run_jobspec(request_point(POINT_ARGS)).key
-        LeaseManager(cache.default_lease_dir(), ttl_s=30.0).quarantine(
-            key, {"driver": "serve", "index": 0, "attempts": 3,
-                  "error": "worker died"},
-        )
         ledger = RunLedger(
             tmp_path / "ledger" / "svc.jsonl", run_id="svc-found"
         )
-        pool = ServicePool(cache, workers=1, ledger=ledger)
+        pool = ServicePool(
+            cache, workers=1, ledger=ledger, max_attempts=3,
+            chaos=ChaosConfig(sweep_kills=((0, 1), (0, 2), (0, 3))),
+        )
         service = SimulationService(
             cache, pool, policy=GENEROUS, ledger=ledger
         )
         server = ServiceServer(service, port=0)
         server.start_background()
-        client = ServiceClient(port=server.port)
+        client = ServiceClient(port=server.port, timeout_s=120.0)
         try:
             status, payload, _ = client.request(
                 "POST", "/v1/simulate", dict(POINT_ARGS)
             )
-            assert status == 503 and payload["quarantine_manifest"]
+            assert status == 503 and payload["attempts"] == 3
             assert client.stats()["pool"]["quarantined"] == 1
             assert "spade_service_quarantined 1" in (
                 client.metrics_text().splitlines()

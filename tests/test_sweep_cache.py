@@ -1,4 +1,4 @@
-"""Unit tests for the result cache, the locking primitives, and the
+"""Unit tests for the result cache, the temp-file primitive, and the
 shared-directory write-collision regression (cache AND checkpoints)."""
 
 import json
@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.locks import FileLock, LockTimeout, exclusive_tmp_path
+from repro.locks import exclusive_tmp_path
 from repro.resilience.checkpoint import CheckpointManager
 from repro.sweep import ResultCache, open_cache
 
@@ -158,37 +158,3 @@ class TestForcedCollisions:
             n for n in os.listdir(tmp_path) if n.endswith(".tmp")
         ]
         assert leftovers == []
-
-
-class TestFileLock:
-    def test_acquire_release_cycle(self, tmp_path):
-        lock = FileLock(str(tmp_path / "dir.lock"))
-        assert not lock.held
-        with lock:
-            assert lock.held
-            assert os.path.exists(tmp_path / "dir.lock")
-            # Owner token is pid:nonce — the pid prefix keeps stale-lock
-            # diagnosis possible, the nonce makes release verifiable.
-            content = (tmp_path / "dir.lock").read_text()
-            assert content.split(":")[0] == str(os.getpid())
-        assert not lock.held
-        assert not os.path.exists(tmp_path / "dir.lock")
-
-    def test_contention_times_out(self, tmp_path):
-        path = str(tmp_path / "dir.lock")
-        holder = FileLock(path).acquire()
-        waiter = FileLock(path, timeout_s=0.05, poll_s=0.01, stale_s=None)
-        with pytest.raises(LockTimeout):
-            waiter.acquire()
-        holder.release()
-        with waiter:
-            assert waiter.held
-
-    def test_stale_lock_is_broken(self, tmp_path):
-        path = str(tmp_path / "dir.lock")
-        FileLock(path).acquire()  # never released: dead holder
-        old = os.stat(path).st_mtime - 3600
-        os.utime(path, (old, old))
-        fresh = FileLock(path, timeout_s=1.0, poll_s=0.01, stale_s=60.0)
-        with fresh:
-            assert fresh.held

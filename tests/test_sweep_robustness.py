@@ -1,26 +1,28 @@
 """Crash-safety tests for the supervised sweep pool.
 
-Exercises the whole ladder the lease protocol exists for:
-worker SIGKILL -> sentinel detection -> lease/attempt bump -> requeue
--> re-execution (parity with serial), and for poison jobs ->
-quarantine manifest + ledger event + counter under keep_going.
+Exercises the pool's crash ladder: worker SIGKILL -> sentinel
+detection -> attempt bump -> requeue -> re-execution (parity with
+serial), and for poison jobs -> pool-local quarantine + ledger event +
+counter under keep_going.  Then the concurrent-writer argument: two
+processes sharing one cache directory with no coordination both get
+the serial answers and leave one valid entry per key.
 
 Cells are module-level (workers import them by reference) and avoid
 the simulator entirely so the suite stays tier-1 fast.
 """
 
 import json
+import multiprocessing
 import os
-import threading
 import time
 
 import pytest
 
 from repro.errors import SweepJobError
-from repro.obs.ledger import read_events
+from repro.obs.ledger import RunLedger, read_events
 from repro.resilience import ChaosConfig
 from repro.sweep import SweepRunner, build_jobs, open_cache
-from repro.sweep.lease import LeaseManager
+from repro.sweep.pool import ServicePool, ServiceQuarantined
 from repro.obs import sweep_metrics
 
 POINTS = [(i,) for i in range(6)]
@@ -46,56 +48,6 @@ def _slow_cell(env, point):
 
 def _counter_value(runner, name):
     return sweep_metrics(runner.report).value(name)
-
-
-FRONTENDS = ("map_grid", "submit")
-"""The two ways into the worker pool: a sweep batch and a service job."""
-
-
-def _run_frontend(frontend, cache_dir, lease_ttl_s, ledger_dir):
-    """Evaluate POINTS through one frontend of the worker pool.
-
-    Returns the values in grid order, each job's source (``executed`` or
-    ``cached``), and ``{index: attempt}`` of the ledger's ``completed``
-    events — the executions, wherever they ran.
-    """
-    from repro.obs.ledger import RunLedger
-    from repro.sweep.pool import ServicePool
-
-    ledger = RunLedger(ledger_dir / "run.jsonl", run_id=frontend)
-    if frontend == "map_grid":
-        runner = SweepRunner(
-            jobs=1, cache=open_cache(cache_dir), lease_ttl_s=lease_ttl_s,
-            ledger=ledger,
-        )
-        values = runner.map_grid("rb", None, _square_cell, POINTS)
-    else:
-        pool = ServicePool(
-            open_cache(cache_dir), workers=1, lease_ttl_s=lease_ttl_s,
-            ledger=ledger,
-        )
-        try:
-            results = [
-                pool.submit(spec, _square_cell).result(timeout=60)
-                for spec in build_jobs("rb", None, POINTS)
-            ]
-        finally:
-            pool.close()
-        values = [r.value for r in results]
-        sources = [r.source for r in results]
-    ledger.close()
-    events = read_events(ledger.path)
-    if frontend == "map_grid":
-        cached = {e["index"] for e in events if e["e"] == "cache_hit"}
-        sources = [
-            "cached" if i in cached else "executed"
-            for i in range(len(POINTS))
-        ]
-    attempts = {
-        e["index"]: e["attempt"] for e in events
-        if e["e"] == "sweep_job" and e["status"] == "completed"
-    }
-    return values, sources, attempts
 
 
 class TestWorkerDeathRecovery:
@@ -134,8 +86,8 @@ class TestWorkerDeathRecovery:
         assert runner.report.requeued == 3
 
     def test_kill_recovery_without_cache_or_leases(self, tmp_path):
-        # The requeue ladder must work from in-memory attempt tracking
-        # alone (no cache configured -> no lease directory).
+        # The requeue ladder works from the pool's in-memory attempt
+        # count alone: no cache configured, nothing on disk.
         chaos = ChaosConfig(sweep_kills=((1, 1),))
         runner = SweepRunner(jobs=2, chaos=chaos)
         results = runner.map_grid("rb", None, _square_cell, POINTS)
@@ -143,8 +95,6 @@ class TestWorkerDeathRecovery:
         assert runner.report.requeued == 1
 
     def test_kill_ledger_records_requeue_and_attempts(self, tmp_path):
-        from repro.obs.ledger import RunLedger
-
         ledger = RunLedger(tmp_path / "ledger" / "run.jsonl", run_id="t")
         chaos = ChaosConfig(sweep_kills=((2, 1),))
         runner = SweepRunner(
@@ -179,17 +129,19 @@ class TestQuarantine:
     def test_poison_job_quarantined_under_keep_going(self, tmp_path):
         # Job 1 kills its worker on every attempt: after max_attempts
         # it must be quarantined, the rest of the grid completes and
-        # caches, and manifest + counter record it.
+        # caches, and the ledger event + counter record it.
         chaos = ChaosConfig(sweep_kills=((1, 1), (1, 2), (1, 3)))
-        cache_dir = str(tmp_path / "cache")
+        ledger = RunLedger(tmp_path / "ledger" / "run.jsonl", run_id="q")
         runner = SweepRunner(
             jobs=2,
-            cache=open_cache(cache_dir),
+            cache=open_cache(str(tmp_path / "cache")),
             chaos=chaos,
             max_attempts=3,
             keep_going=True,
+            ledger=ledger,
         )
         results = runner.map_grid("rb", None, _square_cell, POINTS)
+        ledger.close()
         assert results[1] is None
         for i in (0, 2, 3, 4, 5):
             assert results[i] == {"value": i * i}
@@ -199,37 +151,45 @@ class TestQuarantine:
         assert _counter_value(
             runner, "spade_sweep_jobs_quarantined"
         ) == 1
-        # Machine-readable manifest in the lease directory.
-        leases = LeaseManager(
-            open_cache(cache_dir).default_lease_dir(), ttl_s=30.0
-        )
-        specs = build_jobs("rb", None, POINTS)
-        manifest = leases.is_quarantined(specs[1].key)
-        assert manifest is not None
-        assert manifest["attempts"] == 3
-        assert "worker died" in manifest["error"]
-        assert manifest["driver"] == "rb"
+        quarantined = [
+            e for e in read_events(ledger.path)
+            if e["e"] == "sweep_job" and e["status"] == "quarantined"
+        ]
+        assert len(quarantined) == 1
+        event = quarantined[0]
+        assert event["key"] == build_jobs("rb", None, POINTS)[1].key
+        assert event["attempt"] == 3
+        assert "worker died" in event["error"]
+        assert event["driver"] == "rb"
 
     def test_quarantine_skipped_on_rerun(self, tmp_path):
+        # Rerunning the grid on the same pool: the poison key fails
+        # fast from the pool's quarantine map without a single new
+        # attempt, and the healthy keys run again.
         chaos = ChaosConfig(sweep_kills=((1, 1), (1, 2), (1, 3)))
-        cache_dir = str(tmp_path / "cache")
-        first = SweepRunner(
-            jobs=2, cache=open_cache(cache_dir), chaos=chaos,
-            max_attempts=3, keep_going=True,
-        )
-        first.map_grid("rb", None, _square_cell, POINTS)
-        # Second run: completed jobs come from cache, the poison job is
-        # skipped via its manifest without a single new attempt.
-        second = SweepRunner(
-            jobs=2, cache=open_cache(cache_dir), chaos=chaos,
-            max_attempts=3, keep_going=True,
-        )
-        results = second.map_grid("rb", None, _square_cell, POINTS)
-        assert results[1] is None
-        assert second.report.cached == 5
-        assert second.report.completed == 0
-        assert second.report.requeued == 0
-        assert second.report.quarantined == 1
+        specs = build_jobs("rb", None, POINTS)
+        pool = ServicePool(None, workers=2, chaos=chaos, max_attempts=3)
+        try:
+            first = pool.run_batch(specs, _square_cell, None, None)
+            with pytest.raises(ServiceQuarantined) as info:
+                first[1].result()
+            assert info.value.attempts == 3
+            before = pool.stats()
+            again = pool.run_batch(specs, _square_cell, None, None)
+            with pytest.raises(ServiceQuarantined) as info:
+                again[1].result()
+            assert info.value.attempts == 3
+            assert "worker died" in str(info.value)
+            after = pool.stats()
+        finally:
+            pool.close()
+        assert [again[i].result().value for i in (0, 2, 3, 4, 5)] == [
+            {"value": i * i} for i in (0, 2, 3, 4, 5)
+        ]
+        assert after["executed"] == before["executed"] + 5
+        assert after["requeued"] == before["requeued"]
+        assert after["restarted"] == before["restarted"]
+        assert after["quarantined"] == before["quarantined"] + 1
 
     def test_poison_without_keep_going_raises(self, tmp_path):
         chaos = ChaosConfig(sweep_kills=((1, 1), (1, 2), (1, 3)))
@@ -268,159 +228,103 @@ class TestFailureDeterminism:
         assert messages[0] == messages[1]
 
 
-class TestShardedSweeps:
-    def _run_shard(self, shard, cache_dir, ledger_dir, out, barrier):
-        from repro.obs.ledger import RunLedger
+def _fork_context():
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
 
-        ledger = RunLedger(
-            ledger_dir / f"shard{shard[0]}.jsonl",
-            run_id=f"shard{shard[0]}",
-        )
-        runner = SweepRunner(
-            jobs=1,
-            cache=open_cache(cache_dir),
-            shard=shard,
-            lease_ttl_s=10.0,
-            ledger=ledger,
-        )
-        barrier.wait(timeout=10.0)
-        results = runner.map_grid("rb", None, _slow_cell, POINTS)
-        ledger.close()
-        out[shard] = (results, runner.report)
 
-    def test_two_shards_share_one_grid_exactly_once(self, tmp_path):
-        # Two concurrent runners over one shared cache+lease dir: both
-        # return the full grid byte-identical to serial, and the merged
-        # ledgers show every job executed exactly once.
+def _write_one_cache(frontend, cache_dir, barrier, conn):
+    """One uncoordinated writer of ``cache_dir``: wait for the other,
+    evaluate POINTS through ``frontend``, send the values back."""
+    barrier.wait(timeout=60.0)
+    cache = open_cache(cache_dir)
+    if frontend == "map_grid":
+        runner = SweepRunner(jobs=2, cache=cache)
+        values = runner.map_grid("rb", None, _slow_cell, POINTS)
+    else:
+        # No cache probe: the pool executes and publishes every key.
+        pool = ServicePool(cache, workers=2)
+        try:
+            futures = [
+                pool.submit(spec, _slow_cell)
+                for spec in build_jobs("rb", None, POINTS)
+            ]
+            values = [f.result(timeout=60).value for f in futures]
+        finally:
+            pool.close()
+    conn.send(values)
+    conn.close()
+
+
+class TestConcurrentWriters:
+    def test_sweep_and_service_pool_share_one_cache(self, tmp_path):
+        # Two processes write one cache directory with no coordination
+        # at all: a race on a key costs duplicate work, never a wrong,
+        # torn or missing entry.
         serial = [_slow_cell(None, p) for p in POINTS]
         cache_dir = str(tmp_path / "cache")
-        ledger_dir = tmp_path / "ledgers"
-        ledger_dir.mkdir()
-        out = {}
-        barrier = threading.Barrier(2)
-        threads = [
-            threading.Thread(
-                target=self._run_shard,
-                args=((i, 2), cache_dir, ledger_dir, out, barrier),
+        ctx = _fork_context()
+        barrier = ctx.Barrier(2)
+        procs, conns = [], []
+        for frontend in ("map_grid", "submit"):
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_write_one_cache,
+                args=(frontend, cache_dir, barrier, child_conn),
             )
-            for i in range(2)
+            proc.start()
+            child_conn.close()
+            procs.append(proc)
+            conns.append(parent_conn)
+        try:
+            values = []
+            for conn in conns:
+                assert conn.poll(120.0), "a writer died or hung"
+                values.append(conn.recv())
+        finally:
+            for proc in procs:
+                proc.join(timeout=30.0)
+                if proc.is_alive():
+                    proc.kill()
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert values == [serial, serial]
+        cache = open_cache(cache_dir)
+        specs = build_jobs("rb", None, POINTS)
+        assert cache.keys() == sorted(spec.key for spec in specs)
+        for spec, expected in zip(specs, serial):
+            assert cache.get(spec.key) == (True, expected)
+        debris = [
+            name
+            for _, _, names in os.walk(cache_dir)
+            for name in names if name.endswith(".tmp")
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        assert len(out) == 2, "a shard runner died or hung"
-        for shard, (results, report) in out.items():
-            assert results == serial, f"shard {shard} diverged"
-            assert report.quarantined == 0
-        # Every job executed exactly once across the two runners.
-        completed = {}
-        for path in sorted(ledger_dir.glob("shard*.jsonl")):
-            for ev in read_events(path):
-                if (
-                    ev.get("e") == "sweep_job"
-                    and ev.get("status") == "completed"
-                ):
-                    completed[ev["key"]] = completed.get(ev["key"], 0) + 1
+        assert debris == []
+        assert not os.path.exists(os.path.join(cache_dir, ".leases"))
+        assert all(len(name) == 2 for name in os.listdir(cache_dir))
+
+    def test_cache_from_an_older_release_still_hits(self, tmp_path):
+        # Older releases kept claim files and quarantine manifests in a
+        # ``.leases`` tree inside the cache.  Nothing reads it now: the
+        # cached keys still hit, ``keys()`` skips the tree, and a key
+        # it names as quarantined simply runs.
+        cache_dir = tmp_path / "cache"
         specs = build_jobs("rb", None, POINTS)
-        assert len(completed) == len(specs)
-        assert all(count == 1 for count in completed.values()), completed
-        total_completed = sum(
-            report.completed for _, report in out.values()
-        )
-        total_cached = sum(report.cached for _, report in out.values())
-        assert total_completed == len(POINTS)
-        assert total_completed + total_cached == 2 * len(POINTS)
-
-    @pytest.mark.parametrize("frontend", FRONTENDS)
-    def test_dead_shard_runner_is_reclaimed(self, tmp_path, frontend):
-        # A "runner" claimed a job and died (simulated by planting a
-        # backdated foreign lease): the surviving runner must reclaim
-        # the stale lease and execute the job itself, at attempt 2.
-        cache_dir = str(tmp_path / "cache")
-        cache = open_cache(cache_dir)
-        specs = build_jobs("rb", None, POINTS)
-        dead = LeaseManager(
-            cache.default_lease_dir(), owner="dead-runner", ttl_s=1.0
-        )
-        assert dead.try_claim(specs[3].key) == 1
-        old = time.time() - 3600
-        os.utime(dead.path_for(specs[3].key), (old, old))
-        values, sources, attempts = _run_frontend(
-            frontend, cache_dir, 1.0, tmp_path / "ledger"
-        )
-        assert values == [_square_cell(None, p) for p in POINTS]
-        assert sources == ["executed"] * len(POINTS)
-        assert attempts == {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1}
-
-    @pytest.mark.parametrize("frontend", FRONTENDS)
-    def test_foreign_live_holder_is_awaited(self, tmp_path, frontend):
-        # A live foreign holder publishes the result while we wait; the
-        # waiting runner must pick it up from the cache, not execute.
-        cache_dir = str(tmp_path / "cache")
-        cache = open_cache(cache_dir)
-        specs = build_jobs("rb", None, POINTS)
-        holder = LeaseManager(
-            cache.default_lease_dir(), owner="peer", ttl_s=30.0
-        )
-        assert holder.try_claim(specs[0].key) == 1
-
-        def publish_late():
-            time.sleep(0.3)
-            cache.put(specs[0].key, {"value": 0})
-            holder.release(specs[0].key)
-
-        thread = threading.Thread(target=publish_late)
-        thread.start()
-        values, sources, attempts = _run_frontend(
-            frontend, cache_dir, 30.0, tmp_path / "ledger"
-        )
-        thread.join(timeout=5.0)
-        assert values == [_square_cell(None, p) for p in POINTS]
-        # Job 0 was served from the peer's publish, not re-executed.
-        assert sources == ["cached"] + ["executed"] * (len(POINTS) - 1)
-        assert sorted(attempts) == list(range(1, len(POINTS)))
-
-    def test_shard_requires_cache(self):
-        from repro.errors import SweepError
-
-        with pytest.raises(SweepError):
-            SweepRunner(jobs=1, shard=(0, 2))
-
-    def test_shard_validation(self, tmp_path):
-        from repro.errors import SweepError
-
-        cache = open_cache(str(tmp_path / "cache"))
-        with pytest.raises(SweepError):
-            SweepRunner(jobs=1, cache=cache, shard=(2, 2))
-        with pytest.raises(SweepError):
-            SweepRunner(jobs=1, cache=cache, shard=(-1, 2))
-
-
-class TestLeaseRunnerIntegration:
-    def test_leases_released_after_clean_sweep(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        runner = SweepRunner(jobs=2, cache=open_cache(cache_dir))
-        runner.map_grid("rb", None, _square_cell, POINTS)
-        lease_root = open_cache(cache_dir).default_lease_dir()
-        leftovers = []
-        for dirpath, _dirnames, filenames in os.walk(lease_root):
-            leftovers += [f for f in filenames if f.endswith(".lease")]
-        assert leftovers == []
-
-    def test_quarantine_manifest_is_json(self, tmp_path):
-        chaos = ChaosConfig(sweep_kills=((0, 1), (0, 2), (0, 3)))
-        cache_dir = str(tmp_path / "cache")
-        runner = SweepRunner(
-            jobs=2, cache=open_cache(cache_dir), chaos=chaos,
-            max_attempts=3, keep_going=True,
-        )
-        runner.map_grid("rb", None, _square_cell, POINTS[:2])
-        qdir = os.path.join(
-            open_cache(cache_dir).default_lease_dir(), "quarantine"
-        )
-        names = os.listdir(qdir)
-        assert len(names) == 1
-        manifest = json.loads(open(os.path.join(qdir, names[0])).read())
-        assert manifest["index"] == 0
-        assert manifest["point"] == repr(POINTS[0])
+        first = SweepRunner(jobs=1, cache=open_cache(str(cache_dir)))
+        first.map_grid("rb", None, _square_cell, POINTS[:3])
+        old = cache_dir / ".leases"
+        claim = old / specs[0].key[:2] / f"{specs[0].key}.lease"
+        claim.parent.mkdir(parents=True)
+        claim.write_text(json.dumps({"key": specs[0].key, "attempt": 1}))
+        manifest = old / "quarantine" / f"{specs[4].key}.json"
+        manifest.parent.mkdir()
+        manifest.write_text(json.dumps({"attempts": 3, "error": "old"}))
+        cache = open_cache(str(cache_dir))
+        assert cache.keys() == sorted(spec.key for spec in specs[:3])
+        second = SweepRunner(jobs=1, cache=cache)
+        results = second.map_grid("rb", None, _square_cell, POINTS)
+        assert results == [_square_cell(None, p) for p in POINTS]
+        assert second.report.cached == 3
+        assert second.report.completed == 3
+        assert second.report.quarantined == 0
